@@ -142,10 +142,11 @@ def cmd_synth(args) -> int:
 def cmd_run_meta_k(args) -> int:
     repo = _load_repo(args)
     k_range = _k_range(args)
+    fracs = _parse_fractions(args.train_frac)
+    records = repo_runs(repo, k_range, args.restarts, args.seed)
     rows = []
-    for frac in _parse_fractions(args.train_frac):
+    for frac in fracs:
         for repeat in range(args.repeats):
-            records = repo_runs(repo, k_range, args.restarts, args.seed)
             train_idx, test_idx = split_repository(repo, SplitSpec(frac, repeat, args.seed))
             model = train_meta_k([records[i] for i in train_idx], k_range)
             ev = evaluate_meta_k(model, [records[i] for i in test_idx])
@@ -182,20 +183,20 @@ def cmd_run_outliers(args) -> int:
     repo = _load_repo(args)
     k_range = _k_range(args)
     p_grid = _parse_p_grid(args.p_grid)
+    cells = [(frac, repeat) for frac in _parse_fractions(args.train_frac) for repeat in range(args.repeats)]
+    results = sweep_outlier_fraction(
+        repo,
+        [SplitSpec(frac, repeat, args.seed) for frac, repeat in cells],
+        p_grid,
+        k_range,
+        args.restarts,
+        args.seed,
+        use_raw_norm=args.raw_norm,
+    )
     rows = []
-    for frac in _parse_fractions(args.train_frac):
-        for repeat in range(args.repeats):
-            result = sweep_outlier_fraction(
-                repo,
-                SplitSpec(frac, repeat, args.seed),
-                p_grid,
-                k_range,
-                args.restarts,
-                args.seed,
-                use_raw_norm=args.raw_norm,
-            )
-            for p, ari in result.per_p:
-                rows.append((frac, repeat, p, ari, int(p == result.best_p)))
+    for (frac, repeat), result in zip(cells, results):
+        for p, ari in result.per_p:
+            rows.append((frac, repeat, p, ari, int(p == result.best_p)))
     out = _out_dir(args)
     _write_csv(out / "outliers.csv", ["train_frac", "repeat", "p", "ari_meta", "is_best"], rows)
     _write_config(out, args)

@@ -152,12 +152,13 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 1, seed: int = 0) -> Clus
     best = None
     for r in range(restarts):
         rng = np.random.default_rng(derive_seed(seed, r))
-        labels, _centers, inertia = _lloyd(points, k, rng)
-        if best is None or inertia < best[1]:
-            best = (labels, inertia)
-    labels, inertia = best
+        labels, centers, inertia = _lloyd(points, k, rng)
+        if best is None or inertia < best[2]:
+            best = (labels, centers, inertia)
+    labels, centers, inertia = best
+    # Lloyd's final centers are the part means, averaged over the same rows.
     partition = Partition(n_items=n, parts=_labels_to_parts(labels, k))
-    return ClusterResult(partition=partition, centers=_part_centers(points, partition), inertia=inertia)
+    return ClusterResult(partition=partition, centers=centers, inertia=inertia)
 
 
 _LW_COEFFS = {

@@ -22,7 +22,7 @@ import numpy as np
 
 from metaclust.clusterers import ClustererSpec, kmeans, run_spec
 from metaclust.data_model import Dataset, MetaRepository, Partition, SplitSpec, derive_seed, split_repository
-from metaclust.metrics import adjusted_rand_index, silhouette_score
+from metaclust.metrics import adjusted_rand_index, pairwise_distances, silhouette_score
 from metaclust.regression import LinearModel, fit_least_squares, phi_features, predict, symmetric_eigen_extrema
 
 __all__ = [
@@ -87,9 +87,10 @@ def generate_runs(
     """Single-start k-means runs for every (k, run) cell.
 
     Each run uses its own sub-seed.  Silhouette is always computed (on the
-    pruned data when theta > 0); ARI is computed iff a ground truth is given,
-    always against the full-data partition after reattaching pruned points to
-    their nearest center.
+    pruned data when theta > 0, from one distance matrix shared by all
+    cells); ARI is computed iff a ground truth is given, always against the
+    full-data partition after reattaching pruned points to their nearest
+    center.
     """
     points = dataset.points
     outliers, inliers = _prune_indices(points, theta, use_raw_norm)
@@ -97,11 +98,12 @@ def generate_runs(
     if work.shape[0] < max(k_range):
         raise ValueError(f"{work.shape[0]} points cannot support k={max(k_range)}")
 
+    dist = pairwise_distances(work)
     records = []
     for k in k_range:
         for run in range(restarts):
             result = kmeans(work, k, restarts=1, seed=derive_seed(seed, k, run))
-            sil = silhouette_score(work, result.partition)
+            sil = silhouette_score(work, result.partition, dist=dist)
             if outliers.size == 0:
                 full = result.partition
             else:
@@ -360,25 +362,32 @@ DEFAULT_P_GRID = (0.0, 0.01, 0.02, 0.03, 0.04, 0.05)
 
 def sweep_outlier_fraction(
     repo: MetaRepository,
-    split: SplitSpec,
+    splits: Sequence[SplitSpec],
     p_grid: Sequence[float] = DEFAULT_P_GRID,
     k_range: Sequence[int] = DEFAULT_K_RANGE,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
     use_raw_norm: bool = False,
-) -> OutlierSweepResult:
+) -> list:
     """Rerun the meta-k pipeline at each pruning fraction and compare test ARI.
 
-    Per-k models are refit at every p; silhouettes come from the pruned data,
-    ARIs from the full data after reattachment.  The p = 0 column reproduces
-    the plain meta-k pipeline exactly.
+    Returns one ``OutlierSweepResult`` per split, in split order.  The run
+    grid of a fraction does not depend on the split, so it is computed once
+    per fraction, and every split is evaluated on it before the next
+    fraction's grid replaces it.  Per-k models are refit for every (p, split);
+    silhouettes come from the pruned data, ARIs from the full data after
+    reattachment.  The p = 0 column reproduces the plain meta-k pipeline
+    exactly.
     """
-    train_idx, test_idx = split_repository(repo, split)
-    per_p = []
+    split_indices = [split_repository(repo, split) for split in splits]
+    per_split = [[] for _ in split_indices]
     for p in p_grid:
         records = repo_runs(repo, k_range, restarts, seed, theta=p, use_raw_norm=use_raw_norm)
-        model = train_meta_k([records[i] for i in train_idx], k_range)
-        evaluation = evaluate_meta_k(model, [records[i] for i in test_idx])
-        per_p.append((p, evaluation.mean_ari_meta))
-    best_p = min(per_p, key=lambda t: (-t[1], t[0]))[0]
-    return OutlierSweepResult(per_p=tuple(per_p), best_p=best_p)
+        for per_p, (train_idx, test_idx) in zip(per_split, split_indices):
+            model = train_meta_k([records[i] for i in train_idx], k_range)
+            evaluation = evaluate_meta_k(model, [records[i] for i in test_idx])
+            per_p.append((p, evaluation.mean_ari_meta))
+    return [
+        OutlierSweepResult(per_p=tuple(per_p), best_p=min(per_p, key=lambda t: (-t[1], t[0]))[0])
+        for per_p in per_split
+    ]

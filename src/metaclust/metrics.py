@@ -10,6 +10,7 @@ recomputations agree bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -20,6 +21,7 @@ __all__ = [
     "clustering_loss",
     "rand_index",
     "adjusted_rand_index",
+    "pairwise_distances",
     "silhouette_score",
 ]
 
@@ -118,41 +120,50 @@ def adjusted_rand_index(n_items: int, y: Partition, z: Partition) -> float:
     return num / den
 
 
-def silhouette_score(points: np.ndarray, c: Partition) -> float:
+def pairwise_distances(points: np.ndarray) -> np.ndarray:
+    """(n, n) Euclidean distances between the rows of ``points``."""
+    points = np.asarray(points, dtype=float)
+    diff = points[:, None, :] - points[None, :, :]
+    return np.sqrt((diff**2).sum(axis=2))
+
+
+def silhouette_score(points: np.ndarray, c: Partition, dist: Optional[np.ndarray] = None) -> float:
     """Mean silhouette (b - a) / max(a, b) with Euclidean distances.
 
     a(x) is the average distance to the other points of x's own cluster and
     b(x) the smallest average distance to another cluster.  Singleton-cluster
     points contribute 0, as does the 0/0 case of coincident points.
+
+    ``dist`` is ``pairwise_distances(points)``, computed here when omitted;
+    callers scoring many partitions of the same points pass it once.  The
+    per-point terms are summed sequentially in point order, so the result
+    is bit-identical to a scalar loop and does not depend on part order.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     _check_valid(n, c, "C")
     if len(c.parts) < 2:
         raise ValueError("silhouette needs at least 2 clusters")
+    if dist is None:
+        dist = pairwise_distances(points)
 
     labels = c.to_label_array()
     k = len(c.parts)
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-
     sizes = np.array([len(p) for p in c.parts])
-    # Mean distance from each point to each cluster (own cluster excludes self).
+    # Summed distance from each point to each cluster (own cluster includes self at 0).
     cluster_sum = np.zeros((n, k))
     for j in range(k):
         cluster_sum[:, j] = dist[:, labels == j].sum(axis=1)
 
-    total = 0.0
-    for i in range(n):
-        own = labels[i]
-        if sizes[own] == 1:
-            continue
-        a = cluster_sum[i, own] / (sizes[own] - 1)
-        b = np.inf
-        for j in range(k):
-            if j != own:
-                b = min(b, cluster_sum[i, j] / sizes[j])
-        denom = max(a, b)
-        if denom > 0:
-            total += (b - a) / denom
-    return total / n
+    rows = np.arange(n)
+    own_size = sizes[labels]
+    alone = own_size == 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = cluster_sum[rows, labels] / (own_size - 1)
+        other = cluster_sum / sizes
+        other[rows, labels] = np.inf
+        b = other.min(axis=1)
+        denom = np.maximum(a, b)
+        s = np.where(alone | ~(denom > 0), 0.0, (b - a) / denom)
+    # cumsum adds in point order; s.sum() would add pairwise and round differently.
+    return float(np.cumsum(s)[-1]) / n

@@ -389,21 +389,19 @@ def _outlier_dataset(idx, seed):
 def test_criterion_08_outlier_sweep_finds_planted_fraction(announce):
     repo = MetaRepository(problems=tuple(_outlier_dataset(i, 17) for i in range(16)), seed=17)
     grid = (0.0, 0.01, 0.02, 0.03, 0.04, 0.05)
+    splits = [SplitSpec(0.5, repeat, 5) for repeat in range(10)]
+    results = sweep_outlier_fraction(repo, splits, grid, range(2, 11), 10, seed=5)
     wins = 0
-    p0_exact = True
-    for repeat in range(10):
-        split = SplitSpec(0.5, repeat, 5)
-        result = sweep_outlier_fraction(repo, split, grid, range(2, 11), 10, seed=5)
+    for result in results:
         per_p = dict(result.per_p)
         if result.best_p == 0.01 and per_p[0.01] > per_p[0.0]:
             wins += 1
-        if repeat == 0:
-            # the p=0 column must reproduce the plain pipeline bit-for-bit
-            records = repo_runs(repo, range(2, 11), 10, seed=5)
-            train_idx, test_idx = split_repository(repo, split)
-            model = train_meta_k([records[i] for i in train_idx], range(2, 11))
-            ev = evaluate_meta_k(model, [records[i] for i in test_idx])
-            p0_exact = per_p[0.0] == ev.mean_ari_meta
+    # the p=0 column must reproduce the plain pipeline bit-for-bit
+    records = repo_runs(repo, range(2, 11), 10, seed=5)
+    train_idx, test_idx = split_repository(repo, splits[0])
+    model = train_meta_k([records[i] for i in train_idx], range(2, 11))
+    ev = evaluate_meta_k(model, [records[i] for i in test_idx])
+    p0_exact = dict(results[0].per_p)[0.0] == ev.mean_ari_meta
     ok = wins >= 8 and p0_exact
     announce(8, f"sweep picked p=0.01 over p=0 in {wins}/10 repeats; p=0 column exact", ok)
 

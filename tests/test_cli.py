@@ -1,10 +1,14 @@
 """End-to-end command-line flows on tiny synthetic repositories."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from metaclust import cli, meta_pipelines
 from metaclust.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture()
@@ -107,6 +111,62 @@ class TestRunOutliers:
         assert len(lines) == 3  # 1 repeat x 2 grid points
         best_flags = [line.split(",")[-1] for line in lines[1:]]
         assert best_flags.count("1") == 1
+
+
+class TestGolden:
+    """Result files byte-compared with ones checked in under tests/golden/.
+
+    The golden files were written by exactly these commands.  A change that
+    moves them changes the numbers the pipelines report and must say so.
+    """
+
+    SPLIT_FLAGS = [
+        "--train-frac", "0.5,0.7", "--repeats", "2", "--k-min", "2", "--k-max", "5",
+        "--restarts", "3", "--seed", "3",
+    ]
+    P_GRID = ["--p-grid", "0,0.02"]
+
+    @pytest.fixture()
+    def golden_repo(self, tmp_path):
+        out = tmp_path / "golden_repo"
+        rc = main([
+            "synth", "--problems", "8", "--points", "50", "--dims-max", "3", "--clusters-min", "2",
+            "--clusters-max", "4", "--separation", "6", "--outlier-frac", "0.04", "--seed", "11",
+            "--out", str(out),
+        ])
+        assert rc == EXIT_OK
+        return out
+
+    @staticmethod
+    def count_calls(monkeypatch, module):
+        calls = []
+        real = module.repo_runs
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("theta", 0.0))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "repo_runs", counted)
+        return calls
+
+    def test_meta_k(self, golden_repo, tmp_path, monkeypatch):
+        calls = self.count_calls(monkeypatch, cli)
+        out = tmp_path / "mk"
+        rc = main(["run", "meta-k", "--repo", str(golden_repo), *self.SPLIT_FLAGS, "--out", str(out)])
+        assert rc == EXIT_OK
+        assert read_bytes(out / "meta_k.csv") == read_bytes(GOLDEN / "meta_k.csv")
+        assert len(calls) == 1  # one grid shared by the 4 splits
+
+    def test_outliers(self, golden_repo, tmp_path, monkeypatch):
+        calls = self.count_calls(monkeypatch, meta_pipelines)
+        out = tmp_path / "ol"
+        rc = main([
+            "run", "outliers", "--repo", str(golden_repo), *self.SPLIT_FLAGS, *self.P_GRID,
+            "--out", str(out),
+        ])
+        assert rc == EXIT_OK
+        assert read_bytes(out / "outliers.csv") == read_bytes(GOLDEN / "outliers.csv")
+        assert calls == [0.0, 0.02]  # one grid per p, shared by the 4 splits
 
 
 class TestReport:

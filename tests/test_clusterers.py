@@ -6,6 +6,7 @@ import pytest
 from metaclust.clusterers import (
     ClustererSpec,
     UnionFind,
+    _part_centers,
     agglomerative,
     cluster_with_outlier_removal,
     kmeans,
@@ -100,6 +101,17 @@ class TestKmeans:
         labels = res.partition.to_label_array()
         expected = sum(((pts[labels == c] - res.centers[c]) ** 2).sum() for c in range(3))
         assert res.inertia == pytest.approx(expected, rel=1e-12)
+
+    def test_centers_are_part_means_bitwise(self):
+        rng = np.random.default_rng(5)
+        for trial in range(200):
+            n = int(rng.integers(2, 40))
+            pts = rng.standard_normal((n, int(rng.integers(1, 4))))
+            if trial % 3 == 0:
+                pts[rng.integers(0, n, size=n // 2)] = pts[0]  # duplicate points
+            k = int(rng.integers(2, min(n, 6) + 1))
+            res = kmeans(pts, k, restarts=int(rng.integers(1, 4)), seed=trial)
+            assert np.array_equal(res.centers, _part_centers(pts, res.partition)), trial
 
     def test_more_restarts_never_worse(self):
         rng = np.random.default_rng(4)

@@ -238,7 +238,7 @@ class TestSweep:
     def test_p_zero_column_reproduces_plain_pipeline(self):
         repo = small_repo(6)
         split = SplitSpec(0.5, 0, 2)
-        res = sweep_outlier_fraction(repo, split, (0.0, 0.02), range(2, 5), 3, seed=6)
+        (res,) = sweep_outlier_fraction(repo, [split], (0.0, 0.02), range(2, 5), 3, seed=6)
         from metaclust.data_model import split_repository
 
         train_idx, test_idx = split_repository(repo, split)
@@ -249,11 +249,19 @@ class TestSweep:
 
     def test_best_p_tie_breaks_smaller(self):
         repo = small_repo(6)
-        res = sweep_outlier_fraction(repo, SplitSpec(0.5, 0, 2), (0.0,), range(2, 5), 2, seed=1)
+        (res,) = sweep_outlier_fraction(repo, [SplitSpec(0.5, 0, 2)], (0.0,), range(2, 5), 2, seed=1)
         assert res.best_p == 0.0
 
     def test_per_p_order_preserved(self):
         repo = small_repo(6)
         grid = (0.0, 0.03, 0.01)
-        res = sweep_outlier_fraction(repo, SplitSpec(0.5, 0, 2), grid, range(2, 5), 2, seed=1)
+        (res,) = sweep_outlier_fraction(repo, [SplitSpec(0.5, 0, 2)], grid, range(2, 5), 2, seed=1)
         assert tuple(p for p, _ in res.per_p) == grid
+
+    def test_multi_split_call_equals_per_split_calls(self):
+        repo = small_repo(6)
+        splits = [SplitSpec(frac, repeat, 2) for frac in (0.5, 0.7) for repeat in range(3)]
+        grid = (0.0, 0.03, 0.05)
+        together = sweep_outlier_fraction(repo, splits, grid, range(2, 5), 2, seed=1)
+        alone = [sweep_outlier_fraction(repo, [split], grid, range(2, 5), 2, seed=1)[0] for split in splits]
+        assert together == alone  # exact: same floats, same best_p

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metaclust.data_model import Partition, labels_to_partition
@@ -12,6 +12,7 @@ from metaclust.metrics import (
     ContingencyTable,
     adjusted_rand_index,
     clustering_loss,
+    pairwise_distances,
     rand_index,
     silhouette_score,
 )
@@ -40,6 +41,36 @@ def loss_oracle(n, y, z):
             if (ly[i] == ly[j]) != (lz[i] == lz[j]):
                 bad += 1
     return bad / (n * (n - 1))
+
+
+def silhouette_oracle(points, c):
+    """Scalar per-point silhouette loop, accumulated in point order."""
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    labels = c.to_label_array()
+    k = len(c.parts)
+    diff = points[:, None, :] - points[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=2))
+
+    sizes = np.array([len(p) for p in c.parts])
+    cluster_sum = np.zeros((n, k))
+    for j in range(k):
+        cluster_sum[:, j] = dist[:, labels == j].sum(axis=1)
+
+    total = 0.0
+    for i in range(n):
+        own = labels[i]
+        if sizes[own] == 1:
+            continue
+        a = cluster_sum[i, own] / (sizes[own] - 1)
+        b = np.inf
+        for j in range(k):
+            if j != own:
+                b = min(b, cluster_sum[i, j] / sizes[j])
+        denom = max(a, b)
+        if denom > 0:
+            total += (b - a) / denom
+    return total / n
 
 
 class TestClusteringLoss:
@@ -193,6 +224,38 @@ class TestSilhouette:
         c = random_partition(rng, 15, max_parts=3)
         flipped = Partition(15, tuple(reversed(c.parts)))
         assert silhouette_score(x, flipped) == pytest.approx(silhouette_score(x, c), abs=1e-12)
+
+
+@st.composite
+def silhouette_cases(draw):
+    """Points (possibly coincident, possibly 1-D) plus a partition with >= 2 parts."""
+    n = draw(st.integers(min_value=2, max_value=25))
+    d = draw(st.integers(min_value=1, max_value=3))
+    coords = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
+    pool = draw(st.lists(st.tuples(*[coords] * d), min_size=1, max_size=n))
+    # drawing rows from a small pool makes coincident points common
+    rows = draw(st.lists(st.integers(min_value=0, max_value=len(pool) - 1), min_size=n, max_size=n))
+    points = np.array([pool[r] for r in rows], dtype=float).reshape(n, d)
+    k = draw(st.integers(min_value=2, max_value=min(n, 6)))
+    labels = np.array(draw(st.lists(st.integers(min_value=0, max_value=k - 1), min_size=n, max_size=n)))
+    labels[:2] = [0, 1]  # at least two parts; the rest may leave singletons
+    _, dense = np.unique(labels, return_inverse=True)
+    return points, labels_to_partition(dense)
+
+
+@settings(max_examples=300, deadline=None)
+@given(silhouette_cases())
+@example((np.array([[0.0], [1.0], [10.0], [11.0]]), Partition(4, ((0, 1), (2, 3)))))
+@example((np.array([[0.0], [5.0], [9.0]]), Partition(3, ((0,), (1,), (2,)))))  # all singletons
+@example((np.zeros((4, 2)), Partition(4, ((0, 1), (2, 3)))))  # 0/0
+@example((np.array([[0.0], [0.0], [3.0], [7.0]]), Partition(4, ((0, 1, 2), (3,)))))
+def test_silhouette_matches_scalar_oracle_exactly(case):
+    points, c = case
+    expected = silhouette_oracle(points, c)
+    assert silhouette_score(points, c) == expected
+    assert silhouette_score(points, c, dist=pairwise_distances(points)) == expected
+    reversed_parts = Partition(c.n_items, tuple(reversed(c.parts)))
+    assert silhouette_score(points, reversed_parts) == expected
 
 
 @st.composite
