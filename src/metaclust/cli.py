@@ -23,6 +23,7 @@ from pathlib import Path
 
 from metaclust.clusterers import ClustererSpec
 from metaclust.data_model import (
+    DataError,
     SplitSpec,
     SynthSpec,
     dataset_to_distance_graph,
@@ -285,7 +286,6 @@ def _add_common(parser, repo=True):
         parser.add_argument("--repo", required=True, help="repository directory or manifest path")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="worker cap (execution is sequential)")
 
 
 def _add_split_flags(parser):
@@ -369,15 +369,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (DataError, OSError) as exc:  # before ValueError: a DataError is one
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (ConfigError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Base unsupervised algorithms.
 
 K-means (Lloyd iteration with k-means++ seeding), agglomerative linkage via
-Lance-Williams updates, threshold single-linkage on weighted graphs, and the
-outlier-removal wrapper that prunes the points furthest from the mean before
-clustering and reattaches them to the nearest resulting center.
+Lance-Williams updates, threshold single-linkage on weighted graphs, and
+``run_spec``, which runs one configured algorithm, optionally on normalized
+points (``data_model.normalize_points``).  Outlier pruning and reattachment
+live in ``meta_pipelines.generate_runs``.
 
 Every algorithm is a pure function of (input, seed); ties break toward the
 lowest index everywhere for bit-reproducibility.
@@ -11,13 +12,12 @@ lowest index everywhere for bit-reproducibility.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from metaclust.data_model import Partition, WeightedGraph, derive_seed
+from metaclust.data_model import Partition, WeightedGraph, derive_seed, normalize_points
 
 __all__ = [
     "ClustererSpec",
@@ -25,7 +25,6 @@ __all__ = [
     "kmeans",
     "agglomerative",
     "single_linkage_threshold",
-    "cluster_with_outlier_removal",
     "run_spec",
 ]
 
@@ -266,24 +265,10 @@ def single_linkage_threshold(graph: WeightedGraph, r: float, strict: bool = Fals
     return Partition(n_items=graph.n_vertices, parts=tuple(parts))
 
 
-def _normalize_with(ref: np.ndarray):
-    """Zero-mean unit-population-variance transform fitted on ref."""
-    mean = ref.mean(axis=0)
-    std = ref.std(axis=0)
-    scale = np.where(std > 0, std, 1.0)
-
-    def transform(x):
-        out = (x - mean) / scale
-        out[:, std == 0] = 0.0
-        return out
-
-    return transform
-
-
 def run_spec(spec: ClustererSpec, points: np.ndarray) -> ClusterResult:
     """Run the configured algorithm on a point matrix."""
     points = np.asarray(points, dtype=float)
-    work = _normalize_with(points)(points.copy()) if spec.normalize_first else points
+    work = normalize_points(points) if spec.normalize_first else points
     if spec.kind == "kmeans":
         result = kmeans(work, spec.k, restarts=spec.restarts, seed=spec.seed)
     else:
@@ -296,60 +281,3 @@ def run_spec(spec: ClustererSpec, points: np.ndarray) -> ClusterResult:
             inertia=result.inertia,
         )
     return result
-
-
-def cluster_with_outlier_removal(
-    points: np.ndarray,
-    theta: float,
-    base: ClustererSpec,
-    use_raw_norm: bool = False,
-) -> ClusterResult:
-    """Prune the floor(theta*n) points furthest from the mean, cluster, reattach.
-
-    The pruned points are assigned to the cluster whose center is closest;
-    the returned partition always covers all n points.  ``use_raw_norm``
-    switches the pruning criterion from distance-to-mean to raw norm.
-    """
-    points = np.asarray(points, dtype=float)
-    n = points.shape[0]
-    if not (0.0 <= theta < 1.0):
-        raise ValueError("theta must lie in [0, 1)")
-    n_out = int(math.floor(theta * n))
-    if n_out > n - 2:
-        raise ValueError("theta removes too many points")
-    if n_out == 0:
-        return run_spec(base, points)
-    if n - n_out < base.k:
-        raise ValueError(f"pruning leaves {n - n_out} points for k={base.k}")
-
-    ref = points if use_raw_norm else points - points.mean(axis=0)
-    dist = np.sqrt((ref**2).sum(axis=1))
-    # Furthest first; equal distances keep the lower index first.
-    order = np.lexsort((np.arange(n), -dist))
-    outliers = np.sort(order[:n_out])
-    inliers = np.sort(order[n_out:])
-
-    inner = run_spec(base, points[inliers])
-    centers = inner.centers
-    if base.normalize_first:
-        transform = _normalize_with(points[inliers])
-        reattach_points = transform(points[outliers].copy())
-        reattach_centers = np.stack(
-            [transform(points[inliers][list(p)].copy()).mean(axis=0) for p in inner.partition.parts]
-        )
-    else:
-        reattach_points = points[outliers]
-        reattach_centers = centers
-
-    full_parts = [list(inliers[list(p)]) for p in inner.partition.parts]
-    nearest = np.argmin(_sq_dist_to_centers(reattach_points, reattach_centers), axis=1)
-    for out_idx, center_idx in zip(outliers, nearest):
-        full_parts[center_idx].append(int(out_idx))
-
-    partition = Partition(n_items=n, parts=tuple(tuple(sorted(p)) for p in full_parts))
-    final_centers = _part_centers(points, partition)
-    inertia = None
-    if base.kind == "kmeans":
-        labels = partition.to_label_array()
-        inertia = float(((points - final_centers[labels]) ** 2).sum())
-    return ClusterResult(partition=partition, centers=final_centers, inertia=inertia)

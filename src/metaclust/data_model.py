@@ -13,11 +13,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 __all__ = [
+    "DataError",
     "Dataset",
     "Partition",
     "WeightedGraph",
@@ -28,7 +29,9 @@ __all__ = [
     "labels_to_partition",
     "load_dataset_csv",
     "write_dataset_csv",
+    "normalize_points",
     "normalize_dataset",
+    "covariance",
     "split_repository",
     "make_synthetic_repository",
     "dataset_to_distance_graph",
@@ -49,6 +52,10 @@ def _splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * _MIX_MULT_1) & _MASK64
     x = ((x ^ (x >> 27)) * _MIX_MULT_2) & _MASK64
     return x ^ (x >> 31)
+
+
+class DataError(ValueError):
+    """Malformed input data: a dataset file or a repository manifest."""
 
 
 def derive_seed(seed: int, *indices: int) -> int:
@@ -153,10 +160,6 @@ class Partition:
             labels[list(p)] = part_idx
         return labels
 
-    def same_part(self, i: int, j: int) -> bool:
-        lab = self.to_label_array()
-        return lab[i] >= 0 and lab[i] == lab[j]
-
 
 @dataclass(frozen=True)
 class WeightedGraph:
@@ -187,9 +190,6 @@ class WeightedGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-
-Problem = Union[Dataset, WeightedGraph]
 
 
 @dataclass(frozen=True)
@@ -233,46 +233,46 @@ def load_dataset_csv(path, has_labels: bool = False, dataset_id: Optional[str] =
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            rows = list(reader)
         except StopIteration:
-            raise ValueError(f"{path}: empty file")
-        rows = list(reader)
+            raise DataError(f"{path}: empty file")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
     feature_cols = header[:-1] if has_labels else header
     expected = [f"f{i}" for i in range(len(feature_cols))]
     if feature_cols != expected or (has_labels and header[-1] != "label"):
-        raise ValueError(f"{path}: header must be f0..f{{d-1}}" + (" followed by label" if has_labels else ""))
+        raise DataError(f"{path}: header must be f0..f{{d-1}}" + (" followed by label" if has_labels else ""))
     d = len(feature_cols)
     if d < 1:
-        raise ValueError(f"{path}: no feature columns")
+        raise DataError(f"{path}: no feature columns")
 
     points = np.empty((len(rows), d))
     labels = np.empty(len(rows), dtype=int) if has_labels else None
     for r, row in enumerate(rows):
         if len(row) != len(header):
-            raise ValueError(f"{path}: row {r + 2} has {len(row)} cells, expected {len(header)}")
+            raise DataError(f"{path}: row {r + 2} has {len(row)} cells, expected {len(header)}")
         for c in range(d):
             try:
                 val = float(row[c])
             except ValueError:
-                raise ValueError(f"{path}: row {r + 2}, column {header[c]}: non-numeric cell {row[c]!r}")
+                raise DataError(f"{path}: row {r + 2}, column {header[c]}: non-numeric cell {row[c]!r}")
             if not math.isfinite(val):
-                raise ValueError(f"{path}: row {r + 2}, column {header[c]}: non-finite cell")
+                raise DataError(f"{path}: row {r + 2}, column {header[c]}: non-finite cell")
             points[r, c] = val
         if has_labels:
             cell = row[d]
             try:
                 lab = int(cell)
             except ValueError:
-                raise ValueError(f"{path}: row {r + 2}: non-integer label {cell!r}")
+                raise DataError(f"{path}: row {r + 2}: non-integer label {cell!r}")
             if lab < 0 or str(lab) != cell.strip():
-                raise ValueError(f"{path}: row {r + 2}: label must be a nonnegative integer, got {cell!r}")
+                raise DataError(f"{path}: row {r + 2}: label must be a nonnegative integer, got {cell!r}")
             labels[r] = lab
-
-    if has_labels:
-        # Re-index class ids to a dense 0..K-1 range is NOT done: the file
-        # contract requires dense ids already, so let Dataset validation reject.
-        pass
-    return Dataset(id=dataset_id or path.stem, points=points, labels=labels, name=path.stem)
+    try:
+        return Dataset(id=dataset_id or path.stem, points=points, labels=labels, name=path.stem)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def write_dataset_csv(dataset: Dataset, path) -> None:
@@ -301,19 +301,29 @@ def labels_to_partition(labels: Sequence[int]) -> Partition:
     return Partition(n_items=len(labels), parts=parts)
 
 
-def normalize_dataset(dataset: Dataset) -> Dataset:
+def normalize_points(points: np.ndarray) -> np.ndarray:
     """Center every column and scale non-constant columns to unit variance.
 
     Population variance (divide by n), so normalized covariance diagonals are
-    exactly 1; zero-variance columns become all-zero.
+    exactly 1; zero-variance columns become all-zero.  Returns a new array.
     """
-    pts = dataset.points
-    mean = pts.mean(axis=0)
-    std = pts.std(axis=0)  # population convention
+    mean = points.mean(axis=0)
+    std = points.std(axis=0)  # population convention
     scale = np.where(std > 0, std, 1.0)
-    out = (pts - mean) / scale
+    out = (points - mean) / scale
     out[:, std == 0] = 0.0
-    return Dataset(id=dataset.id, points=out, labels=dataset.labels, name=dataset.name)
+    return out
+
+
+def normalize_dataset(dataset: Dataset) -> Dataset:
+    """The dataset with ``normalize_points`` applied to its points."""
+    return Dataset(id=dataset.id, points=normalize_points(dataset.points), labels=dataset.labels, name=dataset.name)
+
+
+def covariance(points: np.ndarray) -> np.ndarray:
+    """Population (divide by n) covariance matrix of the columns, (d, d)."""
+    centered = points - points.mean(axis=0)
+    return centered.T @ centered / points.shape[0]
 
 
 def split_repository(repo: MetaRepository, spec: SplitSpec) -> tuple:
@@ -423,16 +433,28 @@ def load_repository(manifest_path, seed: int = 0) -> MetaRepository:
     """
     manifest_path = Path(manifest_path)
     with open(manifest_path, encoding="utf-8") as fh:
-        entries = json.load(fh)
+        try:
+            entries = json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"{manifest_path}: invalid JSON: {exc}") from None
+    if not isinstance(entries, list):
+        raise DataError(f"{manifest_path}: manifest must be a JSON array, got {type(entries).__name__}")
     problems = []
-    for entry in entries:
+    for pos, entry in enumerate(entries):
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("id"), str)
+            and isinstance(entry.get("path"), str)
+            and isinstance(entry.get("has_labels"), bool)
+        ):
+            raise DataError(f"{manifest_path}: entry {pos} must be an object {{id: str, path: str, has_labels: bool}}")
         ds = load_dataset_csv(
             manifest_path.parent / entry["path"],
             has_labels=entry["has_labels"],
             dataset_id=entry["id"],
         )
         if ds.labels is None:
-            raise ValueError(f"dataset {ds.id}: repository problems need ground-truth labels")
+            raise DataError(f"dataset {ds.id}: repository problems need ground-truth labels")
         problems.append((ds, labels_to_partition(ds.labels)))
     return MetaRepository(problems=tuple(problems), seed=seed)
 

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from metaclust.clusterers import ClustererSpec, kmeans, run_spec
-from metaclust.data_model import Dataset, MetaRepository, Partition, SplitSpec, derive_seed, split_repository
+from metaclust.data_model import Dataset, MetaRepository, Partition, SplitSpec, covariance, derive_seed, split_repository
 from metaclust.metrics import adjusted_rand_index, pairwise_distances, silhouette_score
 from metaclust.regression import LinearModel, fit_least_squares, phi_features, predict, symmetric_eigen_extrema
 
@@ -264,12 +264,6 @@ class AlgoSelectModel:
     n_failed_rows: int = 0
 
 
-def _dataset_eigen_extrema(ds: Dataset) -> tuple:
-    centered = ds.points - ds.points.mean(axis=0)
-    cov = centered.T @ centered / ds.n
-    return symmetric_eigen_extrema(cov)
-
-
 def train_algo_select(specs: Sequence[ClustererSpec], train: Sequence, seed: int = 0) -> AlgoSelectModel:
     """Fit one ARI-predicting model per family member on the training problems.
 
@@ -295,8 +289,8 @@ def train_algo_select(specs: Sequence[ClustererSpec], train: Sequence, seed: int
                 result = run_spec(spec, ds.points)
                 phi = phi_features(ds, result.partition)
                 ari = adjusted_rand_index(truth.n_items, truth, result.partition)
-            except Exception:
-                lo, hi = _dataset_eigen_extrema(ds)
+            except ValueError:
+                lo, hi = symmetric_eigen_extrema(covariance(ds.points))
                 phi_vec = np.array([ds.d, ds.n, lo, hi, 0.0])
                 feats.append(phi_vec)
                 targets.append(0.0)
@@ -321,7 +315,7 @@ def select_algorithm(model: AlgoSelectModel, dataset: Dataset) -> tuple:
         try:
             result = run_spec(spec, dataset.points)
             phi = phi_features(dataset, result.partition)
-        except Exception:
+        except ValueError:
             continue
         a_j = predict(lm, phi.as_vector())
         scores[spec.name] = a_j
@@ -343,7 +337,7 @@ def evaluate_algo_select(model: AlgoSelectModel, test: Sequence) -> tuple:
             try:
                 result = run_spec(spec, ds.points)
                 member_totals[spec.name] += adjusted_rand_index(truth.n_items, truth, result.partition)
-            except Exception:
+            except ValueError:
                 pass  # a failed run contributes ARI 0
     n = len(test)
     return meta_total / n, {name: total / n for name, total in member_totals.items()}

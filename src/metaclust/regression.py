@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from metaclust.data_model import Dataset, Partition
+from metaclust.data_model import Dataset, Partition, covariance
 from metaclust.metrics import silhouette_score
 
 __all__ = [
@@ -101,64 +101,23 @@ def predict(model: LinearModel, x: Sequence[float]) -> float:
     return float(model.weights @ x + model.intercept)
 
 
-def symmetric_eigen_extrema(s: np.ndarray, tol: float = 1e-12) -> tuple:
-    """Smallest and largest eigenvalue of a symmetric matrix via cyclic Jacobi.
+def symmetric_eigen_extrema(s: np.ndarray) -> tuple:
+    """Smallest and largest eigenvalue of a symmetric matrix.
 
-    Rotations sweep until the off-diagonal Frobenius mass falls below
-    tol * ||S||_F (or the matrix is numerically diagonal).
+    The input must be square and symmetric within 1e-9; it is symmetrized
+    exactly before ``np.linalg.eigvalsh`` (LAPACK) computes its spectrum.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError("matrix must be square")
     if np.abs(s - s.T).max(initial=0.0) > 1e-9:
         raise ValueError("matrix is not symmetric within 1e-9")
-    a = (s + s.T) / 2.0
-    d = a.shape[0]
-    if d == 1:
-        return float(a[0, 0]), float(a[0, 0])
-
-    norm = np.sqrt((a**2).sum())
-    threshold = tol * norm
-    for _ in range(100):
-        off = np.sqrt(max((a**2).sum() - (np.diag(a) ** 2).sum(), 0.0))
-        if off <= threshold or off == 0.0:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                # Classic Jacobi rotation zeroing a[p, q].  The quotient may
-                # overflow to inf for denormal apq; the 1e150 branch below
-                # turns that into a (correct) zero-angle rotation.
-                with np.errstate(over="ignore"):
-                    tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau == 0:
-                    t = 1.0
-                elif abs(tau) > 1e150:  # avoid overflow in tau*tau; limit is 1/(2 tau)
-                    t = 1.0 / (2.0 * tau)
-                else:
-                    t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                sn = t * c
-                aip = a[:, p].copy()
-                aiq = a[:, q].copy()
-                a[:, p] = c * aip - sn * aiq
-                a[:, q] = sn * aip + c * aiq
-                a[p, :] = a[:, p]
-                a[q, :] = a[:, q]
-                a[p, p] = c * c * aip[p] - 2.0 * sn * c * apq + sn * sn * aiq[q]
-                a[q, q] = sn * sn * aip[p] + 2.0 * sn * c * apq + c * c * aiq[q]
-                a[p, q] = a[q, p] = 0.0
-    eig = np.diag(a)
-    return float(eig.min()), float(eig.max())
+    eig = np.linalg.eigvalsh((s + s.T) / 2.0)
+    return float(eig[0]), float(eig[-1])
 
 
 def phi_features(dataset: Dataset, c: Partition) -> PhiFeatures:
     """Build the 5-feature vector for (dataset, candidate clustering)."""
-    pts = dataset.points
-    centered = pts - pts.mean(axis=0)
-    cov = centered.T @ centered / pts.shape[0]
-    lo, hi = symmetric_eigen_extrema(cov)
-    sil = silhouette_score(pts, c)
+    lo, hi = symmetric_eigen_extrema(covariance(dataset.points))
+    sil = silhouette_score(dataset.points, c)
     return PhiFeatures(d=dataset.d, m=dataset.n, sigma_min=lo, sigma_max=hi, sil=sil)

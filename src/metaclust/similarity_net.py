@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from metaclust.data_model import Dataset, MetaRepository, derive_seed, normalize_dataset
+from metaclust.data_model import Dataset, MetaRepository, covariance, derive_seed, normalize_dataset
 
 __all__ = [
     "PairExample",
@@ -78,10 +78,8 @@ def _covariance_features(points: np.ndarray) -> np.ndarray:
     diagonals are 0, not 1.
     """
     d = points.shape[1]
-    centered = points - points.mean(axis=0)
-    cov = centered.T @ centered / points.shape[0]
     embedded = np.zeros((PAD_DIM, PAD_DIM))
-    embedded[:d, :d] = cov
+    embedded[:d, :d] = covariance(points)
     iu = np.triu_indices(PAD_DIM)
     return embedded[iu]
 

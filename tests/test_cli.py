@@ -208,6 +208,41 @@ class TestReport:
         assert rc == EXIT_CONFIG
 
 
+def _corrupt_cell(repo):
+    manifest = json.loads((repo / "manifest.json").read_text())
+    path = repo / manifest[0]["path"]
+    lines = path.read_text().splitlines()
+    lines[1] = "abc" + lines[1][lines[1].index(","):]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _non_utf8_file(repo):
+    manifest = json.loads((repo / "manifest.json").read_text())
+    (repo / manifest[0]["path"]).write_bytes(b"\xff\xfef0,label\n")
+
+
+def _drop_has_labels(repo):
+    manifest = json.loads((repo / "manifest.json").read_text())
+    del manifest[0]["has_labels"]
+    (repo / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _manifest_object(repo):
+    manifest = json.loads((repo / "manifest.json").read_text())
+    (repo / "manifest.json").write_text(json.dumps({"problems": manifest}))
+
+
+def _invalid_json(repo):
+    (repo / "manifest.json").write_text('[{"id": "a",')
+
+
+def _sparse_label_ids(repo):
+    manifest = json.loads((repo / "manifest.json").read_text())
+    path = repo / manifest[0]["path"]
+    text = path.read_text()
+    path.write_text(text.replace(",1\n", ",2\n"))  # class ids {0, 2}: not dense
+
+
 class TestErrorContracts:
     def test_bad_train_frac(self, repo_dir, tmp_path):
         rc = main([
@@ -229,3 +264,23 @@ class TestErrorContracts:
             "--train-frac", "0.5", "--repeats", "1", "--out", str(tmp_path / "x"),
         ])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [_corrupt_cell, _non_utf8_file, _drop_has_labels, _manifest_object, _invalid_json, _sparse_label_ids],
+        ids=[
+            "non_numeric_cell",
+            "non_utf8_file",
+            "entry_without_has_labels",
+            "manifest_not_array",
+            "invalid_json",
+            "sparse_label_ids",
+        ],
+    )
+    def test_bad_repository_data(self, repo_dir, tmp_path, capsys, corrupt):
+        corrupt(repo_dir)
+        rc = main(["run", "fit-threshold", "--repo", str(repo_dir), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_IO
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err

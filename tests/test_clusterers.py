@@ -1,4 +1,4 @@
-"""K-means, linkage clustering and the threshold/outlier wrappers."""
+"""K-means, linkage clustering, threshold single-linkage and run_spec."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,18 @@ from metaclust.clusterers import (
     UnionFind,
     _part_centers,
     agglomerative,
-    cluster_with_outlier_removal,
     kmeans,
     run_spec,
     single_linkage_threshold,
 )
-from metaclust.data_model import Dataset, Partition, WeightedGraph, dataset_to_distance_graph, labels_to_partition
+from metaclust.data_model import (
+    Dataset,
+    Partition,
+    WeightedGraph,
+    dataset_to_distance_graph,
+    labels_to_partition,
+    normalize_points,
+)
 from metaclust.metrics import adjusted_rand_index
 
 
@@ -278,45 +284,13 @@ class TestRunSpec:
             for idx, part in enumerate(res.partition.parts):
                 assert res.centers[idx] == pytest.approx(pts[list(part)].mean(axis=0))
 
-
-class TestOutlierRemoval:
-    def test_theta_zero_identity(self):
-        rng = np.random.default_rng(17)
-        pts, _ = two_blobs(rng)
-        spec = ClustererSpec(kind="kmeans", k=2, seed=3)
-        direct = run_spec(spec, pts)
-        wrapped = cluster_with_outlier_removal(pts, 0.0, spec)
-        assert wrapped.partition == direct.partition
-
-    def test_worked_far_point(self):
-        pts = np.array([[0.0], [0.1], [0.2], [100.0]])
-        spec = ClustererSpec(kind="agglo_single", k=2)
-        res = cluster_with_outlier_removal(pts, 0.25, spec)
-        assert res.partition.is_valid()
-        assert res.partition.n_covered == 4
-        lab = res.partition.to_label_array()
-        # 100 reattaches to the nearest center, far from the {0, 0.1} side
-        assert lab[3] != lab[0]
-
-    def test_planted_outlier_removed(self):
-        rng = np.random.default_rng(18)
-        pts, labels = two_blobs(rng, n_per=25)
-        pts[7] = [500.0, -500.0]
-        spec = ClustererSpec(kind="kmeans", k=2, restarts=5, seed=2)
-        res = cluster_with_outlier_removal(pts, 1 / 50, spec)
-        truth = labels_to_partition(labels)
-        assert adjusted_rand_index(50, truth, res.partition) >= 0.9
-
-    def test_covers_all_points(self):
-        rng = np.random.default_rng(19)
-        pts = rng.standard_normal((30, 2))
-        res = cluster_with_outlier_removal(pts, 0.2, ClustererSpec(kind="agglo_average", k=3))
-        assert res.partition.n_covered == 30
-
-    def test_too_few_inliers_rejected(self):
-        pts = np.arange(8.0).reshape(-1, 1)
-        with pytest.raises(ValueError):
-            cluster_with_outlier_removal(pts, 0.8, ClustererSpec(kind="kmeans", k=4))
+    def test_normalize_first_clusters_normalized_points(self):
+        rng = np.random.default_rng(16)
+        pts = rng.standard_normal((40, 3)) * [100.0, 1.0, 0.01]
+        for kind in ("kmeans", "agglo_average"):
+            norm = run_spec(ClustererSpec(kind=kind, k=3, normalize_first=True, seed=4), pts)
+            plain = run_spec(ClustererSpec(kind=kind, k=3, seed=4), normalize_points(pts))
+            assert norm.partition == plain.partition
 
 
 class TestUnionFind:

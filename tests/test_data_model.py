@@ -12,6 +12,7 @@ from metaclust.data_model import (
     SplitSpec,
     SynthSpec,
     WeightedGraph,
+    covariance,
     dataset_to_distance_graph,
     derive_seed,
     labels_to_partition,
@@ -87,8 +88,8 @@ class TestPartition:
         assert list(p.to_label_array()) == [1, 0, -1, 0]
 
     def test_same_part(self):
-        p = Partition(4, ((0, 2), (1, 3)))
-        assert p.same_part(0, 2) and not p.same_part(0, 1)
+        lab = Partition(4, ((0, 2), (1, 3))).to_label_array()
+        assert lab[0] == lab[2] and lab[0] != lab[1]
 
 
 class TestLabelsToPartition:
@@ -108,10 +109,10 @@ class TestLabelsToPartition:
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 3, size=12)
         labels[:3] = [0, 1, 2]
-        p = labels_to_partition(labels)
+        lab = labels_to_partition(labels).to_label_array()
         for i in range(12):
             for j in range(12):
-                assert p.same_part(i, j) == (labels[i] == labels[j])
+                assert (lab[i] == lab[j]) == (labels[i] == labels[j])
 
 
 class TestNormalize:
@@ -138,6 +139,12 @@ class TestNormalize:
         once = normalize_dataset(ds)
         twice = normalize_dataset(once)
         assert np.abs(twice.points - once.points).max() <= 1e-12
+
+
+class TestCovariance:
+    def test_population_covariance(self):
+        pts = np.random.default_rng(6).standard_normal((30, 3))
+        assert covariance(pts) == pytest.approx(np.cov(pts, rowvar=False, bias=True), abs=1e-12)
 
 
 class TestCsvRoundTrip:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from metaclust import meta_pipelines
 from metaclust.clusterers import ClustererSpec
 from metaclust.data_model import (
     Dataset,
@@ -84,6 +85,31 @@ class TestGenerateRuns:
         ds = Dataset(id="t", points=np.arange(6.0).reshape(-1, 1))
         with pytest.raises(ValueError):
             generate_runs(ds, None, range(2, 11), 1, seed=0)
+
+    def test_worked_far_point_reattached_to_nearest_center(self):
+        # theta = 0.2 prunes the one point furthest from the mean (100); the
+        # inliers split {0, 1} | {10, 11}, and 100 joins the nearer center 10.5.
+        ds = Dataset(id="w", points=np.array([[0.0], [1.0], [10.0], [11.0], [100.0]]), labels=[0, 0, 1, 1, 1])
+        truth = labels_to_partition(ds.labels)
+        records = generate_runs(ds, truth, (2,), 3, seed=0, theta=0.2)
+        for r in records:
+            assert set(r.partition.parts) == {(0, 1), (2, 3, 4)}
+            assert r.ari == 1.0
+
+    def test_planted_outlier_pruned_at_true_k(self):
+        rng = np.random.default_rng(18)
+        labels = np.repeat([0, 1], 25)
+        pts = rng.standard_normal((50, 2)) + 10.0 * labels[:, None]
+        pts[7] = [500.0, -500.0]
+        ds = Dataset(id="o", points=pts, labels=labels)
+        records = generate_runs(ds, labels_to_partition(labels), (2,), 5, seed=2, theta=1 / 50)
+        assert all(r.ari >= 0.9 for r in records)
+
+    def test_pruning_below_max_k_rejected(self):
+        ds = Dataset(id="t", points=np.arange(8.0).reshape(-1, 1))
+        generate_runs(ds, None, (2, 3, 4), 1, seed=0)  # 8 points support k = 4
+        with pytest.raises(ValueError):
+            generate_runs(ds, None, (2, 3, 4), 1, seed=0, theta=0.8)  # 2 points left
 
 
 class TestSelectionRules:
@@ -223,6 +249,20 @@ class TestAlgoSelect:
         assert model.n_failed_rows == 3
         name, _, _ = select_algorithm(model, repo.problems[0][0].without_labels())
         assert name == "kmeans"
+
+    def test_unexpected_member_error_propagates(self, monkeypatch):
+        repo = small_repo(3)
+        specs = [ClustererSpec(kind="kmeans", k=2, restarts=2)]
+        model = train_algo_select(specs, repo.problems, seed=0)
+
+        def broken(spec, points):
+            raise TypeError("not a documented member failure")
+
+        monkeypatch.setattr(meta_pipelines, "run_spec", broken)
+        with pytest.raises(TypeError):
+            train_algo_select(specs, repo.problems, seed=0)
+        with pytest.raises(TypeError):
+            select_algorithm(model, repo.problems[0][0].without_labels())
 
     def test_deterministic(self):
         repo = small_repo(4)
