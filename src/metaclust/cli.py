@@ -251,8 +251,10 @@ def cmd_run_bsf(args) -> int:
 def cmd_report(args) -> int:
     in_path = Path(args.input)
     with open(in_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        data = list(reader)
+        try:
+            data = list(csv.DictReader(fh))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{in_path}: {exc}") from None
     if not data:
         raise OSError(f"{in_path}: no data rows")
     group_cols = args.group.split(",")
@@ -262,9 +264,14 @@ def cmd_report(args) -> int:
             raise ConfigError(f"column {col!r} not in {in_path}")
 
     groups: dict = {}
-    for row in data:
-        key = tuple(row[c] for c in group_cols)
-        groups.setdefault(key, []).append(float(row[value_col]))
+    for r, row in enumerate(data):
+        if any(row[c] is None for c in group_cols + [value_col]):
+            raise DataError(f"{in_path}: row {r + 2} has fewer cells than the header")
+        try:
+            value = float(row[value_col])
+        except ValueError:
+            raise DataError(f"{in_path}: row {r + 2}, column {value_col}: non-numeric cell {row[value_col]!r}") from None
+        groups.setdefault(tuple(row[c] for c in group_cols), []).append(value)
 
     rows = []
     for key in sorted(groups):

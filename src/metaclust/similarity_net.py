@@ -20,13 +20,15 @@ import numpy as np
 from metaclust.data_model import Dataset, MetaRepository, covariance, derive_seed, normalize_dataset
 
 __all__ = [
-    "PairExample",
+    "PairSet",
     "SplitTriple",
     "MlpModel",
     "BsfEvaluation",
     "ADADELTA_RHO",
     "ADADELTA_EPS",
     "build_pair_features",
+    "concat_pair_sets",
+    "swap_blocks",
     "sample_pair_splits",
     "init_mlp",
     "nll_loss_and_grads",
@@ -48,27 +50,57 @@ ADADELTA_EPS = 1e-6
 
 
 @dataclass(frozen=True)
-class PairExample:
-    """One sampled pair: 75 features, same-class label, provenance."""
+class PairSet:
+    """m sampled pairs, one row each: 75 features, same-class label, provenance.
+
+    ``features`` is (m, 75) float64, ``labels`` an int m-vector (None for
+    unlabeled data), ``dataset_ids`` the source dataset of each row and ``i``,
+    ``j`` its ordered row indices in that dataset.  Every array is read-only.
+    """
 
     features: np.ndarray
-    label: Optional[int]
-    dataset_id: str
-    i: int
-    j: int
+    labels: Optional[np.ndarray]
+    dataset_ids: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
 
     def __post_init__(self):
         f = np.asarray(self.features, dtype=float)
-        if f.shape != (FEATURE_DIM,) or not np.all(np.isfinite(f)):
-            raise ValueError(f"features must be a finite length-{FEATURE_DIM} vector")
-        f = f.copy()
-        f.setflags(write=False)
-        object.__setattr__(self, "features", f)
+        if f.ndim != 2 or f.shape[1] != FEATURE_DIM or not np.all(np.isfinite(f)):
+            raise ValueError(f"features must be a finite (m, {FEATURE_DIM}) matrix")
+        m = f.shape[0]
+        fields = {"features": f}
+        if self.labels is not None:
+            fields["labels"] = np.asarray(self.labels, dtype=int)
+        fields["dataset_ids"] = np.asarray(self.dataset_ids, dtype=str)
+        fields["i"] = np.asarray(self.i, dtype=int)
+        fields["j"] = np.asarray(self.j, dtype=int)
+        for name, arr in fields.items():
+            if arr.shape[0] != m or (name != "features" and arr.ndim != 1):
+                raise ValueError(f"{name} must have one entry per feature row")
+            arr = arr.view()  # read-only view; the caller's array stays as it was
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
-    def swapped_features(self) -> np.ndarray:
-        """Feature vector with the two coordinate blocks exchanged."""
-        f = self.features
-        return np.concatenate([f[PAD_DIM : 2 * PAD_DIM], f[:PAD_DIM], f[2 * PAD_DIM :]])
+    def __len__(self) -> int:
+        return self.features.shape[0]
+
+
+def concat_pair_sets(sets: Sequence[PairSet]) -> PairSet:
+    """Rows of ``sets`` stacked in order; all labeled or all unlabeled."""
+    return PairSet(
+        features=np.concatenate([s.features for s in sets]),
+        labels=None if sets[0].labels is None else np.concatenate([s.labels for s in sets]),
+        dataset_ids=np.concatenate([s.dataset_ids for s in sets]),
+        i=np.concatenate([s.i for s in sets]),
+        j=np.concatenate([s.j for s in sets]),
+    )
+
+
+def swap_blocks(features: np.ndarray) -> np.ndarray:
+    """Feature rows with the two coordinate blocks exchanged: the reversed pairs."""
+    f = np.asarray(features, dtype=float)
+    return np.concatenate([f[..., PAD_DIM : 2 * PAD_DIM], f[..., :PAD_DIM], f[..., 2 * PAD_DIM :]], axis=-1)
 
 
 def _covariance_features(points: np.ndarray) -> np.ndarray:
@@ -84,50 +116,75 @@ def _covariance_features(points: np.ndarray) -> np.ndarray:
     return embedded[iu]
 
 
-def _pad10(x: np.ndarray) -> np.ndarray:
-    out = np.zeros(PAD_DIM)
-    out[: x.shape[0]] = x
-    return out
+def build_pair_features(dataset: Dataset, rows_i, rows_j) -> PairSet:
+    """Features of the ordered pairs (rows_i[t], rows_j[t]); label 1 iff same class.
 
-
-def build_pair_features(dataset: Dataset, i: int, j: int) -> PairExample:
-    """Features for the ordered pair (i, j); label 1 iff same class."""
+    The covariance block depends only on the dataset, so it is computed once
+    and shared by every row.
+    """
     if dataset.d > PAD_DIM:
         raise ValueError(f"dataset has {dataset.d} > {PAD_DIM} features")
-    if i == j:
+    rows_i = np.asarray(rows_i, dtype=int)
+    rows_j = np.asarray(rows_j, dtype=int)
+    if rows_i.ndim != 1 or rows_i.shape != rows_j.shape:
+        raise ValueError("rows_i and rows_j must be index vectors of one length")
+    if np.any(rows_i == rows_j):
         raise ValueError("pair indices must differ")
-    features = np.concatenate(
-        [
-            _pad10(dataset.points[i]),
-            _pad10(dataset.points[j]),
-            _covariance_features(dataset.points),
-        ]
-    )
-    label = None
+    d = dataset.d
+    features = np.zeros((rows_i.shape[0], FEATURE_DIM))
+    features[:, :d] = dataset.points[rows_i]
+    features[:, PAD_DIM : PAD_DIM + d] = dataset.points[rows_j]
+    features[:, 2 * PAD_DIM :] = _covariance_features(dataset.points)
+    labels = None
     if dataset.labels is not None:
-        label = int(dataset.labels[i] == dataset.labels[j])
-    return PairExample(features=features, label=label, dataset_id=dataset.id, i=int(i), j=int(j))
+        labels = (dataset.labels[rows_i] == dataset.labels[rows_j]).astype(int)
+    return PairSet(
+        features=features,
+        labels=labels,
+        dataset_ids=np.full(rows_i.shape[0], dataset.id),
+        i=rows_i,
+        j=rows_j,
+    )
 
 
 @dataclass(frozen=True)
 class SplitTriple:
     """Meta-train (symmetry-augmented), internal-test and external-test pairs."""
 
-    meta_train: tuple
-    meta_it: tuple
-    meta_et: tuple
+    meta_train: PairSet
+    meta_it: PairSet
+    meta_et: PairSet
 
 
-def _sample_pairs(rng: np.random.Generator, rows: np.ndarray, cap: int) -> list:
-    """Up to ``cap`` unordered row pairs; with replacement only when the
-    universe is smaller than the cap."""
+def _sample_pairs(rng: np.random.Generator, rows: np.ndarray, cap: int) -> tuple:
+    """Up to ``cap`` unordered row pairs as two index vectors; with replacement
+    only when the universe is smaller than the cap."""
     m = rows.shape[0]
     universe = m * (m - 1) // 2
     if universe == 0:
-        return []
+        return np.empty(0, dtype=int), np.empty(0, dtype=int)
     all_i, all_j = np.triu_indices(m, 1)
     picks = rng.choice(universe, size=cap, replace=universe < cap)
-    return [(int(rows[all_i[t]]), int(rows[all_j[t]])) for t in picks]
+    return rows[all_i[picks]], rows[all_j[picks]]
+
+
+def _augment_with_swaps(pairs: PairSet) -> PairSet:
+    """Rows 2t and 2t+1 are pair t and its reversed copy."""
+    m = len(pairs)
+
+    def interleave(fwd, rev):
+        out = np.empty((2 * m,) + fwd.shape[1:], dtype=fwd.dtype)
+        out[0::2] = fwd
+        out[1::2] = rev
+        return out
+
+    return PairSet(
+        features=interleave(pairs.features, swap_blocks(pairs.features)),
+        labels=np.repeat(pairs.labels, 2),
+        dataset_ids=np.repeat(pairs.dataset_ids, 2),
+        i=interleave(pairs.i, pairs.j),
+        j=interleave(pairs.j, pairs.i),
+    )
 
 
 def sample_pair_splits(
@@ -168,38 +225,29 @@ def sample_pair_splits(
     meta_train = []
     meta_it = []
     meta_et = []
+
+    def add_pairs(target: list, ds: Dataset, rows: np.ndarray) -> None:
+        rows_i, rows_j = _sample_pairs(rng, rows, max_pairs)
+        if rows_i.shape[0]:
+            target.append(build_pair_features(ds, rows_i, rows_j))
+
     for ds, cat in zip(qualifying, categories):
         ds = normalize_dataset(ds)
         perm = rng.permutation(ds.n)
         if cat == 0:
             half = min(ds.n // 2, max_pairs)
-            train_rows = perm[:half]
-            it_rows = perm[half : half + max_pairs]
-            for i, j in _sample_pairs(rng, train_rows, max_pairs):
-                meta_train.append(build_pair_features(ds, i, j))
-            for i, j in _sample_pairs(rng, it_rows, max_pairs):
-                meta_it.append(build_pair_features(ds, i, j))
+            add_pairs(meta_train, ds, perm[:half])
+            add_pairs(meta_it, ds, perm[half : half + max_pairs])
         else:
-            rows = perm[:max_pairs]
-            for i, j in _sample_pairs(rng, rows, max_pairs):
-                meta_et.append(build_pair_features(ds, i, j))
+            add_pairs(meta_et, ds, perm[:max_pairs])
 
     if not meta_train or not meta_it or not meta_et:
         raise ValueError("a pair set came out empty; repository too small")
-
-    augmented = []
-    for ex in meta_train:
-        augmented.append(ex)
-        augmented.append(
-            PairExample(
-                features=ex.swapped_features(),
-                label=ex.label,
-                dataset_id=ex.dataset_id,
-                i=ex.j,
-                j=ex.i,
-            )
-        )
-    return SplitTriple(meta_train=tuple(augmented), meta_it=tuple(meta_it), meta_et=tuple(meta_et))
+    return SplitTriple(
+        meta_train=_augment_with_swaps(concat_pair_sets(meta_train)),
+        meta_it=concat_pair_sets(meta_it),
+        meta_et=concat_pair_sets(meta_et),
+    )
 
 
 class MlpModel:
@@ -228,7 +276,9 @@ class MlpModel:
         """Log-probabilities, shape (batch, 2)."""
         h = np.atleast_2d(np.asarray(x, dtype=float))
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ w + b, 0.0)
+            h = h @ w
+            h += b
+            np.maximum(h, 0.0, out=h)
         z = h @ self.weights[-1] + self.biases[-1]
         return z - _logsumexp(z)
 
@@ -286,7 +336,9 @@ def nll_loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple:
     activations = [x]
     h = x
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        h = np.maximum(h @ w + b, 0.0)
+        h = h @ w
+        h += b
+        np.maximum(h, 0.0, out=h)
         activations.append(h)
     z = h @ model.weights[-1] + model.biases[-1]
     log_probs = z - _logsumexp(z)
@@ -318,17 +370,17 @@ def adadelta_step(param, grad, acc_grad, acc_update, rho: float = ADADELTA_RHO, 
 
 
 def train_mlp(
-    meta_train: Sequence[PairExample],
+    meta_train: PairSet,
     epochs: int = 10,
     batch: int = 250,
     seed: int = 0,
     model: Optional[MlpModel] = None,
 ) -> MlpModel:
     """Train on the pair set: NLL objective, Adadelta updates, fixed shuffles."""
-    if not meta_train:
-        raise ValueError("training set must be non-empty")
-    x = np.stack([ex.features for ex in meta_train])
-    y = np.array([ex.label for ex in meta_train], dtype=int)
+    if len(meta_train) == 0 or meta_train.labels is None:
+        raise ValueError("training set must be non-empty and labeled")
+    x = meta_train.features
+    y = meta_train.labels
     if model is None:
         model = init_mlp(seed)
 
@@ -353,32 +405,29 @@ def predict_features(model: MlpModel, features: np.ndarray) -> tuple:
     probability strictly exceeds 0.5.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
-    swapped = np.concatenate(
-        [features[:, PAD_DIM : 2 * PAD_DIM], features[:, :PAD_DIM], features[:, 2 * PAD_DIM :]], axis=1
-    )
     p_fwd = np.exp(model.forward(features)[:, 1])
-    p_swp = np.exp(model.forward(swapped)[:, 1])
+    p_swp = np.exp(model.forward(swap_blocks(features))[:, 1])
     p = (p_fwd + p_swp) / 2.0
     return p, p > 0.5
 
 
 def predict_pair(model: MlpModel, dataset: Dataset, i: int, j: int) -> tuple:
     """(probability_same, decision) for one pair of a dataset."""
-    ex = build_pair_features(dataset, i, j)
-    p, decision = predict_features(model, ex.features)
+    pairs = build_pair_features(dataset, [i], [j])
+    p, decision = predict_features(model, pairs.features)
     return float(p[0]), bool(decision[0])
 
 
-def majority_baseline(pairs: Sequence[PairExample]) -> float:
+def majority_baseline(pairs: PairSet) -> float:
     """Prescient per-problem majority rule accuracy, averaged over problems."""
-    by_problem: dict = {}
-    for ex in pairs:
-        if ex.label is None:
-            raise ValueError("majority baseline needs labeled pairs")
-        by_problem.setdefault(ex.dataset_id, []).append(ex.label)
+    if pairs.labels is None:
+        raise ValueError("majority baseline needs labeled pairs")
+    _ids, first, problem = np.unique(pairs.dataset_ids, return_index=True, return_inverse=True)
+    n_same = np.bincount(problem, weights=pairs.labels)
+    n_pairs = np.bincount(problem)
     accs = []
-    for labels in by_problem.values():
-        frac_same = sum(labels) / len(labels)
+    for t in np.argsort(first):  # problems in order of first appearance
+        frac_same = int(n_same[t]) / int(n_pairs[t])
         accs.append(max(frac_same, 1.0 - frac_same))
     return sum(accs) / len(accs)
 
@@ -391,11 +440,9 @@ class BsfEvaluation:
     acc_majority_et: float
 
 
-def _model_accuracy(model: MlpModel, pairs: Sequence[PairExample]) -> float:
-    x = np.stack([ex.features for ex in pairs])
-    y = np.array([ex.label for ex in pairs], dtype=int)
-    _p, decisions = predict_features(model, x)
-    return float((decisions.astype(int) == y).mean())
+def _model_accuracy(model: MlpModel, pairs: PairSet) -> float:
+    _p, decisions = predict_features(model, pairs.features)
+    return float((decisions.astype(int) == pairs.labels).mean())
 
 
 def evaluate_bsf(model: MlpModel, split: SplitTriple) -> BsfEvaluation:

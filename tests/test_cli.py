@@ -168,6 +168,15 @@ class TestGolden:
         assert read_bytes(out / "outliers.csv") == read_bytes(GOLDEN / "outliers.csv")
         assert calls == [0.0, 0.02]  # one grid per p, shared by the 4 splits
 
+    def test_bsf(self, golden_repo, tmp_path):
+        out = tmp_path / "bsf"
+        rc = main([
+            "run", "bsf", "--repo", str(golden_repo), "--max-pairs", "200", "--epochs", "2",
+            "--repeats", "2", "--seed", "3", "--out", str(out),
+        ])
+        assert rc == EXIT_OK
+        assert read_bytes(out / "bsf.csv") == read_bytes(GOLDEN / "bsf.csv")
+
 
 class TestReport:
     def test_aggregation(self, repo_dir, tmp_path):
@@ -280,6 +289,20 @@ class TestErrorContracts:
     def test_bad_repository_data(self, repo_dir, tmp_path, capsys, corrupt):
         corrupt(repo_dir)
         rc = main(["run", "fit-threshold", "--repo", str(repo_dir), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_IO
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"g,v\na,xyz\n", b"g,v\na\n", b"\xff\xfeg,v\na,1\n"],
+        ids=["non_numeric_value", "short_row", "non_utf8_file"],
+    )
+    def test_bad_report_data(self, tmp_path, capsys, content):
+        src = tmp_path / "in.csv"
+        src.write_bytes(content)
+        rc = main(["report", "--input", str(src), "--group", "g", "--value", "v", "--out", str(tmp_path / "r")])
         err = capsys.readouterr().err
         assert rc == EXIT_IO
         assert err.startswith("error: ") and err.count("\n") == 1

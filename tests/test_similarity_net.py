@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from metaclust.data_model import Dataset, MetaRepository, SynthSpec, labels_to_partition, make_synthetic_repository, normalize_dataset
+from metaclust import similarity_net
+from metaclust.data_model import Dataset, SynthSpec, covariance, make_synthetic_repository, normalize_dataset
 from metaclust.similarity_net import (
     ADADELTA_EPS,
     ADADELTA_RHO,
@@ -11,9 +12,10 @@ from metaclust.similarity_net import (
     LAYER_DIMS,
     PAD_DIM,
     MlpModel,
-    PairExample,
+    PairSet,
     adadelta_step,
     build_pair_features,
+    concat_pair_sets,
     evaluate_bsf,
     init_mlp,
     majority_baseline,
@@ -21,6 +23,7 @@ from metaclust.similarity_net import (
     predict_features,
     predict_pair,
     sample_pair_splits,
+    swap_blocks,
     train_mlp,
 )
 
@@ -32,19 +35,49 @@ def toy_dataset(rng, n=20, d=3):
     return normalize_dataset(Dataset(id="toy", points=pts, labels=labels))
 
 
+def pair_features_oracle(dataset, i, j):
+    """The per-pair builder: (75 features, label) of one ordered pair, with the
+    covariance block recomputed for each pair."""
+
+    def pad10(x):
+        out = np.zeros(PAD_DIM)
+        out[: x.shape[0]] = x
+        return out
+
+    embedded = np.zeros((PAD_DIM, PAD_DIM))
+    embedded[: dataset.d, : dataset.d] = covariance(dataset.points)
+    features = np.concatenate(
+        [pad10(dataset.points[i]), pad10(dataset.points[j]), embedded[np.triu_indices(PAD_DIM)]]
+    )
+    label = None if dataset.labels is None else int(dataset.labels[i] == dataset.labels[j])
+    return features, label
+
+
+def pair_set(features, labels, dataset_id="d"):
+    """A PairSet over given feature rows, all from one dataset with dummy indices."""
+    m = len(features)
+    return PairSet(
+        features=features, labels=labels, dataset_ids=np.full(m, dataset_id), i=np.zeros(m), j=np.ones(m)
+    )
+
+
+def one_pair(dataset, i, j):
+    return build_pair_features(dataset, [i], [j])
+
+
 class TestPairFeatures:
     def test_dimension_and_padding(self):
         rng = np.random.default_rng(0)
         ds = toy_dataset(rng, d=3)
-        ex = build_pair_features(ds, 0, 1)
-        assert ex.features.shape == (FEATURE_DIM,)
-        assert np.all(ex.features[3:PAD_DIM] == 0.0)  # coord block 1 padding
-        assert np.all(ex.features[PAD_DIM + 3 : 2 * PAD_DIM] == 0.0)  # block 2
+        pairs = build_pair_features(ds, [0, 4], [1, 2])
+        assert pairs.features.shape == (2, FEATURE_DIM) and len(pairs) == 2
+        assert np.all(pairs.features[:, 3:PAD_DIM] == 0.0)  # coord block 1 padding
+        assert np.all(pairs.features[:, PAD_DIM + 3 : 2 * PAD_DIM] == 0.0)  # block 2
 
     def test_covariance_block_embedding(self):
         rng = np.random.default_rng(1)
         ds = toy_dataset(rng, d=3)
-        cov_block = build_pair_features(ds, 0, 1).features[2 * PAD_DIM :]
+        cov_block = one_pair(ds, 0, 1).features[0, 2 * PAD_DIM :]
         assert cov_block.shape == (55,)
         # entries of the 10x10 upper triangle outside the leading 3x3 are zero
         full = np.zeros((PAD_DIM, PAD_DIM))
@@ -58,32 +91,67 @@ class TestPairFeatures:
     def test_covariance_shared_across_pairs(self):
         rng = np.random.default_rng(2)
         ds = toy_dataset(rng)
-        a = build_pair_features(ds, 0, 1).features[2 * PAD_DIM :]
-        b = build_pair_features(ds, 5, 9).features[2 * PAD_DIM :]
-        assert np.array_equal(a, b)
+        cov = build_pair_features(ds, [0, 5, 3], [1, 9, 0]).features[:, 2 * PAD_DIM :]
+        assert np.array_equal(cov[0], cov[1]) and np.array_equal(cov[0], cov[2])
 
     def test_swap_exchanges_coordinate_blocks_only(self):
         rng = np.random.default_rng(3)
         ds = toy_dataset(rng)
-        ex = build_pair_features(ds, 2, 7)
-        rev = build_pair_features(ds, 7, 2)
-        assert np.array_equal(ex.swapped_features(), rev.features)
+        fwd = build_pair_features(ds, [2, 0], [7, 5])
+        rev = build_pair_features(ds, [7, 5], [2, 0])
+        assert np.array_equal(swap_blocks(fwd.features), rev.features)
+        assert np.array_equal(swap_blocks(fwd.features[0]), rev.features[0])  # one row
 
     def test_labels(self):
         pts = np.array([[0.0], [0.1], [5.0], [5.1]])
         ds = Dataset(id="l", points=pts, labels=np.array([0, 0, 1, 1]))
-        assert build_pair_features(ds, 0, 1).label == 1
-        assert build_pair_features(ds, 0, 2).label == 0
+        pairs = build_pair_features(ds, [0, 0], [1, 2])
+        assert pairs.labels.tolist() == [1, 0]
 
     def test_wide_dataset_rejected(self):
         ds = Dataset(id="w", points=np.zeros((3, 11)) + np.arange(3)[:, None])
         with pytest.raises(ValueError):
-            build_pair_features(ds, 0, 1)
+            one_pair(ds, 0, 1)
 
     def test_identical_indices_rejected(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError):
-            build_pair_features(toy_dataset(rng), 3, 3)
+            build_pair_features(toy_dataset(rng), [0, 3], [1, 3])
+
+    def test_malformed_pair_set_rejected(self):
+        features = np.zeros((2, FEATURE_DIM))
+        features[1, 30] = np.nan
+        with pytest.raises(ValueError):
+            pair_set(features, [0, 1])  # non-finite feature
+        with pytest.raises(ValueError):
+            pair_set(np.zeros((2, FEATURE_DIM - 1)), [0, 1])  # wrong width
+        with pytest.raises(ValueError):
+            pair_set(np.zeros((2, FEATURE_DIM)), [0, 1, 1])  # one label too many
+
+    def test_arrays_read_only(self):
+        pairs = build_pair_features(toy_dataset(np.random.default_rng(5)), [0], [1])
+        for arr in (pairs.features, pairs.labels, pairs.dataset_ids, pairs.i, pairs.j):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+
+    @pytest.mark.parametrize("d", range(1, PAD_DIM + 1))
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_matches_per_pair_oracle_exactly(self, d, labeled):
+        rng = np.random.default_rng(100 + d)
+        ds = toy_dataset(rng, n=15, d=d)
+        if not labeled:
+            ds = Dataset(id=ds.id, points=ds.points)
+        rows_i = rng.integers(0, ds.n, size=40)
+        rows_j = (rows_i + rng.integers(1, ds.n, size=40)) % ds.n
+        # every pair in both orders
+        rows_i, rows_j = np.concatenate([rows_i, rows_j]), np.concatenate([rows_j, rows_i])
+        pairs = build_pair_features(ds, rows_i, rows_j)
+        assert (pairs.labels is None) == (not labeled)
+        for t, (i, j) in enumerate(zip(rows_i, rows_j)):
+            features, label = pair_features_oracle(ds, i, j)
+            assert np.all(pairs.features[t] == features)
+            assert label == (None if pairs.labels is None else pairs.labels[t])
+            assert (pairs.i[t], pairs.j[t], pairs.dataset_ids[t]) == (i, j, ds.id)
 
 
 class TestSplits:
@@ -94,31 +162,30 @@ class TestSplits:
 
     def test_triple_well_formed(self):
         split = sample_pair_splits(self.repo(), seed=1, max_pairs=50)
-        assert split.meta_train and split.meta_it and split.meta_et
+        assert len(split.meta_train) and len(split.meta_it) and len(split.meta_et)
         assert len(split.meta_train) % 2 == 0  # augmented with swapped copies
 
     def test_augmentation_doubles(self):
         split = sample_pair_splits(self.repo(), seed=1, max_pairs=50)
-        half = len(split.meta_train) // 2
-        for t in range(half):
-            fwd, swp = split.meta_train[2 * t], split.meta_train[2 * t + 1]
-            assert (fwd.i, fwd.j) == (swp.j, swp.i)
-            assert np.array_equal(fwd.swapped_features(), swp.features)
+        train = split.meta_train
+        assert np.array_equal(train.i[0::2], train.j[1::2]) and np.array_equal(train.j[0::2], train.i[1::2])
+        assert np.array_equal(swap_blocks(train.features[0::2]), train.features[1::2])
+        assert np.array_equal(train.labels[0::2], train.labels[1::2])
+        assert np.array_equal(train.dataset_ids[0::2], train.dataset_ids[1::2])
 
     def test_train_and_it_halves_disjoint(self):
         split = sample_pair_splits(self.repo(), seed=2, max_pairs=80)
-        train_rows: dict = {}
-        for ex in split.meta_train:
-            train_rows.setdefault(ex.dataset_id, set()).update((ex.i, ex.j))
-        for ex in split.meta_it:
-            overlap = train_rows.get(ex.dataset_id, set()) & {ex.i, ex.j}
-            assert not overlap
+        train, it = split.meta_train, split.meta_it
+        for ds_id in set(it.dataset_ids):
+            in_train = train.dataset_ids == ds_id
+            in_it = it.dataset_ids == ds_id
+            train_rows = set(train.i[in_train]) | set(train.j[in_train])
+            it_rows = set(it.i[in_it]) | set(it.j[in_it])
+            assert not (train_rows & it_rows)
 
     def test_et_datasets_absent_from_training(self):
         split = sample_pair_splits(self.repo(), seed=3, max_pairs=50)
-        train_ids = {ex.dataset_id for ex in split.meta_train}
-        et_ids = {ex.dataset_id for ex in split.meta_et}
-        assert not (train_ids & et_ids)
+        assert not (set(split.meta_train.dataset_ids) & set(split.meta_et.dataset_ids))
 
     def test_oversize_datasets_excluded(self):
         # every problem has 60 points, so a 10-example cap disqualifies all
@@ -128,9 +195,28 @@ class TestSplits:
     def test_deterministic(self):
         a = sample_pair_splits(self.repo(), seed=5, max_pairs=40)
         b = sample_pair_splits(self.repo(), seed=5, max_pairs=40)
-        assert [(e.dataset_id, e.i, e.j) for e in a.meta_train] == [
-            (e.dataset_id, e.i, e.j) for e in b.meta_train
-        ]
+        for name in ("meta_train", "meta_it", "meta_et"):
+            pa, pb = getattr(a, name), getattr(b, name)
+            for field in ("features", "labels", "dataset_ids", "i", "j"):
+                assert np.array_equal(getattr(pa, field), getattr(pb, field))
+
+    def test_one_feature_build_per_dataset_and_set(self, monkeypatch):
+        calls = []
+        real = similarity_net.build_pair_features
+
+        def counted(dataset, rows_i, rows_j):
+            calls.append((dataset.id, len(rows_i)))
+            return real(dataset, rows_i, rows_j)
+
+        monkeypatch.setattr(similarity_net, "build_pair_features", counted)
+        split = sample_pair_splits(self.repo(), seed=4, max_pairs=50)
+        train_ids = set(split.meta_train.dataset_ids)
+        it_ids = set(split.meta_it.dataset_ids)
+        et_ids = set(split.meta_et.dataset_ids)
+        assert len(calls) == len(train_ids) + len(it_ids) + len(et_ids)
+        assert {ds_id for ds_id, _m in calls} == train_ids | it_ids | et_ids
+        assert all(m > 0 for _ds_id, m in calls)
+        assert sum(m for _ds_id, m in calls) == len(split.meta_train) // 2 + len(split.meta_it) + len(split.meta_et)
 
 
 class TestMlp:
@@ -182,16 +268,7 @@ class TestMlp:
 
     def test_training_deterministic(self):
         rng = np.random.default_rng(7)
-        pairs = [
-            PairExample(
-                features=rng.standard_normal(FEATURE_DIM),
-                label=int(rng.integers(0, 2)),
-                dataset_id="d",
-                i=0,
-                j=1,
-            )
-            for _ in range(60)
-        ]
+        pairs = pair_set(rng.standard_normal((60, FEATURE_DIM)), rng.integers(0, 2, size=60))
         a = train_mlp(pairs, epochs=2, batch=16, seed=9)
         b = train_mlp(pairs, epochs=2, batch=16, seed=9)
         for wa, wb in zip(a.weights, b.weights):
@@ -203,9 +280,7 @@ class TestMlp:
         x = np.zeros((n, FEATURE_DIM))
         y = rng.integers(0, 2, size=n)
         x[:, 0] = y * 2.0 - 1.0 + 0.05 * rng.standard_normal(n)
-        pairs = [
-            PairExample(features=x[t], label=int(y[t]), dataset_id="d", i=0, j=1) for t in range(n)
-        ]
+        pairs = pair_set(x, y)
         model0 = init_mlp(seed=4)
         loss0, _ = nll_loss_and_grads(model0, x, y)
         model = train_mlp(pairs, epochs=10, batch=50, seed=4)
@@ -260,10 +335,7 @@ class TestPrediction:
 
 class TestMajorityBaseline:
     def make(self, labels, dataset_id="a"):
-        return [
-            PairExample(features=np.zeros(FEATURE_DIM), label=lab, dataset_id=dataset_id, i=0, j=1)
-            for lab in labels
-        ]
+        return pair_set(np.zeros((len(labels), FEATURE_DIM)), labels, dataset_id)
 
     def test_seventy_percent_same(self):
         pairs = self.make([1] * 7 + [0] * 3)
@@ -276,8 +348,16 @@ class TestMajorityBaseline:
         assert majority_baseline(self.make([0, 1] * 4)) == 0.5
 
     def test_mean_over_problems(self):
-        pairs = self.make([1] * 4, "a") + self.make([0] * 9 + [1], "b")
+        pairs = concat_pair_sets([self.make([1] * 4, "a"), self.make([0] * 9 + [1], "b")])
         assert majority_baseline(pairs) == pytest.approx((1.0 + 0.9) / 2)
+
+    def test_interleaved_problems(self):
+        pairs = concat_pair_sets([self.make([1, 1], "a"), self.make([0], "b"), self.make([1, 0], "a")])
+        assert majority_baseline(pairs) == pytest.approx((0.75 + 1.0) / 2)
+
+    def test_unlabeled_rejected(self):
+        with pytest.raises(ValueError):
+            majority_baseline(pair_set(np.zeros((2, FEATURE_DIM)), None))
 
 
 class TestEvaluateBsf:
