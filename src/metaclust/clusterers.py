@@ -161,7 +161,8 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 1, seed: int = 0) -> Clus
 
 
 _LW_COEFFS = {
-    # alpha_i, alpha_j, gamma as functions of (ni, nj, nm); beta handled inline.
+    # (alpha_i, alpha_j, beta, gamma) from the merged sizes ni, nj and the
+    # int array nm of the other active clusters' sizes.
     "single": lambda ni, nj, nm: (0.5, 0.5, 0.0, -0.5),
     "complete": lambda ni, nj, nm: (0.5, 0.5, 0.0, 0.5),
     "average": lambda ni, nj, nm: (ni / (ni + nj), nj / (ni + nj), 0.0, 0.0),
@@ -178,7 +179,9 @@ def agglomerative(points: np.ndarray, k: int, linkage: str = "single") -> Cluste
     """Greedy merging from singletons with Lance-Williams updates to k clusters.
 
     Ward operates on squared Euclidean distances; ties break toward the
-    lexicographically lowest active cluster-slot pair.
+    lexicographically lowest active cluster-slot pair.  A retired slot's row
+    and column are set to inf, so the plain row-major argmin of the matrix
+    is the lowest closest active pair.
     """
     if linkage not in LINKAGES:
         raise ValueError(f"unknown linkage {linkage!r}")
@@ -199,20 +202,19 @@ def agglomerative(points: np.ndarray, k: int, linkage: str = "single") -> Cluste
     coeffs = _LW_COEFFS[linkage]
 
     for _ in range(n - k):
-        masked = np.where(active[:, None] & active[None, :], dist, np.inf)
-        flat = int(np.argmin(masked))  # row-major argmin = lexicographic tie-break
-        i, j = divmod(flat, n)
-        if i > j:
-            i, j = j, i
+        i, j = divmod(int(np.argmin(dist)), n)  # i < j: the matrix is symmetric
         d_ij = dist[i, j]
         ni, nj = sizes[i], sizes[j]
-        for m in range(n):
-            if not active[m] or m in (i, j):
-                continue
-            ai, aj, beta, gamma = coeffs(ni, nj, sizes[m])
-            new_d = ai * dist[i, m] + aj * dist[j, m] + beta * d_ij + gamma * abs(dist[i, m] - dist[j, m])
-            dist[i, m] = dist[m, i] = new_d
         active[j] = False
+        ms = np.flatnonzero(active)
+        ms = ms[ms != i]
+        di, dj = dist[i, ms], dist[j, ms]
+        ai, aj, beta, gamma = coeffs(ni, nj, sizes[ms])
+        new_d = ai * di + aj * dj + beta * d_ij + gamma * np.abs(di - dj)
+        dist[i, ms] = new_d
+        dist[ms, i] = new_d
+        dist[j, :] = np.inf
+        dist[:, j] = np.inf
         sizes[i] = ni + nj
         members[i].extend(members[j])
         members[j] = []

@@ -418,11 +418,9 @@ def dataset_to_distance_graph(dataset: Dataset) -> WeightedGraph:
     """Complete graph with Euclidean distances as edge weights."""
     pts = dataset.points
     n = pts.shape[0]
-    edges = []
-    for u in range(n):
-        dist = np.sqrt(((pts[u + 1 :] - pts[u]) ** 2).sum(axis=1))
-        edges.extend((u, u + 1 + off, float(w)) for off, w in enumerate(dist))
-    return WeightedGraph(n_vertices=n, edges=tuple(edges))
+    iu, ju = np.triu_indices(n, 1)
+    w = np.sqrt(((pts[ju] - pts[iu]) ** 2).sum(axis=1))
+    return WeightedGraph(n_vertices=n, edges=tuple(zip(iu.tolist(), ju.tolist(), w.tolist())))
 
 
 def load_repository(manifest_path, seed: int = 0) -> MetaRepository:

@@ -1,7 +1,7 @@
 """Empirical risk minimization over finite clusterer families.
 
 Covers selection of the best family member on a training repository, the
-accompanying generalization bound, the quasilinear single-sweep threshold
+accompanying generalization bound, the spanning-forest threshold sweep
 fitter for single-linkage clustering (with a from-scratch brute-force oracle),
 and the scale-free learned threshold rule whose output satisfies the richness
 and consistency axioms.
@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from metaclust.clusterers import UnionFind, single_linkage_threshold
 from metaclust.data_model import Partition, WeightedGraph
@@ -200,39 +202,67 @@ class _GraphSweepState:
         return 2 * self.disagree / (self.n * (self.n - 1))
 
 
-def fit_threshold_kruskal(train: Sequence) -> ThresholdFitResult:
-    """Single sorted sweep over the union graph with incremental loss updates.
+def _spanning_forest(graph: WeightedGraph) -> list:
+    """(w, u, v) edges of a minimum spanning forest, by Prim's algorithm.
 
-    Edges are processed in nondecreasing weight order; all edges of equal
-    weight are merged before that weight is recorded as a candidate.  Matches
-    the brute-force oracle exactly, threshold for threshold.
+    Runs on a dense weight matrix (inf where there is no edge) and starts a
+    new tree at the lowest unreached vertex whenever none is reachable.
+    """
+    n = graph.n_vertices
+    weight = np.full((n, n), np.inf)
+    if graph.edges:
+        u, v, w = np.array(graph.edges).T
+        u, v = u.astype(int), v.astype(int)
+        weight[u, v] = w
+        weight[v, u] = w
+    reached = np.zeros(n, dtype=bool)
+    best = np.full(n, np.inf)  # lightest edge to the forest; inf once reached
+    parent = np.zeros(n, dtype=int)
+    forest = []
+    for _ in range(n):
+        x = int(np.argmin(best))
+        if best[x] < np.inf:
+            forest.append((float(best[x]), int(parent[x]), x))
+        else:
+            x = int(np.argmin(reached))  # nothing reachable: start a new tree
+        reached[x] = True
+        best[x] = np.inf
+        closer = ~reached & (weight[x] < best)
+        best[closer] = weight[x, closer]
+        parent[closer] = x
+    return forest
+
+
+def fit_threshold_kruskal(train: Sequence) -> ThresholdFitResult:
+    """Threshold sweep over each graph's minimum spanning forest.
+
+    Only spanning-forest edges ever join two components, and the components
+    under w <= r are the same for every spanning forest.  So each graph
+    merges its forest edges in weight order, recording its loss once all
+    edges of a weight are merged, and carries that loss forward to every
+    candidate threshold up to its next forest weight.  Per-candidate means
+    add the graphs' losses in graph order, so the profile matches the
+    brute-force oracle exactly, threshold for threshold.
     """
     _check_threshold_train(train)
-    r_below, _weights = _candidate_thresholds(train)
-    states = [_GraphSweepState(graph, truth) for graph, truth in train]
-
-    edges = sorted(
-        (w, gi, u, v)
-        for gi, (graph, _truth) in enumerate(train)
-        for u, v, w in graph.edges
-    )
-
-    def mean_loss() -> float:
-        losses = [state.loss() for state in states]
-        return sum(losses) / len(losses)
-
-    profile = [(r_below, mean_loss())]
-    i = 0
-    while i < len(edges):
-        w = edges[i][0]
-        while i < len(edges) and edges[i][0] == w:
-            _w, gi, u, v = edges[i]
-            states[gi].merge(u, v)
-            i += 1
-        profile.append((w, mean_loss()))
-
+    r_below, weights = _candidate_thresholds(train)
+    candidates = np.array([r_below] + weights)
+    total = np.zeros(candidates.size)
+    for graph, truth in train:
+        state = _GraphSweepState(graph, truth)
+        forest = sorted(_spanning_forest(graph))
+        step_weights = []
+        step_losses = [state.loss()]
+        for pos, (w, u, v) in enumerate(forest):
+            state.merge(u, v)
+            if pos + 1 == len(forest) or forest[pos + 1][0] != w:
+                step_weights.append(w)
+                step_losses.append(state.loss())
+        steps = np.searchsorted(np.array(step_weights), candidates, side="right")
+        total += np.array(step_losses)[steps]
+    profile = tuple(zip([r_below] + weights, (total / len(train)).tolist()))
     r_star, min_loss = _profile_minimum(profile)
-    return ThresholdFitResult(r_star=r_star, min_mean_loss=min_loss, profile=tuple(profile))
+    return ThresholdFitResult(r_star=r_star, min_mean_loss=min_loss, profile=profile)
 
 
 @dataclass(frozen=True)

@@ -305,15 +305,21 @@ def train_algo_select(specs: Sequence[ClustererSpec], train: Sequence, seed: int
 def select_algorithm(model: AlgoSelectModel, dataset: Dataset) -> tuple:
     """Run every member, predict its ARI, output the best-predicted clustering.
 
-    Returns (member name, partition, {name: predicted ARI}).  Ties break
-    toward the earliest member; failing members are skipped, and an error is
-    raised only if every member fails.
+    Returns (member name, partition, {name: predicted ARI}, {name: partition
+    of every member whose run succeeded}).  Ties break toward the earliest
+    member; failing members are skipped, and an error is raised only if
+    every member fails.
     """
     scores = {}
+    partitions = {}
     candidates = []
     for spec, lm in model.members:
         try:
             result = run_spec(spec, dataset.points)
+        except ValueError:
+            continue
+        partitions[spec.name] = result.partition
+        try:
             phi = phi_features(dataset, result.partition)
         except ValueError:
             continue
@@ -323,22 +329,23 @@ def select_algorithm(model: AlgoSelectModel, dataset: Dataset) -> tuple:
     if not candidates:
         raise RuntimeError("every family member failed on this dataset")
     best = min(candidates, key=lambda c: (-c[0], c[1]))
-    return best[2], best[3], scores
+    return best[2], best[3], scores, partitions
 
 
 def evaluate_algo_select(model: AlgoSelectModel, test: Sequence) -> tuple:
-    """(meta mean ARI, {member name: fixed-member mean ARI}) on labeled problems."""
+    """(meta mean ARI, {member name: fixed-member mean ARI}) on labeled problems.
+
+    Each member runs once per test problem, inside ``select_algorithm``; its
+    partition is scored here.  A failed run contributes ARI 0.
+    """
     meta_total = 0.0
     member_totals = {spec.name: 0.0 for spec, _lm in model.members}
     for ds, truth in test:
-        _name, partition, _scores = select_algorithm(model, ds.without_labels())
+        _name, partition, _scores, partitions = select_algorithm(model, ds.without_labels())
         meta_total += adjusted_rand_index(truth.n_items, truth, partition)
         for spec, _lm in model.members:
-            try:
-                result = run_spec(spec, ds.points)
-                member_totals[spec.name] += adjusted_rand_index(truth.n_items, truth, result.partition)
-            except ValueError:
-                pass  # a failed run contributes ARI 0
+            if spec.name in partitions:
+                member_totals[spec.name] += adjusted_rand_index(truth.n_items, truth, partitions[spec.name])
     n = len(test)
     return meta_total / n, {name: total / n for name, total in member_totals.items()}
 

@@ -178,6 +178,31 @@ class TestGolden:
         assert read_bytes(out / "bsf.csv") == read_bytes(GOLDEN / "bsf.csv")
 
 
+    def test_algo_select(self, golden_repo, tmp_path):
+        out = tmp_path / "as"
+        rc = main([
+            "run", "algo-select", "--repo", str(golden_repo), "--train-frac", "0.5,0.7", "--repeats", "2",
+            "--seed", "3", "--out", str(out),
+        ])
+        assert rc == EXIT_OK
+        assert read_bytes(out / "algo_select.csv") == read_bytes(GOLDEN / "algo_select.csv")
+
+    def test_fit_threshold(self, golden_repo, tmp_path):
+        out = tmp_path / "ft"
+        rc = main(["run", "fit-threshold", "--repo", str(golden_repo), "--seed", "3", "--out", str(out)])
+        assert rc == EXIT_OK
+        assert read_bytes(out / "threshold_profile.csv") == read_bytes(GOLDEN / "threshold_profile.csv")
+
+    def test_meta_scale(self, golden_repo, tmp_path):
+        out = tmp_path / "ms"
+        rc = main([
+            "run", "meta-scale", "--repo", str(golden_repo), "--train-frac", "0.5,0.7", "--repeats", "2",
+            "--seed", "3", "--out", str(out),
+        ])
+        assert rc == EXIT_OK
+        assert read_bytes(out / "meta_scale.csv") == read_bytes(GOLDEN / "meta_scale.csv")
+
+
 class TestReport:
     def test_aggregation(self, repo_dir, tmp_path):
         run_out = tmp_path / "ms"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from metaclust.clusterers import (
+    _LW_COEFFS,
     ClustererSpec,
     UnionFind,
     _part_centers,
@@ -63,6 +64,46 @@ def naive_linkage(points, k, linkage):
         clusters[i] = sorted(clusters[i] + clusters[j])
         del clusters[j]
     return Partition(n, tuple(tuple(c) for c in clusters))
+
+
+def lance_williams_oracle(points, k, linkage):
+    """The Python-loop Lance-Williams clustering that ``agglomerative`` replaced.
+
+    It masks retired slots out of a fresh copy of the matrix for every merge
+    and updates one active cluster at a time, so it is the exact reference
+    for the merge order, the tie-break and the float evaluation order.
+    """
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    diff = points[:, None, :] - points[None, :, :]
+    dist = (diff**2).sum(axis=2)
+    if linkage != "ward":
+        dist = np.sqrt(dist)
+    np.fill_diagonal(dist, np.inf)
+    active = np.ones(n, dtype=bool)
+    sizes = np.ones(n, dtype=int)
+    members = [[i] for i in range(n)]
+    coeffs = _LW_COEFFS[linkage]
+    for _ in range(n - k):
+        masked = np.where(active[:, None] & active[None, :], dist, np.inf)
+        i, j = divmod(int(np.argmin(masked)), n)
+        if i > j:
+            i, j = j, i
+        d_ij = dist[i, j]
+        ni, nj = sizes[i], sizes[j]
+        for m in range(n):
+            if not active[m] or m in (i, j):
+                continue
+            ai, aj, beta, gamma = coeffs(ni, nj, sizes[m])
+            new_d = ai * dist[i, m] + aj * dist[j, m] + beta * d_ij + gamma * abs(dist[i, m] - dist[j, m])
+            dist[i, m] = dist[m, i] = new_d
+        active[j] = False
+        sizes[i] = ni + nj
+        members[i].extend(members[j])
+        members[j] = []
+    parts = sorted((tuple(sorted(m)) for m in members if m), key=lambda p: p[0])
+    partition = Partition(n_items=n, parts=tuple(parts))
+    return partition, _part_centers(points, partition)
 
 
 class TestKmeans:
@@ -153,6 +194,30 @@ class TestAgglomerative:
             ours = agglomerative(pts, k, linkage).partition
             ref = naive_linkage(pts, k, linkage)
             assert set(ours.parts) == set(ref.parts), (linkage, trial)
+
+    @pytest.mark.parametrize("linkage", ["single", "complete", "average", "ward"])
+    def test_matches_lance_williams_oracle_exactly(self, linkage):
+        rng = np.random.default_rng(17)
+        sizes = list(range(2, 26)) + [33, 48, 64, 97, 128, 160]
+        for trial, n in enumerate(sizes):
+            d = trial % 5 + 1
+            pts = rng.standard_normal((n, d)) * rng.uniform(0.5, 3.0)
+            if trial % 3 == 0:
+                pts = np.round(pts)  # many tied distances
+            if trial % 4 == 1:
+                pts[rng.integers(0, n, size=n // 2)] = pts[-1]  # duplicate points
+            for k in sorted({2, int(rng.integers(2, n + 1)), n}):
+                res = agglomerative(pts, k, linkage)
+                partition, centers = lance_williams_oracle(pts, k, linkage)
+                assert res.partition == partition, (linkage, n, d, k)
+                assert res.centers.tobytes() == centers.tobytes(), (linkage, n, d, k)
+
+    def test_ties_break_toward_lowest_pair(self):
+        # Every gap is 1: single linkage must merge (0,1), then (0,2), ...
+        pts = np.arange(6.0).reshape(-1, 1)
+        assert agglomerative(pts, 5, "single").partition.parts == ((0, 1), (2,), (3,), (4,), (5,))
+        assert agglomerative(pts, 4, "single").partition.parts == ((0, 1, 2), (3,), (4,), (5,))
+        assert agglomerative(pts, 4, "complete").partition.parts == ((0, 1), (2, 3), (4,), (5,))
 
     def test_bad_linkage_rejected(self):
         with pytest.raises(ValueError):

@@ -264,6 +264,16 @@ class TestSynth:
             SynthSpec(n_problems=1, n_points=3, n_clusters=(4, 5))
 
 
+def distance_graph_edges_oracle(pts):
+    """The per-row edge builder that ``dataset_to_distance_graph`` replaced."""
+    n = pts.shape[0]
+    edges = []
+    for u in range(n):
+        dist = np.sqrt(((pts[u + 1 :] - pts[u]) ** 2).sum(axis=1))
+        edges.extend((u, u + 1 + off, float(w)) for off, w in enumerate(dist))
+    return tuple(edges)
+
+
 class TestDistanceGraph:
     def test_complete_and_euclidean(self):
         pts = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
@@ -272,6 +282,16 @@ class TestDistanceGraph:
         w = {(u, v): w for u, v, w in g.edges}
         assert w[(0, 1)] == pytest.approx(5.0)
         assert w[(0, 2)] == pytest.approx(1.0)
+
+    def test_matches_per_row_oracle_exactly(self):
+        rng = np.random.default_rng(21)
+        for trial in range(40):
+            n = int(rng.integers(2, 60))
+            pts = rng.standard_normal((n, int(rng.integers(1, 12)))) * rng.uniform(0.1, 100.0)
+            if trial % 2:
+                pts = np.round(pts, 1)
+            g = dataset_to_distance_graph(Dataset(id="g", points=pts))
+            assert g.edges == distance_graph_edges_oracle(pts), trial
 
 
 class TestRepositoryIO:

@@ -155,6 +155,42 @@ class TestThresholdFitting:
             slow = fit_threshold_bruteforce(train)
             assert fast == slow  # exact: r_star, min loss and full profile
 
+    def test_oracle_equivalence_edge_cases(self):
+        two = Partition(4, ((0, 1), (2, 3)))
+        cases = {
+            "no edges": [(WeightedGraph(4, ()), two)],
+            "no edges beside a path": [(WeightedGraph(4, ()), two), path_example()],
+            "disconnected": [(WeightedGraph(4, ((0, 1, 2.0), (2, 3, 1.0))), two)],
+            "isolated vertex": [(WeightedGraph(4, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 3.0))), two)],
+            "zero weights": [(WeightedGraph(4, ((0, 1, 0.0), (2, 3, 0.0), (1, 2, 0.0), (0, 3, 4.0))), two)],
+            "equal weights across graphs": [
+                (WeightedGraph(4, ((0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0))), two),
+                (WeightedGraph(4, ((0, 2, 2.0), (1, 3, 1.0), (0, 3, 2.0))), two),
+                path_example(),
+            ],
+            "cycle of equal weights": [
+                (WeightedGraph(4, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 2.0))), two),
+            ],
+        }
+        for name, train in cases.items():
+            assert fit_threshold_kruskal(train) == fit_threshold_bruteforce(train), name
+
+    def test_complete_distance_graphs_match_oracle(self):
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            train = []
+            for _g in range(int(rng.integers(1, 4))):
+                n = int(rng.integers(4, 30))
+                pts = rng.standard_normal((n, 2))
+                if rng.random() < 0.5:
+                    pts = np.round(pts, 1)  # equal distances within and across graphs
+                labels = (pts[:, 0] > np.median(pts[:, 0])).astype(int)
+                if np.unique(labels).size < 2:
+                    labels[0] = 1 - labels[0]
+                _, dense = np.unique(labels, return_inverse=True)
+                train.append((dataset_to_distance_graph(Dataset(id="c", points=pts)), labels_to_partition(dense)))
+            assert fit_threshold_kruskal(train) == fit_threshold_bruteforce(train)
+
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError):
             fit_threshold_kruskal([])

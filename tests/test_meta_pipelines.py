@@ -230,13 +230,14 @@ class TestAlgoSelect:
         specs = [ClustererSpec(kind="kmeans", k=2, restarts=3), ClustererSpec(kind="agglo_single", k=2)]
         model = train_algo_select(specs, repo.problems, seed=1)
         assert len(model.members) == 2
-        name, partition, scores = select_algorithm(model, repo.problems[0][0].without_labels())
+        name, partition, scores, partitions = select_algorithm(model, repo.problems[0][0].without_labels())
         assert name in scores and partition.is_valid()
+        assert partitions[name] == partition
 
     def test_single_member_family(self):
         repo = small_repo(3)
         model = train_algo_select([ClustererSpec(kind="agglo_ward", k=2)], repo.problems, seed=0)
-        name, _, _ = select_algorithm(model, repo.problems[0][0].without_labels())
+        name, _, _, _ = select_algorithm(model, repo.problems[0][0].without_labels())
         assert name == "agglo_ward"
 
     def test_failed_member_rows_flagged(self):
@@ -247,8 +248,60 @@ class TestAlgoSelect:
         ]
         model = train_algo_select(specs, repo.problems, seed=0)
         assert model.n_failed_rows == 3
-        name, _, _ = select_algorithm(model, repo.problems[0][0].without_labels())
+        name, _, scores, partitions = select_algorithm(model, repo.problems[0][0].without_labels())
         assert name == "kmeans"
+        assert list(scores) == list(partitions) == ["kmeans"]
+
+    def test_partitions_include_member_without_features(self, monkeypatch):
+        repo = small_repo(3)
+        specs = [ClustererSpec(kind="kmeans", k=2, restarts=2), ClustererSpec(kind="agglo_single", k=2)]
+        model = train_algo_select(specs, repo.problems, seed=0)
+        real = meta_pipelines.phi_features
+        calls = []
+
+        def second_fails(dataset, partition):
+            calls.append(partition)
+            if len(calls) == 2:
+                raise ValueError("no features for this partition")
+            return real(dataset, partition)
+
+        monkeypatch.setattr(meta_pipelines, "phi_features", second_fails)
+        name, _, scores, partitions = select_algorithm(model, repo.problems[0][0].without_labels())
+        assert name == "kmeans" and list(scores) == ["kmeans"]
+        assert list(partitions) == ["kmeans", "agglo_single"]
+        assert partitions["agglo_single"] == calls[1]
+
+    def test_evaluate_runs_each_member_once_per_test_problem(self, monkeypatch):
+        from metaclust.clusterers import run_spec
+        from metaclust.metrics import adjusted_rand_index
+
+        repo = small_repo(6)
+        specs = [
+            ClustererSpec(kind="kmeans", k=2, restarts=2),
+            ClustererSpec(kind="agglo_average", k=2),
+            ClustererSpec(kind="agglo_ward", k=50),  # fails: k > n
+        ]
+        model = train_algo_select(specs, repo.problems[:3], seed=2)
+        test = repo.problems[3:]
+        calls = []
+
+        def counted(spec, points):
+            calls.append(spec.name)
+            return run_spec(spec, points)
+
+        monkeypatch.setattr(meta_pipelines, "run_spec", counted)
+        _meta, per_member = meta_pipelines.evaluate_algo_select(model, test)
+        assert len(calls) == len(model.members) * len(test)
+        # Same numbers as running every member again on each test problem.
+        for spec, _lm in model.members:
+            total = 0.0
+            for ds, truth in test:
+                try:
+                    total += adjusted_rand_index(truth.n_items, truth, run_spec(spec, ds.points).partition)
+                except ValueError:
+                    pass
+            assert per_member[spec.name] == total / len(test)
+        assert per_member["agglo_ward"] == 0.0
 
     def test_unexpected_member_error_propagates(self, monkeypatch):
         repo = small_repo(3)
