@@ -67,11 +67,8 @@ class ClusterResult:
 
 
 def _part_centers(points: np.ndarray, partition: Partition) -> np.ndarray:
-    return np.stack([points[list(p)].mean(axis=0) for p in partition.parts])
-
-
-def _labels_to_parts(labels: np.ndarray, k: int) -> tuple:
-    return tuple(tuple(np.flatnonzero(labels == j)) for j in range(k))
+    labels = partition.labels
+    return np.stack([points[labels == j].mean(axis=0) for j in range(partition.n_parts)])
 
 
 def _sq_dist_to_centers(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -156,7 +153,7 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 1, seed: int = 0) -> Clus
             best = (labels, centers, inertia)
     labels, centers, inertia = best
     # Lloyd's final centers are the part means, averaged over the same rows.
-    partition = Partition(n_items=n, parts=_labels_to_parts(labels, k))
+    partition = Partition(n_items=n, labels=labels)
     return ClusterResult(partition=partition, centers=centers, inertia=inertia)
 
 
@@ -198,7 +195,7 @@ def agglomerative(points: np.ndarray, k: int, linkage: str = "single") -> Cluste
 
     active = np.ones(n, dtype=bool)
     sizes = np.ones(n, dtype=int)
-    members = [[i] for i in range(n)]
+    slot = np.arange(n)  # the cluster slot of each point
     coeffs = _LW_COEFFS[linkage]
 
     for _ in range(n - k):
@@ -216,55 +213,38 @@ def agglomerative(points: np.ndarray, k: int, linkage: str = "single") -> Cluste
         dist[j, :] = np.inf
         dist[:, j] = np.inf
         sizes[i] = ni + nj
-        members[i].extend(members[j])
-        members[j] = []
+        slot[slot == j] = i
 
-    parts = sorted((tuple(sorted(m)) for m in members if m), key=lambda p: p[0])
-    partition = Partition(n_items=n, parts=tuple(parts))
+    # A slot's smallest member is the slot itself (merges keep the lower
+    # slot), so numbering the active slots in order numbers the parts by
+    # their smallest member.
+    part_of_slot = np.cumsum(active) - 1
+    partition = Partition(n_items=n, labels=part_of_slot[slot])
     return ClusterResult(partition=partition, centers=_part_centers(points, partition), inertia=None)
-
-
-class UnionFind:
-    """Disjoint sets with path compression and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
 
 
 def single_linkage_threshold(graph: WeightedGraph, r: float, strict: bool = False) -> Partition:
     """Connected components of the subgraph keeping edges with w <= r (or < r).
 
-    May return a one-part partition, which is representable but invalid as a
-    clustering; callers consult validity.
+    Parts are numbered by their smallest vertex.  May return a one-part
+    partition, which is representable but invalid as a clustering; callers
+    consult validity.
     """
-    uf = UnionFind(graph.n_vertices)
-    for u, v, w in graph.edges:
-        if (w < r) if strict else (w <= r):
-            uf.union(u, v)
-    groups: dict = {}
-    for v in range(graph.n_vertices):
-        groups.setdefault(uf.find(v), []).append(v)
-    parts = sorted((tuple(g) for g in groups.values()), key=lambda p: p[0])
-    return Partition(n_items=graph.n_vertices, parts=tuple(parts))
+    keep = (graph.w < r) if strict else (graph.w <= r)
+    ends = np.concatenate([graph.u[keep], graph.v[keep]])
+    others = np.concatenate([graph.v[keep], graph.u[keep]])
+    # Min-label propagation with pointer jumping: each vertex ends at its
+    # component's smallest vertex.
+    comp = np.arange(graph.n_vertices)
+    while True:
+        new = comp.copy()
+        np.minimum.at(new, ends, comp[others])
+        new = new[new]
+        if np.array_equal(new, comp):
+            break
+        comp = new
+    roots = comp == np.arange(graph.n_vertices)
+    return Partition(n_items=graph.n_vertices, labels=(np.cumsum(roots) - 1)[comp])
 
 
 def run_spec(spec: ClustererSpec, points: np.ndarray) -> ClusterResult:

@@ -9,6 +9,7 @@ module is immutable after construction and deterministic given its seed.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -119,9 +120,14 @@ class Dataset:
         return Dataset(id=self.id, points=self.points, labels=None, name=self.name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Partition:
     """A clustering of item indices into disjoint non-empty parts.
+
+    Stored as one read-only label vector: ``labels[i]`` is the id of item i's
+    part, numbered 0..K-1 in the order the parts were given, or -1 if item i
+    is uncovered; ``sizes`` holds the K part sizes.  Build it from exactly
+    one of ``parts=`` (index sequences) or ``labels=``.
 
     A partition is *valid for n items* iff its parts cover all n indices and
     there are at least two parts.  A trivial one-part output is representable
@@ -129,67 +135,116 @@ class Partition:
     """
 
     n_items: int
-    parts: tuple  # tuple of tuples of sorted indices
+    labels: np.ndarray  # (n_items,) int64, read-only
+    sizes: np.ndarray  # (K,) int64, read-only
 
-    def __post_init__(self):
-        norm = tuple(tuple(sorted(int(i) for i in p)) for p in self.parts)
-        object.__setattr__(self, "parts", norm)
-        seen = set()
-        for p in norm:
-            if len(p) == 0:
-                raise ValueError("parts must be non-empty")
-            for i in p:
-                if i < 0 or i >= self.n_items:
-                    raise ValueError(f"index {i} out of range for n_items={self.n_items}")
-                if i in seen:
-                    raise ValueError(f"index {i} appears in more than one part")
-                seen.add(i)
+    def __init__(self, n_items: int, parts=None, *, labels=None):
+        object.__setattr__(self, "n_items", int(n_items))
+        self.__post_init__(parts, labels)
+
+    def __post_init__(self, parts, labels):
+        n = self.n_items
+        if (parts is None) == (labels is None):
+            raise ValueError("give exactly one of parts= or labels=")
+        if parts is not None:
+            parts = tuple(parts)
+            sizes = np.array([len(p) for p in parts], dtype=np.int64)
+            items = np.fromiter(itertools.chain.from_iterable(parts), dtype=np.int64, count=int(sizes.sum()))
+            if np.any(sizes == 0) or np.any((items < 0) | (items >= n)):
+                raise ValueError(f"parts must be non-empty sequences of indices in 0..{n - 1}")
+            if np.any(np.bincount(items, minlength=n) > 1):
+                raise ValueError("an index appears in more than one part")
+            labels = np.full(n, -1, dtype=np.int64)
+            labels[items] = np.repeat(np.arange(sizes.size), sizes)
+        labels = np.array(labels)
+        if labels.shape != (n,) or (n and labels.dtype.kind not in "iu") or np.any(labels < -1):
+            raise ValueError(f"labels must be a length-{n} vector of integer part ids >= -1")
+        labels = labels.astype(np.int64, copy=False)
+        sizes = np.bincount(labels[labels >= 0])
+        if np.any(sizes == 0):
+            raise ValueError("part ids must be 0..K-1 with no id skipped")
+        labels.setflags(write=False)
+        sizes.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "sizes", sizes)
+
+    def __eq__(self, other):
+        if not isinstance(other, Partition):
+            return NotImplemented
+        return self.n_items == other.n_items and np.array_equal(self.labels, other.labels)
+
+    def __hash__(self):
+        return hash((self.n_items, self.labels.tobytes()))
+
+    @property
+    def parts(self) -> tuple:
+        """Tuple of parts in id order, each a tuple of ascending indices."""
+        order = np.argsort(self.labels, kind="stable")[self.n_items - self.n_covered :]
+        return tuple(tuple(p.tolist()) for p in np.split(order, np.cumsum(self.sizes))[:-1])
+
+    @property
+    def n_parts(self) -> int:
+        return self.sizes.size
 
     @property
     def n_covered(self) -> int:
-        return sum(len(p) for p in self.parts)
+        return int(self.sizes.sum())
 
     def is_valid(self) -> bool:
         """True iff the parts cover all items and there are >= 2 of them."""
-        return len(self.parts) >= 2 and self.n_covered == self.n_items
+        return self.n_parts >= 2 and self.n_covered == self.n_items
 
     def to_label_array(self) -> np.ndarray:
-        """Part index per item; -1 for uncovered items."""
-        labels = np.full(self.n_items, -1, dtype=int)
-        for part_idx, p in enumerate(self.parts):
-            labels[list(p)] = part_idx
-        return labels
+        """Part id per item; -1 for uncovered items (the stored read-only vector)."""
+        return self.labels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class WeightedGraph:
-    """Symmetric nonnegative-weighted graph; edges as (u, v, w) with u < v."""
+    """Symmetric nonnegative-weighted graph stored as three read-only arrays.
+
+    Edge e joins ``u[e] < v[e]`` with weight ``w[e]``, in the order given.
+    ``edges`` is any (m, 3) array-like of (u, v, w) rows, either orientation.
+    """
 
     n_vertices: int
-    edges: tuple  # tuple of (u, v, w)
+    u: np.ndarray  # (m,) int64
+    v: np.ndarray  # (m,) int64
+    w: np.ndarray  # (m,) float64, finite and >= 0
 
-    def __post_init__(self):
-        norm = []
-        seen = set()
-        for u, v, w in self.edges:
-            u, v, w = int(u), int(v), float(w)
-            if u == v:
-                raise ValueError("self-loops are not allowed")
-            if u > v:
-                u, v = v, u
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            if not (math.isfinite(w) and w >= 0):
-                raise ValueError(f"edge weight must be finite and >= 0, got {w}")
-            seen.add((u, v))
-            norm.append((u, v, w))
-        object.__setattr__(self, "edges", tuple(norm))
+    def __init__(self, n_vertices: int, edges):
+        object.__setattr__(self, "n_vertices", int(n_vertices))
+        self.__post_init__(edges)
+
+    def __post_init__(self, edges):
+        n = self.n_vertices
+        arr = np.asarray(edges, dtype=float)
+        if arr.size == 0:
+            arr = arr.reshape(0, 3)
+        if arr.ndim != 2 or arr.shape[1] != 3:
+            raise ValueError(f"edges must be an (m, 3) array of (u, v, w) rows, got shape {arr.shape}")
+        lo, hi = np.minimum(arr[:, 0], arr[:, 1]), np.maximum(arr[:, 0], arr[:, 1])
+        if not np.all((lo >= 0) & (hi < n) & (lo == np.floor(lo)) & (hi == np.floor(hi))):
+            raise ValueError(f"edge endpoints must be vertex ids in 0..{n - 1}")
+        u, v, w = lo.astype(np.int64), hi.astype(np.int64), arr[:, 2].copy()
+        if np.any(u == v):
+            raise ValueError("self-loops are not allowed")
+        if np.any(np.diff(np.sort(u * n + v)) == 0):
+            raise ValueError("duplicate edge")
+        if not np.all(np.isfinite(w) & (w >= 0)):
+            raise ValueError("edge weights must be finite and >= 0")
+        for name, a in (("u", u), ("v", v), ("w", w)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return self.w.size
+
+    @property
+    def edges(self) -> tuple:
+        """The edges as a tuple of (u, v, w) with u < v."""
+        return tuple(zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
 
 
 @dataclass(frozen=True)
@@ -293,12 +348,10 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
 
 def labels_to_partition(labels: Sequence[int]) -> Partition:
     """Convert class ids into a partition: one part per class, ascending id."""
-    labels = np.asarray(labels, dtype=int)
-    classes = np.unique(labels)
+    classes, ids = np.unique(np.asarray(labels, dtype=int), return_inverse=True)
     if classes.size < 2:
         raise ValueError("need at least 2 distinct labels to form a partition")
-    parts = tuple(tuple(np.flatnonzero(labels == c)) for c in classes)
-    return Partition(n_items=len(labels), parts=parts)
+    return Partition(n_items=ids.size, labels=ids)
 
 
 def normalize_points(points: np.ndarray) -> np.ndarray:
@@ -420,7 +473,7 @@ def dataset_to_distance_graph(dataset: Dataset) -> WeightedGraph:
     n = pts.shape[0]
     iu, ju = np.triu_indices(n, 1)
     w = np.sqrt(((pts[ju] - pts[iu]) ** 2).sum(axis=1))
-    return WeightedGraph(n_vertices=n, edges=tuple(zip(iu.tolist(), ju.tolist(), w.tolist())))
+    return WeightedGraph(n_vertices=n, edges=np.column_stack([iu, ju, w]))
 
 
 def load_repository(manifest_path, seed: int = 0) -> MetaRepository:

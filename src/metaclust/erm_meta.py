@@ -18,9 +18,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from metaclust.clusterers import UnionFind, single_linkage_threshold
+from metaclust.clusterers import single_linkage_threshold
 from metaclust.data_model import Partition, WeightedGraph
-from metaclust.metrics import clustering_loss
+from metaclust.metrics import _pairs2, clustering_loss
 
 __all__ = [
     "AlgorithmFamily",
@@ -119,10 +119,6 @@ class ThresholdFitResult:
     profile: tuple  # ordered tuple of (candidate r, mean loss)
 
 
-def _truth_pair_count(truth: Partition) -> int:
-    return sum(len(p) * (len(p) - 1) // 2 for p in truth.parts)
-
-
 def _check_threshold_train(train: Sequence) -> None:
     if not train:
         raise ValueError("training set must be non-empty")
@@ -133,7 +129,7 @@ def _check_threshold_train(train: Sequence) -> None:
 
 def _candidate_thresholds(train: Sequence) -> tuple:
     """All distinct edge weights plus a value below the smallest weight."""
-    weights = sorted({w for graph, _ in train for _u, _v, w in graph.edges})
+    weights = np.unique(np.concatenate([graph.w for graph, _ in train])).tolist()
     r_below = 0.0 if (not weights or weights[0] > 0) else -1.0
     return r_below, weights
 
@@ -164,36 +160,27 @@ class _GraphSweepState:
 
     Tracks the exact integer count of unordered pairs on which the current
     clustering disagrees with the truth; merging components A and B changes it
-    by (cross-pair count) - 2 * (same-truth cross pairs), computed from
-    per-component truth-label histograms merged small-into-large.
+    by (cross-pair count) - 2 * (same-truth cross pairs), computed from the
+    truth-label histograms of the two components.  ``root`` maps each vertex
+    to its component's root, and row ``histograms[root]`` is that
+    component's histogram.
     """
 
     def __init__(self, graph: WeightedGraph, truth: Partition):
         self.n = graph.n_vertices
-        self.uf = UnionFind(self.n)
-        labels = truth.to_label_array()
-        self.histograms = {v: {int(labels[v]): 1} for v in range(self.n)}
-        self.disagree = _truth_pair_count(truth)  # all-singleton start
+        self.root = np.arange(self.n)
+        self.histograms = np.zeros((self.n, truth.n_parts), dtype=np.int64)
+        self.histograms[self.root, truth.labels] = 1
+        self.disagree = _pairs2(truth.sizes)  # all-singleton start
         self.components = self.n
 
     def merge(self, u: int, v: int) -> None:
-        ru, rv = self.uf.find(u), self.uf.find(v)
-        if ru == rv:
-            return
+        """Join the components of u and v, which must differ (a forest edge)."""
+        ru, rv = self.root[u], self.root[v]
         hu, hv = self.histograms[ru], self.histograms[rv]
-        size_u = sum(hu.values())
-        size_v = sum(hv.values())
-        cross_same = sum(cnt * hv.get(lab, 0) for lab, cnt in hu.items())
-        self.disagree += size_u * size_v - 2 * cross_same
-        self.uf.union(ru, rv)
-        root = self.uf.find(ru)
-        if len(hu) < len(hv):
-            hu, hv = hv, hu
-        for lab, cnt in hv.items():
-            hu[lab] = hu.get(lab, 0) + cnt
-        self.histograms.pop(ru, None)
-        self.histograms.pop(rv, None)
-        self.histograms[root] = hu
+        self.disagree += int(hu.sum() * hv.sum() - 2 * (hu @ hv))
+        self.histograms[ru] += hv
+        self.root[self.root == rv] = ru
         self.components -= 1
 
     def loss(self) -> float:
@@ -210,11 +197,8 @@ def _spanning_forest(graph: WeightedGraph) -> list:
     """
     n = graph.n_vertices
     weight = np.full((n, n), np.inf)
-    if graph.edges:
-        u, v, w = np.array(graph.edges).T
-        u, v = u.astype(int), v.astype(int)
-        weight[u, v] = w
-        weight[v, u] = w
+    weight[graph.u, graph.v] = graph.w
+    weight[graph.v, graph.u] = graph.w
     reached = np.zeros(n, dtype=bool)
     best = np.full(n, np.inf)  # lightest edge to the forest; inf once reached
     parent = np.zeros(n, dtype=int)
@@ -287,10 +271,8 @@ def fit_meta_scale(train: Sequence) -> MetaScaleRule:
         expected_edges = graph.n_vertices * (graph.n_vertices - 1) // 2
         if graph.n_edges != expected_edges:
             raise ValueError("training graphs must be complete distance graphs")
-        labels = truth.to_label_array()
-        for u, v, w in graph.edges:
-            if labels[u] != labels[v] and w < r_star:
-                r_star = w
+        cross = truth.labels[graph.u] != truth.labels[graph.v]
+        r_star = min(r_star, float(np.min(graph.w, where=cross, initial=math.inf)))
     if not math.isfinite(r_star):
         raise ValueError("no cross-cluster pair found in training data")
     return MetaScaleRule(r_star=r_star)

@@ -35,10 +35,8 @@ __all__ = [
     "generate_runs",
     "repo_runs",
     "best_fit_k",
-    "baseline_k_silhouette",
     "baseline_record",
     "train_meta_k",
-    "predict_k",
     "meta_selected_record",
     "evaluate_meta_k",
     "train_algo_select",
@@ -107,11 +105,11 @@ def generate_runs(
             if outliers.size == 0:
                 full = result.partition
             else:
-                parts = [list(inliers[list(p)]) for p in result.partition.parts]
+                labels = np.empty(points.shape[0], dtype=np.int64)
+                labels[inliers] = result.partition.labels
                 d2 = ((points[outliers][:, None, :] - result.centers[None, :, :]) ** 2).sum(axis=2)
-                for out_idx, center_idx in zip(outliers, np.argmin(d2, axis=1)):
-                    parts[center_idx].append(int(out_idx))
-                full = Partition(n_items=points.shape[0], parts=tuple(tuple(sorted(p)) for p in parts))
+                labels[outliers] = np.argmin(d2, axis=1)
+                full = Partition(n_items=points.shape[0], labels=labels)
             ari = adjusted_rand_index(truth.n_items, truth, full) if truth is not None else None
             records.append(
                 RunRecord(
@@ -155,11 +153,6 @@ def best_fit_k(records: Sequence[RunRecord]) -> int:
 def baseline_record(records: Sequence[RunRecord]) -> RunRecord:
     """The record with maximal silhouette; ties toward smaller (k, run)."""
     return min(records, key=lambda r: (-r.silhouette, r.k, r.run_index))
-
-
-def baseline_k_silhouette(records: Sequence[RunRecord]) -> int:
-    """The silhouette-argmax heuristic's choice of k."""
-    return baseline_record(records).k
 
 
 @dataclass(frozen=True)
@@ -215,11 +208,6 @@ def meta_selected_record(model: MetaKModel, records: Sequence[RunRecord]) -> Run
         records,
         key=lambda r: (-predict(model.model_for(r.k), [r.silhouette]), r.k, r.run_index),
     )
-
-
-def predict_k(model: MetaKModel, records: Sequence[RunRecord]) -> int:
-    """Predicted best k: argmax over k of the per-k max predicted ARI."""
-    return meta_selected_record(model, records).k
 
 
 @dataclass(frozen=True)

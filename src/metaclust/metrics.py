@@ -37,11 +37,13 @@ class ContingencyTable:
 
     @staticmethod
     def from_partitions(y: Partition, z: Partition) -> "ContingencyTable":
-        ly = y.to_label_array()
-        lz = z.to_label_array()
-        ky, kz = len(y.parts), len(z.parts)
-        counts = np.zeros((ky, kz), dtype=np.int64)
-        np.add.at(counts, (ly, lz), 1)
+        """Counts over two partitions that both cover the same items."""
+        if y.n_items != z.n_items:
+            raise ValueError(f"partitions of {y.n_items} and {z.n_items} items cannot be compared")
+        if y.n_covered != y.n_items or z.n_covered != z.n_items:
+            raise ValueError("a contingency table needs partitions that cover every item")
+        ky, kz = y.n_parts, z.n_parts
+        counts = np.bincount(y.labels * kz + z.labels, minlength=ky * kz).reshape(ky, kz)
         return ContingencyTable(
             counts=counts,
             row_sums=counts.sum(axis=1),
@@ -142,14 +144,14 @@ def silhouette_score(points: np.ndarray, c: Partition, dist: Optional[np.ndarray
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     _check_valid(n, c, "C")
-    if len(c.parts) < 2:
+    if c.n_parts < 2:
         raise ValueError("silhouette needs at least 2 clusters")
     if dist is None:
         dist = pairwise_distances(points)
 
-    labels = c.to_label_array()
-    k = len(c.parts)
-    sizes = np.array([len(p) for p in c.parts])
+    labels = c.labels
+    k = c.n_parts
+    sizes = c.sizes
     # Summed distance from each point to each cluster (own cluster includes self at 0).
     cluster_sum = np.zeros((n, k))
     for j in range(k):

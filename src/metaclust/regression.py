@@ -8,7 +8,6 @@ the silhouette of the candidate clustering.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,14 +42,6 @@ class LinearModel:
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-
-    def to_json(self) -> str:
-        return json.dumps({"weights": list(self.weights), "intercept": self.intercept})
-
-    @staticmethod
-    def from_json(text: str) -> "LinearModel":
-        obj = json.loads(text)
-        return LinearModel(weights=np.asarray(obj["weights"], dtype=float), intercept=float(obj["intercept"]))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ prescient per-problem majority rule serves as the baseline.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -281,33 +280,6 @@ class MlpModel:
             np.maximum(h, 0.0, out=h)
         z = h @ self.weights[-1] + self.biases[-1]
         return z - _logsumexp(z)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "dims": list(LAYER_DIMS),
-                "weights": [w.tolist() for w in self.weights],
-                "biases": [b.tolist() for b in self.biases],
-                "acc_grad_w": [a.tolist() for a in self.acc_grad[0]],
-                "acc_grad_b": [a.tolist() for a in self.acc_grad[1]],
-                "acc_update_w": [a.tolist() for a in self.acc_update[0]],
-                "acc_update_b": [a.tolist() for a in self.acc_update[1]],
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "MlpModel":
-        obj = json.loads(text)
-        model = MlpModel(obj["weights"], obj["biases"])
-        model.acc_grad = [
-            [np.asarray(a) for a in obj["acc_grad_w"]],
-            [np.asarray(a) for a in obj["acc_grad_b"]],
-        ]
-        model.acc_update = [
-            [np.asarray(a) for a in obj["acc_update_w"]],
-            [np.asarray(a) for a in obj["acc_update_b"]],
-        ]
-        return model
 
 
 def _logsumexp(z: np.ndarray) -> np.ndarray:

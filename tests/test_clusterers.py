@@ -6,7 +6,6 @@ import pytest
 from metaclust.clusterers import (
     _LW_COEFFS,
     ClustererSpec,
-    UnionFind,
     _part_centers,
     agglomerative,
     kmeans,
@@ -21,6 +20,7 @@ from metaclust.data_model import (
     labels_to_partition,
     normalize_points,
 )
+from metaclust.erm_meta import _spanning_forest
 from metaclust.metrics import adjusted_rand_index
 
 
@@ -104,6 +104,39 @@ def lance_williams_oracle(points, k, linkage):
     parts = sorted((tuple(sorted(m)) for m in members if m), key=lambda p: p[0])
     partition = Partition(n_items=n, parts=tuple(parts))
     return partition, _part_centers(points, partition)
+
+
+def components_oracle(graph, r, strict=False):
+    """The union-find ``single_linkage_threshold`` that the array version replaced.
+
+    It unions the kept edges one at a time (union by size, path compression)
+    and numbers the components by their smallest vertex.
+    """
+    n = graph.n_vertices
+    parent = list(range(n))
+    size = [1] * n
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    for u, v, w in graph.edges:
+        if (w < r) if strict else (w <= r):
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                if size[ru] < size[rv]:
+                    ru, rv = rv, ru
+                parent[rv] = ru
+                size[ru] += size[rv]
+    groups = {}
+    for v in range(n):
+        groups.setdefault(find(v), []).append(v)
+    parts = sorted((tuple(g) for g in groups.values()), key=lambda p: p[0])
+    return Partition(n_items=n, parts=tuple(parts))
 
 
 class TestKmeans:
@@ -275,17 +308,42 @@ class TestSingleLinkageThreshold:
             k = int(rng.integers(2, min(6, n)))
             agg = agglomerative(pts, k, "single").partition
             g = dataset_to_distance_graph(Dataset(id="x", points=pts))
-            # MST merge weights = the n-1 weights Kruskal accepts
-            order = sorted(g.edges, key=lambda e: e[2])
-            uf = UnionFind(n)
-            merges = []
-            for u, v, w in order:
-                if uf.find(u) != uf.find(v):
-                    uf.union(u, v)
-                    merges.append(w)
+            # the n-1 merge weights are the minimum spanning tree's weights
+            merges = [w for w, _u, _v in _spanning_forest(g)]
             cut = sorted(merges)[-(k - 1)]
             thr = single_linkage_threshold(g, cut, strict=True)
             assert set(agg.parts) == set(thr.parts)
+
+
+    def assert_matches_oracle(self, g, thresholds):
+        for r in thresholds:
+            for strict in (False, True):
+                assert single_linkage_threshold(g, r, strict) == components_oracle(g, r, strict), (r, strict)
+
+    def test_matches_union_find_oracle_on_random_graphs(self):
+        rng = np.random.default_rng(18)
+        for trial in range(60):
+            n = int(rng.integers(1, 40))
+            iu, ju = np.triu_indices(n, 1)
+            keep = rng.random(iu.size) < rng.uniform(0.0, 0.6)  # sparse: isolated vertices
+            w = rng.uniform(0.0, 4.0, size=int(keep.sum()))
+            if trial % 2:
+                w = np.round(w)  # ties at r
+            swap = rng.random(w.size) < 0.5
+            u, v = np.where(swap, ju[keep], iu[keep]), np.where(swap, iu[keep], ju[keep])
+            g = WeightedGraph(n, np.column_stack([u, v, w]))
+            self.assert_matches_oracle(g, list(np.unique(w)) + [-1.0, float(rng.uniform(0, 4)), 5.0])
+
+    def test_matches_union_find_oracle_on_special_graphs(self):
+        rng = np.random.default_rng(19)
+        self.assert_matches_oracle(WeightedGraph(5, ()), [0.0, 1.0])  # no edges
+        star = WeightedGraph(7, [(4, leaf, float(leaf % 3)) for leaf in range(7) if leaf != 4])
+        self.assert_matches_oracle(star, [0.0, 1.0, 2.0])
+        for n in (2, 5, 33, 200):
+            order = rng.permutation(n)  # a path in shuffled vertex order
+            weights = rng.integers(0, 3, size=n - 1).astype(float)
+            path = WeightedGraph(n, np.column_stack([order[:-1], order[1:], weights]))
+            self.assert_matches_oracle(path, [0.0, 1.0, 2.0])
 
 
 class TestRichnessConsistency:
@@ -356,14 +414,3 @@ class TestRunSpec:
             norm = run_spec(ClustererSpec(kind=kind, k=3, normalize_first=True, seed=4), pts)
             plain = run_spec(ClustererSpec(kind=kind, k=3, seed=4), normalize_points(pts))
             assert norm.partition == plain.partition
-
-
-class TestUnionFind:
-    def test_components(self):
-        uf = UnionFind(5)
-        uf.union(0, 1)
-        uf.union(3, 4)
-        assert uf.find(0) == uf.find(1)
-        assert uf.find(3) == uf.find(4)
-        assert uf.find(0) != uf.find(3)
-        assert uf.find(2) == 2

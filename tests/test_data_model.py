@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metaclust.data_model import (
     Dataset,
@@ -82,6 +84,52 @@ class TestPartition:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Partition(2, ((0, 5),))
+        with pytest.raises(ValueError):
+            Partition(2, ((-1, 0),))
+
+    def test_rejects_empty_part(self):
+        with pytest.raises(ValueError):
+            Partition(3, ((0, 1), (), (2,)))
+
+    def test_needs_exactly_one_of_parts_and_labels(self):
+        with pytest.raises(ValueError):
+            Partition(2)
+        with pytest.raises(ValueError):
+            Partition(2, ((0,), (1,)), labels=[0, 1])
+
+    @pytest.mark.parametrize(
+        "labels",
+        [[0, 1], [0, 1, 0, 1], [0, -2, 1], [0, 2, 2], [1, 1, -1], [0.0, 1.0, 0.0]],
+        ids=["short", "long", "below_minus_one", "skipped_id", "no_part_zero", "float"],
+    )
+    def test_labels_rejects(self, labels):
+        with pytest.raises(ValueError):
+            Partition(3, labels=labels)
+
+    def test_labels_and_parts_agree(self):
+        p = Partition(5, labels=[1, -1, 0, 1, 0])
+        assert p.parts == ((2, 4), (0, 3))
+        assert p == Partition(5, ((4, 2), (3, 0)))
+        assert list(p.sizes) == [2, 2] and p.n_parts == 2 and p.n_covered == 4
+
+    def test_part_order_matters(self):
+        assert Partition(3, ((0,), (1, 2))) != Partition(3, ((1, 2), (0,)))
+        assert Partition(3, ((0,), (1, 2))) != Partition(4, ((0,), (1, 2)))
+
+    def test_equal_partitions_hash_equal(self):
+        a = Partition(4, ((2, 0), (1, 3)))
+        b = Partition(4, labels=np.array([0, 1, 0, 1], dtype=np.int32))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, Partition(4, ((1, 3), (0, 2)))}) == 2
+
+    def test_stored_arrays_read_only(self):
+        source = np.array([0, 1, 0])
+        p = Partition(3, labels=source)
+        for arr in (p.labels, p.sizes, p.to_label_array()):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        source[0] = 1  # the partition keeps its own copy
+        assert list(p.labels) == [0, 1, 0]
 
     def test_label_array_marks_uncovered(self):
         p = Partition(4, ((1, 3), (0,)))
@@ -90,6 +138,29 @@ class TestPartition:
     def test_same_part(self):
         lab = Partition(4, ((0, 2), (1, 3))).to_label_array()
         assert lab[0] == lab[2] and lab[0] != lab[1]
+
+
+@st.composite
+def parts_cases(draw):
+    """Parts in arbitrary order, members in arbitrary order, some items uncovered."""
+    n = draw(st.integers(min_value=0, max_value=30))
+    ids = draw(st.lists(st.integers(min_value=-1, max_value=5), min_size=n, max_size=n))
+    groups = {}
+    for item, part in enumerate(ids):
+        if part >= 0:
+            groups.setdefault(part, []).append(item)
+    parts = draw(st.permutations([draw(st.permutations(g)) for g in groups.values()]))
+    return n, parts
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts_cases())
+def test_partition_label_round_trip(case):
+    n, parts = case
+    p = Partition(n, parts)
+    assert p.parts == tuple(tuple(sorted(g)) for g in parts)
+    assert Partition(n, labels=p.to_label_array()) == p
+    assert p.n_covered == sum(len(g) for g in parts)
 
 
 class TestLabelsToPartition:
@@ -201,6 +272,48 @@ class TestWeightedGraph:
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError):
             WeightedGraph(2, ((0, 1, -0.5),))
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            ((0, 1, float("nan")),),
+            ((0, 1, float("inf")),),
+            ((0, 1, -1.0),),
+            ((0, 3, 1.0),),
+            ((-1, 1, 1.0),),
+            ((0, 1.5, 1.0),),
+            ((2, 2, 1.0),),
+            ((0, 1, 1.0), (0, 1, 2.0)),
+            ((0, 1, 1.0), (1, 0, 2.0)),
+            ((1, 2, 1.0), (0, 1, 1.0), (2, 1, 1.0)),
+        ],
+        ids=["nan", "inf", "negative", "high_end", "low_end", "fractional_end", "self_loop",
+             "duplicate", "duplicate_reversed", "duplicate_later"],
+    )
+    @pytest.mark.parametrize("as_array", [False, True], ids=["tuples", "array"])
+    def test_rejects_bad_edges(self, edges, as_array):
+        with pytest.raises(ValueError):
+            WeightedGraph(3, np.array(edges) if as_array else edges)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError):
+            WeightedGraph(3, np.zeros((2, 2)))
+
+    def test_array_and_tuples_agree(self):
+        edges = ((2, 0, 1.5), (1, 2, 0.0), (0, 1, 3.25))
+        a, b = WeightedGraph(3, edges), WeightedGraph(3, np.array(edges))
+        assert a.edges == b.edges == ((0, 2, 1.5), (1, 2, 0.0), (0, 1, 3.25))
+        assert list(a.u) == [0, 1, 0] and list(a.v) == [2, 2, 1] and list(a.w) == [1.5, 0.0, 3.25]
+        assert WeightedGraph(3, ()).n_edges == 0 and WeightedGraph(3, ()).edges == ()
+
+    def test_stored_arrays_read_only(self):
+        source = np.array([[0, 1, 2.0]])
+        g = WeightedGraph(2, source)
+        for arr in (g.u, g.v, g.w):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        source[0, 2] = 5.0
+        assert g.edges == ((0, 1, 2.0),)
 
 
 class TestSplit:

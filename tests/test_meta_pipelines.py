@@ -17,13 +17,11 @@ from metaclust.data_model import (
 from metaclust.meta_pipelines import (
     MetaKModel,
     RunRecord,
-    baseline_k_silhouette,
     baseline_record,
     best_fit_k,
     evaluate_meta_k,
     generate_runs,
     meta_selected_record,
-    predict_k,
     repo_runs,
     select_algorithm,
     sweep_outlier_fraction,
@@ -123,7 +121,7 @@ class TestSelectionRules:
 
     def test_baseline_argmax_silhouette(self):
         records = [record(2, 0, 0.1), record(7, 3, 0.95), record(4, 0, 0.5)]
-        assert baseline_k_silhouette(records) == 7
+        assert baseline_record(records).k == 7
         assert baseline_record(records).run_index == 3
 
     def test_baseline_tie_smallest_k_then_run(self):
@@ -172,12 +170,12 @@ class TestMetaKModel:
                 for k in range(2, 11)
                 for run in range(3)
             ]
-            assert predict_k(model, records) == baseline_k_silhouette(records)
+            assert meta_selected_record(model, records).k == baseline_record(records).k
 
     def test_predict_k_tie_smallest(self):
         model = self.identity_model((2, 3))
         records = [record(3, 0, 0.5), record(2, 0, 0.5)]
-        assert predict_k(MetaKModel(models=model.models), records) == 2
+        assert meta_selected_record(MetaKModel(models=model.models), records).k == 2
 
     def test_meta_selected_record_uses_predicted_order(self):
         # model for k=2 inverts silhouette, so the low-silhouette run wins

@@ -150,6 +150,15 @@ class TestContingency:
             assert list(counts.sum(axis=1)) == [len(p) for p in y.parts]
             assert list(counts.sum(axis=0)) == [len(p) for p in z.parts]
 
+    def test_uncovered_item_rejected(self):
+        # item 2 is in no part of y; it must not be counted into any row
+        with pytest.raises(ValueError):
+            ContingencyTable.from_partitions(Partition(3, ((0,), (1,))), Partition(3, ((0, 1, 2),)))
+
+    def test_mismatched_item_counts_rejected(self):
+        with pytest.raises(ValueError):
+            ContingencyTable.from_partitions(Partition(3, ((0,), (1, 2))), Partition(4, ((0, 1), (2, 3))))
+
 
 class TestAdjustedRandIndex:
     def test_identity_is_one(self):

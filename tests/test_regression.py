@@ -78,14 +78,6 @@ class TestPredict:
             predict(LinearModel(weights=np.array([1.0]), intercept=0.0), [1.0, 2.0])
 
 
-class TestModelJson:
-    def test_round_trip(self):
-        model = LinearModel(weights=np.array([0.25, -3.5]), intercept=1.125)
-        back = LinearModel.from_json(model.to_json())
-        assert np.array_equal(back.weights, model.weights)
-        assert back.intercept == model.intercept
-
-
 class TestEigenExtrema:
     def test_diagonal(self):
         assert symmetric_eigen_extrema(np.diag([3.0, 1.0])) == (1.0, 3.0)

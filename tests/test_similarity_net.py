@@ -11,7 +11,6 @@ from metaclust.similarity_net import (
     FEATURE_DIM,
     LAYER_DIMS,
     PAD_DIM,
-    MlpModel,
     PairSet,
     adadelta_step,
     build_pair_features,
@@ -257,14 +256,6 @@ class TestMlp:
                     denom = max(abs(fd), abs(g), 1e-8)
                     worst = max(worst, abs(fd - g) / denom)
         assert worst < 1e-4
-
-    def test_json_round_trip(self):
-        model = init_mlp(seed=3)
-        model.acc_grad[0][0][0, 0] = 0.25
-        back = MlpModel.from_json(model.to_json())
-        for a, b in zip(model.weights, back.weights):
-            assert np.array_equal(a, b)
-        assert back.acc_grad[0][0][0, 0] == 0.25
 
     def test_training_deterministic(self):
         rng = np.random.default_rng(7)
