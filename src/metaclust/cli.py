@@ -100,6 +100,14 @@ def _parse_p_grid(text: str) -> list:
     return grid
 
 
+def _check_counts(args) -> None:
+    """Reject a count flag below 1; argparse accepts any int, and exit 2 is for data errors."""
+    for name in ("repeats", "restarts", "max_pairs", "epochs", "batch"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise ConfigError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+
+
 def _k_range(args) -> tuple:
     if not (2 <= args.k_min <= args.k_max):
         raise ConfigError("need 2 <= --k-min <= --k-max")
@@ -375,6 +383,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         return args.func(args)
     except (DataError, OSError) as exc:  # before ValueError: a DataError is one
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,6 @@ recomputations agree bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -17,7 +16,6 @@ import numpy as np
 from metaclust.data_model import Partition
 
 __all__ = [
-    "ContingencyTable",
     "clustering_loss",
     "rand_index",
     "adjusted_rand_index",
@@ -26,36 +24,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
-    """Pair-part co-occurrence counts n_ij with row/column sums."""
-
-    counts: np.ndarray  # (K_Y, K_Z) int
-    row_sums: np.ndarray  # a_i
-    col_sums: np.ndarray  # b_j
-    n: int
-
-    @staticmethod
-    def from_partitions(y: Partition, z: Partition) -> "ContingencyTable":
-        """Counts over two partitions that both cover the same items."""
-        if y.n_items != z.n_items:
-            raise ValueError(f"partitions of {y.n_items} and {z.n_items} items cannot be compared")
-        if y.n_covered != y.n_items or z.n_covered != z.n_items:
-            raise ValueError("a contingency table needs partitions that cover every item")
-        ky, kz = y.n_parts, z.n_parts
-        counts = np.bincount(y.labels * kz + z.labels, minlength=ky * kz).reshape(ky, kz)
-        return ContingencyTable(
-            counts=counts,
-            row_sums=counts.sum(axis=1),
-            col_sums=counts.sum(axis=0),
-            n=int(counts.sum()),
-        )
-
-
 def _pairs2(counts) -> int:
     """Sum of C(c, 2) over the given integer counts, exactly."""
     arr = np.asarray(counts, dtype=np.int64).ravel()
     return int((arr * (arr - 1) // 2).sum())
+
+
+def _pair_counts(y: Partition, z: Partition) -> tuple:
+    """Exact (pairs together in both, together in y, together in z) over the
+    unordered distinct pairs of two partitions that cover the same items.
+
+    The joint counts are one bincount of the (y part, z part) cells; with
+    every item covered, each partition's ``sizes`` are its marginal counts.
+    """
+    if y.n_items != z.n_items:
+        raise ValueError(f"partitions of {y.n_items} and {z.n_items} items cannot be compared")
+    if y.n_covered != y.n_items or z.n_covered != z.n_items:
+        raise ValueError("pair counts need partitions that cover every item")
+    joint = np.bincount(y.labels * z.n_parts + z.labels)
+    return _pairs2(joint), _pairs2(y.sizes), _pairs2(z.sizes)
 
 
 def _check_valid(n_items: int, part: Partition, name: str) -> None:
@@ -65,10 +52,7 @@ def _check_valid(n_items: int, part: Partition, name: str) -> None:
 
 def disagreement_pairs(y: Partition, z: Partition) -> int:
     """Unordered distinct pairs on which y and z disagree about co-membership."""
-    table = ContingencyTable.from_partitions(y, z)
-    same_both = _pairs2(table.counts)
-    same_y = _pairs2(table.row_sums)
-    same_z = _pairs2(table.col_sums)
+    same_both, same_y, same_z = _pair_counts(y, z)
     return (same_y - same_both) + (same_z - same_both)
 
 
@@ -99,7 +83,7 @@ def rand_index(n_items: int, y: Partition, z: Partition) -> float:
 
 
 def adjusted_rand_index(n_items: int, y: Partition, z: Partition) -> float:
-    """Chance-corrected Rand index from the contingency table.
+    """Chance-corrected Rand index from the exact pair counts.
 
     With index = sum_ij C(n_ij,2), expected = sum_i C(a_i,2) * sum_j C(b_j,2)
     / C(n,2) and max = (sum_i C(a_i,2) + sum_j C(b_j,2)) / 2, returns
@@ -108,10 +92,7 @@ def adjusted_rand_index(n_items: int, y: Partition, z: Partition) -> float:
     """
     _check_valid(n_items, y, "Y")
     _check_valid(n_items, z, "Z")
-    table = ContingencyTable.from_partitions(y, z)
-    index = _pairs2(table.counts)
-    sum_a = _pairs2(table.row_sums)
-    sum_b = _pairs2(table.col_sums)
+    index, sum_a, sum_b = _pair_counts(y, z)
     total_pairs = n_items * (n_items - 1) // 2
     # Work with the exact numerator/denominator of (index - E) / (M - E)
     # scaled by 2 * C(n,2) to stay in integers until the final division.

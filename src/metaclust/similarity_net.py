@@ -3,9 +3,11 @@
 Pairs of points from labeled datasets are turned into 75-dimensional feature
 vectors (two zero-padded 10-coordinate blocks plus the 55 upper-triangle
 entries of the zero-embedded covariance matrix).  A small MLP trained with
-Adadelta on negative log-likelihood predicts whether a pair shares a class;
-prediction averages the two feature orders so decisions are symmetric.  The
-prescient per-problem majority rule serves as the baseline.
+Adadelta on negative log-likelihood predicts whether a pair shares a class.
+Each pair is stored once; training and prediction both see it in the two
+orders, derived with ``swap_blocks``, and prediction averages the orders so
+decisions are symmetric.  The prescient per-problem majority rule serves as
+the baseline.
 """
 
 from __future__ import annotations
@@ -43,9 +45,12 @@ PAD_DIM = 10
 COV_DIM = PAD_DIM * (PAD_DIM + 1) // 2  # 55
 FEATURE_DIM = 2 * PAD_DIM + COV_DIM  # 75
 LAYER_DIMS = (FEATURE_DIM, 100, 50, 25, 12, 2)
+# Shapes of the parameters in ``MlpModel.params`` order: every weight, then every bias.
+PARAM_SHAPES = tuple(zip(LAYER_DIMS[:-1], LAYER_DIMS[1:])) + tuple((fan_out,) for fan_out in LAYER_DIMS[1:])
 
 ADADELTA_RHO = 0.9
 ADADELTA_EPS = 1e-6
+MAX_CATEGORY_RETRIES = 20  # draws of the two dataset categories before giving up
 
 
 @dataclass(frozen=True)
@@ -148,7 +153,7 @@ def build_pair_features(dataset: Dataset, rows_i, rows_j) -> PairSet:
 
 @dataclass(frozen=True)
 class SplitTriple:
-    """Meta-train (symmetry-augmented), internal-test and external-test pairs."""
+    """Meta-train, internal-test and external-test pairs, each pair stored once."""
 
     meta_train: PairSet
     meta_it: PairSet
@@ -167,32 +172,11 @@ def _sample_pairs(rng: np.random.Generator, rows: np.ndarray, cap: int) -> tuple
     return rows[all_i[picks]], rows[all_j[picks]]
 
 
-def _augment_with_swaps(pairs: PairSet) -> PairSet:
-    """Rows 2t and 2t+1 are pair t and its reversed copy."""
-    m = len(pairs)
-
-    def interleave(fwd, rev):
-        out = np.empty((2 * m,) + fwd.shape[1:], dtype=fwd.dtype)
-        out[0::2] = fwd
-        out[1::2] = rev
-        return out
-
-    return PairSet(
-        features=interleave(pairs.features, swap_blocks(pairs.features)),
-        labels=np.repeat(pairs.labels, 2),
-        dataset_ids=np.repeat(pairs.dataset_ids, 2),
-        i=interleave(pairs.i, pairs.j),
-        j=interleave(pairs.j, pairs.i),
-    )
-
-
 def sample_pair_splits(
     repo: MetaRepository,
     seed: int = 0,
     max_pairs: int = 2500,
     max_examples: int = 1000,
-    max_features: int = PAD_DIM,
-    max_category_retries: int = 20,
 ) -> SplitTriple:
     """Sample the (meta-train, meta-IT, meta-ET) pair sets from a repository.
 
@@ -200,19 +184,19 @@ def sample_pair_splits(
     equal probability.  Category-1 datasets are shuffled and row-halved:
     the first half feeds meta-train pairs, the following rows feed meta-IT
     pairs (the halves are disjoint).  Category-2 datasets contribute no
-    training data and feed meta-ET only.  Meta-train is then augmented with
-    one swapped copy per pair.
+    training data and feed meta-ET only.  Every set holds each sampled pair
+    once, in one order; ``train_mlp`` derives the reversed order itself.
     """
     qualifying = [
         ds
         for ds, _truth in repo.problems
-        if isinstance(ds, Dataset) and ds.labels is not None and ds.n <= max_examples and ds.d <= max_features
+        if isinstance(ds, Dataset) and ds.labels is not None and ds.n <= max_examples and ds.d <= PAD_DIM
     ]
     if not qualifying:
         raise ValueError("no qualifying datasets in the repository")
 
     categories = None
-    for attempt in range(max_category_retries):
+    for attempt in range(MAX_CATEGORY_RETRIES):
         rng = np.random.default_rng(derive_seed(repo.seed, seed, attempt))
         draw = rng.integers(0, 2, size=len(qualifying))
         if 0 in draw and 1 in draw:
@@ -243,7 +227,7 @@ def sample_pair_splits(
     if not meta_train or not meta_it or not meta_et:
         raise ValueError("a pair set came out empty; repository too small")
     return SplitTriple(
-        meta_train=_augment_with_swaps(concat_pair_sets(meta_train)),
+        meta_train=concat_pair_sets(meta_train),
         meta_it=concat_pair_sets(meta_it),
         meta_et=concat_pair_sets(meta_et),
     )
@@ -252,34 +236,42 @@ def sample_pair_splits(
 class MlpModel:
     """Fully connected net 75-100-50-25-12-2: ReLU hidden layers, log-softmax out.
 
-    Carries the Adadelta running averages (squared gradients and squared
-    updates) alongside the parameters.
+    Every parameter lives in one flat float64 vector ``params``: the weight
+    matrices, then the biases, in layer order.  ``weights`` and ``biases`` are
+    reshaped views into it, and ``acc_grad`` and ``acc_update`` are the
+    Adadelta running averages (squared gradients and squared updates), flat
+    vectors of the same size.  The constructor copies the arrays it is given.
     """
 
     def __init__(self, weights, biases):
-        self.weights = [np.asarray(w, dtype=float) for w in weights]
-        self.biases = [np.asarray(b, dtype=float) for b in biases]
-        dims = [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
-        if tuple(dims) != LAYER_DIMS:
-            raise ValueError(f"layer dims must be {LAYER_DIMS}, got {tuple(dims)}")
-        self.acc_grad = [
-            [np.zeros_like(w) for w in self.weights],
-            [np.zeros_like(b) for b in self.biases],
-        ]
-        self.acc_update = [
-            [np.zeros_like(w) for w in self.weights],
-            [np.zeros_like(b) for b in self.biases],
-        ]
+        arrays = [np.asarray(a, dtype=float) for a in (*weights, *biases)]
+        shapes = tuple(a.shape for a in arrays)
+        if shapes != PARAM_SHAPES:
+            raise ValueError(f"layer dims {LAYER_DIMS} need parameter shapes {PARAM_SHAPES}, got {shapes}")
+        self.params = np.concatenate([a.ravel() for a in arrays])
+        parts = np.split(self.params, np.cumsum([a.size for a in arrays])[:-1])
+        views = [part.reshape(shape) for part, shape in zip(parts, shapes)]
+        self.weights = views[: len(views) // 2]
+        self.biases = views[len(views) // 2 :]
+        self.acc_grad = np.zeros_like(self.params)
+        self.acc_update = np.zeros_like(self.params)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Log-probabilities, shape (batch, 2)."""
-        h = np.atleast_2d(np.asarray(x, dtype=float))
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = h @ w
-            h += b
-            np.maximum(h, 0.0, out=h)
-        z = h @ self.weights[-1] + self.biases[-1]
-        return z - _logsumexp(z)
+        return _log_probs(self, x)
+
+
+def _log_probs(model: MlpModel, x: np.ndarray, activations: Optional[list] = None) -> np.ndarray:
+    """Log-probabilities of x's rows; appends each hidden layer to ``activations`` if given."""
+    h = np.atleast_2d(np.asarray(x, dtype=float))
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        h = h @ w
+        h += b
+        np.maximum(h, 0.0, out=h)
+        if activations is not None:
+            activations.append(h)
+    z = h @ model.weights[-1] + model.biases[-1]
+    return z - _logsumexp(z)
 
 
 def _logsumexp(z: np.ndarray) -> np.ndarray:
@@ -306,14 +298,7 @@ def nll_loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple:
     batch = x.shape[0]
 
     activations = [x]
-    h = x
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        h = h @ w
-        h += b
-        np.maximum(h, 0.0, out=h)
-        activations.append(h)
-    z = h @ model.weights[-1] + model.biases[-1]
-    log_probs = z - _logsumexp(z)
+    log_probs = _log_probs(model, x, activations)
     loss = -float(log_probs[np.arange(batch), y].mean())
 
     # Backprop: d(loss)/dz = (softmax - onehot) / batch.
@@ -330,42 +315,40 @@ def nll_loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple:
     return loss, (grads_w, grads_b)
 
 
-def adadelta_step(param, grad, acc_grad, acc_update, rho: float = ADADELTA_RHO, eps: float = ADADELTA_EPS):
-    """In-place Adadelta update; returns the applied delta."""
-    acc_grad *= rho
-    acc_grad += (1.0 - rho) * grad * grad
-    delta = -np.sqrt(acc_update + eps) / np.sqrt(acc_grad + eps) * grad
-    acc_update *= rho
-    acc_update += (1.0 - rho) * delta * delta
+def adadelta_step(param, grad, acc_grad, acc_update):
+    """In-place elementwise Adadelta update (ADADELTA_RHO, ADADELTA_EPS); returns the delta."""
+    acc_grad *= ADADELTA_RHO
+    acc_grad += (1.0 - ADADELTA_RHO) * grad * grad
+    delta = -np.sqrt(acc_update + ADADELTA_EPS) / np.sqrt(acc_grad + ADADELTA_EPS) * grad
+    acc_update *= ADADELTA_RHO
+    acc_update += (1.0 - ADADELTA_RHO) * delta * delta
     param += delta
     return delta
 
 
-def train_mlp(
-    meta_train: PairSet,
-    epochs: int = 10,
-    batch: int = 250,
-    seed: int = 0,
-    model: Optional[MlpModel] = None,
-) -> MlpModel:
-    """Train on the pair set: NLL objective, Adadelta updates, fixed shuffles."""
+def train_mlp(meta_train: PairSet, epochs: int = 10, batch: int = 250, seed: int = 0) -> MlpModel:
+    """Train on both orders of every pair: NLL objective, Adadelta updates, fixed shuffles.
+
+    Each epoch shuffles 2m training rows, where row r is pair r // 2, block-
+    swapped when r is odd, with that pair's label.  Each batch makes one
+    Adadelta step on the flat parameter vector.
+    """
     if len(meta_train) == 0 or meta_train.labels is None:
         raise ValueError("training set must be non-empty and labeled")
-    x = meta_train.features
-    y = meta_train.labels
-    if model is None:
-        model = init_mlp(seed)
-
-    n = x.shape[0]
+    model = init_mlp(seed)
+    n = 2 * len(meta_train)
     for epoch in range(epochs):
         rng = np.random.default_rng(derive_seed(seed, 1 + epoch))
         order = rng.permutation(n)
         for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            _loss, (grads_w, grads_b) = nll_loss_and_grads(model, x[idx], y[idx])
-            for layer in range(len(model.weights)):
-                adadelta_step(model.weights[layer], grads_w[layer], model.acc_grad[0][layer], model.acc_update[0][layer])
-                adadelta_step(model.biases[layer], grads_b[layer], model.acc_grad[1][layer], model.acc_update[1][layer])
+            rows = order[start : start + batch]
+            pairs = rows // 2
+            swapped = rows % 2 == 1
+            x = meta_train.features[pairs]
+            x[swapped] = swap_blocks(x[swapped])
+            _loss, (grads_w, grads_b) = nll_loss_and_grads(model, x, meta_train.labels[pairs])
+            grad = np.concatenate([g.ravel() for g in (*grads_w, *grads_b)])
+            adadelta_step(model.params, grad, model.acc_grad, model.acc_update)
     return model
 
 

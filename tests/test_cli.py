@@ -332,3 +332,25 @@ class TestErrorContracts:
         assert rc == EXIT_IO
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "pipeline,flag,value",
+        [
+            ("meta-k", "--repeats", "0"),
+            ("meta-k", "--restarts", "0"),
+            ("algo-select", "--repeats", "-1"),
+            ("outliers", "--restarts", "-3"),
+            ("meta-scale", "--repeats", "0"),
+            ("bsf", "--repeats", "-2"),
+            ("bsf", "--max-pairs", "0"),
+            ("bsf", "--epochs", "0"),
+            ("bsf", "--batch", "0"),
+        ],
+    )
+    def test_count_below_one_rejected(self, repo_dir, tmp_path, capsys, pipeline, flag, value):
+        out = tmp_path / "x"
+        rc = main(["run", pipeline, "--repo", str(repo_dir), flag, value, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.startswith(f"error: {flag} must be at least 1") and err.count("\n") == 1
+        assert not out.exists()

@@ -1,16 +1,27 @@
 """Pair features, the small MLP, Adadelta and the majority baseline."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from metaclust import similarity_net
-from metaclust.data_model import Dataset, SynthSpec, covariance, make_synthetic_repository, normalize_dataset
+from metaclust.data_model import (
+    Dataset,
+    SynthSpec,
+    covariance,
+    derive_seed,
+    make_synthetic_repository,
+    normalize_dataset,
+)
 from metaclust.similarity_net import (
     ADADELTA_EPS,
     ADADELTA_RHO,
     FEATURE_DIM,
     LAYER_DIMS,
     PAD_DIM,
+    PARAM_SHAPES,
+    MlpModel,
     PairSet,
     adadelta_step,
     build_pair_features,
@@ -58,6 +69,41 @@ def pair_set(features, labels, dataset_id="d"):
     return PairSet(
         features=features, labels=labels, dataset_ids=np.full(m, dataset_id), i=np.zeros(m), j=np.ones(m)
     )
+
+
+def train_mlp_oracle(meta_train, epochs, batch, seed):
+    """The training path of the nested-parameter model, kept as an exact oracle.
+
+    Meta-train is augmented with an interleaved reversed copy of every pair
+    (rows 2t and 2t+1 are pair t and its block-swapped order, both with pair
+    t's label), and each batch makes one Adadelta step per parameter array
+    with per-array accumulators.  Returns the parameters, squared-gradient and
+    squared-update accumulators, each flattened in ``MlpModel.params`` order.
+    """
+    m = len(meta_train)
+    x = np.empty((2 * m, FEATURE_DIM))
+    x[0::2] = meta_train.features
+    x[1::2] = swap_blocks(meta_train.features)
+    y = np.repeat(meta_train.labels, 2)
+
+    init = init_mlp(seed)
+    model = SimpleNamespace(weights=[w.copy() for w in init.weights], biases=[b.copy() for b in init.biases])
+    acc_grad = [[np.zeros_like(w) for w in model.weights], [np.zeros_like(b) for b in model.biases]]
+    acc_update = [[np.zeros_like(w) for w in model.weights], [np.zeros_like(b) for b in model.biases]]
+    for epoch in range(epochs):
+        rng = np.random.default_rng(derive_seed(seed, 1 + epoch))
+        order = rng.permutation(2 * m)
+        for start in range(0, 2 * m, batch):
+            idx = order[start : start + batch]
+            _loss, (grads_w, grads_b) = nll_loss_and_grads(model, x[idx], y[idx])
+            for layer in range(len(model.weights)):
+                adadelta_step(model.weights[layer], grads_w[layer], acc_grad[0][layer], acc_update[0][layer])
+                adadelta_step(model.biases[layer], grads_b[layer], acc_grad[1][layer], acc_update[1][layer])
+
+    def flat(nested):
+        return np.concatenate([a.ravel() for a in nested[0] + nested[1]])
+
+    return flat([model.weights, model.biases]), flat(acc_grad), flat(acc_update)
 
 
 def one_pair(dataset, i, j):
@@ -162,15 +208,6 @@ class TestSplits:
     def test_triple_well_formed(self):
         split = sample_pair_splits(self.repo(), seed=1, max_pairs=50)
         assert len(split.meta_train) and len(split.meta_it) and len(split.meta_et)
-        assert len(split.meta_train) % 2 == 0  # augmented with swapped copies
-
-    def test_augmentation_doubles(self):
-        split = sample_pair_splits(self.repo(), seed=1, max_pairs=50)
-        train = split.meta_train
-        assert np.array_equal(train.i[0::2], train.j[1::2]) and np.array_equal(train.j[0::2], train.i[1::2])
-        assert np.array_equal(swap_blocks(train.features[0::2]), train.features[1::2])
-        assert np.array_equal(train.labels[0::2], train.labels[1::2])
-        assert np.array_equal(train.dataset_ids[0::2], train.dataset_ids[1::2])
 
     def test_train_and_it_halves_disjoint(self):
         split = sample_pair_splits(self.repo(), seed=2, max_pairs=80)
@@ -215,7 +252,7 @@ class TestSplits:
         assert len(calls) == len(train_ids) + len(it_ids) + len(et_ids)
         assert {ds_id for ds_id, _m in calls} == train_ids | it_ids | et_ids
         assert all(m > 0 for _ds_id, m in calls)
-        assert sum(m for _ds_id, m in calls) == len(split.meta_train) // 2 + len(split.meta_it) + len(split.meta_et)
+        assert sum(m for _ds_id, m in calls) == len(split.meta_train) + len(split.meta_it) + len(split.meta_et)
 
 
 class TestMlp:
@@ -277,6 +314,65 @@ class TestMlp:
         model = train_mlp(pairs, epochs=10, batch=50, seed=4)
         loss1, _ = nll_loss_and_grads(model, x, y)
         assert loss1 < loss0
+
+
+class TestFlatParameters:
+    def test_weights_and_biases_are_views_of_params(self):
+        model = init_mlp(seed=3)
+        arrays = model.weights + model.biases
+        assert [a.shape for a in arrays] == list(PARAM_SHAPES)
+        assert model.params.shape == model.acc_grad.shape == model.acc_update.shape == (sum(a.size for a in arrays),)
+        assert all(np.shares_memory(a, model.params) for a in arrays)
+        assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), model.params)
+
+    def test_in_place_edit_through_weights_changes_forward(self):
+        model = init_mlp(seed=3)
+        x = np.random.default_rng(10).standard_normal((5, FEATURE_DIM))
+        assert not np.all(model.forward(x) == np.log(0.5))
+        model.weights[-1][:] = 0.0  # zero last layer and zero biases: p = (1/2, 1/2)
+        assert np.all(model.forward(x) == np.log(0.5))
+
+    def test_constructor_copies_inputs(self):
+        init = init_mlp(seed=4)
+        weights, biases = [w.copy() for w in init.weights], [b.copy() for b in init.biases]
+        model = MlpModel(weights, biases)
+        weights[0][0, 0] += 1.0
+        model.biases[0][0] = 5.0
+        assert model.weights[0][0, 0] == init.weights[0][0, 0] and biases[0][0] == 0.0
+        assert not any(np.shares_memory(a, model.params) for a in weights + biases)
+
+    def test_wrong_shapes_rejected(self):
+        init = init_mlp(seed=4)
+        with pytest.raises(ValueError):
+            MlpModel(init.weights, init.biases[:-1])
+        with pytest.raises(ValueError):
+            MlpModel([w.T for w in init.weights], init.biases)
+
+
+class TestTrainingOracle:
+    """``train_mlp`` on the un-augmented pairs is == to ``train_mlp_oracle``."""
+
+    BATCHES = {
+        "one": lambda m: 1,
+        "divides": lambda m: m,  # two full batches of the 2m rows
+        "partial": lambda m: m - 1,  # a last batch of 2 rows
+        "over": lambda m: 2 * m + 1,  # one partial batch
+    }
+
+    @pytest.mark.parametrize("repo_seed,split_seed", [(21, 1), (33, 4), (21, 6)])
+    @pytest.mark.parametrize("batch", sorted(BATCHES))
+    def test_params_match_oracle(self, repo_seed, split_seed, batch):
+        repo = make_synthetic_repository(SynthSpec(n_problems=8, n_points=60, n_clusters=(2, 3), seed=repo_seed))
+        train = sample_pair_splits(repo, seed=split_seed, max_pairs=12).meta_train
+        m = len(train)
+        assert 0 < train.labels.sum() < m  # both labels occur
+        size = self.BATCHES[batch](m)
+        model = train_mlp(train, epochs=2, batch=size, seed=split_seed)
+        params, acc_grad, acc_update = train_mlp_oracle(train, epochs=2, batch=size, seed=split_seed)
+        assert np.array_equal(model.params, params)
+        assert np.array_equal(model.acc_grad, acc_grad)
+        assert np.array_equal(model.acc_update, acc_update)
+        assert not np.array_equal(params, init_mlp(split_seed).params)
 
 
 class TestAdadelta:
