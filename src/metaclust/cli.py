@@ -80,6 +80,14 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _write_result(args, name: str, header, rows, summary=None) -> None:
+    """Write a run's result CSV and config.json into --out; print ``summary`` or the row count."""
+    out = _out_dir(args)
+    _write_csv(out / name, header, rows)
+    _write_config(out, args)
+    print(summary or f"wrote {out / name} ({len(rows)} rows)")
+
+
 def _parse_fractions(text: str) -> list:
     try:
         fracs = [float(tok) for tok in text.split(",") if tok]
@@ -88,6 +96,15 @@ def _parse_fractions(text: str) -> list:
     if not fracs or any(not (0.0 < f < 1.0) for f in fracs):
         raise ConfigError("--train-frac values must lie in (0, 1)")
     return fracs
+
+
+def _splits(args):
+    """(frac, repeat, SplitSpec) for every --train-frac x --repeats cell, in that order.
+
+    The fractions are parsed here, so a bad list fails before any work.
+    """
+    fracs = _parse_fractions(args.train_frac)
+    return ((frac, repeat, SplitSpec(frac, repeat, args.seed)) for frac in fracs for repeat in range(args.repeats))
 
 
 def _parse_p_grid(text: str) -> list:
@@ -106,6 +123,8 @@ def _check_counts(args) -> None:
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise ConfigError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+    if getattr(args, "max_pairs", 2) < 2:
+        raise ConfigError(f"--max-pairs must be at least 2, got {args.max_pairs}: a training pair needs two rows")
 
 
 def _k_range(args) -> tuple:
@@ -151,19 +170,16 @@ def cmd_synth(args) -> int:
 def cmd_run_meta_k(args) -> int:
     repo = _load_repo(args)
     k_range = _k_range(args)
-    fracs = _parse_fractions(args.train_frac)
-    records = repo_runs(repo, k_range, args.restarts, args.seed)
+    splits = _splits(args)
+    grids = repo_runs(repo, k_range, args.restarts, args.seed)
     rows = []
-    for frac in fracs:
-        for repeat in range(args.repeats):
-            train_idx, test_idx = split_repository(repo, SplitSpec(frac, repeat, args.seed))
-            model = train_meta_k([records[i] for i in train_idx], k_range)
-            ev = evaluate_meta_k(model, [records[i] for i in test_idx])
-            rows.append((frac, repeat, ev.rmse_meta, ev.rmse_baseline, ev.mean_ari_meta, ev.mean_ari_baseline))
-    out = _out_dir(args)
-    _write_csv(out / "meta_k.csv", ["train_frac", "repeat", "rmse_meta", "rmse_baseline", "ari_meta", "ari_baseline"], rows)
-    _write_config(out, args)
-    print(f"wrote {out / 'meta_k.csv'} ({len(rows)} rows)")
+    for frac, repeat, split in splits:
+        train_idx, test_idx = split_repository(repo, split)
+        model = train_meta_k([grids[i] for i in train_idx], k_range)
+        ev = evaluate_meta_k(model, [grids[i] for i in test_idx])
+        rows.append((frac, repeat, ev.rmse_meta, ev.rmse_baseline, ev.mean_ari_meta, ev.mean_ari_baseline))
+    header = ["train_frac", "repeat", "rmse_meta", "rmse_baseline", "ari_meta", "ari_baseline"]
+    _write_result(args, "meta_k.csv", header, rows)
     return EXIT_OK
 
 
@@ -172,19 +188,13 @@ def cmd_run_algo_select(args) -> int:
     family = default_family(k=2)
     names = [spec.name for spec in family]
     rows = []
-    for frac in _parse_fractions(args.train_frac):
-        for repeat in range(args.repeats):
-            train_idx, test_idx = split_repository(repo, SplitSpec(frac, repeat, args.seed))
-            train = [repo.problems[i] for i in train_idx]
-            test = [repo.problems[i] for i in test_idx]
-            model = train_algo_select(family, train, seed=args.seed)
-            ari_meta, per_member = evaluate_algo_select(model, test)
-            rows.append([frac, repeat, ari_meta] + [per_member[name] for name in names])
-    out = _out_dir(args)
+    for frac, repeat, split in _splits(args):
+        train_idx, test_idx = split_repository(repo, split)
+        model = train_algo_select(family, [repo.problems[i] for i in train_idx], seed=args.seed)
+        ari_meta, per_member = evaluate_algo_select(model, [repo.problems[i] for i in test_idx])
+        rows.append([frac, repeat, ari_meta] + [per_member[name] for name in names])
     header = ["train_frac", "repeat", "ari_meta"] + [f"ari_{name}" for name in names]
-    _write_csv(out / "algo_select.csv", header, rows)
-    _write_config(out, args)
-    print(f"wrote {out / 'algo_select.csv'} ({len(rows)} rows)")
+    _write_result(args, "algo_select.csv", header, rows)
     return EXIT_OK
 
 
@@ -192,24 +202,14 @@ def cmd_run_outliers(args) -> int:
     repo = _load_repo(args)
     k_range = _k_range(args)
     p_grid = _parse_p_grid(args.p_grid)
-    cells = [(frac, repeat) for frac in _parse_fractions(args.train_frac) for repeat in range(args.repeats)]
-    results = sweep_outlier_fraction(
-        repo,
-        [SplitSpec(frac, repeat, args.seed) for frac, repeat in cells],
-        p_grid,
-        k_range,
-        args.restarts,
-        args.seed,
-        use_raw_norm=args.raw_norm,
-    )
+    cells = list(_splits(args))
+    splits = [split for _frac, _repeat, split in cells]
+    results = sweep_outlier_fraction(repo, splits, p_grid, k_range, args.restarts, args.seed, use_raw_norm=args.raw_norm)
     rows = []
-    for (frac, repeat), result in zip(cells, results):
+    for (frac, repeat, _split), result in zip(cells, results):
         for p, ari in result.per_p:
             rows.append((frac, repeat, p, ari, int(p == result.best_p)))
-    out = _out_dir(args)
-    _write_csv(out / "outliers.csv", ["train_frac", "repeat", "p", "ari_meta", "is_best"], rows)
-    _write_config(out, args)
-    print(f"wrote {out / 'outliers.csv'} ({len(rows)} rows)")
+    _write_result(args, "outliers.csv", ["train_frac", "repeat", "p", "ari_meta", "is_best"], rows)
     return EXIT_OK
 
 
@@ -217,10 +217,8 @@ def cmd_run_fit_threshold(args) -> int:
     repo = _load_repo(args)
     train = [(dataset_to_distance_graph(ds), truth) for ds, truth in repo.problems]
     result = fit_threshold_kruskal(train)
-    out = _out_dir(args)
-    _write_csv(out / "threshold_profile.csv", ["r", "mean_loss"], result.profile)
-    _write_config(out, args)
-    print(f"r_star={_fmt(result.r_star)} min_mean_loss={_fmt(result.min_mean_loss)}")
+    summary = f"r_star={_fmt(result.r_star)} min_mean_loss={_fmt(result.min_mean_loss)}"
+    _write_result(args, "threshold_profile.csv", ["r", "mean_loss"], result.profile, summary)
     return EXIT_OK
 
 
@@ -228,16 +226,12 @@ def cmd_run_meta_scale(args) -> int:
     repo = _load_repo(args)
     graphs = [(dataset_to_distance_graph(ds), truth) for ds, truth in repo.problems]
     rows = []
-    for frac in _parse_fractions(args.train_frac):
-        for repeat in range(args.repeats):
-            train_idx, test_idx = split_repository(repo, SplitSpec(frac, repeat, args.seed))
-            rule = fit_meta_scale([graphs[i] for i in train_idx])
-            losses = [clustering_loss(truth.n_items, truth, rule(g)) for g, truth in (graphs[i] for i in test_idx)]
-            rows.append((frac, repeat, rule.r_star, sum(losses) / len(losses)))
-    out = _out_dir(args)
-    _write_csv(out / "meta_scale.csv", ["train_frac", "repeat", "r_star", "mean_test_loss"], rows)
-    _write_config(out, args)
-    print(f"wrote {out / 'meta_scale.csv'} ({len(rows)} rows)")
+    for frac, repeat, split in _splits(args):
+        train_idx, test_idx = split_repository(repo, split)
+        rule = fit_meta_scale([graphs[i] for i in train_idx])
+        losses = [clustering_loss(truth.n_items, truth, rule(g)) for g, truth in (graphs[i] for i in test_idx)]
+        rows.append((frac, repeat, rule.r_star, sum(losses) / len(losses)))
+    _write_result(args, "meta_scale.csv", ["train_frac", "repeat", "r_star", "mean_test_loss"], rows)
     return EXIT_OK
 
 
@@ -249,10 +243,7 @@ def cmd_run_bsf(args) -> int:
         model = train_mlp(split.meta_train, epochs=args.epochs, batch=args.batch, seed=repeat)
         ev = evaluate_bsf(model, split)
         rows.append((repeat, ev.acc_meta_it, ev.acc_meta_et, ev.acc_majority_it, ev.acc_majority_et))
-    out = _out_dir(args)
-    _write_csv(out / "bsf.csv", ["repeat", "acc_meta_it", "acc_meta_et", "acc_majority_it", "acc_majority_et"], rows)
-    _write_config(out, args)
-    print(f"wrote {out / 'bsf.csv'} ({len(rows)} rows)")
+    _write_result(args, "bsf.csv", ["repeat", "acc_meta_it", "acc_meta_et", "acc_majority_it", "acc_majority_et"], rows)
     return EXIT_OK
 
 

@@ -13,7 +13,6 @@ lowest index everywhere for bit-reproducibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -59,16 +58,11 @@ class ClustererSpec:
 
 @dataclass(frozen=True)
 class ClusterResult:
-    """A partition plus per-part centroids (and inertia for k-means)."""
+    """A k-means result: the partition, its part means and its inertia."""
 
     partition: Partition
     centers: np.ndarray  # (k, d), arithmetic mean of each part's points
-    inertia: Optional[float] = None
-
-
-def _part_centers(points: np.ndarray, partition: Partition) -> np.ndarray:
-    labels = partition.labels
-    return np.stack([points[labels == j].mean(axis=0) for j in range(partition.n_parts)])
+    inertia: float
 
 
 def _sq_dist_to_centers(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -172,7 +166,7 @@ _LW_COEFFS = {
 }
 
 
-def agglomerative(points: np.ndarray, k: int, linkage: str = "single") -> ClusterResult:
+def agglomerative(points: np.ndarray, k: int, linkage: str = "single") -> Partition:
     """Greedy merging from singletons with Lance-Williams updates to k clusters.
 
     Ward operates on squared Euclidean distances; ties break toward the
@@ -219,8 +213,7 @@ def agglomerative(points: np.ndarray, k: int, linkage: str = "single") -> Cluste
     # slot), so numbering the active slots in order numbers the parts by
     # their smallest member.
     part_of_slot = np.cumsum(active) - 1
-    partition = Partition(n_items=n, labels=part_of_slot[slot])
-    return ClusterResult(partition=partition, centers=_part_centers(points, partition), inertia=None)
+    return Partition(n_items=n, labels=part_of_slot[slot])
 
 
 def single_linkage_threshold(graph: WeightedGraph, r: float, strict: bool = False) -> Partition:
@@ -247,19 +240,10 @@ def single_linkage_threshold(graph: WeightedGraph, r: float, strict: bool = Fals
     return Partition(n_items=graph.n_vertices, labels=(np.cumsum(roots) - 1)[comp])
 
 
-def run_spec(spec: ClustererSpec, points: np.ndarray) -> ClusterResult:
+def run_spec(spec: ClustererSpec, points: np.ndarray) -> Partition:
     """Run the configured algorithm on a point matrix."""
     points = np.asarray(points, dtype=float)
     work = normalize_points(points) if spec.normalize_first else points
     if spec.kind == "kmeans":
-        result = kmeans(work, spec.k, restarts=spec.restarts, seed=spec.seed)
-    else:
-        result = agglomerative(work, spec.k, linkage=spec.kind.removeprefix("agglo_"))
-    if spec.normalize_first:
-        # Report centers in the original coordinate space.
-        result = ClusterResult(
-            partition=result.partition,
-            centers=_part_centers(points, result.partition),
-            inertia=result.inertia,
-        )
-    return result
+        return kmeans(work, spec.k, restarts=spec.restarts, seed=spec.seed).partition
+    return agglomerative(work, spec.k, linkage=spec.kind.removeprefix("agglo_"))

@@ -137,6 +137,7 @@ class Partition:
     n_items: int
     labels: np.ndarray  # (n_items,) int64, read-only
     sizes: np.ndarray  # (K,) int64, read-only
+    n_covered: int  # items in some part: sizes.sum()
 
     def __init__(self, n_items: int, parts=None, *, labels=None):
         object.__setattr__(self, "n_items", int(n_items))
@@ -167,6 +168,7 @@ class Partition:
         sizes.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "n_covered", int(sizes.sum()))
 
     def __eq__(self, other):
         if not isinstance(other, Partition):
@@ -185,10 +187,6 @@ class Partition:
     @property
     def n_parts(self) -> int:
         return self.sizes.size
-
-    @property
-    def n_covered(self) -> int:
-        return int(self.sizes.sum())
 
     def is_valid(self) -> bool:
         """True iff the parts cover all items and there are >= 2 of them."""

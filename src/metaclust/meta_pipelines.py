@@ -16,17 +16,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from metaclust.clusterers import ClustererSpec, kmeans, run_spec
 from metaclust.data_model import Dataset, MetaRepository, Partition, SplitSpec, covariance, derive_seed, split_repository
 from metaclust.metrics import adjusted_rand_index, pairwise_distances, silhouette_score
-from metaclust.regression import LinearModel, fit_least_squares, phi_features, predict, symmetric_eigen_extrema
+from metaclust.regression import fit_least_squares, phi_features, predict, symmetric_eigen_extrema
 
 __all__ = [
-    "RunRecord",
+    "RunGrid",
     "MetaKModel",
     "MetaKEvaluation",
     "AlgoSelectModel",
@@ -35,9 +35,9 @@ __all__ = [
     "generate_runs",
     "repo_runs",
     "best_fit_k",
-    "baseline_record",
+    "baseline_cell",
     "train_meta_k",
-    "meta_selected_record",
+    "meta_selected_cell",
     "evaluate_meta_k",
     "train_algo_select",
     "select_algorithm",
@@ -49,16 +49,26 @@ DEFAULT_K_RANGE = tuple(range(2, 11))
 DEFAULT_RESTARTS = 10
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One base-clusterer run: its silhouette, its ARI (if labeled), its partition."""
+@dataclass(frozen=True, eq=False)
+class RunGrid:
+    """Silhouette and ARI of every (k, run) cell of one problem's run grid.
 
-    dataset_id: str
-    k: int
-    run_index: int
-    silhouette: float
-    ari: Optional[float]
-    partition: Partition
+    Row i of the two read-only ``(len(k_range), restarts)`` arrays holds the
+    runs of ``k_range[i]``, so row-major order is (k, run) order.
+    """
+
+    k_range: tuple  # ascending
+    silhouette: np.ndarray
+    ari: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "k_range", tuple(self.k_range))
+        sil, ari = (np.array(a, dtype=float) for a in (self.silhouette, self.ari))
+        if sil.ndim != 2 or sil.shape != ari.shape or sil.shape[0] != len(self.k_range):
+            raise ValueError("silhouette and ari must both be (len(k_range), restarts) arrays")
+        for name, a in (("silhouette", sil), ("ari", ari)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
 
 def _prune_indices(points: np.ndarray, theta: float, use_raw_norm: bool) -> tuple:
@@ -75,33 +85,36 @@ def _prune_indices(points: np.ndarray, theta: float, use_raw_norm: bool) -> tupl
 
 def generate_runs(
     dataset: Dataset,
-    truth: Optional[Partition],
+    truth: Partition,
     k_range: Sequence[int] = DEFAULT_K_RANGE,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
     theta: float = 0.0,
     use_raw_norm: bool = False,
-) -> list:
-    """Single-start k-means runs for every (k, run) cell.
+) -> RunGrid:
+    """Single-start k-means runs for every (k, run) cell of an ascending k range.
 
-    Each run uses its own sub-seed.  Silhouette is always computed (on the
-    pruned data when theta > 0, from one distance matrix shared by all
-    cells); ARI is computed iff a ground truth is given, always against the
-    full-data partition after reattaching pruned points to their nearest
-    center.
+    Each run uses its own sub-seed.  Silhouette is computed on the pruned
+    data when theta > 0, from one distance matrix shared by all cells; ARI
+    is always computed against the full-data partition after reattaching
+    pruned points to their nearest center.
     """
+    k_range = tuple(k_range)
+    if not k_range or any(a >= b for a, b in zip(k_range, k_range[1:])):
+        raise ValueError(f"k_range must ascend without repeats, got {k_range}")
     points = dataset.points
     outliers, inliers = _prune_indices(points, theta, use_raw_norm)
     work = points if outliers.size == 0 else points[inliers]
-    if work.shape[0] < max(k_range):
-        raise ValueError(f"{work.shape[0]} points cannot support k={max(k_range)}")
+    if work.shape[0] < k_range[-1]:
+        raise ValueError(f"{work.shape[0]} points cannot support k={k_range[-1]}")
 
     dist = pairwise_distances(work)
-    records = []
-    for k in k_range:
+    sil = np.empty((len(k_range), restarts))
+    ari = np.empty((len(k_range), restarts))
+    for i, k in enumerate(k_range):
         for run in range(restarts):
             result = kmeans(work, k, restarts=1, seed=derive_seed(seed, k, run))
-            sil = silhouette_score(work, result.partition, dist=dist)
+            sil[i, run] = silhouette_score(work, result.partition, dist=dist)
             if outliers.size == 0:
                 full = result.partition
             else:
@@ -110,18 +123,8 @@ def generate_runs(
                 d2 = ((points[outliers][:, None, :] - result.centers[None, :, :]) ** 2).sum(axis=2)
                 labels[outliers] = np.argmin(d2, axis=1)
                 full = Partition(n_items=points.shape[0], labels=labels)
-            ari = adjusted_rand_index(truth.n_items, truth, full) if truth is not None else None
-            records.append(
-                RunRecord(
-                    dataset_id=dataset.id,
-                    k=k,
-                    run_index=run,
-                    silhouette=sil,
-                    ari=ari,
-                    partition=full,
-                )
-            )
-    return records
+            ari[i, run] = adjusted_rand_index(truth.n_items, truth, full)
+    return RunGrid(k_range=k_range, silhouette=sil, ari=ari)
 
 
 def repo_runs(
@@ -132,27 +135,26 @@ def repo_runs(
     theta: float = 0.0,
     use_raw_norm: bool = False,
 ) -> list:
-    """Per-problem run records for the whole repository (one sub-seed per problem)."""
+    """One run grid per problem of the repository (one sub-seed per problem)."""
     return [
         generate_runs(ds, truth, k_range, restarts, derive_seed(seed, i), theta, use_raw_norm)
         for i, (ds, truth) in enumerate(repo.problems)
     ]
 
 
-def best_fit_k(records: Sequence[RunRecord]) -> int:
+def _first_max_cell(values: np.ndarray) -> tuple:
+    """(row, column) of the first maximum in row-major, that is (k, run), order."""
+    return divmod(int(np.argmax(values)), values.shape[1])
+
+
+def best_fit_k(grid: RunGrid) -> int:
     """The k whose best-run ARI is maximal; ties go to the smallest k."""
-    best_per_k: dict = {}
-    for rec in records:
-        if rec.ari is None:
-            raise ValueError("best_fit_k needs labeled records")
-        if rec.k not in best_per_k or rec.ari > best_per_k[rec.k]:
-            best_per_k[rec.k] = rec.ari
-    return min(best_per_k, key=lambda k: (-best_per_k[k], k))
+    return grid.k_range[int(np.argmax(grid.ari.max(axis=1)))]
 
 
-def baseline_record(records: Sequence[RunRecord]) -> RunRecord:
-    """The record with maximal silhouette; ties toward smaller (k, run)."""
-    return min(records, key=lambda r: (-r.silhouette, r.k, r.run_index))
+def baseline_cell(grid: RunGrid) -> tuple:
+    """The (k row, run) cell with maximal silhouette; ties toward smaller (k, run)."""
+    return _first_max_cell(grid.silhouette)
 
 
 @dataclass(frozen=True)
@@ -168,46 +170,33 @@ class MetaKModel:
             raise ValueError("exactly one model per k, ascending")
         object.__setattr__(self, "models", models)
 
-    def model_for(self, k: int) -> LinearModel:
-        for kk, m in self.models:
-            if kk == k:
-                return m
-        raise KeyError(f"no model for k={k}")
-
     @property
     def k_range(self) -> tuple:
         return tuple(k for k, _m in self.models)
 
 
-def train_meta_k(per_problem_records: Sequence, k_range: Sequence[int] = DEFAULT_K_RANGE) -> MetaKModel:
-    """Fit per-k least squares of ARI on silhouette, pooled over problems and runs."""
-    by_k: dict = {k: ([], []) for k in k_range}
-    for records in per_problem_records:
-        for rec in records:
-            if rec.k in by_k:
-                if rec.ari is None:
-                    raise ValueError("training records must carry ARI")
-                by_k[rec.k][0].append([rec.silhouette])
-                by_k[rec.k][1].append(rec.ari)
+def train_meta_k(per_problem_grids: Sequence, k_range: Sequence[int] = DEFAULT_K_RANGE) -> MetaKModel:
+    """Fit per-k least squares of ARI on silhouette, pooled over problems and runs.
+
+    Row i of every grid is pooled in (problem, run) order.
+    """
+    k_range = tuple(k_range)
+    if not per_problem_grids or any(g.k_range != k_range for g in per_problem_grids):
+        raise ValueError(f"training needs at least one run grid, each covering exactly k = {k_range}")
     models = []
-    for k in k_range:
-        feats, targets = by_k[k]
-        if not feats:
-            raise ValueError(f"no training records for k={k}")
-        models.append((k, fit_least_squares(feats, targets)))
+    for i, k in enumerate(k_range):
+        sil = np.concatenate([g.silhouette[i] for g in per_problem_grids])
+        ari = np.concatenate([g.ari[i] for g in per_problem_grids])
+        models.append((k, fit_least_squares(sil[:, None], ari)))
     return MetaKModel(models=tuple(models))
 
 
-def meta_selected_record(model: MetaKModel, records: Sequence[RunRecord]) -> RunRecord:
-    """The record with maximal predicted ARI; ties toward smaller (k, run).
-
-    Per-k scores are maxima over runs, so the global argmax coincides with
-    argmax-over-k of the per-k maxima, with the same tie-breaking.
-    """
-    return min(
-        records,
-        key=lambda r: (-predict(model.model_for(r.k), [r.silhouette]), r.k, r.run_index),
-    )
+def meta_selected_cell(model: MetaKModel, grid: RunGrid) -> tuple:
+    """The (k row, run) cell with maximal predicted ARI; ties toward smaller (k, run)."""
+    if grid.k_range != model.k_range:
+        raise ValueError(f"grid covers k = {grid.k_range}, model covers k = {model.k_range}")
+    predicted = np.array([[predict(lm, [s]) for s in row] for (_k, lm), row in zip(model.models, grid.silhouette)])
+    return _first_max_cell(predicted)
 
 
 @dataclass(frozen=True)
@@ -218,24 +207,21 @@ class MetaKEvaluation:
     mean_ari_baseline: float
 
 
-def evaluate_meta_k(model: MetaKModel, test_records: Sequence) -> MetaKEvaluation:
-    """RMSE of meta/baseline k against the best-fit k, plus achieved mean ARI.
-
-    ``test_records`` is a list of per-problem labeled record lists.
-    """
+def evaluate_meta_k(model: MetaKModel, test_grids: Sequence) -> MetaKEvaluation:
+    """RMSE of meta/baseline k against the best-fit k, plus achieved mean ARI."""
     sq_meta = []
     sq_base = []
     ari_meta = []
     ari_base = []
-    for records in test_records:
-        k_star = best_fit_k(records)
-        meta_rec = meta_selected_record(model, records)
-        base_rec = baseline_record(records)
-        sq_meta.append((meta_rec.k - k_star) ** 2)
-        sq_base.append((base_rec.k - k_star) ** 2)
-        ari_meta.append(meta_rec.ari)
-        ari_base.append(base_rec.ari)
-    n = len(test_records)
+    for grid in test_grids:
+        k_star = best_fit_k(grid)
+        meta = meta_selected_cell(model, grid)
+        base = baseline_cell(grid)
+        sq_meta.append((grid.k_range[meta[0]] - k_star) ** 2)
+        sq_base.append((grid.k_range[base[0]] - k_star) ** 2)
+        ari_meta.append(float(grid.ari[meta]))
+        ari_base.append(float(grid.ari[base]))
+    n = len(test_grids)
     return MetaKEvaluation(
         rmse_meta=math.sqrt(sum(sq_meta) / n),
         rmse_baseline=math.sqrt(sum(sq_base) / n),
@@ -274,9 +260,9 @@ def train_algo_select(specs: Sequence[ClustererSpec], train: Sequence, seed: int
         targets = []
         for ds, truth in train:
             try:
-                result = run_spec(spec, ds.points)
-                phi = phi_features(ds, result.partition)
-                ari = adjusted_rand_index(truth.n_items, truth, result.partition)
+                partition = run_spec(spec, ds.points)
+                phi = phi_features(ds, partition)
+                ari = adjusted_rand_index(truth.n_items, truth, partition)
             except ValueError:
                 lo, hi = symmetric_eigen_extrema(covariance(ds.points))
                 phi_vec = np.array([ds.d, ds.n, lo, hi, 0.0])
@@ -303,17 +289,17 @@ def select_algorithm(model: AlgoSelectModel, dataset: Dataset) -> tuple:
     candidates = []
     for spec, lm in model.members:
         try:
-            result = run_spec(spec, dataset.points)
+            partition = run_spec(spec, dataset.points)
         except ValueError:
             continue
-        partitions[spec.name] = result.partition
+        partitions[spec.name] = partition
         try:
-            phi = phi_features(dataset, result.partition)
+            phi = phi_features(dataset, partition)
         except ValueError:
             continue
         a_j = predict(lm, phi.as_vector())
         scores[spec.name] = a_j
-        candidates.append((a_j, len(candidates), spec.name, result.partition))
+        candidates.append((a_j, len(candidates), spec.name, partition))
     if not candidates:
         raise RuntimeError("every family member failed on this dataset")
     best = min(candidates, key=lambda c: (-c[0], c[1]))
@@ -371,10 +357,10 @@ def sweep_outlier_fraction(
     split_indices = [split_repository(repo, split) for split in splits]
     per_split = [[] for _ in split_indices]
     for p in p_grid:
-        records = repo_runs(repo, k_range, restarts, seed, theta=p, use_raw_norm=use_raw_norm)
+        grids = repo_runs(repo, k_range, restarts, seed, theta=p, use_raw_norm=use_raw_norm)
         for per_p, (train_idx, test_idx) in zip(per_split, split_indices):
-            model = train_meta_k([records[i] for i in train_idx], k_range)
-            evaluation = evaluate_meta_k(model, [records[i] for i in test_idx])
+            model = train_meta_k([grids[i] for i in train_idx], k_range)
+            evaluation = evaluate_meta_k(model, [grids[i] for i in test_idx])
             per_p.append((p, evaluation.mean_ari_meta))
     return [
         OutlierSweepResult(per_p=tuple(per_p), best_p=min(per_p, key=lambda t: (-t[1], t[0]))[0])

@@ -27,7 +27,7 @@ __all__ = [
 def _pairs2(counts) -> int:
     """Sum of C(c, 2) over the given integer counts, exactly."""
     arr = np.asarray(counts, dtype=np.int64).ravel()
-    return int((arr * (arr - 1) // 2).sum())
+    return int(arr @ (arr - 1)) // 2  # exact: every c * (c - 1) is even
 
 
 def _pair_counts(y: Partition, z: Partition) -> tuple:
@@ -125,8 +125,6 @@ def silhouette_score(points: np.ndarray, c: Partition, dist: Optional[np.ndarray
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     _check_valid(n, c, "C")
-    if c.n_parts < 2:
-        raise ValueError("silhouette needs at least 2 clusters")
     if dist is None:
         dist = pairwise_distances(points)
 

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from metaclust.data_model import Dataset, MetaRepository, covariance, derive_seed, normalize_dataset
+from metaclust.data_model import DataError, Dataset, MetaRepository, covariance, derive_seed, normalize_dataset
 
 __all__ = [
     "PairSet",
@@ -186,6 +186,7 @@ def sample_pair_splits(
     pairs (the halves are disjoint).  Category-2 datasets contribute no
     training data and feed meta-ET only.  Every set holds each sampled pair
     once, in one order; ``train_mlp`` derives the reversed order itself.
+    A repository that cannot fill all three sets raises ``DataError``.
     """
     qualifying = [
         ds
@@ -193,7 +194,7 @@ def sample_pair_splits(
         if isinstance(ds, Dataset) and ds.labels is not None and ds.n <= max_examples and ds.d <= PAD_DIM
     ]
     if not qualifying:
-        raise ValueError("no qualifying datasets in the repository")
+        raise DataError("no qualifying datasets in the repository")
 
     categories = None
     for attempt in range(MAX_CATEGORY_RETRIES):
@@ -203,7 +204,7 @@ def sample_pair_splits(
             categories = draw
             break
     if categories is None:
-        raise ValueError("could not populate both dataset categories")
+        raise DataError("could not populate both dataset categories")
 
     meta_train = []
     meta_it = []
@@ -225,7 +226,7 @@ def sample_pair_splits(
             add_pairs(meta_et, ds, perm[:max_pairs])
 
     if not meta_train or not meta_it or not meta_et:
-        raise ValueError("a pair set came out empty; repository too small")
+        raise DataError("a pair set came out empty; repository too small")
     return SplitTriple(
         meta_train=concat_pair_sets(meta_train),
         meta_it=concat_pair_sets(meta_it),

@@ -354,3 +354,29 @@ class TestErrorContracts:
         assert rc == EXIT_CONFIG
         assert err.startswith(f"error: {flag} must be at least 1") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "synth_flags,message",
+        [
+            (["--problems", "1"], "could not populate both dataset categories"),
+            (["--problems", "3", "--dims-min", "11", "--dims-max", "11"], "no qualifying datasets"),
+            (["--problems", "4", "--points", "3", "--clusters-max", "2"], "repository too small"),
+        ],
+        ids=["one_dataset", "every_dataset_too_wide", "datasets_too_small"],
+    )
+    def test_bsf_unusable_repository_is_data_error(self, tmp_path, capsys, synth_flags, message):
+        repo = tmp_path / "repo"
+        assert main(["synth", "--points", "30", *synth_flags, "--seed", "1", "--out", str(repo)]) == EXIT_OK
+        capsys.readouterr()
+        rc = main(["run", "bsf", "--repo", str(repo), "--repeats", "1", "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_IO
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+    def test_bsf_max_pairs_one_rejected(self, repo_dir, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = main(["run", "bsf", "--repo", str(repo_dir), "--max-pairs", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.startswith("error: --max-pairs must be at least 2") and err.count("\n") == 1
+        assert not out.exists()

@@ -1,41 +1,116 @@
 """Algorithm-selection, meta-k and outlier-sweep pipeline mechanics."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from metaclust import meta_pipelines
-from metaclust.clusterers import ClustererSpec
+from metaclust.clusterers import ClustererSpec, kmeans
 from metaclust.data_model import (
     Dataset,
-    MetaRepository,
     Partition,
     SplitSpec,
     SynthSpec,
+    derive_seed,
     labels_to_partition,
     make_synthetic_repository,
 )
 from metaclust.meta_pipelines import (
     MetaKModel,
-    RunRecord,
-    baseline_record,
+    RunGrid,
+    baseline_cell,
     best_fit_k,
     evaluate_meta_k,
     generate_runs,
-    meta_selected_record,
+    meta_selected_cell,
     repo_runs,
     select_algorithm,
     sweep_outlier_fraction,
     train_algo_select,
     train_meta_k,
 )
-from metaclust.regression import LinearModel
+from metaclust.metrics import adjusted_rand_index
+from metaclust.regression import LinearModel, fit_least_squares, predict
 
 
-def record(k, run, sil, ari=None):
-    return RunRecord(
-        dataset_id="d", k=k, run_index=run, silhouette=sil, ari=ari,
-        partition=Partition(2, ((0,), (1,))),
+# Record-based oracles: the per-run objects and Python-loop selection rules
+# that the run grid replaced.  The grid rules must pick the same cells.
+
+
+@dataclass(frozen=True)
+class RunRecord:
+    k: int
+    run_index: int
+    silhouette: float
+    ari: float
+
+
+def records_of(grid):
+    """The grid's cells as records, in (k, run) order."""
+    return [
+        RunRecord(k, run, float(grid.silhouette[i, run]), float(grid.ari[i, run]))
+        for i, k in enumerate(grid.k_range)
+        for run in range(grid.silhouette.shape[1])
+    ]
+
+
+def oracle_best_fit_k(records):
+    best_per_k = {}
+    for rec in records:
+        if rec.k not in best_per_k or rec.ari > best_per_k[rec.k]:
+            best_per_k[rec.k] = rec.ari
+    return min(best_per_k, key=lambda k: (-best_per_k[k], k))
+
+
+def oracle_baseline_record(records):
+    return min(records, key=lambda r: (-r.silhouette, r.k, r.run_index))
+
+
+def oracle_meta_selected_record(model, records):
+    by_k = dict(model.models)
+    return min(records, key=lambda r: (-predict(by_k[r.k], [r.silhouette]), r.k, r.run_index))
+
+
+def oracle_train_meta_k(per_problem_records, k_range):
+    by_k = {k: ([], []) for k in k_range}
+    for records in per_problem_records:
+        for rec in records:
+            if rec.k in by_k:
+                by_k[rec.k][0].append([rec.silhouette])
+                by_k[rec.k][1].append(rec.ari)
+    return MetaKModel(models=tuple((k, fit_least_squares(*by_k[k])) for k in k_range))
+
+
+def cell_of(grid, cell):
+    row, run = cell
+    return grid.k_range[row], run
+
+
+def grid(k_range, sil, ari=None):
+    sil = np.asarray(sil, dtype=float)
+    return RunGrid(k_range=k_range, silhouette=sil, ari=np.zeros_like(sil) if ari is None else ari)
+
+
+def random_grid(rng, k_range, restarts):
+    # One decimal place, so equal silhouettes and ARIs are common.
+    shape = (len(k_range), restarts)
+    return RunGrid(
+        k_range=k_range,
+        silhouette=np.round(rng.uniform(-1, 1, shape), 1),
+        ari=np.round(rng.uniform(0, 1, shape), 1),
     )
+
+
+def random_model(rng, k_range):
+    # Zero weights tie every run of a k; small integer-valued coefficients tie across k.
+    return MetaKModel(models=tuple(
+        (k, LinearModel(weights=np.array([float(rng.choice([-1.0, 0.0, 0.5, 1.0]))]), intercept=float(rng.integers(-1, 2))))
+        for k in k_range
+    ))
+
+
+K_RANGES = [(2,), (2, 3), (3, 5, 8), tuple(range(2, 11)), (4, 6, 7, 9, 12)]
 
 
 def small_repo(n_problems=6, seed=3):
@@ -48,51 +123,75 @@ class TestGenerateRuns:
     def test_record_count_and_fields(self):
         repo = small_repo(1)
         ds, truth = repo.problems[0]
-        records = generate_runs(ds, truth, range(2, 11), 10, seed=1)
-        assert len(records) == 90
-        assert all(np.isfinite(r.silhouette) and r.ari is not None for r in records)
+        runs = generate_runs(ds, truth, range(2, 11), 10, seed=1)
+        assert runs.k_range == tuple(range(2, 11))
+        assert runs.silhouette.shape == runs.ari.shape == (9, 10)
+        assert np.all(np.isfinite(runs.silhouette)) and np.all(np.isfinite(runs.ari))
+        assert not runs.silhouette.flags.writeable and not runs.ari.flags.writeable
 
-    def test_unlabeled_has_no_ari(self):
+    def test_cells_are_seeded_single_runs_in_k_run_order(self):
         repo = small_repo(1)
-        ds, _ = repo.problems[0]
-        records = generate_runs(ds.without_labels(), None, range(2, 5), 2, seed=1)
-        assert all(r.ari is None for r in records)
+        ds, truth = repo.problems[0]
+        runs = generate_runs(ds, truth, (2, 4), 3, seed=5)
+        for i, k in enumerate((2, 4)):
+            for run in range(3):
+                partition = kmeans(ds.points, k, restarts=1, seed=derive_seed(5, k, run)).partition
+                assert runs.ari[i, run] == adjusted_rand_index(truth.n_items, truth, partition)
 
     def test_deterministic(self):
         repo = small_repo(1)
         ds, truth = repo.problems[0]
         a = generate_runs(ds, truth, range(2, 5), 3, seed=5)
         b = generate_runs(ds, truth, range(2, 5), 3, seed=5)
-        assert a == b
+        assert a.k_range == b.k_range
+        assert np.array_equal(a.silhouette, b.silhouette) and np.array_equal(a.ari, b.ari)
 
     def test_pruned_partition_covers_everything(self):
+        # The ARI of a pruned cell is that of the full partition with every
+        # pruned point reattached to its nearest center.
         repo = small_repo(1)
         ds, truth = repo.problems[0]
-        records = generate_runs(ds, truth, range(2, 4), 2, seed=2, theta=0.05)
-        for r in records:
-            assert r.partition.n_covered == ds.n
+        runs = generate_runs(ds, truth, range(2, 4), 2, seed=2, theta=0.05)
+        dist = np.sqrt(((ds.points - ds.points.mean(axis=0)) ** 2).sum(axis=1))
+        outliers = np.sort(np.lexsort((np.arange(ds.n), -dist))[:2])  # floor(0.05 * 40)
+        inliers = np.setdiff1d(np.arange(ds.n), outliers)
+        for i, k in enumerate(runs.k_range):
+            for run in range(2):
+                result = kmeans(ds.points[inliers], k, restarts=1, seed=derive_seed(2, k, run))
+                labels = np.empty(ds.n, dtype=int)
+                labels[inliers] = result.partition.labels
+                for o in outliers:
+                    labels[o] = np.argmin(((result.centers - ds.points[o]) ** 2).sum(axis=1))
+                full = Partition(ds.n, labels=labels)
+                assert full.n_covered == ds.n
+                assert runs.ari[i, run] == adjusted_rand_index(ds.n, truth, full)
 
     def test_theta_zero_equals_plain(self):
         repo = small_repo(1)
         ds, truth = repo.problems[0]
         plain = generate_runs(ds, truth, range(2, 5), 2, seed=8)
         zero = generate_runs(ds, truth, range(2, 5), 2, seed=8, theta=0.0)
-        assert plain == zero
+        assert np.array_equal(plain.silhouette, zero.silhouette) and np.array_equal(plain.ari, zero.ari)
 
     def test_too_small_k_range_rejected(self):
         ds = Dataset(id="t", points=np.arange(6.0).reshape(-1, 1))
         with pytest.raises(ValueError):
-            generate_runs(ds, None, range(2, 11), 1, seed=0)
+            generate_runs(ds, labels_to_partition([0, 0, 0, 1, 1, 1]), range(2, 11), 1, seed=0)
+
+    @pytest.mark.parametrize("k_range", [(3, 2), (2, 2, 3), (2, 4, 3), ()])
+    def test_k_range_must_ascend_without_repeats(self, k_range):
+        ds = Dataset(id="t", points=np.arange(8.0).reshape(-1, 1))
+        with pytest.raises(ValueError, match="ascend"):
+            generate_runs(ds, labels_to_partition([0] * 4 + [1] * 4), k_range, 1, seed=0)
 
     def test_worked_far_point_reattached_to_nearest_center(self):
         # theta = 0.2 prunes the one point furthest from the mean (100); the
-        # inliers split {0, 1} | {10, 11}, and 100 joins the nearer center 10.5.
+        # inliers split {0, 1} | {10, 11}, and 100 joins the nearer center 10.5,
+        # which is exactly the truth.
         ds = Dataset(id="w", points=np.array([[0.0], [1.0], [10.0], [11.0], [100.0]]), labels=[0, 0, 1, 1, 1])
         truth = labels_to_partition(ds.labels)
-        records = generate_runs(ds, truth, (2,), 3, seed=0, theta=0.2)
-        for r in records:
-            assert set(r.partition.parts) == {(0, 1), (2, 3, 4)}
-            assert r.ari == 1.0
+        runs = generate_runs(ds, truth, (2,), 3, seed=0, theta=0.2)
+        assert np.all(runs.ari == 1.0)
 
     def test_planted_outlier_pruned_at_true_k(self):
         rng = np.random.default_rng(18)
@@ -100,34 +199,73 @@ class TestGenerateRuns:
         pts = rng.standard_normal((50, 2)) + 10.0 * labels[:, None]
         pts[7] = [500.0, -500.0]
         ds = Dataset(id="o", points=pts, labels=labels)
-        records = generate_runs(ds, labels_to_partition(labels), (2,), 5, seed=2, theta=1 / 50)
-        assert all(r.ari >= 0.9 for r in records)
+        runs = generate_runs(ds, labels_to_partition(labels), (2,), 5, seed=2, theta=1 / 50)
+        assert np.all(runs.ari >= 0.9)
 
     def test_pruning_below_max_k_rejected(self):
         ds = Dataset(id="t", points=np.arange(8.0).reshape(-1, 1))
-        generate_runs(ds, None, (2, 3, 4), 1, seed=0)  # 8 points support k = 4
+        truth = labels_to_partition([0] * 4 + [1] * 4)
+        generate_runs(ds, truth, (2, 3, 4), 1, seed=0)  # 8 points support k = 4
         with pytest.raises(ValueError):
-            generate_runs(ds, None, (2, 3, 4), 1, seed=0, theta=0.8)  # 2 points left
+            generate_runs(ds, truth, (2, 3, 4), 1, seed=0, theta=0.8)  # 2 points left
+
+    def test_grid_shapes_checked(self):
+        with pytest.raises(ValueError):
+            RunGrid(k_range=(2, 3), silhouette=np.zeros((2, 3)), ari=np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            RunGrid(k_range=(2,), silhouette=np.zeros((2, 3)), ari=np.zeros((2, 3)))
 
 
 class TestSelectionRules:
     def test_best_fit_k_argmax(self):
-        records = [record(2, 0, 0.1, 0.3), record(3, 0, 0.2, 0.9), record(4, 0, 0.9, 0.4)]
-        assert best_fit_k(records) == 3
+        assert best_fit_k(grid((2, 3, 4), [[0.1], [0.2], [0.9]], [[0.3], [0.9], [0.4]])) == 3
 
     def test_best_fit_k_tie_smallest(self):
-        records = [record(5, 0, 0.1, 0.7), record(3, 0, 0.2, 0.7), record(4, 0, 0.3, 0.2)]
-        assert best_fit_k(records) == 3
+        assert best_fit_k(grid((3, 4, 5), [[0.2], [0.3], [0.1]], [[0.7], [0.2], [0.7]])) == 3
 
     def test_baseline_argmax_silhouette(self):
-        records = [record(2, 0, 0.1), record(7, 3, 0.95), record(4, 0, 0.5)]
-        assert baseline_record(records).k == 7
-        assert baseline_record(records).run_index == 3
+        sil = np.zeros((3, 4))
+        sil[0, 0], sil[1, 0], sil[2, 3] = 0.1, 0.5, 0.95
+        g = grid((2, 4, 7), sil)
+        assert cell_of(g, baseline_cell(g)) == (7, 3)
 
     def test_baseline_tie_smallest_k_then_run(self):
-        records = [record(4, 1, 0.5), record(4, 0, 0.5), record(3, 2, 0.5)]
-        best = baseline_record(records)
-        assert (best.k, best.run_index) == (3, 2)
+        sil = np.zeros((2, 3))
+        sil[1, 1] = sil[1, 0] = sil[0, 2] = 0.5
+        g = grid((3, 4), sil)
+        assert cell_of(g, baseline_cell(g)) == (3, 2)
+
+    def test_rules_match_record_oracles_on_random_grids(self):
+        rng = np.random.default_rng(80)
+        for trial in range(600):
+            k_range = K_RANGES[trial % len(K_RANGES)]
+            g = random_grid(rng, k_range, int(rng.integers(1, 6)))
+            model = random_model(rng, k_range)
+            records = records_of(g)
+            assert best_fit_k(g) == oracle_best_fit_k(records), trial
+            base = oracle_baseline_record(records)
+            assert cell_of(g, baseline_cell(g)) == (base.k, base.run_index), trial
+            meta = oracle_meta_selected_record(model, records)
+            assert cell_of(g, meta_selected_cell(model, g)) == (meta.k, meta.run_index), trial
+
+    def test_train_meta_k_matches_record_pooling(self):
+        rng = np.random.default_rng(81)
+        for trial in range(50):
+            k_range = K_RANGES[trial % len(K_RANGES)]
+            restarts = int(rng.integers(1, 5))
+            grids = [random_grid(rng, k_range, restarts) for _ in range(int(rng.integers(1, 5)))]
+            ours = train_meta_k(grids, k_range)
+            ref = oracle_train_meta_k([records_of(g) for g in grids], k_range)
+            for (k, m), (k_ref, m_ref) in zip(ours.models, ref.models, strict=True):
+                assert k == k_ref
+                assert np.array_equal(m.weights, m_ref.weights) and m.intercept == m_ref.intercept, trial
+
+    def test_train_meta_k_matches_record_pooling_on_real_runs(self):
+        grids = repo_runs(small_repo(4), range(2, 6), 3, seed=4)
+        ours = train_meta_k(grids, range(2, 6))
+        ref = oracle_train_meta_k([records_of(g) for g in grids], range(2, 6))
+        for (_k, m), (_k_ref, m_ref) in zip(ours.models, ref.models, strict=True):
+            assert np.array_equal(m.weights, m_ref.weights) and m.intercept == m_ref.intercept
 
 
 class TestMetaKModel:
@@ -138,17 +276,13 @@ class TestMetaKModel:
 
     def test_exact_linear_recovery(self):
         rng = np.random.default_rng(0)
-        per_problem = []
+        grids = []
         for _ in range(4):
-            records = []
-            for k in range(2, 11):
-                for run in range(3):
-                    sil = float(rng.uniform(-0.5, 1.0))
-                    records.append(record(k, run, sil, 2.0 * sil - 0.1))
-            per_problem.append(records)
-        model = train_meta_k(per_problem)
-        for k in range(2, 11):
-            m = model.model_for(k)
+            sil = rng.uniform(-0.5, 1.0, (9, 3))
+            grids.append(grid(range(2, 11), sil, 2.0 * sil - 0.1))
+        model = train_meta_k(grids)
+        assert model.k_range == tuple(range(2, 11))
+        for _k, m in model.models:
             assert m.weights[0] == pytest.approx(2.0, abs=1e-9)
             assert m.intercept == pytest.approx(-0.1, abs=1e-9)
 
@@ -159,66 +293,69 @@ class TestMetaKModel:
 
     def test_missing_k_rejected(self):
         with pytest.raises(ValueError):
-            train_meta_k([[record(2, 0, 0.5, 0.5)]], k_range=(2, 3))
+            train_meta_k([grid((2,), [[0.5]], [[0.5]])], k_range=(2, 3))
+
+    def test_extra_k_and_empty_training_rejected(self):
+        with pytest.raises(ValueError):
+            train_meta_k([grid((2, 3), [[0.5], [0.4]])], k_range=(2,))
+        with pytest.raises(ValueError):
+            train_meta_k([], k_range=(2,))
+
+    def test_grid_model_k_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            meta_selected_cell(self.identity_model((2, 3)), grid((2, 4), [[0.5], [0.4]]))
 
     def test_identity_model_reduces_to_baseline(self):
         rng = np.random.default_rng(1)
         model = self.identity_model()
         for _ in range(20):
-            records = [
-                record(k, run, float(rng.uniform(-1, 1)), float(rng.uniform(0, 1)))
-                for k in range(2, 11)
-                for run in range(3)
-            ]
-            assert meta_selected_record(model, records).k == baseline_record(records).k
+            g = grid(range(2, 11), rng.uniform(-1, 1, (9, 3)), rng.uniform(0, 1, (9, 3)))
+            assert meta_selected_cell(model, g) == baseline_cell(g)
 
     def test_predict_k_tie_smallest(self):
         model = self.identity_model((2, 3))
-        records = [record(3, 0, 0.5), record(2, 0, 0.5)]
-        assert meta_selected_record(MetaKModel(models=model.models), records).k == 2
+        assert meta_selected_cell(model, grid((2, 3), [[0.5], [0.5]])) == (0, 0)
 
-    def test_meta_selected_record_uses_predicted_order(self):
+    def test_meta_selected_cell_uses_predicted_order(self):
         # model for k=2 inverts silhouette, so the low-silhouette run wins
         models = (
             (2, LinearModel(weights=np.array([-1.0]), intercept=0.0)),
             (3, LinearModel(weights=np.array([0.0]), intercept=-10.0)),
         )
-        model = MetaKModel(models=models)
-        records = [record(2, 0, 0.9, 0.1), record(2, 1, 0.1, 0.8), record(3, 0, 0.99, 0.2)]
-        chosen = meta_selected_record(model, records)
-        assert (chosen.k, chosen.run_index) == (2, 1)
+        g = grid((2, 3), [[0.9, 0.1], [0.99, 0.5]], [[0.1, 0.8], [0.2, 0.0]])
+        assert cell_of(g, meta_selected_cell(MetaKModel(models=models), g)) == (2, 1)
 
 
 class TestEvaluateMetaK:
     def test_perfect_model_zero_rmse(self):
         repo = small_repo(6)
-        records = repo_runs(repo, range(2, 6), 3, seed=4)
-        model = train_meta_k(records, range(2, 6))
-        ev = evaluate_meta_k(model, records)
+        grids = repo_runs(repo, range(2, 6), 3, seed=4)
+        model = train_meta_k(grids, range(2, 6))
+        ev = evaluate_meta_k(model, grids)
         assert ev.rmse_meta >= 0.0 and ev.rmse_baseline >= 0.0
         assert 0.0 <= ev.mean_ari_meta <= 1.0
 
     def test_baseline_reduction(self):
         repo = small_repo(4)
-        records = repo_runs(repo, range(2, 6), 3, seed=4)
+        grids = repo_runs(repo, range(2, 6), 3, seed=4)
         identity = MetaKModel(models=tuple(
             (k, LinearModel(weights=np.array([1.0]), intercept=0.0)) for k in range(2, 6)
         ))
-        ev = evaluate_meta_k(identity, records)
+        ev = evaluate_meta_k(identity, grids)
         assert ev.rmse_meta == ev.rmse_baseline
         assert ev.mean_ari_meta == ev.mean_ari_baseline
 
-    def test_reported_ari_matches_stored_partitions(self):
-        from metaclust.metrics import adjusted_rand_index
-
+    def test_reported_ari_matches_rerun_partitions(self):
+        # The chosen cell's k-means run, repeated from its seed, scores the reported ARI.
         repo = small_repo(3)
-        records = repo_runs(repo, range(2, 5), 2, seed=9)
-        model = train_meta_k(records, range(2, 5))
+        grids = repo_runs(repo, range(2, 5), 2, seed=9)
+        model = train_meta_k(grids, range(2, 5))
         total = 0.0
-        for (ds, truth), recs in zip(repo.problems, records):
-            chosen = meta_selected_record(model, recs)
-            total += adjusted_rand_index(truth.n_items, truth, chosen.partition)
-        ev = evaluate_meta_k(model, records)
+        for i, ((ds, truth), g) in enumerate(zip(repo.problems, grids)):
+            k, run = cell_of(g, meta_selected_cell(model, g))
+            partition = kmeans(ds.points, k, restarts=1, seed=derive_seed(derive_seed(9, i), k, run)).partition
+            total += adjusted_rand_index(truth.n_items, truth, partition)
+        ev = evaluate_meta_k(model, grids)
         assert ev.mean_ari_meta == pytest.approx(total / 3, abs=1e-12)
 
 
@@ -271,7 +408,6 @@ class TestAlgoSelect:
 
     def test_evaluate_runs_each_member_once_per_test_problem(self, monkeypatch):
         from metaclust.clusterers import run_spec
-        from metaclust.metrics import adjusted_rand_index
 
         repo = small_repo(6)
         specs = [
@@ -295,7 +431,7 @@ class TestAlgoSelect:
             total = 0.0
             for ds, truth in test:
                 try:
-                    total += adjusted_rand_index(truth.n_items, truth, run_spec(spec, ds.points).partition)
+                    total += adjusted_rand_index(truth.n_items, truth, run_spec(spec, ds.points))
                 except ValueError:
                     pass
             assert per_member[spec.name] == total / len(test)
@@ -333,9 +469,9 @@ class TestSweep:
         from metaclust.data_model import split_repository
 
         train_idx, test_idx = split_repository(repo, split)
-        records = repo_runs(repo, range(2, 5), 3, seed=6)
-        model = train_meta_k([records[i] for i in train_idx], range(2, 5))
-        ev = evaluate_meta_k(model, [records[i] for i in test_idx])
+        grids = repo_runs(repo, range(2, 5), 3, seed=6)
+        model = train_meta_k([grids[i] for i in train_idx], range(2, 5))
+        ev = evaluate_meta_k(model, [grids[i] for i in test_idx])
         assert dict(res.per_p)[0.0] == ev.mean_ari_meta  # exact, not approximate
 
     def test_best_p_tie_breaks_smaller(self):
