@@ -358,15 +358,15 @@ class TestErrorContracts:
     @pytest.mark.parametrize(
         "synth_flags,message",
         [
-            (["--problems", "1"], "could not populate both dataset categories"),
-            (["--problems", "3", "--dims-min", "11", "--dims-max", "11"], "no qualifying datasets"),
+            (["--problems", "1", "--points", "30"], "could not populate both dataset categories"),
+            (["--problems", "3", "--points", "30", "--dims-min", "11", "--dims-max", "11"], "no qualifying datasets"),
             (["--problems", "4", "--points", "3", "--clusters-max", "2"], "repository too small"),
         ],
         ids=["one_dataset", "every_dataset_too_wide", "datasets_too_small"],
     )
     def test_bsf_unusable_repository_is_data_error(self, tmp_path, capsys, synth_flags, message):
         repo = tmp_path / "repo"
-        assert main(["synth", "--points", "30", *synth_flags, "--seed", "1", "--out", str(repo)]) == EXIT_OK
+        assert main(["synth", *synth_flags, "--seed", "1", "--out", str(repo)]) == EXIT_OK
         capsys.readouterr()
         rc = main(["run", "bsf", "--repo", str(repo), "--repeats", "1", "--out", str(tmp_path / "x")])
         err = capsys.readouterr().err
