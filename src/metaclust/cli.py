@@ -117,14 +117,16 @@ def _parse_p_grid(text: str) -> list:
     return grid
 
 
+# The smallest usable value of each count flag; a training pair needs two rows.
+_COUNT_MINIMUMS = {"repeats": 1, "restarts": 1, "max_pairs": 2, "epochs": 1, "batch": 1}
+
+
 def _check_counts(args) -> None:
-    """Reject a count flag below 1; argparse accepts any int, and exit 2 is for data errors."""
-    for name in ("repeats", "restarts", "max_pairs", "epochs", "batch"):
+    """Reject a count flag below its minimum; argparse accepts any int, and exit 2 is for data errors."""
+    for name, minimum in _COUNT_MINIMUMS.items():
         value = getattr(args, name, None)
-        if value is not None and value < 1:
-            raise ConfigError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
-    if getattr(args, "max_pairs", 2) < 2:
-        raise ConfigError(f"--max-pairs must be at least 2, got {args.max_pairs}: a training pair needs two rows")
+        if value is not None and value < minimum:
+            raise ConfigError(f"--{name.replace('_', '-')} must be at least {minimum}, got {value}")
 
 
 def _k_range(args) -> tuple:

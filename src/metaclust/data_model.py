@@ -79,7 +79,6 @@ class Dataset:
     id: str
     points: np.ndarray  # (n, d) float64, all finite
     labels: Optional[np.ndarray] = None  # (n,) int class ids 0..K-1, or None
-    name: str = ""
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -110,14 +109,8 @@ class Dataset:
     def d(self) -> int:
         return self.points.shape[1]
 
-    @property
-    def n_classes(self) -> int:
-        if self.labels is None:
-            raise ValueError("dataset has no labels")
-        return int(self.labels.max()) + 1
-
     def without_labels(self) -> "Dataset":
-        return Dataset(id=self.id, points=self.points, labels=None, name=self.name)
+        return Dataset(id=self.id, points=self.points, labels=None)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -247,16 +240,17 @@ class WeightedGraph:
 
 @dataclass(frozen=True)
 class MetaRepository:
-    """Ordered (problem, ground-truth partition) pairs plus a master seed."""
+    """Ordered (point dataset, ground-truth partition) pairs plus a master seed."""
 
-    problems: tuple  # tuple of (Dataset | WeightedGraph, Partition)
+    problems: tuple  # tuple of (Dataset, Partition)
     seed: int
 
     def __post_init__(self):
         probs = tuple(self.problems)
         for prob, truth in probs:
-            n = prob.n if isinstance(prob, Dataset) else prob.n_vertices
-            if truth.n_items != n or not truth.is_valid():
+            if not isinstance(prob, Dataset):
+                raise ValueError(f"repository problems must be point datasets, got {type(prob).__name__}")
+            if truth.n_items != prob.n or not truth.is_valid():
                 raise ValueError("ground truth must be a valid partition of its problem")
         object.__setattr__(self, "problems", probs)
 
@@ -323,7 +317,7 @@ def load_dataset_csv(path, has_labels: bool = False, dataset_id: Optional[str] =
                 raise DataError(f"{path}: row {r + 2}: label must be a nonnegative integer, got {cell!r}")
             labels[r] = lab
     try:
-        return Dataset(id=dataset_id or path.stem, points=points, labels=labels, name=path.stem)
+        return Dataset(id=dataset_id or path.stem, points=points, labels=labels)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -368,7 +362,7 @@ def normalize_points(points: np.ndarray) -> np.ndarray:
 
 def normalize_dataset(dataset: Dataset) -> Dataset:
     """The dataset with ``normalize_points`` applied to its points."""
-    return Dataset(id=dataset.id, points=normalize_points(dataset.points), labels=dataset.labels, name=dataset.name)
+    return Dataset(id=dataset.id, points=normalize_points(dataset.points), labels=dataset.labels)
 
 
 def covariance(points: np.ndarray) -> np.ndarray:
@@ -460,7 +454,7 @@ def make_synthetic_repository(spec: SynthSpec) -> MetaRepository:
                 direction /= np.linalg.norm(direction)
                 points[j] = direction * radius
 
-        ds = Dataset(id=f"synth-{i:04d}", points=points, labels=labels, name=f"synth-{i:04d}")
+        ds = Dataset(id=f"synth-{i:04d}", points=points, labels=labels)
         problems.append((ds, labels_to_partition(labels)))
     return MetaRepository(problems=tuple(problems), seed=spec.seed)
 
@@ -514,8 +508,6 @@ def save_repository(repo: MetaRepository, out_dir) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for ds, _truth in repo.problems:
-        if not isinstance(ds, Dataset):
-            raise ValueError("only point datasets can be serialized to CSV")
         fname = f"{ds.id}.csv"
         write_dataset_csv(ds, out_dir / fname)
         entries.append({"id": ds.id, "path": fname, "has_labels": ds.labels is not None})

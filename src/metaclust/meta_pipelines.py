@@ -15,7 +15,7 @@ All stages are deterministic functions of (repository, seed, config).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -238,42 +238,55 @@ class AlgoSelectModel:
     n_failed_rows: int = 0
 
 
+def _member_runs(specs: Sequence[ClustererSpec], dataset: Dataset) -> list:
+    """(partition, meta-feature row) of every member on one problem, in member order.
+
+    A member whose run raises ``ValueError`` gives (None, None), and one whose
+    meta-features raise ``ValueError`` gives (partition, None); any other
+    exception propagates.  The problem's distance matrix is computed once and
+    shared by every member's silhouette.
+    """
+    dist = pairwise_distances(dataset.points)
+    runs = []
+    for spec in specs:
+        try:
+            partition = run_spec(spec, dataset.points)
+        except ValueError:
+            runs.append((None, None))
+            continue
+        try:
+            row = phi_features(dataset, partition, dist)
+        except ValueError:
+            row = None
+        runs.append((partition, row))
+    return runs
+
+
 def train_algo_select(specs: Sequence[ClustererSpec], train: Sequence, seed: int = 0) -> AlgoSelectModel:
     """Fit one ARI-predicting model per family member on the training problems.
 
     A member failure yields a flagged training row with silhouette 0 and
-    target ARI 0 (rows are kept so design matrices stay aligned).
+    target ARI 0 (rows are kept so design matrices stay aligned).  Each
+    member's rows are in problem order.
     """
     if not train:
         raise ValueError("training set must be non-empty")
-    members = []
+    specs = [replace(spec, seed=derive_seed(seed, j)) for j, spec in enumerate(specs)]
+    feats = [[] for _ in specs]
+    targets = [[] for _ in specs]
     n_failed = 0
-    for j, spec in enumerate(specs):
-        spec = ClustererSpec(
-            kind=spec.kind,
-            k=spec.k,
-            normalize_first=spec.normalize_first,
-            restarts=spec.restarts,
-            seed=derive_seed(seed, j),
-        )
-        feats = []
-        targets = []
-        for ds, truth in train:
-            try:
-                partition = run_spec(spec, ds.points)
-                phi = phi_features(ds, partition)
-                ari = adjusted_rand_index(truth.n_items, truth, partition)
-            except ValueError:
+    for ds, truth in train:
+        for j, (partition, row) in enumerate(_member_runs(specs, ds)):
+            if row is None:
                 lo, hi = symmetric_eigen_extrema(covariance(ds.points))
-                phi_vec = np.array([ds.d, ds.n, lo, hi, 0.0])
-                feats.append(phi_vec)
-                targets.append(0.0)
+                row, target = np.array([ds.d, ds.n, lo, hi, 0.0]), 0.0
                 n_failed += 1
-                continue
-            feats.append(phi.as_vector())
-            targets.append(ari)
-        members.append((spec, fit_least_squares(feats, targets)))
-    return AlgoSelectModel(members=tuple(members), n_failed_rows=n_failed)
+            else:
+                target = adjusted_rand_index(truth.n_items, truth, partition)
+            feats[j].append(row)
+            targets[j].append(target)
+    members = tuple((spec, fit_least_squares(f, t)) for spec, f, t in zip(specs, feats, targets))
+    return AlgoSelectModel(members=members, n_failed_rows=n_failed)
 
 
 def select_algorithm(model: AlgoSelectModel, dataset: Dataset) -> tuple:
@@ -284,26 +297,23 @@ def select_algorithm(model: AlgoSelectModel, dataset: Dataset) -> tuple:
     member; failing members are skipped, and an error is raised only if
     every member fails.
     """
+    specs = [spec for spec, _lm in model.members]
     scores = {}
     partitions = {}
-    candidates = []
-    for spec, lm in model.members:
-        try:
-            partition = run_spec(spec, dataset.points)
-        except ValueError:
+    best = None
+    for (spec, lm), (partition, row) in zip(model.members, _member_runs(specs, dataset)):
+        if partition is None:
             continue
         partitions[spec.name] = partition
-        try:
-            phi = phi_features(dataset, partition)
-        except ValueError:
+        if row is None:
             continue
-        a_j = predict(lm, phi.as_vector())
-        scores[spec.name] = a_j
-        candidates.append((a_j, len(candidates), spec.name, partition))
-    if not candidates:
+        score = predict(lm, row)
+        scores[spec.name] = score
+        if best is None or score > best[0]:  # strict: ties keep the earlier member
+            best = (score, spec.name, partition)
+    if best is None:
         raise RuntimeError("every family member failed on this dataset")
-    best = min(candidates, key=lambda c: (-c[0], c[1]))
-    return best[2], best[3], scores, partitions
+    return best[1], best[2], scores, partitions
 
 
 def evaluate_algo_select(model: AlgoSelectModel, test: Sequence) -> tuple:

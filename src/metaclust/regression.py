@@ -9,7 +9,7 @@ the silhouette of the candidate clustering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from metaclust.metrics import silhouette_score
 
 __all__ = [
     "LinearModel",
-    "PhiFeatures",
     "fit_least_squares",
     "predict",
     "phi_features",
@@ -42,26 +41,6 @@ class LinearModel:
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-
-
-@dataclass(frozen=True)
-class PhiFeatures:
-    """Meta-features of (dataset, candidate clustering)."""
-
-    d: int
-    m: int
-    sigma_min: float
-    sigma_max: float
-    sil: float
-
-    def __post_init__(self):
-        if self.sigma_min < -1e-9:
-            raise ValueError(f"covariance must be PSD up to tolerance, got sigma_min={self.sigma_min}")
-        if self.sigma_min > self.sigma_max:
-            raise ValueError("sigma_min exceeds sigma_max")
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.d, self.m, self.sigma_min, self.sigma_max, self.sil], dtype=float)
 
 
 def fit_least_squares(features: Sequence, targets: Sequence[float]) -> LinearModel:
@@ -107,8 +86,17 @@ def symmetric_eigen_extrema(s: np.ndarray) -> tuple:
     return float(eig[0]), float(eig[-1])
 
 
-def phi_features(dataset: Dataset, c: Partition) -> PhiFeatures:
-    """Build the 5-feature vector for (dataset, candidate clustering)."""
+def phi_features(dataset: Dataset, c: Partition, dist: Optional[np.ndarray] = None) -> np.ndarray:
+    """The meta-feature vector [d, m, sigma_min, sigma_max, silhouette] of
+    (dataset, candidate clustering).
+
+    sigma_min and sigma_max are the extreme eigenvalues of the population
+    covariance, which must be PSD up to 1e-9.  ``dist`` is
+    ``pairwise_distances(dataset.points)``, passed on to ``silhouette_score``;
+    callers scoring many clusterings of one dataset compute it once.
+    """
     lo, hi = symmetric_eigen_extrema(covariance(dataset.points))
-    sil = silhouette_score(dataset.points, c)
-    return PhiFeatures(d=dataset.d, m=dataset.n, sigma_min=lo, sigma_max=hi, sil=sil)
+    if lo < -1e-9:
+        raise ValueError(f"covariance must be PSD up to tolerance, got sigma_min={lo}")
+    sil = silhouette_score(dataset.points, c, dist=dist)
+    return np.array([dataset.d, dataset.n, lo, hi, sil], dtype=float)

@@ -51,6 +51,7 @@ PARAM_SHAPES = tuple(zip(LAYER_DIMS[:-1], LAYER_DIMS[1:])) + tuple((fan_out,) fo
 ADADELTA_RHO = 0.9
 ADADELTA_EPS = 1e-6
 MAX_CATEGORY_RETRIES = 20  # draws of the two dataset categories before giving up
+MAX_EXAMPLES = 1000  # datasets with more points take no part in the pair sets
 
 
 @dataclass(frozen=True)
@@ -172,26 +173,22 @@ def _sample_pairs(rng: np.random.Generator, rows: np.ndarray, cap: int) -> tuple
     return rows[all_i[picks]], rows[all_j[picks]]
 
 
-def sample_pair_splits(
-    repo: MetaRepository,
-    seed: int = 0,
-    max_pairs: int = 2500,
-    max_examples: int = 1000,
-) -> SplitTriple:
+def sample_pair_splits(repo: MetaRepository, seed: int = 0, max_pairs: int = 2500) -> SplitTriple:
     """Sample the (meta-train, meta-IT, meta-ET) pair sets from a repository.
 
-    Qualifying labeled datasets are assigned to one of two categories with
-    equal probability.  Category-1 datasets are shuffled and row-halved:
-    the first half feeds meta-train pairs, the following rows feed meta-IT
-    pairs (the halves are disjoint).  Category-2 datasets contribute no
-    training data and feed meta-ET only.  Every set holds each sampled pair
+    A labeled dataset qualifies if it has at most ``MAX_EXAMPLES`` points and
+    ``PAD_DIM`` features.  Qualifying datasets are assigned to one of two
+    categories with equal probability.  Category-1 datasets are shuffled and
+    row-halved: the first half feeds meta-train pairs, the following rows
+    feed meta-IT pairs (the halves are disjoint).  Category-2 datasets
+    contribute no training data and feed meta-ET only.  Every set holds each sampled pair
     once, in one order; ``train_mlp`` derives the reversed order itself.
     A repository that cannot fill all three sets raises ``DataError``.
     """
     qualifying = [
         ds
         for ds, _truth in repo.problems
-        if isinstance(ds, Dataset) and ds.labels is not None and ds.n <= max_examples and ds.d <= PAD_DIM
+        if ds.labels is not None and ds.n <= MAX_EXAMPLES and ds.d <= PAD_DIM
     ]
     if not qualifying:
         raise DataError("no qualifying datasets in the repository")

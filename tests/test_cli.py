@@ -187,6 +187,23 @@ class TestGolden:
         assert rc == EXIT_OK
         assert read_bytes(out / "algo_select.csv") == read_bytes(GOLDEN / "algo_select.csv")
 
+    def test_algo_select_separated(self, tmp_path):
+        # Without outliers the members' ARIs differ (0.70-0.71), so this file
+        # pins which member each selection picks.
+        repo = tmp_path / "separated_repo"
+        rc = main([
+            "synth", "--problems", "12", "--points", "40", "--dims-max", "3", "--separation", "6",
+            "--seed", "5", "--out", str(repo),
+        ])
+        assert rc == EXIT_OK
+        out = tmp_path / "as"
+        rc = main([
+            "run", "algo-select", "--repo", str(repo), "--train-frac", "0.5", "--repeats", "2",
+            "--seed", "3", "--out", str(out),
+        ])
+        assert rc == EXIT_OK
+        assert read_bytes(out / "algo_select.csv") == read_bytes(GOLDEN / "algo_select_separated.csv")
+
     def test_fit_threshold(self, golden_repo, tmp_path):
         out = tmp_path / "ft"
         rc = main(["run", "fit-threshold", "--repo", str(golden_repo), "--seed", "3", "--out", str(out)])
@@ -342,7 +359,6 @@ class TestErrorContracts:
             ("outliers", "--restarts", "-3"),
             ("meta-scale", "--repeats", "0"),
             ("bsf", "--repeats", "-2"),
-            ("bsf", "--max-pairs", "0"),
             ("bsf", "--epochs", "0"),
             ("bsf", "--batch", "0"),
         ],
@@ -373,10 +389,11 @@ class TestErrorContracts:
         assert rc == EXIT_IO
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
-    def test_bsf_max_pairs_one_rejected(self, repo_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("value", ["0", "1"])
+    def test_bsf_max_pairs_one_rejected(self, repo_dir, tmp_path, capsys, value):
         out = tmp_path / "x"
-        rc = main(["run", "bsf", "--repo", str(repo_dir), "--max-pairs", "1", "--out", str(out)])
+        rc = main(["run", "bsf", "--repo", str(repo_dir), "--max-pairs", value, "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == EXIT_CONFIG
-        assert err.startswith("error: --max-pairs must be at least 2") and err.count("\n") == 1
+        assert err == f"error: --max-pairs must be at least 2, got {value}\n"
         assert not out.exists()

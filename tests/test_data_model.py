@@ -47,7 +47,7 @@ class TestDeriveSeed:
 class TestDataset:
     def test_basic_shape(self):
         ds = Dataset(id="a", points=np.zeros((3, 2)), labels=np.array([0, 1, 0]))
-        assert ds.n == 3 and ds.d == 2 and ds.n_classes == 2
+        assert ds.n == 3 and ds.d == 2
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
@@ -438,3 +438,8 @@ class TestMetaRepository:
         ds = Dataset(id="a", points=np.zeros((3, 1)))
         with pytest.raises(ValueError):
             MetaRepository(problems=((ds, Partition(3, ((0, 1, 2),))),), seed=0)
+
+    def test_rejects_problem_that_is_not_a_point_dataset(self):
+        graph = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 2.0)))
+        with pytest.raises(ValueError, match="point datasets"):
+            MetaRepository(problems=((graph, labels_to_partition([0, 0, 1])),), seed=0)

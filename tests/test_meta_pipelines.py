@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from metaclust import meta_pipelines
-from metaclust.clusterers import ClustererSpec, kmeans
+from metaclust.clusterers import ClustererSpec, kmeans, run_spec
 from metaclust.data_model import (
     Dataset,
     Partition,
     SplitSpec,
     SynthSpec,
+    covariance,
     derive_seed,
     labels_to_partition,
     make_synthetic_repository,
@@ -31,7 +32,7 @@ from metaclust.meta_pipelines import (
     train_meta_k,
 )
 from metaclust.metrics import adjusted_rand_index
-from metaclust.regression import LinearModel, fit_least_squares, predict
+from metaclust.regression import LinearModel, fit_least_squares, phi_features, predict, symmetric_eigen_extrema
 
 
 # Record-based oracles: the per-run objects and Python-loop selection rules
@@ -80,6 +81,45 @@ def oracle_train_meta_k(per_problem_records, k_range):
                 by_k[rec.k][0].append([rec.silhouette])
                 by_k[rec.k][1].append(rec.ari)
     return MetaKModel(models=tuple((k, fit_least_squares(*by_k[k])) for k in k_range))
+
+
+def train_algo_select_oracle(specs, train, seed):
+    """The member-by-member training loop: each member over all problems in turn."""
+    members, n_failed = [], 0
+    for j, spec in enumerate(specs):
+        spec = ClustererSpec(spec.kind, spec.k, spec.normalize_first, spec.restarts, derive_seed(seed, j))
+        feats, targets = [], []
+        for ds, truth in train:
+            try:
+                partition = run_spec(spec, ds.points)
+                feats.append(phi_features(ds, partition))
+                targets.append(adjusted_rand_index(truth.n_items, truth, partition))
+            except ValueError:
+                lo, hi = symmetric_eigen_extrema(covariance(ds.points))
+                feats.append(np.array([ds.d, ds.n, lo, hi, 0.0]))
+                targets.append(0.0)
+                n_failed += 1
+        members.append((spec, fit_least_squares(feats, targets)))
+    return members, n_failed
+
+
+def select_algorithm_oracle(model, dataset):
+    """The candidate-list selection loop, with features computed without a shared matrix."""
+    scores, partitions, candidates = {}, {}, []
+    for spec, lm in model.members:
+        try:
+            partition = run_spec(spec, dataset.points)
+        except ValueError:
+            continue
+        partitions[spec.name] = partition
+        try:
+            a_j = predict(lm, phi_features(dataset, partition))
+        except ValueError:
+            continue
+        scores[spec.name] = a_j
+        candidates.append((a_j, len(candidates), spec.name, partition))
+    best = min(candidates, key=lambda c: (-c[0], c[1]))
+    return best[2], best[3], scores, partitions
 
 
 def cell_of(grid, cell):
@@ -172,6 +212,21 @@ class TestGenerateRuns:
         plain = generate_runs(ds, truth, range(2, 5), 2, seed=8)
         zero = generate_runs(ds, truth, range(2, 5), 2, seed=8, theta=0.0)
         assert np.array_equal(plain.silhouette, zero.silhouette) and np.array_equal(plain.ari, zero.ari)
+
+    def test_raw_norm_prunes_furthest_from_origin(self):
+        # The mean is 99.2: 103 is furthest from the origin, 90 from the mean.
+        points = np.array([[100.0], [101.0], [102.0], [103.0], [90.0]])
+        out_raw, in_raw = meta_pipelines._prune_indices(points, 0.2, use_raw_norm=True)
+        out_mean, in_mean = meta_pipelines._prune_indices(points, 0.2, use_raw_norm=False)
+        assert out_raw.tolist() == [3] and in_raw.tolist() == [0, 1, 2, 4]
+        assert out_mean.tolist() == [4] and in_mean.tolist() == [0, 1, 2, 3]
+
+    def test_raw_norm_changes_the_grid_when_the_mean_is_far_from_the_origin(self):
+        ds, truth = small_repo(1).problems[0]
+        far = Dataset(id="far", points=ds.points + 100.0, labels=ds.labels)
+        raw = generate_runs(far, truth, range(2, 5), 3, seed=4, theta=0.1, use_raw_norm=True)
+        centered = generate_runs(far, truth, range(2, 5), 3, seed=4, theta=0.1)
+        assert not np.array_equal(raw.silhouette, centered.silhouette)
 
     def test_too_small_k_range_rejected(self):
         ds = Dataset(id="t", points=np.arange(6.0).reshape(-1, 1))
@@ -394,11 +449,11 @@ class TestAlgoSelect:
         real = meta_pipelines.phi_features
         calls = []
 
-        def second_fails(dataset, partition):
+        def second_fails(dataset, partition, dist=None):
             calls.append(partition)
             if len(calls) == 2:
                 raise ValueError("no features for this partition")
-            return real(dataset, partition)
+            return real(dataset, partition, dist)
 
         monkeypatch.setattr(meta_pipelines, "phi_features", second_fails)
         name, _, scores, partitions = select_algorithm(model, repo.problems[0][0].without_labels())
@@ -436,6 +491,74 @@ class TestAlgoSelect:
                     pass
             assert per_member[spec.name] == total / len(test)
         assert per_member["agglo_ward"] == 0.0
+
+    FAMILY = [
+        ClustererSpec(kind="kmeans", k=2, restarts=2),
+        ClustererSpec(kind="agglo_single", k=3, normalize_first=True),
+        ClustererSpec(kind="agglo_ward", k=50),  # fails: k > n
+        ClustererSpec(kind="agglo_average", k=2),
+    ]
+
+    def test_training_matches_member_by_member_oracle(self):
+        repo = small_repo(5)
+        model = train_algo_select(self.FAMILY, repo.problems, seed=4)
+        oracle, n_failed = train_algo_select_oracle(self.FAMILY, repo.problems, seed=4)
+        assert model.n_failed_rows == n_failed == len(repo.problems)
+        for (spec, lm), (spec_o, lm_o) in zip(model.members, oracle, strict=True):
+            assert spec == spec_o
+            assert np.array_equal(lm.weights, lm_o.weights) and lm.intercept == lm_o.intercept
+
+    def test_one_distance_matrix_per_problem(self, monkeypatch):
+        repo = small_repo(4)
+        runs, dists, phi_dists = [], [], []
+        real_run, real_dist, real_phi = meta_pipelines.run_spec, meta_pipelines.pairwise_distances, meta_pipelines.phi_features
+
+        def counted_run(spec, points):
+            runs.append(spec.name)
+            return real_run(spec, points)
+
+        def counted_dist(points):
+            dists.append(points)
+            return real_dist(points)
+
+        def recorded_phi(dataset, partition, dist=None):
+            phi_dists.append(dist)
+            return real_phi(dataset, partition, dist)
+
+        monkeypatch.setattr(meta_pipelines, "run_spec", counted_run)
+        monkeypatch.setattr(meta_pipelines, "pairwise_distances", counted_dist)
+        monkeypatch.setattr(meta_pipelines, "phi_features", recorded_phi)
+        model = train_algo_select(self.FAMILY, repo.problems, seed=1)
+        assert len(runs) == len(self.FAMILY) * len(repo.problems)
+        assert len(dists) == len(repo.problems)
+        assert all(p is ds.points for p, (ds, _truth) in zip(dists, repo.problems))
+        # Three members run and get features on each problem, all from its one matrix.
+        assert len(phi_dists) == 3 * len(repo.problems)
+        assert len({id(d) for d in phi_dists[:3]}) == 1 and phi_dists[0] is not phi_dists[3]
+
+        for calls in (runs, dists, phi_dists):
+            calls.clear()
+        select_algorithm(model, repo.problems[0][0].without_labels())
+        assert len(runs) == len(self.FAMILY) and len(dists) == 1
+        assert len(phi_dists) == 3 and all(d is phi_dists[0] for d in phi_dists)
+
+    def test_selection_matches_member_by_member_oracle(self):
+        repo = small_repo(6)
+        model = train_algo_select(self.FAMILY, repo.problems[:3], seed=2)
+        for ds, _truth in repo.problems[3:]:
+            ds = ds.without_labels()
+            name, partition, scores, partitions = select_algorithm(model, ds)
+            assert (name, partition, scores, partitions) == select_algorithm_oracle(model, ds)
+
+    def test_prediction_ties_go_to_the_earliest_member(self):
+        repo = small_repo(3)
+        tied = LinearModel(weights=np.zeros(5), intercept=0.5)
+        specs = [ClustererSpec(kind="agglo_ward", k=50), ClustererSpec(kind="agglo_average", k=2),
+                 ClustererSpec(kind="kmeans", k=2, restarts=2)]
+        model = meta_pipelines.AlgoSelectModel(members=tuple((spec, tied) for spec in specs))
+        name, partition, scores, partitions = select_algorithm(model, repo.problems[0][0])
+        assert name == "agglo_average" and partition == partitions["agglo_average"]
+        assert scores == {"agglo_average": 0.5, "kmeans": 0.5}
 
     def test_unexpected_member_error_propagates(self, monkeypatch):
         repo = small_repo(3)

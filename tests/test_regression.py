@@ -1,12 +1,13 @@
-"""Least squares, the Jacobi eigensolver and the meta-feature vector."""
+"""Least squares, the eigenvalue extrema and the meta-feature vector."""
 
 import numpy as np
 import pytest
 
+from metaclust import regression
 from metaclust.data_model import Dataset, Partition, labels_to_partition
+from metaclust.metrics import pairwise_distances, silhouette_score
 from metaclust.regression import (
     LinearModel,
-    PhiFeatures,
     fit_least_squares,
     phi_features,
     predict,
@@ -116,6 +117,9 @@ class TestEigenExtrema:
             symmetric_eigen_extrema(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+D, M, SIGMA_MIN, SIGMA_MAX, SIL = range(5)  # the meta-feature vector's layout
+
+
 class TestPhiFeatures:
     def test_diagonal_covariance(self):
         rng = np.random.default_rng(5)
@@ -128,9 +132,9 @@ class TestPhiFeatures:
         ds = Dataset(id="p", points=pts)
         c = Partition(n, (tuple(range(n // 2)), tuple(range(n // 2, n))))
         phi = phi_features(ds, c)
-        assert phi.sigma_min == pytest.approx(1.0, rel=1e-9)
-        assert phi.sigma_max == pytest.approx(4.0, rel=1e-9)
-        assert phi.d == 2 and phi.m == n
+        assert phi[SIGMA_MIN] == pytest.approx(1.0, rel=1e-9)
+        assert phi[SIGMA_MAX] == pytest.approx(4.0, rel=1e-9)
+        assert phi[D] == 2 and phi[M] == n
 
     def test_shape_fields(self):
         rng = np.random.default_rng(6)
@@ -138,7 +142,7 @@ class TestPhiFeatures:
         ds = Dataset(id="s", points=pts)
         c = labels_to_partition([0, 1] * 8 + [0])
         phi = phi_features(ds, c)
-        assert phi.d == 3 and phi.m == 17
+        assert phi[D] == 3 and phi[M] == 17
 
     def test_row_permutation_moves_only_sil_parts(self):
         rng = np.random.default_rng(7)
@@ -149,14 +153,37 @@ class TestPhiFeatures:
         b = phi_features(
             Dataset(id="b", points=pts[perm]), labels_to_partition(labels[perm])
         )
-        assert a.sigma_min == pytest.approx(b.sigma_min, abs=1e-12)
-        assert a.sigma_max == pytest.approx(b.sigma_max, abs=1e-12)
-        assert a.sil == pytest.approx(b.sil, abs=1e-12)
+        assert a[SIGMA_MIN] == pytest.approx(b[SIGMA_MIN], abs=1e-12)
+        assert a[SIGMA_MAX] == pytest.approx(b[SIGMA_MAX], abs=1e-12)
+        assert a[SIL] == pytest.approx(b[SIL], abs=1e-12)
 
     def test_vector_layout(self):
-        phi = PhiFeatures(d=2, m=10, sigma_min=0.5, sigma_max=2.0, sil=0.3)
-        assert list(phi.as_vector()) == [2.0, 10.0, 0.5, 2.0, 0.3]
+        rng = np.random.default_rng(8)
+        pts = rng.standard_normal((10, 2)) * [1.0, 3.0]
+        ds = Dataset(id="v", points=pts)
+        c = labels_to_partition([0, 1] * 5)
+        lo, hi = symmetric_eigen_extrema(np.cov(pts, rowvar=False, bias=True))
+        phi = phi_features(ds, c)
+        assert phi.shape == (5,) and phi.dtype == float
+        assert phi[D] == 2.0 and phi[M] == 10.0
+        assert phi[SIGMA_MIN] == pytest.approx(lo, rel=1e-12) and phi[SIGMA_MAX] == pytest.approx(hi, rel=1e-12)
+        assert phi[SIL] == silhouette_score(pts, c)
 
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            PhiFeatures(d=1, m=2, sigma_min=-0.5, sigma_max=1.0, sil=0.0)
+    def test_negative_sigma_rejected(self, monkeypatch):
+        monkeypatch.setattr(regression, "symmetric_eigen_extrema", lambda s: (-0.5, 1.0))
+        ds = Dataset(id="n", points=np.arange(8.0).reshape(4, 2))
+        with pytest.raises(ValueError, match="PSD"):
+            phi_features(ds, labels_to_partition([0, 0, 1, 1]))
+
+    def test_tiny_negative_sigma_tolerated(self, monkeypatch):
+        monkeypatch.setattr(regression, "symmetric_eigen_extrema", lambda s: (-1e-10, 1.0))
+        ds = Dataset(id="t", points=np.arange(8.0).reshape(4, 2))
+        assert phi_features(ds, labels_to_partition([0, 0, 1, 1]))[SIGMA_MIN] == -1e-10
+
+    def test_precomputed_distances_give_the_same_vector(self):
+        rng = np.random.default_rng(9)
+        for n, d in ((5, 1), (23, 2), (40, 4)):
+            pts = np.round(rng.standard_normal((n, d)), 1)  # coincident points too
+            ds = Dataset(id="x", points=pts)
+            c = labels_to_partition(rng.integers(0, 3, n) if n > 5 else [0, 1, 1, 2, 2])
+            assert np.array_equal(phi_features(ds, c, dist=pairwise_distances(ds.points)), phi_features(ds, c))

@@ -7,10 +7,13 @@ import pytest
 
 from metaclust import similarity_net
 from metaclust.data_model import (
+    DataError,
     Dataset,
+    MetaRepository,
     SynthSpec,
     covariance,
     derive_seed,
+    labels_to_partition,
     make_synthetic_repository,
     normalize_dataset,
 )
@@ -224,9 +227,22 @@ class TestSplits:
         assert not (set(split.meta_train.dataset_ids) & set(split.meta_et.dataset_ids))
 
     def test_oversize_datasets_excluded(self):
-        # every problem has 60 points, so a 10-example cap disqualifies all
-        with pytest.raises(ValueError):
-            sample_pair_splits(self.repo(), seed=1, max_pairs=50, max_examples=10)
+        # Datasets of more than MAX_EXAMPLES = 1000 points take no part.
+        def problem(i, n):
+            rng = np.random.default_rng(i)
+            labels = np.arange(n) % 2
+            ds = Dataset(id=f"p{i}", points=rng.standard_normal((n, 2)) + 8.0 * labels[:, None], labels=labels)
+            return ds, labels_to_partition(labels)
+
+        assert similarity_net.MAX_EXAMPLES == 1000
+        oversize = MetaRepository(problems=tuple(problem(i, 1001) for i in range(3)), seed=0)
+        with pytest.raises(DataError, match="no qualifying datasets"):
+            sample_pair_splits(oversize, seed=1, max_pairs=50)
+        mixed = MetaRepository(problems=tuple(problem(i, 1000 + i % 2) for i in range(6)), seed=0)
+        for seed in range(3):
+            split = sample_pair_splits(mixed, seed=seed, max_pairs=50)
+            used = {*split.meta_train.dataset_ids, *split.meta_it.dataset_ids, *split.meta_et.dataset_ids}
+            assert used <= {"p0", "p2", "p4"}
 
     def test_deterministic(self):
         a = sample_pair_splits(self.repo(), seed=5, max_pairs=40)
