@@ -65,33 +65,30 @@ class ClusterResult:
     inertia: float
 
 
-def _sq_dist_to_centers(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # (n, k) squared Euclidean distances; clipped against tiny negatives.
-    d2 = (
-        (points**2).sum(axis=1)[:, None]
-        - 2.0 * points @ centers.T
-        + (centers**2).sum(axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+def _as_points(points) -> np.ndarray:
+    """``points`` as a float (n, d) array; ValueError unless 2-D and finite."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise ValueError(f"points must be an (n, d) array, got shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite (no NaN/Inf)")
+    return points
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = points[first]
+    centers[0] = points[int(rng.integers(n))]
     d2 = ((points - centers[0]) ** 2).sum(axis=1)
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
-            target = rng.random() * total
-            idx = int(np.searchsorted(np.cumsum(d2), target, side="right"))
-            idx = min(idx, n - 1)
+            idx = min(int(d2.cumsum().searchsorted(rng.random() * total, side="right")), n - 1)
         else:
             # All candidate distances are zero (duplicate points): uniform pick.
             idx = int(rng.integers(n))
         centers[j] = points[idx]
-        d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
+        np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1), out=d2)
     return centers
 
 
@@ -113,15 +110,31 @@ def _fix_empty_clusters(points: np.ndarray, centers: np.ndarray, labels: np.ndar
 
 
 def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator) -> tuple:
+    d = points.shape[1]
     centers = _kmeans_pp_init(points, k, rng)
+    # The run's constant terms of the squared distances |p|^2 - 2p.c + |c|^2.
+    p2 = (points**2).sum(axis=1)[:, None]
+    two_p = 2.0 * points
     labels = None
     for _ in range(MAX_LLOYD_ITERATIONS):
-        new_labels = np.argmin(_sq_dist_to_centers(points, centers), axis=1)
-        new_labels = _fix_empty_clusters(points, centers, new_labels, k)
+        d2 = p2 - two_p @ centers.T + (centers**2).sum(axis=1)
+        new_labels = np.argmin(np.maximum(d2, 0.0, out=d2), axis=1)  # clip tiny negatives
+        counts = np.bincount(new_labels, minlength=k)
+        if not counts.all():
+            new_labels = _fix_empty_clusters(points, centers, new_labels, k)
+            counts = np.bincount(new_labels, minlength=k)
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        centers = np.stack([points[labels == j].mean(axis=0) for j in range(k)])
+        if d == 1:
+            # mean() sums a contiguous column pairwise; a scatter-add would
+            # sum it sequentially and round differently.
+            centers = np.stack([points[labels == j].mean(axis=0) for j in range(k)])
+        else:
+            # The same sequential row sums as each part's mean(axis=0).
+            sums = np.zeros((k, d))
+            np.add.at(sums, labels, points)
+            centers = sums / counts[:, None]
     inertia = float(((points - centers[labels]) ** 2).sum())
     return labels, centers, inertia
 
@@ -131,9 +144,10 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 1, seed: int = 0) -> Clus
 
     Each restart draws its own sub-seed; the winner is the minimum-inertia run
     with the lowest restart index.  All k parts are non-empty (empty clusters
-    are reseeded to the point furthest from its center).
+    are reseeded to the point furthest from its center).  ``points`` must be
+    a finite (n, d) array.
     """
-    points = np.asarray(points, dtype=float)
+    points = _as_points(points)
     n = points.shape[0]
     if k > n:
         raise ValueError(f"k={k} exceeds n={n}")
@@ -176,7 +190,7 @@ def agglomerative(points: np.ndarray, k: int, linkage: str = "single") -> Partit
     """
     if linkage not in LINKAGES:
         raise ValueError(f"unknown linkage {linkage!r}")
-    points = np.asarray(points, dtype=float)
+    points = _as_points(points)
     n = points.shape[0]
     if not (2 <= k <= n):
         raise ValueError(f"k={k} out of range for n={n}")
@@ -241,8 +255,8 @@ def single_linkage_threshold(graph: WeightedGraph, r: float, strict: bool = Fals
 
 
 def run_spec(spec: ClustererSpec, points: np.ndarray) -> Partition:
-    """Run the configured algorithm on a point matrix."""
-    points = np.asarray(points, dtype=float)
+    """Run the configured algorithm on a finite (n, d) point matrix."""
+    points = _as_points(points)
     work = normalize_points(points) if spec.normalize_first else points
     if spec.kind == "kmeans":
         return kmeans(work, spec.k, restarts=spec.restarts, seed=spec.seed).partition

@@ -129,22 +129,24 @@ def silhouette_score(points: np.ndarray, c: Partition, dist: Optional[np.ndarray
         dist = pairwise_distances(points)
 
     labels = c.labels
-    k = c.n_parts
     sizes = c.sizes
-    # Summed distance from each point to each cluster (own cluster includes self at 0).
-    cluster_sum = np.zeros((n, k))
-    for j in range(k):
-        cluster_sum[:, j] = dist[:, labels == j].sum(axis=1)
+    # Summed distance from each point to each cluster (own cluster includes
+    # self at 0).  The columns are gathered once in stable part order, so
+    # each part's slice holds the entries of dist[:, labels == j] in the same
+    # order and sums to the same bits.
+    grouped = dist[:, np.argsort(labels, kind="stable")]
+    ends = np.cumsum(sizes).tolist()
+    cluster_sum = np.empty((n, c.n_parts))
+    for j, (lo, hi) in enumerate(zip([0] + ends, ends)):
+        cluster_sum[:, j] = grouped[:, lo:hi].sum(axis=1)
 
     rows = np.arange(n)
     own_size = sizes[labels]
-    alone = own_size == 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = cluster_sum[rows, labels] / (own_size - 1)
-        other = cluster_sum / sizes
-        other[rows, labels] = np.inf
-        b = other.min(axis=1)
-        denom = np.maximum(a, b)
-        s = np.where(alone | ~(denom > 0), 0.0, (b - a) / denom)
+    a = cluster_sum[rows, labels] / np.maximum(own_size - 1, 1)
+    other = cluster_sum / sizes
+    other[rows, labels] = np.inf
+    b = other.min(axis=1)
+    denom = np.maximum(a, b)
+    s = np.divide(b - a, denom, out=np.zeros(n), where=(own_size > 1) & (denom > 0))
     # cumsum adds in point order; s.sum() would add pairwise and round differently.
     return float(np.cumsum(s)[-1]) / n

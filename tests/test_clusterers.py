@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from metaclust import clusterers
 from metaclust.clusterers import (
     _LW_COEFFS,
     ClustererSpec,
@@ -16,6 +17,7 @@ from metaclust.data_model import (
     Partition,
     WeightedGraph,
     dataset_to_distance_graph,
+    derive_seed,
     labels_to_partition,
     normalize_points,
 )
@@ -34,6 +36,86 @@ def two_blobs(rng, n_per=20, dist=10.0, d=2, sigma=1.0):
 def part_means(points, partition):
     """Each part's mean, row by row in part order."""
     return np.stack([points[partition.labels == j].mean(axis=0) for j in range(partition.n_parts)])
+
+
+def kmeans_pp_init_oracle(points, k, rng):
+    """The k-means++ init that ``kmeans`` replaced: the exact reference for
+    the initial centers and for the order of the random draws."""
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    first = int(rng.integers(n))
+    centers[0] = points[first]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            target = rng.random() * total
+            idx = int(np.searchsorted(np.cumsum(d2), target, side="right"))
+            idx = min(idx, n - 1)
+        else:
+            idx = int(rng.integers(n))
+        centers[j] = points[idx]
+        d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
+    return centers
+
+
+def lloyd_oracle(points, k, rng):
+    """The per-part Lloyd loop that ``kmeans`` replaced, with its
+    empty-cluster reseed: the exact reference for labels, centers and
+    inertia of one run.
+    """
+    centers = kmeans_pp_init_oracle(points, k, rng)
+
+    def fix_empty_clusters(labels):
+        counts = np.bincount(labels, minlength=k)
+        for j in range(k):
+            if counts[j] > 0:
+                continue
+            dist = ((points - centers[labels]) ** 2).sum(axis=1)
+            dist = np.where(counts[labels] > 1, dist, -np.inf)
+            p = int(np.argmax(dist))
+            counts[labels[p]] -= 1
+            labels[p] = j
+            counts[j] = 1
+        return labels
+
+    labels = None
+    for _ in range(clusterers.MAX_LLOYD_ITERATIONS):
+        sq = (points**2).sum(axis=1)[:, None] - 2.0 * points @ centers.T + (centers**2).sum(axis=1)[None, :]
+        new_labels = fix_empty_clusters(np.argmin(np.maximum(sq, 0.0), axis=1))
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        centers = np.stack([points[labels == j].mean(axis=0) for j in range(k)])
+    inertia = float(((points - centers[labels]) ** 2).sum())
+    return labels, centers, inertia
+
+
+def kmeans_oracle(points, k, restarts, seed):
+    """``kmeans`` over ``lloyd_oracle`` runs: the first run of least inertia."""
+    best = None
+    for r in range(restarts):
+        run = lloyd_oracle(points, k, np.random.default_rng(derive_seed(seed, r)))
+        if best is None or run[2] < best[2]:
+            best = run
+    return best
+
+
+def oracle_cases(rng):
+    """(points, k) over d = 1..5 and n = 2..150: rounded coordinates (ties),
+    duplicate points, and fewer distinct points than k (all-zero k-means++
+    draws and empty clusters)."""
+    for trial, n in enumerate(list(range(2, 41)) + [47, 64, 90, 128, 150] * 3):
+        d = trial % 5 + 1
+        pts = rng.standard_normal((n, d)) * rng.uniform(0.1, 5.0)
+        if trial % 3 == 0:
+            pts = np.round(pts)
+        if trial % 4 == 1:
+            pts[rng.integers(0, n, size=n // 2)] = pts[-1]
+        if trial % 7 == 2:
+            pts = pts[rng.integers(0, min(n, 3), size=n)]
+        for k in sorted({2, int(rng.integers(2, min(n, 10) + 1)), min(n, 10)}):
+            yield pts, k
 
 
 def naive_linkage(points, k, linkage):
@@ -169,6 +251,18 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans(np.zeros((3, 1)), 4, restarts=1, seed=0)
 
+    @pytest.mark.parametrize("points", [np.zeros(5), np.zeros((2, 3, 1))], ids=["1-d", "3-d"])
+    def test_points_that_are_not_a_matrix_rejected(self, points):
+        with pytest.raises(ValueError, match="array"):
+            kmeans(points, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, bad):
+        pts = np.arange(10.0).reshape(5, 2)
+        pts[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            kmeans(pts, 2)
+
     def test_fixed_point_assignment(self):
         rng = np.random.default_rng(2)
         pts = rng.standard_normal((50, 3))
@@ -195,6 +289,49 @@ class TestKmeans:
             k = int(rng.integers(2, min(n, 6) + 1))
             res = kmeans(pts, k, restarts=int(rng.integers(1, 4)), seed=trial)
             assert np.array_equal(res.centers, part_means(pts, res.partition)), trial
+
+    def test_matches_lloyd_oracle_exactly(self):
+        rng = np.random.default_rng(21)
+        for case, (pts, k) in enumerate(oracle_cases(rng)):
+            # generate_runs' seeds for (k, run), and a few multi-restart runs
+            for run, restarts in ((0, 1), (1, 1), (case, 1 + case % 3)):
+                seed = derive_seed(7, k, run)
+                res = kmeans(pts, k, restarts=restarts, seed=seed)
+                labels, centers, inertia = kmeans_oracle(pts, k, restarts, seed)
+                where = (pts.shape, k, run, restarts)
+                assert np.array_equal(res.partition.labels, labels), where
+                assert res.centers.tobytes() == centers.tobytes(), where
+                assert res.inertia == inertia, where
+
+    def test_kmeans_pp_init_matches_oracle_draw_for_draw(self):
+        # Once every distance is 0 the init's picks all coincide, so an extra
+        # or reordered draw leaves the centers alone; the generator state
+        # after the init shows it.
+        rng = np.random.default_rng(22)
+        for case, (pts, k) in enumerate(oracle_cases(rng)):
+            ours, ref = np.random.default_rng(case), np.random.default_rng(case)
+            centers = clusterers._kmeans_pp_init(pts, k, ours)
+            assert centers.tobytes() == kmeans_pp_init_oracle(pts, k, ref).tobytes(), (pts.shape, k)
+            assert ours.bit_generator.state == ref.bit_generator.state, (pts.shape, k)
+
+    def test_empty_cluster_reseed_runs(self, monkeypatch):
+        reseeds = []
+        reseed = clusterers._fix_empty_clusters
+
+        def counting(points, centers, labels, k):
+            reseeds.append(k - np.count_nonzero(np.bincount(labels, minlength=k)))
+            return reseed(points, centers, labels, k)
+
+        monkeypatch.setattr(clusterers, "_fix_empty_clusters", counting)
+        pts = np.repeat([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], 4, axis=0)
+        for seed in range(10):
+            res = kmeans(pts, 5, restarts=1, seed=seed)
+            labels, centers, inertia = kmeans_oracle(pts, 5, 1, seed)
+            assert np.array_equal(res.partition.labels, labels)
+            assert res.centers.tobytes() == centers.tobytes()
+            assert res.inertia == inertia
+            assert res.partition.n_parts == 5
+        assert len(reseeds) > 0 and min(reseeds) >= 1
 
     def test_more_restarts_never_worse(self):
         rng = np.random.default_rng(4)
@@ -248,6 +385,18 @@ class TestAgglomerative:
         assert agglomerative(pts, 5, "single").parts == ((0, 1), (2,), (3,), (4,), (5,))
         assert agglomerative(pts, 4, "single").parts == ((0, 1, 2), (3,), (4,), (5,))
         assert agglomerative(pts, 4, "complete").parts == ((0, 1), (2, 3), (4,), (5,))
+
+    @pytest.mark.parametrize("points", [np.zeros(5), np.zeros((2, 3, 1))], ids=["1-d", "3-d"])
+    def test_points_that_are_not_a_matrix_rejected(self, points):
+        with pytest.raises(ValueError, match="array"):
+            agglomerative(points, 2, "single")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_point_rejected(self, bad):
+        pts = np.arange(10.0).reshape(5, 2)
+        pts[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            agglomerative(pts, 2, "average")
 
     def test_bad_linkage_rejected(self):
         with pytest.raises(ValueError):
@@ -393,6 +542,17 @@ class TestRunSpec:
         norm = run_spec(ClustererSpec(kind="agglo_ward", k=2, normalize_first=True), pts)
         assert raw.is_valid() and norm.is_valid()
         assert raw != norm
+
+    @pytest.mark.parametrize("kind", ["kmeans", "agglo_ward"])
+    @pytest.mark.parametrize("normalize_first", [False, True])
+    def test_bad_points_rejected_before_normalizing(self, kind, normalize_first):
+        spec = ClustererSpec(kind=kind, k=2, normalize_first=normalize_first)
+        with pytest.raises(ValueError, match="array"):
+            run_spec(spec, np.arange(6.0))
+        pts = np.arange(12.0).reshape(6, 2)
+        pts[0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            run_spec(spec, pts)
 
     def test_normalize_first_clusters_normalized_points(self):
         rng = np.random.default_rng(16)

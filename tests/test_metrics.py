@@ -256,12 +256,24 @@ def silhouette_cases(draw):
     return points, labels_to_partition(dense)
 
 
+def large_silhouette_case():
+    """150 rounded points with duplicates, in 7 parts of which 2 are singletons."""
+    rng = np.random.default_rng(0)
+    points = np.round(rng.standard_normal((150, 3)) * 3)
+    points[rng.integers(0, 150, size=40)] = points[7]
+    labels = rng.integers(0, 5, size=150)
+    labels[[11, 97]] = [5, 6]
+    return points, labels_to_partition(labels)
+
+
 @settings(max_examples=300, deadline=None)
 @given(silhouette_cases())
 @example((np.array([[0.0], [1.0], [10.0], [11.0]]), Partition(4, ((0, 1), (2, 3)))))
 @example((np.array([[0.0], [5.0], [9.0]]), Partition(3, ((0,), (1,), (2,)))))  # all singletons
 @example((np.zeros((4, 2)), Partition(4, ((0, 1), (2, 3)))))  # 0/0
 @example((np.array([[0.0], [0.0], [3.0], [7.0]]), Partition(4, ((0, 1, 2), (3,)))))
+@example((np.array([[0.0, 0], [0, 0], [0, 0], [1, 1], [1, 1], [5, 5]]), Partition(6, ((0, 3), (1,), (2, 4), (5,)))))  # singletons; coincident points across parts
+@example(large_silhouette_case())
 def test_silhouette_matches_scalar_oracle_exactly(case):
     points, c = case
     expected = silhouette_oracle(points, c)
