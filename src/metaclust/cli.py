@@ -88,14 +88,17 @@ def _write_result(args, name: str, header, rows, summary=None) -> None:
     print(summary or f"wrote {out / name} ({len(rows)} rows)")
 
 
-def _parse_fractions(text: str) -> list:
+def _parse_fractions(text: str, flag: str, zero_ok: bool = False) -> list:
+    """A comma list of distinct floats in (0, 1), or in [0, 1) if ``zero_ok``."""
     try:
-        fracs = [float(tok) for tok in text.split(",") if tok]
+        values = [float(tok) for tok in text.split(",") if tok]
     except ValueError:
-        raise ConfigError(f"bad --train-frac list: {text!r}")
-    if not fracs or any(not (0.0 < f < 1.0) for f in fracs):
-        raise ConfigError("--train-frac values must lie in (0, 1)")
-    return fracs
+        raise ConfigError(f"bad {flag} list: {text!r}")
+    if not values or any(not (0.0 < v < 1.0 or (zero_ok and v == 0.0)) for v in values):
+        raise ConfigError(f"{flag} values must lie in {'[' if zero_ok else '('}0, 1)")
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{flag} repeats a value: {text!r}")
+    return values
 
 
 def _splits(args):
@@ -103,18 +106,8 @@ def _splits(args):
 
     The fractions are parsed here, so a bad list fails before any work.
     """
-    fracs = _parse_fractions(args.train_frac)
+    fracs = _parse_fractions(args.train_frac, "--train-frac")
     return ((frac, repeat, SplitSpec(frac, repeat, args.seed)) for frac in fracs for repeat in range(args.repeats))
-
-
-def _parse_p_grid(text: str) -> list:
-    try:
-        grid = [float(tok) for tok in text.split(",") if tok]
-    except ValueError:
-        raise ConfigError(f"bad --p-grid list: {text!r}")
-    if not grid or any(not (0.0 <= p < 1.0) for p in grid):
-        raise ConfigError("--p-grid values must lie in [0, 1)")
-    return grid
 
 
 # The smallest usable value of each count flag; a training pair needs two rows.
@@ -203,7 +196,7 @@ def cmd_run_algo_select(args) -> int:
 def cmd_run_outliers(args) -> int:
     repo = _load_repo(args)
     k_range = _k_range(args)
-    p_grid = _parse_p_grid(args.p_grid)
+    p_grid = _parse_fractions(args.p_grid, "--p-grid", zero_ok=True)
     cells = list(_splits(args))
     splits = [split for _frac, _repeat, split in cells]
     results = sweep_outlier_fraction(repo, splits, p_grid, k_range, args.restarts, args.seed, use_raw_norm=args.raw_norm)

@@ -12,7 +12,7 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -74,11 +74,10 @@ def derive_seed(seed: int, *indices: int) -> int:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A numeric point matrix with optional ground-truth class labels."""
+    """A numeric point matrix; its ground truth, if any, is a separate ``Partition``."""
 
     id: str
     points: np.ndarray  # (n, d) float64, all finite
-    labels: Optional[np.ndarray] = None  # (n,) int class ids 0..K-1, or None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -89,17 +88,6 @@ class Dataset:
         pts = pts.copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        if self.labels is not None:
-            lab = np.asarray(self.labels, dtype=int)
-            if lab.shape != (pts.shape[0],):
-                raise ValueError("labels must be a length-n vector")
-            uniq = np.unique(lab)
-            k = uniq.size
-            if k < 2 or not np.array_equal(uniq, np.arange(k)):
-                raise ValueError("labels must use every class id in {0..K-1} with K >= 2")
-            lab = lab.copy()
-            lab.setflags(write=False)
-            object.__setattr__(self, "labels", lab)
 
     @property
     def n(self) -> int:
@@ -108,9 +96,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.points.shape[1]
-
-    def without_labels(self) -> "Dataset":
-        return Dataset(id=self.id, points=self.points, labels=None)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -138,7 +123,7 @@ class Partition:
 
     def __post_init__(self, parts, labels):
         n = self.n_items
-        if (parts is None) == (labels is None):
+        if (parts is not None) + (labels is not None) != 1:
             raise ValueError("give exactly one of parts= or labels=")
         if parts is not None:
             parts = tuple(parts)
@@ -185,10 +170,6 @@ class Partition:
         """True iff the parts cover all items and there are >= 2 of them."""
         return self.n_parts >= 2 and self.n_covered == self.n_items
 
-    def to_label_array(self) -> np.ndarray:
-        """Part id per item; -1 for uncovered items (the stored read-only vector)."""
-        return self.labels
-
 
 @dataclass(frozen=True, init=False, eq=False)
 class WeightedGraph:
@@ -232,26 +213,29 @@ class WeightedGraph:
     def n_edges(self) -> int:
         return self.w.size
 
-    @property
-    def edges(self) -> tuple:
-        """The edges as a tuple of (u, v, w) with u < v."""
-        return tuple(zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
-
 
 @dataclass(frozen=True)
 class MetaRepository:
-    """Ordered (point dataset, ground-truth partition) pairs plus a master seed."""
+    """Ordered (point dataset, ground-truth partition) pairs plus a master seed.
+
+    Problem ids are unique: results group by id, and ``save_repository``
+    names each file after its problem's id.
+    """
 
     problems: tuple  # tuple of (Dataset, Partition)
     seed: int
 
     def __post_init__(self):
         probs = tuple(self.problems)
+        ids = set()
         for prob, truth in probs:
             if not isinstance(prob, Dataset):
                 raise ValueError(f"repository problems must be point datasets, got {type(prob).__name__}")
             if truth.n_items != prob.n or not truth.is_valid():
                 raise ValueError("ground truth must be a valid partition of its problem")
+            if prob.id in ids:
+                raise ValueError(f"duplicate problem id {prob.id!r}")
+            ids.add(prob.id)
         object.__setattr__(self, "problems", probs)
 
     def __len__(self) -> int:
@@ -273,8 +257,12 @@ class SplitSpec:
             raise ValueError("repeat_index must be >= 0")
 
 
-def load_dataset_csv(path, has_labels: bool = False, dataset_id: Optional[str] = None) -> Dataset:
-    """Load a dataset from CSV (header f0..f{d-1}, optional final `label`)."""
+def load_dataset_csv(path, dataset_id: Optional[str] = None) -> tuple:
+    """Load a labeled dataset CSV as ``(Dataset, ground-truth Partition)``.
+
+    Header f0..f{d-1} then ``label``; class ids are 0..K-1, none skipped,
+    with K >= 2.  The dataset id defaults to the file's stem.
+    """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -286,16 +274,12 @@ def load_dataset_csv(path, has_labels: bool = False, dataset_id: Optional[str] =
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: {exc}") from None
 
-    feature_cols = header[:-1] if has_labels else header
-    expected = [f"f{i}" for i in range(len(feature_cols))]
-    if feature_cols != expected or (has_labels and header[-1] != "label"):
-        raise DataError(f"{path}: header must be f0..f{{d-1}}" + (" followed by label" if has_labels else ""))
-    d = len(feature_cols)
-    if d < 1:
-        raise DataError(f"{path}: no feature columns")
+    d = len(header) - 1
+    if d < 1 or header != [f"f{i}" for i in range(d)] + ["label"]:
+        raise DataError(f"{path}: header must be f0..f{{d-1}} followed by label, with d >= 1")
 
     points = np.empty((len(rows), d))
-    labels = np.empty(len(rows), dtype=int) if has_labels else None
+    labels = np.empty(len(rows), dtype=np.int64)
     for r, row in enumerate(rows):
         if len(row) != len(header):
             raise DataError(f"{path}: row {r + 2} has {len(row)} cells, expected {len(header)}")
@@ -307,35 +291,34 @@ def load_dataset_csv(path, has_labels: bool = False, dataset_id: Optional[str] =
             if not math.isfinite(val):
                 raise DataError(f"{path}: row {r + 2}, column {header[c]}: non-finite cell")
             points[r, c] = val
-        if has_labels:
-            cell = row[d]
-            try:
-                lab = int(cell)
-            except ValueError:
-                raise DataError(f"{path}: row {r + 2}: non-integer label {cell!r}")
-            if lab < 0 or str(lab) != cell.strip():
-                raise DataError(f"{path}: row {r + 2}: label must be a nonnegative integer, got {cell!r}")
-            labels[r] = lab
+        cell = row[d]
+        try:
+            lab = int(cell)
+        except ValueError:
+            raise DataError(f"{path}: row {r + 2}: non-integer label {cell!r}")
+        if lab < 0 or str(lab) != cell.strip():
+            raise DataError(f"{path}: row {r + 2}: label must be a nonnegative integer, got {cell!r}")
+        labels[r] = lab
     try:
-        return Dataset(id=dataset_id or path.stem, points=points, labels=labels)
+        dataset = Dataset(id=dataset_id or path.stem, points=points)
+        truth = Partition(len(rows), labels=labels)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
+    if not truth.is_valid():
+        raise DataError(f"{path}: labels must name at least 2 classes")
+    return dataset, truth
 
 
-def write_dataset_csv(dataset: Dataset, path) -> None:
-    """Write a dataset in the CSV format that ``load_dataset_csv`` reads."""
+def write_dataset_csv(dataset: Dataset, truth: Partition, path) -> None:
+    """Write a dataset and its ground truth in the CSV format that ``load_dataset_csv`` reads."""
+    if truth.n_items != dataset.n or not truth.is_valid():
+        raise ValueError("ground truth must be a valid partition of the dataset")
     path = Path(path)
-    header = [f"f{i}" for i in range(dataset.d)]
-    if dataset.labels is not None:
-        header.append("label")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow([f"f{i}" for i in range(dataset.d)] + ["label"])
         for i in range(dataset.n):
-            row = [format(x, ".17g") for x in dataset.points[i]]
-            if dataset.labels is not None:
-                row.append(str(int(dataset.labels[i])))
-            writer.writerow(row)
+            writer.writerow([format(x, ".17g") for x in dataset.points[i]] + [str(int(truth.labels[i]))])
 
 
 def labels_to_partition(labels: Sequence[int]) -> Partition:
@@ -362,7 +345,7 @@ def normalize_points(points: np.ndarray) -> np.ndarray:
 
 def normalize_dataset(dataset: Dataset) -> Dataset:
     """The dataset with ``normalize_points`` applied to its points."""
-    return Dataset(id=dataset.id, points=normalize_points(dataset.points), labels=dataset.labels)
+    return Dataset(id=dataset.id, points=normalize_points(dataset.points))
 
 
 def covariance(points: np.ndarray) -> np.ndarray:
@@ -454,8 +437,7 @@ def make_synthetic_repository(spec: SynthSpec) -> MetaRepository:
                 direction /= np.linalg.norm(direction)
                 points[j] = direction * radius
 
-        ds = Dataset(id=f"synth-{i:04d}", points=points, labels=labels)
-        problems.append((ds, labels_to_partition(labels)))
+        problems.append((Dataset(id=f"synth-{i:04d}", points=points), labels_to_partition(labels)))
     return MetaRepository(problems=tuple(problems), seed=spec.seed)
 
 
@@ -469,10 +451,10 @@ def dataset_to_distance_graph(dataset: Dataset) -> WeightedGraph:
 
 
 def load_repository(manifest_path, seed: int = 0) -> MetaRepository:
-    """Load a repository from a JSON manifest of dataset CSV entries.
+    """Load a repository from a JSON manifest of labeled dataset CSV entries.
 
-    Manifest: array of {"id", "path", "has_labels"}; paths resolve relative
-    to the manifest file; repository order = array order.
+    Manifest: array of {"id", "path", "has_labels": true}, ids unique; paths
+    resolve relative to the manifest file; repository order = array order.
     """
     manifest_path = Path(manifest_path)
     with open(manifest_path, encoding="utf-8") as fh:
@@ -491,26 +473,24 @@ def load_repository(manifest_path, seed: int = 0) -> MetaRepository:
             and isinstance(entry.get("has_labels"), bool)
         ):
             raise DataError(f"{manifest_path}: entry {pos} must be an object {{id: str, path: str, has_labels: bool}}")
-        ds = load_dataset_csv(
-            manifest_path.parent / entry["path"],
-            has_labels=entry["has_labels"],
-            dataset_id=entry["id"],
-        )
-        if ds.labels is None:
-            raise DataError(f"dataset {ds.id}: repository problems need ground-truth labels")
-        problems.append((ds, labels_to_partition(ds.labels)))
-    return MetaRepository(problems=tuple(problems), seed=seed)
+        if not entry["has_labels"]:
+            raise DataError(f"{manifest_path}: entry {pos}: has_labels must be true; problems need ground truth")
+        problems.append(load_dataset_csv(manifest_path.parent / entry["path"], dataset_id=entry["id"]))
+    try:
+        return MetaRepository(problems=tuple(problems), seed=seed)
+    except ValueError as exc:
+        raise DataError(f"{manifest_path}: {exc}") from None
 
 
 def save_repository(repo: MetaRepository, out_dir) -> Path:
-    """Write each dataset as CSV plus a manifest.json; returns the manifest path."""
+    """Write each problem as a labeled CSV plus a manifest.json; returns the manifest path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    for ds, _truth in repo.problems:
+    for ds, truth in repo.problems:
         fname = f"{ds.id}.csv"
-        write_dataset_csv(ds, out_dir / fname)
-        entries.append({"id": ds.id, "path": fname, "has_labels": ds.labels is not None})
+        write_dataset_csv(ds, truth, out_dir / fname)
+        entries.append({"id": ds.id, "path": fname, "has_labels": True})
     manifest = out_dir / "manifest.json"
     with open(manifest, "w", encoding="utf-8") as fh:
         json.dump(entries, fh, indent=2)

@@ -325,7 +325,7 @@ def evaluate_algo_select(model: AlgoSelectModel, test: Sequence) -> tuple:
     meta_total = 0.0
     member_totals = {spec.name: 0.0 for spec, _lm in model.members}
     for ds, truth in test:
-        _name, partition, _scores, partitions = select_algorithm(model, ds.without_labels())
+        _name, partition, _scores, partitions = select_algorithm(model, ds)
         meta_total += adjusted_rand_index(truth.n_items, truth, partition)
         for spec, _lm in model.members:
             if spec.name in partitions:

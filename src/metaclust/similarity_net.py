@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from metaclust.data_model import DataError, Dataset, MetaRepository, covariance, derive_seed, normalize_dataset
+from metaclust.data_model import DataError, Dataset, MetaRepository, Partition, covariance, derive_seed, normalize_dataset
 
 __all__ = [
     "PairSet",
@@ -35,7 +35,6 @@ __all__ = [
     "nll_loss_and_grads",
     "adadelta_step",
     "train_mlp",
-    "predict_pair",
     "predict_features",
     "majority_baseline",
     "evaluate_bsf",
@@ -56,30 +55,26 @@ MAX_EXAMPLES = 1000  # datasets with more points take no part in the pair sets
 
 @dataclass(frozen=True)
 class PairSet:
-    """m sampled pairs, one row each: 75 features, same-class label, provenance.
+    """m sampled pairs, one row each: 75 features, same-class label, source dataset.
 
-    ``features`` is (m, 75) float64, ``labels`` an int m-vector (None for
-    unlabeled data), ``dataset_ids`` the source dataset of each row and ``i``,
-    ``j`` its ordered row indices in that dataset.  Every array is read-only.
+    ``features`` is (m, 75) float64, ``labels`` an int m-vector and
+    ``dataset_ids`` the source dataset of each row.  Every array is read-only.
     """
 
     features: np.ndarray
-    labels: Optional[np.ndarray]
+    labels: np.ndarray
     dataset_ids: np.ndarray
-    i: np.ndarray
-    j: np.ndarray
 
     def __post_init__(self):
         f = np.asarray(self.features, dtype=float)
         if f.ndim != 2 or f.shape[1] != FEATURE_DIM or not np.all(np.isfinite(f)):
             raise ValueError(f"features must be a finite (m, {FEATURE_DIM}) matrix")
         m = f.shape[0]
-        fields = {"features": f}
-        if self.labels is not None:
-            fields["labels"] = np.asarray(self.labels, dtype=int)
-        fields["dataset_ids"] = np.asarray(self.dataset_ids, dtype=str)
-        fields["i"] = np.asarray(self.i, dtype=int)
-        fields["j"] = np.asarray(self.j, dtype=int)
+        fields = {
+            "features": f,
+            "labels": np.asarray(self.labels, dtype=int),
+            "dataset_ids": np.asarray(self.dataset_ids, dtype=str),
+        }
         for name, arr in fields.items():
             if arr.shape[0] != m or (name != "features" and arr.ndim != 1):
                 raise ValueError(f"{name} must have one entry per feature row")
@@ -92,13 +87,11 @@ class PairSet:
 
 
 def concat_pair_sets(sets: Sequence[PairSet]) -> PairSet:
-    """Rows of ``sets`` stacked in order; all labeled or all unlabeled."""
+    """Rows of ``sets`` stacked in order."""
     return PairSet(
         features=np.concatenate([s.features for s in sets]),
-        labels=None if sets[0].labels is None else np.concatenate([s.labels for s in sets]),
+        labels=np.concatenate([s.labels for s in sets]),
         dataset_ids=np.concatenate([s.dataset_ids for s in sets]),
-        i=np.concatenate([s.i for s in sets]),
-        j=np.concatenate([s.j for s in sets]),
     )
 
 
@@ -121,8 +114,9 @@ def _covariance_features(points: np.ndarray) -> np.ndarray:
     return embedded[iu]
 
 
-def build_pair_features(dataset: Dataset, rows_i, rows_j) -> PairSet:
-    """Features of the ordered pairs (rows_i[t], rows_j[t]); label 1 iff same class.
+def build_pair_features(dataset: Dataset, truth: Partition, rows_i, rows_j) -> PairSet:
+    """Features of the ordered pairs (rows_i[t], rows_j[t]); label 1 iff ``truth``
+    puts both rows in one part.
 
     The covariance block depends only on the dataset, so it is computed once
     and shared by every row.
@@ -140,15 +134,10 @@ def build_pair_features(dataset: Dataset, rows_i, rows_j) -> PairSet:
     features[:, :d] = dataset.points[rows_i]
     features[:, PAD_DIM : PAD_DIM + d] = dataset.points[rows_j]
     features[:, 2 * PAD_DIM :] = _covariance_features(dataset.points)
-    labels = None
-    if dataset.labels is not None:
-        labels = (dataset.labels[rows_i] == dataset.labels[rows_j]).astype(int)
     return PairSet(
         features=features,
-        labels=labels,
+        labels=(truth.labels[rows_i] == truth.labels[rows_j]).astype(int),
         dataset_ids=np.full(rows_i.shape[0], dataset.id),
-        i=rows_i,
-        j=rows_j,
     )
 
 
@@ -176,7 +165,7 @@ def _sample_pairs(rng: np.random.Generator, rows: np.ndarray, cap: int) -> tuple
 def sample_pair_splits(repo: MetaRepository, seed: int = 0, max_pairs: int = 2500) -> SplitTriple:
     """Sample the (meta-train, meta-IT, meta-ET) pair sets from a repository.
 
-    A labeled dataset qualifies if it has at most ``MAX_EXAMPLES`` points and
+    A problem qualifies if it has at most ``MAX_EXAMPLES`` points and
     ``PAD_DIM`` features.  Qualifying datasets are assigned to one of two
     categories with equal probability.  Category-1 datasets are shuffled and
     row-halved: the first half feeds meta-train pairs, the following rows
@@ -185,11 +174,7 @@ def sample_pair_splits(repo: MetaRepository, seed: int = 0, max_pairs: int = 250
     once, in one order; ``train_mlp`` derives the reversed order itself.
     A repository that cannot fill all three sets raises ``DataError``.
     """
-    qualifying = [
-        ds
-        for ds, _truth in repo.problems
-        if ds.labels is not None and ds.n <= MAX_EXAMPLES and ds.d <= PAD_DIM
-    ]
+    qualifying = [(ds, truth) for ds, truth in repo.problems if ds.n <= MAX_EXAMPLES and ds.d <= PAD_DIM]
     if not qualifying:
         raise DataError("no qualifying datasets in the repository")
 
@@ -207,20 +192,20 @@ def sample_pair_splits(repo: MetaRepository, seed: int = 0, max_pairs: int = 250
     meta_it = []
     meta_et = []
 
-    def add_pairs(target: list, ds: Dataset, rows: np.ndarray) -> None:
+    def add_pairs(target: list, ds: Dataset, truth: Partition, rows: np.ndarray) -> None:
         rows_i, rows_j = _sample_pairs(rng, rows, max_pairs)
         if rows_i.shape[0]:
-            target.append(build_pair_features(ds, rows_i, rows_j))
+            target.append(build_pair_features(ds, truth, rows_i, rows_j))
 
-    for ds, cat in zip(qualifying, categories):
+    for (ds, truth), cat in zip(qualifying, categories):
         ds = normalize_dataset(ds)
         perm = rng.permutation(ds.n)
         if cat == 0:
             half = min(ds.n // 2, max_pairs)
-            add_pairs(meta_train, ds, perm[:half])
-            add_pairs(meta_it, ds, perm[half : half + max_pairs])
+            add_pairs(meta_train, ds, truth, perm[:half])
+            add_pairs(meta_it, ds, truth, perm[half : half + max_pairs])
         else:
-            add_pairs(meta_et, ds, perm[:max_pairs])
+            add_pairs(meta_et, ds, truth, perm[:max_pairs])
 
     if not meta_train or not meta_it or not meta_et:
         raise DataError("a pair set came out empty; repository too small")
@@ -331,8 +316,8 @@ def train_mlp(meta_train: PairSet, epochs: int = 10, batch: int = 250, seed: int
     swapped when r is odd, with that pair's label.  Each batch makes one
     Adadelta step on the flat parameter vector.
     """
-    if len(meta_train) == 0 or meta_train.labels is None:
-        raise ValueError("training set must be non-empty and labeled")
+    if len(meta_train) == 0:
+        raise ValueError("training set must be non-empty")
     model = init_mlp(seed)
     n = 2 * len(meta_train)
     for epoch in range(epochs):
@@ -364,17 +349,8 @@ def predict_features(model: MlpModel, features: np.ndarray) -> tuple:
     return p, p > 0.5
 
 
-def predict_pair(model: MlpModel, dataset: Dataset, i: int, j: int) -> tuple:
-    """(probability_same, decision) for one pair of a dataset."""
-    pairs = build_pair_features(dataset, [i], [j])
-    p, decision = predict_features(model, pairs.features)
-    return float(p[0]), bool(decision[0])
-
-
 def majority_baseline(pairs: PairSet) -> float:
     """Prescient per-problem majority rule accuracy, averaged over problems."""
-    if pairs.labels is None:
-        raise ValueError("majority baseline needs labeled pairs")
     _ids, first, problem = np.unique(pairs.dataset_ids, return_index=True, return_inverse=True)
     n_same = np.bincount(problem, weights=pairs.labels)
     n_pairs = np.bincount(problem)

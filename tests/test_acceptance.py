@@ -49,8 +49,9 @@ from metaclust.similarity_net import (
     adadelta_step,
     evaluate_bsf,
     init_mlp,
+    build_pair_features,
     nll_loss_and_grads,
-    predict_pair,
+    predict_features,
     sample_pair_splits,
     train_mlp,
 )
@@ -81,7 +82,7 @@ def test_criterion_01_metric_oracle_equivalence(announce):
         n = int(rng.integers(2, 13))
         y = random_partition(rng, n)
         z = random_partition(rng, n)
-        ly, lz = y.to_label_array(), z.to_label_array()
+        ly, lz = y.labels, z.labels
         bad = sum(
             1
             for i in range(n)
@@ -221,7 +222,7 @@ def test_criterion_05_meta_scale_axioms(announce):
     rng = np.random.default_rng(105)
 
     def scaled(g, alpha):
-        return WeightedGraph(g.n_vertices, tuple((u, v, w * alpha) for u, v, w in g.edges))
+        return WeightedGraph(g.n_vertices, np.column_stack([g.u, g.v, g.w * alpha]))
 
     invariant = True
     for _ in range(100):
@@ -241,7 +242,7 @@ def test_criterion_05_meta_scale_axioms(announce):
         rule = fit_meta_scale(train)
         n = int(rng.integers(4, 12))
         target = random_partition(rng, n, max_parts=3)
-        lab = target.to_label_array()
+        lab = target.labels
         edges = []
         for u in range(n):
             for v in range(u + 1, n):
@@ -263,9 +264,9 @@ def test_criterion_05_meta_scale_axioms(announce):
         rule = fit_meta_scale(train)
         g, _ = _separated_problem(rng)
         base = rule(g)
-        lab = base.to_label_array()
+        lab = base.labels
         edges = []
-        for u, v, w in g.edges:
+        for u, v, w in zip(g.u.tolist(), g.v.tolist(), g.w.tolist()):
             factor = rng.uniform(0.3, 1.0) if lab[u] == lab[v] else rng.uniform(1.0, 3.0)
             edges.append((u, v, w * float(factor)))
         if rule(WeightedGraph(g.n_vertices, tuple(edges))).parts != base.parts:
@@ -298,8 +299,7 @@ def _regime_dataset(idx, seed):
         off[:, 1] = 2.0
         points = np.vstack([base, off]) + 0.05 * rng.standard_normal((2 * n_line, 4))
         labels = np.concatenate([np.zeros(n_line, int), np.ones(n_line, int)])
-    ds = Dataset(id=f"regime-{idx:03d}", points=points, labels=labels)
-    return ds, labels_to_partition(labels)
+    return Dataset(id=f"regime-{idx:03d}", points=points), labels_to_partition(labels)
 
 
 def test_criterion_06_algo_select_beats_fixed_members(announce):
@@ -339,8 +339,7 @@ def _biased_dataset(idx, seed):
     )
     labels = np.repeat(np.arange(k_true), sizes)
     points = centers[labels] + 0.5 * rng.standard_normal((n, 2))
-    ds = Dataset(id=f"bias-{idx:03d}", points=points, labels=labels)
-    return ds, labels_to_partition(labels)
+    return Dataset(id=f"bias-{idx:03d}", points=points), labels_to_partition(labels)
 
 
 def test_criterion_07_meta_k_beats_silhouette_argmax(announce):
@@ -382,8 +381,7 @@ def _outlier_dataset(idx, seed):
     direction = rng.standard_normal(2)
     direction /= np.linalg.norm(direction)
     points[j] = 5000.0 * direction
-    ds = Dataset(id=f"out-{idx:03d}", points=points, labels=labels)
-    return ds, labels_to_partition(labels)
+    return Dataset(id=f"out-{idx:03d}", points=points), labels_to_partition(labels)
 
 
 def test_criterion_08_outlier_sweep_finds_planted_fraction(announce):
@@ -454,11 +452,13 @@ def test_criterion_09_similarity_net_mechanics(announce):
     repo = make_synthetic_repository(
         SynthSpec(n_problems=12, n_points=60, dims=(2, 3), n_clusters=(2, 3), separation=10.0, seed=29)
     )
-    sym_ds, _ = repo.problems[0]
-    symmetric = all(
-        predict_pair(model, sym_ds, i, j) == predict_pair(model, sym_ds, j, i)
-        for i, j in ((0, 1), (3, 17), (40, 5))
-    )
+    sym_ds, sym_truth = repo.problems[0]
+
+    def predict_one(i, j):
+        p, decision = predict_features(model, build_pair_features(sym_ds, sym_truth, [i], [j]).features)
+        return float(p[0]), bool(decision[0])
+
+    symmetric = all(predict_one(i, j) == predict_one(j, i) for i, j in ((0, 1), (3, 17), (40, 5)))
 
     wins = 0
     for repeat in range(10):

@@ -294,6 +294,25 @@ def _sparse_label_ids(repo):
     path.write_text(text.replace(",1\n", ",2\n"))  # class ids {0, 2}: not dense
 
 
+def _single_class_file(repo):
+    manifest = json.loads((repo / "manifest.json").read_text())
+    path = repo / manifest[0]["path"]
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header] + [row[: row.rindex(",")] + ",0" for row in rows]) + "\n")
+
+
+def _has_labels_false(repo):
+    manifest = json.loads((repo / "manifest.json").read_text())
+    manifest[0]["has_labels"] = False
+    (repo / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _duplicate_dataset_id(repo):
+    manifest = json.loads((repo / "manifest.json").read_text())
+    manifest[1]["id"] = manifest[0]["id"]
+    (repo / "manifest.json").write_text(json.dumps(manifest))
+
+
 class TestErrorContracts:
     def test_bad_train_frac(self, repo_dir, tmp_path):
         rc = main([
@@ -301,6 +320,27 @@ class TestErrorContracts:
             "--repeats", "1", "--out", str(tmp_path / "x"),
         ])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "pipeline,flag,value,message",
+        [
+            ("outliers", "--p-grid", "0,abc", "bad --p-grid list: '0,abc'"),
+            ("outliers", "--p-grid", "0,1", "--p-grid values must lie in [0, 1)"),
+            ("outliers", "--p-grid", "-0.01", "--p-grid values must lie in [0, 1)"),
+            ("outliers", "--p-grid", "", "--p-grid values must lie in [0, 1)"),
+            ("outliers", "--p-grid", "0,0.05,0", "--p-grid repeats a value: '0,0.05,0'"),
+            ("meta-scale", "--train-frac", "0", "--train-frac values must lie in (0, 1)"),
+            ("meta-scale", "--train-frac", "0.5,0.50", "--train-frac repeats a value: '0.5,0.50'"),
+        ],
+        ids=["p_non_numeric", "p_one", "p_negative", "p_empty", "p_repeated", "frac_zero", "frac_repeated"],
+    )
+    def test_bad_list_flag_rejected(self, repo_dir, tmp_path, capsys, pipeline, flag, value, message):
+        out = tmp_path / "x"
+        rc = main(["run", pipeline, "--repo", str(repo_dir), flag, value, "--repeats", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_missing_repo(self, tmp_path):
         rc = main([
@@ -318,7 +358,17 @@ class TestErrorContracts:
 
     @pytest.mark.parametrize(
         "corrupt",
-        [_corrupt_cell, _non_utf8_file, _drop_has_labels, _manifest_object, _invalid_json, _sparse_label_ids],
+        [
+            _corrupt_cell,
+            _non_utf8_file,
+            _drop_has_labels,
+            _manifest_object,
+            _invalid_json,
+            _sparse_label_ids,
+            _single_class_file,
+            _has_labels_false,
+            _duplicate_dataset_id,
+        ],
         ids=[
             "non_numeric_cell",
             "non_utf8_file",
@@ -326,6 +376,9 @@ class TestErrorContracts:
             "manifest_not_array",
             "invalid_json",
             "sparse_label_ids",
+            "single_class_file",
+            "has_labels_false",
+            "duplicate_dataset_id",
         ],
     )
     def test_bad_repository_data(self, repo_dir, tmp_path, capsys, corrupt):

@@ -209,7 +209,7 @@ def components_oracle(graph, r, strict=False):
             parent[x], x = root, parent[x]
         return root
 
-    for u, v, w in graph.edges:
+    for u, v, w in zip(graph.u.tolist(), graph.v.tolist(), graph.w.tolist()):
         if (w < r) if strict else (w <= r):
             ru, rv = find(u), find(v)
             if ru != rv:
@@ -267,7 +267,7 @@ class TestKmeans:
         rng = np.random.default_rng(2)
         pts = rng.standard_normal((50, 3))
         res = kmeans(pts, 4, restarts=3, seed=7)
-        labels = res.partition.to_label_array()
+        labels = res.partition.labels
         d2 = ((pts[:, None, :] - res.centers[None, :, :]) ** 2).sum(axis=2)
         assert np.all(d2[np.arange(50), labels] <= d2.min(axis=1) + 1e-9)
 
@@ -275,7 +275,7 @@ class TestKmeans:
         rng = np.random.default_rng(3)
         pts = rng.standard_normal((30, 2))
         res = kmeans(pts, 3, restarts=2, seed=4)
-        labels = res.partition.to_label_array()
+        labels = res.partition.labels
         expected = sum(((pts[labels == c] - res.centers[c]) ** 2).sum() for c in range(3))
         assert res.inertia == pytest.approx(expected, rel=1e-12)
 
@@ -433,7 +433,7 @@ class TestSingleLinkageThreshold:
             r1, r2 = sorted(rng.uniform(0, 3, size=2))
             p1 = single_linkage_threshold(g, r1, strict=False)
             p2 = single_linkage_threshold(g, r2, strict=False)
-            lab2 = p2.to_label_array()
+            lab2 = p2.labels
             for part in p1.parts:
                 assert len({lab2[i] for i in part}) == 1  # each r1 part inside one r2 part
 
@@ -497,7 +497,7 @@ class TestRichnessConsistency:
                 if np.unique(labels).size >= 2:
                     _, dense = np.unique(labels, return_inverse=True)
                     target = labels_to_partition(dense)
-            lab = target.to_label_array()
+            lab = target.labels
             edges = []
             for u in range(n):
                 for v in range(u + 1, n):
@@ -515,10 +515,10 @@ class TestRichnessConsistency:
             g = dataset_to_distance_graph(Dataset(id="c", points=pts))
             r = float(rng.uniform(0.5, 2.0))
             base = single_linkage_threshold(g, r, strict=False)
-            lab = base.to_label_array()
+            lab = base.labels
             # shrink within-part weights, grow cross-part weights
             edges = []
-            for u, v, w in g.edges:
+            for u, v, w in zip(g.u.tolist(), g.v.tolist(), g.w.tolist()):
                 if lab[u] == lab[v]:
                     edges.append((u, v, w * rng.uniform(0.3, 1.0)))
                 else:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metaclust.data_model import (
+    DataError,
     Dataset,
     MetaRepository,
     Partition,
@@ -46,29 +47,17 @@ class TestDeriveSeed:
 
 class TestDataset:
     def test_basic_shape(self):
-        ds = Dataset(id="a", points=np.zeros((3, 2)), labels=np.array([0, 1, 0]))
+        ds = Dataset(id="a", points=np.zeros((3, 2)))
         assert ds.n == 3 and ds.d == 2
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             Dataset(id="a", points=np.array([[0.0], [np.nan]]))
 
-    def test_rejects_sparse_label_ids(self):
-        with pytest.raises(ValueError):
-            Dataset(id="a", points=np.zeros((3, 1)), labels=np.array([0, 2, 0]))
-
-    def test_rejects_single_class(self):
-        with pytest.raises(ValueError):
-            Dataset(id="a", points=np.zeros((3, 1)), labels=np.array([0, 0, 0]))
-
     def test_points_frozen(self):
         ds = Dataset(id="a", points=np.zeros((2, 1)))
         with pytest.raises(ValueError):
             ds.points[0, 0] = 1.0
-
-    def test_without_labels(self):
-        ds = Dataset(id="a", points=np.zeros((3, 1)), labels=np.array([0, 1, 0]))
-        assert ds.without_labels().labels is None
 
 
 class TestPartition:
@@ -125,7 +114,7 @@ class TestPartition:
     def test_stored_arrays_read_only(self):
         source = np.array([0, 1, 0])
         p = Partition(3, labels=source)
-        for arr in (p.labels, p.sizes, p.to_label_array()):
+        for arr in (p.labels, p.sizes):
             with pytest.raises(ValueError):
                 arr[0] = 1
         source[0] = 1  # the partition keeps its own copy
@@ -133,10 +122,10 @@ class TestPartition:
 
     def test_label_array_marks_uncovered(self):
         p = Partition(4, ((1, 3), (0,)))
-        assert list(p.to_label_array()) == [1, 0, -1, 0]
+        assert list(p.labels) == [1, 0, -1, 0]
 
     def test_same_part(self):
-        lab = Partition(4, ((0, 2), (1, 3))).to_label_array()
+        lab = Partition(4, ((0, 2), (1, 3))).labels
         assert lab[0] == lab[2] and lab[0] != lab[1]
 
 
@@ -159,7 +148,7 @@ def test_partition_label_round_trip(case):
     n, parts = case
     p = Partition(n, parts)
     assert p.parts == tuple(tuple(sorted(g)) for g in parts)
-    assert Partition(n, labels=p.to_label_array()) == p
+    assert Partition(n, labels=p.labels) == p
     assert p.n_covered == sum(len(g) for g in parts)
 
 
@@ -180,7 +169,7 @@ class TestLabelsToPartition:
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 3, size=12)
         labels[:3] = [0, 1, 2]
-        lab = labels_to_partition(labels).to_label_array()
+        lab = labels_to_partition(labels).labels
         for i in range(12):
             for j in range(12):
                 assert (lab[i] == lab[j]) == (labels[i] == labels[j])
@@ -221,45 +210,58 @@ class TestCovariance:
 class TestCsvRoundTrip:
     def test_labeled_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
-        ds = Dataset(
-            id="rt", points=rng.standard_normal((10, 3)), labels=rng.integers(0, 2, size=10) * 0 + [0, 1] * 5
-        )
+        points = rng.standard_normal((10, 3))
+        points[:2, 0] = [1e-17, 3.123456789012345]  # 17 significant digits survive the text format
+        ds, truth = Dataset(id="rt", points=points), Partition(10, labels=[0, 1] * 5)
         path = tmp_path / "rt.csv"
-        write_dataset_csv(ds, path)
-        back = load_dataset_csv(path, has_labels=True, dataset_id="rt")
+        write_dataset_csv(ds, truth, path)
+        back, back_truth = load_dataset_csv(path, dataset_id="other")
+        assert back.id == "other" and load_dataset_csv(path)[0].id == "rt"
         assert np.array_equal(back.points, ds.points)
-        assert np.array_equal(back.labels, ds.labels)
+        assert back_truth == truth
 
-    def test_unlabeled_round_trip(self, tmp_path):
-        ds = Dataset(id="u", points=np.array([[1e-17, 2.0], [3.123456789012345, 4.0]]))
-        path = tmp_path / "u.csv"
-        write_dataset_csv(ds, path)
-        back = load_dataset_csv(path)
-        assert np.array_equal(back.points, ds.points)
+    def test_write_rejects_truth_of_another_size(self, tmp_path):
+        ds = Dataset(id="w", points=np.zeros((3, 1)))
+        with pytest.raises(ValueError):
+            write_dataset_csv(ds, Partition(4, labels=[0, 1, 0, 1]), tmp_path / "w.csv")
 
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("x,y\n1,2\n")
-        with pytest.raises(ValueError):
-            load_dataset_csv(path)
+        # not features, no label column (the unlabeled format), no feature column, blank
+        for text in ("x,y\n1,2\n", "f0\n1\n2\n", "label\n0\n1\n", "\n1,0\n"):
+            path.write_text(text)
+            with pytest.raises(DataError, match="header"):
+                load_dataset_csv(path)
 
     def test_rejects_non_numeric(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("f0\n1\noops\n")
-        with pytest.raises(ValueError):
+        path.write_text("f0,label\n1,0\noops,1\n")
+        with pytest.raises(DataError, match="non-numeric"):
             load_dataset_csv(path)
 
     def test_rejects_nan_cell(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("f0\n1\nnan\n")
-        with pytest.raises(ValueError):
+        path.write_text("f0,label\n1,0\nnan,1\n")
+        with pytest.raises(DataError, match="non-finite"):
+            load_dataset_csv(path)
+
+    def test_rejects_sparse_label_ids(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,label\n0,0\n1,2\n2,0\n")
+        with pytest.raises(DataError, match="no id skipped"):
+            load_dataset_csv(path)
+
+    def test_rejects_single_class(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,label\n0,0\n1,0\n2,0\n")
+        with pytest.raises(DataError, match="at least 2 classes"):
             load_dataset_csv(path)
 
 
 class TestWeightedGraph:
     def test_orients_edges(self):
         g = WeightedGraph(3, ((2, 0, 1.5),))
-        assert g.edges == ((0, 2, 1.5),)
+        assert (g.u.tolist(), g.v.tolist(), g.w.tolist()) == ([0], [2], [1.5])
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
@@ -302,9 +304,10 @@ class TestWeightedGraph:
     def test_array_and_tuples_agree(self):
         edges = ((2, 0, 1.5), (1, 2, 0.0), (0, 1, 3.25))
         a, b = WeightedGraph(3, edges), WeightedGraph(3, np.array(edges))
-        assert a.edges == b.edges == ((0, 2, 1.5), (1, 2, 0.0), (0, 1, 3.25))
-        assert list(a.u) == [0, 1, 0] and list(a.v) == [2, 2, 1] and list(a.w) == [1.5, 0.0, 3.25]
-        assert WeightedGraph(3, ()).n_edges == 0 and WeightedGraph(3, ()).edges == ()
+        for g in (a, b):
+            assert list(g.u) == [0, 1, 0] and list(g.v) == [2, 2, 1] and list(g.w) == [1.5, 0.0, 3.25]
+        empty = WeightedGraph(3, ())
+        assert empty.n_edges == 0 and empty.u.shape == empty.v.shape == empty.w.shape == (0,)
 
     def test_stored_arrays_read_only(self):
         source = np.array([[0, 1, 2.0]])
@@ -313,7 +316,7 @@ class TestWeightedGraph:
             with pytest.raises(ValueError):
                 arr[0] = 0
         source[0, 2] = 5.0
-        assert g.edges == ((0, 1, 2.0),)
+        assert list(g.w) == [2.0]
 
 
 class TestSplit:
@@ -355,9 +358,9 @@ class TestSynth:
         spec = SynthSpec(n_problems=4, n_points=50, seed=99)
         a = make_synthetic_repository(spec)
         b = make_synthetic_repository(spec)
-        for (da, _), (db, _) in zip(a.problems, b.problems):
+        for (da, ta), (db, tb) in zip(a.problems, b.problems):
             assert np.array_equal(da.points, db.points)
-            assert np.array_equal(da.labels, db.labels)
+            assert ta == tb
 
     def test_outlier_count(self):
         spec = SynthSpec(n_problems=2, n_points=200, outlier_fraction=0.01, seed=5)
@@ -368,9 +371,12 @@ class TestSynth:
             assert int((radius > radius.mean() + 10 * radius.std()).sum()) <= 2
 
     def test_truth_matches_labels(self):
+        # the truth is blob membership: near-even blocks of ascending class id
         repo = make_synthetic_repository(SynthSpec(n_problems=3, n_points=40, seed=1))
-        for ds, truth in repo.problems:
-            assert truth == labels_to_partition(ds.labels)
+        for _ds, truth in repo.problems:
+            sizes = np.full(truth.n_parts, 40 // truth.n_parts)
+            sizes[: 40 % truth.n_parts] += 1
+            assert np.array_equal(truth.labels, np.repeat(np.arange(truth.n_parts), sizes))
 
     def test_infeasible_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -392,7 +398,7 @@ class TestDistanceGraph:
         pts = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
         g = dataset_to_distance_graph(Dataset(id="g", points=pts))
         assert g.n_edges == 3
-        w = {(u, v): w for u, v, w in g.edges}
+        w = {(u, v): w for u, v, w in zip(g.u.tolist(), g.v.tolist(), g.w.tolist())}
         assert w[(0, 1)] == pytest.approx(5.0)
         assert w[(0, 2)] == pytest.approx(1.0)
 
@@ -404,7 +410,7 @@ class TestDistanceGraph:
             if trial % 2:
                 pts = np.round(pts, 1)
             g = dataset_to_distance_graph(Dataset(id="g", points=pts))
-            assert g.edges == distance_graph_edges_oracle(pts), trial
+            assert tuple(zip(g.u.tolist(), g.v.tolist(), g.w.tolist())) == distance_graph_edges_oracle(pts), trial
 
 
 class TestRepositoryIO:
@@ -414,23 +420,32 @@ class TestRepositoryIO:
         back = load_repository(manifest, seed=repo.seed)
         assert len(back) == len(repo)
         for (da, ta), (db, tb) in zip(repo.problems, back.problems):
-            assert np.array_equal(da.points, db.points)
-            assert ta.parts == tb.parts
+            assert da.id == db.id and np.array_equal(da.points, db.points)
+            assert ta == tb
 
     def test_manifest_content(self, tmp_path):
         repo = make_synthetic_repository(SynthSpec(n_problems=2, n_points=25, seed=8))
         manifest = save_repository(repo, tmp_path / "repo")
         entries = json.loads(manifest.read_text())
         assert [e["id"] for e in entries] == ["synth-0000", "synth-0001"]
+        assert all(e["has_labels"] is True for e in entries)
 
     def test_unlabeled_problem_rejected(self, tmp_path):
-        ds = Dataset(id="x", points=np.zeros((4, 1)) + [[0], [1], [2], [3]])
-        write_dataset_csv(ds, tmp_path / "x.csv")
+        # rejected from the manifest alone: the named file does not exist
         (tmp_path / "manifest.json").write_text(
-            json.dumps([{"id": "x", "path": "x.csv", "has_labels": False}])
+            json.dumps([{"id": "x", "path": "missing.csv", "has_labels": False}])
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="has_labels must be true"):
             load_repository(tmp_path / "manifest.json")
+
+    def test_duplicate_id_rejected(self, tmp_path):
+        repo = make_synthetic_repository(SynthSpec(n_problems=2, n_points=25, seed=8))
+        manifest = save_repository(repo, tmp_path / "repo")
+        entries = json.loads(manifest.read_text())
+        entries[1]["id"] = entries[0]["id"]
+        manifest.write_text(json.dumps(entries))
+        with pytest.raises(DataError, match="duplicate problem id 'synth-0000'"):
+            load_repository(manifest)
 
 
 class TestMetaRepository:
@@ -438,6 +453,13 @@ class TestMetaRepository:
         ds = Dataset(id="a", points=np.zeros((3, 1)))
         with pytest.raises(ValueError):
             MetaRepository(problems=((ds, Partition(3, ((0, 1, 2),))),), seed=0)
+
+    def test_rejects_duplicate_ids(self):
+        truth = labels_to_partition([0, 1, 0])
+        problems = tuple((Dataset(id=i, points=np.zeros((3, 1))), truth) for i in ("a", "b", "a"))
+        with pytest.raises(ValueError, match="duplicate problem id 'a'"):
+            MetaRepository(problems=problems, seed=0)
+        MetaRepository(problems=problems[:2], seed=0)
 
     def test_rejects_problem_that_is_not_a_point_dataset(self):
         graph = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 2.0)))

@@ -233,12 +233,12 @@ class TestMetaScale:
             alpha = float(np.exp(rng.uniform(np.log(0.01), np.log(100.0))))
             rule = fit_meta_scale(train)
             scaled_train = [
-                (WeightedGraph(g.n_vertices, tuple((u, v, w * alpha) for u, v, w in g.edges)), t)
+                (WeightedGraph(g.n_vertices, np.column_stack([g.u, g.v, g.w * alpha])), t)
                 for g, t in train
             ]
             scaled_rule = fit_meta_scale(scaled_train)
             scaled_test = WeightedGraph(
-                test_g.n_vertices, tuple((u, v, w * alpha) for u, v, w in test_g.edges)
+                test_g.n_vertices, np.column_stack([test_g.u, test_g.v, test_g.w * alpha])
             )
             assert scaled_rule(scaled_test).parts == rule(test_g).parts
 
@@ -247,10 +247,10 @@ class TestMetaScale:
         for _ in range(10):
             g, truth = separated_problem(rng)
             rule = fit_meta_scale([(g, truth)])
-            out = rule(g).to_label_array()
-            lab = truth.to_label_array()
+            out = rule(g).labels
+            lab = truth.labels
             # no known cross-cluster pair may be merged by the learned rule
-            for u, v, w in g.edges:
+            for u, v, w in zip(g.u.tolist(), g.v.tolist(), g.w.tolist()):
                 if lab[u] != lab[v] and w == rule.r_star:
                     assert out[u] != out[v]
 

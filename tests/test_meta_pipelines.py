@@ -223,7 +223,7 @@ class TestGenerateRuns:
 
     def test_raw_norm_changes_the_grid_when_the_mean_is_far_from_the_origin(self):
         ds, truth = small_repo(1).problems[0]
-        far = Dataset(id="far", points=ds.points + 100.0, labels=ds.labels)
+        far = Dataset(id="far", points=ds.points + 100.0)
         raw = generate_runs(far, truth, range(2, 5), 3, seed=4, theta=0.1, use_raw_norm=True)
         centered = generate_runs(far, truth, range(2, 5), 3, seed=4, theta=0.1)
         assert not np.array_equal(raw.silhouette, centered.silhouette)
@@ -243,8 +243,8 @@ class TestGenerateRuns:
         # theta = 0.2 prunes the one point furthest from the mean (100); the
         # inliers split {0, 1} | {10, 11}, and 100 joins the nearer center 10.5,
         # which is exactly the truth.
-        ds = Dataset(id="w", points=np.array([[0.0], [1.0], [10.0], [11.0], [100.0]]), labels=[0, 0, 1, 1, 1])
-        truth = labels_to_partition(ds.labels)
+        ds = Dataset(id="w", points=np.array([[0.0], [1.0], [10.0], [11.0], [100.0]]))
+        truth = labels_to_partition([0, 0, 1, 1, 1])
         runs = generate_runs(ds, truth, (2,), 3, seed=0, theta=0.2)
         assert np.all(runs.ari == 1.0)
 
@@ -253,7 +253,7 @@ class TestGenerateRuns:
         labels = np.repeat([0, 1], 25)
         pts = rng.standard_normal((50, 2)) + 10.0 * labels[:, None]
         pts[7] = [500.0, -500.0]
-        ds = Dataset(id="o", points=pts, labels=labels)
+        ds = Dataset(id="o", points=pts)
         runs = generate_runs(ds, labels_to_partition(labels), (2,), 5, seed=2, theta=1 / 50)
         assert np.all(runs.ari >= 0.9)
 
@@ -420,14 +420,14 @@ class TestAlgoSelect:
         specs = [ClustererSpec(kind="kmeans", k=2, restarts=3), ClustererSpec(kind="agglo_single", k=2)]
         model = train_algo_select(specs, repo.problems, seed=1)
         assert len(model.members) == 2
-        name, partition, scores, partitions = select_algorithm(model, repo.problems[0][0].without_labels())
+        name, partition, scores, partitions = select_algorithm(model, repo.problems[0][0])
         assert name in scores and partition.is_valid()
         assert partitions[name] == partition
 
     def test_single_member_family(self):
         repo = small_repo(3)
         model = train_algo_select([ClustererSpec(kind="agglo_ward", k=2)], repo.problems, seed=0)
-        name, _, _, _ = select_algorithm(model, repo.problems[0][0].without_labels())
+        name, _, _, _ = select_algorithm(model, repo.problems[0][0])
         assert name == "agglo_ward"
 
     def test_failed_member_rows_flagged(self):
@@ -438,7 +438,7 @@ class TestAlgoSelect:
         ]
         model = train_algo_select(specs, repo.problems, seed=0)
         assert model.n_failed_rows == 3
-        name, _, scores, partitions = select_algorithm(model, repo.problems[0][0].without_labels())
+        name, _, scores, partitions = select_algorithm(model, repo.problems[0][0])
         assert name == "kmeans"
         assert list(scores) == list(partitions) == ["kmeans"]
 
@@ -456,7 +456,7 @@ class TestAlgoSelect:
             return real(dataset, partition, dist)
 
         monkeypatch.setattr(meta_pipelines, "phi_features", second_fails)
-        name, _, scores, partitions = select_algorithm(model, repo.problems[0][0].without_labels())
+        name, _, scores, partitions = select_algorithm(model, repo.problems[0][0])
         assert name == "kmeans" and list(scores) == ["kmeans"]
         assert list(partitions) == ["kmeans", "agglo_single"]
         assert partitions["agglo_single"] == calls[1]
@@ -538,7 +538,7 @@ class TestAlgoSelect:
 
         for calls in (runs, dists, phi_dists):
             calls.clear()
-        select_algorithm(model, repo.problems[0][0].without_labels())
+        select_algorithm(model, repo.problems[0][0])
         assert len(runs) == len(self.FAMILY) and len(dists) == 1
         assert len(phi_dists) == 3 and all(d is phi_dists[0] for d in phi_dists)
 
@@ -546,7 +546,6 @@ class TestAlgoSelect:
         repo = small_repo(6)
         model = train_algo_select(self.FAMILY, repo.problems[:3], seed=2)
         for ds, _truth in repo.problems[3:]:
-            ds = ds.without_labels()
             name, partition, scores, partitions = select_algorithm(model, ds)
             assert (name, partition, scores, partitions) == select_algorithm_oracle(model, ds)
 
@@ -572,7 +571,7 @@ class TestAlgoSelect:
         with pytest.raises(TypeError):
             train_algo_select(specs, repo.problems, seed=0)
         with pytest.raises(TypeError):
-            select_algorithm(model, repo.problems[0][0].without_labels())
+            select_algorithm(model, repo.problems[0][0])
 
     def test_deterministic(self):
         repo = small_repo(4)

@@ -31,8 +31,8 @@ def loss_oracle(n, y, z):
     """Direct ordered-pair enumeration of the disagreement fraction."""
     if not (y.is_valid() and z.is_valid()):
         return 1.0
-    ly = y.to_label_array()
-    lz = z.to_label_array()
+    ly = y.labels
+    lz = z.labels
     bad = 0
     for i in range(n):
         for j in range(n):
@@ -47,7 +47,7 @@ def silhouette_oracle(points, c):
     """Scalar per-point silhouette loop, accumulated in point order."""
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
-    labels = c.to_label_array()
+    labels = c.labels
     k = len(c.parts)
     diff = points[:, None, :] - points[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))
@@ -146,7 +146,7 @@ class TestContingency:
             n = int(rng.integers(2, 15))
             y = random_partition(rng, n)
             z = random_partition(rng, n)
-            ly, lz = y.to_label_array(), z.to_label_array()
+            ly, lz = y.labels, z.labels
             same_y = same_z = same_both = 0
             for i, j in itertools.combinations(range(n), 2):
                 same_y += ly[i] == ly[j]

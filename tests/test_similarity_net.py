@@ -34,7 +34,6 @@ from metaclust.similarity_net import (
     majority_baseline,
     nll_loss_and_grads,
     predict_features,
-    predict_pair,
     sample_pair_splits,
     swap_blocks,
     train_mlp,
@@ -42,13 +41,14 @@ from metaclust.similarity_net import (
 
 
 def toy_dataset(rng, n=20, d=3):
+    """A normalized two-class problem: (Dataset, truth Partition)."""
     pts = rng.standard_normal((n, d))
     labels = rng.integers(0, 2, size=n)
     labels[:2] = [0, 1]
-    return normalize_dataset(Dataset(id="toy", points=pts, labels=labels))
+    return normalize_dataset(Dataset(id="toy", points=pts)), labels_to_partition(labels)
 
 
-def pair_features_oracle(dataset, i, j):
+def pair_features_oracle(dataset, truth, i, j):
     """The per-pair builder: (75 features, label) of one ordered pair, with the
     covariance block recomputed for each pair."""
 
@@ -62,16 +62,12 @@ def pair_features_oracle(dataset, i, j):
     features = np.concatenate(
         [pad10(dataset.points[i]), pad10(dataset.points[j]), embedded[np.triu_indices(PAD_DIM)]]
     )
-    label = None if dataset.labels is None else int(dataset.labels[i] == dataset.labels[j])
-    return features, label
+    return features, int(truth.labels[i] == truth.labels[j])
 
 
 def pair_set(features, labels, dataset_id="d"):
-    """A PairSet over given feature rows, all from one dataset with dummy indices."""
-    m = len(features)
-    return PairSet(
-        features=features, labels=labels, dataset_ids=np.full(m, dataset_id), i=np.zeros(m), j=np.ones(m)
-    )
+    """A PairSet over given feature rows, all from one dataset."""
+    return PairSet(features=features, labels=labels, dataset_ids=np.full(len(features), dataset_id))
 
 
 def train_mlp_oracle(meta_train, epochs, batch, seed):
@@ -109,23 +105,19 @@ def train_mlp_oracle(meta_train, epochs, batch, seed):
     return flat([model.weights, model.biases]), flat(acc_grad), flat(acc_update)
 
 
-def one_pair(dataset, i, j):
-    return build_pair_features(dataset, [i], [j])
-
-
 class TestPairFeatures:
     def test_dimension_and_padding(self):
         rng = np.random.default_rng(0)
-        ds = toy_dataset(rng, d=3)
-        pairs = build_pair_features(ds, [0, 4], [1, 2])
+        ds, truth = toy_dataset(rng, d=3)
+        pairs = build_pair_features(ds, truth, [0, 4], [1, 2])
         assert pairs.features.shape == (2, FEATURE_DIM) and len(pairs) == 2
         assert np.all(pairs.features[:, 3:PAD_DIM] == 0.0)  # coord block 1 padding
         assert np.all(pairs.features[:, PAD_DIM + 3 : 2 * PAD_DIM] == 0.0)  # block 2
 
     def test_covariance_block_embedding(self):
         rng = np.random.default_rng(1)
-        ds = toy_dataset(rng, d=3)
-        cov_block = one_pair(ds, 0, 1).features[0, 2 * PAD_DIM :]
+        ds, truth = toy_dataset(rng, d=3)
+        cov_block = build_pair_features(ds, truth, [0], [1]).features[0, 2 * PAD_DIM :]
         assert cov_block.shape == (55,)
         # entries of the 10x10 upper triangle outside the leading 3x3 are zero
         full = np.zeros((PAD_DIM, PAD_DIM))
@@ -138,33 +130,33 @@ class TestPairFeatures:
 
     def test_covariance_shared_across_pairs(self):
         rng = np.random.default_rng(2)
-        ds = toy_dataset(rng)
-        cov = build_pair_features(ds, [0, 5, 3], [1, 9, 0]).features[:, 2 * PAD_DIM :]
+        ds, truth = toy_dataset(rng)
+        cov = build_pair_features(ds, truth, [0, 5, 3], [1, 9, 0]).features[:, 2 * PAD_DIM :]
         assert np.array_equal(cov[0], cov[1]) and np.array_equal(cov[0], cov[2])
 
     def test_swap_exchanges_coordinate_blocks_only(self):
         rng = np.random.default_rng(3)
-        ds = toy_dataset(rng)
-        fwd = build_pair_features(ds, [2, 0], [7, 5])
-        rev = build_pair_features(ds, [7, 5], [2, 0])
+        ds, truth = toy_dataset(rng)
+        fwd = build_pair_features(ds, truth, [2, 0], [7, 5])
+        rev = build_pair_features(ds, truth, [7, 5], [2, 0])
         assert np.array_equal(swap_blocks(fwd.features), rev.features)
         assert np.array_equal(swap_blocks(fwd.features[0]), rev.features[0])  # one row
 
     def test_labels(self):
         pts = np.array([[0.0], [0.1], [5.0], [5.1]])
-        ds = Dataset(id="l", points=pts, labels=np.array([0, 0, 1, 1]))
-        pairs = build_pair_features(ds, [0, 0], [1, 2])
+        ds = Dataset(id="l", points=pts)
+        pairs = build_pair_features(ds, labels_to_partition([0, 0, 1, 1]), [0, 0], [1, 2])
         assert pairs.labels.tolist() == [1, 0]
 
     def test_wide_dataset_rejected(self):
         ds = Dataset(id="w", points=np.zeros((3, 11)) + np.arange(3)[:, None])
         with pytest.raises(ValueError):
-            one_pair(ds, 0, 1)
+            build_pair_features(ds, labels_to_partition([0, 1, 0]), [0], [1])
 
     def test_identical_indices_rejected(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError):
-            build_pair_features(toy_dataset(rng), [0, 3], [1, 3])
+            build_pair_features(*toy_dataset(rng), [0, 3], [1, 3])
 
     def test_malformed_pair_set_rejected(self):
         features = np.zeros((2, FEATURE_DIM))
@@ -177,29 +169,27 @@ class TestPairFeatures:
             pair_set(np.zeros((2, FEATURE_DIM)), [0, 1, 1])  # one label too many
 
     def test_arrays_read_only(self):
-        pairs = build_pair_features(toy_dataset(np.random.default_rng(5)), [0], [1])
-        for arr in (pairs.features, pairs.labels, pairs.dataset_ids, pairs.i, pairs.j):
+        pairs = build_pair_features(*toy_dataset(np.random.default_rng(5)), [0], [1])
+        for arr in (pairs.features, pairs.labels, pairs.dataset_ids):
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
 
     @pytest.mark.parametrize("d", range(1, PAD_DIM + 1))
-    @pytest.mark.parametrize("labeled", [True, False])
-    def test_matches_per_pair_oracle_exactly(self, d, labeled):
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_matches_per_pair_oracle_exactly(self, d, normalized):
         rng = np.random.default_rng(100 + d)
-        ds = toy_dataset(rng, n=15, d=d)
-        if not labeled:
-            ds = Dataset(id=ds.id, points=ds.points)
+        ds, truth = toy_dataset(rng, n=15, d=d)
+        if not normalized:
+            ds = Dataset(id=ds.id, points=ds.points * 7.0 + 3.0)  # a covariance block far from unit
         rows_i = rng.integers(0, ds.n, size=40)
         rows_j = (rows_i + rng.integers(1, ds.n, size=40)) % ds.n
         # every pair in both orders
         rows_i, rows_j = np.concatenate([rows_i, rows_j]), np.concatenate([rows_j, rows_i])
-        pairs = build_pair_features(ds, rows_i, rows_j)
-        assert (pairs.labels is None) == (not labeled)
+        pairs = build_pair_features(ds, truth, rows_i, rows_j)
         for t, (i, j) in enumerate(zip(rows_i, rows_j)):
-            features, label = pair_features_oracle(ds, i, j)
+            features, label = pair_features_oracle(ds, truth, i, j)
             assert np.all(pairs.features[t] == features)
-            assert label == (None if pairs.labels is None else pairs.labels[t])
-            assert (pairs.i[t], pairs.j[t], pairs.dataset_ids[t]) == (i, j, ds.id)
+            assert (pairs.labels[t], pairs.dataset_ids[t]) == (label, ds.id)
 
 
 class TestSplits:
@@ -212,14 +202,21 @@ class TestSplits:
         split = sample_pair_splits(self.repo(), seed=1, max_pairs=50)
         assert len(split.meta_train) and len(split.meta_it) and len(split.meta_et)
 
-    def test_train_and_it_halves_disjoint(self):
+    def test_train_and_it_halves_disjoint(self, monkeypatch):
+        rows_by_dataset = {}
+        real = similarity_net.build_pair_features
+
+        def recorded(dataset, truth, rows_i, rows_j):
+            rows_by_dataset.setdefault(dataset.id, []).append({*rows_i.tolist(), *rows_j.tolist()})
+            return real(dataset, truth, rows_i, rows_j)
+
+        monkeypatch.setattr(similarity_net, "build_pair_features", recorded)
         split = sample_pair_splits(self.repo(), seed=2, max_pairs=80)
-        train, it = split.meta_train, split.meta_it
-        for ds_id in set(it.dataset_ids):
-            in_train = train.dataset_ids == ds_id
-            in_it = it.dataset_ids == ds_id
-            train_rows = set(train.i[in_train]) | set(train.j[in_train])
-            it_rows = set(it.i[in_it]) | set(it.j[in_it])
+        # a category-1 dataset builds its meta-train pairs, then its meta-IT pairs
+        halved = {ds_id for ds_id, builds in rows_by_dataset.items() if len(builds) == 2}
+        assert halved == set(split.meta_it.dataset_ids)
+        for ds_id in halved:
+            train_rows, it_rows = rows_by_dataset[ds_id]
             assert not (train_rows & it_rows)
 
     def test_et_datasets_absent_from_training(self):
@@ -231,8 +228,8 @@ class TestSplits:
         def problem(i, n):
             rng = np.random.default_rng(i)
             labels = np.arange(n) % 2
-            ds = Dataset(id=f"p{i}", points=rng.standard_normal((n, 2)) + 8.0 * labels[:, None], labels=labels)
-            return ds, labels_to_partition(labels)
+            points = rng.standard_normal((n, 2)) + 8.0 * labels[:, None]
+            return Dataset(id=f"p{i}", points=points), labels_to_partition(labels)
 
         assert similarity_net.MAX_EXAMPLES == 1000
         oversize = MetaRepository(problems=tuple(problem(i, 1001) for i in range(3)), seed=0)
@@ -249,16 +246,16 @@ class TestSplits:
         b = sample_pair_splits(self.repo(), seed=5, max_pairs=40)
         for name in ("meta_train", "meta_it", "meta_et"):
             pa, pb = getattr(a, name), getattr(b, name)
-            for field in ("features", "labels", "dataset_ids", "i", "j"):
+            for field in ("features", "labels", "dataset_ids"):
                 assert np.array_equal(getattr(pa, field), getattr(pb, field))
 
     def test_one_feature_build_per_dataset_and_set(self, monkeypatch):
         calls = []
         real = similarity_net.build_pair_features
 
-        def counted(dataset, rows_i, rows_j):
+        def counted(dataset, truth, rows_i, rows_j):
             calls.append((dataset.id, len(rows_i)))
-            return real(dataset, rows_i, rows_j)
+            return real(dataset, truth, rows_i, rows_j)
 
         monkeypatch.setattr(similarity_net, "build_pair_features", counted)
         split = sample_pair_splits(self.repo(), seed=4, max_pairs=50)
@@ -419,13 +416,13 @@ class TestAdadelta:
 class TestPrediction:
     def test_decision_symmetry(self):
         rng = np.random.default_rng(9)
-        ds = toy_dataset(rng)
+        ds, truth = toy_dataset(rng)
         model = init_mlp(seed=5)
         for _ in range(10):
             i, j = rng.choice(ds.n, size=2, replace=False)
-            pi, di = predict_pair(model, ds, int(i), int(j))
-            pj, dj = predict_pair(model, ds, int(j), int(i))
-            assert pi == pj and di == dj
+            pi, di = predict_features(model, build_pair_features(ds, truth, [i], [j]).features)
+            pj, dj = predict_features(model, build_pair_features(ds, truth, [j], [i]).features)
+            assert pi[0] == pj[0] and di[0] == dj[0]
 
     def test_half_probability_is_different(self):
         # a zero-weight model outputs exactly p = 0.5, decided as "different"
@@ -457,10 +454,6 @@ class TestMajorityBaseline:
     def test_interleaved_problems(self):
         pairs = concat_pair_sets([self.make([1, 1], "a"), self.make([0], "b"), self.make([1, 0], "a")])
         assert majority_baseline(pairs) == pytest.approx((0.75 + 1.0) / 2)
-
-    def test_unlabeled_rejected(self):
-        with pytest.raises(ValueError):
-            majority_baseline(pair_set(np.zeros((2, FEATURE_DIM)), None))
 
 
 class TestEvaluateBsf:
