@@ -53,9 +53,12 @@ class ConfigError(Exception):
     """Invalid experiment configuration."""
 
 
+FLOAT_FORMAT = "%.17g"  # the one float rule of every result file
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
-        return format(value, ".17g")
+        return FLOAT_FORMAT % value
     return str(value)
 
 
@@ -65,6 +68,14 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+
+
+def _write_float_pairs(path: Path, header, first, second) -> None:
+    """Two float columns in one join, the bytes ``_write_csv`` writes for them."""
+    line = f"{FLOAT_FORMAT},{FLOAT_FORMAT}\r\n"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.write("".join([line % pair for pair in zip(first.tolist(), second.tolist())]))
 
 
 def _write_config(out_dir: Path, args: argparse.Namespace) -> None:
@@ -80,12 +91,12 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_result(args, name: str, header, rows, summary=None) -> None:
-    """Write a run's result CSV and config.json into --out; print ``summary`` or the row count."""
+def _write_result(args, name: str, header, rows) -> None:
+    """Write a run's result CSV and config.json into --out; print the row count."""
     out = _out_dir(args)
     _write_csv(out / name, header, rows)
     _write_config(out, args)
-    print(summary or f"wrote {out / name} ({len(rows)} rows)")
+    print(f"wrote {out / name} ({len(rows)} rows)")
 
 
 def _parse_fractions(text: str, flag: str, zero_ok: bool = False) -> list:
@@ -101,13 +112,14 @@ def _parse_fractions(text: str, flag: str, zero_ok: bool = False) -> list:
     return values
 
 
-def _splits(args):
+def _splits(args) -> list:
     """(frac, repeat, SplitSpec) for every --train-frac x --repeats cell, in that order.
 
-    The fractions are parsed here, so a bad list fails before any work.
+    Every pipeline calls this before it loads the repository, so a bad list
+    fails before any work.
     """
     fracs = _parse_fractions(args.train_frac, "--train-frac")
-    return ((frac, repeat, SplitSpec(frac, repeat, args.seed)) for frac in fracs for repeat in range(args.repeats))
+    return [(frac, repeat, SplitSpec(frac, repeat, args.seed)) for frac in fracs for repeat in range(args.repeats)]
 
 
 # The smallest usable value of each count flag; a training pair needs two rows.
@@ -163,9 +175,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_run_meta_k(args) -> int:
-    repo = _load_repo(args)
     k_range = _k_range(args)
     splits = _splits(args)
+    repo = _load_repo(args)
     grids = repo_runs(repo, k_range, args.restarts, args.seed)
     rows = []
     for frac, repeat, split in splits:
@@ -179,11 +191,12 @@ def cmd_run_meta_k(args) -> int:
 
 
 def cmd_run_algo_select(args) -> int:
+    splits = _splits(args)
     repo = _load_repo(args)
     family = default_family(k=2)
     names = [spec.name for spec in family]
     rows = []
-    for frac, repeat, split in _splits(args):
+    for frac, repeat, split in splits:
         train_idx, test_idx = split_repository(repo, split)
         model = train_algo_select(family, [repo.problems[i] for i in train_idx], seed=args.seed)
         ari_meta, per_member = evaluate_algo_select(model, [repo.problems[i] for i in test_idx])
@@ -194,10 +207,10 @@ def cmd_run_algo_select(args) -> int:
 
 
 def cmd_run_outliers(args) -> int:
-    repo = _load_repo(args)
     k_range = _k_range(args)
     p_grid = _parse_fractions(args.p_grid, "--p-grid", zero_ok=True)
-    cells = list(_splits(args))
+    cells = _splits(args)
+    repo = _load_repo(args)
     splits = [split for _frac, _repeat, split in cells]
     results = sweep_outlier_fraction(repo, splits, p_grid, k_range, args.restarts, args.seed, use_raw_norm=args.raw_norm)
     rows = []
@@ -212,16 +225,19 @@ def cmd_run_fit_threshold(args) -> int:
     repo = _load_repo(args)
     train = [(dataset_to_distance_graph(ds), truth) for ds, truth in repo.problems]
     result = fit_threshold_kruskal(train)
-    summary = f"r_star={_fmt(result.r_star)} min_mean_loss={_fmt(result.min_mean_loss)}"
-    _write_result(args, "threshold_profile.csv", ["r", "mean_loss"], result.profile, summary)
+    out = _out_dir(args)
+    _write_float_pairs(out / "threshold_profile.csv", ["r", "mean_loss"], result.r, result.mean_loss)
+    _write_config(out, args)
+    print(f"r_star={_fmt(result.r_star)} min_mean_loss={_fmt(result.min_mean_loss)}")
     return EXIT_OK
 
 
 def cmd_run_meta_scale(args) -> int:
+    splits = _splits(args)
     repo = _load_repo(args)
     graphs = [(dataset_to_distance_graph(ds), truth) for ds, truth in repo.problems]
     rows = []
-    for frac, repeat, split in _splits(args):
+    for frac, repeat, split in splits:
         train_idx, test_idx = split_repository(repo, split)
         rule = fit_meta_scale([graphs[i] for i in train_idx])
         losses = [clustering_loss(truth.n_items, truth, rule(g)) for g, truth in (graphs[i] for i in test_idx)]

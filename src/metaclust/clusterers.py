@@ -167,7 +167,7 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 1, seed: int = 0) -> Clus
 
 _LW_COEFFS = {
     # (alpha_i, alpha_j, beta, gamma) from the merged sizes ni, nj and the
-    # int array nm of the other active clusters' sizes.
+    # int array nm of every slot's size.
     "single": lambda ni, nj, nm: (0.5, 0.5, 0.0, -0.5),
     "complete": lambda ni, nj, nm: (0.5, 0.5, 0.0, 0.5),
     "average": lambda ni, nj, nm: (ni / (ni + nj), nj / (ni + nj), 0.0, 0.0),
@@ -186,7 +186,9 @@ def agglomerative(points: np.ndarray, k: int, linkage: str = "single") -> Partit
     Ward operates on squared Euclidean distances; ties break toward the
     lexicographically lowest active cluster-slot pair.  A retired slot's row
     and column are set to inf, so the plain row-major argmin of the matrix
-    is the lowest closest active pair.
+    is the lowest closest active pair.  Each merge evaluates the update over
+    whole rows and keeps it only for the other active slots, so every active
+    entry gets the same float operations as a per-slot update.
     """
     if linkage not in LINKAGES:
         raise ValueError(f"unknown linkage {linkage!r}")
@@ -203,26 +205,37 @@ def agglomerative(points: np.ndarray, k: int, linkage: str = "single") -> Partit
 
     active = np.ones(n, dtype=bool)
     sizes = np.ones(n, dtype=int)
-    slot = np.arange(n)  # the cluster slot of each point
+    merged_into = np.arange(n)  # a retired slot's merge target; itself while active
     coeffs = _LW_COEFFS[linkage]
 
-    for _ in range(n - k):
-        i, j = divmod(int(np.argmin(dist)), n)  # i < j: the matrix is symmetric
-        d_ij = dist[i, j]
-        ni, nj = sizes[i], sizes[j]
-        active[j] = False
-        ms = np.flatnonzero(active)
-        ms = ms[ms != i]
-        di, dj = dist[i, ms], dist[j, ms]
-        ai, aj, beta, gamma = coeffs(ni, nj, sizes[ms])
-        new_d = ai * di + aj * dj + beta * d_ij + gamma * np.abs(di - dj)
-        dist[i, ms] = new_d
-        dist[ms, i] = new_d
-        dist[j, :] = np.inf
-        dist[:, j] = np.inf
-        sizes[i] = ni + nj
-        slot[slot == j] = i
+    # Retired slots and the diagonal hold inf, where the update may be
+    # inf - inf; those entries are masked out by ``others``.
+    with np.errstate(invalid="ignore"):
+        for _ in range(n - k):
+            i, j = divmod(int(dist.argmin()), n)  # i < j: the matrix is symmetric
+            d_ij = dist[i, j]
+            ni, nj = sizes[i], sizes[j]
+            active[j] = False
+            others = active.copy()
+            others[i] = False
+            di, dj = dist[i], dist[j]
+            ai, aj, beta, gamma = coeffs(ni, nj, sizes)
+            new_d = np.where(others, ai * di + aj * dj + beta * d_ij + gamma * np.abs(di - dj), np.inf)
+            dist[i] = new_d
+            dist[:, i] = new_d
+            dist[j] = np.inf
+            dist[:, j] = np.inf
+            sizes[i] = ni + nj
+            merged_into[j] = i
 
+    # Follow the merge targets to the active slot of each point.  Targets
+    # are lower slots, so the jumps end.
+    slot = merged_into
+    while True:
+        nxt = slot[slot]
+        if np.array_equal(nxt, slot):
+            break
+        slot = nxt
     # A slot's smallest member is the slot itself (merges keep the lower
     # slot), so numbering the active slots in order numbers the parts by
     # their smallest member.

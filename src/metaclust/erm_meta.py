@@ -110,13 +110,36 @@ def erm_select(family: AlgorithmFamily, train: Sequence) -> tuple:
     return best, losses
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThresholdFitResult:
-    """Outcome of fitting the single-linkage threshold on a training set."""
+    """Outcome of fitting the single-linkage threshold on a training set.
+
+    ``r`` holds the candidate thresholds in increasing order and
+    ``mean_loss`` the mean training loss at each, as read-only float64
+    arrays; ``r_star`` is the smallest candidate with the least loss.
+    """
 
     r_star: float
     min_mean_loss: float
-    profile: tuple  # ordered tuple of (candidate r, mean loss)
+    r: np.ndarray
+    mean_loss: np.ndarray
+
+    def __post_init__(self):
+        for name in ("r", "mean_loss"):
+            values = np.array(getattr(self, name), dtype=np.float64)
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+
+    def __eq__(self, other):
+        """Exact equality: the same minimum and the same profile, value for value."""
+        if not isinstance(other, ThresholdFitResult):
+            return NotImplemented
+        return (
+            self.r_star == other.r_star
+            and self.min_mean_loss == other.min_mean_loss
+            and np.array_equal(self.r, other.r)
+            and np.array_equal(self.mean_loss, other.mean_loss)
+        )
 
 
 def _check_threshold_train(train: Sequence) -> None:
@@ -127,32 +150,32 @@ def _check_threshold_train(train: Sequence) -> None:
             raise ValueError("each ground truth must be a valid partition of its graph")
 
 
-def _candidate_thresholds(train: Sequence) -> tuple:
-    """All distinct edge weights plus a value below the smallest weight."""
-    weights = np.unique(np.concatenate([graph.w for graph, _ in train])).tolist()
-    r_below = 0.0 if (not weights or weights[0] > 0) else -1.0
-    return r_below, weights
+def _candidate_thresholds(train: Sequence) -> np.ndarray:
+    """All distinct edge weights, in increasing order, after a value below the smallest."""
+    weights = np.unique(np.concatenate([graph.w for graph, _ in train]))
+    r_below = 0.0 if (not weights.size or weights[0] > 0) else -1.0
+    return np.concatenate([[r_below], weights])
 
 
-def _profile_minimum(profile: Sequence) -> tuple:
-    min_loss = min(loss for _r, loss in profile)
-    r_star = next(r for r, loss in profile if loss == min_loss)
-    return r_star, min_loss
+def _fit_result(candidates: np.ndarray, mean_loss: np.ndarray) -> ThresholdFitResult:
+    best = int(np.argmin(mean_loss))  # the first minimum: ties go to the smallest r
+    return ThresholdFitResult(
+        r_star=float(candidates[best]), min_mean_loss=float(mean_loss[best]), r=candidates, mean_loss=mean_loss
+    )
 
 
 def fit_threshold_bruteforce(train: Sequence) -> ThresholdFitResult:
     """Correctness oracle: recompute components and loss from scratch per candidate."""
     _check_threshold_train(train)
-    r_below, weights = _candidate_thresholds(train)
-    profile = []
-    for r in [r_below] + weights:
+    candidates = _candidate_thresholds(train)
+    mean_loss = []
+    for r in candidates.tolist():
         losses = [
             clustering_loss(truth.n_items, truth, single_linkage_threshold(graph, r, strict=False))
             for graph, truth in train
         ]
-        profile.append((r, sum(losses) / len(losses)))
-    r_star, min_loss = _profile_minimum(profile)
-    return ThresholdFitResult(r_star=r_star, min_mean_loss=min_loss, profile=tuple(profile))
+        mean_loss.append(sum(losses) / len(losses))
+    return _fit_result(candidates, np.array(mean_loss))
 
 
 class _GraphSweepState:
@@ -229,8 +252,7 @@ def fit_threshold_kruskal(train: Sequence) -> ThresholdFitResult:
     brute-force oracle exactly, threshold for threshold.
     """
     _check_threshold_train(train)
-    r_below, weights = _candidate_thresholds(train)
-    candidates = np.array([r_below] + weights)
+    candidates = _candidate_thresholds(train)
     total = np.zeros(candidates.size)
     for graph, truth in train:
         state = _GraphSweepState(graph, truth)
@@ -244,9 +266,7 @@ def fit_threshold_kruskal(train: Sequence) -> ThresholdFitResult:
                 step_losses.append(state.loss())
         steps = np.searchsorted(np.array(step_weights), candidates, side="right")
         total += np.array(step_losses)[steps]
-    profile = tuple(zip([r_below] + weights, (total / len(train)).tolist()))
-    r_star, min_loss = _profile_minimum(profile)
-    return ThresholdFitResult(r_star=r_star, min_mean_loss=min_loss, profile=profile)
+    return _fit_result(candidates, total / len(train))
 
 
 @dataclass(frozen=True)

@@ -238,15 +238,17 @@ class AlgoSelectModel:
     n_failed_rows: int = 0
 
 
-def _member_runs(specs: Sequence[ClustererSpec], dataset: Dataset) -> list:
-    """(partition, meta-feature row) of every member on one problem, in member order.
+def _member_runs(specs: Sequence[ClustererSpec], dataset: Dataset) -> tuple:
+    """The problem's covariance eigenvalue extrema, and the (partition,
+    meta-feature row) of every member on it, in member order.
 
     A member whose run raises ``ValueError`` gives (None, None), and one whose
     meta-features raise ``ValueError`` gives (partition, None); any other
-    exception propagates.  The problem's distance matrix is computed once and
-    shared by every member's silhouette.
+    exception propagates.  The problem's distance matrix and eigenvalue
+    extrema are computed once and shared by every member's meta-features.
     """
     dist = pairwise_distances(dataset.points)
+    extrema = symmetric_eigen_extrema(covariance(dataset.points))
     runs = []
     for spec in specs:
         try:
@@ -255,11 +257,11 @@ def _member_runs(specs: Sequence[ClustererSpec], dataset: Dataset) -> list:
             runs.append((None, None))
             continue
         try:
-            row = phi_features(dataset, partition, dist)
+            row = phi_features(dataset, partition, dist, extrema)
         except ValueError:
             row = None
         runs.append((partition, row))
-    return runs
+    return extrema, runs
 
 
 def train_algo_select(specs: Sequence[ClustererSpec], train: Sequence, seed: int = 0) -> AlgoSelectModel:
@@ -276,9 +278,9 @@ def train_algo_select(specs: Sequence[ClustererSpec], train: Sequence, seed: int
     targets = [[] for _ in specs]
     n_failed = 0
     for ds, truth in train:
-        for j, (partition, row) in enumerate(_member_runs(specs, ds)):
+        (lo, hi), runs = _member_runs(specs, ds)
+        for j, (partition, row) in enumerate(runs):
             if row is None:
-                lo, hi = symmetric_eigen_extrema(covariance(ds.points))
                 row, target = np.array([ds.d, ds.n, lo, hi, 0.0]), 0.0
                 n_failed += 1
             else:
@@ -301,7 +303,8 @@ def select_algorithm(model: AlgoSelectModel, dataset: Dataset) -> tuple:
     scores = {}
     partitions = {}
     best = None
-    for (spec, lm), (partition, row) in zip(model.members, _member_runs(specs, dataset)):
+    _extrema, runs = _member_runs(specs, dataset)
+    for (spec, lm), (partition, row) in zip(model.members, runs):
         if partition is None:
             continue
         partitions[spec.name] = partition

@@ -86,16 +86,19 @@ def symmetric_eigen_extrema(s: np.ndarray) -> tuple:
     return float(eig[0]), float(eig[-1])
 
 
-def phi_features(dataset: Dataset, c: Partition, dist: Optional[np.ndarray] = None) -> np.ndarray:
+def phi_features(
+    dataset: Dataset, c: Partition, dist: Optional[np.ndarray] = None, extrema: Optional[tuple] = None
+) -> np.ndarray:
     """The meta-feature vector [d, m, sigma_min, sigma_max, silhouette] of
     (dataset, candidate clustering).
 
     sigma_min and sigma_max are the extreme eigenvalues of the population
     covariance, which must be PSD up to 1e-9.  ``dist`` is
-    ``pairwise_distances(dataset.points)``, passed on to ``silhouette_score``;
-    callers scoring many clusterings of one dataset compute it once.
+    ``pairwise_distances(dataset.points)``, passed on to ``silhouette_score``,
+    and ``extrema`` is ``symmetric_eigen_extrema(covariance(dataset.points))``;
+    callers scoring many clusterings of one dataset compute each once.
     """
-    lo, hi = symmetric_eigen_extrema(covariance(dataset.points))
+    lo, hi = extrema if extrema is not None else symmetric_eigen_extrema(covariance(dataset.points))
     if lo < -1e-9:
         raise ValueError(f"covariance must be PSD up to tolerance, got sigma_min={lo}")
     sil = silhouette_score(dataset.points, c, dist=dist)

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from metaclust import cli, meta_pipelines
@@ -81,6 +82,20 @@ class TestRunFitThreshold:
         lines = (out / "threshold_profile.csv").read_text().splitlines()
         assert lines[0] == "r,mean_loss"
         assert len(lines) > 2
+
+
+class TestFloatFormat:
+    VALUES = [-1.0, 0.0, -0.0, 5e-324, 0.1, 1e16, 1 / 3]
+
+    def test_float_pairs_match_the_csv_writer(self, tmp_path):
+        # The one-pass profile writer and the per-cell csv writer give the same bytes.
+        first = np.array(self.VALUES)
+        second = first[::-1].copy()
+        cli._write_float_pairs(tmp_path / "fast.csv", ["r", "mean_loss"], first, second)
+        cli._write_csv(tmp_path / "cells.csv", ["r", "mean_loss"], zip(first.tolist(), second.tolist()))
+        fast = read_bytes(tmp_path / "fast.csv")
+        assert fast == read_bytes(tmp_path / "cells.csv")
+        assert fast.splitlines()[1:4] == [b"-1,0.33333333333333331", b"0,10000000000000000", b"-0,0.10000000000000001"]
 
 
 class TestRunMetaK:
@@ -340,6 +355,26 @@ class TestErrorContracts:
         err = capsys.readouterr().err
         assert rc == EXIT_CONFIG
         assert err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "pipeline,flags,message",
+        [
+            ("meta-k", ["--train-frac", "abc"], "bad --train-frac list: 'abc'"),
+            ("meta-k", ["--k-min", "5", "--k-max", "3"], "need 2 <= --k-min <= --k-max"),
+            ("algo-select", ["--train-frac", "abc"], "bad --train-frac list: 'abc'"),
+            ("outliers", ["--train-frac", "abc"], "bad --train-frac list: 'abc'"),
+            ("outliers", ["--p-grid", "abc"], "bad --p-grid list: 'abc'"),
+            ("meta-scale", ["--train-frac", "abc"], "bad --train-frac list: 'abc'"),
+        ],
+        ids=["meta_k_frac", "meta_k_k_range", "algo_select_frac", "outliers_frac", "outliers_p_grid", "meta_scale_frac"],
+    )
+    def test_bad_flag_rejected_before_loading(self, tmp_path, capsys, pipeline, flags, message):
+        # A bad flag is a configuration error even when --repo does not exist.
+        out = tmp_path / "x"
+        rc = main(["run", pipeline, "--repo", str(tmp_path / "nowhere"), *flags, "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_missing_repo(self, tmp_path):

@@ -1,5 +1,7 @@
 """K-means, linkage clustering, threshold single-linkage and run_spec."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -378,6 +380,29 @@ class TestAgglomerative:
                 pts[rng.integers(0, n, size=n // 2)] = pts[-1]  # duplicate points
             for k in sorted({2, int(rng.integers(2, n + 1)), n}):
                 assert agglomerative(pts, k, linkage) == lance_williams_oracle(pts, k, linkage), (linkage, n, d, k)
+        # The whole merge sequence on small problems: every k from n down to 2.
+        for n, d in ((2, 1), (5, 1), (8, 2), (11, 1), (12, 3)):
+            for variant in ("plain", "rounded", "duplicates"):
+                pts = rng.standard_normal((n, d)) * 2.0
+                if variant == "rounded":
+                    pts = np.round(pts)  # many tied distances
+                elif variant == "duplicates":
+                    pts[rng.integers(0, n, size=n // 2)] = pts[0]
+                for k in range(n, 1, -1):
+                    assert agglomerative(pts, k, linkage) == lance_williams_oracle(pts, k, linkage), (
+                        linkage, n, d, variant, k
+                    )
+
+    @pytest.mark.parametrize("linkage", ["single", "complete"])
+    def test_masked_inf_entries_raise_no_float_error(self, linkage):
+        # The full-row update meets inf - inf on the diagonal and in retired
+        # slots (gamma != 0 for these linkages); those entries are masked and
+        # must not raise, even where invalid operations are errors.
+        pts = np.array([[0.0], [0.1], [3.0], [3.2], [3.2], [7.0], [7.5]])
+        with warnings.catch_warnings(), np.errstate(invalid="raise"):
+            warnings.simplefilter("error")
+            for k in range(len(pts) - 1, 1, -1):
+                assert agglomerative(pts, k, linkage) == lance_williams_oracle(pts, k, linkage), k
 
     def test_ties_break_toward_lowest_pair(self):
         # Every gap is 1: single linkage must merge (0,1), then (0,2), ...

@@ -16,12 +16,19 @@ from metaclust.erm_meta import (
     AlgorithmFamily,
     BoundParams,
     MetaScaleRule,
+    ThresholdFitResult,
     erm_select,
     fit_meta_scale,
     fit_threshold_bruteforce,
     fit_threshold_kruskal,
     generalization_bound,
 )
+
+
+def assert_same_fit(a, b):
+    """Exact agreement: the same minimum and the same profile, value for value."""
+    assert a.r_star == b.r_star and a.min_mean_loss == b.min_mean_loss
+    assert np.array_equal(a.r, b.r) and np.array_equal(a.mean_loss, b.mean_loss)
 
 
 def path_example():
@@ -117,43 +124,64 @@ class TestErmSelect:
 class TestThresholdFitting:
     def test_worked_path_profile(self):
         result = fit_threshold_kruskal([path_example()])
-        assert result.profile == ((0.0, 0.5), (1.0, 0.0), (5.0, 1.0))
+        assert np.array_equal(result.r, [0.0, 1.0, 5.0])
+        assert np.array_equal(result.mean_loss, [0.5, 0.0, 1.0])
         assert result.r_star == 1.0
         assert result.min_mean_loss == 0.0
+
+    def test_profile_is_read_only_float64(self):
+        result = fit_threshold_kruskal([path_example()])
+        for values in (result.r, result.mean_loss):
+            assert values.dtype == np.float64 and values.shape == (3,)
+            assert not values.flags.writeable
+
+    def test_equality_is_exact(self):
+        a = fit_threshold_kruskal([path_example()])
+        assert a == fit_threshold_bruteforce([path_example()])
+        changed = ThresholdFitResult(a.r_star, a.min_mean_loss, a.r, a.mean_loss + [0.0, 1e-300, 0.0])
+        assert a != changed
+        assert a != ThresholdFitResult(a.r_star, a.min_mean_loss, a.r[:2], a.mean_loss[:2])
+
+    def test_tied_minimum_goes_to_smallest_r(self):
+        # r = 2 joins the triangle; r = 3 is a non-forest edge of the same
+        # component, so the loss stays 0 there too.
+        g = WeightedGraph(4, ((0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0), (2, 3, 5.0)))
+        train = [(g, Partition(4, ((0, 1, 2), (3,))))]
+        for fit in (fit_threshold_kruskal, fit_threshold_bruteforce):
+            result = fit(train)
+            assert np.array_equal(result.mean_loss, [0.5, 1 / 3, 0.0, 0.0, 1.0])
+            assert result.r_star == 2.0 and result.min_mean_loss == 0.0
 
     def test_bruteforce_matches_on_path(self):
         a = fit_threshold_kruskal([path_example()])
         b = fit_threshold_bruteforce([path_example()])
-        assert a == b
+        assert_same_fit(a, b)
 
     def test_duplicated_graph_invariance(self):
         single = fit_threshold_kruskal([path_example()])
         double = fit_threshold_kruskal([path_example(), path_example()])
-        assert double.r_star == single.r_star
-        assert double.profile == single.profile
+        assert_same_fit(double, single)
 
     def test_single_edge_merge_goes_invalid(self):
         g = WeightedGraph(2, ((0, 1, 2.0),))
         truth = Partition(2, ((0,), (1,)))
         # merging at r=2 yields one component -> charged loss 1
         result = fit_threshold_bruteforce([(g, truth)])
-        assert dict(result.profile)[2.0] == 1.0
+        assert result.mean_loss[result.r == 2.0].tolist() == [1.0]
         assert result.r_star == 0.0
 
     def test_zero_weight_candidate_below(self):
         g = WeightedGraph(3, ((0, 1, 0.0), (1, 2, 3.0)))
         truth = Partition(3, ((0, 1), (2,)))
         result = fit_threshold_kruskal([(g, truth)])
-        assert result.profile[0][0] == -1.0  # below the smallest (zero) weight
+        assert result.r[0] == -1.0  # below the smallest (zero) weight
         assert result.r_star == 0.0
 
     def test_oracle_equivalence_random(self):
         rng = np.random.default_rng(0)
         for _ in range(60):
             train = random_collection(rng)
-            fast = fit_threshold_kruskal(train)
-            slow = fit_threshold_bruteforce(train)
-            assert fast == slow  # exact: r_star, min loss and full profile
+            assert_same_fit(fit_threshold_kruskal(train), fit_threshold_bruteforce(train))
 
     def test_oracle_equivalence_edge_cases(self):
         two = Partition(4, ((0, 1), (2, 3)))
@@ -173,7 +201,7 @@ class TestThresholdFitting:
             ],
         }
         for name, train in cases.items():
-            assert fit_threshold_kruskal(train) == fit_threshold_bruteforce(train), name
+            assert_same_fit(fit_threshold_kruskal(train), fit_threshold_bruteforce(train))
 
     def test_complete_distance_graphs_match_oracle(self):
         rng = np.random.default_rng(4)
@@ -189,7 +217,7 @@ class TestThresholdFitting:
                     labels[0] = 1 - labels[0]
                 _, dense = np.unique(labels, return_inverse=True)
                 train.append((dataset_to_distance_graph(Dataset(id="c", points=pts)), labels_to_partition(dense)))
-            assert fit_threshold_kruskal(train) == fit_threshold_bruteforce(train)
+            assert_same_fit(fit_threshold_kruskal(train), fit_threshold_bruteforce(train))
 
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError):

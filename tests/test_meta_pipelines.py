@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from metaclust import meta_pipelines
+from metaclust import meta_pipelines, regression
 from metaclust.clusterers import ClustererSpec, kmeans, run_spec
 from metaclust.data_model import (
     Dataset,
@@ -449,11 +449,11 @@ class TestAlgoSelect:
         real = meta_pipelines.phi_features
         calls = []
 
-        def second_fails(dataset, partition, dist=None):
+        def second_fails(dataset, partition, dist=None, extrema=None):
             calls.append(partition)
             if len(calls) == 2:
                 raise ValueError("no features for this partition")
-            return real(dataset, partition, dist)
+            return real(dataset, partition, dist, extrema)
 
         monkeypatch.setattr(meta_pipelines, "phi_features", second_fails)
         name, _, scores, partitions = select_algorithm(model, repo.problems[0][0])
@@ -521,13 +521,22 @@ class TestAlgoSelect:
             dists.append(points)
             return real_dist(points)
 
-        def recorded_phi(dataset, partition, dist=None):
+        def recorded_phi(dataset, partition, dist=None, extrema=None):
             phi_dists.append(dist)
-            return real_phi(dataset, partition, dist)
+            return real_phi(dataset, partition, dist, extrema)
+
+        eigen = []
+        real_eigen = meta_pipelines.symmetric_eigen_extrema
+
+        def counted_eigen(s):
+            eigen.append(s)
+            return real_eigen(s)
 
         monkeypatch.setattr(meta_pipelines, "run_spec", counted_run)
         monkeypatch.setattr(meta_pipelines, "pairwise_distances", counted_dist)
         monkeypatch.setattr(meta_pipelines, "phi_features", recorded_phi)
+        monkeypatch.setattr(meta_pipelines, "symmetric_eigen_extrema", counted_eigen)
+        monkeypatch.setattr(regression, "symmetric_eigen_extrema", counted_eigen)
         model = train_algo_select(self.FAMILY, repo.problems, seed=1)
         assert len(runs) == len(self.FAMILY) * len(repo.problems)
         assert len(dists) == len(repo.problems)
@@ -535,12 +544,27 @@ class TestAlgoSelect:
         # Three members run and get features on each problem, all from its one matrix.
         assert len(phi_dists) == 3 * len(repo.problems)
         assert len({id(d) for d in phi_dists[:3]}) == 1 and phi_dists[0] is not phi_dists[3]
+        # One eigendecomposition per problem serves its feature rows and its failure row.
+        assert len(eigen) == len(repo.problems)
 
-        for calls in (runs, dists, phi_dists):
+        for calls in (runs, dists, phi_dists, eigen):
             calls.clear()
         select_algorithm(model, repo.problems[0][0])
         assert len(runs) == len(self.FAMILY) and len(dists) == 1
         assert len(phi_dists) == 3 and all(d is phi_dists[0] for d in phi_dists)
+        assert len(eigen) == 1
+
+    def test_failed_psd_check_fails_every_feature_row(self, monkeypatch):
+        repo = small_repo(3)
+        monkeypatch.setattr(meta_pipelines, "symmetric_eigen_extrema", lambda s: (-0.5, 1.0))
+        model = train_algo_select(self.FAMILY, repo.problems, seed=1)
+        assert model.n_failed_rows == len(self.FAMILY) * len(repo.problems)
+        # Every member is fit to failure rows, which carry the shared extrema.
+        oracle = fit_least_squares([[ds.d, ds.n, -0.5, 1.0, 0.0] for ds, _truth in repo.problems], [0.0] * 3)
+        for _spec, lm in model.members:
+            assert np.array_equal(lm.weights, oracle.weights) and lm.intercept == oracle.intercept
+        with pytest.raises(RuntimeError, match="every family member failed"):
+            select_algorithm(model, repo.problems[0][0])
 
     def test_selection_matches_member_by_member_oracle(self):
         repo = small_repo(6)
