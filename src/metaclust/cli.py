@@ -21,7 +21,7 @@ import math
 import sys
 from pathlib import Path
 
-from metaclust.clusterers import ClustererSpec
+from metaclust.clusterers import KINDS, ClustererSpec
 from metaclust.data_model import (
     DataError,
     SplitSpec,
@@ -70,12 +70,17 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
+_CHUNK_ROWS = 8192  # rows per join; a whole profile's strings at once would take tens of MB
+
+
 def _write_float_pairs(path: Path, header, first, second) -> None:
-    """Two float columns in one join, the bytes ``_write_csv`` writes for them."""
+    """Two float columns, one join per chunk of rows: the bytes ``_write_csv`` writes for them."""
     line = f"{FLOAT_FORMAT},{FLOAT_FORMAT}\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.write("".join([line % pair for pair in zip(first.tolist(), second.tolist())]))
+        for start in range(0, len(first), _CHUNK_ROWS):
+            chunk = slice(start, start + _CHUNK_ROWS)
+            fh.write("".join([line % pair for pair in zip(first[chunk].tolist(), second[chunk].tolist())]))
 
 
 def _write_config(out_dir: Path, args: argparse.Namespace) -> None:
@@ -146,13 +151,10 @@ def _load_repo(args):
     return load_repository(manifest, seed=args.seed)
 
 
-def default_family(k: int = 2) -> list:
-    """Five base algorithms, each with and without normalization."""
-    kinds = ("kmeans", "agglo_single", "agglo_complete", "agglo_average", "agglo_ward")
+def default_family() -> list:
+    """The five base algorithms (``KINDS``) with k = 2, each with and without normalization."""
     return [
-        ClustererSpec(kind=kind, k=k, normalize_first=norm, restarts=10)
-        for kind in kinds
-        for norm in (False, True)
+        ClustererSpec(kind=kind, k=2, normalize_first=norm, restarts=10) for kind in KINDS for norm in (False, True)
     ]
 
 
@@ -193,7 +195,7 @@ def cmd_run_meta_k(args) -> int:
 def cmd_run_algo_select(args) -> int:
     splits = _splits(args)
     repo = _load_repo(args)
-    family = default_family(k=2)
+    family = default_family()
     names = [spec.name for spec in family]
     rows = []
     for frac, repeat, split in splits:

@@ -392,6 +392,8 @@ class SynthSpec:
             raise ValueError("outlier_fraction must lie in [0, 1)")
         if self.separation <= 0:
             raise ValueError("separation must be positive")
+        if not (math.isfinite(self.separation) and math.isfinite(20.0 * self.separation * self.n_clusters[1])):
+            raise ValueError(f"separation must be finite, with a finite outlier radius, got {self.separation}")
 
 
 def _sample_separated_centers(rng: np.random.Generator, k: int, d: int, separation: float) -> np.ndarray:
@@ -464,6 +466,8 @@ def load_repository(manifest_path, seed: int = 0) -> MetaRepository:
             raise DataError(f"{manifest_path}: invalid JSON: {exc}") from None
     if not isinstance(entries, list):
         raise DataError(f"{manifest_path}: manifest must be a JSON array, got {type(entries).__name__}")
+    if not entries:
+        raise DataError(f"{manifest_path}: manifest lists no datasets")
     problems = []
     for pos, entry in enumerate(entries):
         if not (

@@ -9,11 +9,11 @@ the silhouette of the candidate clustering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from metaclust.data_model import Dataset, Partition, covariance
+from metaclust.data_model import Dataset, Partition
 from metaclust.metrics import silhouette_score
 
 __all__ = [
@@ -86,9 +86,7 @@ def symmetric_eigen_extrema(s: np.ndarray) -> tuple:
     return float(eig[0]), float(eig[-1])
 
 
-def phi_features(
-    dataset: Dataset, c: Partition, dist: Optional[np.ndarray] = None, extrema: Optional[tuple] = None
-) -> np.ndarray:
+def phi_features(dataset: Dataset, c: Partition, dist: np.ndarray, extrema: tuple) -> np.ndarray:
     """The meta-feature vector [d, m, sigma_min, sigma_max, silhouette] of
     (dataset, candidate clustering).
 
@@ -98,7 +96,7 @@ def phi_features(
     and ``extrema`` is ``symmetric_eigen_extrema(covariance(dataset.points))``;
     callers scoring many clusterings of one dataset compute each once.
     """
-    lo, hi = extrema if extrema is not None else symmetric_eigen_extrema(covariance(dataset.points))
+    lo, hi = extrema
     if lo < -1e-9:
         raise ValueError(f"covariance must be PSD up to tolerance, got sigma_min={lo}")
     sil = silhouette_score(dataset.points, c, dist=dist)

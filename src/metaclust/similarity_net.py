@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from metaclust.data_model import DataError, Dataset, MetaRepository, Partition, covariance, derive_seed, normalize_dataset
+from metaclust.data_model import DataError, Dataset, MetaRepository, covariance, derive_seed, normalize_dataset
 
 __all__ = [
     "PairSet",
@@ -28,7 +28,6 @@ __all__ = [
     "ADADELTA_RHO",
     "ADADELTA_EPS",
     "build_pair_features",
-    "concat_pair_sets",
     "swap_blocks",
     "sample_pair_splits",
     "init_mlp",
@@ -58,7 +57,8 @@ class PairSet:
     """m sampled pairs, one row each: 75 features, same-class label, source dataset.
 
     ``features`` is (m, 75) float64, ``labels`` an int m-vector and
-    ``dataset_ids`` the source dataset of each row.  Every array is read-only.
+    ``dataset_ids`` the int code of each row's source dataset (its position
+    in the repository).  Every array is read-only.
     """
 
     features: np.ndarray
@@ -73,7 +73,7 @@ class PairSet:
         fields = {
             "features": f,
             "labels": np.asarray(self.labels, dtype=int),
-            "dataset_ids": np.asarray(self.dataset_ids, dtype=str),
+            "dataset_ids": np.asarray(self.dataset_ids, dtype=int),
         }
         for name, arr in fields.items():
             if arr.shape[0] != m or (name != "features" and arr.ndim != 1):
@@ -84,15 +84,6 @@ class PairSet:
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-
-def concat_pair_sets(sets: Sequence[PairSet]) -> PairSet:
-    """Rows of ``sets`` stacked in order."""
-    return PairSet(
-        features=np.concatenate([s.features for s in sets]),
-        labels=np.concatenate([s.labels for s in sets]),
-        dataset_ids=np.concatenate([s.dataset_ids for s in sets]),
-    )
 
 
 def swap_blocks(features: np.ndarray) -> np.ndarray:
@@ -114,31 +105,40 @@ def _covariance_features(points: np.ndarray) -> np.ndarray:
     return embedded[iu]
 
 
-def build_pair_features(dataset: Dataset, truth: Partition, rows_i, rows_j) -> PairSet:
-    """Features of the ordered pairs (rows_i[t], rows_j[t]); label 1 iff ``truth``
-    puts both rows in one part.
+def build_pair_features(problems, picks, *rows) -> PairSet:
+    """One pair set: for each pick (p, rows_i, rows_j), in order, the ordered
+    pairs (rows_i[t], rows_j[t]) of the (Dataset, truth Partition) ``problems[p]``.
 
-    The covariance block depends only on the dataset, so it is computed once
-    and shared by every row.
+    A row's label is 1 iff the truth puts both points in one part, and its
+    dataset id is p.  Every array is allocated once at full size, and each
+    pick's covariance block is computed once and shared by its rows.  The
+    four-argument form ``(dataset, truth, rows_i, rows_j)`` builds one
+    dataset's pairs, with id 0.
     """
-    if dataset.d > PAD_DIM:
-        raise ValueError(f"dataset has {dataset.d} > {PAD_DIM} features")
-    rows_i = np.asarray(rows_i, dtype=int)
-    rows_j = np.asarray(rows_j, dtype=int)
-    if rows_i.ndim != 1 or rows_i.shape != rows_j.shape:
-        raise ValueError("rows_i and rows_j must be index vectors of one length")
-    if np.any(rows_i == rows_j):
-        raise ValueError("pair indices must differ")
-    d = dataset.d
-    features = np.zeros((rows_i.shape[0], FEATURE_DIM))
-    features[:, :d] = dataset.points[rows_i]
-    features[:, PAD_DIM : PAD_DIM + d] = dataset.points[rows_j]
-    features[:, 2 * PAD_DIM :] = _covariance_features(dataset.points)
-    return PairSet(
-        features=features,
-        labels=(truth.labels[rows_i] == truth.labels[rows_j]).astype(int),
-        dataset_ids=np.full(rows_i.shape[0], dataset.id),
-    )
+    if isinstance(problems, Dataset):
+        problems, picks = [(problems, picks)], [(0, *rows)]
+    picks = [(p, np.asarray(rows_i, dtype=int), np.asarray(rows_j, dtype=int)) for p, rows_i, rows_j in picks]
+    m = sum(rows_i.size for _p, rows_i, _rows_j in picks)
+    features = np.zeros((m, FEATURE_DIM))
+    labels = np.empty(m, dtype=int)
+    dataset_ids = np.empty(m, dtype=int)
+    stop = 0
+    for p, rows_i, rows_j in picks:
+        dataset, truth = problems[p]
+        if dataset.d > PAD_DIM:
+            raise ValueError(f"dataset has {dataset.d} > {PAD_DIM} features")
+        if rows_i.ndim != 1 or rows_i.shape != rows_j.shape:
+            raise ValueError("rows_i and rows_j must be index vectors of one length")
+        if np.any(rows_i == rows_j):
+            raise ValueError("pair indices must differ")
+        block = slice(stop, stop + rows_i.size)
+        features[block, : dataset.d] = dataset.points[rows_i]
+        features[block, PAD_DIM : PAD_DIM + dataset.d] = dataset.points[rows_j]
+        features[block, 2 * PAD_DIM :] = _covariance_features(dataset.points)
+        labels[block] = truth.labels[rows_i] == truth.labels[rows_j]
+        dataset_ids[block] = p
+        stop = block.stop
+    return PairSet(features=features, labels=labels, dataset_ids=dataset_ids)
 
 
 @dataclass(frozen=True)
@@ -172,9 +172,11 @@ def sample_pair_splits(repo: MetaRepository, seed: int = 0, max_pairs: int = 250
     feed meta-IT pairs (the halves are disjoint).  Category-2 datasets
     contribute no training data and feed meta-ET only.  Every set holds each sampled pair
     once, in one order; ``train_mlp`` derives the reversed order itself.
+    A row's dataset id is its position in ``repo.problems``, so ids ascend in
+    order of first appearance.  Each set is built in one call once its pairs are drawn.
     A repository that cannot fill all three sets raises ``DataError``.
     """
-    qualifying = [(ds, truth) for ds, truth in repo.problems if ds.n <= MAX_EXAMPLES and ds.d <= PAD_DIM]
+    qualifying = [p for p, (ds, _truth) in enumerate(repo.problems) if ds.n <= MAX_EXAMPLES and ds.d <= PAD_DIM]
     if not qualifying:
         raise DataError("no qualifying datasets in the repository")
 
@@ -188,32 +190,23 @@ def sample_pair_splits(repo: MetaRepository, seed: int = 0, max_pairs: int = 250
     if categories is None:
         raise DataError("could not populate both dataset categories")
 
-    meta_train = []
-    meta_it = []
-    meta_et = []
-
-    def add_pairs(target: list, ds: Dataset, truth: Partition, rows: np.ndarray) -> None:
-        rows_i, rows_j = _sample_pairs(rng, rows, max_pairs)
-        if rows_i.shape[0]:
-            target.append(build_pair_features(ds, truth, rows_i, rows_j))
-
-    for (ds, truth), cat in zip(qualifying, categories):
-        ds = normalize_dataset(ds)
+    problems = {}
+    train_picks, it_picks, et_picks = [], [], []
+    for p, cat in zip(qualifying, categories):
+        ds, truth = repo.problems[p]
+        problems[p] = (normalize_dataset(ds), truth)
         perm = rng.permutation(ds.n)
         if cat == 0:
             half = min(ds.n // 2, max_pairs)
-            add_pairs(meta_train, ds, truth, perm[:half])
-            add_pairs(meta_it, ds, truth, perm[half : half + max_pairs])
+            train_picks.append((p, *_sample_pairs(rng, perm[:half], max_pairs)))
+            it_picks.append((p, *_sample_pairs(rng, perm[half : half + max_pairs], max_pairs)))
         else:
-            add_pairs(meta_et, ds, truth, perm[:max_pairs])
+            et_picks.append((p, *_sample_pairs(rng, perm[:max_pairs], max_pairs)))
 
-    if not meta_train or not meta_it or not meta_et:
+    split = SplitTriple(*(build_pair_features(problems, picks) for picks in (train_picks, it_picks, et_picks)))
+    if not (len(split.meta_train) and len(split.meta_it) and len(split.meta_et)):
         raise DataError("a pair set came out empty; repository too small")
-    return SplitTriple(
-        meta_train=concat_pair_sets(meta_train),
-        meta_it=concat_pair_sets(meta_it),
-        meta_et=concat_pair_sets(meta_et),
-    )
+    return split
 
 
 class MlpModel:
@@ -350,14 +343,15 @@ def predict_features(model: MlpModel, features: np.ndarray) -> tuple:
 
 
 def majority_baseline(pairs: PairSet) -> float:
-    """Prescient per-problem majority rule accuracy, averaged over problems."""
-    _ids, first, problem = np.unique(pairs.dataset_ids, return_index=True, return_inverse=True)
-    n_same = np.bincount(problem, weights=pairs.labels)
-    n_pairs = np.bincount(problem)
-    accs = []
-    for t in np.argsort(first):  # problems in order of first appearance
-        frac_same = int(n_same[t]) / int(n_pairs[t])
-        accs.append(max(frac_same, 1.0 - frac_same))
+    """Prescient per-problem majority rule accuracy, averaged over problems.
+
+    Problems are taken in ascending id order; ids without rows take no part.
+    """
+    n_pairs = np.bincount(pairs.dataset_ids)
+    n_same = np.bincount(pairs.dataset_ids, weights=pairs.labels)
+    present = n_pairs > 0
+    frac_same = n_same[present] / n_pairs[present]
+    accs = np.maximum(frac_same, 1.0 - frac_same).tolist()
     return sum(accs) / len(accs)
 
 

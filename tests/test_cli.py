@@ -97,6 +97,17 @@ class TestFloatFormat:
         assert fast == read_bytes(tmp_path / "cells.csv")
         assert fast.splitlines()[1:4] == [b"-1,0.33333333333333331", b"0,10000000000000000", b"-0,0.10000000000000001"]
 
+    def test_float_pairs_longer_than_one_chunk(self, tmp_path):
+        # Two full chunks and a partial third, including the tricky values.
+        rng = np.random.default_rng(12)
+        first = np.concatenate([rng.standard_normal(2 * cli._CHUNK_ROWS + 5) * 1e3, self.VALUES])
+        second = np.cumsum(rng.uniform(0.0, 1.0, first.size)) / 7.0
+        cli._write_float_pairs(tmp_path / "fast.csv", ["r", "mean_loss"], first, second)
+        cli._write_csv(tmp_path / "cells.csv", ["r", "mean_loss"], zip(first.tolist(), second.tolist()))
+        fast = read_bytes(tmp_path / "fast.csv")
+        assert fast == read_bytes(tmp_path / "cells.csv")
+        assert fast.count(b"\r\n") == first.size + 1
+
 
 class TestRunMetaK:
     def test_row_contract(self, repo_dir, tmp_path):
@@ -375,6 +386,29 @@ class TestErrorContracts:
         rc = main(["run", pipeline, "--repo", str(tmp_path / "nowhere"), *flags, "--out", str(out)])
         assert rc == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e308"])
+    def test_non_finite_separation_rejected(self, tmp_path, capsys, value):
+        # 1e308 is finite, but the outlier radius 20 * separation * 4 is not.
+        out = tmp_path / "x"
+        rc = main(["synth", "--problems", "3", "--separation", value, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.startswith("error: separation must be finite") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pipeline", ["meta-k", "algo-select", "outliers", "fit-threshold", "meta-scale", "bsf"])
+    def test_empty_manifest_is_data_error(self, tmp_path, capsys, pipeline):
+        repo = tmp_path / "repo"
+        repo.mkdir()
+        (repo / "manifest.json").write_text("[]")
+        out = tmp_path / "x"
+        rc = main(["run", pipeline, "--repo", str(repo), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_IO
+        assert err == f"error: {repo / 'manifest.json'}: manifest lists no datasets\n"
         assert not out.exists()
 
     def test_missing_repo(self, tmp_path):

@@ -1,6 +1,7 @@
 """Dataset/partition/graph containers, CSV round trips and generators."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -382,6 +383,14 @@ class TestSynth:
         with pytest.raises(ValueError):
             SynthSpec(n_problems=1, n_points=3, n_clusters=(4, 5))
 
+    def test_separation_and_outlier_radius_must_be_finite(self):
+        for separation in (math.nan, math.inf, 1e308):
+            with pytest.raises(ValueError, match="separation must be finite"):
+                SynthSpec(n_problems=1, separation=separation)
+        SynthSpec(n_problems=1, separation=1e306, n_clusters=(2, 4))  # radius 20 * 1e306 * 4 = 8e307
+        with pytest.raises(ValueError, match="separation must be finite"):
+            SynthSpec(n_problems=1, separation=1e307, n_clusters=(2, 4))  # radius 8e308 overflows
+
 
 def distance_graph_edges_oracle(pts):
     """The per-row edge builder that ``dataset_to_distance_graph`` replaced."""
@@ -436,6 +445,11 @@ class TestRepositoryIO:
             json.dumps([{"id": "x", "path": "missing.csv", "has_labels": False}])
         )
         with pytest.raises(DataError, match="has_labels must be true"):
+            load_repository(tmp_path / "manifest.json")
+
+    def test_empty_manifest_rejected(self, tmp_path):
+        (tmp_path / "manifest.json").write_text("[]")
+        with pytest.raises(DataError, match="manifest lists no datasets"):
             load_repository(tmp_path / "manifest.json")
 
     def test_duplicate_id_rejected(self, tmp_path):

@@ -25,13 +25,17 @@ def test_all_names_exist_and_star_import(name):
 
 
 # Exported for the paper's ERM theory and kept as acceptance oracles, with no library caller.
-UNREFERENCED_ALLOWED = {"erm_select", "generalization_bound", "fit_threshold_bruteforce"}
+# ``rand_index`` is the paper's Rand index and criterion 01's oracle.
+UNREFERENCED_ALLOWED = {"erm_select", "generalization_bound", "fit_threshold_bruteforce", "rand_index"}
 
 
 def _library_references():
-    """Every identifier that library code reads or imports; definitions and ``__all__`` strings do not count."""
+    """Every identifier that library code reads or imports; definitions, ``__all__`` strings and
+    the package's own re-exports in ``__init__.py`` do not count."""
     seen = set()
     for path in Path(metaclust.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 seen.add(node.id)

@@ -31,7 +31,7 @@ from metaclust.meta_pipelines import (
     train_algo_select,
     train_meta_k,
 )
-from metaclust.metrics import adjusted_rand_index
+from metaclust.metrics import adjusted_rand_index, pairwise_distances
 from metaclust.regression import LinearModel, fit_least_squares, phi_features, predict, symmetric_eigen_extrema
 
 
@@ -92,7 +92,8 @@ def train_algo_select_oracle(specs, train, seed):
         for ds, truth in train:
             try:
                 partition = run_spec(spec, ds.points)
-                feats.append(phi_features(ds, partition))
+                extrema = symmetric_eigen_extrema(covariance(ds.points))
+                feats.append(phi_features(ds, partition, pairwise_distances(ds.points), extrema))
                 targets.append(adjusted_rand_index(truth.n_items, truth, partition))
             except ValueError:
                 lo, hi = symmetric_eigen_extrema(covariance(ds.points))
@@ -113,7 +114,8 @@ def select_algorithm_oracle(model, dataset):
             continue
         partitions[spec.name] = partition
         try:
-            a_j = predict(lm, phi_features(dataset, partition))
+            extrema = symmetric_eigen_extrema(covariance(dataset.points))
+            a_j = predict(lm, phi_features(dataset, partition, pairwise_distances(dataset.points), extrema))
         except ValueError:
             continue
         scores[spec.name] = a_j
@@ -449,7 +451,7 @@ class TestAlgoSelect:
         real = meta_pipelines.phi_features
         calls = []
 
-        def second_fails(dataset, partition, dist=None, extrema=None):
+        def second_fails(dataset, partition, dist, extrema):
             calls.append(partition)
             if len(calls) == 2:
                 raise ValueError("no features for this partition")
@@ -521,7 +523,7 @@ class TestAlgoSelect:
             dists.append(points)
             return real_dist(points)
 
-        def recorded_phi(dataset, partition, dist=None, extrema=None):
+        def recorded_phi(dataset, partition, dist, extrema):
             phi_dists.append(dist)
             return real_phi(dataset, partition, dist, extrema)
 

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from metaclust import regression
-from metaclust.data_model import Dataset, Partition, labels_to_partition
+from metaclust.data_model import Dataset, Partition, covariance, labels_to_partition
 from metaclust.metrics import pairwise_distances, silhouette_score
 from metaclust.regression import (
     LinearModel,
@@ -120,6 +119,11 @@ class TestEigenExtrema:
 D, M, SIGMA_MIN, SIGMA_MAX, SIL = range(5)  # the meta-feature vector's layout
 
 
+def phi_of(ds, c):
+    """``phi_features`` with the distance matrix and eigenvalue extrema computed for this call."""
+    return phi_features(ds, c, pairwise_distances(ds.points), symmetric_eigen_extrema(covariance(ds.points)))
+
+
 class TestPhiFeatures:
     def test_diagonal_covariance(self):
         rng = np.random.default_rng(5)
@@ -131,7 +135,7 @@ class TestPhiFeatures:
         pts = (u * np.sqrt(n)) @ np.diag([1.0, 2.0]) @ vt
         ds = Dataset(id="p", points=pts)
         c = Partition(n, (tuple(range(n // 2)), tuple(range(n // 2, n))))
-        phi = phi_features(ds, c)
+        phi = phi_of(ds, c)
         assert phi[SIGMA_MIN] == pytest.approx(1.0, rel=1e-9)
         assert phi[SIGMA_MAX] == pytest.approx(4.0, rel=1e-9)
         assert phi[D] == 2 and phi[M] == n
@@ -141,7 +145,7 @@ class TestPhiFeatures:
         pts = rng.standard_normal((17, 3))
         ds = Dataset(id="s", points=pts)
         c = labels_to_partition([0, 1] * 8 + [0])
-        phi = phi_features(ds, c)
+        phi = phi_of(ds, c)
         assert phi[D] == 3 and phi[M] == 17
 
     def test_row_permutation_moves_only_sil_parts(self):
@@ -149,10 +153,8 @@ class TestPhiFeatures:
         pts = rng.standard_normal((12, 2))
         labels = np.array([0, 1] * 6)
         perm = rng.permutation(12)
-        a = phi_features(Dataset(id="a", points=pts), labels_to_partition(labels))
-        b = phi_features(
-            Dataset(id="b", points=pts[perm]), labels_to_partition(labels[perm])
-        )
+        a = phi_of(Dataset(id="a", points=pts), labels_to_partition(labels))
+        b = phi_of(Dataset(id="b", points=pts[perm]), labels_to_partition(labels[perm]))
         assert a[SIGMA_MIN] == pytest.approx(b[SIGMA_MIN], abs=1e-12)
         assert a[SIGMA_MAX] == pytest.approx(b[SIGMA_MAX], abs=1e-12)
         assert a[SIL] == pytest.approx(b[SIL], abs=1e-12)
@@ -163,22 +165,21 @@ class TestPhiFeatures:
         ds = Dataset(id="v", points=pts)
         c = labels_to_partition([0, 1] * 5)
         lo, hi = symmetric_eigen_extrema(np.cov(pts, rowvar=False, bias=True))
-        phi = phi_features(ds, c)
+        phi = phi_of(ds, c)
         assert phi.shape == (5,) and phi.dtype == float
         assert phi[D] == 2.0 and phi[M] == 10.0
         assert phi[SIGMA_MIN] == pytest.approx(lo, rel=1e-12) and phi[SIGMA_MAX] == pytest.approx(hi, rel=1e-12)
         assert phi[SIL] == silhouette_score(pts, c)
 
-    def test_negative_sigma_rejected(self, monkeypatch):
-        monkeypatch.setattr(regression, "symmetric_eigen_extrema", lambda s: (-0.5, 1.0))
+    def test_negative_sigma_rejected(self):
         ds = Dataset(id="n", points=np.arange(8.0).reshape(4, 2))
         with pytest.raises(ValueError, match="PSD"):
-            phi_features(ds, labels_to_partition([0, 0, 1, 1]))
+            phi_features(ds, labels_to_partition([0, 0, 1, 1]), pairwise_distances(ds.points), (-0.5, 1.0))
 
-    def test_tiny_negative_sigma_tolerated(self, monkeypatch):
-        monkeypatch.setattr(regression, "symmetric_eigen_extrema", lambda s: (-1e-10, 1.0))
+    def test_tiny_negative_sigma_tolerated(self):
         ds = Dataset(id="t", points=np.arange(8.0).reshape(4, 2))
-        assert phi_features(ds, labels_to_partition([0, 0, 1, 1]))[SIGMA_MIN] == -1e-10
+        dist = pairwise_distances(ds.points)
+        assert phi_features(ds, labels_to_partition([0, 0, 1, 1]), dist, (-1e-10, 1.0))[SIGMA_MIN] == -1e-10
 
     def test_precomputed_distances_give_the_same_vector(self):
         rng = np.random.default_rng(9)
@@ -186,4 +187,5 @@ class TestPhiFeatures:
             pts = np.round(rng.standard_normal((n, d)), 1)  # coincident points too
             ds = Dataset(id="x", points=pts)
             c = labels_to_partition(rng.integers(0, 3, n) if n > 5 else [0, 1, 1, 2, 2])
-            assert np.array_equal(phi_features(ds, c, dist=pairwise_distances(ds.points)), phi_features(ds, c))
+            lo, hi = symmetric_eigen_extrema(covariance(pts))
+            assert np.array_equal(phi_of(ds, c), [d, n, lo, hi, silhouette_score(pts, c)])

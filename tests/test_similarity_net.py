@@ -28,7 +28,6 @@ from metaclust.similarity_net import (
     PairSet,
     adadelta_step,
     build_pair_features,
-    concat_pair_sets,
     evaluate_bsf,
     init_mlp,
     majority_baseline,
@@ -65,9 +64,84 @@ def pair_features_oracle(dataset, truth, i, j):
     return features, int(truth.labels[i] == truth.labels[j])
 
 
-def pair_set(features, labels, dataset_id="d"):
+def pair_set(features, labels, dataset_id=0):
     """A PairSet over given feature rows, all from one dataset."""
     return PairSet(features=features, labels=labels, dataset_ids=np.full(len(features), dataset_id))
+
+
+def pair_set_oracle(problems, picks):
+    """The per-dataset build kept as an exact oracle: (features, labels,
+    dataset_ids) of one piece per non-empty pick, stacked with ``np.concatenate``."""
+    pieces = []
+    for p, rows_i, rows_j in picks:
+        if len(rows_i) == 0:
+            continue
+        dataset, truth = problems[p]
+        features = np.zeros((len(rows_i), FEATURE_DIM))
+        features[:, : dataset.d] = dataset.points[rows_i]
+        features[:, PAD_DIM : PAD_DIM + dataset.d] = dataset.points[rows_j]
+        features[:, 2 * PAD_DIM :] = similarity_net._covariance_features(dataset.points)
+        labels = (truth.labels[rows_i] == truth.labels[rows_j]).astype(int)
+        pieces.append((features, labels, np.full(len(rows_i), p)))
+    return tuple(np.concatenate(arrays) for arrays in zip(*pieces))
+
+
+def sample_pair_splits_oracle(repo, seed, max_pairs):
+    """The per-(dataset, set) sampler kept as an exact oracle: the same draws in
+    the same order, each set assembled by ``pair_set_oracle``."""
+    qualifying = [p for p, (ds, _truth) in enumerate(repo.problems) if ds.n <= 1000 and ds.d <= PAD_DIM]
+    for attempt in range(similarity_net.MAX_CATEGORY_RETRIES):
+        rng = np.random.default_rng(derive_seed(repo.seed, seed, attempt))
+        categories = rng.integers(0, 2, size=len(qualifying))
+        if 0 in categories and 1 in categories:
+            break
+
+    def draw(rows):
+        m = len(rows)
+        universe = m * (m - 1) // 2
+        if universe == 0:
+            return [], []
+        all_i, all_j = np.triu_indices(m, 1)
+        chosen = rng.choice(universe, size=max_pairs, replace=universe < max_pairs)
+        return rows[all_i[chosen]], rows[all_j[chosen]]
+
+    problems = {}
+    picks = ([], [], [])
+    for p, cat in zip(qualifying, categories):
+        ds, truth = repo.problems[p]
+        problems[p] = (normalize_dataset(ds), truth)
+        perm = rng.permutation(ds.n)
+        if cat == 0:
+            half = min(ds.n // 2, max_pairs)
+            picks[0].append((p, *draw(perm[:half])))
+            picks[1].append((p, *draw(perm[half : half + max_pairs])))
+        else:
+            picks[2].append((p, *draw(perm[:max_pairs])))
+    return [pair_set_oracle(problems, set_picks) for set_picks in picks]
+
+
+def majority_baseline_oracle(pairs):
+    """The first-appearance grouping of ``majority_baseline``, kept as an exact oracle."""
+    _ids, first, problem = np.unique(pairs.dataset_ids, return_index=True, return_inverse=True)
+    n_same = np.bincount(problem, weights=pairs.labels)
+    n_pairs = np.bincount(problem)
+    accs = []
+    for t in np.argsort(first):
+        frac_same = int(n_same[t]) / int(n_pairs[t])
+        accs.append(max(frac_same, 1.0 - frac_same))
+    return sum(accs) / len(accs)
+
+
+def mixed_repo(seed):
+    """Problems of 2 to 1001 points and 1 to 11 features; two of them do not qualify."""
+    rng = np.random.default_rng(seed)
+    shapes = [(3, 1), (40, 10), (2, 2), (30, 11), (60, 1), (3, 3), (1001, 2), (12, 10), (5, 5)]
+    problems = []
+    for t, (n, d) in enumerate(shapes):
+        labels = np.arange(n) % 2
+        points = rng.standard_normal((n, d)) + 4.0 * labels[:, None]
+        problems.append((Dataset(id=f"m{t}", points=points), labels_to_partition(labels)))
+    return MetaRepository(problems=tuple(problems), seed=seed)
 
 
 def train_mlp_oracle(meta_train, epochs, batch, seed):
@@ -189,7 +263,40 @@ class TestPairFeatures:
         for t, (i, j) in enumerate(zip(rows_i, rows_j)):
             features, label = pair_features_oracle(ds, truth, i, j)
             assert np.all(pairs.features[t] == features)
-            assert (pairs.labels[t], pairs.dataset_ids[t]) == (label, ds.id)
+            assert (pairs.labels[t], pairs.dataset_ids[t]) == (label, 0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_set_build_matches_per_dataset_oracle(self, seed):
+        # Positions are non-contiguous; d = 1 and d = 10 occur; the first pick
+        # is empty; rows are drawn with replacement, so pairs repeat.
+        rng = np.random.default_rng(200 + seed)
+        positions = np.sort(rng.choice(40, size=6, replace=False))
+        dims = [1, PAD_DIM, *rng.integers(1, PAD_DIM + 1, size=4)]
+        problems = {int(p): toy_dataset(rng, n=int(rng.integers(2, 30)), d=int(d)) for p, d in zip(positions, dims)}
+        picks = []
+        for t, (p, (ds, _truth)) in enumerate(problems.items()):
+            m = 0 if t == 0 else int(rng.integers(1, 3 * ds.n))
+            rows_i = rng.integers(0, ds.n, size=m)
+            rows_j = (rows_i + rng.integers(1, ds.n, size=m)) % ds.n
+            picks.append((p, rows_i, rows_j))
+        pairs = build_pair_features(problems, picks)
+        features, labels, dataset_ids = pair_set_oracle(problems, picks)
+        assert np.array_equal(pairs.features, features)
+        assert np.array_equal(pairs.labels, labels)
+        assert np.array_equal(pairs.dataset_ids, dataset_ids)
+        assert pairs.features.dtype == np.float64 and pairs.labels.dtype == pairs.dataset_ids.dtype == int
+
+    def test_empty_picks_build_an_empty_set(self):
+        problems = {3: toy_dataset(np.random.default_rng(6))}
+        for picks in ([], [(3, [], [])]):
+            pairs = build_pair_features(problems, picks)
+            assert len(pairs) == 0 and pairs.features.shape == (0, FEATURE_DIM)
+
+    def test_bad_pick_rejected(self):
+        problems = {0: toy_dataset(np.random.default_rng(7))}
+        for rows_i, rows_j in (([0, 3], [1, 3]), ([0, 1], [2]), ([[0, 1]], [[2, 3]])):
+            with pytest.raises(ValueError):
+                build_pair_features(problems, [(0, [4], [5]), (0, rows_i, rows_j)])
 
 
 class TestSplits:
@@ -203,21 +310,20 @@ class TestSplits:
         assert len(split.meta_train) and len(split.meta_it) and len(split.meta_et)
 
     def test_train_and_it_halves_disjoint(self, monkeypatch):
-        rows_by_dataset = {}
+        builds = []
         real = similarity_net.build_pair_features
 
-        def recorded(dataset, truth, rows_i, rows_j):
-            rows_by_dataset.setdefault(dataset.id, []).append({*rows_i.tolist(), *rows_j.tolist()})
-            return real(dataset, truth, rows_i, rows_j)
+        def recorded(problems, picks):
+            builds.append({p: {*rows_i.tolist(), *rows_j.tolist()} for p, rows_i, rows_j in picks})
+            return real(problems, picks)
 
         monkeypatch.setattr(similarity_net, "build_pair_features", recorded)
         split = sample_pair_splits(self.repo(), seed=2, max_pairs=80)
-        # a category-1 dataset builds its meta-train pairs, then its meta-IT pairs
-        halved = {ds_id for ds_id, builds in rows_by_dataset.items() if len(builds) == 2}
-        assert halved == set(split.meta_it.dataset_ids)
-        for ds_id in halved:
-            train_rows, it_rows = rows_by_dataset[ds_id]
-            assert not (train_rows & it_rows)
+        # a category-1 dataset has meta-train pairs and meta-IT pairs
+        train_rows, it_rows, _et_rows = builds
+        assert set(train_rows) == set(it_rows) == set(split.meta_it.dataset_ids.tolist())
+        for p in train_rows:
+            assert not (train_rows[p] & it_rows[p])
 
     def test_et_datasets_absent_from_training(self):
         split = sample_pair_splits(self.repo(), seed=3, max_pairs=50)
@@ -239,7 +345,7 @@ class TestSplits:
         for seed in range(3):
             split = sample_pair_splits(mixed, seed=seed, max_pairs=50)
             used = {*split.meta_train.dataset_ids, *split.meta_it.dataset_ids, *split.meta_et.dataset_ids}
-            assert used <= {"p0", "p2", "p4"}
+            assert used <= {0, 2, 4}
 
     def test_deterministic(self):
         a = sample_pair_splits(self.repo(), seed=5, max_pairs=40)
@@ -249,23 +355,39 @@ class TestSplits:
             for field in ("features", "labels", "dataset_ids"):
                 assert np.array_equal(getattr(pa, field), getattr(pb, field))
 
-    def test_one_feature_build_per_dataset_and_set(self, monkeypatch):
+    def test_one_feature_build_per_set(self, monkeypatch):
         calls = []
         real = similarity_net.build_pair_features
 
-        def counted(dataset, truth, rows_i, rows_j):
-            calls.append((dataset.id, len(rows_i)))
-            return real(dataset, truth, rows_i, rows_j)
+        def counted(problems, picks):
+            calls.append([p for p, _rows_i, _rows_j in picks])
+            return real(problems, picks)
 
         monkeypatch.setattr(similarity_net, "build_pair_features", counted)
         split = sample_pair_splits(self.repo(), seed=4, max_pairs=50)
-        train_ids = set(split.meta_train.dataset_ids)
-        it_ids = set(split.meta_it.dataset_ids)
-        et_ids = set(split.meta_et.dataset_ids)
-        assert len(calls) == len(train_ids) + len(it_ids) + len(et_ids)
-        assert {ds_id for ds_id, _m in calls} == train_ids | it_ids | et_ids
-        assert all(m > 0 for _ds_id, m in calls)
-        assert sum(m for _ds_id, m in calls) == len(split.meta_train) + len(split.meta_it) + len(split.meta_et)
+        sets = (split.meta_train, split.meta_it, split.meta_et)
+        assert calls == [sorted(set(pairs.dataset_ids.tolist())) for pairs in sets]
+        assert calls[0] == calls[1] and not set(calls[0]) & set(calls[2])
+
+    @pytest.mark.parametrize("max_pairs", [2, 30, 500])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_splits_match_per_dataset_oracle(self, seed, max_pairs):
+        # Problems of 2 or 3 points give empty picks, and at seed 2 an
+        # empty set; 500 pairs exceed every universe, so every pick draws with
+        # replacement.
+        repo = mixed_repo(seed)
+        expected = sample_pair_splits_oracle(repo, seed, max_pairs)
+        if not all(expected):
+            with pytest.raises(DataError, match="repository too small"):
+                sample_pair_splits(repo, seed=seed, max_pairs=max_pairs)
+            return
+        split = sample_pair_splits(repo, seed=seed, max_pairs=max_pairs)
+        sets = (split.meta_train, split.meta_it, split.meta_et)
+        for pairs, (features, labels, dataset_ids) in zip(sets, expected):
+            assert np.array_equal(pairs.features, features)
+            assert np.array_equal(pairs.labels, labels)
+            assert np.array_equal(pairs.dataset_ids, dataset_ids)
+            assert majority_baseline(pairs) == majority_baseline_oracle(pairs)
 
 
 class TestMlp:
@@ -434,8 +556,12 @@ class TestPrediction:
 
 
 class TestMajorityBaseline:
-    def make(self, labels, dataset_id="a"):
-        return pair_set(np.zeros((len(labels), FEATURE_DIM)), labels, dataset_id)
+    def make(self, labels, dataset_ids=0):
+        return PairSet(
+            features=np.zeros((len(labels), FEATURE_DIM)),
+            labels=labels,
+            dataset_ids=np.broadcast_to(dataset_ids, len(labels)),
+        )
 
     def test_seventy_percent_same(self):
         pairs = self.make([1] * 7 + [0] * 3)
@@ -448,12 +574,25 @@ class TestMajorityBaseline:
         assert majority_baseline(self.make([0, 1] * 4)) == 0.5
 
     def test_mean_over_problems(self):
-        pairs = concat_pair_sets([self.make([1] * 4, "a"), self.make([0] * 9 + [1], "b")])
+        pairs = self.make([1] * 4 + [0] * 9 + [1], [0] * 4 + [1] * 10)
         assert majority_baseline(pairs) == pytest.approx((1.0 + 0.9) / 2)
 
     def test_interleaved_problems(self):
-        pairs = concat_pair_sets([self.make([1, 1], "a"), self.make([0], "b"), self.make([1, 0], "a")])
+        pairs = self.make([1, 1, 0, 1, 0], [0, 0, 1, 0, 0])
         assert majority_baseline(pairs) == pytest.approx((0.75 + 1.0) / 2)
+
+    def test_ids_without_rows_take_no_part(self):
+        # ids 0-4 and 6-8 have no rows; the result is that of ids 0 and 1
+        contiguous = majority_baseline(self.make([1] * 4 + [0] * 9 + [1], [0] * 4 + [1] * 10))
+        assert majority_baseline(self.make([1] * 4 + [0] * 9 + [1], [5] * 4 + [9] * 10)) == contiguous
+
+    def test_non_contiguous_ids_match_first_appearance_oracle(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            groups = np.sort(rng.choice(1000, size=int(rng.integers(1, 8)), replace=False))
+            sizes = rng.integers(1, 12, size=groups.size)
+            pairs = self.make(rng.integers(0, 2, size=sizes.sum()), np.repeat(groups, sizes))
+            assert majority_baseline(pairs) == majority_baseline_oracle(pairs)
 
 
 class TestEvaluateBsf:
