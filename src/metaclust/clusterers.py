@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from metaclust.data_model import Partition, WeightedGraph, derive_seed, normalize_points
+from metaclust.data_model import Partition, WeightedGraph, derive_seed, normalize_points, squared_distances
 
 __all__ = [
     "ClustererSpec",
@@ -197,8 +197,7 @@ def agglomerative(points: np.ndarray, k: int, linkage: str = "single") -> Partit
     if not (2 <= k <= n):
         raise ValueError(f"k={k} out of range for n={n}")
 
-    diff = points[:, None, :] - points[None, :, :]
-    dist = (diff**2).sum(axis=2)
+    dist = squared_distances(points)
     if linkage != "ward":
         dist = np.sqrt(dist)
     np.fill_diagonal(dist, np.inf)

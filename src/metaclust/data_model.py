@@ -35,6 +35,7 @@ __all__ = [
     "covariance",
     "split_repository",
     "make_synthetic_repository",
+    "squared_distances",
     "dataset_to_distance_graph",
     "load_repository",
     "save_repository",
@@ -392,8 +393,12 @@ class SynthSpec:
             raise ValueError("outlier_fraction must lie in [0, 1)")
         if self.separation <= 0:
             raise ValueError("separation must be positive")
-        if not (math.isfinite(self.separation) and math.isfinite(20.0 * self.separation * self.n_clusters[1])):
-            raise ValueError(f"separation must be finite, with a finite outlier radius, got {self.separation}")
+        # Planted outliers sit at radius 20 * separation * k: bound their squared distances.
+        diameter = 40.0 * self.separation * self.n_clusters[1]
+        if not math.isfinite(diameter * diameter * self.dims[1]):
+            raise ValueError(
+                f"separation must be finite, with finite squared distances between outliers, got {self.separation}"
+            )
 
 
 def _sample_separated_centers(rng: np.random.Generator, k: int, d: int, separation: float) -> np.ndarray:
@@ -402,8 +407,7 @@ def _sample_separated_centers(rng: np.random.Generator, k: int, d: int, separati
     while True:
         for _ in range(200):
             centers = rng.uniform(0.0, side, size=(k, d))
-            diff = centers[:, None, :] - centers[None, :, :]
-            dist = np.sqrt((diff**2).sum(axis=2))
+            dist = np.sqrt(squared_distances(centers))
             dist[np.diag_indices(k)] = np.inf
             if dist.min() >= separation:
                 return centers
@@ -443,12 +447,20 @@ def make_synthetic_repository(spec: SynthSpec) -> MetaRepository:
     return MetaRepository(problems=tuple(problems), seed=spec.seed)
 
 
+def squared_distances(points) -> np.ndarray:
+    """(n, n) squared Euclidean distances between the rows of ``points``."""
+    p = np.asarray(points, dtype=float)
+    return ((p[:, None] - p[None]) ** 2).sum(axis=2)
+
+
 def dataset_to_distance_graph(dataset: Dataset) -> WeightedGraph:
     """Complete graph with Euclidean distances as edge weights."""
-    pts = dataset.points
-    n = pts.shape[0]
+    n = dataset.n
     iu, ju = np.triu_indices(n, 1)
-    w = np.sqrt(((pts[ju] - pts[iu]) ** 2).sum(axis=1))
+    with np.errstate(over="ignore"):
+        w = np.sqrt(squared_distances(dataset.points)[iu, ju])
+    if not np.all(np.isfinite(w)):
+        raise DataError(f"dataset {dataset.id!r}: a pairwise distance overflows float64")
     return WeightedGraph(n_vertices=n, edges=np.column_stack([iu, ju, w]))
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -178,42 +178,9 @@ def fit_threshold_bruteforce(train: Sequence) -> ThresholdFitResult:
     return _fit_result(candidates, np.array(mean_loss))
 
 
-class _GraphSweepState:
-    """Incremental loss bookkeeping for one training graph.
-
-    Tracks the exact integer count of unordered pairs on which the current
-    clustering disagrees with the truth; merging components A and B changes it
-    by (cross-pair count) - 2 * (same-truth cross pairs), computed from the
-    truth-label histograms of the two components.  ``root`` maps each vertex
-    to its component's root, and row ``histograms[root]`` is that
-    component's histogram.
-    """
-
-    def __init__(self, graph: WeightedGraph, truth: Partition):
-        self.n = graph.n_vertices
-        self.root = np.arange(self.n)
-        self.histograms = np.zeros((self.n, truth.n_parts), dtype=np.int64)
-        self.histograms[self.root, truth.labels] = 1
-        self.disagree = _pairs2(truth.sizes)  # all-singleton start
-        self.components = self.n
-
-    def merge(self, u: int, v: int) -> None:
-        """Join the components of u and v, which must differ (a forest edge)."""
-        ru, rv = self.root[u], self.root[v]
-        hu, hv = self.histograms[ru], self.histograms[rv]
-        self.disagree += int(hu.sum() * hv.sum() - 2 * (hu @ hv))
-        self.histograms[ru] += hv
-        self.root[self.root == rv] = ru
-        self.components -= 1
-
-    def loss(self) -> float:
-        if self.components == 1:
-            return 1.0  # single-part output is an invalid clustering
-        return 2 * self.disagree / (self.n * (self.n - 1))
-
-
-def _spanning_forest(graph: WeightedGraph) -> list:
-    """(w, u, v) edges of a minimum spanning forest, by Prim's algorithm.
+def _spanning_forest(graph: WeightedGraph) -> tuple:
+    """Edges of a minimum spanning forest by Prim's algorithm, as arrays
+    ``(w, u, v)`` in the order the algorithm adds them.
 
     Runs on a dense weight matrix (inf where there is no edge) and starts a
     new tree at the lowest unreached vertex whenever none is reachable.
@@ -225,19 +192,20 @@ def _spanning_forest(graph: WeightedGraph) -> list:
     reached = np.zeros(n, dtype=bool)
     best = np.full(n, np.inf)  # lightest edge to the forest; inf once reached
     parent = np.zeros(n, dtype=int)
-    forest = []
-    for _ in range(n):
+    order = np.empty(n, dtype=int)  # vertices in the order they are reached
+    reached_by = np.empty(n)  # the weight that reached each; inf for a tree's first vertex
+    for step in range(n):
         x = int(np.argmin(best))
-        if best[x] < np.inf:
-            forest.append((float(best[x]), int(parent[x]), x))
-        else:
+        if best[x] == np.inf:
             x = int(np.argmin(reached))  # nothing reachable: start a new tree
+        order[step], reached_by[step] = x, best[x]
         reached[x] = True
         best[x] = np.inf
         closer = ~reached & (weight[x] < best)
         best[closer] = weight[x, closer]
         parent[closer] = x
-    return forest
+    edge = reached_by < np.inf
+    return reached_by[edge], parent[order[edge]], order[edge]
 
 
 def fit_threshold_kruskal(train: Sequence) -> ThresholdFitResult:
@@ -245,27 +213,39 @@ def fit_threshold_kruskal(train: Sequence) -> ThresholdFitResult:
 
     Only spanning-forest edges ever join two components, and the components
     under w <= r are the same for every spanning forest.  So each graph
-    merges its forest edges in weight order, recording its loss once all
-    edges of a weight are merged, and carries that loss forward to every
-    candidate threshold up to its next forest weight.  Per-candidate means
-    add the graphs' losses in graph order, so the profile matches the
-    brute-force oracle exactly, threshold for threshold.
+    merges its forest edges in weight order, keeping the exact count of
+    pairs that disagree with the truth: joining A and B adds the cross pairs
+    and subtracts twice the same-truth ones, from the truth-label histograms
+    (row ``histograms[root[x]]`` counts x's component).  The loss after the
+    last edge of each weight carries forward to every candidate threshold up
+    to the next forest weight, so the order among equal weights is
+    irrelevant.  Per-candidate means add the graphs' losses in graph order,
+    so the profile matches the brute-force oracle exactly.
     """
     _check_threshold_train(train)
     candidates = _candidate_thresholds(train)
     total = np.zeros(candidates.size)
     for graph, truth in train:
-        state = _GraphSweepState(graph, truth)
-        forest = sorted(_spanning_forest(graph))
-        step_weights = []
-        step_losses = [state.loss()]
-        for pos, (w, u, v) in enumerate(forest):
-            state.merge(u, v)
-            if pos + 1 == len(forest) or forest[pos + 1][0] != w:
-                step_weights.append(w)
-                step_losses.append(state.loss())
-        steps = np.searchsorted(np.array(step_weights), candidates, side="right")
-        total += np.array(step_losses)[steps]
+        n = graph.n_vertices
+        w, u, v = _spanning_forest(graph)
+        order = np.argsort(w, kind="stable")
+        w = w[order]
+        root = np.arange(n)
+        histograms = np.zeros((n, truth.n_parts), dtype=np.int64)
+        histograms[root, truth.labels] = 1
+        disagree = [_pairs2(truth.sizes)]  # all singletons, then after each merge
+        for a, b in zip(u[order].tolist(), v[order].tolist()):
+            ra, rb = root[a], root[b]
+            ha, hb = histograms[ra], histograms[rb]
+            disagree.append(disagree[-1] + int(ha.sum() * hb.sum() - 2 * (ha @ hb)))
+            histograms[ra] += hb
+            root[root == rb] = ra
+        last = np.flatnonzero(np.diff(w, append=np.inf))  # the last merge of each weight
+        merged = np.concatenate([[0], last + 1])  # merges done at each loss step
+        counts = np.array(disagree)[merged]
+        # A single-part output (n - merged == 1) is an invalid clustering: loss 1.
+        losses = np.divide(2 * counts, n * (n - 1), out=np.ones(merged.size), where=n - merged > 1)
+        total += losses[np.searchsorted(w[last], candidates, side="right")]
     return _fit_result(candidates, total / len(train))
 
 

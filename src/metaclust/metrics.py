@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from metaclust.data_model import Partition
+from metaclust.data_model import Partition, squared_distances
 
 __all__ = [
     "clustering_loss",
@@ -105,9 +105,7 @@ def adjusted_rand_index(n_items: int, y: Partition, z: Partition) -> float:
 
 def pairwise_distances(points: np.ndarray) -> np.ndarray:
     """(n, n) Euclidean distances between the rows of ``points``."""
-    points = np.asarray(points, dtype=float)
-    diff = points[:, None, :] - points[None, :, :]
-    return np.sqrt((diff**2).sum(axis=2))
+    return np.sqrt(squared_distances(points))
 
 
 def silhouette_score(points: np.ndarray, c: Partition, dist: Optional[np.ndarray] = None) -> float:

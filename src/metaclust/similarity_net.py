@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from metaclust.data_model import DataError, Dataset, MetaRepository, covariance, derive_seed, normalize_dataset
+from metaclust.data_model import DataError, MetaRepository, covariance, derive_seed, normalize_dataset
 
 __all__ = [
     "PairSet",
@@ -105,18 +105,14 @@ def _covariance_features(points: np.ndarray) -> np.ndarray:
     return embedded[iu]
 
 
-def build_pair_features(problems, picks, *rows) -> PairSet:
+def build_pair_features(problems, picks) -> PairSet:
     """One pair set: for each pick (p, rows_i, rows_j), in order, the ordered
     pairs (rows_i[t], rows_j[t]) of the (Dataset, truth Partition) ``problems[p]``.
 
     A row's label is 1 iff the truth puts both points in one part, and its
     dataset id is p.  Every array is allocated once at full size, and each
-    pick's covariance block is computed once and shared by its rows.  The
-    four-argument form ``(dataset, truth, rows_i, rows_j)`` builds one
-    dataset's pairs, with id 0.
+    pick's covariance block is computed once and shared by its rows.
     """
-    if isinstance(problems, Dataset):
-        problems, picks = [(problems, picks)], [(0, *rows)]
     picks = [(p, np.asarray(rows_i, dtype=int), np.asarray(rows_j, dtype=int)) for p, rows_i, rows_j in picks]
     m = sum(rows_i.size for _p, rows_i, _rows_j in picks)
     features = np.zeros((m, FEATURE_DIM))

@@ -388,15 +388,30 @@ class TestErrorContracts:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "1e308"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e308", "1e200"])
     def test_non_finite_separation_rejected(self, tmp_path, capsys, value):
-        # 1e308 is finite, but the outlier radius 20 * separation * 4 is not.
+        # 1e308 and 1e200 are finite, but the squared distance between planted
+        # outliers, (40 * separation * 4)^2 * 2, is not.
         out = tmp_path / "x"
         rc = main(["synth", "--problems", "3", "--separation", value, "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == EXIT_CONFIG
         assert err.startswith("error: separation must be finite") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pipeline", ["fit-threshold", "meta-scale"])
+    def test_overflowing_distance_is_data_error(self, repo_dir, tmp_path, capsys, pipeline):
+        manifest = json.loads((repo_dir / "manifest.json").read_text())
+        path = repo_dir / manifest[0]["path"]
+        lines = path.read_text().splitlines()
+        lines[1] = "1e200" + lines[1][lines[1].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "x"
+        rc = main(["run", pipeline, "--repo", str(repo_dir), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_IO
+        assert err == f"error: dataset {manifest[0]['id']!r}: a pairwise distance overflows float64\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("pipeline", ["meta-k", "algo-select", "outliers", "fit-threshold", "meta-scale", "bsf"])

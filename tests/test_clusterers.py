@@ -473,8 +473,8 @@ class TestSingleLinkageThreshold:
             agg = agglomerative(pts, k, "single")
             g = dataset_to_distance_graph(Dataset(id="x", points=pts))
             # the n-1 merge weights are the minimum spanning tree's weights
-            merges = [w for w, _u, _v in _spanning_forest(g)]
-            cut = sorted(merges)[-(k - 1)]
+            merges, _u, _v = _spanning_forest(g)
+            cut = np.sort(merges)[-(k - 1)]
             thr = single_linkage_threshold(g, cut, strict=True)
             assert set(agg.parts) == set(thr.parts)
 

@@ -26,6 +26,7 @@ from metaclust.data_model import (
     normalize_dataset,
     save_repository,
     split_repository,
+    squared_distances,
     write_dataset_csv,
 )
 
@@ -384,12 +385,24 @@ class TestSynth:
             SynthSpec(n_problems=1, n_points=3, n_clusters=(4, 5))
 
     def test_separation_and_outlier_radius_must_be_finite(self):
-        for separation in (math.nan, math.inf, 1e308):
+        # Planted outliers are up to 40 * separation * clusters_max apart; the
+        # squared diameter, times dims_max, must be finite.
+        for separation in (math.nan, math.inf, 1e308, 1e200):
             with pytest.raises(ValueError, match="separation must be finite"):
                 SynthSpec(n_problems=1, separation=separation)
-        SynthSpec(n_problems=1, separation=1e306, n_clusters=(2, 4))  # radius 20 * 1e306 * 4 = 8e307
-        with pytest.raises(ValueError, match="separation must be finite"):
-            SynthSpec(n_problems=1, separation=1e307, n_clusters=(2, 4))  # radius 8e308 overflows
+        SynthSpec(n_problems=1, separation=1e151, n_clusters=(2, 4))  # (1.6e153)^2 * 2 = 5.1e306
+        SynthSpec(n_problems=1, separation=1e151, n_clusters=(2, 4), dims=(2, 10))  # 2.6e307
+        for dims, separation in (((2, 2), 1e152), ((2, 100), 1e151)):  # 5.1e308, 2.6e308 overflow
+            with pytest.raises(ValueError, match="separation must be finite"):
+                SynthSpec(n_problems=1, separation=separation, n_clusters=(2, 4), dims=dims)
+
+    def test_largest_separation_has_finite_distances(self):
+        spec = SynthSpec(
+            n_problems=2, n_points=20, dims=(3, 3), n_clusters=(4, 4), outlier_fraction=0.2, separation=1e151
+        )
+        with np.errstate(over="raise"):
+            for ds, _truth in make_synthetic_repository(spec).problems:
+                assert np.all(np.isfinite(squared_distances(ds.points)))
 
 
 def distance_graph_edges_oracle(pts):
@@ -420,6 +433,21 @@ class TestDistanceGraph:
                 pts = np.round(pts, 1)
             g = dataset_to_distance_graph(Dataset(id="g", points=pts))
             assert tuple(zip(g.u.tolist(), g.v.tolist(), g.w.tolist())) == distance_graph_edges_oracle(pts), trial
+
+    def test_overflowing_distance_is_data_error(self):
+        pts = np.array([[0.0, 0.0], [1e200, 0.0], [1.0, 1.0]])
+        with pytest.raises(DataError, match="'far'"):
+            dataset_to_distance_graph(Dataset(id="far", points=pts))
+
+
+def test_squared_distances_match_per_row_sums_exactly():
+    rng = np.random.default_rng(22)
+    for d in range(1, 12):
+        pts = rng.standard_normal((int(rng.integers(1, 30)), d)) * rng.uniform(0.1, 100.0)
+        sq = squared_distances(pts)
+        assert sq.dtype == np.float64 and sq.shape == (pts.shape[0],) * 2
+        for i in range(pts.shape[0]):
+            assert np.array_equal(sq[i], ((pts[i] - pts) ** 2).sum(axis=1))
 
 
 class TestRepositoryIO:

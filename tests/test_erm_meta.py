@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from metaclust.clusterers import single_linkage_threshold
 from metaclust.data_model import (
     Dataset,
     Partition,
@@ -17,6 +18,7 @@ from metaclust.erm_meta import (
     BoundParams,
     MetaScaleRule,
     ThresholdFitResult,
+    _spanning_forest,
     erm_select,
     fit_meta_scale,
     fit_threshold_bruteforce,
@@ -229,6 +231,48 @@ class TestThresholdFitting:
         g = WeightedGraph(3, ((0, 1, 1.0),))
         with pytest.raises(ValueError):
             fit_threshold_kruskal([(g, Partition(3, ((0, 1, 2),)))])
+
+
+def kruskal_forest_weights(graph):
+    """Oracle: the weights of a minimum spanning forest by Kruskal's algorithm, in the order it keeps them."""
+    parent = list(range(graph.n_vertices))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    kept = []
+    for w, u, v in sorted(zip(graph.w.tolist(), graph.u.tolist(), graph.v.tolist())):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[rv] = ru
+            kept.append(w)
+    return kept
+
+
+class TestSpanningForest:
+    def test_matches_kruskal_oracle_on_sparse_tied_graphs(self):
+        rng = np.random.default_rng(21)
+        for trial in range(80):
+            n = int(rng.integers(1, 40))
+            iu, ju = np.triu_indices(n, 1)
+            keep = rng.random(iu.size) < rng.uniform(0.0, 0.5)  # sparse: isolated vertices
+            w = rng.uniform(0.0, 4.0, size=int(keep.sum()))
+            if trial % 2:
+                w = np.round(w)  # tied weights
+            g = WeightedGraph(n, np.column_stack([iu[keep], ju[keep], w]))
+            fw, fu, fv = _spanning_forest(g)
+            components = single_linkage_threshold(g, math.inf).n_parts
+            assert fw.dtype == np.float64 and fw.shape == fu.shape == fv.shape == (n - components,)
+            oracle = kruskal_forest_weights(g)
+            assert sorted(fw.tolist()) == oracle
+            assert math.fsum(fw.tolist()) == math.fsum(oracle)
+            # every forest edge is a graph edge of that weight, and together they span the same components
+            lookup = {(a, b): c for a, b, c in zip(g.u.tolist(), g.v.tolist(), g.w.tolist())}
+            assert all(lookup[min(a, b), max(a, b)] == c for a, b, c in zip(fu.tolist(), fv.tolist(), fw.tolist()))
+            forest = WeightedGraph(n, np.column_stack([fu, fv, fw]))
+            assert single_linkage_threshold(forest, math.inf) == single_linkage_threshold(g, math.inf)
 
 
 def separated_problem(rng, n=12, d=2, gap=5.0):

@@ -1,5 +1,6 @@
 """Every name a metaclust module exports in ``__all__`` exists, star-imports
-and, but for a short allow-list, is used by library code."""
+and, but for a short allow-list, is used by library code; every name a module
+imports is used in it or exported."""
 
 import ast
 import importlib
@@ -55,3 +56,20 @@ def test_every_export_has_a_library_caller():
         if export not in referenced
     }
     assert {n.rsplit(".", 1)[1] for n in unreferenced} == UNREFERENCED_ALLOWED, sorted(unreferenced)
+
+
+@pytest.mark.parametrize("path", sorted(Path(metaclust.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_used_or_exported(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    assert sorted(imported - used - exported) == []

@@ -183,7 +183,7 @@ class TestPairFeatures:
     def test_dimension_and_padding(self):
         rng = np.random.default_rng(0)
         ds, truth = toy_dataset(rng, d=3)
-        pairs = build_pair_features(ds, truth, [0, 4], [1, 2])
+        pairs = build_pair_features([(ds, truth)], [(0, [0, 4], [1, 2])])
         assert pairs.features.shape == (2, FEATURE_DIM) and len(pairs) == 2
         assert np.all(pairs.features[:, 3:PAD_DIM] == 0.0)  # coord block 1 padding
         assert np.all(pairs.features[:, PAD_DIM + 3 : 2 * PAD_DIM] == 0.0)  # block 2
@@ -191,7 +191,7 @@ class TestPairFeatures:
     def test_covariance_block_embedding(self):
         rng = np.random.default_rng(1)
         ds, truth = toy_dataset(rng, d=3)
-        cov_block = build_pair_features(ds, truth, [0], [1]).features[0, 2 * PAD_DIM :]
+        cov_block = build_pair_features([(ds, truth)], [(0, [0], [1])]).features[0, 2 * PAD_DIM :]
         assert cov_block.shape == (55,)
         # entries of the 10x10 upper triangle outside the leading 3x3 are zero
         full = np.zeros((PAD_DIM, PAD_DIM))
@@ -205,32 +205,32 @@ class TestPairFeatures:
     def test_covariance_shared_across_pairs(self):
         rng = np.random.default_rng(2)
         ds, truth = toy_dataset(rng)
-        cov = build_pair_features(ds, truth, [0, 5, 3], [1, 9, 0]).features[:, 2 * PAD_DIM :]
+        cov = build_pair_features([(ds, truth)], [(0, [0, 5, 3], [1, 9, 0])]).features[:, 2 * PAD_DIM :]
         assert np.array_equal(cov[0], cov[1]) and np.array_equal(cov[0], cov[2])
 
     def test_swap_exchanges_coordinate_blocks_only(self):
         rng = np.random.default_rng(3)
         ds, truth = toy_dataset(rng)
-        fwd = build_pair_features(ds, truth, [2, 0], [7, 5])
-        rev = build_pair_features(ds, truth, [7, 5], [2, 0])
+        fwd = build_pair_features([(ds, truth)], [(0, [2, 0], [7, 5])])
+        rev = build_pair_features([(ds, truth)], [(0, [7, 5], [2, 0])])
         assert np.array_equal(swap_blocks(fwd.features), rev.features)
         assert np.array_equal(swap_blocks(fwd.features[0]), rev.features[0])  # one row
 
     def test_labels(self):
         pts = np.array([[0.0], [0.1], [5.0], [5.1]])
         ds = Dataset(id="l", points=pts)
-        pairs = build_pair_features(ds, labels_to_partition([0, 0, 1, 1]), [0, 0], [1, 2])
+        pairs = build_pair_features([(ds, labels_to_partition([0, 0, 1, 1]))], [(0, [0, 0], [1, 2])])
         assert pairs.labels.tolist() == [1, 0]
 
     def test_wide_dataset_rejected(self):
         ds = Dataset(id="w", points=np.zeros((3, 11)) + np.arange(3)[:, None])
         with pytest.raises(ValueError):
-            build_pair_features(ds, labels_to_partition([0, 1, 0]), [0], [1])
+            build_pair_features([(ds, labels_to_partition([0, 1, 0]))], [(0, [0], [1])])
 
     def test_identical_indices_rejected(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError):
-            build_pair_features(*toy_dataset(rng), [0, 3], [1, 3])
+            build_pair_features([toy_dataset(rng)], [(0, [0, 3], [1, 3])])
 
     def test_malformed_pair_set_rejected(self):
         features = np.zeros((2, FEATURE_DIM))
@@ -243,7 +243,7 @@ class TestPairFeatures:
             pair_set(np.zeros((2, FEATURE_DIM)), [0, 1, 1])  # one label too many
 
     def test_arrays_read_only(self):
-        pairs = build_pair_features(*toy_dataset(np.random.default_rng(5)), [0], [1])
+        pairs = build_pair_features([toy_dataset(np.random.default_rng(5))], [(0, [0], [1])])
         for arr in (pairs.features, pairs.labels, pairs.dataset_ids):
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
@@ -259,7 +259,7 @@ class TestPairFeatures:
         rows_j = (rows_i + rng.integers(1, ds.n, size=40)) % ds.n
         # every pair in both orders
         rows_i, rows_j = np.concatenate([rows_i, rows_j]), np.concatenate([rows_j, rows_i])
-        pairs = build_pair_features(ds, truth, rows_i, rows_j)
+        pairs = build_pair_features([(ds, truth)], [(0, rows_i, rows_j)])
         for t, (i, j) in enumerate(zip(rows_i, rows_j)):
             features, label = pair_features_oracle(ds, truth, i, j)
             assert np.all(pairs.features[t] == features)
@@ -542,8 +542,8 @@ class TestPrediction:
         model = init_mlp(seed=5)
         for _ in range(10):
             i, j = rng.choice(ds.n, size=2, replace=False)
-            pi, di = predict_features(model, build_pair_features(ds, truth, [i], [j]).features)
-            pj, dj = predict_features(model, build_pair_features(ds, truth, [j], [i]).features)
+            pi, di = predict_features(model, build_pair_features([(ds, truth)], [(0, [i], [j])]).features)
+            pj, dj = predict_features(model, build_pair_features([(ds, truth)], [(0, [j], [i])]).features)
             assert pi[0] == pj[0] and di[0] == dj[0]
 
     def test_half_probability_is_different(self):
