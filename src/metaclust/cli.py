@@ -23,6 +23,7 @@ from pathlib import Path
 
 from metaclust.clusterers import KINDS, ClustererSpec
 from metaclust.data_model import (
+    FLOAT_FORMAT,
     DataError,
     SplitSpec,
     SynthSpec,
@@ -51,9 +52,6 @@ EXIT_IO = 2
 
 class ConfigError(Exception):
     """Invalid experiment configuration."""
-
-
-FLOAT_FORMAT = "%.17g"  # the one float rule of every result file
 
 
 def _fmt(value) -> str:
@@ -196,14 +194,13 @@ def cmd_run_algo_select(args) -> int:
     splits = _splits(args)
     repo = _load_repo(args)
     family = default_family()
-    names = [spec.name for spec in family]
     rows = []
     for frac, repeat, split in splits:
         train_idx, test_idx = split_repository(repo, split)
         model = train_algo_select(family, [repo.problems[i] for i in train_idx], seed=args.seed)
         ari_meta, per_member = evaluate_algo_select(model, [repo.problems[i] for i in test_idx])
-        rows.append([frac, repeat, ari_meta] + [per_member[name] for name in names])
-    header = ["train_frac", "repeat", "ari_meta"] + [f"ari_{name}" for name in names]
+        rows.append([frac, repeat, ari_meta] + per_member)
+    header = ["train_frac", "repeat", "ari_meta"] + [f"ari_{spec.name}" for spec in family]
     _write_result(args, "algo_select.csv", header, rows)
     return EXIT_OK
 

@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 __all__ = [
+    "FLOAT_FORMAT",
     "DataError",
     "Dataset",
     "Partition",
@@ -41,6 +42,7 @@ __all__ = [
     "save_repository",
 ]
 
+FLOAT_FORMAT = "%.17g"  # the one float rule of every written file; it round-trips every float64
 
 _MIX_MULT_1 = 0xBF58476D1CE4E5B9
 _MIX_MULT_2 = 0x94D049BB133111EB
@@ -86,6 +88,10 @@ class Dataset:
             raise ValueError(f"points must be an n>=2 by d>=1 matrix, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points must be finite (no NaN/Inf)")
+        # 4 n max |x_i|^2 bounds every squared distance, k-means expansion term and covariance sum.
+        with np.errstate(over="ignore"):
+            if not np.isfinite(4.0 * pts.shape[0] * (pts * pts).sum(axis=1).max()):
+                raise ValueError("points are too large: squared distances between them would overflow float64")
         pts = pts.copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -319,7 +325,7 @@ def write_dataset_csv(dataset: Dataset, truth: Partition, path) -> None:
         writer = csv.writer(fh)
         writer.writerow([f"f{i}" for i in range(dataset.d)] + ["label"])
         for i in range(dataset.n):
-            writer.writerow([format(x, ".17g") for x in dataset.points[i]] + [str(int(truth.labels[i]))])
+            writer.writerow([FLOAT_FORMAT % x for x in dataset.points[i]] + [str(int(truth.labels[i]))])
 
 
 def labels_to_partition(labels: Sequence[int]) -> Partition:
@@ -457,10 +463,7 @@ def dataset_to_distance_graph(dataset: Dataset) -> WeightedGraph:
     """Complete graph with Euclidean distances as edge weights."""
     n = dataset.n
     iu, ju = np.triu_indices(n, 1)
-    with np.errstate(over="ignore"):
-        w = np.sqrt(squared_distances(dataset.points)[iu, ju])
-    if not np.all(np.isfinite(w)):
-        raise DataError(f"dataset {dataset.id!r}: a pairwise distance overflows float64")
+    w = np.sqrt(squared_distances(dataset.points)[iu, ju])
     return WeightedGraph(n_vertices=n, edges=np.column_stack([iu, ju, w]))
 
 

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from metaclust.clusterers import ClustererSpec, kmeans, run_spec
-from metaclust.data_model import Dataset, MetaRepository, Partition, SplitSpec, covariance, derive_seed, split_repository
+from metaclust.data_model import DataError, Dataset, MetaRepository, Partition, SplitSpec, covariance, derive_seed, split_repository
 from metaclust.metrics import adjusted_rand_index, pairwise_distances, silhouette_score
 from metaclust.regression import fit_least_squares, phi_features, predict, symmetric_eigen_extrema
 
@@ -292,49 +292,42 @@ def train_algo_select(specs: Sequence[ClustererSpec], train: Sequence, seed: int
 
 
 def select_algorithm(model: AlgoSelectModel, dataset: Dataset) -> tuple:
-    """Run every member, predict its ARI, output the best-predicted clustering.
+    """Run every member, predict its ARI and pick the best-predicted member.
 
-    Returns (member name, partition, {name: predicted ARI}, {name: partition
-    of every member whose run succeeded}).  Ties break toward the earliest
-    member; failing members are skipped, and an error is raised only if
-    every member fails.
+    Returns (best, partitions): ``best`` is the position of the member with
+    the highest predicted ARI, and ``partitions`` holds every member's
+    partition in member order, ``None`` where its run failed.  Ties break
+    toward the earliest member, and a member without meta-features is no
+    candidate; ``DataError`` names the dataset if no member can be scored.
     """
-    specs = [spec for spec, _lm in model.members]
-    scores = {}
-    partitions = {}
-    best = None
-    _extrema, runs = _member_runs(specs, dataset)
-    for (spec, lm), (partition, row) in zip(model.members, runs):
-        if partition is None:
-            continue
-        partitions[spec.name] = partition
+    _extrema, runs = _member_runs([spec for spec, _lm in model.members], dataset)
+    best, best_score = None, None
+    for j, ((_spec, lm), (_partition, row)) in enumerate(zip(model.members, runs)):
         if row is None:
             continue
         score = predict(lm, row)
-        scores[spec.name] = score
-        if best is None or score > best[0]:  # strict: ties keep the earlier member
-            best = (score, spec.name, partition)
+        if best is None or score > best_score:  # strict: ties keep the earlier member
+            best, best_score = j, score
     if best is None:
-        raise RuntimeError("every family member failed on this dataset")
-    return best[1], best[2], scores, partitions
+        raise DataError(f"dataset {dataset.id!r}: no family member could be scored")
+    return best, [partition for partition, _row in runs]
 
 
 def evaluate_algo_select(model: AlgoSelectModel, test: Sequence) -> tuple:
-    """(meta mean ARI, {member name: fixed-member mean ARI}) on labeled problems.
+    """(meta mean ARI, [fixed-member mean ARI in member order]) on labeled problems.
 
     Each member runs once per test problem, inside ``select_algorithm``; its
     partition is scored here.  A failed run contributes ARI 0.
     """
     meta_total = 0.0
-    member_totals = {spec.name: 0.0 for spec, _lm in model.members}
+    member_totals = [0.0] * len(model.members)
     for ds, truth in test:
-        _name, partition, _scores, partitions = select_algorithm(model, ds)
-        meta_total += adjusted_rand_index(truth.n_items, truth, partition)
-        for spec, _lm in model.members:
-            if spec.name in partitions:
-                member_totals[spec.name] += adjusted_rand_index(truth.n_items, truth, partitions[spec.name])
+        best, partitions = select_algorithm(model, ds)
+        aris = [0.0 if p is None else adjusted_rand_index(truth.n_items, truth, p) for p in partitions]
+        meta_total += aris[best]
+        member_totals = [total + ari for total, ari in zip(member_totals, aris)]
     n = len(test)
-    return meta_total / n, {name: total / n for name, total in member_totals.items()}
+    return meta_total / n, [total / n for total in member_totals]
 
 
 @dataclass(frozen=True)

@@ -91,13 +91,14 @@ def phi_features(dataset: Dataset, c: Partition, dist: np.ndarray, extrema: tupl
     (dataset, candidate clustering).
 
     sigma_min and sigma_max are the extreme eigenvalues of the population
-    covariance, which must be PSD up to 1e-9.  ``dist`` is
+    covariance, which must be PSD up to 1e-9 * max(1, sigma_max), since the
+    roundoff of ``eigvalsh`` scales with sigma_max.  ``dist`` is
     ``pairwise_distances(dataset.points)``, passed on to ``silhouette_score``,
     and ``extrema`` is ``symmetric_eigen_extrema(covariance(dataset.points))``;
     callers scoring many clusterings of one dataset compute each once.
     """
     lo, hi = extrema
-    if lo < -1e-9:
+    if lo < -1e-9 * max(1.0, hi):
         raise ValueError(f"covariance must be PSD up to tolerance, got sigma_min={lo}")
     sil = silhouette_score(dataset.points, c, dist=dist)
     return np.array([dataset.d, dataset.n, lo, hi, sil], dtype=float)

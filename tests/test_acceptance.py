@@ -312,8 +312,8 @@ def test_criterion_06_algo_select_beats_fixed_members(announce):
         model = train_algo_select(family, [repo.problems[i] for i in train_idx], seed=7)
         ari_meta, per_member = evaluate_algo_select(model, [repo.problems[i] for i in test_idx])
         meta_scores.append(ari_meta)
-        for name, val in per_member.items():
-            member_scores.setdefault(name, []).append(val)
+        for spec, val in zip(family, per_member):
+            member_scores.setdefault(spec.name, []).append(val)
     meta_mean = float(np.mean(meta_scores))
     best_fixed = max(float(np.mean(vals)) for vals in member_scores.values())
     ok = meta_mean >= best_fixed - 0.01

@@ -8,8 +8,10 @@ import pytest
 
 from metaclust import cli, meta_pipelines
 from metaclust.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from metaclust.data_model import FLOAT_FORMAT, SynthSpec, make_synthetic_repository, save_repository
 
 GOLDEN = Path(__file__).parent / "golden"
+OVERFLOW = "points are too large: squared distances between them would overflow float64"
 
 
 @pytest.fixture()
@@ -411,7 +413,7 @@ class TestErrorContracts:
         rc = main(["run", pipeline, "--repo", str(repo_dir), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == EXIT_IO
-        assert err == f"error: dataset {manifest[0]['id']!r}: a pairwise distance overflows float64\n"
+        assert err == f"error: {path}: {OVERFLOW}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("pipeline", ["meta-k", "algo-select", "outliers", "fit-threshold", "meta-scale", "bsf"])
@@ -533,4 +535,65 @@ class TestErrorContracts:
         err = capsys.readouterr().err
         assert rc == EXIT_CONFIG
         assert err == f"error: --max-pairs must be at least 2, got {value}\n"
+        assert not out.exists()
+
+
+def _bad_points(kind, points):
+    """Replacement points for one problem of the bad-data contract."""
+    if kind == "identical":
+        return np.full_like(points, 1.5)
+    if kind == "collinear":  # (x, 3x) at 1e9 scale: sigma_min is roundoff, possibly below zero
+        x = points[:, 0]
+        return np.column_stack([x * 1e9, 3 * x * 1e9])
+    if kind == "shifted":
+        return points + 1e160
+    huge = points.copy()
+    huge[0, 0] = 1e200
+    return huge
+
+
+# Small runs of every pipeline; algo-select's two splits both test problem 0.
+BAD_DATA_PIPELINES = {
+    "meta-k": ["--train-frac", "0.5", "--repeats", "2", "--k-max", "3", "--restarts", "2"],
+    "algo-select": ["--train-frac", "0.5", "--repeats", "2"],
+    "outliers": ["--train-frac", "0.5", "--repeats", "1", "--p-grid", "0,0.05", "--k-max", "3", "--restarts", "2"],
+    "fit-threshold": [],
+    "meta-scale": ["--train-frac", "0.5", "--repeats", "2"],
+    "bsf": ["--repeats", "1", "--epochs", "1", "--max-pairs", "200"],
+}
+
+
+class TestBadDataContract:
+    """Degenerate but representable points run; points whose distances could overflow exit 2."""
+
+    @pytest.fixture(scope="class")
+    def bad_repos(self, tmp_path_factory):
+        repo = make_synthetic_repository(SynthSpec(n_problems=8, n_points=40, seed=5))
+        (ds, truth), *_rest = repo.problems
+        repos = {}
+        for kind in ("identical", "collinear", "shifted", "huge"):
+            out = tmp_path_factory.mktemp(kind)
+            manifest = json.loads(save_repository(repo, out).read_text())
+            rows = [",".join(FLOAT_FORMAT % v for v in row) for row in _bad_points(kind, ds.points).tolist()]
+            lines = ["f0,f1,label"] + [f"{row},{label}" for row, label in zip(rows, truth.labels.tolist())]
+            path = out / manifest[0]["path"]
+            path.write_text("\n".join(lines) + "\n")
+            repos[kind] = (out, path)
+        return repos
+
+    @pytest.mark.parametrize("pipeline", sorted(BAD_DATA_PIPELINES))
+    @pytest.mark.parametrize("kind", ["identical", "collinear"])
+    def test_degenerate_points_run(self, bad_repos, tmp_path, capsys, kind, pipeline):
+        repo, _path = bad_repos[kind]
+        rc = main(["run", pipeline, "--repo", str(repo), "--out", str(tmp_path / "x"), *BAD_DATA_PIPELINES[pipeline]])
+        assert rc == EXIT_OK and capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("pipeline", sorted(BAD_DATA_PIPELINES))
+    @pytest.mark.parametrize("kind", ["shifted", "huge"])
+    def test_overflowing_points_exit_2(self, bad_repos, tmp_path, capsys, kind, pipeline):
+        repo, path = bad_repos[kind]
+        out = tmp_path / "x"
+        rc = main(["run", pipeline, "--repo", str(repo), "--out", str(out), *BAD_DATA_PIPELINES[pipeline]])
+        assert rc == EXIT_IO
+        assert capsys.readouterr().err == f"error: {path}: {OVERFLOW}\n"
         assert not out.exists()

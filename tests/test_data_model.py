@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metaclust.data_model import (
+    FLOAT_FORMAT,
     DataError,
     Dataset,
     MetaRepository,
@@ -60,6 +61,22 @@ class TestDataset:
         ds = Dataset(id="a", points=np.zeros((2, 1)))
         with pytest.raises(ValueError):
             ds.points[0, 0] = 1.0
+
+    def test_squared_norm_bound(self):
+        # 4 * n * max |x_i|^2 must be finite; the largest float64 is 1.797e308.
+        Dataset(id="a", points=[[0.0], [-4.7e153]])  # 8 * 2.21e307 = 1.77e308
+        Dataset(id="a", points=[[0.0, 0.0], [3.3e153, 3.3e153]])  # 8 * 2.18e307 = 1.74e308
+        for points in ([[0.0], [-4.8e153]], [[0.0, 0.0], [3.4e153, 3.4e153]], [[1e160, 1e160]] * 3):
+            with pytest.raises(ValueError, match="points are too large: squared distances between them would overflow"):
+                Dataset(id="a", points=points)
+
+    def test_float_format_matches_17_significant_digits(self):
+        rng = np.random.default_rng(23)
+        tricky = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3, 1e16]
+        values = tricky + (rng.standard_normal(2000) * 10.0 ** rng.integers(-300, 300, 2000)).tolist()
+        for v in values:
+            assert FLOAT_FORMAT % v == format(v, ".17g")
+            assert float(FLOAT_FORMAT % v) == v
 
 
 class TestPartition:
@@ -434,10 +451,12 @@ class TestDistanceGraph:
             g = dataset_to_distance_graph(Dataset(id="g", points=pts))
             assert tuple(zip(g.u.tolist(), g.v.tolist(), g.w.tolist())) == distance_graph_edges_oracle(pts), trial
 
-    def test_overflowing_distance_is_data_error(self):
-        pts = np.array([[0.0, 0.0], [1e200, 0.0], [1.0, 1.0]])
-        with pytest.raises(DataError, match="'far'"):
-            dataset_to_distance_graph(Dataset(id="far", points=pts))
+    def test_overflowing_distance_is_data_error(self, tmp_path):
+        # Points whose distances could overflow are rejected when they are loaded, before any graph.
+        path = tmp_path / "far.csv"
+        path.write_text("f0,f1,label\n0,0,0\n1e200,0,1\n1,1,1\n")
+        with pytest.raises(DataError, match="far.csv: points are too large"):
+            load_dataset_csv(path)
 
 
 def test_squared_distances_match_per_row_sums_exactly():

@@ -1,6 +1,6 @@
 """Every name a metaclust module exports in ``__all__`` exists, star-imports
 and, but for a short allow-list, is used by library code; every name a module
-imports is used in it or exported."""
+imports is used in it or exported; every exception it raises maps to an exit code."""
 
 import ast
 import importlib
@@ -73,3 +73,19 @@ def test_every_import_is_used_or_exported(path):
         if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             exported = set(ast.literal_eval(node.value))
     assert sorted(imported - used - exported) == []
+
+
+# The exception classes that ``cli.main`` maps to exit 1 (configuration) or exit 2 (IO or data).
+EXIT_MAPPED = {"ValueError", "DataError", "ConfigError", "OSError"}
+
+
+@pytest.mark.parametrize("path", sorted(Path(metaclust.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_library_raises_only_exit_mapped_errors(path):
+    unmapped = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Raise) or node.exc is None:  # a bare ``raise`` re-raises
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if not (isinstance(exc, ast.Name) and exc.id in EXIT_MAPPED):
+            unmapped.append(f"line {node.lineno}: {ast.unparse(node)}")
+    assert unmapped == []

@@ -8,6 +8,7 @@ import pytest
 from metaclust import meta_pipelines, regression
 from metaclust.clusterers import ClustererSpec, kmeans, run_spec
 from metaclust.data_model import (
+    DataError,
     Dataset,
     Partition,
     SplitSpec,
@@ -106,22 +107,36 @@ def train_algo_select_oracle(specs, train, seed):
 
 def select_algorithm_oracle(model, dataset):
     """The candidate-list selection loop, with features computed without a shared matrix."""
-    scores, partitions, candidates = {}, {}, []
-    for spec, lm in model.members:
+    partitions, candidates = [], []
+    for j, (spec, lm) in enumerate(model.members):
         try:
             partition = run_spec(spec, dataset.points)
         except ValueError:
+            partitions.append(None)
             continue
-        partitions[spec.name] = partition
+        partitions.append(partition)
         try:
             extrema = symmetric_eigen_extrema(covariance(dataset.points))
             a_j = predict(lm, phi_features(dataset, partition, pairwise_distances(dataset.points), extrema))
         except ValueError:
             continue
-        scores[spec.name] = a_j
-        candidates.append((a_j, len(candidates), spec.name, partition))
+        candidates.append((a_j, j))
     best = min(candidates, key=lambda c: (-c[0], c[1]))
-    return best[2], best[3], scores, partitions
+    return best[1], partitions
+
+
+def member_means_oracle(model, test):
+    """Each member's mean test ARI from a rerun of that member alone; a failed run scores 0."""
+    means = []
+    for spec, _lm in model.members:
+        total = 0.0
+        for ds, truth in test:
+            try:
+                total += adjusted_rand_index(truth.n_items, truth, run_spec(spec, ds.points))
+            except ValueError:
+                pass
+        means.append(total / len(test))
+    return means
 
 
 def cell_of(grid, cell):
@@ -422,15 +437,15 @@ class TestAlgoSelect:
         specs = [ClustererSpec(kind="kmeans", k=2, restarts=3), ClustererSpec(kind="agglo_single", k=2)]
         model = train_algo_select(specs, repo.problems, seed=1)
         assert len(model.members) == 2
-        name, partition, scores, partitions = select_algorithm(model, repo.problems[0][0])
-        assert name in scores and partition.is_valid()
-        assert partitions[name] == partition
+        best, partitions = select_algorithm(model, repo.problems[0][0])
+        assert best in (0, 1) and len(partitions) == 2
+        assert partitions[best].is_valid()
 
     def test_single_member_family(self):
         repo = small_repo(3)
         model = train_algo_select([ClustererSpec(kind="agglo_ward", k=2)], repo.problems, seed=0)
-        name, _, _, _ = select_algorithm(model, repo.problems[0][0])
-        assert name == "agglo_ward"
+        best, partitions = select_algorithm(model, repo.problems[0][0])
+        assert best == 0 and len(partitions) == 1 and partitions[0].is_valid()
 
     def test_failed_member_rows_flagged(self):
         repo = small_repo(3)
@@ -440,9 +455,9 @@ class TestAlgoSelect:
         ]
         model = train_algo_select(specs, repo.problems, seed=0)
         assert model.n_failed_rows == 3
-        name, _, scores, partitions = select_algorithm(model, repo.problems[0][0])
-        assert name == "kmeans"
-        assert list(scores) == list(partitions) == ["kmeans"]
+        best, partitions = select_algorithm(model, repo.problems[0][0])
+        assert best == 0
+        assert partitions[0] is not None and partitions[1] is None
 
     def test_partitions_include_member_without_features(self, monkeypatch):
         repo = small_repo(3)
@@ -458,10 +473,9 @@ class TestAlgoSelect:
             return real(dataset, partition, dist, extrema)
 
         monkeypatch.setattr(meta_pipelines, "phi_features", second_fails)
-        name, _, scores, partitions = select_algorithm(model, repo.problems[0][0])
-        assert name == "kmeans" and list(scores) == ["kmeans"]
-        assert list(partitions) == ["kmeans", "agglo_single"]
-        assert partitions["agglo_single"] == calls[1]
+        best, partitions = select_algorithm(model, repo.problems[0][0])
+        assert best == 0
+        assert partitions == [calls[0], calls[1]]
 
     def test_evaluate_runs_each_member_once_per_test_problem(self, monkeypatch):
         from metaclust.clusterers import run_spec
@@ -484,15 +498,35 @@ class TestAlgoSelect:
         _meta, per_member = meta_pipelines.evaluate_algo_select(model, test)
         assert len(calls) == len(model.members) * len(test)
         # Same numbers as running every member again on each test problem.
-        for spec, _lm in model.members:
-            total = 0.0
-            for ds, truth in test:
-                try:
-                    total += adjusted_rand_index(truth.n_items, truth, run_spec(spec, ds.points))
-                except ValueError:
-                    pass
-            assert per_member[spec.name] == total / len(test)
-        assert per_member["agglo_ward"] == 0.0
+        assert per_member == member_means_oracle(model, test)
+        assert per_member[2] == 0.0
+
+    def test_members_sharing_a_name_are_scored_apart(self):
+        # Both k-means members are named "kmeans"; each keeps its own mean.
+        repo = make_synthetic_repository(SynthSpec(n_problems=8, n_points=60, n_clusters=(3, 3), seed=1))
+        specs = [
+            ClustererSpec(kind="kmeans", k=2, restarts=2),
+            ClustererSpec(kind="kmeans", k=3, restarts=2),
+            ClustererSpec(kind="agglo_ward", k=3),
+        ]
+        model = train_algo_select(specs, repo.problems[:4], seed=0)
+        test = repo.problems[4:]
+        meta, per_member = meta_pipelines.evaluate_algo_select(model, test)
+        assert len(per_member) == 3 and all(mean <= 1.0 for mean in per_member)
+        assert per_member == member_means_oracle(model, test)
+        assert per_member[0] != per_member[1]
+        total = 0.0
+        for ds, truth in test:
+            best, partitions = select_algorithm_oracle(model, ds)
+            total += adjusted_rand_index(truth.n_items, truth, partitions[best])
+        assert meta == total / len(test)
+
+    def test_no_scorable_member_is_data_error_naming_the_dataset(self):
+        repo = small_repo(3)
+        model = train_algo_select([ClustererSpec(kind="agglo_ward", k=50)], repo.problems, seed=0)
+        ds = repo.problems[0][0]
+        with pytest.raises(DataError, match=f"dataset {ds.id!r}: no family member could be scored"):
+            select_algorithm(model, ds)
 
     FAMILY = [
         ClustererSpec(kind="kmeans", k=2, restarts=2),
@@ -565,15 +599,14 @@ class TestAlgoSelect:
         oracle = fit_least_squares([[ds.d, ds.n, -0.5, 1.0, 0.0] for ds, _truth in repo.problems], [0.0] * 3)
         for _spec, lm in model.members:
             assert np.array_equal(lm.weights, oracle.weights) and lm.intercept == oracle.intercept
-        with pytest.raises(RuntimeError, match="every family member failed"):
+        with pytest.raises(DataError, match="no family member could be scored"):
             select_algorithm(model, repo.problems[0][0])
 
     def test_selection_matches_member_by_member_oracle(self):
         repo = small_repo(6)
         model = train_algo_select(self.FAMILY, repo.problems[:3], seed=2)
         for ds, _truth in repo.problems[3:]:
-            name, partition, scores, partitions = select_algorithm(model, ds)
-            assert (name, partition, scores, partitions) == select_algorithm_oracle(model, ds)
+            assert select_algorithm(model, ds) == select_algorithm_oracle(model, ds)
 
     def test_prediction_ties_go_to_the_earliest_member(self):
         repo = small_repo(3)
@@ -581,9 +614,9 @@ class TestAlgoSelect:
         specs = [ClustererSpec(kind="agglo_ward", k=50), ClustererSpec(kind="agglo_average", k=2),
                  ClustererSpec(kind="kmeans", k=2, restarts=2)]
         model = meta_pipelines.AlgoSelectModel(members=tuple((spec, tied) for spec in specs))
-        name, partition, scores, partitions = select_algorithm(model, repo.problems[0][0])
-        assert name == "agglo_average" and partition == partitions["agglo_average"]
-        assert scores == {"agglo_average": 0.5, "kmeans": 0.5}
+        best, partitions = select_algorithm(model, repo.problems[0][0])
+        assert best == 1
+        assert partitions[0] is None and partitions[1] is not None and partitions[2] is not None
 
     def test_unexpected_member_error_propagates(self, monkeypatch):
         repo = small_repo(3)

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from metaclust.data_model import Dataset, Partition, covariance, labels_to_partition
+from metaclust.data_model import (
+    Dataset,
+    Partition,
+    SynthSpec,
+    covariance,
+    labels_to_partition,
+    make_synthetic_repository,
+)
 from metaclust.metrics import pairwise_distances, silhouette_score
 from metaclust.regression import (
     LinearModel,
@@ -180,6 +187,20 @@ class TestPhiFeatures:
         ds = Dataset(id="t", points=np.arange(8.0).reshape(4, 2))
         dist = pairwise_distances(ds.points)
         assert phi_features(ds, labels_to_partition([0, 0, 1, 1]), dist, (-1e-10, 1.0))[SIGMA_MIN] == -1e-10
+
+    def test_collinear_columns_at_large_scale_tolerated(self):
+        # Columns (x, 3x) at 1e9 scale: the roundoff in sigma_min scales with sigma_max.
+        ds, truth = make_synthetic_repository(SynthSpec(n_problems=1, n_points=40, seed=5)).problems[0]
+        x = ds.points[:, 0]
+        ds = Dataset(id="c", points=np.column_stack([x * 1e9, 3 * x * 1e9]))
+        dist = pairwise_distances(ds.points)
+        lo, hi = symmetric_eigen_extrema(covariance(ds.points))
+        assert abs(lo) <= 1e-9 * hi
+        assert np.array_equal(phi_features(ds, truth, dist, (lo, hi))[[SIGMA_MIN, SIGMA_MAX]], [lo, hi])
+        # sigma_min = -8192 at sigma_max = 2.7e20 is roundoff; the bound is 1e-9 * max(1, sigma_max).
+        assert phi_features(ds, truth, dist, (-8192.0, 2.7e20))[SIGMA_MIN] == -8192.0
+        with pytest.raises(ValueError, match="PSD"):
+            phi_features(ds, truth, dist, (-3e11, 2.7e20))
 
     def test_precomputed_distances_give_the_same_vector(self):
         rng = np.random.default_rng(9)
