@@ -164,12 +164,6 @@ class Partition:
         return hash((self.n_items, self.labels.tobytes()))
 
     @property
-    def parts(self) -> tuple:
-        """Tuple of parts in id order, each a tuple of ascending indices."""
-        order = np.argsort(self.labels, kind="stable")[self.n_items - self.n_covered :]
-        return tuple(tuple(p.tolist()) for p in np.split(order, np.cumsum(self.sizes))[:-1])
-
-    @property
     def n_parts(self) -> int:
         return self.sizes.size
 

@@ -90,8 +90,9 @@ def generalization_bound(p: BoundParams) -> float:
 def erm_select(family: AlgorithmFamily, train: Sequence) -> tuple:
     """Pick the family member with lowest mean pairwise loss on the training set.
 
-    A member failure on a problem counts as loss 1 for that problem (the same
-    charge as an invalid output); ties break toward the earliest member.
+    A member failure (``ValueError``) on a problem counts as loss 1 for that
+    problem, the same charge as an invalid output; any other exception
+    propagates.  Ties break toward the earliest member.
     Returns (best member name, {name: mean loss}).
     """
     if not train:
@@ -103,7 +104,7 @@ def erm_select(family: AlgorithmFamily, train: Sequence) -> tuple:
             try:
                 output = fn(problem)
                 total += clustering_loss(truth.n_items, truth, output)
-            except Exception:
+            except ValueError:
                 total += 1.0
         losses[name] = total / len(train)
     best = min(family.names, key=lambda name: losses[name])  # stable: earliest wins ties

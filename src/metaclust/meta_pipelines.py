@@ -157,22 +157,24 @@ def baseline_cell(grid: RunGrid) -> tuple:
     return _first_max_cell(grid.silhouette)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetaKModel:
-    """One silhouette-to-ARI linear model per candidate k."""
+    """One silhouette-to-ARI line per candidate k.
 
-    models: tuple  # tuple of (k, LinearModel), ascending k
+    Row i of the read-only ``(len(k_range), 2)`` array ``coef`` holds the
+    slope and intercept for ``k_range[i]``.
+    """
+
+    k_range: tuple  # ascending
+    coef: np.ndarray
 
     def __post_init__(self):
-        models = tuple(self.models)
-        ks = [k for k, _m in models]
-        if ks != sorted(set(ks)):
-            raise ValueError("exactly one model per k, ascending")
-        object.__setattr__(self, "models", models)
-
-    @property
-    def k_range(self) -> tuple:
-        return tuple(k for k, _m in self.models)
+        object.__setattr__(self, "k_range", tuple(self.k_range))
+        coef = np.array(self.coef, dtype=float)
+        if list(self.k_range) != sorted(set(self.k_range)) or coef.shape != (len(self.k_range), 2):
+            raise ValueError("exactly one (slope, intercept) row per k, with k ascending")
+        coef.setflags(write=False)
+        object.__setattr__(self, "coef", coef)
 
 
 def train_meta_k(per_problem_grids: Sequence, k_range: Sequence[int] = DEFAULT_K_RANGE) -> MetaKModel:
@@ -183,19 +185,16 @@ def train_meta_k(per_problem_grids: Sequence, k_range: Sequence[int] = DEFAULT_K
     k_range = tuple(k_range)
     if not per_problem_grids or any(g.k_range != k_range for g in per_problem_grids):
         raise ValueError(f"training needs at least one run grid, each covering exactly k = {k_range}")
-    models = []
-    for i, k in enumerate(k_range):
-        sil = np.concatenate([g.silhouette[i] for g in per_problem_grids])
-        ari = np.concatenate([g.ari[i] for g in per_problem_grids])
-        models.append((k, fit_least_squares(sil[:, None], ari)))
-    return MetaKModel(models=tuple(models))
+    sil = np.concatenate([g.silhouette for g in per_problem_grids], axis=1)
+    ari = np.concatenate([g.ari for g in per_problem_grids], axis=1)
+    return MetaKModel(k_range, [fit_least_squares(s[:, None], a) for s, a in zip(sil, ari)])
 
 
 def meta_selected_cell(model: MetaKModel, grid: RunGrid) -> tuple:
     """The (k row, run) cell with maximal predicted ARI; ties toward smaller (k, run)."""
     if grid.k_range != model.k_range:
         raise ValueError(f"grid covers k = {grid.k_range}, model covers k = {model.k_range}")
-    predicted = np.array([[predict(lm, [s]) for s in row] for (_k, lm), row in zip(model.models, grid.silhouette)])
+    predicted = np.stack([predict(coef, sil[:, None]) for coef, sil in zip(model.coef, grid.silhouette)])
     return _first_max_cell(predicted)
 
 
@@ -230,12 +229,23 @@ def evaluate_meta_k(model: MetaKModel, test_grids: Sequence) -> MetaKEvaluation:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlgoSelectModel:
-    """Per-member linear models over the 5 meta-features, plus failure count."""
+    """One ARI regression over the 5 meta-features per family member, plus failure count.
 
-    members: tuple  # tuple of (ClustererSpec, LinearModel)
+    Row j of the read-only ``(len(specs), 6)`` array ``coef`` holds the five
+    weights and the intercept for ``specs[j]``.
+    """
+
+    specs: tuple  # ClustererSpec per member, seeds derived
+    coef: np.ndarray
     n_failed_rows: int = 0
+
+    def __post_init__(self):
+        coef = np.array(self.coef, dtype=float)
+        coef.setflags(write=False)
+        object.__setattr__(self, "specs", tuple(self.specs))
+        object.__setattr__(self, "coef", coef)
 
 
 def _member_runs(specs: Sequence[ClustererSpec], dataset: Dataset) -> tuple:
@@ -287,8 +297,7 @@ def train_algo_select(specs: Sequence[ClustererSpec], train: Sequence, seed: int
                 target = adjusted_rand_index(truth.n_items, truth, partition)
             feats[j].append(row)
             targets[j].append(target)
-    members = tuple((spec, fit_least_squares(f, t)) for spec, f, t in zip(specs, feats, targets))
-    return AlgoSelectModel(members=members, n_failed_rows=n_failed)
+    return AlgoSelectModel(specs, [fit_least_squares(f, t) for f, t in zip(feats, targets)], n_failed)
 
 
 def select_algorithm(model: AlgoSelectModel, dataset: Dataset) -> tuple:
@@ -300,12 +309,12 @@ def select_algorithm(model: AlgoSelectModel, dataset: Dataset) -> tuple:
     toward the earliest member, and a member without meta-features is no
     candidate; ``DataError`` names the dataset if no member can be scored.
     """
-    _extrema, runs = _member_runs([spec for spec, _lm in model.members], dataset)
+    _extrema, runs = _member_runs(model.specs, dataset)
     best, best_score = None, None
-    for j, ((_spec, lm), (_partition, row)) in enumerate(zip(model.members, runs)):
+    for j, (coef, (_partition, row)) in enumerate(zip(model.coef, runs, strict=True)):
         if row is None:
             continue
-        score = predict(lm, row)
+        score = predict(coef, row)  # a dot product per member: one matrix product need not round alike
         if best is None or score > best_score:  # strict: ties keep the earlier member
             best, best_score = j, score
     if best is None:
@@ -320,7 +329,7 @@ def evaluate_algo_select(model: AlgoSelectModel, test: Sequence) -> tuple:
     partition is scored here.  A failed run contributes ARI 0.
     """
     meta_total = 0.0
-    member_totals = [0.0] * len(model.members)
+    member_totals = [0.0] * len(model.specs)
     for ds, truth in test:
         best, partitions = select_algorithm(model, ds)
         aris = [0.0 if p is None else adjusted_rand_index(truth.n_items, truth, p) for p in partitions]

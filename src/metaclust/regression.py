@@ -8,16 +8,14 @@ the silhouette of the candidate clustering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from metaclust.data_model import Dataset, Partition
+from metaclust.data_model import DataError, Dataset, Partition
 from metaclust.metrics import silhouette_score
 
 __all__ = [
-    "LinearModel",
     "fit_least_squares",
     "predict",
     "phi_features",
@@ -25,29 +23,17 @@ __all__ = [
 ]
 
 RIDGE_JITTER = 1e-8
+_OVERFLOW = "meta-features are too large: the least-squares fit overflows float64"
 
 
-@dataclass(frozen=True)
-class LinearModel:
-    """Fitted regression weights plus intercept."""
-
-    weights: np.ndarray
-    intercept: float
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or not np.all(np.isfinite(w)) or not np.isfinite(self.intercept):
-            raise ValueError("model coefficients must be a finite vector and scalar")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-
-def fit_least_squares(features: Sequence, targets: Sequence[float]) -> LinearModel:
+def fit_least_squares(features: Sequence, targets: Sequence[float]) -> np.ndarray:
     """Minimize sum((w.x + c - y)^2) via the normal equations.
 
-    Rank-deficient designs are solved with a ridge jitter on the normal
-    equations instead of failing; the fit is deterministic.
+    Returns the read-only coefficient vector: one weight per feature column,
+    then the intercept c.  Rank-deficient designs are solved with a ridge
+    jitter on the normal equations instead of failing; the fit is
+    deterministic.  Features too large for the normal equations in float64
+    raise ``DataError``.
     """
     x = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(targets, dtype=float)
@@ -56,19 +42,27 @@ def fit_least_squares(features: Sequence, targets: Sequence[float]) -> LinearMod
     if x.shape[0] != y.shape[0]:
         raise ValueError("features/targets length mismatch")
     design = np.hstack([x, np.ones((x.shape[0], 1))])
-    gram = design.T @ design
-    rhs = design.T @ y
-    if np.linalg.matrix_rank(gram) < gram.shape[0]:
-        gram = gram + RIDGE_JITTER * np.eye(gram.shape[0])
-    coef = np.linalg.solve(gram, rhs)
-    return LinearModel(weights=coef[:-1], intercept=float(coef[-1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = design.T @ design
+        rhs = design.T @ y
+        if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+            raise DataError(_OVERFLOW)
+        if np.linalg.matrix_rank(gram) < gram.shape[0]:
+            gram = gram + RIDGE_JITTER * np.eye(gram.shape[0])
+        coef = np.linalg.solve(gram, rhs)
+    if not np.isfinite(coef).all():
+        raise DataError(_OVERFLOW)
+    coef.setflags(write=False)
+    return coef
 
 
-def predict(model: LinearModel, x: Sequence[float]) -> float:
+def predict(coef: np.ndarray, x) -> np.ndarray | float:
+    """``x @ coef[:-1] + coef[-1]``: a float for one feature row, a vector for a matrix of rows."""
     x = np.asarray(x, dtype=float)
-    if x.shape != model.weights.shape:
-        raise ValueError(f"dimension mismatch: model has {model.weights.shape[0]} weights, input has shape {x.shape}")
-    return float(model.weights @ x + model.intercept)
+    if x.ndim not in (1, 2) or x.shape[-1] != coef.shape[0] - 1:
+        raise ValueError(f"dimension mismatch: model has {coef.shape[0] - 1} weights, input has shape {x.shape}")
+    y = x @ coef[:-1] + coef[-1]
+    return float(y) if x.ndim == 1 else y
 
 
 def symmetric_eigen_extrema(s: np.ndarray) -> tuple:

@@ -12,6 +12,7 @@ from metaclust.data_model import FLOAT_FORMAT, SynthSpec, make_synthetic_reposit
 
 GOLDEN = Path(__file__).parent / "golden"
 OVERFLOW = "points are too large: squared distances between them would overflow float64"
+LSQ_OVERFLOW = "meta-features are too large: the least-squares fit overflows float64"
 
 
 @pytest.fixture()
@@ -547,12 +548,15 @@ def _bad_points(kind, points):
         return np.column_stack([x * 1e9, 3 * x * 1e9])
     if kind == "shifted":
         return points + 1e160
+    if kind == "scaled":  # distances fit float64; covariance eigenvalues near 1e200 overflow the normal equations
+        return points * 1e100
     huge = points.copy()
     huge[0, 0] = 1e200
     return huge
 
 
-# Small runs of every pipeline; algo-select's two splits both test problem 0.
+# Small runs of every pipeline; algo-select's two splits both test problem 0,
+# and its first split trains on problem 4.
 BAD_DATA_PIPELINES = {
     "meta-k": ["--train-frac", "0.5", "--repeats", "2", "--k-max", "3", "--restarts", "2"],
     "algo-select": ["--train-frac", "0.5", "--repeats", "2"],
@@ -564,19 +568,20 @@ BAD_DATA_PIPELINES = {
 
 
 class TestBadDataContract:
-    """Degenerate but representable points run; points whose distances could overflow exit 2."""
+    """Degenerate but representable points run; points whose distances or meta-features overflow exit 2."""
 
     @pytest.fixture(scope="class")
     def bad_repos(self, tmp_path_factory):
         repo = make_synthetic_repository(SynthSpec(n_problems=8, n_points=40, seed=5))
-        (ds, truth), *_rest = repo.problems
         repos = {}
-        for kind in ("identical", "collinear", "shifted", "huge"):
+        for kind in ("identical", "collinear", "shifted", "huge", "scaled"):
+            i = 4 if kind == "scaled" else 0
+            ds, truth = repo.problems[i]
             out = tmp_path_factory.mktemp(kind)
             manifest = json.loads(save_repository(repo, out).read_text())
             rows = [",".join(FLOAT_FORMAT % v for v in row) for row in _bad_points(kind, ds.points).tolist()]
             lines = ["f0,f1,label"] + [f"{row},{label}" for row, label in zip(rows, truth.labels.tolist())]
-            path = out / manifest[0]["path"]
+            path = out / manifest[i]["path"]
             path.write_text("\n".join(lines) + "\n")
             repos[kind] = (out, path)
         return repos
@@ -597,3 +602,16 @@ class TestBadDataContract:
         assert rc == EXIT_IO
         assert capsys.readouterr().err == f"error: {path}: {OVERFLOW}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("pipeline", sorted(BAD_DATA_PIPELINES))
+    def test_overflowing_meta_features_exit_2_in_algo_select(self, bad_repos, tmp_path, capsys, pipeline):
+        # Only algo-select fits on the covariance eigenvalues; every other pipeline runs.
+        repo, _path = bad_repos["scaled"]
+        out = tmp_path / "x"
+        rc = main(["run", pipeline, "--repo", str(repo), "--out", str(out), *BAD_DATA_PIPELINES[pipeline]])
+        err = capsys.readouterr().err
+        if pipeline == "algo-select":
+            assert (rc, err) == (EXIT_IO, f"error: {LSQ_OVERFLOW}\n")
+            assert not out.exists()
+        else:
+            assert (rc, err) == (EXIT_OK, "")

@@ -246,7 +246,7 @@ class TestKmeans:
         pts = np.zeros((6, 2))
         res = kmeans(pts, 2, restarts=2, seed=0)
         assert res.partition.is_valid()
-        assert len(res.partition.parts) == 2
+        assert res.partition.n_parts == 2
         assert res.inertia == 0.0
 
     def test_k_exceeding_n_rejected(self):
@@ -346,18 +346,18 @@ class TestKmeans:
 class TestAgglomerative:
     def test_worked_single_linkage(self):
         pts = np.array([[0.0], [1.0], [10.0], [11.0]])
-        assert agglomerative(pts, 2, "single").parts == ((0, 1), (2, 3))
+        assert agglomerative(pts, 2, "single").labels.tolist() == [0, 0, 1, 1]
 
     def test_worked_complete_linkage(self):
         pts = np.array([[0.0], [1.0], [10.0], [11.0]])
-        assert agglomerative(pts, 2, "complete").parts == ((0, 1), (2, 3))
+        assert agglomerative(pts, 2, "complete").labels.tolist() == [0, 0, 1, 1]
 
     def test_k_equals_n(self):
         pts = np.arange(5.0).reshape(-1, 1)
-        assert agglomerative(pts, 5, "average").parts == ((0,), (1,), (2,), (3,), (4,))
+        assert agglomerative(pts, 5, "average").labels.tolist() == [0, 1, 2, 3, 4]
 
     @pytest.mark.parametrize("linkage", ["single", "complete", "average", "ward"])
-    def test_matches_naive_reference(self, linkage):
+    def test_matches_naive_reference(self, linkage, same_parts):
         rng = np.random.default_rng(10)
         for trial in range(8):
             n = int(rng.integers(6, 16))
@@ -365,7 +365,7 @@ class TestAgglomerative:
             k = int(rng.integers(2, 5))
             ours = agglomerative(pts, k, linkage)
             ref = naive_linkage(pts, k, linkage)
-            assert set(ours.parts) == set(ref.parts), (linkage, trial)
+            assert same_parts(ours, ref), (linkage, trial)
 
     @pytest.mark.parametrize("linkage", ["single", "complete", "average", "ward"])
     def test_matches_lance_williams_oracle_exactly(self, linkage):
@@ -407,9 +407,9 @@ class TestAgglomerative:
     def test_ties_break_toward_lowest_pair(self):
         # Every gap is 1: single linkage must merge (0,1), then (0,2), ...
         pts = np.arange(6.0).reshape(-1, 1)
-        assert agglomerative(pts, 5, "single").parts == ((0, 1), (2,), (3,), (4,), (5,))
-        assert agglomerative(pts, 4, "single").parts == ((0, 1, 2), (3,), (4,), (5,))
-        assert agglomerative(pts, 4, "complete").parts == ((0, 1), (2, 3), (4,), (5,))
+        assert agglomerative(pts, 5, "single").labels.tolist() == [0, 0, 1, 2, 3, 4]
+        assert agglomerative(pts, 4, "single").labels.tolist() == [0, 0, 0, 1, 2, 3]
+        assert agglomerative(pts, 4, "complete").labels.tolist() == [0, 0, 1, 1, 2, 3]
 
     @pytest.mark.parametrize("points", [np.zeros(5), np.zeros((2, 3, 1))], ids=["1-d", "3-d"])
     def test_points_that_are_not_a_matrix_rejected(self, points):
@@ -435,19 +435,19 @@ class TestSingleLinkageThreshold:
 
     def test_worked_mid_threshold(self):
         p = single_linkage_threshold(self.path_graph(), 2.0, strict=False)
-        assert p.parts == ((0, 1, 2), (3,))
+        assert p.labels.tolist() == [0, 0, 0, 1]
 
     def test_above_max_weight_single_component(self):
         p = single_linkage_threshold(self.path_graph(), 5.0, strict=False)
-        assert p.parts == ((0, 1, 2, 3),)
+        assert p.labels.tolist() == [0, 0, 0, 0]
         assert not p.is_valid()
 
     def test_boundary_semantics(self):
         g = self.path_graph()
         strict = single_linkage_threshold(g, 1.0, strict=True)
         loose = single_linkage_threshold(g, 1.0, strict=False)
-        assert strict.parts == ((0,), (1,), (2,), (3,))
-        assert loose.parts == ((0, 1, 2), (3,))
+        assert strict.labels.tolist() == [0, 1, 2, 3]
+        assert loose.labels.tolist() == [0, 0, 0, 1]
 
     def test_monotone_refinement(self):
         rng = np.random.default_rng(12)
@@ -458,11 +458,10 @@ class TestSingleLinkageThreshold:
             r1, r2 = sorted(rng.uniform(0, 3, size=2))
             p1 = single_linkage_threshold(g, r1, strict=False)
             p2 = single_linkage_threshold(g, r2, strict=False)
-            lab2 = p2.labels
-            for part in p1.parts:
-                assert len({lab2[i] for i in part}) == 1  # each r1 part inside one r2 part
+            for j in range(p1.n_parts):
+                assert np.unique(p2.labels[p1.labels == j]).size == 1  # each r1 part inside one r2 part
 
-    def test_agrees_with_agglomerative_cut(self):
+    def test_agrees_with_agglomerative_cut(self, same_parts):
         # single-linkage agglomerative at k clusters = threshold just below
         # the (k-1)-th largest merge weight of the MST
         rng = np.random.default_rng(13)
@@ -476,7 +475,7 @@ class TestSingleLinkageThreshold:
             merges, _u, _v = _spanning_forest(g)
             cut = np.sort(merges)[-(k - 1)]
             thr = single_linkage_threshold(g, cut, strict=True)
-            assert set(agg.parts) == set(thr.parts)
+            assert same_parts(agg, thr)
 
 
     def assert_matches_oracle(self, g, thresholds):
@@ -511,7 +510,7 @@ class TestSingleLinkageThreshold:
 
 
 class TestRichnessConsistency:
-    def test_richness_constructive(self):
+    def test_richness_constructive(self, same_parts):
         rng = np.random.default_rng(14)
         r = 1.0
         for _ in range(30):
@@ -530,9 +529,9 @@ class TestRichnessConsistency:
                     edges.append((u, v, w))
             g = WeightedGraph(n, tuple(edges))
             out = single_linkage_threshold(g, r, strict=False)
-            assert set(out.parts) == set(target.parts)
+            assert same_parts(out, target)
 
-    def test_consistency_perturbation(self):
+    def test_consistency_perturbation(self, same_parts):
         rng = np.random.default_rng(15)
         for _ in range(30):
             n = int(rng.integers(5, 12))
@@ -549,7 +548,7 @@ class TestRichnessConsistency:
                 else:
                     edges.append((u, v, w * rng.uniform(1.0, 3.0)))
             perturbed = single_linkage_threshold(WeightedGraph(n, tuple(edges)), r, strict=False)
-            assert set(perturbed.parts) == set(base.parts)
+            assert same_parts(perturbed, base)
 
 
 class TestRunSpec:

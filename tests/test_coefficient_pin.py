@@ -3,8 +3,8 @@
 No result file holds the meta-k or algo-select coefficients, so a change
 that moves their bits without flipping a decision would otherwise pass
 unseen.  This test fits both models on small fixed repositories and compares
-the sha256 of the stacked coefficient rows (weights, then the intercept) with
-recorded digests.  The bits depend on numpy and its BLAS, so under any other
+the sha256 of each model's coefficient array (one row of weights, then the
+intercept, per candidate) with recorded digests.  The bits depend on numpy and its BLAS, so under any other
 numpy or BLAS version the test skips and names the difference.
 """
 
@@ -47,9 +47,8 @@ def digest(rows) -> str:
 def test_meta_k_coefficients():
     repo = make_synthetic_repository(SynthSpec(n_problems=8, n_points=40, seed=7))
     model = train_meta_k(repo_runs(repo, range(2, 6), 3, seed=7), range(2, 6))
-    rows = np.array([[*lm.weights, lm.intercept] for _k, lm in model.models])
-    assert rows.shape == (4, 2)
-    assert digest(rows) == META_K_SHA256
+    assert model.coef.shape == (4, 2)
+    assert digest(model.coef) == META_K_SHA256
 
 
 def test_algo_select_coefficients():
@@ -57,6 +56,5 @@ def test_algo_select_coefficients():
     repo = make_synthetic_repository(SynthSpec(n_problems=8, n_points=40, dims=(2, 4), seed=7))
     family = default_family() + [ClustererSpec(kind="agglo_ward", k=50)]
     model = train_algo_select(family, repo.problems, seed=7)
-    rows = np.array([[*lm.weights, lm.intercept] for _spec, lm in model.members])
-    assert rows.shape == (11, 6) and model.n_failed_rows == 8
-    assert digest(rows) == ALGO_SELECT_SHA256
+    assert model.coef.shape == (11, 6) and model.n_failed_rows == 8
+    assert digest(model.coef) == ALGO_SELECT_SHA256

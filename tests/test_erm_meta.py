@@ -104,12 +104,20 @@ class TestErmSelect:
 
     def test_failure_counts_as_loss_one(self):
         def boom(_p):
-            raise RuntimeError("member crashed")
+            raise ValueError("member cannot cluster this problem")
 
         fam = AlgorithmFamily(members=(("boom", boom), ("ok", lambda _p: Partition(4, ((0, 1), (2, 3))))))
         best, losses = erm_select(fam, self.problems())
         assert best == "ok"
         assert losses["boom"] == 1.0
+
+    def test_unexpected_member_error_propagates(self):
+        def broken(_p):
+            raise TypeError("not a documented member failure")
+
+        fam = AlgorithmFamily(members=(("ok", lambda _p: Partition(4, ((0, 1), (2, 3)))), ("broken", broken)))
+        with pytest.raises(TypeError, match="not a documented member failure"):
+            erm_select(fam, self.problems())
 
     def test_tie_breaks_earliest(self):
         same = lambda _p: Partition(4, ((0, 1), (2, 3)))
@@ -288,14 +296,14 @@ def separated_problem(rng, n=12, d=2, gap=5.0):
 
 
 class TestMetaScale:
-    def test_worked_construction(self):
+    def test_worked_construction(self, same_parts):
         # within-distances ~1, cross-distances ~5
         pts = np.array([[0.0], [1.0], [5.0], [6.0]])
         g = dataset_to_distance_graph(Dataset(id="w", points=pts))
         truth = Partition(4, ((0, 1), (2, 3)))
         rule = fit_meta_scale([(g, truth)])
         assert rule.r_star == 4.0  # min cross distance |1 - 5|
-        assert set(rule(g).parts) == set(truth.parts)
+        assert same_parts(rule(g), truth)
 
     def test_scale_invariance_exact(self):
         rng = np.random.default_rng(1)
@@ -312,7 +320,7 @@ class TestMetaScale:
             scaled_test = WeightedGraph(
                 test_g.n_vertices, np.column_stack([test_g.u, test_g.v, test_g.w * alpha])
             )
-            assert scaled_rule(scaled_test).parts == rule(test_g).parts
+            assert scaled_rule(scaled_test) == rule(test_g)
 
     def test_strict_semantics_separate_training_pairs(self):
         rng = np.random.default_rng(2)
@@ -335,6 +343,6 @@ class TestMetaScale:
     def test_rule_is_strict_at_threshold(self):
         g = WeightedGraph(3, ((0, 1, 1.0), (0, 2, 2.0), (1, 2, 2.0)))
         rule = MetaScaleRule(r_star=1.0)
-        assert rule(g).parts == ((0,), (1,), (2,))  # w == r_star not merged
+        assert rule(g).labels.tolist() == [0, 1, 2]  # w == r_star not merged
         rule2 = MetaScaleRule(r_star=1.0000001)
-        assert rule2(g).parts == ((0, 1), (2,))
+        assert rule2(g).labels.tolist() == [0, 0, 1]

@@ -33,7 +33,7 @@ from metaclust.meta_pipelines import (
     train_meta_k,
 )
 from metaclust.metrics import adjusted_rand_index, pairwise_distances
-from metaclust.regression import LinearModel, fit_least_squares, phi_features, predict, symmetric_eigen_extrema
+from metaclust.regression import fit_least_squares, phi_features, predict, symmetric_eigen_extrema
 
 
 # Record-based oracles: the per-run objects and Python-loop selection rules
@@ -70,8 +70,9 @@ def oracle_baseline_record(records):
 
 
 def oracle_meta_selected_record(model, records):
-    by_k = dict(model.models)
-    return min(records, key=lambda r: (-predict(by_k[r.k], [r.silhouette]), r.k, r.run_index))
+    """Each record scored on its own: the k row's slope times the silhouette, plus the intercept."""
+    by_k = dict(zip(model.k_range, model.coef))
+    return min(records, key=lambda r: (-float(by_k[r.k][:1] @ [r.silhouette] + by_k[r.k][1]), r.k, r.run_index))
 
 
 def oracle_train_meta_k(per_problem_records, k_range):
@@ -81,12 +82,15 @@ def oracle_train_meta_k(per_problem_records, k_range):
             if rec.k in by_k:
                 by_k[rec.k][0].append([rec.silhouette])
                 by_k[rec.k][1].append(rec.ari)
-    return MetaKModel(models=tuple((k, fit_least_squares(*by_k[k])) for k in k_range))
+    return MetaKModel(k_range, [fit_least_squares(*by_k[k]) for k in k_range])
 
 
 def train_algo_select_oracle(specs, train, seed):
-    """The member-by-member training loop: each member over all problems in turn."""
-    members, n_failed = [], 0
+    """The member-by-member training loop: each member over all problems in turn.
+
+    Returns the members' seeded specs, their coefficient vectors and the failure count.
+    """
+    specs_out, coefs, n_failed = [], [], 0
     for j, spec in enumerate(specs):
         spec = ClustererSpec(spec.kind, spec.k, spec.normalize_first, spec.restarts, derive_seed(seed, j))
         feats, targets = [], []
@@ -101,14 +105,15 @@ def train_algo_select_oracle(specs, train, seed):
                 feats.append(np.array([ds.d, ds.n, lo, hi, 0.0]))
                 targets.append(0.0)
                 n_failed += 1
-        members.append((spec, fit_least_squares(feats, targets)))
-    return members, n_failed
+        specs_out.append(spec)
+        coefs.append(fit_least_squares(feats, targets))
+    return specs_out, coefs, n_failed
 
 
 def select_algorithm_oracle(model, dataset):
     """The candidate-list selection loop, with features computed without a shared matrix."""
     partitions, candidates = [], []
-    for j, (spec, lm) in enumerate(model.members):
+    for j, (spec, coef) in enumerate(zip(model.specs, model.coef)):
         try:
             partition = run_spec(spec, dataset.points)
         except ValueError:
@@ -117,7 +122,7 @@ def select_algorithm_oracle(model, dataset):
         partitions.append(partition)
         try:
             extrema = symmetric_eigen_extrema(covariance(dataset.points))
-            a_j = predict(lm, phi_features(dataset, partition, pairwise_distances(dataset.points), extrema))
+            a_j = predict(coef, phi_features(dataset, partition, pairwise_distances(dataset.points), extrema))
         except ValueError:
             continue
         candidates.append((a_j, j))
@@ -128,7 +133,7 @@ def select_algorithm_oracle(model, dataset):
 def member_means_oracle(model, test):
     """Each member's mean test ARI from a rerun of that member alone; a failed run scores 0."""
     means = []
-    for spec, _lm in model.members:
+    for spec in model.specs:
         total = 0.0
         for ds, truth in test:
             try:
@@ -160,11 +165,9 @@ def random_grid(rng, k_range, restarts):
 
 
 def random_model(rng, k_range):
-    # Zero weights tie every run of a k; small integer-valued coefficients tie across k.
-    return MetaKModel(models=tuple(
-        (k, LinearModel(weights=np.array([float(rng.choice([-1.0, 0.0, 0.5, 1.0]))]), intercept=float(rng.integers(-1, 2))))
-        for k in k_range
-    ))
+    # Zero slopes tie every run of a k; small integer-valued coefficients tie across k.
+    slopes = rng.choice([-1.0, 0.0, 0.5, 1.0], len(k_range))
+    return MetaKModel(k_range, np.column_stack([slopes, rng.integers(-1, 2, len(k_range))]))
 
 
 K_RANGES = [(2,), (2, 3), (3, 5, 8), tuple(range(2, 11)), (4, 6, 7, 9, 12)]
@@ -328,23 +331,26 @@ class TestSelectionRules:
             grids = [random_grid(rng, k_range, restarts) for _ in range(int(rng.integers(1, 5)))]
             ours = train_meta_k(grids, k_range)
             ref = oracle_train_meta_k([records_of(g) for g in grids], k_range)
-            for (k, m), (k_ref, m_ref) in zip(ours.models, ref.models, strict=True):
-                assert k == k_ref
-                assert np.array_equal(m.weights, m_ref.weights) and m.intercept == m_ref.intercept, trial
+            assert ours.k_range == ref.k_range
+            assert np.array_equal(ours.coef, ref.coef), trial
 
     def test_train_meta_k_matches_record_pooling_on_real_runs(self):
         grids = repo_runs(small_repo(4), range(2, 6), 3, seed=4)
         ours = train_meta_k(grids, range(2, 6))
         ref = oracle_train_meta_k([records_of(g) for g in grids], range(2, 6))
-        for (_k, m), (_k_ref, m_ref) in zip(ours.models, ref.models, strict=True):
-            assert np.array_equal(m.weights, m_ref.weights) and m.intercept == m_ref.intercept
+        assert np.array_equal(ours.coef, ref.coef)
+
+    def test_meta_selected_cell_matches_record_oracle_on_real_runs(self):
+        grids = repo_runs(small_repo(6), range(2, 6), 3, seed=5)
+        model = train_meta_k(grids[:4], range(2, 6))
+        for g in grids:
+            meta = oracle_meta_selected_record(model, records_of(g))
+            assert cell_of(g, meta_selected_cell(model, g)) == (meta.k, meta.run_index)
 
 
 class TestMetaKModel:
     def identity_model(self, k_range=range(2, 11)):
-        return MetaKModel(models=tuple(
-            (k, LinearModel(weights=np.array([1.0]), intercept=0.0)) for k in k_range
-        ))
+        return MetaKModel(k_range, np.tile([1.0, 0.0], (len(k_range), 1)))
 
     def test_exact_linear_recovery(self):
         rng = np.random.default_rng(0)
@@ -354,14 +360,23 @@ class TestMetaKModel:
             grids.append(grid(range(2, 11), sil, 2.0 * sil - 0.1))
         model = train_meta_k(grids)
         assert model.k_range == tuple(range(2, 11))
-        for _k, m in model.models:
-            assert m.weights[0] == pytest.approx(2.0, abs=1e-9)
-            assert m.intercept == pytest.approx(-0.1, abs=1e-9)
+        assert model.coef == pytest.approx(np.tile([2.0, -0.1], (9, 1)), abs=1e-9)
 
     def test_model_count(self):
         model = self.identity_model()
-        assert len(model.models) == 9
+        assert model.coef.shape == (9, 2)
         assert model.k_range == tuple(range(2, 11))
+
+    def test_coefficients_are_read_only(self):
+        model = train_meta_k([grid((2, 3), [[0.1, 0.5], [0.4, 0.2]], [[0.2, 0.9], [0.6, 0.1]])], (2, 3))
+        assert model.coef.shape == (2, 2)
+        with pytest.raises(ValueError):
+            model.coef[0, 0] = 1.0
+
+    @pytest.mark.parametrize("k_range,rows", [((3, 2), 2), ((2, 2), 2), ((2, 3), 1), ((2, 3), 3)])
+    def test_one_row_per_ascending_k(self, k_range, rows):
+        with pytest.raises(ValueError, match="one .slope, intercept. row per k"):
+            MetaKModel(k_range, np.zeros((rows, 2)))
 
     def test_missing_k_rejected(self):
         with pytest.raises(ValueError):
@@ -390,12 +405,9 @@ class TestMetaKModel:
 
     def test_meta_selected_cell_uses_predicted_order(self):
         # model for k=2 inverts silhouette, so the low-silhouette run wins
-        models = (
-            (2, LinearModel(weights=np.array([-1.0]), intercept=0.0)),
-            (3, LinearModel(weights=np.array([0.0]), intercept=-10.0)),
-        )
+        model = MetaKModel((2, 3), [[-1.0, 0.0], [0.0, -10.0]])
         g = grid((2, 3), [[0.9, 0.1], [0.99, 0.5]], [[0.1, 0.8], [0.2, 0.0]])
-        assert cell_of(g, meta_selected_cell(MetaKModel(models=models), g)) == (2, 1)
+        assert cell_of(g, meta_selected_cell(model, g)) == (2, 1)
 
 
 class TestEvaluateMetaK:
@@ -410,9 +422,7 @@ class TestEvaluateMetaK:
     def test_baseline_reduction(self):
         repo = small_repo(4)
         grids = repo_runs(repo, range(2, 6), 3, seed=4)
-        identity = MetaKModel(models=tuple(
-            (k, LinearModel(weights=np.array([1.0]), intercept=0.0)) for k in range(2, 6)
-        ))
+        identity = MetaKModel(range(2, 6), np.tile([1.0, 0.0], (4, 1)))
         ev = evaluate_meta_k(identity, grids)
         assert ev.rmse_meta == ev.rmse_baseline
         assert ev.mean_ari_meta == ev.mean_ari_baseline
@@ -436,7 +446,9 @@ class TestAlgoSelect:
         repo = small_repo(8)
         specs = [ClustererSpec(kind="kmeans", k=2, restarts=3), ClustererSpec(kind="agglo_single", k=2)]
         model = train_algo_select(specs, repo.problems, seed=1)
-        assert len(model.members) == 2
+        assert len(model.specs) == 2 and model.coef.shape == (2, 6)
+        with pytest.raises(ValueError):
+            model.coef[0, 0] = 1.0
         best, partitions = select_algorithm(model, repo.problems[0][0])
         assert best in (0, 1) and len(partitions) == 2
         assert partitions[best].is_valid()
@@ -496,7 +508,7 @@ class TestAlgoSelect:
 
         monkeypatch.setattr(meta_pipelines, "run_spec", counted)
         _meta, per_member = meta_pipelines.evaluate_algo_select(model, test)
-        assert len(calls) == len(model.members) * len(test)
+        assert len(calls) == len(model.specs) * len(test)
         # Same numbers as running every member again on each test problem.
         assert per_member == member_means_oracle(model, test)
         assert per_member[2] == 0.0
@@ -538,11 +550,10 @@ class TestAlgoSelect:
     def test_training_matches_member_by_member_oracle(self):
         repo = small_repo(5)
         model = train_algo_select(self.FAMILY, repo.problems, seed=4)
-        oracle, n_failed = train_algo_select_oracle(self.FAMILY, repo.problems, seed=4)
+        specs, coefs, n_failed = train_algo_select_oracle(self.FAMILY, repo.problems, seed=4)
         assert model.n_failed_rows == n_failed == len(repo.problems)
-        for (spec, lm), (spec_o, lm_o) in zip(model.members, oracle, strict=True):
-            assert spec == spec_o
-            assert np.array_equal(lm.weights, lm_o.weights) and lm.intercept == lm_o.intercept
+        assert model.specs == tuple(specs)
+        assert np.array_equal(model.coef, coefs)
 
     def test_one_distance_matrix_per_problem(self, monkeypatch):
         repo = small_repo(4)
@@ -597,8 +608,7 @@ class TestAlgoSelect:
         assert model.n_failed_rows == len(self.FAMILY) * len(repo.problems)
         # Every member is fit to failure rows, which carry the shared extrema.
         oracle = fit_least_squares([[ds.d, ds.n, -0.5, 1.0, 0.0] for ds, _truth in repo.problems], [0.0] * 3)
-        for _spec, lm in model.members:
-            assert np.array_equal(lm.weights, oracle.weights) and lm.intercept == oracle.intercept
+        assert np.array_equal(model.coef, np.tile(oracle, (len(self.FAMILY), 1)))
         with pytest.raises(DataError, match="no family member could be scored"):
             select_algorithm(model, repo.problems[0][0])
 
@@ -610,10 +620,10 @@ class TestAlgoSelect:
 
     def test_prediction_ties_go_to_the_earliest_member(self):
         repo = small_repo(3)
-        tied = LinearModel(weights=np.zeros(5), intercept=0.5)
         specs = [ClustererSpec(kind="agglo_ward", k=50), ClustererSpec(kind="agglo_average", k=2),
                  ClustererSpec(kind="kmeans", k=2, restarts=2)]
-        model = meta_pipelines.AlgoSelectModel(members=tuple((spec, tied) for spec in specs))
+        tied = np.tile([0.0, 0.0, 0.0, 0.0, 0.0, 0.5], (3, 1))
+        model = meta_pipelines.AlgoSelectModel(specs, tied)
         best, partitions = select_algorithm(model, repo.problems[0][0])
         assert best == 1
         assert partitions[0] is None and partitions[1] is not None and partitions[2] is not None
@@ -637,9 +647,14 @@ class TestAlgoSelect:
         specs = [ClustererSpec(kind="kmeans", k=2, restarts=2)]
         a = train_algo_select(specs, repo.problems, seed=7)
         b = train_algo_select(specs, repo.problems, seed=7)
-        for (sa, ma), (sb, mb) in zip(a.members, b.members):
-            assert sa == sb
-            assert np.array_equal(ma.weights, mb.weights) and ma.intercept == mb.intercept
+        assert a.specs == b.specs and np.array_equal(a.coef, b.coef)
+
+    @pytest.mark.parametrize("shape", [(1, 6), (3, 6), (2, 5)])
+    def test_coefficients_must_fit_the_members(self, shape):
+        # Selection needs one row of 5 weights and an intercept per member.
+        model = meta_pipelines.AlgoSelectModel(self.FAMILY[:2], np.zeros(shape))
+        with pytest.raises(ValueError):
+            select_algorithm(model, small_repo(1).problems[0][0])
 
 
 class TestSweep:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from metaclust.data_model import (
+    DataError,
     Dataset,
     Partition,
     SynthSpec,
@@ -13,7 +14,6 @@ from metaclust.data_model import (
 )
 from metaclust.metrics import pairwise_distances, silhouette_score
 from metaclust.regression import (
-    LinearModel,
     fit_least_squares,
     phi_features,
     predict,
@@ -23,22 +23,25 @@ from metaclust.regression import (
 
 class TestFitLeastSquares:
     def test_exact_line(self):
-        model = fit_least_squares([[0.0], [1.0], [2.0]], [0.0, 1.0, 2.0])
-        assert model.weights[0] == pytest.approx(1.0, abs=1e-9)
-        assert model.intercept == pytest.approx(0.0, abs=1e-9)
+        coef = fit_least_squares([[0.0], [1.0], [2.0]], [0.0, 1.0, 2.0])
+        assert coef == pytest.approx([1.0, 0.0], abs=1e-9)
 
     def test_constant_target(self):
-        model = fit_least_squares([[0.0], [1.0], [2.0]], [3.0, 3.0, 3.0])
-        assert model.weights[0] == pytest.approx(0.0, abs=1e-9)
-        assert model.intercept == pytest.approx(3.0, abs=1e-9)
+        coef = fit_least_squares([[0.0], [1.0], [2.0]], [3.0, 3.0, 3.0])
+        assert coef == pytest.approx([0.0, 3.0], abs=1e-9)
+
+    def test_coefficients_are_a_read_only_vector(self):
+        coef = fit_least_squares(np.arange(8.0).reshape(4, 2) ** 2, [1.0, 0.0, 2.0, 5.0])
+        assert coef.shape == (3,) and coef.dtype == float
+        with pytest.raises(ValueError):
+            coef[0] = 1.0
 
     def test_normal_equation_optimality(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((50, 5))
         y = rng.standard_normal(50)
-        model = fit_least_squares(x, y)
+        coef = fit_least_squares(x, y)
         design = np.hstack([x, np.ones((50, 1))])
-        coef = np.concatenate([model.weights, [model.intercept]])
         residual = design @ coef - y
         assert np.abs(design.T @ residual).max() <= 1e-6
 
@@ -46,18 +49,17 @@ class TestFitLeastSquares:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((40, 3))
         y = x @ [2.0, -1.0, 0.5] + 0.25 + 0.01 * rng.standard_normal(40)
-        model = fit_least_squares(x, y)
+        coef = fit_least_squares(x, y)
         design = np.hstack([x, np.ones((40, 1))])
         ref, *_ = np.linalg.lstsq(design, y, rcond=None)
-        assert model.weights == pytest.approx(ref[:-1], abs=1e-8)
-        assert model.intercept == pytest.approx(ref[-1], abs=1e-8)
+        assert coef == pytest.approx(ref, abs=1e-8)
 
     def test_rank_deficient_is_deterministic(self):
         x = [[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]  # collinear columns
         y = [1.0, 2.0, 3.0]
         a = fit_least_squares(x, y)
         b = fit_least_squares(x, y)
-        assert np.array_equal(a.weights, b.weights) and a.intercept == b.intercept
+        assert np.array_equal(a, b)
         pred = [predict(a, row) for row in x]
         assert pred == pytest.approx(y, abs=1e-3)
 
@@ -65,24 +67,62 @@ class TestFitLeastSquares:
         with pytest.raises(ValueError):
             fit_least_squares([], [])
 
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    def test_overflowing_features_are_data_error(self, scale):
+        # The Gram matrix holds x^2, past float64's 1.8e308 at each scale.
+        x = np.array([[1.0, 2.0], [3.0, 1.0], [0.5, 4.0]]) * [1.0, scale]
+        with np.errstate(all="raise"), pytest.raises(DataError, match="overflows float64"):
+            fit_least_squares(x, [0.0, 1.0, 0.5])
+
+    def test_large_finite_fit_is_no_error(self):
+        x = np.array([[1.0], [3.0], [0.5]]) * 1e100  # x^2 = 1e200 still fits in float64
+        coef = fit_least_squares(x, [0.0, 1.0, 0.5])
+        assert np.isfinite(coef).all()
+
 
 class TestPredict:
     def test_identity_model(self):
-        assert predict(LinearModel(weights=np.array([1.0]), intercept=0.0), [7.0]) == 7.0
+        assert predict(np.array([1.0, 0.0]), [7.0]) == 7.0
 
     def test_arithmetic(self):
-        model = LinearModel(weights=np.array([2.0, -1.0]), intercept=0.5)
-        assert predict(model, [1.0, 1.0]) == pytest.approx(1.5)
+        assert predict(np.array([2.0, -1.0, 0.5]), [1.0, 1.0]) == pytest.approx(1.5)
 
     def test_linearity(self):
         rng = np.random.default_rng(2)
-        model = LinearModel(weights=rng.standard_normal(4), intercept=0.7)
+        coef = np.append(rng.standard_normal(4), 0.7)
         x1, x2 = rng.standard_normal(4), rng.standard_normal(4)
-        assert predict(model, x1) + predict(model, x2) - 0.7 == pytest.approx(predict(model, x1 + x2))
+        assert predict(coef, x1) + predict(coef, x2) - 0.7 == pytest.approx(predict(coef, x1 + x2))
+
+    def test_row_gives_a_float_and_matrix_a_vector(self):
+        coef = np.array([2.0, -1.0, 0.5])
+        rows = np.array([[1.0, 1.0], [0.0, 2.0], [3.0, 0.0]])
+        assert type(predict(coef, rows[0])) is float
+        assert predict(coef, rows).tolist() == [predict(coef, row) for row in rows] == [1.5, -1.5, 6.5]
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            predict(LinearModel(weights=np.array([1.0]), intercept=0.0), [1.0, 2.0])
+        for x in ([1.0, 2.0], [[1.0, 2.0]], 1.0, [[[1.0]]]):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                predict(np.array([1.0, 0.0]), x)
+
+    def test_matrix_of_one_column_matches_the_scalar_path_bit_for_bit(self):
+        # meta-k scores a k row of silhouettes with one call on an (R, 1)
+        # matrix; each value must equal the one-row dot product plus intercept.
+        rng = np.random.default_rng(10)
+        for trial in range(2000):
+            w, c = rng.standard_normal(2) * 10.0 ** rng.integers(-3, 4, 2)
+            sil = rng.uniform(-1.0, 1.0, int(rng.integers(1, 30)))
+            scalar = [float(np.array([w]) @ np.array([s]) + c) for s in sil]
+            assert predict(np.array([w, c]), sil[:, None]).tolist() == scalar, trial
+
+    def test_row_of_a_stacked_matrix_matches_a_separate_vector(self):
+        # algo-select scores member j with row j of its (M, 6) coefficient array.
+        rng = np.random.default_rng(11)
+        for trial in range(2000):
+            coef = rng.standard_normal((4, 6)) * 10.0 ** rng.integers(-4, 5, (4, 6))
+            row = rng.standard_normal(5) * [1.0, 100.0, 10.0, 10.0, 1.0]
+            for j in range(4):
+                w, c = coef[j, :-1].copy(), float(coef[j, -1])
+                assert predict(coef[j], row) == float(w @ row + c), trial
 
 
 class TestEigenExtrema:
