@@ -1,17 +1,25 @@
-"""The fitted meta-model coefficients, pinned by digest.
+"""The fitted meta-model coefficients and the trained pair net, pinned by digest.
 
-No result file holds the meta-k or algo-select coefficients, so a change
-that moves their bits without flipping a decision would otherwise pass
-unseen.  This test fits both models on small fixed repositories and compares
-the sha256 of each model's coefficient array (one row of weights, then the
-intercept, per candidate) with recorded digests.  The bits depend on numpy and its BLAS, so under any other
-numpy or BLAS version the test skips and names the difference.
+No result file holds the meta-k or algo-select coefficients or the MLP's
+parameters, so a change that moves their bits without flipping a decision
+would otherwise pass unseen.  These tests fit the models on small fixed
+repositories and compare the sha256 of each model's coefficient array (one
+row of weights, then the intercept, per candidate), of the trained MLP's
+flat parameter vector and of its predicted probabilities with recorded
+digests.  The bits depend on numpy and its BLAS, so under any other
+numpy or BLAS version the tests skip and name the difference.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import metaclust
 
 from metaclust.cli import default_family
 from metaclust.clusterers import ClustererSpec
@@ -23,6 +31,30 @@ PINNED_BLAS = "scipy-openblas 0.3.31.188.0"
 
 META_K_SHA256 = "7fa62ab88dab1660e37f6a13430ac31d1f3a335e1abe122b24b9972bd4844bc7"
 ALGO_SELECT_SHA256 = "8616323f36a3a6ad8cb3c609711070f84bfb9d1b8598008006062f81e24f263c"
+
+# The MLP's bits also depend on the BLAS thread count, so it is trained in a
+# child process with this many OpenBLAS threads.
+MLP_BLAS_THREADS = "1"
+MLP_PARAMS_SHA256 = "348733abb6ccd3f9df770e8906e54a0ab5628893b44d8487c66d42227631ba28"
+MLP_PROBABILITIES_SHA256 = "dde239bd8eec316090bf8cf384de76eb96bd666fbeb9a2ffe332ab89d7f0b284"
+
+# Trains on a small repository's meta-train set and predicts its meta-ET set;
+# prints the two digests, one a line.
+MLP_CHILD = """
+import hashlib
+
+import numpy as np
+
+from metaclust.data_model import SynthSpec, make_synthetic_repository
+from metaclust.similarity_net import predict_features, sample_pair_splits, train_mlp
+
+repo = make_synthetic_repository(SynthSpec(n_problems=12, n_points=60, dims=(2, 5), seed=7))
+split = sample_pair_splits(repo, max_pairs=300)
+model = train_mlp(split.meta_train, epochs=2)
+probabilities, _decisions = predict_features(model, split.meta_et.features)
+for array in (model.params, probabilities):
+    print(hashlib.sha256(np.ascontiguousarray(array, dtype=np.float64).tobytes()).hexdigest())
+"""
 
 
 def _blas() -> str:
@@ -58,3 +90,12 @@ def test_algo_select_coefficients():
     model = train_algo_select(family, repo.problems, seed=7)
     assert model.coef.shape == (11, 6) and model.n_failed_rows == 8
     assert digest(model.coef) == ALGO_SELECT_SHA256
+
+
+def test_mlp_parameters_and_probabilities():
+    src = str(Path(metaclust.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": MLP_BLAS_THREADS, "PYTHONPATH": path}
+    child = subprocess.run([sys.executable, "-c", MLP_CHILD], env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == [MLP_PARAMS_SHA256, MLP_PROBABILITIES_SHA256]
