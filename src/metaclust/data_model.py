@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 FLOAT_FORMAT = "%.17g"  # the one float rule of every written file; it round-trips every float64
+DISTANCE_BLOCK = 64  # rows per step of ``squared_distances``
 
 _MIX_MULT_1 = 0xBF58476D1CE4E5B9
 _MIX_MULT_2 = 0x94D049BB133111EB
@@ -448,9 +449,18 @@ def make_synthetic_repository(spec: SynthSpec) -> MetaRepository:
 
 
 def squared_distances(points) -> np.ndarray:
-    """(n, n) squared Euclidean distances between the rows of ``points``."""
+    """(n, n) squared Euclidean distances between the rows of ``points``.
+
+    Computed for ``DISTANCE_BLOCK`` rows at a time, so the (rows, n, d)
+    differences stay small; each row is the same sum as in one whole-matrix
+    expression.
+    """
     p = np.asarray(points, dtype=float)
-    return ((p[:, None] - p[None]) ** 2).sum(axis=2)
+    out = np.empty((p.shape[0], p.shape[0]))
+    for start in range(0, p.shape[0], DISTANCE_BLOCK):
+        block = p[start : start + DISTANCE_BLOCK]
+        ((block[:, None] - p[None]) ** 2).sum(axis=2, out=out[start : start + block.shape[0]])
+    return out
 
 
 def dataset_to_distance_graph(dataset: Dataset) -> WeightedGraph:

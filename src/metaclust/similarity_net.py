@@ -4,10 +4,11 @@ Pairs of points from labeled datasets are turned into 75-dimensional feature
 vectors (two zero-padded 10-coordinate blocks plus the 55 upper-triangle
 entries of the zero-embedded covariance matrix).  A small MLP trained with
 Adadelta on negative log-likelihood predicts whether a pair shares a class.
-Each pair is stored once; training and prediction both see it in the two
-orders, derived with ``swap_blocks``, and prediction averages the orders so
-decisions are symmetric.  The prescient per-problem majority rule serves as
-the baseline.
+Each pair is stored once, as two row indices into its dataset's points, and
+feature rows are built only when they are needed.  Training and prediction
+both see each pair in the two orders (the reversed order exchanges the two
+coordinate blocks), and prediction averages the orders so decisions are
+symmetric.  The prescient per-problem majority rule serves as the baseline.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "ADADELTA_RHO",
     "ADADELTA_EPS",
     "build_pair_features",
-    "swap_blocks",
     "sample_pair_splits",
     "init_mlp",
     "nll_loss_and_grads",
@@ -54,42 +54,70 @@ MAX_EXAMPLES = 1000  # datasets with more points take no part in the pair sets
 
 @dataclass(frozen=True)
 class PairSet:
-    """m sampled pairs, one row each: 75 features, same-class label, source dataset.
+    """m sampled pairs, one row each, stored as row indices into point blocks.
 
-    ``features`` is (m, 75) float64, ``labels`` an int m-vector and
-    ``dataset_ids`` the int code of each row's source dataset (its position
-    in the repository).  Every array is read-only.
+    ``points`` stacks zero-padded (n, 10) blocks of dataset points and
+    ``covariances`` holds each block's 55 covariance features, one row per
+    block (``build_pair_features`` makes one block per non-empty pick).
+    Pair r is the ordered pair of points rows
+    (``rows_i[r]``, ``rows_j[r]``) of block ``blocks[r]``, with the
+    same-class label ``labels[r]`` and the int code ``dataset_ids[r]`` of its
+    source dataset (its position in the repository).  Every array is
+    read-only; ``features`` builds the (m, 75) feature matrix on each read.
     """
 
-    features: np.ndarray
+    points: np.ndarray
+    covariances: np.ndarray
+    rows_i: np.ndarray
+    rows_j: np.ndarray
+    blocks: np.ndarray
     labels: np.ndarray
     dataset_ids: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.features, dtype=float)
-        if f.ndim != 2 or f.shape[1] != FEATURE_DIM or not np.all(np.isfinite(f)):
-            raise ValueError(f"features must be a finite (m, {FEATURE_DIM}) matrix")
-        m = f.shape[0]
-        fields = {
-            "features": f,
-            "labels": np.asarray(self.labels, dtype=int),
-            "dataset_ids": np.asarray(self.dataset_ids, dtype=int),
-        }
+        fields = {name: np.asarray(getattr(self, name), dtype=float) for name in ("points", "covariances")}
+        for name, width in (("points", PAD_DIM), ("covariances", COV_DIM)):
+            arr = fields[name]
+            if arr.ndim != 2 or arr.shape[1] != width or not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be a finite (rows, {width}) matrix")
+        vectors = ("rows_i", "rows_j", "blocks", "labels", "dataset_ids")
+        fields.update((name, np.asarray(getattr(self, name), dtype=int)) for name in vectors)
+        if any(fields[name].ndim != 1 or fields[name].shape != fields["labels"].shape for name in vectors):
+            raise ValueError(f"{', '.join(vectors)} must be vectors with one entry per pair")
+        for name, table in (("rows_i", "points"), ("rows_j", "points"), ("blocks", "covariances")):
+            if not np.all((fields[name] >= 0) & (fields[name] < fields[table].shape[0])):
+                raise ValueError(f"{name} must index rows of {table}")
         for name, arr in fields.items():
-            if arr.shape[0] != m or (name != "features" and arr.ndim != 1):
-                raise ValueError(f"{name} must have one entry per feature row")
             arr = arr.view()  # read-only view; the caller's array stays as it was
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
-        return self.features.shape[0]
+        return self.labels.shape[0]
+
+    @property
+    def features(self) -> np.ndarray:
+        """The (m, 75) feature rows of every pair, built on each read (read-only)."""
+        f = _feature_rows(self, self.rows_i, self.rows_j, self.blocks)
+        f.setflags(write=False)
+        return f
 
 
-def swap_blocks(features: np.ndarray) -> np.ndarray:
-    """Feature rows with the two coordinate blocks exchanged: the reversed pairs."""
-    f = np.asarray(features, dtype=float)
-    return np.concatenate([f[..., PAD_DIM : 2 * PAD_DIM], f[..., :PAD_DIM], f[..., 2 * PAD_DIM :]], axis=-1)
+def _feature_rows(pairs: PairSet, first: np.ndarray, second: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """A fresh (rows, 75) matrix: row t holds ``pairs``' points rows first[t]
+    and second[t], then covariance row blocks[t]."""
+    x = np.empty((first.shape[0], FEATURE_DIM))
+    x[:, :PAD_DIM] = pairs.points[first]
+    x[:, PAD_DIM : 2 * PAD_DIM] = pairs.points[second]
+    x[:, 2 * PAD_DIM :] = pairs.covariances[blocks]
+    return x
+
+
+def _swap_coordinate_blocks(x: np.ndarray) -> None:
+    """Exchange the two coordinate blocks of x's rows in place: the reversed pairs."""
+    first = x[:, :PAD_DIM].copy()
+    x[:, :PAD_DIM] = x[:, PAD_DIM : 2 * PAD_DIM]
+    x[:, PAD_DIM : 2 * PAD_DIM] = first
 
 
 def _covariance_features(points: np.ndarray) -> np.ndarray:
@@ -110,31 +138,51 @@ def build_pair_features(problems, picks) -> PairSet:
     pairs (rows_i[t], rows_j[t]) of the (Dataset, truth Partition) ``problems[p]``.
 
     A row's label is 1 iff the truth puts both points in one part, and its
-    dataset id is p.  Every array is allocated once at full size, and each
-    pick's covariance block is computed once and shared by its rows.
+    dataset id is p.  Each non-empty pick adds one block: its dataset's
+    zero-padded points and its covariance features, computed once.  Rows
+    outside ``[0, n)`` of their dataset and pairs of one point are rejected.
     """
     picks = [(p, np.asarray(rows_i, dtype=int), np.asarray(rows_j, dtype=int)) for p, rows_i, rows_j in picks]
-    m = sum(rows_i.size for _p, rows_i, _rows_j in picks)
-    features = np.zeros((m, FEATURE_DIM))
-    labels = np.empty(m, dtype=int)
-    dataset_ids = np.empty(m, dtype=int)
-    stop = 0
     for p, rows_i, rows_j in picks:
-        dataset, truth = problems[p]
+        dataset, _truth = problems[p]
         if dataset.d > PAD_DIM:
             raise ValueError(f"dataset has {dataset.d} > {PAD_DIM} features")
         if rows_i.ndim != 1 or rows_i.shape != rows_j.shape:
             raise ValueError("rows_i and rows_j must be index vectors of one length")
+        if np.any((rows_i < 0) | (rows_i >= dataset.n) | (rows_j < 0) | (rows_j >= dataset.n)):
+            raise ValueError(f"pair rows must lie in [0, {dataset.n})")
         if np.any(rows_i == rows_j):
             raise ValueError("pair indices must differ")
-        block = slice(stop, stop + rows_i.size)
-        features[block, : dataset.d] = dataset.points[rows_i]
-        features[block, PAD_DIM : PAD_DIM + dataset.d] = dataset.points[rows_j]
-        features[block, 2 * PAD_DIM :] = _covariance_features(dataset.points)
-        labels[block] = truth.labels[rows_i] == truth.labels[rows_j]
-        dataset_ids[block] = p
-        stop = block.stop
-    return PairSet(features=features, labels=labels, dataset_ids=dataset_ids)
+    picks = [pick for pick in picks if pick[1].size]
+    m = sum(rows_i.size for _p, rows_i, _rows_j in picks)
+    points = np.zeros((sum(problems[p][0].n for p, _rows_i, _rows_j in picks), PAD_DIM))
+    covariances = np.empty((len(picks), COV_DIM))
+    rows = np.empty((2, m), dtype=int)
+    blocks = np.empty(m, dtype=int)
+    labels = np.empty(m, dtype=int)
+    dataset_ids = np.empty(m, dtype=int)
+    offset = stop = 0
+    for b, (p, rows_i, rows_j) in enumerate(picks):
+        dataset, truth = problems[p]
+        points[offset : offset + dataset.n, : dataset.d] = dataset.points
+        covariances[b] = _covariance_features(dataset.points)
+        pair_rows = slice(stop, stop + rows_i.size)
+        rows[0, pair_rows] = rows_i + offset
+        rows[1, pair_rows] = rows_j + offset
+        blocks[pair_rows] = b
+        labels[pair_rows] = truth.labels[rows_i] == truth.labels[rows_j]
+        dataset_ids[pair_rows] = p
+        offset += dataset.n
+        stop = pair_rows.stop
+    return PairSet(
+        points=points,
+        covariances=covariances,
+        rows_i=rows[0],
+        rows_j=rows[1],
+        blocks=blocks,
+        labels=labels,
+        dataset_ids=dataset_ids,
+    )
 
 
 @dataclass(frozen=True)
@@ -301,24 +349,28 @@ def adadelta_step(param, grad, acc_grad, acc_update):
 def train_mlp(meta_train: PairSet, epochs: int = 10, batch: int = 250, seed: int = 0) -> MlpModel:
     """Train on both orders of every pair: NLL objective, Adadelta updates, fixed shuffles.
 
-    Each epoch shuffles 2m training rows, where row r is pair r // 2, block-
-    swapped when r is odd, with that pair's label.  Each batch makes one
-    Adadelta step on the flat parameter vector.
+    Each epoch shuffles 2m training rows, where row r is pair r // 2, in
+    reversed order when r is odd, with that pair's label.  Each epoch looks
+    up the rows' points rows, covariance rows and labels once, in shuffled
+    order; each batch's feature rows are gathered for it, and each batch
+    makes one Adadelta step on the flat parameter vector.
     """
     if len(meta_train) == 0:
         raise ValueError("training set must be non-empty")
     model = init_mlp(seed)
     n = 2 * len(meta_train)
+    # One column per pair: its two points rows, its covariance row and its label.
+    table = np.stack([meta_train.rows_i, meta_train.rows_j, meta_train.blocks, meta_train.labels])
     for epoch in range(epochs):
         rng = np.random.default_rng(derive_seed(seed, 1 + epoch))
         order = rng.permutation(n)
+        plan = table[:, order // 2]
+        swapped = order % 2 == 1
+        plan[:2, swapped] = plan[1::-1, swapped]  # odd rows give their pair in reversed order
         for start in range(0, n, batch):
-            rows = order[start : start + batch]
-            pairs = rows // 2
-            swapped = rows % 2 == 1
-            x = meta_train.features[pairs]
-            x[swapped] = swap_blocks(x[swapped])
-            _loss, (grads_w, grads_b) = nll_loss_and_grads(model, x, meta_train.labels[pairs])
+            first, second, blocks, labels = plan[:, start : start + batch]
+            x = _feature_rows(meta_train, first, second, blocks)
+            _loss, (grads_w, grads_b) = nll_loss_and_grads(model, x, labels)
             grad = np.concatenate([g.ravel() for g in (*grads_w, *grads_b)])
             adadelta_step(model.params, grad, model.acc_grad, model.acc_update)
     return model
@@ -327,13 +379,16 @@ def train_mlp(meta_train: PairSet, epochs: int = 10, batch: int = 250, seed: int
 def predict_features(model: MlpModel, features: np.ndarray) -> tuple:
     """(probability_same, decision) with symmetric two-order averaging.
 
-    Works on a (batch, 75) matrix; the swapped order is derived by exchanging
-    the two coordinate blocks.  Decision is same-cluster iff the averaged
-    probability strictly exceeds 0.5.
+    Works on a (batch, 75) matrix.  The swapped order is derived by
+    exchanging the two coordinate blocks of a writable matrix in place, and
+    exchanging them back before return; a read-only one is copied first.
+    Decision is same-cluster iff the averaged probability strictly exceeds 0.5.
     """
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    p_fwd = np.exp(model.forward(features)[:, 1])
-    p_swp = np.exp(model.forward(swap_blocks(features))[:, 1])
+    x = np.require(np.atleast_2d(features), dtype=float, requirements="W")
+    p_fwd = np.exp(model.forward(x)[:, 1])
+    _swap_coordinate_blocks(x)
+    p_swp = np.exp(model.forward(x)[:, 1])
+    _swap_coordinate_blocks(x)
     p = (p_fwd + p_swp) / 2.0
     return p, p > 0.5
 
@@ -360,7 +415,8 @@ class BsfEvaluation:
 
 
 def _model_accuracy(model: MlpModel, pairs: PairSet) -> float:
-    _p, decisions = predict_features(model, pairs.features)
+    """Accuracy on one set; its feature matrix lives only for this call."""
+    _p, decisions = predict_features(model, _feature_rows(pairs, pairs.rows_i, pairs.rows_j, pairs.blocks))
     return float((decisions.astype(int) == pairs.labels).mean())
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -470,6 +471,25 @@ def test_squared_distances_match_per_row_sums_exactly():
         assert sq.dtype == np.float64 and sq.shape == (pts.shape[0],) * 2
         for i in range(pts.shape[0]):
             assert np.array_equal(sq[i], ((pts[i] - pts) ** 2).sum(axis=1))
+
+
+@pytest.mark.parametrize("n,d", [(5, 2), (63, 3), (64, 1), (65, 4), (100, 2), (128, 10), (150, 5), (150, 2), (1000, 10)])
+def test_squared_distances_blocks_match_one_expression(n, d):
+    # The one whole-matrix expression that the row blocks replace, kept as the oracle.
+    pts = np.random.default_rng(n * 11 + d).standard_normal((n, d)) * 3.0
+    assert np.array_equal(squared_distances(pts), ((pts[:, None] - pts[None]) ** 2).sum(axis=2))
+
+
+def test_squared_distances_memory_is_row_blocked():
+    # One (1000, 1000, 10) difference array would take 76 MB; the result alone takes 7.6 MB.
+    pts = np.random.default_rng(23).standard_normal((1000, 10))
+    tracemalloc.start()
+    try:
+        squared_distances(pts)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 class TestRepositoryIO:

@@ -1,5 +1,8 @@
 """Pair features, the small MLP, Adadelta and the majority baseline."""
 
+import sys
+import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,9 +37,12 @@ from metaclust.similarity_net import (
     nll_loss_and_grads,
     predict_features,
     sample_pair_splits,
-    swap_blocks,
     train_mlp,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
 
 
 def toy_dataset(rng, n=20, d=3):
@@ -64,9 +70,27 @@ def pair_features_oracle(dataset, truth, i, j):
     return features, int(truth.labels[i] == truth.labels[j])
 
 
-def pair_set(features, labels, dataset_id=0):
-    """A PairSet over given feature rows, all from one dataset."""
-    return PairSet(features=features, labels=labels, dataset_ids=np.full(len(features), dataset_id))
+def swap_blocks(features):
+    """Feature rows with the two coordinate blocks exchanged: the reversed pairs."""
+    f = np.asarray(features, dtype=float)
+    return np.concatenate([f[..., PAD_DIM : 2 * PAD_DIM], f[..., :PAD_DIM], f[..., 2 * PAD_DIM :]], axis=-1)
+
+
+def pair_set(features, labels, dataset_ids=0):
+    """A PairSet whose ``features`` are the given (m, 75) rows: pair t is points
+    rows (t, m + t), holding its two coordinate blocks, of block t, holding its
+    covariance features."""
+    features = np.asarray(features, dtype=float)
+    m = len(features)
+    return PairSet(
+        points=np.concatenate([features[:, :PAD_DIM], features[:, PAD_DIM : 2 * PAD_DIM]]),
+        covariances=features[:, 2 * PAD_DIM :],
+        rows_i=np.arange(m),
+        rows_j=np.arange(m, 2 * m),
+        blocks=np.arange(m),
+        labels=labels,
+        dataset_ids=np.broadcast_to(dataset_ids, m),
+    )
 
 
 def pair_set_oracle(problems, picks):
@@ -233,20 +257,48 @@ class TestPairFeatures:
             build_pair_features([toy_dataset(rng)], [(0, [0, 3], [1, 3])])
 
     def test_malformed_pair_set_rejected(self):
-        features = np.zeros((2, FEATURE_DIM))
-        features[1, 30] = np.nan
+        assert np.array_equal(pair_set(np.ones((2, FEATURE_DIM)), [0, 1]).features, np.ones((2, FEATURE_DIM)))
+        for column in (3, 30):  # a point coordinate, a covariance feature
+            features = np.zeros((2, FEATURE_DIM))
+            features[1, column] = np.nan
+            with pytest.raises(ValueError, match="finite"):
+                pair_set(features, [0, 1])
         with pytest.raises(ValueError):
-            pair_set(features, [0, 1])  # non-finite feature
-        with pytest.raises(ValueError):
-            pair_set(np.zeros((2, FEATURE_DIM - 1)), [0, 1])  # wrong width
-        with pytest.raises(ValueError):
+            pair_set(np.zeros((2, FEATURE_DIM - 1)), [0, 1])  # wrong covariance width
+        with pytest.raises(ValueError, match="one entry per pair"):
             pair_set(np.zeros((2, FEATURE_DIM)), [0, 1, 1])  # one label too many
+        fields = vars(pair_set(np.zeros((2, FEATURE_DIM)), [0, 1]))
+        for name, bad in (("rows_i", [0, 4]), ("rows_j", [-1, 3]), ("blocks", [0, 2]), ("blocks", [-1, 1])):
+            with pytest.raises(ValueError, match=f"{name} must index"):
+                PairSet(**{**fields, name: bad})
+        with pytest.raises(ValueError, match="one entry per pair"):
+            PairSet(**{**fields, "dataset_ids": [[0, 0]]})
 
     def test_arrays_read_only(self):
         pairs = build_pair_features([toy_dataset(np.random.default_rng(5))], [(0, [0], [1])])
-        for arr in (pairs.features, pairs.labels, pairs.dataset_ids):
+        stored = (pairs.points, pairs.covariances, pairs.rows_i, pairs.rows_j, pairs.blocks)
+        for arr in (pairs.features, pairs.labels, pairs.dataset_ids, *stored):
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
+
+    def test_rows_outside_the_dataset_rejected(self):
+        problems = {0: toy_dataset(np.random.default_rng(12), n=4)}
+        for rows_i, rows_j in (([-1], [0]), ([0], [-1]), ([4], [0]), ([1, 2], [0, 4])):
+            with pytest.raises(ValueError, match=r"pair rows must lie in \[0, 4\)"):
+                build_pair_features(problems, [(0, rows_i, rows_j)])
+        # -1 would wrap to point 3: rejected, not a pair of one point or a copy of pair (3, 0)
+        with pytest.raises(ValueError, match="must lie in"):
+            build_pair_features(problems, [(0, [-1], [3])])
+        assert len(build_pair_features(problems, [(0, [3], [0])])) == 1
+
+    def test_rows_index_their_own_block(self):
+        # Every point of a two-dataset set is reached through its own block only.
+        rng = np.random.default_rng(13)
+        problems = {0: toy_dataset(rng, n=5, d=2), 4: toy_dataset(rng, n=7, d=3)}
+        pairs = build_pair_features(problems, [(4, [6, 0], [1, 5]), (0, [4], [0])])
+        assert pairs.points.shape == (12, PAD_DIM) and pairs.covariances.shape == (2, 55)
+        assert pairs.rows_i.tolist() == [6, 0, 11] and pairs.rows_j.tolist() == [1, 5, 7]
+        assert pairs.blocks.tolist() == [0, 0, 1] and pairs.dataset_ids.tolist() == [4, 4, 0]
 
     @pytest.mark.parametrize("d", range(1, PAD_DIM + 1))
     @pytest.mark.parametrize("normalized", [True, False])
@@ -546,6 +598,19 @@ class TestPrediction:
             pj, dj = predict_features(model, build_pair_features([(ds, truth)], [(0, [j], [i])]).features)
             assert pi[0] == pj[0] and di[0] == dj[0]
 
+    def test_matches_swapped_copy_and_restores_input(self):
+        # The two-order average over a block-swapped copy, kept as the oracle.
+        rng = np.random.default_rng(14)
+        model = init_mlp(seed=7)
+        x = rng.standard_normal((30, FEATURE_DIM))
+        before = x.copy()
+        expected = (np.exp(model.forward(x)[:, 1]) + np.exp(model.forward(swap_blocks(x))[:, 1])) / 2.0
+        p, decision = predict_features(model, x)
+        assert np.array_equal(p, expected) and np.array_equal(decision, expected > 0.5)
+        assert np.array_equal(x, before)  # swapped in place and back
+        before.setflags(write=False)
+        assert np.array_equal(predict_features(model, before)[0], expected)  # a read-only matrix is copied
+
     def test_half_probability_is_different(self):
         # a zero-weight model outputs exactly p = 0.5, decided as "different"
         model = init_mlp(seed=6)
@@ -557,11 +622,7 @@ class TestPrediction:
 
 class TestMajorityBaseline:
     def make(self, labels, dataset_ids=0):
-        return PairSet(
-            features=np.zeros((len(labels), FEATURE_DIM)),
-            labels=labels,
-            dataset_ids=np.broadcast_to(dataset_ids, len(labels)),
-        )
+        return pair_set(np.zeros((len(labels), FEATURE_DIM)), labels, dataset_ids)
 
     def test_seventy_percent_same(self):
         pairs = self.make([1] * 7 + [0] * 3)
@@ -606,3 +667,57 @@ class TestEvaluateBsf:
         for field in (ev.acc_meta_it, ev.acc_meta_et, ev.acc_majority_it, ev.acc_majority_et):
             assert 0.0 <= field <= 1.0
         assert ev.acc_majority_it >= 0.5 and ev.acc_majority_et >= 0.5
+
+
+def traced_peak_mb(fn, *args, **kwargs):
+    """(fn's result, the peak of memory that fn allocated, in MB), by tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak / 2**20
+
+
+class TestPairnetMemory:
+    """The benchmark's ``pairnet`` repository and bsf seed: pair sets hold row
+    indices, and feature rows are built only where they are used."""
+
+    @pytest.fixture(scope="class")
+    def pairnet(self):
+        workload = WORKLOADS["pairnet"]
+        repo = make_synthetic_repository(SynthSpec(seed=DEFAULT_SEED, **workload.synth))
+        return repo, workload.pipeline_seed
+
+    def test_sample_pair_splits_peak(self, pairnet):
+        # The three sets' (m, 75) feature matrices alone would take 50 MB.
+        repo, seed = pairnet
+        split, peak = traced_peak_mb(sample_pair_splits, repo, seed=seed)
+        assert [len(split.meta_train), len(split.meta_it), len(split.meta_et)] == [25000, 25000, 35000]
+        assert peak < 10
+
+    def test_evaluate_bsf_peak(self, pairnet):
+        # One set's feature matrix (21 MB for meta-ET) and the net's layer outputs are live at once.
+        repo, seed = pairnet
+        split = sample_pair_splits(repo, seed=seed)
+        _evaluation, peak = traced_peak_mb(evaluate_bsf, init_mlp(seed), split)
+        assert peak < 75
+
+    def test_gathered_rows_match_per_dataset_oracle(self, pairnet):
+        repo, seed = pairnet
+        split = sample_pair_splits(repo, seed=seed)
+        sets = (split.meta_train, split.meta_it, split.meta_et)
+        for pairs, (features, labels, dataset_ids) in zip(sets, sample_pair_splits_oracle(repo, seed, 2500)):
+            assert np.array_equal(pairs.features, features)
+            assert np.array_equal(pairs.labels, labels)
+            assert np.array_equal(pairs.dataset_ids, dataset_ids)
+
+    def test_training_matches_materialized_oracle(self, pairnet):
+        repo, seed = pairnet
+        train = sample_pair_splits(repo, seed=seed).meta_train
+        model = train_mlp(train, epochs=1, seed=seed)
+        params, acc_grad, acc_update = train_mlp_oracle(train, epochs=1, batch=250, seed=seed)
+        assert model.params.tobytes() == params.tobytes()
+        assert model.acc_grad.tobytes() == acc_grad.tobytes()
+        assert model.acc_update.tobytes() == acc_update.tobytes()
