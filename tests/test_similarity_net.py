@@ -286,7 +286,7 @@ class TestPairFeatures:
         for rows_i, rows_j in (([-1], [0]), ([0], [-1]), ([4], [0]), ([1, 2], [0, 4])):
             with pytest.raises(ValueError, match=r"pair rows must lie in \[0, 4\)"):
                 build_pair_features(problems, [(0, rows_i, rows_j)])
-        # -1 would wrap to point 3: rejected, not a pair of one point or a copy of pair (3, 0)
+        # -1 would wrap to point 3, so (-1, 3) would be a pair of one point that the i != j check misses
         with pytest.raises(ValueError, match="must lie in"):
             build_pair_features(problems, [(0, [-1], [3])])
         assert len(build_pair_features(problems, [(0, [3], [0])])) == 1
