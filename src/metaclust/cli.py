@@ -182,7 +182,7 @@ def cmd_run_meta_k(args) -> int:
     rows = []
     for frac, repeat, split in splits:
         train_idx, test_idx = split_repository(repo, split)
-        model = train_meta_k([grids[i] for i in train_idx], k_range)
+        model = train_meta_k([grids[i] for i in train_idx])
         ev = evaluate_meta_k(model, [grids[i] for i in test_idx])
         rows.append((frac, repeat, ev.rmse_meta, ev.rmse_baseline, ev.mean_ari_meta, ev.mean_ari_baseline))
     header = ["train_frac", "repeat", "rmse_meta", "rmse_baseline", "ari_meta", "ari_baseline"]

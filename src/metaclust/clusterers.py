@@ -249,21 +249,19 @@ def single_linkage_threshold(graph: WeightedGraph, r: float, strict: bool = Fals
     partition, which is representable but invalid as a clustering; callers
     consult validity.
     """
-    keep = (graph.w < r) if strict else (graph.w <= r)
-    ends = np.concatenate([graph.u[keep], graph.v[keep]])
-    others = np.concatenate([graph.v[keep], graph.u[keep]])
+    n = graph.n_vertices
+    keep = ((graph.w < r) if strict else (graph.w <= r)) & (graph.w < np.inf)  # inf is no edge, at any r
     # Min-label propagation with pointer jumping: each vertex ends at its
     # component's smallest vertex.
-    comp = np.arange(graph.n_vertices)
+    comp = np.arange(n)
     while True:
-        new = comp.copy()
-        np.minimum.at(new, ends, comp[others])
+        new = np.minimum(comp, np.where(keep, comp, n).min(axis=1, initial=n))
         new = new[new]
         if np.array_equal(new, comp):
             break
         comp = new
-    roots = comp == np.arange(graph.n_vertices)
-    return Partition(n_items=graph.n_vertices, labels=(np.cumsum(roots) - 1)[comp])
+    roots = comp == np.arange(n)
+    return Partition(n_items=n, labels=(np.cumsum(roots) - 1)[comp])
 
 
 def run_spec(spec: ClustererSpec, points: np.ndarray) -> Partition:

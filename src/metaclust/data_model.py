@@ -175,45 +175,37 @@ class Partition:
 
 @dataclass(frozen=True, init=False, eq=False)
 class WeightedGraph:
-    """Symmetric nonnegative-weighted graph stored as three read-only arrays.
+    """Undirected nonnegative-weighted graph stored as its weight matrix.
 
-    Edge e joins ``u[e] < v[e]`` with weight ``w[e]``, in the order given.
-    ``edges`` is any (m, 3) array-like of (u, v, w) rows, either orientation.
+    ``w`` is a read-only symmetric (n, n) float64 matrix: ``w[i, j]`` is the
+    weight of edge {i, j}, inf where there is no edge and on the diagonal.
+    ``weights`` is any square array-like; only its strict upper triangle is
+    read and mirrored into the lower one.
     """
 
-    n_vertices: int
-    u: np.ndarray  # (m,) int64
-    v: np.ndarray  # (m,) int64
-    w: np.ndarray  # (m,) float64, finite and >= 0
+    w: np.ndarray  # (n, n) float64, >= 0 or inf
 
-    def __init__(self, n_vertices: int, edges):
-        object.__setattr__(self, "n_vertices", int(n_vertices))
-        self.__post_init__(edges)
+    def __init__(self, weights):
+        self.__post_init__(weights)
 
-    def __post_init__(self, edges):
-        n = self.n_vertices
-        arr = np.asarray(edges, dtype=float)
-        if arr.size == 0:
-            arr = arr.reshape(0, 3)
-        if arr.ndim != 2 or arr.shape[1] != 3:
-            raise ValueError(f"edges must be an (m, 3) array of (u, v, w) rows, got shape {arr.shape}")
-        lo, hi = np.minimum(arr[:, 0], arr[:, 1]), np.maximum(arr[:, 0], arr[:, 1])
-        if not np.all((lo >= 0) & (hi < n) & (lo == np.floor(lo)) & (hi == np.floor(hi))):
-            raise ValueError(f"edge endpoints must be vertex ids in 0..{n - 1}")
-        u, v, w = lo.astype(np.int64), hi.astype(np.int64), arr[:, 2].copy()
-        if np.any(u == v):
-            raise ValueError("self-loops are not allowed")
-        if np.any(np.diff(np.sort(u * n + v)) == 0):
-            raise ValueError("duplicate edge")
-        if not np.all(np.isfinite(w) & (w >= 0)):
-            raise ValueError("edge weights must be finite and >= 0")
-        for name, a in (("u", u), ("v", v), ("w", w)):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+    def __post_init__(self, weights):
+        a = np.asarray(weights, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"weights must be a square (n, n) matrix, got shape {a.shape}")
+        w = np.where(np.tri(a.shape[0], dtype=bool), a.T, a)
+        np.fill_diagonal(w, np.inf)
+        if not np.all(w >= 0):
+            raise ValueError("edge weights must be >= 0 or inf (no edge), not NaN")
+        w.setflags(write=False)
+        object.__setattr__(self, "w", w)
+
+    @property
+    def n_vertices(self) -> int:
+        return self.w.shape[0]
 
     @property
     def n_edges(self) -> int:
-        return self.w.size
+        return int(np.isfinite(self.w).sum()) // 2
 
 
 @dataclass(frozen=True)
@@ -465,10 +457,7 @@ def squared_distances(points) -> np.ndarray:
 
 def dataset_to_distance_graph(dataset: Dataset) -> WeightedGraph:
     """Complete graph with Euclidean distances as edge weights."""
-    n = dataset.n
-    iu, ju = np.triu_indices(n, 1)
-    w = np.sqrt(squared_distances(dataset.points)[iu, ju])
-    return WeightedGraph(n_vertices=n, edges=np.column_stack([iu, ju, w]))
+    return WeightedGraph(np.sqrt(squared_distances(dataset.points)))
 
 
 def load_repository(manifest_path, seed: int = 0) -> MetaRepository:

@@ -120,8 +120,6 @@ class ThresholdFitResult:
     arrays; ``r_star`` is the smallest candidate with the least loss.
     """
 
-    r_star: float
-    min_mean_loss: float
     r: np.ndarray
     mean_loss: np.ndarray
 
@@ -130,17 +128,22 @@ class ThresholdFitResult:
             values = np.array(getattr(self, name), dtype=np.float64)
             values.setflags(write=False)
             object.__setattr__(self, name, values)
+        if self.r.ndim != 1 or self.r.size == 0 or self.r.shape != self.mean_loss.shape:
+            raise ValueError("r and mean_loss must be non-empty vectors of the same length")
+
+    @property
+    def r_star(self) -> float:
+        return float(self.r[np.argmin(self.mean_loss)])  # the first minimum: ties go to the smallest r
+
+    @property
+    def min_mean_loss(self) -> float:
+        return float(self.mean_loss.min())
 
     def __eq__(self, other):
-        """Exact equality: the same minimum and the same profile, value for value."""
+        """Exact equality: the same profile, value for value."""
         if not isinstance(other, ThresholdFitResult):
             return NotImplemented
-        return (
-            self.r_star == other.r_star
-            and self.min_mean_loss == other.min_mean_loss
-            and np.array_equal(self.r, other.r)
-            and np.array_equal(self.mean_loss, other.mean_loss)
-        )
+        return np.array_equal(self.r, other.r) and np.array_equal(self.mean_loss, other.mean_loss)
 
 
 def _check_threshold_train(train: Sequence) -> None:
@@ -153,16 +156,11 @@ def _check_threshold_train(train: Sequence) -> None:
 
 def _candidate_thresholds(train: Sequence) -> np.ndarray:
     """All distinct edge weights, in increasing order, after a value below the smallest."""
-    weights = np.unique(np.concatenate([graph.w for graph, _ in train]))
+    upper = [graph.w[~np.tri(graph.n_vertices, dtype=bool)] for graph, _ in train]  # strict upper triangles
+    weights = np.unique(np.concatenate(upper))
+    weights = weights[weights < np.inf]  # inf is no edge
     r_below = 0.0 if (not weights.size or weights[0] > 0) else -1.0
     return np.concatenate([[r_below], weights])
-
-
-def _fit_result(candidates: np.ndarray, mean_loss: np.ndarray) -> ThresholdFitResult:
-    best = int(np.argmin(mean_loss))  # the first minimum: ties go to the smallest r
-    return ThresholdFitResult(
-        r_star=float(candidates[best]), min_mean_loss=float(mean_loss[best]), r=candidates, mean_loss=mean_loss
-    )
 
 
 def fit_threshold_bruteforce(train: Sequence) -> ThresholdFitResult:
@@ -176,20 +174,17 @@ def fit_threshold_bruteforce(train: Sequence) -> ThresholdFitResult:
             for graph, truth in train
         ]
         mean_loss.append(sum(losses) / len(losses))
-    return _fit_result(candidates, np.array(mean_loss))
+    return ThresholdFitResult(r=candidates, mean_loss=mean_loss)
 
 
 def _spanning_forest(graph: WeightedGraph) -> tuple:
     """Edges of a minimum spanning forest by Prim's algorithm, as arrays
     ``(w, u, v)`` in the order the algorithm adds them.
 
-    Runs on a dense weight matrix (inf where there is no edge) and starts a
-    new tree at the lowest unreached vertex whenever none is reachable.
+    Runs on the graph's weight matrix and starts a new tree at the lowest
+    unreached vertex whenever none is reachable.
     """
-    n = graph.n_vertices
-    weight = np.full((n, n), np.inf)
-    weight[graph.u, graph.v] = graph.w
-    weight[graph.v, graph.u] = graph.w
+    n, weight = graph.n_vertices, graph.w
     reached = np.zeros(n, dtype=bool)
     best = np.full(n, np.inf)  # lightest edge to the forest; inf once reached
     parent = np.zeros(n, dtype=int)
@@ -247,7 +242,7 @@ def fit_threshold_kruskal(train: Sequence) -> ThresholdFitResult:
         # A single-part output (n - merged == 1) is an invalid clustering: loss 1.
         losses = np.divide(2 * counts, n * (n - 1), out=np.ones(merged.size), where=n - merged > 1)
         total += losses[np.searchsorted(w[last], candidates, side="right")]
-    return _fit_result(candidates, total / len(train))
+    return ThresholdFitResult(r=candidates, mean_loss=total / len(train))
 
 
 @dataclass(frozen=True)
@@ -272,7 +267,7 @@ def fit_meta_scale(train: Sequence) -> MetaScaleRule:
         expected_edges = graph.n_vertices * (graph.n_vertices - 1) // 2
         if graph.n_edges != expected_edges:
             raise ValueError("training graphs must be complete distance graphs")
-        cross = truth.labels[graph.u] != truth.labels[graph.v]
+        cross = truth.labels[:, None] != truth.labels[None, :]
         r_star = min(r_star, float(np.min(graph.w, where=cross, initial=math.inf)))
     if not math.isfinite(r_star):
         raise ValueError("no cross-cluster pair found in training data")

@@ -177,14 +177,17 @@ class MetaKModel:
         object.__setattr__(self, "coef", coef)
 
 
-def train_meta_k(per_problem_grids: Sequence, k_range: Sequence[int] = DEFAULT_K_RANGE) -> MetaKModel:
+def train_meta_k(per_problem_grids: Sequence) -> MetaKModel:
     """Fit per-k least squares of ARI on silhouette, pooled over problems and runs.
 
-    Row i of every grid is pooled in (problem, run) order.
+    The grids must all cover the same k range, which the model takes.  Row i
+    of every grid is pooled in (problem, run) order.
     """
-    k_range = tuple(k_range)
-    if not per_problem_grids or any(g.k_range != k_range for g in per_problem_grids):
-        raise ValueError(f"training needs at least one run grid, each covering exactly k = {k_range}")
+    if not per_problem_grids:
+        raise ValueError("training needs at least one run grid")
+    k_range = per_problem_grids[0].k_range
+    if any(g.k_range != k_range for g in per_problem_grids):
+        raise ValueError("the run grids must all cover the same k range")
     sil = np.concatenate([g.silhouette for g in per_problem_grids], axis=1)
     ari = np.concatenate([g.ari for g in per_problem_grids], axis=1)
     return MetaKModel(k_range, [fit_least_squares(s[:, None], a) for s, a in zip(sil, ari)])
@@ -374,7 +377,7 @@ def sweep_outlier_fraction(
     for p in p_grid:
         grids = repo_runs(repo, k_range, restarts, seed, theta=p, use_raw_norm=use_raw_norm)
         for per_p, (train_idx, test_idx) in zip(per_split, split_indices):
-            model = train_meta_k([grids[i] for i in train_idx], k_range)
+            model = train_meta_k([grids[i] for i in train_idx])
             evaluation = evaluate_meta_k(model, [grids[i] for i in test_idx])
             per_p.append((p, evaluation.mean_ari_meta))
     return [

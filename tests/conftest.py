@@ -1,7 +1,9 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and graph helpers shared by the test modules."""
 
 import numpy as np
 import pytest
+
+from metaclust.data_model import WeightedGraph
 
 
 def _same_parts(a, b) -> bool:
@@ -21,3 +23,20 @@ def _same_parts(a, b) -> bool:
 def same_parts():
     """The partition comparison that ignores part ids (``_same_parts``)."""
     return _same_parts
+
+
+def graph_from_edges(n, edges):
+    """The ``WeightedGraph`` on n vertices with the given (u, v, w) rows as its edges."""
+    weights = np.full((n, n), np.inf)
+    rows = np.asarray(edges, dtype=float).reshape(-1, 3)
+    u, v = rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64)
+    weights[u, v] = weights[v, u] = rows[:, 2]
+    return WeightedGraph(weights)
+
+
+def graph_edges(graph):
+    """The (u, v, w) edges of ``graph`` with u < v, in row-major order of its weight matrix."""
+    u, v = np.triu_indices(graph.n_vertices, 1)
+    w = graph.w[u, v]
+    edge = np.isfinite(w)
+    return zip(u[edge].tolist(), v[edge].tolist(), w[edge].tolist())

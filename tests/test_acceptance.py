@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import graph_edges, graph_from_edges
 from metaclust.clusterers import ClustererSpec
 from metaclust.data_model import (
     Dataset,
@@ -130,7 +131,7 @@ def _random_graph_collection(rng):
         while np.unique(labels).size < 2:
             labels = rng.integers(0, 3, size=n)
         _, dense = np.unique(labels, return_inverse=True)
-        train.append((WeightedGraph(n, tuple(edges)), labels_to_partition(dense)))
+        train.append((graph_from_edges(n, tuple(edges)), labels_to_partition(dense)))
     return train
 
 
@@ -152,7 +153,7 @@ def _dense_random_graph(n_vertices, n_edges, seed):
     labels = rng.integers(0, 5, size=n_vertices)
     labels[:5] = range(5)
     _, dense = np.unique(labels, return_inverse=True)
-    return [(WeightedGraph(n_vertices, tuple(edges)), labels_to_partition(dense))]
+    return [(graph_from_edges(n_vertices, tuple(edges)), labels_to_partition(dense))]
 
 
 def test_criterion_03_threshold_fitter_fidelity(announce):
@@ -222,7 +223,7 @@ def test_criterion_05_meta_scale_axioms(announce, same_parts):
     rng = np.random.default_rng(105)
 
     def scaled(g, alpha):
-        return WeightedGraph(g.n_vertices, np.column_stack([g.u, g.v, g.w * alpha]))
+        return WeightedGraph(g.w * alpha)
 
     invariant = True
     for _ in range(100):
@@ -251,7 +252,7 @@ def test_criterion_05_meta_scale_axioms(announce, same_parts):
                 else:
                     w = rule.r_star * float(rng.uniform(1.1, 3.0))
                 edges.append((u, v, w))
-        out = rule(WeightedGraph(n, tuple(edges)))
+        out = rule(graph_from_edges(n, tuple(edges)))
         if not same_parts(out, target):
             richness = False
             break
@@ -266,10 +267,10 @@ def test_criterion_05_meta_scale_axioms(announce, same_parts):
         base = rule(g)
         lab = base.labels
         edges = []
-        for u, v, w in zip(g.u.tolist(), g.v.tolist(), g.w.tolist()):
+        for u, v, w in graph_edges(g):
             factor = rng.uniform(0.3, 1.0) if lab[u] == lab[v] else rng.uniform(1.0, 3.0)
             edges.append((u, v, w * float(factor)))
-        if rule(WeightedGraph(g.n_vertices, tuple(edges))) != base:
+        if rule(graph_from_edges(g.n_vertices, tuple(edges))) != base:
             consistency = False
             break
 
@@ -348,7 +349,7 @@ def test_criterion_07_meta_k_beats_silhouette_argmax(announce):
     wins = 0
     for repeat in range(10):
         train_idx, test_idx = split_repository(repo, SplitSpec(0.5, repeat, 5))
-        model = train_meta_k([records[i] for i in train_idx], range(2, 11))
+        model = train_meta_k([records[i] for i in train_idx])
         ev = evaluate_meta_k(model, [records[i] for i in test_idx])
         if ev.rmse_meta < ev.rmse_baseline and ev.mean_ari_meta > ev.mean_ari_baseline:
             wins += 1
@@ -397,7 +398,7 @@ def test_criterion_08_outlier_sweep_finds_planted_fraction(announce):
     # the p=0 column must reproduce the plain pipeline bit-for-bit
     records = repo_runs(repo, range(2, 11), 10, seed=5)
     train_idx, test_idx = split_repository(repo, splits[0])
-    model = train_meta_k([records[i] for i in train_idx], range(2, 11))
+    model = train_meta_k([records[i] for i in train_idx])
     ev = evaluate_meta_k(model, [records[i] for i in test_idx])
     p0_exact = dict(results[0].per_p)[0.0] == ev.mean_ari_meta
     ok = wins >= 8 and p0_exact

@@ -24,8 +24,8 @@ from metaclust.data_model import SynthSpec, make_synthetic_repository, save_repo
 TINY_FLAGS = {"bsf": ("--max-pairs", "200", "--epochs", "1")}
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_workload_calls_exactly_its_layers(name, tmp_path):
+def traced_tiny_run(name, tmp_path) -> Tracer:
+    """Run workload ``name``'s pipelines on a tiny repository (8 problems of 40 points) under the tracer."""
     workload = WORKLOADS[name]
     synth = {**workload.synth, "n_problems": 8, "n_points": 40}
     repo = tmp_path / "repo"
@@ -39,5 +39,18 @@ def test_workload_calls_exactly_its_layers(name, tmp_path):
             assert cli.main(argv + flags + list(TINY_FLAGS.get(pipeline, ()))) == cli.EXIT_OK, pipeline
     finally:
         tracer.uninstall()
-    called = {span.name for span in tracer.spans}
+    return tracer
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_calls_exactly_its_layers(name, tmp_path):
+    workload = WORKLOADS[name]
+    called = {span.name for span in traced_tiny_run(name, tmp_path).spans}
     assert called == workload.layers_used, (sorted(called - workload.layers_used), sorted(workload.layers_used - called))
+
+
+def test_threshold_sweep_edge_count(tmp_path):
+    # The sweep's per-layer work count reads ``WeightedGraph.n_edges``: every
+    # problem's complete graph, 40 * 39 / 2 edges, counted once.
+    work = traced_tiny_run("linkage", tmp_path).work
+    assert work["erm_meta.fit_threshold_kruskal.edges"] == 8 * (40 * 39 // 2)

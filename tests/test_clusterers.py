@@ -1,10 +1,12 @@
 """K-means, linkage clustering, threshold single-linkage and run_spec."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+from conftest import graph_edges, graph_from_edges
 from metaclust import clusterers
 from metaclust.clusterers import (
     _LW_COEFFS,
@@ -17,7 +19,6 @@ from metaclust.clusterers import (
 from metaclust.data_model import (
     Dataset,
     Partition,
-    WeightedGraph,
     dataset_to_distance_graph,
     derive_seed,
     labels_to_partition,
@@ -211,7 +212,7 @@ def components_oracle(graph, r, strict=False):
             parent[x], x = root, parent[x]
         return root
 
-    for u, v, w in zip(graph.u.tolist(), graph.v.tolist(), graph.w.tolist()):
+    for u, v, w in graph_edges(graph):
         if (w < r) if strict else (w <= r):
             ru, rv = find(u), find(v)
             if ru != rv:
@@ -431,7 +432,7 @@ class TestAgglomerative:
 class TestSingleLinkageThreshold:
     def path_graph(self):
         # a-b(1), b-c(1), c-d(5)
-        return WeightedGraph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 5.0)))
+        return graph_from_edges(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 5.0)))
 
     def test_worked_mid_threshold(self):
         p = single_linkage_threshold(self.path_graph(), 2.0, strict=False)
@@ -494,19 +495,27 @@ class TestSingleLinkageThreshold:
                 w = np.round(w)  # ties at r
             swap = rng.random(w.size) < 0.5
             u, v = np.where(swap, ju[keep], iu[keep]), np.where(swap, iu[keep], ju[keep])
-            g = WeightedGraph(n, np.column_stack([u, v, w]))
+            g = graph_from_edges(n, np.column_stack([u, v, w]))
             self.assert_matches_oracle(g, list(np.unique(w)) + [-1.0, float(rng.uniform(0, 4)), 5.0])
 
     def test_matches_union_find_oracle_on_special_graphs(self):
         rng = np.random.default_rng(19)
-        self.assert_matches_oracle(WeightedGraph(5, ()), [0.0, 1.0])  # no edges
-        star = WeightedGraph(7, [(4, leaf, float(leaf % 3)) for leaf in range(7) if leaf != 4])
+        self.assert_matches_oracle(graph_from_edges(5, ()), [0.0, 1.0])  # no edges
+        star = graph_from_edges(7, [(4, leaf, float(leaf % 3)) for leaf in range(7) if leaf != 4])
         self.assert_matches_oracle(star, [0.0, 1.0, 2.0])
         for n in (2, 5, 33, 200):
             order = rng.permutation(n)  # a path in shuffled vertex order
             weights = rng.integers(0, 3, size=n - 1).astype(float)
-            path = WeightedGraph(n, np.column_stack([order[:-1], order[1:], weights]))
+            path = graph_from_edges(n, np.column_stack([order[:-1], order[1:], weights]))
             self.assert_matches_oracle(path, [0.0, 1.0, 2.0])
+
+    def test_missing_edge_never_kept(self):
+        # inf marks a missing edge; even r = inf keeps only the edges there are
+        g = graph_from_edges(4, ((0, 1, 1.0), (2, 3, 7.0)))
+        for strict in (False, True):
+            assert single_linkage_threshold(g, math.inf, strict).labels.tolist() == [0, 0, 1, 1]
+        assert single_linkage_threshold(graph_from_edges(3, ()), math.inf).labels.tolist() == [0, 1, 2]
+        self.assert_matches_oracle(g, [math.inf])
 
 
 class TestRichnessConsistency:
@@ -527,7 +536,7 @@ class TestRichnessConsistency:
                 for v in range(u + 1, n):
                     w = rng.uniform(0.1, 0.9) if lab[u] == lab[v] else rng.uniform(1.1, 5.0)
                     edges.append((u, v, w))
-            g = WeightedGraph(n, tuple(edges))
+            g = graph_from_edges(n, tuple(edges))
             out = single_linkage_threshold(g, r, strict=False)
             assert same_parts(out, target)
 
@@ -542,12 +551,12 @@ class TestRichnessConsistency:
             lab = base.labels
             # shrink within-part weights, grow cross-part weights
             edges = []
-            for u, v, w in zip(g.u.tolist(), g.v.tolist(), g.w.tolist()):
+            for u, v, w in graph_edges(g):
                 if lab[u] == lab[v]:
                     edges.append((u, v, w * rng.uniform(0.3, 1.0)))
                 else:
                     edges.append((u, v, w * rng.uniform(1.0, 3.0)))
-            perturbed = single_linkage_threshold(WeightedGraph(n, tuple(edges)), r, strict=False)
+            perturbed = single_linkage_threshold(graph_from_edges(n, tuple(edges)), r, strict=False)
             assert same_parts(perturbed, base)
 
 

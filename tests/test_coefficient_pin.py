@@ -78,7 +78,7 @@ def digest(rows) -> str:
 
 def test_meta_k_coefficients():
     repo = make_synthetic_repository(SynthSpec(n_problems=8, n_points=40, seed=7))
-    model = train_meta_k(repo_runs(repo, range(2, 6), 3, seed=7), range(2, 6))
+    model = train_meta_k(repo_runs(repo, range(2, 6), 3, seed=7))
     assert model.coef.shape == (4, 2)
     assert digest(model.coef) == META_K_SHA256
 

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import graph_edges, graph_from_edges
+
 from metaclust.data_model import (
     FLOAT_FORMAT,
     DataError,
@@ -281,65 +283,65 @@ class TestCsvRoundTrip:
             load_dataset_csv(path)
 
 
+INF = math.inf
+
+
 class TestWeightedGraph:
-    def test_orients_edges(self):
-        g = WeightedGraph(3, ((2, 0, 1.5),))
-        assert (g.u.tolist(), g.v.tolist(), g.w.tolist()) == ([0], [2], [1.5])
-
-    def test_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            WeightedGraph(3, ((0, 1, 1.0), (1, 0, 2.0)))
-
-    def test_rejects_self_loop(self):
-        with pytest.raises(ValueError):
-            WeightedGraph(3, ((1, 1, 1.0),))
-
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError):
-            WeightedGraph(2, ((0, 1, -0.5),))
+            WeightedGraph([[0.0, -0.5], [-0.5, 0.0]])
 
     @pytest.mark.parametrize(
-        "edges",
+        "weights",
         [
-            ((0, 1, float("nan")),),
-            ((0, 1, float("inf")),),
-            ((0, 1, -1.0),),
-            ((0, 3, 1.0),),
-            ((-1, 1, 1.0),),
-            ((0, 1.5, 1.0),),
-            ((2, 2, 1.0),),
-            ((0, 1, 1.0), (0, 1, 2.0)),
-            ((0, 1, 1.0), (1, 0, 2.0)),
-            ((1, 2, 1.0), (0, 1, 1.0), (2, 1, 1.0)),
+            ((INF, float("nan"), 1.0), (INF, INF, 1.0), (INF, INF, INF)),
+            ((INF, 2.0, 1.0), (INF, INF, -1.0), (INF, INF, INF)),
         ],
-        ids=["nan", "inf", "negative", "high_end", "low_end", "fractional_end", "self_loop",
-             "duplicate", "duplicate_reversed", "duplicate_later"],
+        ids=["nan", "negative"],
     )
     @pytest.mark.parametrize("as_array", [False, True], ids=["tuples", "array"])
-    def test_rejects_bad_edges(self, edges, as_array):
+    def test_rejects_bad_edges(self, weights, as_array):
         with pytest.raises(ValueError):
-            WeightedGraph(3, np.array(edges) if as_array else edges)
+            WeightedGraph(np.array(weights) if as_array else weights)
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            WeightedGraph(3, np.zeros((2, 2)))
+        for shape in ((2, 3), (3,), (0,), (2, 2, 2)):
+            with pytest.raises(ValueError, match="square"):
+                WeightedGraph(np.zeros(shape))
 
     def test_array_and_tuples_agree(self):
-        edges = ((2, 0, 1.5), (1, 2, 0.0), (0, 1, 3.25))
-        a, b = WeightedGraph(3, edges), WeightedGraph(3, np.array(edges))
+        weights = ((INF, 3.25, 1.5), (INF, INF, 0.0), (INF, INF, INF))
+        a, b = WeightedGraph(weights), WeightedGraph(np.array(weights))
         for g in (a, b):
-            assert list(g.u) == [0, 1, 0] and list(g.v) == [2, 2, 1] and list(g.w) == [1.5, 0.0, 3.25]
-        empty = WeightedGraph(3, ())
-        assert empty.n_edges == 0 and empty.u.shape == empty.v.shape == empty.w.shape == (0,)
+            assert g.w.dtype == np.float64 and g.n_vertices == 3 and g.n_edges == 3
+            assert g.w.tolist() == [[INF, 3.25, 1.5], [3.25, INF, 0.0], [1.5, 0.0, INF]]
+        empty = WeightedGraph(np.full((3, 3), INF))
+        assert empty.n_edges == 0 and empty.n_vertices == 3
+
+    def test_reads_only_the_strict_upper_triangle(self):
+        upper = np.array([[0.0, 1.0, INF], [0.0, 0.0, 2.5], [0.0, 0.0, 0.0]])
+        garbage = np.array([[np.nan, 0.0, 0.0], [-1.0, -2.0, 0.0], [np.nan, 7.0, 5.0]])
+        g = WeightedGraph(np.triu(upper, 1) + np.tril(garbage))
+        assert g.w.tolist() == [[INF, 1.0, INF], [1.0, INF, 2.5], [INF, 2.5, INF]]
+        assert g.n_edges == 2
+
+    def test_n_edges_counts_finite_upper_triangle(self):
+        rng = np.random.default_rng(30)
+        for n in (1, 2, 5, 17):
+            weights = rng.uniform(0.0, 3.0, size=(n, n))
+            weights[rng.random((n, n)) < 0.4] = INF
+            g = WeightedGraph(weights)
+            assert g.n_vertices == n
+            assert g.n_edges == int(np.isfinite(weights[np.triu_indices(n, 1)]).sum())
+            assert np.array_equal(g.w, g.w.T)
 
     def test_stored_arrays_read_only(self):
-        source = np.array([[0, 1, 2.0]])
-        g = WeightedGraph(2, source)
-        for arr in (g.u, g.v, g.w):
-            with pytest.raises(ValueError):
-                arr[0] = 0
-        source[0, 2] = 5.0
-        assert list(g.w) == [2.0]
+        source = np.array([[0.0, 2.0], [2.0, 0.0]])
+        g = WeightedGraph(source)
+        with pytest.raises(ValueError):
+            g.w[0, 1] = 0
+        source[0, 1] = 5.0
+        assert g.w[0, 1] == g.w[1, 0] == 2.0
 
 
 class TestSplit:
@@ -441,7 +443,7 @@ class TestDistanceGraph:
         pts = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
         g = dataset_to_distance_graph(Dataset(id="g", points=pts))
         assert g.n_edges == 3
-        w = {(u, v): w for u, v, w in zip(g.u.tolist(), g.v.tolist(), g.w.tolist())}
+        w = {(u, v): w for u, v, w in graph_edges(g)}
         assert w[(0, 1)] == pytest.approx(5.0)
         assert w[(0, 2)] == pytest.approx(1.0)
 
@@ -453,7 +455,7 @@ class TestDistanceGraph:
             if trial % 2:
                 pts = np.round(pts, 1)
             g = dataset_to_distance_graph(Dataset(id="g", points=pts))
-            assert tuple(zip(g.u.tolist(), g.v.tolist(), g.w.tolist())) == distance_graph_edges_oracle(pts), trial
+            assert tuple(graph_edges(g)) == distance_graph_edges_oracle(pts), trial
 
     def test_overflowing_distance_is_data_error(self, tmp_path):
         # Points whose distances could overflow are rejected when they are loaded, before any graph.
@@ -546,6 +548,6 @@ class TestMetaRepository:
         MetaRepository(problems=problems[:2], seed=0)
 
     def test_rejects_problem_that_is_not_a_point_dataset(self):
-        graph = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 2.0)))
+        graph = graph_from_edges(3, ((0, 1, 1.0), (1, 2, 2.0)))
         with pytest.raises(ValueError, match="point datasets"):
             MetaRepository(problems=((graph, labels_to_partition([0, 0, 1])),), seed=0)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import graph_edges, graph_from_edges
 from metaclust.clusterers import single_linkage_threshold
 from metaclust.data_model import (
     Dataset,
@@ -34,7 +35,7 @@ def assert_same_fit(a, b):
 
 
 def path_example():
-    g = WeightedGraph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 5.0)))
+    g = graph_from_edges(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 5.0)))
     truth = Partition(4, ((0, 1, 2), (3,)))
     return g, truth
 
@@ -54,7 +55,7 @@ def random_collection(rng, max_graphs=8, max_nodes=20):
         while np.unique(labels).size < 2:
             labels = rng.integers(0, 3, size=n)
         _, dense = np.unique(labels, return_inverse=True)
-        train.append((WeightedGraph(n, tuple(edges)), labels_to_partition(dense)))
+        train.append((graph_from_edges(n, tuple(edges)), labels_to_partition(dense)))
     return train
 
 
@@ -148,14 +149,21 @@ class TestThresholdFitting:
     def test_equality_is_exact(self):
         a = fit_threshold_kruskal([path_example()])
         assert a == fit_threshold_bruteforce([path_example()])
-        changed = ThresholdFitResult(a.r_star, a.min_mean_loss, a.r, a.mean_loss + [0.0, 1e-300, 0.0])
-        assert a != changed
-        assert a != ThresholdFitResult(a.r_star, a.min_mean_loss, a.r[:2], a.mean_loss[:2])
+        assert a == ThresholdFitResult([0.0, 1.0, 5.0], [0.5, 0.0, 1.0])
+        changed = ThresholdFitResult(a.r, a.mean_loss + [0.0, 1e-300, 0.0])
+        assert a != changed and changed.r_star == a.r_star and changed.min_mean_loss == 1e-300
+        assert a != ThresholdFitResult(a.r[:2], a.mean_loss[:2])
+        assert a != ThresholdFitResult(a.r + [0.0, 0.0, 1e-12], a.mean_loss)
+
+    def test_profile_vectors_must_match(self):
+        for r, mean_loss in (([0.0, 1.0], [0.5]), ([], []), ([[0.0]], [[0.5]])):
+            with pytest.raises(ValueError, match="same length"):
+                ThresholdFitResult(r, mean_loss)
 
     def test_tied_minimum_goes_to_smallest_r(self):
         # r = 2 joins the triangle; r = 3 is a non-forest edge of the same
         # component, so the loss stays 0 there too.
-        g = WeightedGraph(4, ((0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0), (2, 3, 5.0)))
+        g = graph_from_edges(4, ((0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0), (2, 3, 5.0)))
         train = [(g, Partition(4, ((0, 1, 2), (3,))))]
         for fit in (fit_threshold_kruskal, fit_threshold_bruteforce):
             result = fit(train)
@@ -173,7 +181,7 @@ class TestThresholdFitting:
         assert_same_fit(double, single)
 
     def test_single_edge_merge_goes_invalid(self):
-        g = WeightedGraph(2, ((0, 1, 2.0),))
+        g = graph_from_edges(2, ((0, 1, 2.0),))
         truth = Partition(2, ((0,), (1,)))
         # merging at r=2 yields one component -> charged loss 1
         result = fit_threshold_bruteforce([(g, truth)])
@@ -181,7 +189,7 @@ class TestThresholdFitting:
         assert result.r_star == 0.0
 
     def test_zero_weight_candidate_below(self):
-        g = WeightedGraph(3, ((0, 1, 0.0), (1, 2, 3.0)))
+        g = graph_from_edges(3, ((0, 1, 0.0), (1, 2, 3.0)))
         truth = Partition(3, ((0, 1), (2,)))
         result = fit_threshold_kruskal([(g, truth)])
         assert result.r[0] == -1.0  # below the smallest (zero) weight
@@ -196,18 +204,18 @@ class TestThresholdFitting:
     def test_oracle_equivalence_edge_cases(self):
         two = Partition(4, ((0, 1), (2, 3)))
         cases = {
-            "no edges": [(WeightedGraph(4, ()), two)],
-            "no edges beside a path": [(WeightedGraph(4, ()), two), path_example()],
-            "disconnected": [(WeightedGraph(4, ((0, 1, 2.0), (2, 3, 1.0))), two)],
-            "isolated vertex": [(WeightedGraph(4, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 3.0))), two)],
-            "zero weights": [(WeightedGraph(4, ((0, 1, 0.0), (2, 3, 0.0), (1, 2, 0.0), (0, 3, 4.0))), two)],
+            "no edges": [(graph_from_edges(4, ()), two)],
+            "no edges beside a path": [(graph_from_edges(4, ()), two), path_example()],
+            "disconnected": [(graph_from_edges(4, ((0, 1, 2.0), (2, 3, 1.0))), two)],
+            "isolated vertex": [(graph_from_edges(4, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 3.0))), two)],
+            "zero weights": [(graph_from_edges(4, ((0, 1, 0.0), (2, 3, 0.0), (1, 2, 0.0), (0, 3, 4.0))), two)],
             "equal weights across graphs": [
-                (WeightedGraph(4, ((0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0))), two),
-                (WeightedGraph(4, ((0, 2, 2.0), (1, 3, 1.0), (0, 3, 2.0))), two),
+                (graph_from_edges(4, ((0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0))), two),
+                (graph_from_edges(4, ((0, 2, 2.0), (1, 3, 1.0), (0, 3, 2.0))), two),
                 path_example(),
             ],
             "cycle of equal weights": [
-                (WeightedGraph(4, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 2.0))), two),
+                (graph_from_edges(4, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 2.0))), two),
             ],
         }
         for name, train in cases.items():
@@ -236,7 +244,7 @@ class TestThresholdFitting:
             fit_threshold_bruteforce([])
 
     def test_invalid_truth_rejected(self):
-        g = WeightedGraph(3, ((0, 1, 1.0),))
+        g = graph_from_edges(3, ((0, 1, 1.0),))
         with pytest.raises(ValueError):
             fit_threshold_kruskal([(g, Partition(3, ((0, 1, 2),)))])
 
@@ -251,7 +259,7 @@ def kruskal_forest_weights(graph):
         return x
 
     kept = []
-    for w, u, v in sorted(zip(graph.w.tolist(), graph.u.tolist(), graph.v.tolist())):
+    for w, u, v in sorted((w, u, v) for u, v, w in graph_edges(graph)):
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[rv] = ru
@@ -269,7 +277,7 @@ class TestSpanningForest:
             w = rng.uniform(0.0, 4.0, size=int(keep.sum()))
             if trial % 2:
                 w = np.round(w)  # tied weights
-            g = WeightedGraph(n, np.column_stack([iu[keep], ju[keep], w]))
+            g = graph_from_edges(n, np.column_stack([iu[keep], ju[keep], w]))
             fw, fu, fv = _spanning_forest(g)
             components = single_linkage_threshold(g, math.inf).n_parts
             assert fw.dtype == np.float64 and fw.shape == fu.shape == fv.shape == (n - components,)
@@ -277,9 +285,9 @@ class TestSpanningForest:
             assert sorted(fw.tolist()) == oracle
             assert math.fsum(fw.tolist()) == math.fsum(oracle)
             # every forest edge is a graph edge of that weight, and together they span the same components
-            lookup = {(a, b): c for a, b, c in zip(g.u.tolist(), g.v.tolist(), g.w.tolist())}
+            lookup = {(a, b): c for a, b, c in graph_edges(g)}
             assert all(lookup[min(a, b), max(a, b)] == c for a, b, c in zip(fu.tolist(), fv.tolist(), fw.tolist()))
-            forest = WeightedGraph(n, np.column_stack([fu, fv, fw]))
+            forest = graph_from_edges(n, np.column_stack([fu, fv, fw]))
             assert single_linkage_threshold(forest, math.inf) == single_linkage_threshold(g, math.inf)
 
 
@@ -312,14 +320,9 @@ class TestMetaScale:
             test_g, _ = separated_problem(rng)
             alpha = float(np.exp(rng.uniform(np.log(0.01), np.log(100.0))))
             rule = fit_meta_scale(train)
-            scaled_train = [
-                (WeightedGraph(g.n_vertices, np.column_stack([g.u, g.v, g.w * alpha])), t)
-                for g, t in train
-            ]
+            scaled_train = [(WeightedGraph(g.w * alpha), t) for g, t in train]
             scaled_rule = fit_meta_scale(scaled_train)
-            scaled_test = WeightedGraph(
-                test_g.n_vertices, np.column_stack([test_g.u, test_g.v, test_g.w * alpha])
-            )
+            scaled_test = WeightedGraph(test_g.w * alpha)
             assert scaled_rule(scaled_test) == rule(test_g)
 
     def test_strict_semantics_separate_training_pairs(self):
@@ -330,18 +333,18 @@ class TestMetaScale:
             out = rule(g).labels
             lab = truth.labels
             # no known cross-cluster pair may be merged by the learned rule
-            for u, v, w in zip(g.u.tolist(), g.v.tolist(), g.w.tolist()):
+            for u, v, w in graph_edges(g):
                 if lab[u] != lab[v] and w == rule.r_star:
                     assert out[u] != out[v]
 
     def test_incomplete_graph_rejected(self):
-        g = WeightedGraph(3, ((0, 1, 1.0),))
+        g = graph_from_edges(3, ((0, 1, 1.0),))
         truth = Partition(3, ((0, 1), (2,)))
         with pytest.raises(ValueError):
             fit_meta_scale([(g, truth)])
 
     def test_rule_is_strict_at_threshold(self):
-        g = WeightedGraph(3, ((0, 1, 1.0), (0, 2, 2.0), (1, 2, 2.0)))
+        g = graph_from_edges(3, ((0, 1, 1.0), (0, 2, 2.0), (1, 2, 2.0)))
         rule = MetaScaleRule(r_star=1.0)
         assert rule(g).labels.tolist() == [0, 1, 2]  # w == r_star not merged
         rule2 = MetaScaleRule(r_star=1.0000001)

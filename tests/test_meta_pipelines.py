@@ -329,20 +329,20 @@ class TestSelectionRules:
             k_range = K_RANGES[trial % len(K_RANGES)]
             restarts = int(rng.integers(1, 5))
             grids = [random_grid(rng, k_range, restarts) for _ in range(int(rng.integers(1, 5)))]
-            ours = train_meta_k(grids, k_range)
+            ours = train_meta_k(grids)
             ref = oracle_train_meta_k([records_of(g) for g in grids], k_range)
             assert ours.k_range == ref.k_range
             assert np.array_equal(ours.coef, ref.coef), trial
 
     def test_train_meta_k_matches_record_pooling_on_real_runs(self):
         grids = repo_runs(small_repo(4), range(2, 6), 3, seed=4)
-        ours = train_meta_k(grids, range(2, 6))
+        ours = train_meta_k(grids)
         ref = oracle_train_meta_k([records_of(g) for g in grids], range(2, 6))
         assert np.array_equal(ours.coef, ref.coef)
 
     def test_meta_selected_cell_matches_record_oracle_on_real_runs(self):
         grids = repo_runs(small_repo(6), range(2, 6), 3, seed=5)
-        model = train_meta_k(grids[:4], range(2, 6))
+        model = train_meta_k(grids[:4])
         for g in grids:
             meta = oracle_meta_selected_record(model, records_of(g))
             assert cell_of(g, meta_selected_cell(model, g)) == (meta.k, meta.run_index)
@@ -368,7 +368,7 @@ class TestMetaKModel:
         assert model.k_range == tuple(range(2, 11))
 
     def test_coefficients_are_read_only(self):
-        model = train_meta_k([grid((2, 3), [[0.1, 0.5], [0.4, 0.2]], [[0.2, 0.9], [0.6, 0.1]])], (2, 3))
+        model = train_meta_k([grid((2, 3), [[0.1, 0.5], [0.4, 0.2]], [[0.2, 0.9], [0.6, 0.1]])])
         assert model.coef.shape == (2, 2)
         with pytest.raises(ValueError):
             model.coef[0, 0] = 1.0
@@ -379,14 +379,18 @@ class TestMetaKModel:
             MetaKModel(k_range, np.zeros((rows, 2)))
 
     def test_missing_k_rejected(self):
-        with pytest.raises(ValueError):
-            train_meta_k([grid((2,), [[0.5]], [[0.5]])], k_range=(2, 3))
+        with pytest.raises(ValueError, match="same k range"):
+            train_meta_k([grid((2, 3), [[0.5], [0.4]]), grid((2,), [[0.5]], [[0.5]])])
 
     def test_extra_k_and_empty_training_rejected(self):
-        with pytest.raises(ValueError):
-            train_meta_k([grid((2, 3), [[0.5], [0.4]])], k_range=(2,))
-        with pytest.raises(ValueError):
-            train_meta_k([], k_range=(2,))
+        with pytest.raises(ValueError, match="same k range"):
+            train_meta_k([grid((2,), [[0.5]]), grid((2, 3), [[0.5], [0.4]])])
+        with pytest.raises(ValueError, match="at least one run grid"):
+            train_meta_k([])
+
+    def test_k_range_taken_from_the_grids(self):
+        model = train_meta_k([grid((3, 5), [[0.1, 0.5], [0.4, 0.2]], [[0.2, 0.9], [0.6, 0.1]])])
+        assert model.k_range == (3, 5)
 
     def test_grid_model_k_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -414,7 +418,7 @@ class TestEvaluateMetaK:
     def test_perfect_model_zero_rmse(self):
         repo = small_repo(6)
         grids = repo_runs(repo, range(2, 6), 3, seed=4)
-        model = train_meta_k(grids, range(2, 6))
+        model = train_meta_k(grids)
         ev = evaluate_meta_k(model, grids)
         assert ev.rmse_meta >= 0.0 and ev.rmse_baseline >= 0.0
         assert 0.0 <= ev.mean_ari_meta <= 1.0
@@ -431,7 +435,7 @@ class TestEvaluateMetaK:
         # The chosen cell's k-means run, repeated from its seed, scores the reported ARI.
         repo = small_repo(3)
         grids = repo_runs(repo, range(2, 5), 2, seed=9)
-        model = train_meta_k(grids, range(2, 5))
+        model = train_meta_k(grids)
         total = 0.0
         for i, ((ds, truth), g) in enumerate(zip(repo.problems, grids)):
             k, run = cell_of(g, meta_selected_cell(model, g))
@@ -666,7 +670,7 @@ class TestSweep:
 
         train_idx, test_idx = split_repository(repo, split)
         grids = repo_runs(repo, range(2, 5), 3, seed=6)
-        model = train_meta_k([grids[i] for i in train_idx], range(2, 5))
+        model = train_meta_k([grids[i] for i in train_idx])
         ev = evaluate_meta_k(model, [grids[i] for i in test_idx])
         assert dict(res.per_p)[0.0] == ev.mean_ari_meta  # exact, not approximate
 
