@@ -50,6 +50,7 @@ ADADELTA_RHO = 0.9
 ADADELTA_EPS = 1e-6
 MAX_CATEGORY_RETRIES = 20  # draws of the two dataset categories before giving up
 MAX_EXAMPLES = 1000  # datasets with more points take no part in the pair sets
+PREDICT_ROWS = 8192  # most pairs predicted at once when a whole set is scored
 
 
 @dataclass(frozen=True)
@@ -414,9 +415,29 @@ class BsfEvaluation:
     acc_majority_et: float
 
 
+def _predict_pairs(model: MlpModel, pairs: PairSet) -> tuple:
+    """(probability_same, decision) of every pair, predicted in balanced parts.
+
+    The m pairs are cut into ``ceil(m / PREDICT_ROWS)`` parts of near-equal
+    size (``np.array_split``), and only one part's feature rows and layer
+    outputs are live at a time.  The parts are balanced rather than fixed
+    slices with a short last one: with numpy 2.4.6 and scipy-openblas 0.3.31,
+    balanced parts give probabilities bitwise equal to one whole-matrix
+    ``predict_features`` call, while a short remainder slice moved the last
+    bits of some.
+    """
+    m = len(pairs)
+    probabilities = np.empty(m)
+    decisions = np.empty(m, dtype=bool)
+    for part in np.array_split(np.arange(m), max(1, math.ceil(m / PREDICT_ROWS))):
+        x = _feature_rows(pairs, pairs.rows_i[part], pairs.rows_j[part], pairs.blocks[part])
+        probabilities[part], decisions[part] = predict_features(model, x)
+    return probabilities, decisions
+
+
 def _model_accuracy(model: MlpModel, pairs: PairSet) -> float:
-    """Accuracy on one set; its feature matrix lives only for this call."""
-    _p, decisions = predict_features(model, _feature_rows(pairs, pairs.rows_i, pairs.rows_j, pairs.blocks))
+    """Accuracy on one set, predicted part by part (``_predict_pairs``)."""
+    _p, decisions = _predict_pairs(model, pairs)
     return float((decisions.astype(int) == pairs.labels).mean())
 
 

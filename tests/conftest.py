@@ -1,9 +1,47 @@
-"""Fixtures and graph helpers shared by the test modules."""
+"""Fixtures, graph helpers and the pinned numeric environment shared by the test modules."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import metaclust
 from metaclust.data_model import WeightedGraph
+
+# Bit-level results (digests, bitwise comparisons of BLAS output) were recorded
+# with this numpy and this BLAS; under any other they may differ in the last bits.
+PINNED_NUMPY = "2.4.6"
+PINNED_BLAS = "scipy-openblas 0.3.31.188.0"
+
+
+def _blas() -> str:
+    try:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    except TypeError:  # numpy < 1.26 prints its config and takes no mode
+        blas = {}
+    return f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()
+
+
+def skip_unless_pinned_numpy_and_blas():
+    """Skip the calling test, naming the difference, under any numpy or BLAS but the pinned ones."""
+    found = (np.__version__, _blas())
+    if found != (PINNED_NUMPY, PINNED_BLAS):
+        pytest.skip(f"bits were recorded with numpy {PINNED_NUMPY} and {PINNED_BLAS}; found numpy {found[0]} and {found[1]}")
+
+
+def run_python_child(code: str, blas_threads: str, timeout: float = 120) -> str:
+    """The stdout of ``python -c code`` run with ``blas_threads`` OpenBLAS threads
+    and the package's source and this directory on its path."""
+    src = str(Path(metaclust.__file__).resolve().parent.parent)
+    tests = str(Path(__file__).resolve().parent)
+    path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads, "PYTHONPATH": path}
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=timeout)
+    assert child.returncode == 0, child.stderr
+    return child.stdout
 
 
 def _same_parts(a, b) -> bool:

@@ -5,29 +5,21 @@ parameters, so a change that moves their bits without flipping a decision
 would otherwise pass unseen.  These tests fit the models on small fixed
 repositories and compare the sha256 of each model's coefficient array (one
 row of weights, then the intercept, per candidate), of the trained MLP's
-flat parameter vector and of its predicted probabilities with recorded
-digests.  The bits depend on numpy and its BLAS, so under any other
+flat parameter vector and of its predicted probabilities (one set predicted
+whole, one predicted part by part) with recorded digests.  The bits depend on numpy and its BLAS, so under any other
 numpy or BLAS version the tests skip and name the difference.
 """
 
 import hashlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import metaclust
-
+from conftest import run_python_child, skip_unless_pinned_numpy_and_blas
 from metaclust.cli import default_family
 from metaclust.clusterers import ClustererSpec
 from metaclust.data_model import SynthSpec, make_synthetic_repository
 from metaclust.meta_pipelines import repo_runs, train_algo_select, train_meta_k
-
-PINNED_NUMPY = "2.4.6"
-PINNED_BLAS = "scipy-openblas 0.3.31.188.0"
 
 META_K_SHA256 = "7fa62ab88dab1660e37f6a13430ac31d1f3a335e1abe122b24b9972bd4844bc7"
 ALGO_SELECT_SHA256 = "8616323f36a3a6ad8cb3c609711070f84bfb9d1b8598008006062f81e24f263c"
@@ -37,39 +29,37 @@ ALGO_SELECT_SHA256 = "8616323f36a3a6ad8cb3c609711070f84bfb9d1b8598008006062f81e2
 MLP_BLAS_THREADS = "1"
 MLP_PARAMS_SHA256 = "348733abb6ccd3f9df770e8906e54a0ab5628893b44d8487c66d42227631ba28"
 MLP_PROBABILITIES_SHA256 = "dde239bd8eec316090bf8cf384de76eb96bd666fbeb9a2ffe332ab89d7f0b284"
+# The probabilities of a 9,000-pair set predicted in two balanced parts by
+# ``_predict_pairs``.  Recorded from one whole-matrix ``predict_features`` call
+# on the same rows, so it also shows that the parts move no bit.
+MLP_PART_PROBABILITIES_SHA256 = "505877077145de74cc343ae442a58ab65d9ef9ac533e34f3bd8da8acf487a9c5"
 
-# Trains on a small repository's meta-train set and predicts its meta-ET set;
-# prints the two digests, one a line.
+# Trains on a small repository's meta-train set, predicts its meta-ET set whole,
+# then predicts a larger meta-ET set part by part; prints the three digests,
+# one a line.
 MLP_CHILD = """
 import hashlib
 
 import numpy as np
 
 from metaclust.data_model import SynthSpec, make_synthetic_repository
-from metaclust.similarity_net import predict_features, sample_pair_splits, train_mlp
+from metaclust.similarity_net import PREDICT_ROWS, _predict_pairs, predict_features, sample_pair_splits, train_mlp
 
 repo = make_synthetic_repository(SynthSpec(n_problems=12, n_points=60, dims=(2, 5), seed=7))
 split = sample_pair_splits(repo, max_pairs=300)
 model = train_mlp(split.meta_train, epochs=2)
 probabilities, _decisions = predict_features(model, split.meta_et.features)
-for array in (model.params, probabilities):
+larger = sample_pair_splits(repo, max_pairs=1500).meta_et
+assert len(larger) > PREDICT_ROWS
+part_probabilities, _decisions = _predict_pairs(model, larger)
+for array in (model.params, probabilities, part_probabilities):
     print(hashlib.sha256(np.ascontiguousarray(array, dtype=np.float64).tobytes()).hexdigest())
 """
 
 
-def _blas() -> str:
-    try:
-        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    except TypeError:  # numpy < 1.26 prints its config and takes no mode
-        blas = {}
-    return f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()
-
-
 @pytest.fixture(autouse=True)
 def pinned_environment():
-    found = (np.__version__, _blas())
-    if found != (PINNED_NUMPY, PINNED_BLAS):
-        pytest.skip(f"digests were recorded with numpy {PINNED_NUMPY} and {PINNED_BLAS}; found numpy {found[0]} and {found[1]}")
+    skip_unless_pinned_numpy_and_blas()
 
 
 def digest(rows) -> str:
@@ -93,9 +83,8 @@ def test_algo_select_coefficients():
 
 
 def test_mlp_parameters_and_probabilities():
-    src = str(Path(metaclust.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": MLP_BLAS_THREADS, "PYTHONPATH": path}
-    child = subprocess.run([sys.executable, "-c", MLP_CHILD], env=env, capture_output=True, text=True, timeout=120)
-    assert child.returncode == 0, child.stderr
-    assert child.stdout.split() == [MLP_PARAMS_SHA256, MLP_PROBABILITIES_SHA256]
+    assert run_python_child(MLP_CHILD, MLP_BLAS_THREADS).split() == [
+        MLP_PARAMS_SHA256,
+        MLP_PROBABILITIES_SHA256,
+        MLP_PART_PROBABILITIES_SHA256,
+    ]

@@ -1,5 +1,6 @@
 """Pair features, the small MLP, Adadelta and the majority baseline."""
 
+import hashlib
 import sys
 import tracemalloc
 from pathlib import Path
@@ -8,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import run_python_child, skip_unless_pinned_numpy_and_blas
 from metaclust import similarity_net
 from metaclust.data_model import (
     DataError,
@@ -27,6 +29,7 @@ from metaclust.similarity_net import (
     LAYER_DIMS,
     PAD_DIM,
     PARAM_SHAPES,
+    PREDICT_ROWS,
     MlpModel,
     PairSet,
     adadelta_step,
@@ -656,6 +659,91 @@ class TestMajorityBaseline:
             assert majority_baseline(pairs) == majority_baseline_oracle(pairs)
 
 
+def model_accuracy_oracle(model, pairs):
+    """Whole-set scoring: (probabilities, decisions, accuracy) from one
+    ``predict_features`` call on the set's whole (m, 75) feature matrix."""
+    p, decisions = predict_features(model, similarity_net._feature_rows(pairs, pairs.rows_i, pairs.rows_j, pairs.blocks))
+    return p, decisions, float((decisions.astype(int) == pairs.labels).mean())
+
+
+def part_and_oracle_digests(sizes):
+    """Yield (m, digest of the part-by-part results, digest of the oracle's) for
+    each m in ``sizes``: the sha256 of the probabilities, decisions and accuracy
+    of m pairs drawn from a small trained repository's meta-ET set."""
+    repo = make_synthetic_repository(SynthSpec(n_problems=12, n_points=60, dims=(2, 5), seed=7))
+    model = train_mlp(sample_pair_splits(repo, max_pairs=300).meta_train, epochs=2)
+    pool = sample_pair_splits(repo, max_pairs=1500).meta_et
+    rng = np.random.default_rng(4)
+    for m in sizes:
+        rows = rng.integers(0, len(pool), size=m)
+        pairs = PairSet(
+            points=pool.points,
+            covariances=pool.covariances,
+            rows_i=pool.rows_i[rows],
+            rows_j=pool.rows_j[rows],
+            blocks=pool.blocks[rows],
+            labels=pool.labels[rows],
+            dataset_ids=pool.dataset_ids[rows],
+        )
+        p, decisions = similarity_net._predict_pairs(model, pairs)
+        parts = (p, decisions, np.float64(similarity_net._model_accuracy(model, pairs)))
+        whole = model_accuracy_oracle(model, pairs)
+        digests = [hashlib.sha256(b"".join(np.asarray(a).tobytes() for a in arrays)).hexdigest() for arrays in (parts, whole)]
+        yield m, *digests
+
+
+PART_SIZES = (1, PREDICT_ROWS, PREDICT_ROWS + 1, PREDICT_ROWS + 108, 5 * PREDICT_ROWS + 1)
+
+# Run at one BLAS thread, where the bits are deterministic; prints one line per size.
+PART_CHILD = f"""
+from test_similarity_net import part_and_oracle_digests
+
+for line in part_and_oracle_digests({PART_SIZES!r}):
+    print(*line)
+"""
+
+
+class TestPredictPairs:
+    """``_predict_pairs`` predicts a set in balanced parts of at most
+    ``PREDICT_ROWS`` rows; the whole-matrix ``model_accuracy_oracle`` is the reference."""
+
+    @pytest.fixture(scope="class")
+    def digests(self):
+        skip_unless_pinned_numpy_and_blas()
+        lines = run_python_child(PART_CHILD, "1").splitlines()
+        return {int(m): (parts, whole) for m, parts, whole in (line.split() for line in lines)}
+
+    @pytest.mark.parametrize("m", PART_SIZES)
+    def test_bitwise_equal_to_whole_matrix_oracle(self, digests, m):
+        parts, whole = digests[m]
+        assert parts == whole
+
+    def test_empty_set(self):
+        pairs = build_pair_features({}, [])
+        model = init_mlp(seed=0)
+        p, decisions = similarity_net._predict_pairs(model, pairs)
+        assert p.shape == decisions.shape == (0,) and p.dtype == float and decisions.dtype == bool
+        with pytest.warns(RuntimeWarning):  # the mean of no pairs
+            accuracy = similarity_net._model_accuracy(model, pairs)
+        with pytest.warns(RuntimeWarning):
+            _p, _decisions, oracle_accuracy = model_accuracy_oracle(model, pairs)
+        assert np.isnan(accuracy) and np.isnan(oracle_accuracy)
+
+    def test_parts_are_balanced(self, monkeypatch):
+        pairs = sample_pair_splits(make_synthetic_repository(SynthSpec(n_problems=8, n_points=40, seed=3)), max_pairs=60).meta_et
+        sizes = []
+
+        def predict(model, features):
+            sizes.append(features.shape[0])
+            return predict_features(model, features)
+
+        monkeypatch.setattr(similarity_net, "PREDICT_ROWS", 70)
+        monkeypatch.setattr(similarity_net, "predict_features", predict)
+        similarity_net._predict_pairs(init_mlp(seed=0), pairs)
+        m = len(pairs)
+        assert len(sizes) == -(-m // 70) and sum(sizes) == m and max(sizes) - min(sizes) <= 1
+
+
 class TestEvaluateBsf:
     def test_untrained_near_chance_and_fields(self):
         repo = make_synthetic_repository(
@@ -698,11 +786,13 @@ class TestPairnetMemory:
         assert peak < 10
 
     def test_evaluate_bsf_peak(self, pairnet):
-        # One set's feature matrix (21 MB for meta-ET) and the net's layer outputs are live at once.
+        # Sets are predicted in parts of at most PREDICT_ROWS pairs, so only one part's
+        # feature rows (at most 4.9 MB) and layer outputs are live, never a whole set's
+        # matrix (21 MB for meta-ET) and its (m, 100) layer outputs.
         repo, seed = pairnet
         split = sample_pair_splits(repo, seed=seed)
         _evaluation, peak = traced_peak_mb(evaluate_bsf, init_mlp(seed), split)
-        assert peak < 75
+        assert peak < 20
 
     def test_gathered_rows_match_per_dataset_oracle(self, pairnet):
         repo, seed = pairnet
