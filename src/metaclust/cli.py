@@ -21,6 +21,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from metaclust.clusterers import KINDS, ClustererSpec
 from metaclust.data_model import (
     FLOAT_FORMAT,
@@ -72,13 +74,20 @@ _CHUNK_ROWS = 8192  # rows per join; a whole profile's strings at once would tak
 
 
 def _write_float_pairs(path: Path, header, first, second) -> None:
-    """Two float columns, one join per chunk of rows: the bytes ``_write_csv`` writes for them."""
-    line = f"{FLOAT_FORMAT},{FLOAT_FORMAT}\r\n"
+    """Two float columns, one join per chunk of rows: the bytes ``_write_csv`` writes for them.
+
+    Each distinct bit pattern of ``second`` is formatted once (a threshold
+    profile repeats few loss values over many rows); patterns, not values,
+    so 0.0 and -0.0 keep their own text.
+    """
+    patterns, which = np.unique(np.ascontiguousarray(second, dtype=np.float64).view(np.int64), return_inverse=True)
+    texts = [FLOAT_FORMAT % v for v in patterns.view(np.float64).tolist()]
+    line = f"{FLOAT_FORMAT},%s\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, len(first), _CHUNK_ROWS):
             chunk = slice(start, start + _CHUNK_ROWS)
-            fh.write("".join([line % pair for pair in zip(first[chunk].tolist(), second[chunk].tolist())]))
+            fh.write("".join([line % (r, texts[t]) for r, t in zip(first[chunk].tolist(), which[chunk].tolist())]))
 
 
 def _write_config(out_dir: Path, args: argparse.Namespace) -> None:

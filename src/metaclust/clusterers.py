@@ -75,11 +75,17 @@ def _as_points(points) -> np.ndarray:
     return points
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator, sq_dist=None) -> np.ndarray:
+    # Squared distances from point i to every point: a row of ``sq_dist`` when
+    # given, else one row's sum, which has the same bits.
+    def sq_row(i):
+        return sq_dist[i] if sq_dist is not None else ((points - points[i]) ** 2).sum(axis=1)
+
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
-    centers[0] = points[int(rng.integers(n))]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    first = int(rng.integers(n))
+    centers[0] = points[first]
+    d2 = sq_row(first).copy()
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -88,7 +94,7 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
             # All candidate distances are zero (duplicate points): uniform pick.
             idx = int(rng.integers(n))
         centers[j] = points[idx]
-        np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1), out=d2)
+        np.minimum(d2, sq_row(idx), out=d2)
     return centers
 
 
@@ -109,9 +115,9 @@ def _fix_empty_clusters(points: np.ndarray, centers: np.ndarray, labels: np.ndar
     return labels
 
 
-def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator) -> tuple:
+def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator, sq_dist) -> tuple:
     d = points.shape[1]
-    centers = _kmeans_pp_init(points, k, rng)
+    centers = _kmeans_pp_init(points, k, rng, sq_dist)
     # The run's constant terms of the squared distances |p|^2 - 2p.c + |c|^2.
     p2 = (points**2).sum(axis=1)[:, None]
     two_p = 2.0 * points
@@ -139,16 +145,21 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator) -> tuple:
     return labels, centers, inertia
 
 
-def kmeans(points: np.ndarray, k: int, restarts: int = 1, seed: int = 0) -> ClusterResult:
+def kmeans(points: np.ndarray, k: int, restarts: int = 1, seed: int = 0, *, sq_dist=None) -> ClusterResult:
     """Best-inertia result over independent Lloyd runs with k-means++ seeding.
 
     Each restart draws its own sub-seed; the winner is the minimum-inertia run
     with the lowest restart index.  All k parts are non-empty (empty clusters
     are reseeded to the point furthest from its center).  ``points`` must be
-    a finite (n, d) array.
+    a finite (n, d) array.  ``sq_dist``, if given, is
+    ``squared_distances(points)``; the k-means++ init then reads its rows
+    instead of computing them, with the same bits.  Without it no (n, n)
+    matrix is built.
     """
     points = _as_points(points)
     n = points.shape[0]
+    if sq_dist is not None and np.shape(sq_dist) != (n, n):
+        raise ValueError(f"sq_dist must be an ({n}, {n}) matrix, got shape {np.shape(sq_dist)}")
     if k > n:
         raise ValueError(f"k={k} exceeds n={n}")
     if k < 2:
@@ -156,28 +167,13 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 1, seed: int = 0) -> Clus
     best = None
     for r in range(restarts):
         rng = np.random.default_rng(derive_seed(seed, r))
-        labels, centers, inertia = _lloyd(points, k, rng)
+        labels, centers, inertia = _lloyd(points, k, rng, sq_dist)
         if best is None or inertia < best[2]:
             best = (labels, centers, inertia)
     labels, centers, inertia = best
     # Lloyd's final centers are the part means, averaged over the same rows.
     partition = Partition(n_items=n, labels=labels)
     return ClusterResult(partition=partition, centers=centers, inertia=inertia)
-
-
-_LW_COEFFS = {
-    # (alpha_i, alpha_j, beta, gamma) from the merged sizes ni, nj and the
-    # int array nm of every slot's size.
-    "single": lambda ni, nj, nm: (0.5, 0.5, 0.0, -0.5),
-    "complete": lambda ni, nj, nm: (0.5, 0.5, 0.0, 0.5),
-    "average": lambda ni, nj, nm: (ni / (ni + nj), nj / (ni + nj), 0.0, 0.0),
-    "ward": lambda ni, nj, nm: (
-        (ni + nm) / (ni + nj + nm),
-        (nj + nm) / (ni + nj + nm),
-        -nm / (ni + nj + nm),
-        0.0,
-    ),
-}
 
 
 def agglomerative(points: np.ndarray, k: int, linkage: str = "single") -> Partition:
@@ -188,7 +184,9 @@ def agglomerative(points: np.ndarray, k: int, linkage: str = "single") -> Partit
     and column are set to inf, so the plain row-major argmin of the matrix
     is the lowest closest active pair.  Each merge evaluates the update over
     whole rows and keeps it only for the other active slots, so every active
-    entry gets the same float operations as a per-slot update.
+    entry gets the same float operations as a per-slot update.  Only the
+    non-zero terms of the update are evaluated: adding a zero-coefficient
+    term to a finite sum that is at least +0.0 moves no bit.
     """
     if linkage not in LINKAGES:
         raise ValueError(f"unknown linkage {linkage!r}")
@@ -205,21 +203,33 @@ def agglomerative(points: np.ndarray, k: int, linkage: str = "single") -> Partit
     active = np.ones(n, dtype=bool)
     sizes = np.ones(n, dtype=int)
     merged_into = np.arange(n)  # a retired slot's merge target; itself while active
-    coeffs = _LW_COEFFS[linkage]
+    gamma = {"single": -0.5, "complete": 0.5}.get(linkage)
 
     # Retired slots and the diagonal hold inf, where the update may be
-    # inf - inf; those entries are masked out by ``others``.
+    # inf - inf; those entries are masked out below.
     with np.errstate(invalid="ignore"):
         for _ in range(n - k):
             i, j = divmod(int(dist.argmin()), n)  # i < j: the matrix is symmetric
-            d_ij = dist[i, j]
-            ni, nj = sizes[i], sizes[j]
-            active[j] = False
-            others = active.copy()
-            others[i] = False
             di, dj = dist[i], dist[j]
-            ai, aj, beta, gamma = coeffs(ni, nj, sizes)
-            new_d = np.where(others, ai * di + aj * dj + beta * d_ij + gamma * np.abs(di - dj), np.inf)
+            ni, nj = int(sizes[i]), int(sizes[j])
+            # The update alpha_i*di + alpha_j*dj + beta*d_ij + gamma*|di - dj|,
+            # added left to right.
+            if linkage == "ward":
+                t = sizes + (ni + nj)
+                new_d = (sizes + ni) / t
+                new_d *= di
+                new_d += (sizes + nj) / t * dj
+                new_d += -sizes / t * dist[i, j]
+            elif linkage == "average":
+                new_d = ni / (ni + nj) * di
+                new_d += nj / (ni + nj) * dj
+            else:
+                new_d = 0.5 * di
+                new_d += 0.5 * dj
+                new_d += gamma * np.abs(di - dj)
+            active[j] = False
+            new_d[~active] = np.inf
+            new_d[i] = np.inf
             dist[i] = new_d
             dist[:, i] = new_d
             dist[j] = np.inf

@@ -44,6 +44,7 @@ __all__ = [
 
 FLOAT_FORMAT = "%.17g"  # the one float rule of every written file; it round-trips every float64
 DISTANCE_BLOCK = 64  # rows per step of ``squared_distances``
+_PAIRWISE_BLOCK = 128  # numpy's pairwise summation adds up to this many entries without splitting
 
 _MIX_MULT_1 = 0xBF58476D1CE4E5B9
 _MIX_MULT_2 = 0x94D049BB133111EB
@@ -440,18 +441,58 @@ def make_synthetic_repository(spec: SynthSpec) -> MetaRepository:
     return MetaRepository(problems=tuple(problems), seed=spec.seed)
 
 
+def _summed_squared_differences(cols: np.ndarray, rows: slice, lo: int, hi: int) -> np.ndarray:
+    """The (rows, n) sums over coordinates lo..hi-1 of ``(cols[c, rows, None] - cols[c]) ** 2``.
+
+    The terms are added in the order of numpy's pairwise summation of a
+    last axis of hi - lo entries: in order below 8 entries; up to
+    ``_PAIRWISE_BLOCK`` entries, 8 running sums over every 8th coordinate,
+    combined as a tree, then the leftover terms in order; above it, the sums
+    of two halves split at a multiple of 8.  So every entry has the bits of
+    ``.sum(axis=-1)`` over a whole (rows, n, d) difference array.
+    """
+    m = hi - lo
+    if m > _PAIRWISE_BLOCK:
+        half = m // 2 - (m // 2) % 8
+        total = _summed_squared_differences(cols, rows, lo, lo + half)
+        total += _summed_squared_differences(cols, rows, lo + half, hi)
+        return total
+
+    def square(c, out=None):
+        diff = np.subtract.outer(cols[c, rows], cols[c], out=out)
+        return np.multiply(diff, diff, out=diff)
+
+    if m < 8:
+        total, scratch, rest = square(lo), None, range(lo + 1, hi)
+    else:
+        r = [square(lo + j) for j in range(8)]
+        scratch = np.empty_like(r[0])
+        for c in range(lo + 8, hi - m % 8):
+            r[(c - lo) % 8] += square(c, scratch)
+        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+            r[a] += r[b]
+        total, rest = r[0], range(hi - m % 8, hi)
+    for c in rest:
+        total += square(c, scratch)
+    return total
+
+
 def squared_distances(points) -> np.ndarray:
     """(n, n) squared Euclidean distances between the rows of ``points``.
 
-    Computed for ``DISTANCE_BLOCK`` rows at a time, so the (rows, n, d)
-    differences stay small; each row is the same sum as in one whole-matrix
-    expression.
+    Computed for ``DISTANCE_BLOCK`` rows at a time, one coordinate at a time,
+    so only (rows, n) arrays are live; each entry has the bits of the one
+    whole-matrix expression ``((p[:, None] - p[None]) ** 2).sum(axis=2)``.
     """
     p = np.asarray(points, dtype=float)
-    out = np.empty((p.shape[0], p.shape[0]))
-    for start in range(0, p.shape[0], DISTANCE_BLOCK):
-        block = p[start : start + DISTANCE_BLOCK]
-        ((block[:, None] - p[None]) ** 2).sum(axis=2, out=out[start : start + block.shape[0]])
+    n, d = p.shape
+    if d == 0:
+        return np.zeros((n, n))
+    cols = np.ascontiguousarray(p.T)
+    out = np.empty((n, n))
+    for start in range(0, n, DISTANCE_BLOCK):
+        rows = slice(start, start + DISTANCE_BLOCK)
+        out[rows] = _summed_squared_differences(cols, rows, 0, d)
     return out
 
 

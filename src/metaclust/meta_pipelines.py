@@ -21,7 +21,17 @@ from typing import Sequence
 import numpy as np
 
 from metaclust.clusterers import ClustererSpec, kmeans, run_spec
-from metaclust.data_model import DataError, Dataset, MetaRepository, Partition, SplitSpec, covariance, derive_seed, split_repository
+from metaclust.data_model import (
+    DataError,
+    Dataset,
+    MetaRepository,
+    Partition,
+    SplitSpec,
+    covariance,
+    derive_seed,
+    split_repository,
+    squared_distances,
+)
 from metaclust.metrics import adjusted_rand_index, pairwise_distances, silhouette_score
 from metaclust.regression import fit_least_squares, phi_features, predict, symmetric_eigen_extrema
 
@@ -95,7 +105,8 @@ def generate_runs(
     """Single-start k-means runs for every (k, run) cell of an ascending k range.
 
     Each run uses its own sub-seed.  Silhouette is computed on the pruned
-    data when theta > 0, from one distance matrix shared by all cells; ARI
+    data when theta > 0, from one distance matrix shared by all cells, and the
+    squared distances under it seed every run's k-means++ init.  ARI
     is always computed against the full-data partition after reattaching
     pruned points to their nearest center.
     """
@@ -108,12 +119,13 @@ def generate_runs(
     if work.shape[0] < k_range[-1]:
         raise ValueError(f"{work.shape[0]} points cannot support k={k_range[-1]}")
 
-    dist = pairwise_distances(work)
+    sq = squared_distances(work)
+    dist = np.sqrt(sq)  # the bits of pairwise_distances(work)
     sil = np.empty((len(k_range), restarts))
     ari = np.empty((len(k_range), restarts))
     for i, k in enumerate(k_range):
         for run in range(restarts):
-            result = kmeans(work, k, restarts=1, seed=derive_seed(seed, k, run))
+            result = kmeans(work, k, restarts=1, seed=derive_seed(seed, k, run), sq_dist=sq)
             sil[i, run] = silhouette_score(work, result.partition, dist=dist)
             if outliers.size == 0:
                 full = result.partition

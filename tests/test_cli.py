@@ -111,6 +111,22 @@ class TestFloatFormat:
         assert fast == read_bytes(tmp_path / "cells.csv")
         assert fast.count(b"\r\n") == first.size + 1
 
+    def test_float_pairs_with_repeated_losses_across_chunks(self, tmp_path):
+        # Each distinct loss is formatted once: 0.0 and -0.0 must keep their own
+        # text, and repeats on both sides of a chunk boundary must get the same.
+        rng = np.random.default_rng(13)
+        losses = np.array([0.0, -0.0, 1 / 3, 5e-324])
+        n = 3 * cli._CHUNK_ROWS + 7
+        second = losses[rng.integers(0, losses.size, n)]
+        for boundary in (cli._CHUNK_ROWS, 2 * cli._CHUNK_ROWS):
+            second[boundary - 2 : boundary + 2] = losses
+        first = np.arange(n) / 9.0
+        cli._write_float_pairs(tmp_path / "fast.csv", ["r", "mean_loss"], first, second)
+        cli._write_csv(tmp_path / "cells.csv", ["r", "mean_loss"], zip(first.tolist(), second.tolist()))
+        fast = read_bytes(tmp_path / "fast.csv")
+        assert fast == read_bytes(tmp_path / "cells.csv")
+        assert {line.split(b",")[1] for line in fast.splitlines()[1:]} == {b"0", b"-0", b"0.33333333333333331", b"4.9406564584124654e-324"}
+
 
 class TestRunMetaK:
     def test_row_contract(self, repo_dir, tmp_path):

@@ -1,6 +1,7 @@
 """K-means, linkage clustering, threshold single-linkage and run_spec."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 from conftest import graph_edges, graph_from_edges
 from metaclust import clusterers
 from metaclust.clusterers import (
-    _LW_COEFFS,
     ClustererSpec,
     agglomerative,
     kmeans,
@@ -23,6 +23,7 @@ from metaclust.data_model import (
     derive_seed,
     labels_to_partition,
     normalize_points,
+    squared_distances,
 )
 from metaclust.erm_meta import _spanning_forest
 from metaclust.metrics import adjusted_rand_index
@@ -155,6 +156,21 @@ def naive_linkage(points, k, linkage):
     return Partition(n, tuple(tuple(c) for c in clusters))
 
 
+LW_COEFFS = {
+    # (alpha_i, alpha_j, beta, gamma) from the merged sizes ni, nj and the
+    # size nm of the other cluster.
+    "single": lambda ni, nj, nm: (0.5, 0.5, 0.0, -0.5),
+    "complete": lambda ni, nj, nm: (0.5, 0.5, 0.0, 0.5),
+    "average": lambda ni, nj, nm: (ni / (ni + nj), nj / (ni + nj), 0.0, 0.0),
+    "ward": lambda ni, nj, nm: (
+        (ni + nm) / (ni + nj + nm),
+        (nj + nm) / (ni + nj + nm),
+        -nm / (ni + nj + nm),
+        0.0,
+    ),
+}
+
+
 def lance_williams_oracle(points, k, linkage):
     """The Python-loop Lance-Williams clustering that ``agglomerative`` replaced.
 
@@ -172,7 +188,7 @@ def lance_williams_oracle(points, k, linkage):
     active = np.ones(n, dtype=bool)
     sizes = np.ones(n, dtype=int)
     members = [[i] for i in range(n)]
-    coeffs = _LW_COEFFS[linkage]
+    coeffs = LW_COEFFS[linkage]
     for _ in range(n - k):
         masked = np.where(active[:, None] & active[None, :], dist, np.inf)
         i, j = divmod(int(np.argmin(masked)), n)
@@ -307,15 +323,46 @@ class TestKmeans:
                 assert res.inertia == inertia, where
 
     def test_kmeans_pp_init_matches_oracle_draw_for_draw(self):
-        # Once every distance is 0 the init's picks all coincide, so an extra
-        # or reordered draw leaves the centers alone; the generator state
-        # after the init shows it.
+        # The init reads rows of a shared matrix when it is given one and
+        # computes them otherwise; both must follow the oracle.  Once every
+        # distance is 0 the init's picks all coincide, so an extra or
+        # reordered draw leaves the centers alone; the generator state after
+        # the init shows it.
         rng = np.random.default_rng(22)
         for case, (pts, k) in enumerate(oracle_cases(rng)):
-            ours, ref = np.random.default_rng(case), np.random.default_rng(case)
-            centers = clusterers._kmeans_pp_init(pts, k, ours)
-            assert centers.tobytes() == kmeans_pp_init_oracle(pts, k, ref).tobytes(), (pts.shape, k)
-            assert ours.bit_generator.state == ref.bit_generator.state, (pts.shape, k)
+            for sq_dist in (None, squared_distances(pts)):
+                ours, ref = np.random.default_rng(case), np.random.default_rng(case)
+                centers = clusterers._kmeans_pp_init(pts, k, ours, sq_dist)
+                where = (pts.shape, k, sq_dist is None)
+                assert centers.tobytes() == kmeans_pp_init_oracle(pts, k, ref).tobytes(), where
+                assert ours.bit_generator.state == ref.bit_generator.state, where
+
+    def test_shared_distance_matrix_changes_no_result(self):
+        rng = np.random.default_rng(23)
+        for case, (pts, k) in enumerate(oracle_cases(rng)):
+            restarts, seed = 1 + case % 3, derive_seed(7, k, case)
+            res = kmeans(pts, k, restarts, seed)
+            shared = kmeans(pts, k, restarts, seed, sq_dist=squared_distances(pts))
+            where = (pts.shape, k, restarts)
+            assert np.array_equal(shared.partition.labels, res.partition.labels), where
+            assert shared.centers.tobytes() == res.centers.tobytes(), where
+            assert shared.inertia == res.inertia, where
+
+    def test_shared_distance_matrix_shape_is_checked(self):
+        pts = np.random.default_rng(24).standard_normal((6, 2))
+        with pytest.raises(ValueError, match="sq_dist"):
+            kmeans(pts, 2, sq_dist=squared_distances(pts[:5]))
+
+    def test_memory_without_shared_matrix_is_linear(self):
+        # The (2000, 2000) distance matrix alone would take 30.5 MB.
+        pts = np.random.default_rng(25).standard_normal((2000, 2))
+        tracemalloc.start()
+        try:
+            kmeans(pts, 3, restarts=2, seed=1)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_empty_cluster_reseed_runs(self, monkeypatch):
         reseeds = []

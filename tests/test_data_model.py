@@ -475,9 +475,16 @@ def test_squared_distances_match_per_row_sums_exactly():
             assert np.array_equal(sq[i], ((pts[i] - pts) ** 2).sum(axis=1))
 
 
-@pytest.mark.parametrize("n,d", [(5, 2), (63, 3), (64, 1), (65, 4), (100, 2), (128, 10), (150, 5), (150, 2), (1000, 10)])
+@pytest.mark.parametrize(
+    "n,d",
+    [
+        (5, 2), (63, 3), (64, 1), (65, 4), (100, 2), (128, 10), (150, 5), (150, 2), (1000, 10),
+        # numpy's pairwise summation: 8 running sums from d = 8, two halves above d = 128
+        (70, 8), (70, 9), (65, 16), (65, 17), (40, 129), (30, 300), (1, 3),
+    ],
+)
 def test_squared_distances_blocks_match_one_expression(n, d):
-    # The one whole-matrix expression that the row blocks replace, kept as the oracle.
+    # The one whole-matrix expression that the row blocks and coordinate sums replace, kept as the oracle.
     pts = np.random.default_rng(n * 11 + d).standard_normal((n, d)) * 3.0
     assert np.array_equal(squared_distances(pts), ((pts[:, None] - pts[None]) ** 2).sum(axis=2))
 
