@@ -1,7 +1,7 @@
 """Supervised machinery for the meta layer.
 
-Least-squares linear regression (with a ridge fallback for rank-deficient
-designs) and the five-number meta-feature vector used by the algorithm
+Least-squares linear regression (minimum-norm for rank-deficient designs)
+and the five-number meta-feature vector used by the algorithm
 selector: dimensionality, example count, covariance eigenvalue extrema, and
 the silhouette of the candidate clustering.
 """
@@ -22,18 +22,17 @@ __all__ = [
     "symmetric_eigen_extrema",
 ]
 
-RIDGE_JITTER = 1e-8
-_OVERFLOW = "meta-features are too large: the least-squares fit overflows float64"
+_OVERFLOW = "the least-squares solution overflows float64"
 
 
 def fit_least_squares(features: Sequence, targets: Sequence[float]) -> np.ndarray:
-    """Minimize sum((w.x + c - y)^2) via the normal equations.
+    """Minimize sum((w.x + c - y)^2) with LAPACK's SVD least squares.
 
     Returns the read-only coefficient vector: one weight per feature column,
-    then the intercept c.  Rank-deficient designs are solved with a ridge
-    jitter on the normal equations instead of failing; the fit is
-    deterministic.  Features too large for the normal equations in float64
-    raise ``DataError``.
+    then the intercept c.  The design matrix is solved directly, not through
+    the normal equations, so no feature's scale is squared; a rank-deficient
+    design gets the minimum-norm solution.  Non-finite input, or a solution
+    that overflows float64, raises ``DataError``.
     """
     x = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(targets, dtype=float)
@@ -41,15 +40,10 @@ def fit_least_squares(features: Sequence, targets: Sequence[float]) -> np.ndarra
         raise ValueError("need at least 1 sample")
     if x.shape[0] != y.shape[0]:
         raise ValueError("features/targets length mismatch")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DataError("meta-features and targets must be finite")
     design = np.hstack([x, np.ones((x.shape[0], 1))])
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = design.T @ design
-        rhs = design.T @ y
-        if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
-            raise DataError(_OVERFLOW)
-        if np.linalg.matrix_rank(gram) < gram.shape[0]:
-            gram = gram + RIDGE_JITTER * np.eye(gram.shape[0])
-        coef = np.linalg.solve(gram, rhs)
+    coef = np.linalg.lstsq(design, y, rcond=None)[0]
     if not np.isfinite(coef).all():
         raise DataError(_OVERFLOW)
     coef.setflags(write=False)

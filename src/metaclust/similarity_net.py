@@ -64,7 +64,7 @@ class PairSet:
     (``rows_i[r]``, ``rows_j[r]``) of block ``blocks[r]``, with the
     same-class label ``labels[r]`` and the int code ``dataset_ids[r]`` of its
     source dataset (its position in the repository).  Every array is
-    read-only; ``features`` builds the (m, 75) feature matrix on each read.
+    read-only; ``_feature_rows`` builds feature rows on demand.
     """
 
     points: np.ndarray
@@ -95,13 +95,6 @@ class PairSet:
 
     def __len__(self) -> int:
         return self.labels.shape[0]
-
-    @property
-    def features(self) -> np.ndarray:
-        """The (m, 75) feature rows of every pair, built on each read (read-only)."""
-        f = _feature_rows(self, self.rows_i, self.rows_j, self.blocks)
-        f.setflags(write=False)
-        return f
 
 
 def _feature_rows(pairs: PairSet, first: np.ndarray, second: np.ndarray, blocks: np.ndarray) -> np.ndarray:

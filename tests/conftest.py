@@ -1,4 +1,4 @@
-"""Fixtures, graph helpers and the pinned numeric environment shared by the test modules."""
+"""Fixtures, graph and pair-feature helpers and the pinned numeric environment shared by the test modules."""
 
 import os
 import subprocess
@@ -10,6 +10,7 @@ import pytest
 
 import metaclust
 from metaclust.data_model import WeightedGraph
+from metaclust.similarity_net import _feature_rows
 
 # Bit-level results (digests, bitwise comparisons of BLAS output) were recorded
 # with this numpy and this BLAS; under any other they may differ in the last bits.
@@ -61,6 +62,11 @@ def _same_parts(a, b) -> bool:
 def same_parts():
     """The partition comparison that ignores part ids (``_same_parts``)."""
     return _same_parts
+
+
+def pair_features(pairs):
+    """The (m, 75) feature rows of every pair of a ``PairSet``, in pair order."""
+    return _feature_rows(pairs, pairs.rows_i, pairs.rows_j, pairs.blocks)
 
 
 def graph_from_edges(n, edges):

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import graph_edges, graph_from_edges
+from conftest import graph_edges, graph_from_edges, pair_features
 from metaclust.clusterers import ClustererSpec
 from metaclust.data_model import (
     Dataset,
@@ -456,7 +456,7 @@ def test_criterion_09_similarity_net_mechanics(announce):
     sym_ds, sym_truth = repo.problems[0]
 
     def predict_one(i, j):
-        p, decision = predict_features(model, build_pair_features([(sym_ds, sym_truth)], [(0, [i], [j])]).features)
+        p, decision = predict_features(model, pair_features(build_pair_features([(sym_ds, sym_truth)], [(0, [i], [j])])))
         return float(p[0]), bool(decision[0])
 
     symmetric = all(predict_one(i, j) == predict_one(j, i) for i, j in ((0, 1), (3, 17), (40, 5)))

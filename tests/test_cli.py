@@ -12,7 +12,6 @@ from metaclust.data_model import FLOAT_FORMAT, SynthSpec, make_synthetic_reposit
 
 GOLDEN = Path(__file__).parent / "golden"
 OVERFLOW = "points are too large: squared distances between them would overflow float64"
-LSQ_OVERFLOW = "meta-features are too large: the least-squares fit overflows float64"
 
 
 @pytest.fixture()
@@ -564,7 +563,7 @@ def _bad_points(kind, points):
         return np.column_stack([x * 1e9, 3 * x * 1e9])
     if kind == "shifted":
         return points + 1e160
-    if kind == "scaled":  # distances fit float64; covariance eigenvalues near 1e200 overflow the normal equations
+    if kind == "scaled":  # distances fit float64; covariance eigenvalues near 1e200 enter algo-select's meta-features
         return points * 1e100
     huge = points.copy()
     huge[0, 0] = 1e200
@@ -584,7 +583,7 @@ BAD_DATA_PIPELINES = {
 
 
 class TestBadDataContract:
-    """Degenerate but representable points run; points whose distances or meta-features overflow exit 2."""
+    """Degenerate but representable points run; points whose distances overflow exit 2."""
 
     @pytest.fixture(scope="class")
     def bad_repos(self, tmp_path_factory):
@@ -603,7 +602,7 @@ class TestBadDataContract:
         return repos
 
     @pytest.mark.parametrize("pipeline", sorted(BAD_DATA_PIPELINES))
-    @pytest.mark.parametrize("kind", ["identical", "collinear"])
+    @pytest.mark.parametrize("kind", ["identical", "collinear", "scaled"])
     def test_degenerate_points_run(self, bad_repos, tmp_path, capsys, kind, pipeline):
         repo, _path = bad_repos[kind]
         rc = main(["run", pipeline, "--repo", str(repo), "--out", str(tmp_path / "x"), *BAD_DATA_PIPELINES[pipeline]])
@@ -618,16 +617,3 @@ class TestBadDataContract:
         assert rc == EXIT_IO
         assert capsys.readouterr().err == f"error: {path}: {OVERFLOW}\n"
         assert not out.exists()
-
-    @pytest.mark.parametrize("pipeline", sorted(BAD_DATA_PIPELINES))
-    def test_overflowing_meta_features_exit_2_in_algo_select(self, bad_repos, tmp_path, capsys, pipeline):
-        # Only algo-select fits on the covariance eigenvalues; every other pipeline runs.
-        repo, _path = bad_repos["scaled"]
-        out = tmp_path / "x"
-        rc = main(["run", pipeline, "--repo", str(repo), "--out", str(out), *BAD_DATA_PIPELINES[pipeline]])
-        err = capsys.readouterr().err
-        if pipeline == "algo-select":
-            assert (rc, err) == (EXIT_IO, f"error: {LSQ_OVERFLOW}\n")
-            assert not out.exists()
-        else:
-            assert (rc, err) == (EXIT_OK, "")

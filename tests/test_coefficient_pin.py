@@ -6,8 +6,10 @@ would otherwise pass unseen.  These tests fit the models on small fixed
 repositories and compare the sha256 of each model's coefficient array (one
 row of weights, then the intercept, per candidate), of the trained MLP's
 flat parameter vector and of its predicted probabilities (one set predicted
-whole, one predicted part by part) with recorded digests.  The bits depend on numpy and its BLAS, so under any other
-numpy or BLAS version the tests skip and name the difference.
+whole, one predicted part by part) with recorded digests.  The meta-model
+digests must also hold in children with 1 and with 2 OpenBLAS threads.  The
+bits depend on numpy and its BLAS, so under any other numpy or BLAS version the
+tests skip and name the difference.
 """
 
 import hashlib
@@ -21,8 +23,8 @@ from metaclust.clusterers import ClustererSpec
 from metaclust.data_model import SynthSpec, make_synthetic_repository
 from metaclust.meta_pipelines import repo_runs, train_algo_select, train_meta_k
 
-META_K_SHA256 = "7fa62ab88dab1660e37f6a13430ac31d1f3a335e1abe122b24b9972bd4844bc7"
-ALGO_SELECT_SHA256 = "8616323f36a3a6ad8cb3c609711070f84bfb9d1b8598008006062f81e24f263c"
+META_K_SHA256 = "70eac2718fa73c4bdeb6456a8bb3997f00ae46a74632ff8c5c48f0e100b0912d"
+ALGO_SELECT_SHA256 = "cf9afa3dd81a457484fb1d1974f55bc08a3709f579c178f04ac1da52329a93ef"
 
 # The MLP's bits also depend on the BLAS thread count, so it is trained in a
 # child process with this many OpenBLAS threads.
@@ -42,13 +44,14 @@ import hashlib
 
 import numpy as np
 
+from conftest import pair_features
 from metaclust.data_model import SynthSpec, make_synthetic_repository
 from metaclust.similarity_net import PREDICT_ROWS, _predict_pairs, predict_features, sample_pair_splits, train_mlp
 
 repo = make_synthetic_repository(SynthSpec(n_problems=12, n_points=60, dims=(2, 5), seed=7))
 split = sample_pair_splits(repo, max_pairs=300)
 model = train_mlp(split.meta_train, epochs=2)
-probabilities, _decisions = predict_features(model, split.meta_et.features)
+probabilities, _decisions = predict_features(model, pair_features(split.meta_et))
 larger = sample_pair_splits(repo, max_pairs=1500).meta_et
 assert len(larger) > PREDICT_ROWS
 part_probabilities, _decisions = _predict_pairs(model, larger)
@@ -66,20 +69,42 @@ def digest(rows) -> str:
     return hashlib.sha256(np.ascontiguousarray(rows, dtype=np.float64).tobytes()).hexdigest()
 
 
-def test_meta_k_coefficients():
+def meta_k_model():
     repo = make_synthetic_repository(SynthSpec(n_problems=8, n_points=40, seed=7))
-    model = train_meta_k(repo_runs(repo, range(2, 6), 3, seed=7))
+    return train_meta_k(repo_runs(repo, range(2, 6), 3, seed=7))
+
+
+def algo_select_model():
+    # A member with k > n fails on every problem, so failure rows are pinned too.
+    repo = make_synthetic_repository(SynthSpec(n_problems=8, n_points=40, dims=(2, 4), seed=7))
+    family = default_family() + [ClustererSpec(kind="agglo_ward", k=50)]
+    return train_algo_select(family, repo.problems, seed=7)
+
+
+def test_meta_k_coefficients():
+    model = meta_k_model()
     assert model.coef.shape == (4, 2)
     assert digest(model.coef) == META_K_SHA256
 
 
 def test_algo_select_coefficients():
-    # A member with k > n fails on every problem, so failure rows are pinned too.
-    repo = make_synthetic_repository(SynthSpec(n_problems=8, n_points=40, dims=(2, 4), seed=7))
-    family = default_family() + [ClustererSpec(kind="agglo_ward", k=50)]
-    model = train_algo_select(family, repo.problems, seed=7)
+    model = algo_select_model()
     assert model.coef.shape == (11, 6) and model.n_failed_rows == 8
     assert digest(model.coef) == ALGO_SELECT_SHA256
+
+
+# Fits both meta-models in a child; prints their two digests, one a line.
+COEF_CHILD = """
+from test_coefficient_pin import algo_select_model, digest, meta_k_model
+
+print(digest(meta_k_model().coef))
+print(digest(algo_select_model().coef))
+"""
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_coefficients_do_not_depend_on_the_blas_thread_count(blas_threads):
+    assert run_python_child(COEF_CHILD, blas_threads).split() == [META_K_SHA256, ALGO_SELECT_SHA256]
 
 
 def test_mlp_parameters_and_probabilities():

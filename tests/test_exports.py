@@ -1,6 +1,7 @@
 """Every name a metaclust module exports in ``__all__`` exists, star-imports
-and, but for a short allow-list, is used by library code; every name a module
-imports is used in it or exported; every exception it raises maps to an exit code."""
+and, but for a short allow-list, is used by library code, and so is every
+public method or property of an exported class; every name a module imports is
+used in it or exported; every exception it raises maps to an exit code."""
 
 import ast
 import importlib
@@ -30,13 +31,16 @@ def test_all_names_exist_and_star_import(name):
 UNREFERENCED_ALLOWED = {"erm_select", "generalization_bound", "fit_threshold_bruteforce", "rand_index"}
 
 
+def _library_files():
+    """The package's module files but ``__init__.py``, which only re-exports."""
+    return sorted(p for p in Path(metaclust.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
 def _library_references():
     """Every identifier that library code reads or imports; definitions, ``__all__`` strings and
     the package's own re-exports in ``__init__.py`` do not count."""
     seen = set()
-    for path in Path(metaclust.__file__).parent.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
+    for path in _library_files():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 seen.add(node.id)
@@ -56,6 +60,26 @@ def test_every_export_has_a_library_caller():
         if export not in referenced
     }
     assert {n.rsplit(".", 1)[1] for n in unreferenced} == UNREFERENCED_ALLOWED, sorted(unreferenced)
+
+
+# Public methods and properties of exported classes that library code never reads as ``x.name``.
+UNREAD_MEMBERS_ALLOWED = set()
+
+
+def test_every_public_member_of_an_exported_class_is_read():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in _library_files()}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    members = set()
+    for name, tree in trees.items():
+        exported = set(getattr(importlib.import_module(f"metaclust.{name[:-3]}"), "__all__", []))
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and cls.name in exported:
+                members.update(
+                    f"{cls.name}.{node.name}"
+                    for node in cls.body
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                )
+    assert {m for m in members if m.rsplit(".", 1)[1] not in read} == UNREAD_MEMBERS_ALLOWED
 
 
 @pytest.mark.parametrize("path", sorted(Path(metaclust.__file__).parent.glob("*.py")), ids=lambda p: p.name)

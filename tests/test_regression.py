@@ -21,6 +21,38 @@ from metaclust.regression import (
 )
 
 
+RIDGE_JITTER = 1e-8
+
+
+def normal_equations_oracle(features, targets):
+    """The normal-equations solve the library used before its SVD least
+    squares, kept as an oracle: ``design.T @ design`` with a ridge jitter when
+    it is rank-deficient."""
+    x = np.atleast_2d(np.asarray(features, dtype=float))
+    design = np.hstack([x, np.ones((x.shape[0], 1))])
+    gram = design.T @ design
+    if np.linalg.matrix_rank(gram) < gram.shape[0]:
+        gram = gram + RIDGE_JITTER * np.eye(gram.shape[0])
+    return np.linalg.solve(gram, design.T @ np.asarray(targets, dtype=float))
+
+
+def meta_k_design(rng, m):
+    """(m, 1) silhouettes with ARI-like targets: one k of meta-k's training set."""
+    sil = rng.uniform(-0.2, 0.9, (m, 1))
+    return sil, np.clip(0.8 * sil[:, 0] + 0.1 + 0.1 * rng.standard_normal(m), -0.5, 1.0)
+
+
+def algo_select_design(rng, m, n=None):
+    """(m, 5) meta-feature rows [d, n, sigma_min, sigma_max, silhouette] with
+    ARI-like targets.  Each row draws its own n unless ``n`` is given; one n
+    for every problem makes the n column a multiple of the intercept."""
+    d = rng.integers(1, 7, m).astype(float)
+    lo = rng.uniform(0.0, 0.5, m)
+    n = rng.integers(40, 300, m).astype(float) if n is None else np.full(m, float(n))
+    rows = np.column_stack([d, n, lo, lo + rng.uniform(0.5, 3.0, m), rng.uniform(-0.2, 0.9, m)])
+    return rows, np.clip(rows[:, 4] - 0.05 * d + 0.1 * rng.standard_normal(m), -0.5, 1.0)
+
+
 class TestFitLeastSquares:
     def test_exact_line(self):
         coef = fit_least_squares([[0.0], [1.0], [2.0]], [0.0, 1.0, 2.0])
@@ -46,13 +78,35 @@ class TestFitLeastSquares:
         assert np.abs(design.T @ residual).max() <= 1e-6
 
     def test_matches_lstsq_oracle(self):
+        # A full-rank design: the normal-equations oracle solves the same problem.
         rng = np.random.default_rng(1)
         x = rng.standard_normal((40, 3))
         y = x @ [2.0, -1.0, 0.5] + 0.25 + 0.01 * rng.standard_normal(40)
         coef = fit_least_squares(x, y)
-        design = np.hstack([x, np.ones((40, 1))])
-        ref, *_ = np.linalg.lstsq(design, y, rcond=None)
-        assert coef == pytest.approx(ref, abs=1e-8)
+        assert coef == pytest.approx(normal_equations_oracle(x, y), abs=1e-8)
+
+    @pytest.mark.parametrize("design", [meta_k_design, algo_select_design])
+    def test_training_predictions_match_the_normal_equations_oracle(self, design):
+        rng = np.random.default_rng(20)
+        for trial in range(200):
+            x, y = design(rng, int(rng.integers(8, 80)))
+            fitted = predict(fit_least_squares(x, y), x)
+            np.testing.assert_allclose(fitted, predict(normal_equations_oracle(x, y), x), rtol=1e-9, err_msg=trial)
+
+    def test_rank_deficient_is_minimum_norm(self):
+        # One n for every problem, as in a repository of equal-sized datasets.
+        rng = np.random.default_rng(21)
+        for trial in range(200):
+            m = int(rng.integers(8, 80))
+            x, y = algo_select_design(rng, m, n=150)
+            design = np.hstack([x, np.ones((m, 1))])
+            coef = fit_least_squares(x, y)
+            np.testing.assert_allclose(coef, np.linalg.pinv(design) @ y, rtol=1e-9, atol=1e-12, err_msg=trial)
+            # The oracle's ridge moves its fit by about its jitter over the
+            # smallest nonzero eigenvalue of the Gram matrix, up to 1e-7 of the
+            # largest prediction on these designs.
+            fitted, ridge = predict(coef, x), predict(normal_equations_oracle(x, y), x)
+            assert np.abs(fitted - ridge).max() <= 1e-6 * np.abs(ridge).max(), trial
 
     def test_rank_deficient_is_deterministic(self):
         x = [[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]  # collinear columns
@@ -68,16 +122,28 @@ class TestFitLeastSquares:
             fit_least_squares([], [])
 
     @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
-    def test_overflowing_features_are_data_error(self, scale):
-        # The Gram matrix holds x^2, past float64's 1.8e308 at each scale.
+    def test_huge_features_give_finite_coefficients(self, scale):
+        # x^2 is past float64's 1.8e308 at each scale; the design itself is not squared.
         x = np.array([[1.0, 2.0], [3.0, 1.0], [0.5, 4.0]]) * [1.0, scale]
-        with np.errstate(all="raise"), pytest.raises(DataError, match="overflows float64"):
-            fit_least_squares(x, [0.0, 1.0, 0.5])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            coef = fit_least_squares(x, [0.0, 1.0, 0.5])
+        assert np.isfinite(coef).all()
 
     def test_large_finite_fit_is_no_error(self):
-        x = np.array([[1.0], [3.0], [0.5]]) * 1e100  # x^2 = 1e200 still fits in float64
+        x = np.array([[1.0], [3.0], [0.5]]) * 1e100
         coef = fit_least_squares(x, [0.0, 1.0, 0.5])
         assert np.isfinite(coef).all()
+
+    def test_overflowing_solution_is_data_error(self):
+        # Finite input whose exact slope, -3.4e321, is past float64's range.
+        with pytest.raises(DataError, match="overflows float64"):
+            fit_least_squares([[0.0], [1e-13]], [1.7e308, -1.7e308])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_is_data_error(self, bad):
+        for features, targets in (([[0.0], [bad], [2.0]], [0.0, 1.0, 2.0]), ([[0.0], [1.0], [2.0]], [0.0, bad, 2.0])):
+            with pytest.raises(DataError, match="must be finite"):
+                fit_least_squares(features, targets)
 
 
 class TestPredict:

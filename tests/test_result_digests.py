@@ -1,12 +1,12 @@
 """The benchmark's result files, pinned by digest.
 
-The seed-7 ``kgrid`` and ``linkage`` repositories of ``perfbench/workloads.py``
-are generated and their pipelines run with the workload flags through
-``cli.main``, in a child with one BLAS thread.  The sha256 of each result CSV
-must equal the digest recorded here, so a change that moves a result bit fails
-in tier 1 instead of only in a hand check.  The bits depend on numpy and its
-BLAS, so under any other numpy or BLAS version the test skips and names the
-difference.
+The ``kgrid`` and ``linkage`` repositories of ``perfbench/workloads.py`` are
+generated at seeds 7 (the workload seed) and 3, and their pipelines run with
+the workload flags and that seed through ``cli.main``, in a child with one BLAS
+thread.  The sha256 of each result CSV must equal the digest recorded here, so
+a change that moves a result bit fails in tier 1 instead of only in a hand
+check.  The bits depend on numpy and its BLAS, so under any other numpy or
+BLAS version the test skips and names the difference.
 """
 
 import json
@@ -16,19 +16,25 @@ from conftest import run_python_child, skip_unless_pinned_numpy_and_blas
 BLAS_THREADS = "1"
 
 RESULT_SHA256 = {
-    "kgrid/meta-k/meta_k.csv": "293101258a0a61f82495e56b0d9521d9b2b5da762a8c801ab990d7a69464d0c3",
-    "kgrid/outliers/outliers.csv": "a1aa80aef91464c672eb3ae97d47895b272d5aa264cf19291a16798425f608fb",
-    "linkage/algo-select/algo_select.csv": "7729c3a9a0deedebc3dbd1e5130fa8a0eac98a7c4cf04f1fb3dfd4868f15216b",
-    "linkage/fit-threshold/threshold_profile.csv": "043b40c705cd429ecf1abf766f12765e3162b24099096577177a215c2998c233",
-    "linkage/meta-scale/meta_scale.csv": "b02c150c8d679584a687b3a4b7fb688f8bb6575c7f2a700d5fa8095d0b961807",
+    "seed7/kgrid/meta-k/meta_k.csv": "293101258a0a61f82495e56b0d9521d9b2b5da762a8c801ab990d7a69464d0c3",
+    "seed7/kgrid/outliers/outliers.csv": "a1aa80aef91464c672eb3ae97d47895b272d5aa264cf19291a16798425f608fb",
+    "seed7/linkage/algo-select/algo_select.csv": "7729c3a9a0deedebc3dbd1e5130fa8a0eac98a7c4cf04f1fb3dfd4868f15216b",
+    "seed7/linkage/fit-threshold/threshold_profile.csv": "043b40c705cd429ecf1abf766f12765e3162b24099096577177a215c2998c233",
+    "seed7/linkage/meta-scale/meta_scale.csv": "b02c150c8d679584a687b3a4b7fb688f8bb6575c7f2a700d5fa8095d0b961807",
+    "seed3/kgrid/meta-k/meta_k.csv": "b3fa07d4b2e4b84e48e887e1ee7f26dd4db357dd3bac0b21cc45b5ca7fb853c8",
+    "seed3/kgrid/outliers/outliers.csv": "85f846afd4b98e398ee1b93df3648ae0ed7b6280a0c52aba7b0ac39abd597d49",
+    "seed3/linkage/algo-select/algo_select.csv": "4a06032b15cbaba66a890f3448dc762873d465e261380683b698f8f46c33748f",
+    "seed3/linkage/fit-threshold/threshold_profile.csv": "64db6e6c48d39568eea9fd8030b174425bf03f5af099225a562fbe0e920dfd5b",
+    "seed3/linkage/meta-scale/meta_scale.csv": "8947e2503ed77f59cf7d7929fd1aaa4fdc1b3992e275fd65157398fd47aa67f3",
 }
 
-# Writes each workload's repository and runs its pipelines in a temporary
-# directory; prints {relative path: sha256} of every CSV the pipelines write.
+# Writes each workload's repository at each seed and runs its pipelines in a
+# temporary directory; prints {relative path: sha256} of every CSV they write.
 DIGEST_CHILD = """
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import sys
 import tempfile
@@ -44,13 +50,13 @@ from metaclust.data_model import SynthSpec, make_synthetic_repository, save_repo
 
 digests = {}
 with tempfile.TemporaryDirectory() as tmp:
-    for name in ("kgrid", "linkage"):
+    for seed, name in itertools.product((DEFAULT_SEED, 3), ("kgrid", "linkage")):
         workload = WORKLOADS[name]
-        out = Path(tmp) / name
+        out = Path(tmp) / f"seed{seed}" / name
         repo_dir = out / "repo"
-        save_repository(make_synthetic_repository(SynthSpec(seed=DEFAULT_SEED, **workload.synth)), repo_dir)
+        save_repository(make_synthetic_repository(SynthSpec(seed=seed, **workload.synth)), repo_dir)
         for pipeline, *flags in workload.pipelines:
-            argv = ["run", pipeline, "--repo", str(repo_dir), "--seed", str(DEFAULT_SEED), "--out", str(out / pipeline)]
+            argv = ["run", pipeline, "--repo", str(repo_dir), "--seed", str(seed), "--out", str(out / pipeline)]
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(argv + flags) == 0, pipeline
             for path in sorted((out / pipeline).glob("*.csv")):

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import run_python_child, skip_unless_pinned_numpy_and_blas
+from conftest import pair_features, run_python_child, skip_unless_pinned_numpy_and_blas
 from metaclust import similarity_net
 from metaclust.data_model import (
     DataError,
@@ -80,7 +80,7 @@ def swap_blocks(features):
 
 
 def pair_set(features, labels, dataset_ids=0):
-    """A PairSet whose ``features`` are the given (m, 75) rows: pair t is points
+    """A PairSet whose feature rows are the given (m, 75) rows: pair t is points
     rows (t, m + t), holding its two coordinate blocks, of block t, holding its
     covariance features."""
     features = np.asarray(features, dtype=float)
@@ -182,8 +182,8 @@ def train_mlp_oracle(meta_train, epochs, batch, seed):
     """
     m = len(meta_train)
     x = np.empty((2 * m, FEATURE_DIM))
-    x[0::2] = meta_train.features
-    x[1::2] = swap_blocks(meta_train.features)
+    x[0::2] = pair_features(meta_train)
+    x[1::2] = swap_blocks(x[0::2])
     y = np.repeat(meta_train.labels, 2)
 
     init = init_mlp(seed)
@@ -211,14 +211,15 @@ class TestPairFeatures:
         rng = np.random.default_rng(0)
         ds, truth = toy_dataset(rng, d=3)
         pairs = build_pair_features([(ds, truth)], [(0, [0, 4], [1, 2])])
-        assert pairs.features.shape == (2, FEATURE_DIM) and len(pairs) == 2
-        assert np.all(pairs.features[:, 3:PAD_DIM] == 0.0)  # coord block 1 padding
-        assert np.all(pairs.features[:, PAD_DIM + 3 : 2 * PAD_DIM] == 0.0)  # block 2
+        x = pair_features(pairs)
+        assert x.shape == (2, FEATURE_DIM) and len(pairs) == 2
+        assert np.all(x[:, 3:PAD_DIM] == 0.0)  # coord block 1 padding
+        assert np.all(x[:, PAD_DIM + 3 : 2 * PAD_DIM] == 0.0)  # block 2
 
     def test_covariance_block_embedding(self):
         rng = np.random.default_rng(1)
         ds, truth = toy_dataset(rng, d=3)
-        cov_block = build_pair_features([(ds, truth)], [(0, [0], [1])]).features[0, 2 * PAD_DIM :]
+        cov_block = pair_features(build_pair_features([(ds, truth)], [(0, [0], [1])]))[0, 2 * PAD_DIM :]
         assert cov_block.shape == (55,)
         # entries of the 10x10 upper triangle outside the leading 3x3 are zero
         full = np.zeros((PAD_DIM, PAD_DIM))
@@ -232,16 +233,16 @@ class TestPairFeatures:
     def test_covariance_shared_across_pairs(self):
         rng = np.random.default_rng(2)
         ds, truth = toy_dataset(rng)
-        cov = build_pair_features([(ds, truth)], [(0, [0, 5, 3], [1, 9, 0])]).features[:, 2 * PAD_DIM :]
+        cov = pair_features(build_pair_features([(ds, truth)], [(0, [0, 5, 3], [1, 9, 0])]))[:, 2 * PAD_DIM :]
         assert np.array_equal(cov[0], cov[1]) and np.array_equal(cov[0], cov[2])
 
     def test_swap_exchanges_coordinate_blocks_only(self):
         rng = np.random.default_rng(3)
         ds, truth = toy_dataset(rng)
-        fwd = build_pair_features([(ds, truth)], [(0, [2, 0], [7, 5])])
-        rev = build_pair_features([(ds, truth)], [(0, [7, 5], [2, 0])])
-        assert np.array_equal(swap_blocks(fwd.features), rev.features)
-        assert np.array_equal(swap_blocks(fwd.features[0]), rev.features[0])  # one row
+        fwd = pair_features(build_pair_features([(ds, truth)], [(0, [2, 0], [7, 5])]))
+        rev = pair_features(build_pair_features([(ds, truth)], [(0, [7, 5], [2, 0])]))
+        assert np.array_equal(swap_blocks(fwd), rev)
+        assert np.array_equal(swap_blocks(fwd[0]), rev[0])  # one row
 
     def test_labels(self):
         pts = np.array([[0.0], [0.1], [5.0], [5.1]])
@@ -260,7 +261,7 @@ class TestPairFeatures:
             build_pair_features([toy_dataset(rng)], [(0, [0, 3], [1, 3])])
 
     def test_malformed_pair_set_rejected(self):
-        assert np.array_equal(pair_set(np.ones((2, FEATURE_DIM)), [0, 1]).features, np.ones((2, FEATURE_DIM)))
+        assert np.array_equal(pair_features(pair_set(np.ones((2, FEATURE_DIM)), [0, 1])), np.ones((2, FEATURE_DIM)))
         for column in (3, 30):  # a point coordinate, a covariance feature
             features = np.zeros((2, FEATURE_DIM))
             features[1, column] = np.nan
@@ -280,7 +281,7 @@ class TestPairFeatures:
     def test_arrays_read_only(self):
         pairs = build_pair_features([toy_dataset(np.random.default_rng(5))], [(0, [0], [1])])
         stored = (pairs.points, pairs.covariances, pairs.rows_i, pairs.rows_j, pairs.blocks)
-        for arr in (pairs.features, pairs.labels, pairs.dataset_ids, *stored):
+        for arr in (pairs.labels, pairs.dataset_ids, *stored):
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
 
@@ -315,9 +316,10 @@ class TestPairFeatures:
         # every pair in both orders
         rows_i, rows_j = np.concatenate([rows_i, rows_j]), np.concatenate([rows_j, rows_i])
         pairs = build_pair_features([(ds, truth)], [(0, rows_i, rows_j)])
+        rows = pair_features(pairs)
         for t, (i, j) in enumerate(zip(rows_i, rows_j)):
             features, label = pair_features_oracle(ds, truth, i, j)
-            assert np.all(pairs.features[t] == features)
+            assert np.all(rows[t] == features)
             assert (pairs.labels[t], pairs.dataset_ids[t]) == (label, 0)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -336,16 +338,16 @@ class TestPairFeatures:
             picks.append((p, rows_i, rows_j))
         pairs = build_pair_features(problems, picks)
         features, labels, dataset_ids = pair_set_oracle(problems, picks)
-        assert np.array_equal(pairs.features, features)
+        assert np.array_equal(pair_features(pairs), features)
         assert np.array_equal(pairs.labels, labels)
         assert np.array_equal(pairs.dataset_ids, dataset_ids)
-        assert pairs.features.dtype == np.float64 and pairs.labels.dtype == pairs.dataset_ids.dtype == int
+        assert pair_features(pairs).dtype == np.float64 and pairs.labels.dtype == pairs.dataset_ids.dtype == int
 
     def test_empty_picks_build_an_empty_set(self):
         problems = {3: toy_dataset(np.random.default_rng(6))}
         for picks in ([], [(3, [], [])]):
             pairs = build_pair_features(problems, picks)
-            assert len(pairs) == 0 and pairs.features.shape == (0, FEATURE_DIM)
+            assert len(pairs) == 0 and pair_features(pairs).shape == (0, FEATURE_DIM)
 
     def test_bad_pick_rejected(self):
         problems = {0: toy_dataset(np.random.default_rng(7))}
@@ -407,7 +409,8 @@ class TestSplits:
         b = sample_pair_splits(self.repo(), seed=5, max_pairs=40)
         for name in ("meta_train", "meta_it", "meta_et"):
             pa, pb = getattr(a, name), getattr(b, name)
-            for field in ("features", "labels", "dataset_ids"):
+            assert np.array_equal(pair_features(pa), pair_features(pb))
+            for field in ("labels", "dataset_ids"):
                 assert np.array_equal(getattr(pa, field), getattr(pb, field))
 
     def test_one_feature_build_per_set(self, monkeypatch):
@@ -439,7 +442,7 @@ class TestSplits:
         split = sample_pair_splits(repo, seed=seed, max_pairs=max_pairs)
         sets = (split.meta_train, split.meta_it, split.meta_et)
         for pairs, (features, labels, dataset_ids) in zip(sets, expected):
-            assert np.array_equal(pairs.features, features)
+            assert np.array_equal(pair_features(pairs), features)
             assert np.array_equal(pairs.labels, labels)
             assert np.array_equal(pairs.dataset_ids, dataset_ids)
             assert majority_baseline(pairs) == majority_baseline_oracle(pairs)
@@ -597,8 +600,8 @@ class TestPrediction:
         model = init_mlp(seed=5)
         for _ in range(10):
             i, j = rng.choice(ds.n, size=2, replace=False)
-            pi, di = predict_features(model, build_pair_features([(ds, truth)], [(0, [i], [j])]).features)
-            pj, dj = predict_features(model, build_pair_features([(ds, truth)], [(0, [j], [i])]).features)
+            pi, di = predict_features(model, pair_features(build_pair_features([(ds, truth)], [(0, [i], [j])])))
+            pj, dj = predict_features(model, pair_features(build_pair_features([(ds, truth)], [(0, [j], [i])])))
             assert pi[0] == pj[0] and di[0] == dj[0]
 
     def test_matches_swapped_copy_and_restores_input(self):
@@ -799,7 +802,7 @@ class TestPairnetMemory:
         split = sample_pair_splits(repo, seed=seed)
         sets = (split.meta_train, split.meta_it, split.meta_et)
         for pairs, (features, labels, dataset_ids) in zip(sets, sample_pair_splits_oracle(repo, seed, 2500)):
-            assert np.array_equal(pairs.features, features)
+            assert np.array_equal(pair_features(pairs), features)
             assert np.array_equal(pairs.labels, labels)
             assert np.array_equal(pairs.dataset_ids, dataset_ids)
 
