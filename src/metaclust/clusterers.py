@@ -75,27 +75,38 @@ def _as_points(points) -> np.ndarray:
     return points
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator, sq_dist=None) -> np.ndarray:
-    # Squared distances from point i to every point: a row of ``sq_dist`` when
-    # given, else one row's sum, which has the same bits.
-    def sq_row(i):
-        return sq_dist[i] if sq_dist is not None else ((points - points[i]) ** 2).sum(axis=1)
+def _kmeans_pp_init(points: np.ndarray, k: int, rngs, sq_dist=None) -> np.ndarray:
+    """(R, k, d) k-means++ initial centers, run r drawing from ``rngs[r]``.
+
+    The runs share each step's array work; the draws stay one per run per
+    step, in the order a single run makes them.
+    """
+
+    # Squared distances from points ``idx`` to every point: rows of
+    # ``sq_dist`` when given, else each row's own sum, which has the same bits.
+    def sq_rows(idx):
+        return sq_dist[idx] if sq_dist is not None else ((points - points[idx][:, None]) ** 2).sum(axis=2)
 
     n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = points[first]
-    d2 = sq_row(first).copy()
+    picks = np.empty((len(rngs), k), dtype=np.int64)
+    picks[:, 0] = [rng.integers(n) for rng in rngs]
+    d2 = sq_rows(picks[:, 0])
+    u = np.zeros(len(rngs))
     for j in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            idx = min(int(d2.cumsum().searchsorted(rng.random() * total, side="right")), n - 1)
-        else:
-            # All candidate distances are zero (duplicate points): uniform pick.
-            idx = int(rng.integers(n))
-        centers[j] = points[idx]
-        np.minimum(d2, sq_row(idx), out=d2)
-    return centers
+        total = d2.sum(axis=1)
+        positive = total > 0
+        for r, rng in enumerate(rngs):
+            if positive[r]:
+                u[r] = rng.random() * total[r]
+            else:
+                # All candidate distances are zero (duplicate points): uniform pick.
+                picks[r, j] = rng.integers(n)
+        # The cumulative sums never decrease, so counting those <= u gives
+        # searchsorted(cumsum, u, side="right").
+        drawn = np.count_nonzero(d2.cumsum(axis=1) <= u[:, None], axis=1)
+        picks[positive, j] = np.minimum(drawn, n - 1)[positive]
+        np.minimum(d2, sq_rows(picks[:, j]), out=d2)
+    return points[picks]
 
 
 def _fix_empty_clusters(points: np.ndarray, centers: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -115,65 +126,77 @@ def _fix_empty_clusters(points: np.ndarray, centers: np.ndarray, labels: np.ndar
     return labels
 
 
-def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator, sq_dist) -> tuple:
-    d = points.shape[1]
-    centers = _kmeans_pp_init(points, k, rng, sq_dist)
-    # The run's constant terms of the squared distances |p|^2 - 2p.c + |c|^2.
-    p2 = (points**2).sum(axis=1)[:, None]
-    two_p = 2.0 * points
-    labels = None
-    for _ in range(MAX_LLOYD_ITERATIONS):
-        d2 = p2 - two_p @ centers.T + (centers**2).sum(axis=1)
-        new_labels = np.argmin(np.maximum(d2, 0.0, out=d2), axis=1)  # clip tiny negatives
-        counts = np.bincount(new_labels, minlength=k)
-        if not counts.all():
-            new_labels = _fix_empty_clusters(points, centers, new_labels, k)
-            counts = np.bincount(new_labels, minlength=k)
-        if labels is not None and np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        if d == 1:
-            # mean() sums a contiguous column pairwise; a scatter-add would
-            # sum it sequentially and round differently.
-            centers = np.stack([points[labels == j].mean(axis=0) for j in range(k)])
-        else:
-            # The same sequential row sums as each part's mean(axis=0).
-            sums = np.zeros((k, d))
-            np.add.at(sums, labels, points)
-            centers = sums / counts[:, None]
-    inertia = float(((points - centers[labels]) ** 2).sum())
-    return labels, centers, inertia
+def kmeans(points: np.ndarray, k: int, seeds, *, sq_dist=None) -> tuple:
+    """One Lloyd run with k-means++ seeding per seed, all in lockstep.
 
-
-def kmeans(points: np.ndarray, k: int, restarts: int = 1, seed: int = 0, *, sq_dist=None) -> ClusterResult:
-    """Best-inertia result over independent Lloyd runs with k-means++ seeding.
-
-    Each restart draws its own sub-seed; the winner is the minimum-inertia run
-    with the lowest restart index.  All k parts are non-empty (empty clusters
-    are reseeded to the point furthest from its center).  ``points`` must be
-    a finite (n, d) array.  ``sq_dist``, if given, is
-    ``squared_distances(points)``; the k-means++ init then reads its rows
-    instead of computing them, with the same bits.  Without it no (n, n)
-    matrix is built.
+    Run r draws from ``np.random.default_rng(seeds[r])`` and is returned as
+    the r-th ``ClusterResult``.  The runs share every step's array work: the
+    seeding steps, and in each Lloyd iteration one stacked distance product,
+    one label count and one weighted count of the center sums over the runs
+    that have not converged.  A run converges when its labels repeat, and each
+    run's labels, centers and inertia have the bits of the same run made
+    alone.  All k parts are non-empty (empty clusters are reseeded to the
+    point furthest from its center).  ``points`` must be a finite (n, d)
+    array.  ``sq_dist``, if given, is ``squared_distances(points)``; the
+    k-means++ init then reads its rows instead of computing them, with the
+    same bits.  Without it no (n, n) matrix is built.
     """
     points = _as_points(points)
-    n = points.shape[0]
+    n, d = points.shape
     if sq_dist is not None and np.shape(sq_dist) != (n, n):
         raise ValueError(f"sq_dist must be an ({n}, {n}) matrix, got shape {np.shape(sq_dist)}")
     if k > n:
         raise ValueError(f"k={k} exceeds n={n}")
     if k < 2:
         raise ValueError("k must be >= 2")
-    best = None
-    for r in range(restarts):
-        rng = np.random.default_rng(derive_seed(seed, r))
-        labels, centers, inertia = _lloyd(points, k, rng, sq_dist)
-        if best is None or inertia < best[2]:
-            best = (labels, centers, inertia)
-    labels, centers, inertia = best
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    if not rngs:
+        raise ValueError("kmeans needs at least one seed")
+    centers = _kmeans_pp_init(points, k, rngs, sq_dist)
+    # The constant terms of the squared distances |p|^2 - 2p.c + |c|^2.
+    p2 = (points**2).sum(axis=1)[:, None]
+    two_p = 2.0 * points
+    runs = len(rngs)
+    offsets = np.arange(runs)[:, None] * k  # in the stacked counts, run a's parts are a*k .. a*k + k - 1
+    stacked = np.tile(points, (runs, 1)).ravel()  # every run's points, then coordinates, in order
+    labels = np.empty((runs, n), dtype=np.int64)
+    active = np.arange(runs)  # the runs that have not converged
+    for iteration in range(MAX_LLOYD_ITERATIONS):
+        c = centers[active]
+        d2 = p2 - two_p @ c.transpose(0, 2, 1) + (c**2).sum(axis=2)[:, None, :]
+        new_labels = np.argmin(np.maximum(d2, 0.0, out=d2), axis=2)  # clip tiny negatives
+        counts = np.bincount((new_labels + offsets[: active.size]).ravel(), minlength=active.size * k)
+        counts = counts.reshape(-1, k)
+        for a in np.flatnonzero(~counts.all(axis=1)):
+            _fix_empty_clusters(points, c[a], new_labels[a], k)
+            counts[a] = np.bincount(new_labels[a], minlength=k)
+        if iteration:
+            moved = ~(new_labels == labels[active]).all(axis=1)
+            active, new_labels, counts = active[moved], new_labels[moved], counts[moved]
+            if not active.size:
+                break
+        labels[active] = new_labels
+        if d == 1:
+            # mean() sums a contiguous column pairwise; a sequential sum
+            # would round differently.
+            for r in active:
+                centers[r] = np.stack([points[labels[r] == j].mean(axis=0) for j in range(k)])
+        else:
+            # One weighted bincount adds every coordinate of every point into
+            # its (run, part, coordinate) slot, in point order: the same
+            # sequential row sums as each part's mean(axis=0).
+            slots = ((new_labels + offsets[: active.size]) * d)[:, :, None] + np.arange(d)
+            sums = np.bincount(slots.ravel(), weights=stacked[: slots.size], minlength=active.size * k * d)
+            centers[active] = sums.reshape(-1, k, d) / counts[:, :, None]
     # Lloyd's final centers are the part means, averaged over the same rows.
-    partition = Partition(n_items=n, labels=labels)
-    return ClusterResult(partition=partition, centers=centers, inertia=inertia)
+    return tuple(
+        ClusterResult(
+            partition=Partition(n_items=n, labels=run_labels),
+            centers=run_centers,
+            inertia=float(((points - run_centers[run_labels]) ** 2).sum()),
+        )
+        for run_labels, run_centers in zip(labels, centers)
+    )
 
 
 def agglomerative(points: np.ndarray, k: int, linkage: str = "single") -> Partition:
@@ -279,5 +302,7 @@ def run_spec(spec: ClustererSpec, points: np.ndarray) -> Partition:
     points = _as_points(points)
     work = normalize_points(points) if spec.normalize_first else points
     if spec.kind == "kmeans":
-        return kmeans(work, spec.k, restarts=spec.restarts, seed=spec.seed).partition
+        # The first run of least inertia.
+        runs = kmeans(work, spec.k, [derive_seed(spec.seed, r) for r in range(spec.restarts)])
+        return min(runs, key=lambda run: run.inertia).partition
     return agglomerative(work, spec.k, linkage=spec.kind.removeprefix("agglo_"))

@@ -93,6 +93,18 @@ def _prune_indices(points: np.ndarray, theta: float, use_raw_norm: bool) -> tupl
     return np.sort(order[:n_out]), np.sort(order[n_out:])
 
 
+def _first_appearance_labels(labels: np.ndarray) -> np.ndarray:
+    """Each row of an (R, n) label array renumbered 0, 1, ... in order of
+    first appearance; every label 0..max must occur in every row.
+
+    Two rows come out equal exactly when they are the same partition.
+    """
+    present = labels[:, :, None] == np.arange(labels.max() + 1)
+    first = present.argmax(axis=1)  # (R, K): where each label first occurs
+    rank = np.argsort(np.argsort(first, axis=1), axis=1)
+    return np.take_along_axis(rank, labels, axis=1)
+
+
 def generate_runs(
     dataset: Dataset,
     truth: Partition,
@@ -104,11 +116,14 @@ def generate_runs(
 ) -> RunGrid:
     """Single-start k-means runs for every (k, run) cell of an ascending k range.
 
-    Each run uses its own sub-seed.  Silhouette is computed on the pruned
-    data when theta > 0, from one distance matrix shared by all cells, and the
-    squared distances under it seed every run's k-means++ init.  ARI
-    is always computed against the full-data partition after reattaching
-    pruned points to their nearest center.
+    Each run uses its own sub-seed, and the runs of one k are one lockstep
+    ``kmeans`` call.  Silhouette is computed on the pruned data when
+    theta > 0, from one distance matrix shared by all cells, and the
+    squared distances under it seed every run's k-means++ init.  ARI is
+    always computed against the full-data partition after reattaching pruned
+    points to their nearest center.  Both scores are computed once per
+    distinct partition and reused for every cell that repeats it under other
+    part ids: neither score depends on the part ids, to the bit.
     """
     k_range = tuple(k_range)
     if not k_range or any(a >= b for a, b in zip(k_range, k_range[1:])):
@@ -123,19 +138,31 @@ def generate_runs(
     dist = np.sqrt(sq)  # the bits of pairwise_distances(work)
     sil = np.empty((len(k_range), restarts))
     ari = np.empty((len(k_range), restarts))
+    sil_of, ari_of = {}, {}  # score by the partition's first-appearance labels
     for i, k in enumerate(k_range):
-        for run in range(restarts):
-            result = kmeans(work, k, restarts=1, seed=derive_seed(seed, k, run), sq_dist=sq)
-            sil[i, run] = silhouette_score(work, result.partition, dist=dist)
-            if outliers.size == 0:
-                full = result.partition
-            else:
-                labels = np.empty(points.shape[0], dtype=np.int64)
-                labels[inliers] = result.partition.labels
-                d2 = ((points[outliers][:, None, :] - result.centers[None, :, :]) ** 2).sum(axis=2)
-                labels[outliers] = np.argmin(d2, axis=1)
-                full = Partition(n_items=points.shape[0], labels=labels)
-            ari[i, run] = adjusted_rand_index(truth.n_items, truth, full)
+        seeds = [derive_seed(derive_seed(seed, k, run), 0) for run in range(restarts)]
+        results = kmeans(work, k, seeds, sq_dist=sq)
+        labels = np.stack([result.partition.labels for result in results])
+        sil_keys = _first_appearance_labels(labels)
+        if outliers.size == 0:
+            fulls, ari_keys = [result.partition for result in results], sil_keys
+        else:
+            centers = np.stack([result.centers for result in results])
+            d2 = ((points[outliers][None, :, None, :] - centers[:, None, :, :]) ** 2).sum(axis=3)
+            full_labels = np.empty((restarts, points.shape[0]), dtype=np.int64)
+            full_labels[:, inliers] = labels
+            full_labels[:, outliers] = np.argmin(d2, axis=2)
+            fulls = [Partition(n_items=points.shape[0], labels=row) for row in full_labels]
+            ari_keys = _first_appearance_labels(full_labels)
+        for run, (result, full) in enumerate(zip(results, fulls)):
+            key = sil_keys[run].tobytes()
+            if key not in sil_of:
+                sil_of[key] = silhouette_score(work, result.partition, dist=dist)
+            sil[i, run] = sil_of[key]
+            key = ari_keys[run].tobytes()
+            if key not in ari_of:
+                ari_of[key] = adjusted_rand_index(truth.n_items, truth, full)
+            ari[i, run] = ari_of[key]
     return RunGrid(k_range=k_range, silhouette=sil, ari=ari)
 
 

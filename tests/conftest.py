@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import metaclust
-from metaclust.data_model import WeightedGraph
+from metaclust.clusterers import kmeans
+from metaclust.data_model import WeightedGraph, derive_seed
 from metaclust.similarity_net import _feature_rows
 
 # Bit-level results (digests, bitwise comparisons of BLAS output) were recorded
@@ -62,6 +63,13 @@ def _same_parts(a, b) -> bool:
 def same_parts():
     """The partition comparison that ignores part ids (``_same_parts``)."""
     return _same_parts
+
+
+def best_kmeans(points, k, restarts=1, seed=0, *, sq_dist=None):
+    """The first least-inertia result of ``kmeans`` over ``restarts`` runs
+    seeded ``derive_seed(seed, r)``, the selection ``run_spec`` makes."""
+    runs = kmeans(points, k, [derive_seed(seed, r) for r in range(restarts)], sq_dist=sq_dist)
+    return min(runs, key=lambda run: run.inertia)
 
 
 def pair_features(pairs):

@@ -3,11 +3,12 @@
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import graph_edges, graph_from_edges
+from conftest import best_kmeans, graph_edges, graph_from_edges
 from metaclust import clusterers
 from metaclust.clusterers import (
     ClustererSpec,
@@ -42,9 +43,11 @@ def part_means(points, partition):
     return np.stack([points[partition.labels == j].mean(axis=0) for j in range(partition.n_parts)])
 
 
-def kmeans_pp_init_oracle(points, k, rng):
+def kmeans_pp_init_oracle(points, k, rng, trace=None):
     """The k-means++ init that ``kmeans`` replaced: the exact reference for
-    the initial centers and for the order of the random draws."""
+    the initial centers and for the order of the random draws.  A given
+    ``trace`` Counter counts the uniform draws after a zero total."""
+    trace = Counter() if trace is None else trace
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     first = int(rng.integers(n))
@@ -58,17 +61,22 @@ def kmeans_pp_init_oracle(points, k, rng):
             idx = min(idx, n - 1)
         else:
             idx = int(rng.integers(n))
+            trace["uniform_draws"] += 1
         centers[j] = points[idx]
         d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
     return centers
 
 
-def lloyd_oracle(points, k, rng):
+def lloyd_oracle(points, k, rng, trace=None):
     """The per-part Lloyd loop that ``kmeans`` replaced, with its
     empty-cluster reseed: the exact reference for labels, centers and
-    inertia of one run.
+    inertia of one run.  A given ``trace`` Counter also counts the init's
+    uniform draws, the reseeds (``late_reseeds`` after the first label
+    pass), the label passes (``iterations``) and whether the labels repeated
+    before the cap (``converged``).
     """
-    centers = kmeans_pp_init_oracle(points, k, rng)
+    trace = Counter() if trace is None else trace
+    centers = kmeans_pp_init_oracle(points, k, rng, trace)
 
     def fix_empty_clusters(labels):
         counts = np.bincount(labels, minlength=k)
@@ -81,13 +89,17 @@ def lloyd_oracle(points, k, rng):
             counts[labels[p]] -= 1
             labels[p] = j
             counts[j] = 1
+            trace["reseeds"] += 1
+            trace["late_reseeds"] += trace["iterations"] > 0
         return labels
 
     labels = None
     for _ in range(clusterers.MAX_LLOYD_ITERATIONS):
         sq = (points**2).sum(axis=1)[:, None] - 2.0 * points @ centers.T + (centers**2).sum(axis=1)[None, :]
         new_labels = fix_empty_clusters(np.argmin(np.maximum(sq, 0.0), axis=1))
+        trace["iterations"] += 1
         if labels is not None and np.array_equal(new_labels, labels):
+            trace["converged"] = 1
             break
         labels = new_labels
         centers = np.stack([points[labels == j].mean(axis=0) for j in range(k)])
@@ -103,6 +115,21 @@ def kmeans_oracle(points, k, restarts, seed):
         if best is None or run[2] < best[2]:
             best = run
     return best
+
+
+def assert_runs_match_oracle(points, k, seeds, sq_dist=None):
+    """Each run of one lockstep ``kmeans`` call has the labels, centers and
+    inertia of ``lloyd_oracle`` from its seed; returns the oracle's traces."""
+    traces = []
+    for seed, res in zip(seeds, kmeans(points, k, seeds, sq_dist=sq_dist), strict=True):
+        trace = Counter()
+        labels, centers, inertia = lloyd_oracle(points, k, np.random.default_rng(seed), trace)
+        where = (points.shape, k, seed)
+        assert np.array_equal(res.partition.labels, labels), where
+        assert res.centers.tobytes() == centers.tobytes(), where
+        assert res.inertia == inertia, where
+        traces.append(trace)
+    return traces
 
 
 def oracle_cases(rng):
@@ -247,45 +274,45 @@ class TestKmeans:
     def test_separated_blobs_exact(self):
         rng = np.random.default_rng(0)
         pts, labels = two_blobs(rng)
-        res = kmeans(pts, 2, restarts=5, seed=1)
+        res = best_kmeans(pts, 2, restarts=5, seed=1)
         assert adjusted_rand_index(40, labels_to_partition(labels), res.partition) == 1.0
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         pts, _ = two_blobs(rng)
-        a = kmeans(pts, 3, restarts=4, seed=9)
-        b = kmeans(pts, 3, restarts=4, seed=9)
+        a = best_kmeans(pts, 3, restarts=4, seed=9)
+        b = best_kmeans(pts, 3, restarts=4, seed=9)
         assert a.partition == b.partition
         assert a.inertia == b.inertia
         assert np.array_equal(a.centers, b.centers)
 
     def test_identical_points_degenerate(self):
         pts = np.zeros((6, 2))
-        res = kmeans(pts, 2, restarts=2, seed=0)
+        res = best_kmeans(pts, 2, restarts=2, seed=0)
         assert res.partition.is_valid()
         assert res.partition.n_parts == 2
         assert res.inertia == 0.0
 
     def test_k_exceeding_n_rejected(self):
         with pytest.raises(ValueError):
-            kmeans(np.zeros((3, 1)), 4, restarts=1, seed=0)
+            best_kmeans(np.zeros((3, 1)), 4, restarts=1, seed=0)
 
     @pytest.mark.parametrize("points", [np.zeros(5), np.zeros((2, 3, 1))], ids=["1-d", "3-d"])
     def test_points_that_are_not_a_matrix_rejected(self, points):
         with pytest.raises(ValueError, match="array"):
-            kmeans(points, 2)
+            best_kmeans(points, 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_point_rejected(self, bad):
         pts = np.arange(10.0).reshape(5, 2)
         pts[3, 1] = bad
         with pytest.raises(ValueError, match="finite"):
-            kmeans(pts, 2)
+            best_kmeans(pts, 2)
 
     def test_fixed_point_assignment(self):
         rng = np.random.default_rng(2)
         pts = rng.standard_normal((50, 3))
-        res = kmeans(pts, 4, restarts=3, seed=7)
+        res = best_kmeans(pts, 4, restarts=3, seed=7)
         labels = res.partition.labels
         d2 = ((pts[:, None, :] - res.centers[None, :, :]) ** 2).sum(axis=2)
         assert np.all(d2[np.arange(50), labels] <= d2.min(axis=1) + 1e-9)
@@ -293,7 +320,7 @@ class TestKmeans:
     def test_inertia_definition(self):
         rng = np.random.default_rng(3)
         pts = rng.standard_normal((30, 2))
-        res = kmeans(pts, 3, restarts=2, seed=4)
+        res = best_kmeans(pts, 3, restarts=2, seed=4)
         labels = res.partition.labels
         expected = sum(((pts[labels == c] - res.centers[c]) ** 2).sum() for c in range(3))
         assert res.inertia == pytest.approx(expected, rel=1e-12)
@@ -306,7 +333,7 @@ class TestKmeans:
             if trial % 3 == 0:
                 pts[rng.integers(0, n, size=n // 2)] = pts[0]  # duplicate points
             k = int(rng.integers(2, min(n, 6) + 1))
-            res = kmeans(pts, k, restarts=int(rng.integers(1, 4)), seed=trial)
+            res = best_kmeans(pts, k, restarts=int(rng.integers(1, 4)), seed=trial)
             assert np.array_equal(res.centers, part_means(pts, res.partition)), trial
 
     def test_matches_lloyd_oracle_exactly(self):
@@ -315,7 +342,7 @@ class TestKmeans:
             # generate_runs' seeds for (k, run), and a few multi-restart runs
             for run, restarts in ((0, 1), (1, 1), (case, 1 + case % 3)):
                 seed = derive_seed(7, k, run)
-                res = kmeans(pts, k, restarts=restarts, seed=seed)
+                res = best_kmeans(pts, k, restarts=restarts, seed=seed)
                 labels, centers, inertia = kmeans_oracle(pts, k, restarts, seed)
                 where = (pts.shape, k, run, restarts)
                 assert np.array_equal(res.partition.labels, labels), where
@@ -324,25 +351,90 @@ class TestKmeans:
 
     def test_kmeans_pp_init_matches_oracle_draw_for_draw(self):
         # The init reads rows of a shared matrix when it is given one and
-        # computes them otherwise; both must follow the oracle.  Once every
-        # distance is 0 the init's picks all coincide, so an extra or
-        # reordered draw leaves the centers alone; the generator state after
-        # the init shows it.
+        # computes them otherwise; both must follow the oracle, run by run.
+        # Once every distance is 0 the init's picks all coincide, so an
+        # extra or reordered draw leaves the centers alone; the generator
+        # state after the init shows it.
         rng = np.random.default_rng(22)
         for case, (pts, k) in enumerate(oracle_cases(rng)):
             for sq_dist in (None, squared_distances(pts)):
-                ours, ref = np.random.default_rng(case), np.random.default_rng(case)
+                ours = [np.random.default_rng((case, r)) for r in range(1 + case % 4)]
                 centers = clusterers._kmeans_pp_init(pts, k, ours, sq_dist)
-                where = (pts.shape, k, sq_dist is None)
-                assert centers.tobytes() == kmeans_pp_init_oracle(pts, k, ref).tobytes(), where
-                assert ours.bit_generator.state == ref.bit_generator.state, where
+                assert centers.shape == (len(ours), k, pts.shape[1])
+                for r, (run_centers, gen) in enumerate(zip(centers, ours)):
+                    ref = np.random.default_rng((case, r))
+                    where = (pts.shape, k, sq_dist is None, r)
+                    assert run_centers.tobytes() == kmeans_pp_init_oracle(pts, k, ref).tobytes(), where
+                    assert gen.bit_generator.state == ref.bit_generator.state, where
+
+    def test_lockstep_runs_match_the_oracle_run_by_run(self):
+        # generate_runs' seeds for (k, run), 1 to 10 runs per call.  Some
+        # calls hold runs that stop at different iterations, so the runs
+        # still moving are carried on without the others.
+        rng = np.random.default_rng(27)
+        staggered = 0
+        for case, (pts, k) in enumerate(oracle_cases(rng)):
+            seeds = [derive_seed(derive_seed(7, k, run), 0) for run in range(1 + case % 10)]
+            traces = assert_runs_match_oracle(pts, k, seeds, squared_distances(pts) if case % 2 else None)
+            staggered += len({t["iterations"] for t in traces}) > 1
+        assert staggered > 10
+
+    def test_zero_total_draw_in_some_runs_only(self):
+        # Coordinate gaps of 1.5e-162 square to 0, gaps of 3e-162 do not.  A
+        # run that starts at a middle point sees a zero total and draws
+        # uniformly; a run that starts at either end draws by distance.
+        x = np.repeat([0.0, 1.5e-162, 3e-162], [3, 4, 3])
+        pts = np.column_stack([x, np.zeros_like(x)])
+        for sq_dist in (None, squared_distances(pts)):
+            traces = assert_runs_match_oracle(pts, 2, list(range(16)), sq_dist)
+            uniform = [t["uniform_draws"] > 0 for t in traces]
+            assert any(uniform) and not all(uniform)
+
+    def test_one_dimensional_runs(self):
+        pts = np.random.default_rng(26).standard_normal((60, 1)) * 3.0
+        traces = assert_runs_match_oracle(pts, 4, [derive_seed(26, r) for r in range(10)])
+        assert len({t["iterations"] for t in traces}) > 1
+
+    def test_forced_empty_clusters_in_lockstep(self):
+        # Three distinct points and k = 5: every run reseeds empty parts.
+        pts = np.repeat([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], 4, axis=0)
+        traces = assert_runs_match_oracle(pts, 5, list(range(10)))
+        assert all(t["reseeds"] > 0 for t in traces)
+
+    def test_reseed_after_other_runs_converged(self):
+        # A part that empties after the first pass, in a run still moving
+        # while others have stopped, is reseeded from that run's centers.
+        # Near-duplicate points (1e-9 apart) with k close to n make it common.
+        rng = np.random.default_rng(29)
+        late = 0
+        for trial in range(20):
+            pts = rng.standard_normal((int(rng.integers(3, 7)), 2))
+            pts = np.vstack([pts, pts + 1e-9])
+            n = len(pts)
+            traces = assert_runs_match_oracle(pts, int(rng.integers(n - 3, n)), [derive_seed(trial, r) for r in range(16)])
+            shortest = min(t["iterations"] for t in traces)
+            late += any(t["late_reseeds"] and t["iterations"] > shortest for t in traces)
+        assert late > 0
+
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(clusterers, "MAX_LLOYD_ITERATIONS", 2)
+        rng = np.random.default_rng(28)
+        converged = []
+        for case, (pts, k) in enumerate(oracle_cases(rng)):
+            traces = assert_runs_match_oracle(pts, k, [derive_seed(case, r) for r in range(4)])
+            converged += [t["converged"] for t in traces]
+        assert 0 < sum(converged) < len(converged)
+
+    def test_no_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            kmeans(np.arange(8.0).reshape(4, 2), 2, [])
 
     def test_shared_distance_matrix_changes_no_result(self):
         rng = np.random.default_rng(23)
         for case, (pts, k) in enumerate(oracle_cases(rng)):
             restarts, seed = 1 + case % 3, derive_seed(7, k, case)
-            res = kmeans(pts, k, restarts, seed)
-            shared = kmeans(pts, k, restarts, seed, sq_dist=squared_distances(pts))
+            res = best_kmeans(pts, k, restarts, seed)
+            shared = best_kmeans(pts, k, restarts, seed, sq_dist=squared_distances(pts))
             where = (pts.shape, k, restarts)
             assert np.array_equal(shared.partition.labels, res.partition.labels), where
             assert shared.centers.tobytes() == res.centers.tobytes(), where
@@ -351,14 +443,14 @@ class TestKmeans:
     def test_shared_distance_matrix_shape_is_checked(self):
         pts = np.random.default_rng(24).standard_normal((6, 2))
         with pytest.raises(ValueError, match="sq_dist"):
-            kmeans(pts, 2, sq_dist=squared_distances(pts[:5]))
+            best_kmeans(pts, 2, sq_dist=squared_distances(pts[:5]))
 
     def test_memory_without_shared_matrix_is_linear(self):
         # The (2000, 2000) distance matrix alone would take 30.5 MB.
         pts = np.random.default_rng(25).standard_normal((2000, 2))
         tracemalloc.start()
         try:
-            kmeans(pts, 3, restarts=2, seed=1)
+            best_kmeans(pts, 3, restarts=2, seed=1)
             _size, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -375,7 +467,7 @@ class TestKmeans:
         monkeypatch.setattr(clusterers, "_fix_empty_clusters", counting)
         pts = np.repeat([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], 4, axis=0)
         for seed in range(10):
-            res = kmeans(pts, 5, restarts=1, seed=seed)
+            res = best_kmeans(pts, 5, restarts=1, seed=seed)
             labels, centers, inertia = kmeans_oracle(pts, 5, 1, seed)
             assert np.array_equal(res.partition.labels, labels)
             assert res.centers.tobytes() == centers.tobytes()
@@ -386,8 +478,8 @@ class TestKmeans:
     def test_more_restarts_never_worse(self):
         rng = np.random.default_rng(4)
         pts = rng.standard_normal((60, 2))
-        few = kmeans(pts, 5, restarts=1, seed=11)
-        many = kmeans(pts, 5, restarts=10, seed=11)
+        few = best_kmeans(pts, 5, restarts=1, seed=11)
+        many = best_kmeans(pts, 5, restarts=10, seed=11)
         assert many.inertia <= few.inertia + 1e-12
 
 

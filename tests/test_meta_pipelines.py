@@ -5,8 +5,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from conftest import best_kmeans
 from metaclust import meta_pipelines, regression
-from metaclust.clusterers import ClustererSpec, kmeans, run_spec
+from metaclust.clusterers import ClustererSpec, run_spec
 from metaclust.data_model import (
     DataError,
     Dataset,
@@ -17,6 +18,7 @@ from metaclust.data_model import (
     derive_seed,
     labels_to_partition,
     make_synthetic_repository,
+    squared_distances,
 )
 from metaclust.meta_pipelines import (
     MetaKModel,
@@ -32,7 +34,7 @@ from metaclust.meta_pipelines import (
     train_algo_select,
     train_meta_k,
 )
-from metaclust.metrics import adjusted_rand_index, pairwise_distances
+from metaclust.metrics import adjusted_rand_index, pairwise_distances, silhouette_score
 from metaclust.regression import fit_least_squares, phi_features, predict, symmetric_eigen_extrema
 
 
@@ -173,6 +175,41 @@ def random_model(rng, k_range):
 K_RANGES = [(2,), (2, 3), (3, 5, 8), tuple(range(2, 11)), (4, 6, 7, 9, 12)]
 
 
+def generate_runs_oracle(dataset, truth, k_range, restarts, seed, theta=0.0, use_raw_norm=False):
+    """The per-cell loop that ``generate_runs`` replaced: one single-start
+    k-means call per (k, run) cell, scored alone.  Returns the silhouette
+    and ARI arrays and each cell's inlier and full label vectors."""
+    points = dataset.points
+    outliers, inliers = meta_pipelines._prune_indices(points, theta, use_raw_norm)
+    work = points if outliers.size == 0 else points[inliers]
+    sq = squared_distances(work)
+    dist = np.sqrt(sq)
+    sil = np.empty((len(k_range), restarts))
+    ari = np.empty((len(k_range), restarts))
+    cells = []
+    for i, k in enumerate(k_range):
+        for run in range(restarts):
+            result = best_kmeans(work, k, restarts=1, seed=derive_seed(seed, k, run), sq_dist=sq)
+            sil[i, run] = silhouette_score(work, result.partition, dist=dist)
+            if outliers.size == 0:
+                full = result.partition
+            else:
+                labels = np.empty(points.shape[0], dtype=np.int64)
+                labels[inliers] = result.partition.labels
+                d2 = ((points[outliers][:, None, :] - result.centers[None, :, :]) ** 2).sum(axis=2)
+                labels[outliers] = np.argmin(d2, axis=1)
+                full = Partition(n_items=points.shape[0], labels=labels)
+            ari[i, run] = adjusted_rand_index(truth.n_items, truth, full)
+            cells.append((result.partition.labels, full.labels))
+    return sil, ari, cells
+
+
+def first_appearance(labels):
+    """The labels renumbered in order of first appearance, as a tuple."""
+    ids = {}
+    return tuple(ids.setdefault(label, len(ids)) for label in labels.tolist())
+
+
 def small_repo(n_problems=6, seed=3):
     return make_synthetic_repository(
         SynthSpec(n_problems=n_problems, n_points=40, n_clusters=(2, 3), seed=seed)
@@ -195,8 +232,24 @@ class TestGenerateRuns:
         runs = generate_runs(ds, truth, (2, 4), 3, seed=5)
         for i, k in enumerate((2, 4)):
             for run in range(3):
-                partition = kmeans(ds.points, k, restarts=1, seed=derive_seed(5, k, run)).partition
+                partition = best_kmeans(ds.points, k, restarts=1, seed=derive_seed(5, k, run)).partition
                 assert runs.ari[i, run] == adjusted_rand_index(truth.n_items, truth, partition)
+
+    @pytest.mark.parametrize(
+        "theta,use_raw_norm,shift", [(0.0, False, 0.0), (0.1, False, 0.0), (0.1, True, 100.0)]
+    )
+    def test_matches_the_per_cell_oracle_on_repeated_partitions(self, theta, use_raw_norm, shift):
+        # Cells that repeat an earlier partition under other part ids take
+        # its scores; they must equal scoring every cell alone, to the bit.
+        for i, (ds, truth) in enumerate(small_repo(3).problems):
+            ds = Dataset(id=ds.id, points=ds.points + shift)
+            grid = generate_runs(ds, truth, range(2, 7), 10, seed=i, theta=theta, use_raw_norm=use_raw_norm)
+            sil, ari, cells = generate_runs_oracle(ds, truth, range(2, 7), 10, i, theta, use_raw_norm)
+            assert grid.silhouette.tobytes() == sil.tobytes()
+            assert grid.ari.tobytes() == ari.tobytes()
+            for side in (0, 1):  # inlier and full partitions
+                distinct = {first_appearance(cell[side]) for cell in cells}
+                assert len(distinct) < len(cells) - 10, (i, side)
 
     def test_deterministic(self):
         repo = small_repo(1)
@@ -217,7 +270,7 @@ class TestGenerateRuns:
         inliers = np.setdiff1d(np.arange(ds.n), outliers)
         for i, k in enumerate(runs.k_range):
             for run in range(2):
-                result = kmeans(ds.points[inliers], k, restarts=1, seed=derive_seed(2, k, run))
+                result = best_kmeans(ds.points[inliers], k, restarts=1, seed=derive_seed(2, k, run))
                 labels = np.empty(ds.n, dtype=int)
                 labels[inliers] = result.partition.labels
                 for o in outliers:
@@ -439,7 +492,7 @@ class TestEvaluateMetaK:
         total = 0.0
         for i, ((ds, truth), g) in enumerate(zip(repo.problems, grids)):
             k, run = cell_of(g, meta_selected_cell(model, g))
-            partition = kmeans(ds.points, k, restarts=1, seed=derive_seed(derive_seed(9, i), k, run)).partition
+            partition = best_kmeans(ds.points, k, restarts=1, seed=derive_seed(derive_seed(9, i), k, run)).partition
             total += adjusted_rand_index(truth.n_items, truth, partition)
         ev = evaluate_meta_k(model, grids)
         assert ev.mean_ari_meta == pytest.approx(total / 3, abs=1e-12)

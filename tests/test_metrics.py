@@ -283,6 +283,35 @@ def test_silhouette_matches_scalar_oracle_exactly(case):
     assert silhouette_score(points, reversed_parts) == expected
 
 
+def test_scores_keep_their_bits_under_any_part_ids():
+    # generate_runs scores each distinct partition once and reuses the score
+    # for every relabelling of it, so neither score may move a bit when the
+    # part ids are permuted, with singleton parts and coincident points too.
+    rng = np.random.default_rng(30)
+    cases = [large_silhouette_case()]
+    for _ in range(300):
+        n, d = int(rng.integers(2, 40)), int(rng.integers(1, 4))
+        pool = np.round(rng.standard_normal((int(rng.integers(1, n + 1)), d)) * 3.0, 1)
+        labels = rng.integers(0, int(rng.integers(2, min(n, 8) + 1)), size=n)
+        labels[:2] = [0, 1]
+        _, dense = np.unique(labels, return_inverse=True)
+        cases.append((pool[rng.integers(0, len(pool), size=n)], labels_to_partition(dense)))
+    assert sum(1 in c.sizes for _points, c in cases) > 100
+    assert sum(len(np.unique(points, axis=0)) < len(points) for points, _c in cases) > 100
+
+    def bits(x):
+        return np.float64(x).tobytes()
+
+    for points, c in cases:
+        n = c.n_items
+        truth = random_partition(rng, n)
+        scores = (silhouette_score(points, c), adjusted_rand_index(n, truth, c), adjusted_rand_index(n, c, truth))
+        for _ in range(4):
+            other = Partition(n, labels=rng.permutation(c.n_parts)[c.labels])
+            again = (silhouette_score(points, other), adjusted_rand_index(n, truth, other), adjusted_rand_index(n, other, truth))
+            assert list(map(bits, again)) == list(map(bits, scores))
+
+
 @st.composite
 def label_pairs(draw):
     n = draw(st.integers(min_value=2, max_value=12))

@@ -2,18 +2,24 @@
 
 The ``kgrid`` and ``linkage`` repositories of ``perfbench/workloads.py`` are
 generated at seeds 7 (the workload seed) and 3, and their pipelines run with
-the workload flags and that seed through ``cli.main``, in a child with one BLAS
-thread.  The sha256 of each result CSV must equal the digest recorded here, so
-a change that moves a result bit fails in tier 1 instead of only in a hand
-check.  The bits depend on numpy and its BLAS, so under any other numpy or
-BLAS version the test skips and names the difference.
+the workload flags and that seed through ``cli.main``, in children with one and
+with two BLAS threads; the seed-7 ``pairnet`` repository runs its pipeline
+with the workload's own pipeline seed in the one-thread child.  The sha256 of
+each result CSV must equal the digest recorded here, so a change that moves a
+result bit fails in tier 1 instead of only in a hand check.  The bits depend
+on numpy and its BLAS, so under any other numpy or BLAS version the test skips
+and names the difference.
 """
 
 import json
 
 from conftest import run_python_child, skip_unless_pinned_numpy_and_blas
 
-BLAS_THREADS = "1"
+# (workload seed, workload) cases of each child, by its BLAS thread count.
+CASES = {
+    "1": [(7, "kgrid"), (7, "linkage"), (3, "kgrid"), (3, "linkage"), (7, "pairnet")],
+    "2": [(7, "kgrid"), (7, "linkage"), (3, "kgrid"), (3, "linkage")],
+}
 
 RESULT_SHA256 = {
     "seed7/kgrid/meta-k/meta_k.csv": "293101258a0a61f82495e56b0d9521d9b2b5da762a8c801ab990d7a69464d0c3",
@@ -26,15 +32,16 @@ RESULT_SHA256 = {
     "seed3/linkage/algo-select/algo_select.csv": "4a06032b15cbaba66a890f3448dc762873d465e261380683b698f8f46c33748f",
     "seed3/linkage/fit-threshold/threshold_profile.csv": "64db6e6c48d39568eea9fd8030b174425bf03f5af099225a562fbe0e920dfd5b",
     "seed3/linkage/meta-scale/meta_scale.csv": "8947e2503ed77f59cf7d7929fd1aaa4fdc1b3992e275fd65157398fd47aa67f3",
+    "seed7/pairnet/bsf/bsf.csv": "3e63894b60b7c9ef45e169014ba85d97ad35219ab7c731ac91dab01cfacb732c",
 }
 
-# Writes each workload's repository at each seed and runs its pipelines in a
-# temporary directory; prints {relative path: sha256} of every CSV they write.
+# Writes the repository of each (seed, workload) in CASES and runs its
+# pipelines in a temporary directory; prints {relative path: sha256} of every
+# CSV they write.  The test puts the CASES line in front.
 DIGEST_CHILD = """
 import contextlib
 import hashlib
 import io
-import itertools
 import json
 import sys
 import tempfile
@@ -43,20 +50,21 @@ from pathlib import Path
 import metaclust
 
 sys.path.insert(0, str(Path(metaclust.__file__).resolve().parents[2] / "perfbench"))
-from workloads import DEFAULT_SEED, WORKLOADS
+from workloads import WORKLOADS
 
 from metaclust import cli
 from metaclust.data_model import SynthSpec, make_synthetic_repository, save_repository
 
 digests = {}
 with tempfile.TemporaryDirectory() as tmp:
-    for seed, name in itertools.product((DEFAULT_SEED, 3), ("kgrid", "linkage")):
+    for seed, name in CASES:
         workload = WORKLOADS[name]
         out = Path(tmp) / f"seed{seed}" / name
         repo_dir = out / "repo"
         save_repository(make_synthetic_repository(SynthSpec(seed=seed, **workload.synth)), repo_dir)
+        pipeline_seed = seed if workload.pipeline_seed is None else workload.pipeline_seed
         for pipeline, *flags in workload.pipelines:
-            argv = ["run", pipeline, "--repo", str(repo_dir), "--seed", str(seed), "--out", str(out / pipeline)]
+            argv = ["run", pipeline, "--repo", str(repo_dir), "--seed", str(pipeline_seed), "--out", str(out / pipeline)]
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(argv + flags) == 0, pipeline
             for path in sorted((out / pipeline).glob("*.csv")):
@@ -67,5 +75,8 @@ print(json.dumps(digests))
 
 def test_benchmark_result_files_match_recorded_digests():
     skip_unless_pinned_numpy_and_blas()
-    digests = json.loads(run_python_child(DIGEST_CHILD, BLAS_THREADS))
-    assert {path: digests.get(path) for path in RESULT_SHA256} == RESULT_SHA256
+    for blas_threads, cases in CASES.items():
+        digests = json.loads(run_python_child(f"CASES = {cases!r}\n" + DIGEST_CHILD, blas_threads))
+        prefixes = tuple(f"seed{seed}/{name}/" for seed, name in cases)
+        expected = {path: sha for path, sha in RESULT_SHA256.items() if path.startswith(prefixes)}
+        assert {path: digests.get(path) for path in expected} == expected, blas_threads
