@@ -70,24 +70,29 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-_CHUNK_ROWS = 8192  # rows per join; a whole profile's strings at once would take tens of MB
+_CHUNK_ROWS = 8192  # rows per format; a whole profile's strings at once would take tens of MB
 
 
 def _write_float_pairs(path: Path, header, first, second) -> None:
-    """Two float columns, one join per chunk of rows: the bytes ``_write_csv`` writes for them.
+    """Two float columns, one format per chunk of rows: the bytes ``_write_csv`` writes for them.
 
     Each distinct bit pattern of ``second`` is formatted once (a threshold
     profile repeats few loss values over many rows); patterns, not values,
-    so 0.0 and -0.0 keep their own text.
+    so 0.0 and -0.0 keep their own text.  Each chunk is one ``%`` of its
+    rows' line format over the chunk's values, interleaved row by row.
     """
     patterns, which = np.unique(np.ascontiguousarray(second, dtype=np.float64).view(np.int64), return_inverse=True)
-    texts = [FLOAT_FORMAT % v for v in patterns.view(np.float64).tolist()]
+    texts = np.array([FLOAT_FORMAT % v for v in patterns.view(np.float64).tolist()], dtype=object)
     line = f"{FLOAT_FORMAT},%s\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, len(first), _CHUNK_ROWS):
             chunk = slice(start, start + _CHUNK_ROWS)
-            fh.write("".join([line % (r, texts[t]) for r, t in zip(first[chunk].tolist(), which[chunk].tolist())]))
+            rows = first[chunk].tolist()
+            values = [None] * (2 * len(rows))
+            values[0::2] = rows
+            values[1::2] = texts[which[chunk]].tolist()
+            fh.write(line * len(rows) % tuple(values))
 
 
 def _write_config(out_dir: Path, args: argparse.Namespace) -> None:

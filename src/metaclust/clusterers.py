@@ -160,6 +160,7 @@ def kmeans(points: np.ndarray, k: int, seeds, *, sq_dist=None) -> tuple:
     offsets = np.arange(runs)[:, None] * k  # in the stacked counts, run a's parts are a*k .. a*k + k - 1
     stacked = np.tile(points, (runs, 1)).ravel()  # every run's points, then coordinates, in order
     labels = np.empty((runs, n), dtype=np.int64)
+    sizes = np.empty((runs, k), dtype=np.int64)  # each run's part counts under its labels
     active = np.arange(runs)  # the runs that have not converged
     for iteration in range(MAX_LLOYD_ITERATIONS):
         c = centers[active]
@@ -175,7 +176,7 @@ def kmeans(points: np.ndarray, k: int, seeds, *, sq_dist=None) -> tuple:
             active, new_labels, counts = active[moved], new_labels[moved], counts[moved]
             if not active.size:
                 break
-        labels[active] = new_labels
+        labels[active], sizes[active] = new_labels, counts
         if d == 1:
             # mean() sums a contiguous column pairwise; a sequential sum
             # would round differently.
@@ -189,13 +190,12 @@ def kmeans(points: np.ndarray, k: int, seeds, *, sq_dist=None) -> tuple:
             sums = np.bincount(slots.ravel(), weights=stacked[: slots.size], minlength=active.size * k * d)
             centers[active] = sums.reshape(-1, k, d) / counts[:, :, None]
     # Lloyd's final centers are the part means, averaged over the same rows.
+    # Each run's inertia is one contiguous sum over its (n, d) squares, the
+    # bits of the same sum made run by run.
+    inertias = ((points - centers[np.arange(runs)[:, None], labels]) ** 2).reshape(runs, -1).sum(axis=1)
     return tuple(
-        ClusterResult(
-            partition=Partition(n_items=n, labels=run_labels),
-            centers=run_centers,
-            inertia=float(((points - run_centers[run_labels]) ** 2).sum()),
-        )
-        for run_labels, run_centers in zip(labels, centers)
+        ClusterResult(partition=Partition._dense(run_labels, run_sizes), centers=run_centers, inertia=float(inertia))
+        for run_labels, run_sizes, run_centers, inertia in zip(labels, sizes, centers, inertias)
     )
 
 
@@ -205,11 +205,14 @@ def agglomerative(points: np.ndarray, k: int, linkage: str = "single") -> Partit
     Ward operates on squared Euclidean distances; ties break toward the
     lexicographically lowest active cluster-slot pair.  A retired slot's row
     and column are set to inf, so the plain row-major argmin of the matrix
-    is the lowest closest active pair.  Each merge evaluates the update over
-    whole rows and keeps it only for the other active slots, so every active
-    entry gets the same float operations as a per-slot update.  Only the
-    non-zero terms of the update are evaluated: adding a zero-coefficient
-    term to a finite sum that is at least +0.0 moves no bit.
+    is the lowest closest active pair.  Whenever at most half of the
+    matrix's slots are still active, the retired rows and columns are
+    deleted; the kept slots stay in order, so the argmin still picks the
+    lowest slot pair.  Each merge evaluates the update over whole rows and
+    keeps it only for the other active slots, so every active entry gets the
+    same float operations as a per-slot update.  Only the non-zero terms of
+    the update are evaluated: adding a zero-coefficient term to a finite sum
+    that is at least +0.0 moves no bit.
     """
     if linkage not in LINKAGES:
         raise ValueError(f"unknown linkage {linkage!r}")
@@ -223,42 +226,54 @@ def agglomerative(points: np.ndarray, k: int, linkage: str = "single") -> Partit
         dist = np.sqrt(dist)
     np.fill_diagonal(dist, np.inf)
 
-    active = np.ones(n, dtype=bool)
-    sizes = np.ones(n, dtype=int)
-    merged_into = np.arange(n)  # a retired slot's merge target; itself while active
-    gamma = {"single": -0.5, "complete": 0.5}.get(linkage)
+    slots = np.arange(n)  # the slot of each row of ``dist``, ascending
+    retired = np.zeros(n, dtype=bool)  # by row
+    sizes = np.ones(n)  # by row; whole numbers, so float arithmetic on them is exact
+    merged_into = np.arange(n)  # by slot: a retired slot's merge target; itself while active
+    combine = {"single": np.subtract, "complete": np.add}.get(linkage)
 
     # Retired slots and the diagonal hold inf, where the update may be
     # inf - inf; those entries are masked out below.
     with np.errstate(invalid="ignore"):
-        for _ in range(n - k):
-            i, j = divmod(int(dist.argmin()), n)  # i < j: the matrix is symmetric
-            di, dj = dist[i], dist[j]
-            ni, nj = int(sizes[i]), int(sizes[j])
+        for remaining in range(n, k, -1):
+            if 2 * remaining <= slots.size:
+                keep = np.flatnonzero(~retired)
+                dist = dist[np.ix_(keep, keep)]
+                slots, sizes = slots[keep], sizes[keep]
+                retired = np.zeros(remaining, dtype=bool)
+            i, j = divmod(int(dist.argmin()), slots.size)  # i < j: the matrix is symmetric
+            di, dj = dist[i], dist[j]  # views: the update is written into row i in place
+            ni, nj = float(sizes[i]), float(sizes[j])
             # The update alpha_i*di + alpha_j*dj + beta*d_ij + gamma*|di - dj|,
-            # added left to right.
+            # added left to right; alpha_i*di is computed as di*alpha_i,
+            # which has the same bits.
             if linkage == "ward":
                 t = sizes + (ni + nj)
-                new_d = (sizes + ni) / t
-                new_d *= di
-                new_d += (sizes + nj) / t * dj
-                new_d += -sizes / t * dist[i, j]
+                d_ij = di[j]
+                di *= (sizes + ni) / t
+                di += (sizes + nj) / t * dj
+                di += -sizes / t * d_ij
             elif linkage == "average":
-                new_d = ni / (ni + nj) * di
-                new_d += nj / (ni + nj) * dj
+                di *= ni / (ni + nj)
+                di += nj / (ni + nj) * dj
             else:
-                new_d = 0.5 * di
-                new_d += 0.5 * dj
-                new_d += gamma * np.abs(di - dj)
-            active[j] = False
-            new_d[~active] = np.inf
-            new_d[i] = np.inf
-            dist[i] = new_d
-            dist[:, i] = new_d
+                # 0.5*((di + dj) -+ |di - dj|): the bits of 0.5*di + 0.5*dj
+                # -+ 0.5*|di - dj|.  Each entry is a square root of a double
+                # (0, inf or at least 2**-537) or an earlier update, so every
+                # finite value here is a multiple of 2**-590 below 2**515:
+                # halving before or after each rounding is exact either way.
+                spread = np.abs(di - dj)
+                di += dj
+                combine(di, spread, out=di)
+                di *= 0.5
+            retired[j] = True
+            np.putmask(di, retired, np.inf)
+            di[i] = np.inf
+            dist[:, i] = di
             dist[j] = np.inf
             dist[:, j] = np.inf
             sizes[i] = ni + nj
-            merged_into[j] = i
+            merged_into[slots[j]] = slots[i]
 
     # Follow the merge targets to the active slot of each point.  Targets
     # are lower slots, so the jumps end.
@@ -271,7 +286,7 @@ def agglomerative(points: np.ndarray, k: int, linkage: str = "single") -> Partit
     # A slot's smallest member is the slot itself (merges keep the lower
     # slot), so numbering the active slots in order numbers the parts by
     # their smallest member.
-    part_of_slot = np.cumsum(active) - 1
+    part_of_slot = np.cumsum(merged_into == np.arange(n)) - 1
     return Partition(n_items=n, labels=part_of_slot[slot])
 
 

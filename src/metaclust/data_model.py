@@ -157,6 +157,21 @@ class Partition:
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "n_covered", int(sizes.sum()))
 
+    @classmethod
+    def _dense(cls, labels: np.ndarray, sizes: np.ndarray) -> "Partition":
+        """The partition of int64 ``labels`` that cover every item with part ids
+        0..K-1, each used, where ``sizes`` holds the K part counts; nothing is
+        checked.  For labels the library has just made so; both arrays become
+        read-only."""
+        labels.setflags(write=False)
+        sizes.setflags(write=False)
+        self = object.__new__(cls)
+        object.__setattr__(self, "n_items", labels.size)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "n_covered", labels.size)
+        return self
+
     def __eq__(self, other):
         if not isinstance(other, Partition):
             return NotImplemented

@@ -215,12 +215,14 @@ def fit_threshold_kruskal(train: Sequence) -> ThresholdFitResult:
     (row ``histograms[root[x]]`` counts x's component).  The loss after the
     last edge of each weight carries forward to every candidate threshold up
     to the next forest weight, so the order among equal weights is
-    irrelevant.  Per-candidate means add the graphs' losses in graph order,
-    so the profile matches the brute-force oracle exactly.
+    irrelevant.  The graphs' losses are added in graph order on the union of
+    their loss steps (one step below every forest weight, then one at each),
+    and every candidate takes the sum of the last step at or below it, so
+    the profile matches the brute-force oracle exactly.
     """
     _check_threshold_train(train)
     candidates = _candidate_thresholds(train)
-    total = np.zeros(candidates.size)
+    step_losses = []  # per graph: (forest weights where the loss changes, loss below, at and after each)
     for graph, truth in train:
         n = graph.n_vertices
         w, u, v = _spanning_forest(graph)
@@ -241,7 +243,12 @@ def fit_threshold_kruskal(train: Sequence) -> ThresholdFitResult:
         counts = np.array(disagree)[merged]
         # A single-part output (n - merged == 1) is an invalid clustering: loss 1.
         losses = np.divide(2 * counts, n * (n - 1), out=np.ones(merged.size), where=n - merged > 1)
-        total += losses[np.searchsorted(w[last], candidates, side="right")]
+        step_losses.append((w[last], losses))
+    steps = np.concatenate([[-np.inf], np.unique(np.concatenate([weights for weights, _ in step_losses]))])
+    total = np.zeros(steps.size)
+    for weights, losses in step_losses:
+        total += losses[np.searchsorted(weights, steps, side="right")]
+    total = total[np.searchsorted(steps, candidates, side="right") - 1]
     return ThresholdFitResult(r=candidates, mean_loss=total / len(train))
 
 

@@ -152,7 +152,7 @@ def generate_runs(
             full_labels = np.empty((restarts, points.shape[0]), dtype=np.int64)
             full_labels[:, inliers] = labels
             full_labels[:, outliers] = np.argmin(d2, axis=2)
-            fulls = [Partition(n_items=points.shape[0], labels=row) for row in full_labels]
+            fulls = [Partition._dense(row, np.bincount(row, minlength=k)) for row in full_labels]
             ari_keys = _first_appearance_labels(full_labels)
         for run, (result, full) in enumerate(zip(results, fulls)):
             key = sil_keys[run].tobytes()

@@ -110,6 +110,18 @@ class TestFloatFormat:
         assert fast == read_bytes(tmp_path / "cells.csv")
         assert fast.count(b"\r\n") == first.size + 1
 
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_float_pairs_at_the_chunk_size(self, tmp_path, extra):
+        # Exactly one full chunk, and one row past it.
+        rng = np.random.default_rng(14)
+        first = rng.standard_normal(cli._CHUNK_ROWS + extra) * 1e3
+        second = np.round(rng.uniform(0.0, 1.0, first.size), 2)
+        cli._write_float_pairs(tmp_path / "fast.csv", ["r", "mean_loss"], first, second)
+        cli._write_csv(tmp_path / "cells.csv", ["r", "mean_loss"], zip(first.tolist(), second.tolist()))
+        fast = read_bytes(tmp_path / "fast.csv")
+        assert fast == read_bytes(tmp_path / "cells.csv")
+        assert fast.count(b"\r\n") == first.size + 1
+
     def test_float_pairs_with_repeated_losses_across_chunks(self, tmp_path):
         # Each distinct loss is formatted once: 0.0 and -0.0 must keep their own
         # text, and repeats on both sides of a chunk boundary must get the same.

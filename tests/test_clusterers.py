@@ -520,6 +520,15 @@ class TestAgglomerative:
                 pts[rng.integers(0, n, size=n // 2)] = pts[-1]  # duplicate points
             for k in sorted({2, int(rng.integers(2, n + 1)), n}):
                 assert agglomerative(pts, k, linkage) == lance_williams_oracle(pts, k, linkage), (linkage, n, d, k)
+        # Tiny and huge coordinates, and k values that stop exactly where the
+        # matrix would next drop its retired slots (at most half of n active),
+        # one merge before and one merge after.
+        for n in (33, 65, 129, 161):
+            base = rng.standard_normal((n, 3))
+            for scale in (1.0, 1e-150, 1e150):
+                pts = base * scale
+                for k in (n // 2 - 1, n // 2, n // 2 + 1):
+                    assert agglomerative(pts, k, linkage) == lance_williams_oracle(pts, k, linkage), (linkage, n, scale, k)
         # The whole merge sequence on small problems: every k from n down to 2.
         for n, d in ((2, 1), (5, 1), (8, 2), (11, 1), (12, 3)):
             for variant in ("plain", "rounded", "duplicates"):

@@ -221,6 +221,28 @@ class TestThresholdFitting:
         for name, train in cases.items():
             assert_same_fit(fit_threshold_kruskal(train), fit_threshold_bruteforce(train))
 
+    def test_oracle_equivalence_on_shared_loss_steps(self):
+        # The sweep adds the graphs' losses on the union of their loss steps:
+        # graphs whose weights all coincide, a graph with no finite edge among
+        # others, and one graph alone.
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            n = int(rng.integers(4, 12))
+            upper = np.triu_indices(n, 1)
+            weights = rng.integers(1, 4, size=upper[0].size).astype(float)
+            shared = []
+            for _g in range(3):
+                matrix = np.zeros((n, n))
+                matrix[upper] = rng.permutation(weights)  # the same weights on other edges
+                labels = rng.integers(0, 2, size=n)
+                labels[:2] = (0, 1)
+                shared.append((WeightedGraph(matrix), labels_to_partition(labels)))
+            with_empty = random_collection(rng)
+            no_edge = (graph_from_edges(5, ()), labels_to_partition([0, 1, 0, 1, 1]))
+            with_empty.insert(int(rng.integers(len(with_empty) + 1)), no_edge)
+            for train in (shared, with_empty, random_collection(rng, max_graphs=1)):
+                assert_same_fit(fit_threshold_kruskal(train), fit_threshold_bruteforce(train))
+
     def test_complete_distance_graphs_match_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(10):

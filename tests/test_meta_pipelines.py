@@ -251,6 +251,30 @@ class TestGenerateRuns:
                 distinct = {first_appearance(cell[side]) for cell in cells}
                 assert len(distinct) < len(cells) - 10, (i, side)
 
+    @pytest.mark.parametrize("theta", [0.0, 0.1])
+    def test_unchecked_partitions_equal_checked_ones(self, theta, monkeypatch):
+        # kmeans results and the reattached full partitions skip Partition's
+        # checks; each must equal the partition built from its labels.
+        built = []
+        dense = Partition._dense.__func__
+
+        def record(cls, labels, sizes):
+            built.append(dense(cls, labels, sizes))
+            return built[-1]
+
+        monkeypatch.setattr(Partition, "_dense", classmethod(record))
+        ds, truth = small_repo(1).problems[0]
+        generate_runs(ds, truth, range(2, 6), 4, seed=3, theta=theta)
+        # 4 k values x 4 runs, and with pruning each run's full partition too.
+        assert len(built) == (2 if theta else 1) * 4 * 4
+        assert {fast.n_items for fast in built} == ({ds.n - int(theta * ds.n), ds.n} if theta else {ds.n})
+        for fast in built:
+            checked = Partition(n_items=fast.n_items, labels=fast.labels.copy())
+            assert fast.labels.dtype == checked.labels.dtype and np.array_equal(fast.labels, checked.labels)
+            assert fast.sizes.dtype == checked.sizes.dtype and np.array_equal(fast.sizes, checked.sizes)
+            assert fast.n_covered == checked.n_covered == fast.n_items
+            assert not fast.labels.flags.writeable and not fast.sizes.flags.writeable
+
     def test_deterministic(self):
         repo = small_repo(1)
         ds, truth = repo.problems[0]

@@ -1,9 +1,9 @@
 """The benchmark's result files, pinned by digest.
 
 The ``kgrid`` and ``linkage`` repositories of ``perfbench/workloads.py`` are
-generated at seeds 7 (the workload seed) and 3, and their pipelines run with
-the workload flags and that seed through ``cli.main``, in children with one and
-with two BLAS threads; the seed-7 ``pairnet`` repository runs its pipeline
+generated at seeds 7 (the workload seed) and 3, the ``linkage`` one also at
+seed 11, and their pipelines run with the workload flags and that seed through
+``cli.main``, in children with one and with two BLAS threads; the seed-7 ``pairnet`` repository runs its pipeline
 with the workload's own pipeline seed in the one-thread child.  The sha256 of
 each result CSV must equal the digest recorded here, so a change that moves a
 result bit fails in tier 1 instead of only in a hand check.  The bits depend
@@ -17,8 +17,8 @@ from conftest import run_python_child, skip_unless_pinned_numpy_and_blas
 
 # (workload seed, workload) cases of each child, by its BLAS thread count.
 CASES = {
-    "1": [(7, "kgrid"), (7, "linkage"), (3, "kgrid"), (3, "linkage"), (7, "pairnet")],
-    "2": [(7, "kgrid"), (7, "linkage"), (3, "kgrid"), (3, "linkage")],
+    "1": [(7, "kgrid"), (7, "linkage"), (3, "kgrid"), (3, "linkage"), (11, "linkage"), (7, "pairnet")],
+    "2": [(7, "kgrid"), (7, "linkage"), (3, "kgrid"), (3, "linkage"), (11, "linkage")],
 }
 
 RESULT_SHA256 = {
@@ -32,6 +32,9 @@ RESULT_SHA256 = {
     "seed3/linkage/algo-select/algo_select.csv": "4a06032b15cbaba66a890f3448dc762873d465e261380683b698f8f46c33748f",
     "seed3/linkage/fit-threshold/threshold_profile.csv": "64db6e6c48d39568eea9fd8030b174425bf03f5af099225a562fbe0e920dfd5b",
     "seed3/linkage/meta-scale/meta_scale.csv": "8947e2503ed77f59cf7d7929fd1aaa4fdc1b3992e275fd65157398fd47aa67f3",
+    "seed11/linkage/algo-select/algo_select.csv": "d137bdc4c65abdacc4bfd1b24bd3d69e467e394a2ee919116681d5081e7f0de9",
+    "seed11/linkage/fit-threshold/threshold_profile.csv": "71cdbd0cf1b248f07da11274e6fcc4184b9cbe814cbf402010b9efac2936dba9",
+    "seed11/linkage/meta-scale/meta_scale.csv": "04f829b41f66afe46a8ad96c088499d399eb255fa38c54d4aa42028e96f90436",
     "seed7/pairnet/bsf/bsf.csv": "3e63894b60b7c9ef45e169014ba85d97ad35219ab7c731ac91dab01cfacb732c",
 }
 
