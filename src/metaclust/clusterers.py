@@ -199,7 +199,7 @@ def kmeans(points: np.ndarray, k: int, seeds, *, sq_dist=None) -> tuple:
     )
 
 
-def agglomerative(points: np.ndarray, k: int, linkage: str = "single") -> Partition:
+def agglomerative(points: np.ndarray, k: int, linkage: str = "single", *, sq_dist=None) -> Partition:
     """Greedy merging from singletons with Lance-Williams updates to k clusters.
 
     Ward operates on squared Euclidean distances; ties break toward the
@@ -212,7 +212,10 @@ def agglomerative(points: np.ndarray, k: int, linkage: str = "single") -> Partit
     keeps it only for the other active slots, so every active entry gets the
     same float operations as a per-slot update.  Only the non-zero terms of
     the update are evaluated: adding a zero-coefficient term to a finite sum
-    that is at least +0.0 moves no bit.
+    that is at least +0.0 moves no bit.  ``sq_dist``, if given, is
+    ``squared_distances(points)``, read instead of computed (and not
+    modified).  Distances that overflow to inf leave no pair to merge once
+    every entry is inf; that raises ``ValueError``.
     """
     if linkage not in LINKAGES:
         raise ValueError(f"unknown linkage {linkage!r}")
@@ -221,9 +224,14 @@ def agglomerative(points: np.ndarray, k: int, linkage: str = "single") -> Partit
     if not (2 <= k <= n):
         raise ValueError(f"k={k} out of range for n={n}")
 
-    dist = squared_distances(points)
+    if sq_dist is None:
+        dist = squared_distances(points)
+    elif np.shape(sq_dist) != (n, n):
+        raise ValueError(f"sq_dist must be an ({n}, {n}) matrix, got shape {np.shape(sq_dist)}")
+    else:
+        dist = np.array(sq_dist, dtype=float)  # a copy: the merges write into it
     if linkage != "ward":
-        dist = np.sqrt(dist)
+        np.sqrt(dist, out=dist)
     np.fill_diagonal(dist, np.inf)
 
     slots = np.arange(n)  # the slot of each row of ``dist``, ascending
@@ -242,6 +250,8 @@ def agglomerative(points: np.ndarray, k: int, linkage: str = "single") -> Partit
                 slots, sizes = slots[keep], sizes[keep]
                 retired = np.zeros(remaining, dtype=bool)
             i, j = divmod(int(dist.argmin()), slots.size)  # i < j: the matrix is symmetric
+            if i == j:  # every entry is inf, the diagonal's included
+                raise ValueError(f"{linkage} linkage: no finite distance left to merge {remaining} clusters to {k}")
             di, dj = dist[i], dist[j]  # views: the update is written into row i in place
             ni, nj = float(sizes[i]), float(sizes[j])
             # The update alpha_i*di + alpha_j*dj + beta*d_ij + gamma*|di - dj|,
@@ -312,12 +322,17 @@ def single_linkage_threshold(graph: WeightedGraph, r: float, strict: bool = Fals
     return Partition(n_items=n, labels=(np.cumsum(roots) - 1)[comp])
 
 
-def run_spec(spec: ClustererSpec, points: np.ndarray) -> Partition:
-    """Run the configured algorithm on a finite (n, d) point matrix."""
+def run_spec(spec: ClustererSpec, points: np.ndarray, *, sq_dist=None) -> Partition:
+    """Run the configured algorithm on a finite (n, d) point matrix.
+
+    ``sq_dist``, if given, is ``squared_distances`` of the points the
+    algorithm runs on (``normalize_points(points)`` for a normalizing spec)
+    and is passed on to it, which gives the same partition.
+    """
     points = _as_points(points)
     work = normalize_points(points) if spec.normalize_first else points
     if spec.kind == "kmeans":
         # The first run of least inertia.
-        runs = kmeans(work, spec.k, [derive_seed(spec.seed, r) for r in range(spec.restarts)])
+        runs = kmeans(work, spec.k, [derive_seed(spec.seed, r) for r in range(spec.restarts)], sq_dist=sq_dist)
         return min(runs, key=lambda run: run.inertia).partition
-    return agglomerative(work, spec.k, linkage=spec.kind.removeprefix("agglo_"))
+    return agglomerative(work, spec.k, linkage=spec.kind.removeprefix("agglo_"), sq_dist=sq_dist)

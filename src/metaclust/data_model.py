@@ -288,19 +288,31 @@ def load_dataset_csv(path, dataset_id: Optional[str] = None) -> tuple:
     if d < 1 or header != [f"f{i}" for i in range(d)] + ["label"]:
         raise DataError(f"{path}: header must be f0..f{{d-1}} followed by label, with d >= 1")
 
-    points = np.empty((len(rows), d))
+    # The numeric block in one conversion (numpy parses each cell as float()
+    # does); only a file with a bad row or cell is read cell by cell, which
+    # names the first bad one.
+    try:
+        if any(len(row) != len(header) for row in rows):
+            raise ValueError("ragged rows")
+        points = np.array([row[:d] for row in rows], dtype=float).reshape(len(rows), d)
+        parsed = bool(np.isfinite(points).all())
+    except ValueError:
+        parsed = False
+    if not parsed:
+        points = np.empty((len(rows), d))
     labels = np.empty(len(rows), dtype=np.int64)
     for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {r + 2} has {len(row)} cells, expected {len(header)}")
-        for c in range(d):
-            try:
-                val = float(row[c])
-            except ValueError:
-                raise DataError(f"{path}: row {r + 2}, column {header[c]}: non-numeric cell {row[c]!r}")
-            if not math.isfinite(val):
-                raise DataError(f"{path}: row {r + 2}, column {header[c]}: non-finite cell")
-            points[r, c] = val
+        if not parsed:
+            if len(row) != len(header):
+                raise DataError(f"{path}: row {r + 2} has {len(row)} cells, expected {len(header)}")
+            for c in range(d):
+                try:
+                    val = float(row[c])
+                except ValueError:
+                    raise DataError(f"{path}: row {r + 2}, column {header[c]}: non-numeric cell {row[c]!r}")
+                if not math.isfinite(val):
+                    raise DataError(f"{path}: row {r + 2}, column {header[c]}: non-finite cell")
+                points[r, c] = val
         cell = row[d]
         try:
             lab = int(cell)

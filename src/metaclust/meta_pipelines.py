@@ -29,10 +29,11 @@ from metaclust.data_model import (
     SplitSpec,
     covariance,
     derive_seed,
+    normalize_points,
     split_repository,
     squared_distances,
 )
-from metaclust.metrics import adjusted_rand_index, pairwise_distances, silhouette_score
+from metaclust.metrics import adjusted_rand_index, silhouette_score
 from metaclust.regression import fit_least_squares, phi_features, predict, symmetric_eigen_extrema
 
 __all__ = [
@@ -298,13 +299,19 @@ def _member_runs(specs: Sequence[ClustererSpec], dataset: Dataset) -> tuple:
     meta-features raise ``ValueError`` gives (partition, None); any other
     exception propagates.  The problem's distance matrix and eigenvalue
     extrema are computed once and shared by every member's meta-features.
+    The squared distances of the raw points, and of the normalized points if
+    a member normalizes, are computed once and passed to every member that
+    runs on them.
     """
-    dist = pairwise_distances(dataset.points)
+    sq_dist = {False: squared_distances(dataset.points)}
+    if any(spec.normalize_first for spec in specs):
+        sq_dist[True] = squared_distances(normalize_points(dataset.points))
+    dist = np.sqrt(sq_dist[False])  # the bits of pairwise_distances(dataset.points)
     extrema = symmetric_eigen_extrema(covariance(dataset.points))
     runs = []
     for spec in specs:
         try:
-            partition = run_spec(spec, dataset.points)
+            partition = run_spec(spec, dataset.points, sq_dist=sq_dist[spec.normalize_first])
         except ValueError:
             runs.append((None, None))
             continue

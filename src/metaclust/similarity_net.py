@@ -5,10 +5,14 @@ vectors (two zero-padded 10-coordinate blocks plus the 55 upper-triangle
 entries of the zero-embedded covariance matrix).  A small MLP trained with
 Adadelta on negative log-likelihood predicts whether a pair shares a class.
 Each pair is stored once, as two row indices into its dataset's points, and
-feature rows are built only when they are needed.  Training and prediction
-both see each pair in the two orders (the reversed order exchanges the two
-coordinate blocks), and prediction averages the orders so decisions are
-symmetric.  The prescient per-problem majority rule serves as the baseline.
+feature rows are built only when they are needed, and only in the feature
+columns that the pair set can make non-zero (``_active_columns``): on
+problems of fewer than 10 dimensions the padded columns are exactly 0, and
+the net reads them through first-layer weights that training never moves.
+Training and prediction both see each pair in the two orders (the reversed
+order exchanges the two coordinate blocks), and prediction averages the
+orders so decisions are symmetric.  The prescient per-problem majority rule
+serves as the baseline.
 """
 
 from __future__ import annotations
@@ -43,8 +47,16 @@ PAD_DIM = 10
 COV_DIM = PAD_DIM * (PAD_DIM + 1) // 2  # 55
 FEATURE_DIM = 2 * PAD_DIM + COV_DIM  # 75
 LAYER_DIMS = (FEATURE_DIM, 100, 50, 25, 12, 2)
-# Shapes of the parameters in ``MlpModel.params`` order: every weight, then every bias.
-PARAM_SHAPES = tuple(zip(LAYER_DIMS[:-1], LAYER_DIMS[1:])) + tuple((fan_out,) for fan_out in LAYER_DIMS[1:])
+
+
+def _param_shapes(n_inputs: int) -> tuple:
+    """Shapes of the parameters in ``MlpModel.params`` order, every weight and
+    then every bias, of a net that reads ``n_inputs`` feature columns."""
+    dims = (n_inputs, *LAYER_DIMS[1:])
+    return tuple(zip(dims[:-1], dims[1:])) + tuple((fan_out,) for fan_out in dims[1:])
+
+
+PARAM_SHAPES = _param_shapes(FEATURE_DIM)
 
 ADADELTA_RHO = 0.9
 ADADELTA_EPS = 1e-6
@@ -97,21 +109,54 @@ class PairSet:
         return self.labels.shape[0]
 
 
-def _feature_rows(pairs: PairSet, first: np.ndarray, second: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """A fresh (rows, 75) matrix: row t holds ``pairs``' points rows first[t]
-    and second[t], then covariance row blocks[t]."""
-    x = np.empty((first.shape[0], FEATURE_DIM))
-    x[:, :PAD_DIM] = pairs.points[first]
-    x[:, PAD_DIM : 2 * PAD_DIM] = pairs.points[second]
-    x[:, 2 * PAD_DIM :] = pairs.covariances[blocks]
+def _active_columns(pairs: PairSet) -> np.ndarray:
+    """The feature columns that ``pairs`` can make non-zero, as ascending indices into the 75.
+
+    A point column that is non-zero in any row of ``pairs.points`` is taken
+    in both coordinate blocks, so the reversed order is still an exchange of
+    two equal blocks; a covariance column is taken if it is non-zero in any
+    row of ``pairs.covariances``.  Every other column is 0 in every feature
+    row of the set.
+    """
+    point = np.flatnonzero(np.any(pairs.points != 0, axis=0))
+    cov = np.flatnonzero(np.any(pairs.covariances != 0, axis=0))
+    return np.concatenate([point, PAD_DIM + point, 2 * PAD_DIM + cov])
+
+
+def _block_width(columns: np.ndarray) -> int:
+    """How many of ``columns`` each coordinate block holds."""
+    return int(np.searchsorted(columns, PAD_DIM))
+
+
+def _column_tables(pairs: PairSet, columns: np.ndarray) -> tuple:
+    """``pairs``' points and covariance tables cut to the feature ``columns``:
+    (points, covariances), each a fresh row-major matrix."""
+    width = _block_width(columns)
+    points = pairs.points[:, columns[:width]]
+    covariances = pairs.covariances[:, columns[2 * width :] - 2 * PAD_DIM]
+    return np.ascontiguousarray(points), np.ascontiguousarray(covariances)
+
+
+def _feature_rows(points: np.ndarray, covariances: np.ndarray, first, second, blocks) -> np.ndarray:
+    """A fresh feature matrix: row t holds ``points`` rows first[t] and
+    second[t], then ``covariances`` row blocks[t].
+
+    With a ``PairSet``'s own tables the rows are its (rows, 75) feature rows;
+    with tables from ``_column_tables`` they hold only those columns.
+    """
+    width = points.shape[1]
+    x = np.empty((first.shape[0], 2 * width + covariances.shape[1]))
+    x[:, :width] = points[first]
+    x[:, width : 2 * width] = points[second]
+    x[:, 2 * width :] = covariances[blocks]
     return x
 
 
-def _swap_coordinate_blocks(x: np.ndarray) -> None:
-    """Exchange the two coordinate blocks of x's rows in place: the reversed pairs."""
-    first = x[:, :PAD_DIM].copy()
-    x[:, :PAD_DIM] = x[:, PAD_DIM : 2 * PAD_DIM]
-    x[:, PAD_DIM : 2 * PAD_DIM] = first
+def _swap_coordinate_blocks(x: np.ndarray, width: int) -> None:
+    """Exchange the two ``width``-column coordinate blocks of x's rows in place: the reversed pairs."""
+    first = x[:, :width].copy()
+    x[:, :width] = x[:, width : 2 * width]
+    x[:, width : 2 * width] = first
 
 
 def _covariance_features(points: np.ndarray) -> np.ndarray:
@@ -255,13 +300,19 @@ class MlpModel:
     reshaped views into it, and ``acc_grad`` and ``acc_update`` are the
     Adadelta running averages (squared gradients and squared updates), flat
     vectors of the same size.  The constructor copies the arrays it is given.
+    A net may read fewer than the 75 feature columns: the first weight matrix
+    then has one row per column read (``_sub_net``).
     """
 
     def __init__(self, weights, biases):
         arrays = [np.asarray(a, dtype=float) for a in (*weights, *biases)]
         shapes = tuple(a.shape for a in arrays)
-        if shapes != PARAM_SHAPES:
-            raise ValueError(f"layer dims {LAYER_DIMS} need parameter shapes {PARAM_SHAPES}, got {shapes}")
+        n_inputs = len(arrays[0]) if arrays and arrays[0].ndim else FEATURE_DIM
+        if n_inputs > FEATURE_DIM or shapes != _param_shapes(n_inputs):
+            raise ValueError(
+                f"layer dims {LAYER_DIMS}, with at most {FEATURE_DIM} inputs, need parameter shapes "
+                f"{PARAM_SHAPES} with that many first-layer rows, got {shapes}"
+            )
         self.params = np.concatenate([a.ravel() for a in arrays])
         parts = np.split(self.params, np.cumsum([a.size for a in arrays])[:-1])
         views = [part.reshape(shape) for part, shape in zip(parts, shapes)]
@@ -340,6 +391,23 @@ def adadelta_step(param, grad, acc_grad, acc_update):
     return delta
 
 
+def _sub_net(model: MlpModel, columns: np.ndarray) -> MlpModel:
+    """A net with ``model``'s parameters that reads only the feature ``columns``:
+    its first weight matrix is ``model.weights[0][columns]``, and its Adadelta
+    accumulators start at zero."""
+    return MlpModel([model.weights[0][columns], *model.weights[1:]], model.biases)
+
+
+def _write_back(model: MlpModel, net: MlpModel, columns: np.ndarray) -> None:
+    """Copy the parameters and Adadelta accumulators of ``net``, a trained
+    ``_sub_net(model, columns)``, into ``model``; the first-layer rows of
+    the other columns keep their values."""
+    head, net_head = model.weights[0].size, net.weights[0].size
+    for full, part in ((model.params, net.params), (model.acc_grad, net.acc_grad), (model.acc_update, net.acc_update)):
+        full[:head].reshape(model.weights[0].shape)[columns] = part[:net_head].reshape(net.weights[0].shape)
+        full[head:] = part[net_head:]
+
+
 def train_mlp(meta_train: PairSet, epochs: int = 10, batch: int = 250, seed: int = 0) -> MlpModel:
     """Train on both orders of every pair: NLL objective, Adadelta updates, fixed shuffles.
 
@@ -348,10 +416,20 @@ def train_mlp(meta_train: PairSet, epochs: int = 10, batch: int = 250, seed: int
     up the rows' points rows, covariance rows and labels once, in shuffled
     order; each batch's feature rows are gathered for it, and each batch
     makes one Adadelta step on the flat parameter vector.
+
+    Only the set's active feature columns (``_active_columns``) are built and
+    trained: a sub-net (``_sub_net``) holds the first-layer rows of those
+    columns and every other parameter, with its own accumulators, and is
+    written back into the full model at the end.  The other first-layer rows
+    keep their initial values and zero accumulators; full-width training
+    leaves them so too, since their inputs, and so their gradients, are 0.
     """
     if len(meta_train) == 0:
         raise ValueError("training set must be non-empty")
+    columns = _active_columns(meta_train)
+    points, covariances = _column_tables(meta_train, columns)
     model = init_mlp(seed)
+    net = _sub_net(model, columns)
     n = 2 * len(meta_train)
     # One column per pair: its two points rows, its covariance row and its label.
     table = np.stack([meta_train.rows_i, meta_train.rows_j, meta_train.blocks, meta_train.labels])
@@ -363,26 +441,37 @@ def train_mlp(meta_train: PairSet, epochs: int = 10, batch: int = 250, seed: int
         plan[:2, swapped] = plan[1::-1, swapped]  # odd rows give their pair in reversed order
         for start in range(0, n, batch):
             first, second, blocks, labels = plan[:, start : start + batch]
-            x = _feature_rows(meta_train, first, second, blocks)
-            _loss, (grads_w, grads_b) = nll_loss_and_grads(model, x, labels)
+            x = _feature_rows(points, covariances, first, second, blocks)
+            _loss, (grads_w, grads_b) = nll_loss_and_grads(net, x, labels)
             grad = np.concatenate([g.ravel() for g in (*grads_w, *grads_b)])
-            adadelta_step(model.params, grad, model.acc_grad, model.acc_update)
+            adadelta_step(net.params, grad, net.acc_grad, net.acc_update)
+    _write_back(model, net, columns)
     return model
 
 
-def predict_features(model: MlpModel, features: np.ndarray) -> tuple:
+def predict_features(model: MlpModel, features: np.ndarray, columns=None) -> tuple:
     """(probability_same, decision) with symmetric two-order averaging.
 
-    Works on a (batch, 75) matrix.  The swapped order is derived by
-    exchanging the two coordinate blocks of a writable matrix in place, and
-    exchanging them back before return; a read-only one is copied first.
-    Decision is same-cluster iff the averaged probability strictly exceeds 0.5.
+    Works on a (batch, len(columns)) matrix holding the feature ``columns``
+    (ascending indices into the 75, the same coordinates in both blocks, as
+    ``_active_columns`` gives them; by default all 75); ``model`` reads them
+    through the matching rows of its first weight matrix.  The swapped order
+    is derived by exchanging the two coordinate blocks of a writable matrix
+    in place, and exchanging them back before return; a read-only one is
+    copied first.  Decision is same-cluster iff the averaged probability
+    strictly exceeds 0.5.
     """
+    columns = np.arange(FEATURE_DIM) if columns is None else np.asarray(columns, dtype=int)
+    width = _block_width(columns)
+    ascending = np.array_equal(columns, np.unique(columns[(columns >= 0) & (columns < FEATURE_DIM)]))
+    if not (ascending and np.array_equal(columns[width : 2 * width], columns[:width] + PAD_DIM)):
+        raise ValueError(f"columns must ascend in [0, {FEATURE_DIM}) and hold the same coordinates in both blocks")
+    net = _sub_net(model, columns)
     x = np.require(np.atleast_2d(features), dtype=float, requirements="W")
-    p_fwd = np.exp(model.forward(x)[:, 1])
-    _swap_coordinate_blocks(x)
-    p_swp = np.exp(model.forward(x)[:, 1])
-    _swap_coordinate_blocks(x)
+    p_fwd = np.exp(net.forward(x)[:, 1])
+    _swap_coordinate_blocks(x, width)
+    p_swp = np.exp(net.forward(x)[:, 1])
+    _swap_coordinate_blocks(x, width)
     p = (p_fwd + p_swp) / 2.0
     return p, p > 0.5
 
@@ -413,18 +502,21 @@ def _predict_pairs(model: MlpModel, pairs: PairSet) -> tuple:
 
     The m pairs are cut into ``ceil(m / PREDICT_ROWS)`` parts of near-equal
     size (``np.array_split``), and only one part's feature rows and layer
-    outputs are live at a time.  The parts are balanced rather than fixed
-    slices with a short last one: with numpy 2.4.6 and scipy-openblas 0.3.31,
-    balanced parts give probabilities bitwise equal to one whole-matrix
-    ``predict_features`` call, while a short remainder slice moved the last
-    bits of some.
+    outputs are live at a time.  The rows hold only the set's active
+    columns (``_active_columns``, found once per set).  The parts are
+    balanced rather than fixed slices with a short last one: with numpy
+    2.4.6 and scipy-openblas 0.3.31, balanced parts give probabilities
+    bitwise equal to one whole-matrix ``predict_features`` call, while a
+    short remainder slice moved the last bits of some.
     """
     m = len(pairs)
+    columns = _active_columns(pairs)
+    points, covariances = _column_tables(pairs, columns)
     probabilities = np.empty(m)
     decisions = np.empty(m, dtype=bool)
     for part in np.array_split(np.arange(m), max(1, math.ceil(m / PREDICT_ROWS))):
-        x = _feature_rows(pairs, pairs.rows_i[part], pairs.rows_j[part], pairs.blocks[part])
-        probabilities[part], decisions[part] = predict_features(model, x)
+        x = _feature_rows(points, covariances, pairs.rows_i[part], pairs.rows_j[part], pairs.blocks[part])
+        probabilities[part], decisions[part] = predict_features(model, x, columns)
     return probabilities, decisions
 
 

@@ -74,7 +74,7 @@ def best_kmeans(points, k, restarts=1, seed=0, *, sq_dist=None):
 
 def pair_features(pairs):
     """The (m, 75) feature rows of every pair of a ``PairSet``, in pair order."""
-    return _feature_rows(pairs, pairs.rows_i, pairs.rows_j, pairs.blocks)
+    return _feature_rows(pairs.points, pairs.covariances, pairs.rows_i, pairs.rows_j, pairs.blocks)
 
 
 def graph_from_edges(n, edges):

@@ -576,6 +576,32 @@ class TestAgglomerative:
         with pytest.raises(ValueError):
             agglomerative(np.zeros((4, 1)), 2, "centroid")
 
+    @pytest.mark.parametrize("linkage", ["single", "complete", "average", "ward"])
+    def test_given_squared_distances_give_the_same_partition(self, linkage):
+        rng = np.random.default_rng(23)
+        for n in (2, 9, 40, 97):
+            pts = rng.standard_normal((n, 3))
+            sq = squared_distances(pts)
+            before = sq.copy()
+            for k in sorted({2, n // 2 + 1, n}):
+                assert agglomerative(pts, k, linkage, sq_dist=sq) == agglomerative(pts, k, linkage), (n, k)
+            assert sq.tobytes() == before.tobytes()  # read, not modified
+
+    def test_squared_distances_of_another_shape_rejected(self):
+        pts = np.arange(10.0).reshape(5, 2)
+        with pytest.raises(ValueError, match="sq_dist"):
+            agglomerative(pts, 2, "average", sq_dist=squared_distances(pts[:4]))
+
+    @pytest.mark.parametrize("linkage", ["single", "complete", "average", "ward"])
+    def test_overflowing_distances_raise(self, linkage):
+        # Every squared distance overflows to inf, so no pair can be merged: a
+        # cluster must not merge with itself.
+        pts = np.array([[0.0], [1e200], [2e200], [3e200]])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="no finite distance"):
+            agglomerative(pts, 2, linkage)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="no finite distance"):
+            run_spec(ClustererSpec(kind=f"agglo_{linkage}", k=2), pts)
+
 
 class TestSingleLinkageThreshold:
     def path_graph(self):
@@ -734,6 +760,15 @@ class TestRunSpec:
         pts[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             run_spec(spec, pts)
+
+    @pytest.mark.parametrize("kind", ["kmeans", "agglo_single", "agglo_ward"])
+    @pytest.mark.parametrize("normalize_first", [False, True])
+    def test_given_squared_distances_give_the_same_partition(self, kind, normalize_first):
+        rng = np.random.default_rng(19)
+        pts = rng.standard_normal((30, 2)) * [50.0, 1.0]
+        spec = ClustererSpec(kind=kind, k=3, normalize_first=normalize_first, restarts=3, seed=2)
+        sq = squared_distances(normalize_points(pts) if normalize_first else pts)
+        assert run_spec(spec, pts, sq_dist=sq) == run_spec(spec, pts)
 
     def test_normalize_first_clusters_normalized_points(self):
         rng = np.random.default_rng(16)

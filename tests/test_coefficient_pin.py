@@ -6,10 +6,10 @@ would otherwise pass unseen.  These tests fit the models on small fixed
 repositories and compare the sha256 of each model's coefficient array (one
 row of weights, then the intercept, per candidate), of the trained MLP's
 flat parameter vector and of its predicted probabilities (one set predicted
-whole, one predicted part by part) with recorded digests.  The meta-model
-digests must also hold in children with 1 and with 2 OpenBLAS threads.  The
-bits depend on numpy and its BLAS, so under any other numpy or BLAS version the
-tests skip and name the difference.
+whole, one predicted part by part) with recorded digests.  Every digest must
+hold in children with 1 and with 2 OpenBLAS threads.  The bits depend on
+numpy and its BLAS, so under any other numpy or BLAS version the tests skip
+and name the difference.
 """
 
 import hashlib
@@ -26,15 +26,16 @@ from metaclust.meta_pipelines import repo_runs, train_algo_select, train_meta_k
 META_K_SHA256 = "70eac2718fa73c4bdeb6456a8bb3997f00ae46a74632ff8c5c48f0e100b0912d"
 ALGO_SELECT_SHA256 = "cf9afa3dd81a457484fb1d1974f55bc08a3709f579c178f04ac1da52329a93ef"
 
-# The MLP's bits also depend on the BLAS thread count, so it is trained in a
-# child process with this many OpenBLAS threads.
-MLP_BLAS_THREADS = "1"
-MLP_PARAMS_SHA256 = "348733abb6ccd3f9df770e8906e54a0ab5628893b44d8487c66d42227631ba28"
-MLP_PROBABILITIES_SHA256 = "dde239bd8eec316090bf8cf384de76eb96bd666fbeb9a2ffe332ab89d7f0b284"
-# The probabilities of a 9,000-pair set predicted in two balanced parts by
-# ``_predict_pairs``.  Recorded from one whole-matrix ``predict_features`` call
-# on the same rows, so it also shows that the parts move no bit.
-MLP_PART_PROBABILITIES_SHA256 = "505877077145de74cc343ae442a58ab65d9ef9ac533e34f3bd8da8acf487a9c5"
+# The MLP is trained on 2-5 dimensional problems, so only 25 of the 75
+# feature columns are active; with 75 the first-layer weight gradient's bits
+# depend on the BLAS thread count.
+MLP_PARAMS_SHA256 = "a98d058347c48f4df2974a5f9cac21bc6aebd5c3026a63d161bb06792da53b05"
+MLP_PROBABILITIES_SHA256 = "f2579234df4f12ba092601385c1f3b5b6b2c3c0d536f859ab77b44d86a971c26"
+# The probabilities of a 9,000-pair set predicted in two balanced parts of its
+# 25 active columns by ``_predict_pairs``.  Recorded from one whole-matrix
+# ``predict_features`` call on all 75 columns of the same rows, so it also
+# shows that neither the parts nor the dropped columns move a bit.
+MLP_PART_PROBABILITIES_SHA256 = "7a5232523c64445a1b37b46887fab832988f1032f76b358c595f2f7917f159ba"
 
 # Trains on a small repository's meta-train set, predicts its meta-ET set whole,
 # then predicts a larger meta-ET set part by part; prints the three digests,
@@ -108,8 +109,9 @@ def test_coefficients_do_not_depend_on_the_blas_thread_count(blas_threads):
 
 
 def test_mlp_parameters_and_probabilities():
-    assert run_python_child(MLP_CHILD, MLP_BLAS_THREADS).split() == [
-        MLP_PARAMS_SHA256,
-        MLP_PROBABILITIES_SHA256,
-        MLP_PART_PROBABILITIES_SHA256,
-    ]
+    for blas_threads in ("1", "2"):
+        assert run_python_child(MLP_CHILD, blas_threads).split() == [
+            MLP_PARAMS_SHA256,
+            MLP_PROBABILITIES_SHA256,
+            MLP_PART_PROBABILITIES_SHA256,
+        ], blas_threads

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -268,6 +269,31 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("f0,label\n1,0\nnan,1\n")
         with pytest.raises(DataError, match="non-finite"):
+            load_dataset_csv(path)
+
+    def test_cells_parse_as_float_does(self, tmp_path):
+        cells = [" 1.5", "1_0", "+.5", "-0", "1e-400", "5.", "\t2", "0.1", "%.17g" % (1 / 3), repr(2 / 3)]
+        path = tmp_path / "cells.csv"
+        rows = (f'"{a}",{b},{t % 2}\n' for t, (a, b) in enumerate(zip(cells, cells[::-1])))
+        path.write_text("f0,f1,label\n" + "".join(rows))
+        points, _truth = load_dataset_csv(path)
+        expected = np.array([[float(a), float(b)] for a, b in zip(cells, cells[::-1])])
+        assert points.points.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("f0,label\n1,0\n2,x\noops,1\n", "row 3: non-integer label 'x'"),
+            ("f0,label\n1,0\noops,1\n2,1,5\n", "row 3, column f0: non-numeric cell 'oops'"),
+            ("f0,label\n1,0\n2,1,5\noops,1\n", "row 3 has 3 cells, expected 2"),
+            ("f0,f1,label\n1,2,0\n3,inf,1\n4,oops,1\n", "row 3, column f1: non-finite cell"),
+        ],
+        ids=["label-first", "cell-first", "ragged-first", "non-finite-first"],
+    )
+    def test_first_bad_row_is_named(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=re.escape(message)):
             load_dataset_csv(path)
 
     def test_rejects_sparse_label_ids(self, tmp_path):

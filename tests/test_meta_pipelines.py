@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import best_kmeans
-from metaclust import meta_pipelines, regression
+from metaclust import clusterers, meta_pipelines, regression
 from metaclust.clusterers import ClustererSpec, run_spec
 from metaclust.data_model import (
     DataError,
@@ -18,6 +18,7 @@ from metaclust.data_model import (
     derive_seed,
     labels_to_partition,
     make_synthetic_repository,
+    normalize_points,
     squared_distances,
 )
 from metaclust.meta_pipelines import (
@@ -583,9 +584,9 @@ class TestAlgoSelect:
         test = repo.problems[3:]
         calls = []
 
-        def counted(spec, points):
+        def counted(spec, points, **kwargs):
             calls.append(spec.name)
-            return run_spec(spec, points)
+            return run_spec(spec, points, **kwargs)
 
         monkeypatch.setattr(meta_pipelines, "run_spec", counted)
         _meta, per_member = meta_pipelines.evaluate_algo_select(model, test)
@@ -638,16 +639,21 @@ class TestAlgoSelect:
 
     def test_one_distance_matrix_per_problem(self, monkeypatch):
         repo = small_repo(4)
-        runs, dists, phi_dists = [], [], []
-        real_run, real_dist, real_phi = meta_pipelines.run_spec, meta_pipelines.pairwise_distances, meta_pipelines.phi_features
+        runs, dists, member_dists, phi_dists = [], [], [], []
+        real_run, real_sq = meta_pipelines.run_spec, meta_pipelines.squared_distances
+        real_phi = meta_pipelines.phi_features
 
-        def counted_run(spec, points):
-            runs.append(spec.name)
-            return real_run(spec, points)
+        def counted_run(spec, points, *, sq_dist):
+            runs.append((spec.normalize_first, sq_dist))
+            return real_run(spec, points, sq_dist=sq_dist)
 
-        def counted_dist(points):
+        def counted_sq(points):
             dists.append(points)
-            return real_dist(points)
+            return real_sq(points)
+
+        def member_sq(points):
+            member_dists.append(points)
+            return real_sq(points)
 
         def recorded_phi(dataset, partition, dist, extrema):
             phi_dists.append(dist)
@@ -661,14 +667,22 @@ class TestAlgoSelect:
             return real_eigen(s)
 
         monkeypatch.setattr(meta_pipelines, "run_spec", counted_run)
-        monkeypatch.setattr(meta_pipelines, "pairwise_distances", counted_dist)
+        monkeypatch.setattr(meta_pipelines, "squared_distances", counted_sq)
+        monkeypatch.setattr(clusterers, "squared_distances", member_sq)
         monkeypatch.setattr(meta_pipelines, "phi_features", recorded_phi)
         monkeypatch.setattr(meta_pipelines, "symmetric_eigen_extrema", counted_eigen)
         monkeypatch.setattr(regression, "symmetric_eigen_extrema", counted_eigen)
         model = train_algo_select(self.FAMILY, repo.problems, seed=1)
         assert len(runs) == len(self.FAMILY) * len(repo.problems)
-        assert len(dists) == len(repo.problems)
-        assert all(p is ds.points for p, (ds, _truth) in zip(dists, repo.problems))
+        # Per problem, one matrix of the raw points and one of the normalized
+        # points (one member normalizes); the members compute none.
+        assert len(dists) == 2 * len(repo.problems) and member_dists == []
+        for t, (ds, _truth) in enumerate(repo.problems):
+            raw, normalized = dists[2 * t : 2 * t + 2]
+            assert raw is ds.points and np.array_equal(normalized, normalize_points(ds.points))
+            problem_runs = runs[len(self.FAMILY) * t : len(self.FAMILY) * (t + 1)]
+            assert len({id(sq) for norm, sq in problem_runs if not norm}) == 1
+            assert len({id(sq) for norm, sq in problem_runs}) == 2
         # Three members run and get features on each problem, all from its one matrix.
         assert len(phi_dists) == 3 * len(repo.problems)
         assert len({id(d) for d in phi_dists[:3]}) == 1 and phi_dists[0] is not phi_dists[3]
@@ -678,9 +692,23 @@ class TestAlgoSelect:
         for calls in (runs, dists, phi_dists, eigen):
             calls.clear()
         select_algorithm(model, repo.problems[0][0])
-        assert len(runs) == len(self.FAMILY) and len(dists) == 1
+        assert len(runs) == len(self.FAMILY) and len(dists) == 2 and member_dists == []
         assert len(phi_dists) == 3 and all(d is phi_dists[0] for d in phi_dists)
         assert len(eigen) == 1
+
+    def test_no_normalized_matrix_without_a_normalizing_member(self, monkeypatch):
+        repo = small_repo(3)
+        dists = []
+        real_sq = meta_pipelines.squared_distances
+
+        def counted_sq(points):
+            dists.append(points)
+            return real_sq(points)
+
+        monkeypatch.setattr(meta_pipelines, "squared_distances", counted_sq)
+        specs = [spec for spec in self.FAMILY if not spec.normalize_first]
+        train_algo_select(specs, repo.problems, seed=1)
+        assert len(dists) == len(repo.problems)
 
     def test_failed_psd_check_fails_every_feature_row(self, monkeypatch):
         repo = small_repo(3)
@@ -714,7 +742,7 @@ class TestAlgoSelect:
         specs = [ClustererSpec(kind="kmeans", k=2, restarts=2)]
         model = train_algo_select(specs, repo.problems, seed=0)
 
-        def broken(spec, points):
+        def broken(spec, points, **kwargs):
             raise TypeError("not a documented member failure")
 
         monkeypatch.setattr(meta_pipelines, "run_spec", broken)

@@ -3,8 +3,9 @@
 The ``kgrid`` and ``linkage`` repositories of ``perfbench/workloads.py`` are
 generated at seeds 7 (the workload seed) and 3, the ``linkage`` one also at
 seed 11, and their pipelines run with the workload flags and that seed through
-``cli.main``, in children with one and with two BLAS threads; the seed-7 ``pairnet`` repository runs its pipeline
-with the workload's own pipeline seed in the one-thread child.  The sha256 of
+``cli.main``, in children with one and with two BLAS threads; the seed-7
+``pairnet`` repository runs its pipeline with the workload's own pipeline seed
+in both children.  The sha256 of
 each result CSV must equal the digest recorded here, so a change that moves a
 result bit fails in tier 1 instead of only in a hand check.  The bits depend
 on numpy and its BLAS, so under any other numpy or BLAS version the test skips
@@ -18,7 +19,7 @@ from conftest import run_python_child, skip_unless_pinned_numpy_and_blas
 # (workload seed, workload) cases of each child, by its BLAS thread count.
 CASES = {
     "1": [(7, "kgrid"), (7, "linkage"), (3, "kgrid"), (3, "linkage"), (11, "linkage"), (7, "pairnet")],
-    "2": [(7, "kgrid"), (7, "linkage"), (3, "kgrid"), (3, "linkage"), (11, "linkage")],
+    "2": [(7, "kgrid"), (7, "linkage"), (3, "kgrid"), (3, "linkage"), (11, "linkage"), (7, "pairnet")],
 }
 
 RESULT_SHA256 = {

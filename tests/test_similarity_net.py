@@ -171,23 +171,35 @@ def mixed_repo(seed):
     return MetaRepository(problems=tuple(problems), seed=seed)
 
 
-def train_mlp_oracle(meta_train, epochs, batch, seed):
+ALL_COLUMNS = np.arange(FEATURE_DIM)  # the columns of full-width training
+
+
+def train_mlp_oracle(meta_train, epochs, batch, seed, columns=None):
     """The training path of the nested-parameter model, kept as an exact oracle.
 
     Meta-train is augmented with an interleaved reversed copy of every pair
     (rows 2t and 2t+1 are pair t and its block-swapped order, both with pair
     t's label), and each batch makes one Adadelta step per parameter array
-    with per-array accumulators.  Returns the parameters, squared-gradient and
-    squared-update accumulators, each flattened in ``MlpModel.params`` order.
+    with per-array accumulators.  The net reads only the feature ``columns``
+    (by default the set's active columns, as ``train_mlp`` does; all 75 for
+    full-width training): its inputs and first weight matrix are cut to
+    them, and the first-layer rows of the other columns are returned with
+    their initial values and zero accumulators.  Returns the parameters,
+    squared-gradient and squared-update accumulators, each flattened in
+    ``MlpModel.params`` order.
     """
+    if columns is None:
+        columns = similarity_net._active_columns(meta_train)
     m = len(meta_train)
-    x = np.empty((2 * m, FEATURE_DIM))
-    x[0::2] = pair_features(meta_train)
-    x[1::2] = swap_blocks(x[0::2])
+    full = np.empty((2 * m, FEATURE_DIM))
+    full[0::2] = pair_features(meta_train)
+    full[1::2] = swap_blocks(full[0::2])
+    x = full[:, columns]
     y = np.repeat(meta_train.labels, 2)
 
     init = init_mlp(seed)
-    model = SimpleNamespace(weights=[w.copy() for w in init.weights], biases=[b.copy() for b in init.biases])
+    weights = [init.weights[0][columns]] + [w.copy() for w in init.weights[1:]]
+    model = SimpleNamespace(weights=weights, biases=[b.copy() for b in init.biases])
     acc_grad = [[np.zeros_like(w) for w in model.weights], [np.zeros_like(b) for b in model.biases]]
     acc_update = [[np.zeros_like(w) for w in model.weights], [np.zeros_like(b) for b in model.biases]]
     for epoch in range(epochs):
@@ -200,10 +212,13 @@ def train_mlp_oracle(meta_train, epochs, batch, seed):
                 adadelta_step(model.weights[layer], grads_w[layer], acc_grad[0][layer], acc_update[0][layer])
                 adadelta_step(model.biases[layer], grads_b[layer], acc_grad[1][layer], acc_update[1][layer])
 
-    def flat(nested):
-        return np.concatenate([a.ravel() for a in nested[0] + nested[1]])
+    def flat(nested, first_rows):
+        first = first_rows.copy()
+        first[columns] = nested[0][0]
+        return np.concatenate([a.ravel() for a in [first] + nested[0][1:] + nested[1]])
 
-    return flat([model.weights, model.biases]), flat(acc_grad), flat(acc_update)
+    zeros = np.zeros_like(init.weights[0])
+    return flat([model.weights, model.biases], init.weights[0]), flat(acc_grad, zeros), flat(acc_update, zeros)
 
 
 class TestPairFeatures:
@@ -541,9 +556,19 @@ class TestFlatParameters:
         with pytest.raises(ValueError):
             MlpModel([w.T for w in init.weights], init.biases)
 
+    def test_fewer_input_columns_accepted_more_rejected(self):
+        init = init_mlp(seed=4)
+        for rows in (0, 25, FEATURE_DIM):
+            model = MlpModel([init.weights[0][:rows], *init.weights[1:]], init.biases)
+            assert model.weights[0].shape == (rows, LAYER_DIMS[1])
+            assert model.params.size == init.params.size - (FEATURE_DIM - rows) * LAYER_DIMS[1]
+        with pytest.raises(ValueError):
+            MlpModel([np.vstack([init.weights[0], init.weights[0][:1]]), *init.weights[1:]], init.biases)
+
 
 class TestTrainingOracle:
-    """``train_mlp`` on the un-augmented pairs is == to ``train_mlp_oracle``."""
+    """``train_mlp`` on the un-augmented pairs is == to ``train_mlp_oracle`` on
+    the same feature columns, and within rounding of full-width training."""
 
     BATCHES = {
         "one": lambda m: 1,
@@ -551,21 +576,76 @@ class TestTrainingOracle:
         "partial": lambda m: m - 1,  # a last batch of 2 rows
         "over": lambda m: 2 * m + 1,  # one partial batch
     }
+    CASES = [(21, 1), (33, 4), (21, 6)]
 
-    @pytest.mark.parametrize("repo_seed,split_seed", [(21, 1), (33, 4), (21, 6)])
+    def train_set(self, repo_seed, split_seed, dims=(2, 2)):
+        spec = SynthSpec(n_problems=8, n_points=60, dims=dims, n_clusters=(2, 3), seed=repo_seed)
+        train = sample_pair_splits(make_synthetic_repository(spec), seed=split_seed, max_pairs=12).meta_train
+        assert 0 < train.labels.sum() < len(train)  # both labels occur
+        return train
+
+    @pytest.mark.parametrize("repo_seed,split_seed", CASES)
     @pytest.mark.parametrize("batch", sorted(BATCHES))
     def test_params_match_oracle(self, repo_seed, split_seed, batch):
-        repo = make_synthetic_repository(SynthSpec(n_problems=8, n_points=60, n_clusters=(2, 3), seed=repo_seed))
-        train = sample_pair_splits(repo, seed=split_seed, max_pairs=12).meta_train
-        m = len(train)
-        assert 0 < train.labels.sum() < m  # both labels occur
-        size = self.BATCHES[batch](m)
+        train = self.train_set(repo_seed, split_seed)
+        size = self.BATCHES[batch](len(train))
         model = train_mlp(train, epochs=2, batch=size, seed=split_seed)
         params, acc_grad, acc_update = train_mlp_oracle(train, epochs=2, batch=size, seed=split_seed)
         assert np.array_equal(model.params, params)
         assert np.array_equal(model.acc_grad, acc_grad)
         assert np.array_equal(model.acc_update, acc_update)
         assert not np.array_equal(params, init_mlp(split_seed).params)
+
+    @pytest.mark.parametrize("repo_seed,split_seed", CASES)
+    @pytest.mark.parametrize("batch", sorted(BATCHES))
+    def test_params_match_full_width_oracle_within_rounding(self, repo_seed, split_seed, batch):
+        # The first-layer weight gradient is a narrower product, so its last bits may move.
+        train = self.train_set(repo_seed, split_seed)
+        assert len(similarity_net._active_columns(train)) < FEATURE_DIM
+        size = self.BATCHES[batch](len(train))
+        model = train_mlp(train, epochs=2, batch=size, seed=split_seed)
+        full = train_mlp_oracle(train, epochs=2, batch=size, seed=split_seed, columns=ALL_COLUMNS)
+        for got, expected in zip((model.params, model.acc_grad, model.acc_update), full):
+            np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("repo_seed,split_seed", CASES)
+    def test_inactive_rows_keep_init_bits_and_zero_accumulators(self, repo_seed, split_seed):
+        train = self.train_set(repo_seed, split_seed)
+        inactive = np.setdiff1d(np.arange(FEATURE_DIM), similarity_net._active_columns(train))
+        # 2-d problems: 8 padded columns in each block and 52 covariance entries
+        assert inactive.size == 2 * 8 + 52
+        model = train_mlp(train, epochs=2, batch=7, seed=split_seed)
+        assert model.weights[0][inactive].tobytes() == init_mlp(split_seed).weights[0][inactive].tobytes()
+        head = model.weights[0].shape
+        for acc in (model.acc_grad, model.acc_update):
+            rows = acc[: model.weights[0].size].reshape(head)[inactive]
+            assert rows.tobytes() == np.zeros_like(rows).tobytes()  # +0.0, not -0.0
+        # Full-width training leaves those rows alike, their gradients being 0.
+        params, acc_grad, acc_update = train_mlp_oracle(train, epochs=2, batch=7, seed=split_seed, columns=ALL_COLUMNS)
+        full = [a[: model.weights[0].size].reshape(head)[inactive].tobytes() for a in (params, acc_grad, acc_update)]
+        assert full == [model.weights[0][inactive].tobytes(), rows.tobytes(), rows.tobytes()]
+
+    def test_set_without_active_columns(self):
+        # All-zero points and covariances: the net reads no feature column.
+        train = pair_set(np.zeros((6, FEATURE_DIM)), [0, 1, 1, 0, 1, 1])
+        assert similarity_net._active_columns(train).size == 0
+        model = train_mlp(train, epochs=2, batch=4, seed=3)
+        params, acc_grad, acc_update = train_mlp_oracle(train, epochs=2, batch=4, seed=3, columns=ALL_COLUMNS)
+        assert np.array_equal(model.params, params) and np.array_equal(model.acc_grad, acc_grad)
+        assert np.array_equal(model.acc_update, acc_update)
+        p, _decisions = similarity_net._predict_pairs(model, train)
+        assert np.array_equal(p, predict_features(model, np.zeros((6, FEATURE_DIM)))[0])
+
+    @pytest.mark.parametrize("batch", sorted(BATCHES))
+    def test_every_column_active_matches_full_width_oracle_exactly(self, batch):
+        # 10-d problems make all 75 columns active: the arithmetic of full-width training.
+        train = self.train_set(21, 1, dims=(10, 10))
+        assert np.array_equal(similarity_net._active_columns(train), ALL_COLUMNS)
+        size = self.BATCHES[batch](len(train))
+        model = train_mlp(train, epochs=2, batch=size, seed=1)
+        full = train_mlp_oracle(train, epochs=2, batch=size, seed=1, columns=ALL_COLUMNS)
+        for got, expected in zip((model.params, model.acc_grad, model.acc_update), full):
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestAdadelta:
@@ -617,6 +697,32 @@ class TestPrediction:
         before.setflags(write=False)
         assert np.array_equal(predict_features(model, before)[0], expected)  # a read-only matrix is copied
 
+    def test_columns_are_read_through_their_first_layer_rows(self):
+        rng = np.random.default_rng(15)
+        model = init_mlp(seed=8)
+        columns = np.array([0, 1, 2, PAD_DIM, PAD_DIM + 1, PAD_DIM + 2, 2 * PAD_DIM, 2 * PAD_DIM + 1, FEATURE_DIM - 1])
+        x = np.zeros((40, FEATURE_DIM))
+        x[:, columns] = rng.standard_normal((40, columns.size))
+        p, decision = predict_features(model, np.ascontiguousarray(x[:, columns]), columns)
+        expected, expected_decision = predict_features(model, x)
+        np.testing.assert_allclose(p, expected, rtol=1e-12, atol=0)
+        assert np.array_equal(decision, expected_decision)
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            [1, 0, PAD_DIM, PAD_DIM + 1],
+            [0, 0, PAD_DIM, PAD_DIM],
+            [0, PAD_DIM + 1],
+            [0, PAD_DIM, FEATURE_DIM],
+            [-1, PAD_DIM - 1],
+        ],
+        ids=["descending", "repeated", "unpaired", "past-the-end", "negative"],
+    )
+    def test_bad_columns_rejected(self, columns):
+        with pytest.raises(ValueError, match="columns must ascend"):
+            predict_features(init_mlp(seed=8), np.zeros((3, len(columns))), columns)
+
     def test_half_probability_is_different(self):
         # a zero-weight model outputs exactly p = 0.5, decided as "different"
         model = init_mlp(seed=6)
@@ -664,8 +770,12 @@ class TestMajorityBaseline:
 
 def model_accuracy_oracle(model, pairs):
     """Whole-set scoring: (probabilities, decisions, accuracy) from one
-    ``predict_features`` call on the set's whole (m, 75) feature matrix."""
-    p, decisions = predict_features(model, similarity_net._feature_rows(pairs, pairs.rows_i, pairs.rows_j, pairs.blocks))
+    ``predict_features`` call on the set's whole feature matrix in its
+    active columns (a one-row matrix of all 75 columns is multiplied
+    differently, and rounds differently)."""
+    columns = similarity_net._active_columns(pairs)
+    x = pair_features(pairs)[:, columns]
+    p, decisions = predict_features(model, np.ascontiguousarray(x), columns)
     return p, decisions, float((decisions.astype(int) == pairs.labels).mean())
 
 
@@ -736,9 +846,9 @@ class TestPredictPairs:
         pairs = sample_pair_splits(make_synthetic_repository(SynthSpec(n_problems=8, n_points=40, seed=3)), max_pairs=60).meta_et
         sizes = []
 
-        def predict(model, features):
+        def predict(model, features, columns=None):
             sizes.append(features.shape[0])
-            return predict_features(model, features)
+            return predict_features(model, features, columns)
 
         monkeypatch.setattr(similarity_net, "PREDICT_ROWS", 70)
         monkeypatch.setattr(similarity_net, "predict_features", predict)
