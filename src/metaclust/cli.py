@@ -39,6 +39,7 @@ from metaclust.erm_meta import fit_meta_scale, fit_threshold_kruskal
 from metaclust.meta_pipelines import (
     evaluate_algo_select,
     evaluate_meta_k,
+    member_records,
     repo_runs,
     sweep_outlier_fraction,
     train_algo_select,
@@ -208,11 +209,12 @@ def cmd_run_algo_select(args) -> int:
     splits = _splits(args)
     repo = _load_repo(args)
     family = default_family()
+    records = member_records(family, repo.problems, args.seed)
     rows = []
     for frac, repeat, split in splits:
         train_idx, test_idx = split_repository(repo, split)
-        model = train_algo_select(family, [repo.problems[i] for i in train_idx], seed=args.seed)
-        ari_meta, per_member = evaluate_algo_select(model, [repo.problems[i] for i in test_idx])
+        model = train_algo_select([records[i] for i in train_idx])
+        ari_meta, per_member = evaluate_algo_select(model, [records[i] for i in test_idx])
         rows.append([frac, repeat, ari_meta] + per_member)
     header = ["train_frac", "repeat", "ari_meta"] + [f"ari_{spec.name}" for spec in family]
     _write_result(args, "algo_select.csv", header, rows)

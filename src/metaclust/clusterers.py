@@ -215,7 +215,8 @@ def agglomerative(points: np.ndarray, k: int, linkage: str = "single", *, sq_dis
     that is at least +0.0 moves no bit.  ``sq_dist``, if given, is
     ``squared_distances(points)``, read instead of computed (and not
     modified).  Distances that overflow to inf leave no pair to merge once
-    every entry is inf; that raises ``ValueError``.
+    every entry is inf, and a single or complete update of two inf entries
+    is NaN, which ``argmin`` picks first; either raises ``ValueError``.
     """
     if linkage not in LINKAGES:
         raise ValueError(f"unknown linkage {linkage!r}")
@@ -250,7 +251,7 @@ def agglomerative(points: np.ndarray, k: int, linkage: str = "single", *, sq_dis
                 slots, sizes = slots[keep], sizes[keep]
                 retired = np.zeros(remaining, dtype=bool)
             i, j = divmod(int(dist.argmin()), slots.size)  # i < j: the matrix is symmetric
-            if i == j:  # every entry is inf, the diagonal's included
+            if not np.isfinite(dist[i, j]):  # every entry inf, or an update of two infs NaN
                 raise ValueError(f"{linkage} linkage: no finite distance left to merge {remaining} clusters to {k}")
             di, dj = dist[i], dist[j]  # views: the update is written into row i in place
             ni, nj = float(sizes[i]), float(sizes[j])

@@ -40,6 +40,7 @@ __all__ = [
     "RunGrid",
     "MetaKModel",
     "MetaKEvaluation",
+    "MemberRecord",
     "AlgoSelectModel",
     "OutlierSweepResult",
     "DEFAULT_K_RANGE",
@@ -50,6 +51,7 @@ __all__ = [
     "train_meta_k",
     "meta_selected_cell",
     "evaluate_meta_k",
+    "member_records",
     "train_algo_select",
     "select_algorithm",
     "evaluate_algo_select",
@@ -273,116 +275,116 @@ def evaluate_meta_k(model: MetaKModel, test_grids: Sequence) -> MetaKEvaluation:
 
 
 @dataclass(frozen=True, eq=False)
+class MemberRecord:
+    """Every family member's run on one problem, in member order.
+
+    Row j of the read-only (members, 5) ``rows`` is member j's meta-feature
+    row, or the flagged ``[d, n, lo, hi, 0]`` where ``has_features[j]`` is
+    false; ``ari[j]`` is its ARI against the truth, 0 if its run failed.
+    """
+
+    dataset_id: str
+    rows: np.ndarray
+    has_features: np.ndarray
+    ari: np.ndarray
+
+
+def member_records(specs: Sequence[ClustererSpec], problems: Sequence, seed: int = 0) -> list:
+    """One ``MemberRecord`` per (dataset, truth) problem, in problem order.
+
+    Member j runs once per problem with seed ``derive_seed(seed, j)``; a
+    command builds the records once and each split gathers its rows.  A run
+    that raises ``ValueError`` has ARI 0 and no meta-features, and
+    meta-features that raise it leave none; any other exception propagates.
+    Per problem, the distance matrix and eigenvalue extrema are computed once
+    for every member's meta-features, and the squared distances of the raw
+    (and, if a member normalizes, the normalized) points once for every run.
+    """
+    specs = [replace(spec, seed=derive_seed(seed, j)) for j, spec in enumerate(specs)]
+    records = []
+    for dataset, truth in problems:
+        sq_dist = {False: squared_distances(dataset.points)}
+        if any(spec.normalize_first for spec in specs):
+            sq_dist[True] = squared_distances(normalize_points(dataset.points))
+        dist = np.sqrt(sq_dist[False])  # the bits of pairwise_distances(dataset.points)
+        lo, hi = extrema = symmetric_eigen_extrema(covariance(dataset.points))
+        rows = np.tile([dataset.d, dataset.n, lo, hi, 0.0], (len(specs), 1))
+        has_features, ari = np.zeros(len(specs), dtype=bool), np.zeros(len(specs))
+        for j, spec in enumerate(specs):
+            try:
+                partition = run_spec(spec, dataset.points, sq_dist=sq_dist[spec.normalize_first])
+            except ValueError:
+                continue
+            ari[j] = adjusted_rand_index(truth.n_items, truth, partition)
+            try:
+                rows[j], has_features[j] = phi_features(dataset, partition, dist, extrema), True
+            except ValueError:
+                pass
+        for a in (rows, has_features, ari):
+            a.setflags(write=False)
+        records.append(MemberRecord(dataset.id, rows, has_features, ari))
+    return records
+
+
+@dataclass(frozen=True, eq=False)
 class AlgoSelectModel:
     """One ARI regression over the 5 meta-features per family member, plus failure count.
 
-    Row j of the read-only ``(len(specs), 6)`` array ``coef`` holds the five
-    weights and the intercept for ``specs[j]``.
+    Row j of the read-only ``(members, 6)`` array ``coef`` holds the five
+    weights and the intercept for member j.
     """
 
-    specs: tuple  # ClustererSpec per member, seeds derived
     coef: np.ndarray
     n_failed_rows: int = 0
 
     def __post_init__(self):
         coef = np.array(self.coef, dtype=float)
         coef.setflags(write=False)
-        object.__setattr__(self, "specs", tuple(self.specs))
         object.__setattr__(self, "coef", coef)
 
 
-def _member_runs(specs: Sequence[ClustererSpec], dataset: Dataset) -> tuple:
-    """The problem's covariance eigenvalue extrema, and the (partition,
-    meta-feature row) of every member on it, in member order.
+def train_algo_select(train: Sequence) -> AlgoSelectModel:
+    """Fit one ARI regression per family member on its rows of the training records.
 
-    A member whose run raises ``ValueError`` gives (None, None), and one whose
-    meta-features raise ``ValueError`` gives (partition, None); any other
-    exception propagates.  The problem's distance matrix and eigenvalue
-    extrema are computed once and shared by every member's meta-features.
-    The squared distances of the raw points, and of the normalized points if
-    a member normalizes, are computed once and passed to every member that
-    runs on them.
-    """
-    sq_dist = {False: squared_distances(dataset.points)}
-    if any(spec.normalize_first for spec in specs):
-        sq_dist[True] = squared_distances(normalize_points(dataset.points))
-    dist = np.sqrt(sq_dist[False])  # the bits of pairwise_distances(dataset.points)
-    extrema = symmetric_eigen_extrema(covariance(dataset.points))
-    runs = []
-    for spec in specs:
-        try:
-            partition = run_spec(spec, dataset.points, sq_dist=sq_dist[spec.normalize_first])
-        except ValueError:
-            runs.append((None, None))
-            continue
-        try:
-            row = phi_features(dataset, partition, dist, extrema)
-        except ValueError:
-            row = None
-        runs.append((partition, row))
-    return extrema, runs
-
-
-def train_algo_select(specs: Sequence[ClustererSpec], train: Sequence, seed: int = 0) -> AlgoSelectModel:
-    """Fit one ARI-predicting model per family member on the training problems.
-
-    A member failure yields a flagged training row with silhouette 0 and
-    target ARI 0 (rows are kept so design matrices stay aligned).  Each
-    member's rows are in problem order.
+    The rows stack in problem order.  A flagged row, without meta-features,
+    has target 0 (rows are kept so designs stay aligned) and counts as failed.
     """
     if not train:
         raise ValueError("training set must be non-empty")
-    specs = [replace(spec, seed=derive_seed(seed, j)) for j, spec in enumerate(specs)]
-    feats = [[] for _ in specs]
-    targets = [[] for _ in specs]
-    n_failed = 0
-    for ds, truth in train:
-        (lo, hi), runs = _member_runs(specs, ds)
-        for j, (partition, row) in enumerate(runs):
-            if row is None:
-                row, target = np.array([ds.d, ds.n, lo, hi, 0.0]), 0.0
-                n_failed += 1
-            else:
-                target = adjusted_rand_index(truth.n_items, truth, partition)
-            feats[j].append(row)
-            targets[j].append(target)
-    return AlgoSelectModel(specs, [fit_least_squares(f, t) for f, t in zip(feats, targets)], n_failed)
+    rows = np.stack([record.rows for record in train], axis=1)  # (members, problems, 5)
+    has_features = np.stack([record.has_features for record in train], axis=1)
+    targets = np.where(has_features, np.stack([record.ari for record in train], axis=1), 0.0)
+    coef = [fit_least_squares(x, y) for x, y in zip(rows, targets)]
+    return AlgoSelectModel(coef, int(np.count_nonzero(~has_features)))
 
 
-def select_algorithm(model: AlgoSelectModel, dataset: Dataset) -> tuple:
-    """Run every member, predict its ARI and pick the best-predicted member.
+def select_algorithm(model: AlgoSelectModel, record: MemberRecord) -> int:
+    """The position of the member with the highest predicted ARI on the record's problem.
 
-    Returns (best, partitions): ``best`` is the position of the member with
-    the highest predicted ARI, and ``partitions`` holds every member's
-    partition in member order, ``None`` where its run failed.  Ties break
-    toward the earliest member, and a member without meta-features is no
-    candidate; ``DataError`` names the dataset if no member can be scored.
+    Ties break toward the earliest member, and a member without meta-features
+    is no candidate; ``DataError`` names the dataset if none can be scored.
     """
-    _extrema, runs = _member_runs(model.specs, dataset)
     best, best_score = None, None
-    for j, (coef, (_partition, row)) in enumerate(zip(model.coef, runs, strict=True)):
-        if row is None:
+    for j, (coef, row, scored) in enumerate(zip(model.coef, record.rows, record.has_features, strict=True)):
+        if not scored:
             continue
         score = predict(coef, row)  # a dot product per member: one matrix product need not round alike
         if best is None or score > best_score:  # strict: ties keep the earlier member
             best, best_score = j, score
     if best is None:
-        raise DataError(f"dataset {dataset.id!r}: no family member could be scored")
-    return best, [partition for partition, _row in runs]
+        raise DataError(f"dataset {record.dataset_id!r}: no family member could be scored")
+    return best
 
 
 def evaluate_algo_select(model: AlgoSelectModel, test: Sequence) -> tuple:
-    """(meta mean ARI, [fixed-member mean ARI in member order]) on labeled problems.
+    """(meta mean ARI, [fixed-member mean ARI in member order]) over the test records.
 
-    Each member runs once per test problem, inside ``select_algorithm``; its
-    partition is scored here.  A failed run contributes ARI 0.
+    ARIs are summed as Python floats in problem order; a failed run adds 0.
     """
-    meta_total = 0.0
-    member_totals = [0.0] * len(model.specs)
-    for ds, truth in test:
-        best, partitions = select_algorithm(model, ds)
-        aris = [0.0 if p is None else adjusted_rand_index(truth.n_items, truth, p) for p in partitions]
-        meta_total += aris[best]
+    meta_total, member_totals = 0.0, [0.0] * len(model.coef)
+    for record in test:
+        aris = record.ari.tolist()
+        meta_total += aris[select_algorithm(model, record)]
         member_totals = [total + ari for total, ari in zip(member_totals, aris)]
     n = len(test)
     return meta_total / n, [total / n for total in member_totals]

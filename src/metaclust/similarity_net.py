@@ -297,9 +297,7 @@ class MlpModel:
 
     Every parameter lives in one flat float64 vector ``params``: the weight
     matrices, then the biases, in layer order.  ``weights`` and ``biases`` are
-    reshaped views into it, and ``acc_grad`` and ``acc_update`` are the
-    Adadelta running averages (squared gradients and squared updates), flat
-    vectors of the same size.  The constructor copies the arrays it is given.
+    reshaped views into it.  The constructor copies the arrays it is given.
     A net may read fewer than the 75 feature columns: the first weight matrix
     then has one row per column read (``_sub_net``).
     """
@@ -318,8 +316,6 @@ class MlpModel:
         views = [part.reshape(shape) for part, shape in zip(parts, shapes)]
         self.weights = views[: len(views) // 2]
         self.biases = views[len(views) // 2 :]
-        self.acc_grad = np.zeros_like(self.params)
-        self.acc_update = np.zeros_like(self.params)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Log-probabilities, shape (batch, 2)."""
@@ -393,19 +389,15 @@ def adadelta_step(param, grad, acc_grad, acc_update):
 
 def _sub_net(model: MlpModel, columns: np.ndarray) -> MlpModel:
     """A net with ``model``'s parameters that reads only the feature ``columns``:
-    its first weight matrix is ``model.weights[0][columns]``, and its Adadelta
-    accumulators start at zero."""
+    its first weight matrix is ``model.weights[0][columns]``."""
     return MlpModel([model.weights[0][columns], *model.weights[1:]], model.biases)
 
 
 def _write_back(model: MlpModel, net: MlpModel, columns: np.ndarray) -> None:
-    """Copy the parameters and Adadelta accumulators of ``net``, a trained
-    ``_sub_net(model, columns)``, into ``model``; the first-layer rows of
-    the other columns keep their values."""
-    head, net_head = model.weights[0].size, net.weights[0].size
-    for full, part in ((model.params, net.params), (model.acc_grad, net.acc_grad), (model.acc_update, net.acc_update)):
-        full[:head].reshape(model.weights[0].shape)[columns] = part[:net_head].reshape(net.weights[0].shape)
-        full[head:] = part[net_head:]
+    """Copy the parameters of ``net``, a trained ``_sub_net(model, columns)``,
+    into ``model``; the first-layer rows of the other columns keep their values."""
+    model.weights[0][columns] = net.weights[0]
+    model.params[model.weights[0].size :] = net.params[net.weights[0].size :]
 
 
 def train_mlp(meta_train: PairSet, epochs: int = 10, batch: int = 250, seed: int = 0) -> MlpModel:
@@ -419,10 +411,10 @@ def train_mlp(meta_train: PairSet, epochs: int = 10, batch: int = 250, seed: int
 
     Only the set's active feature columns (``_active_columns``) are built and
     trained: a sub-net (``_sub_net``) holds the first-layer rows of those
-    columns and every other parameter, with its own accumulators, and is
-    written back into the full model at the end.  The other first-layer rows
-    keep their initial values and zero accumulators; full-width training
-    leaves them so too, since their inputs, and so their gradients, are 0.
+    columns and every other parameter, with its own Adadelta accumulators,
+    and is written back into the full model at the end.  The other
+    first-layer rows keep their initial values; full-width training leaves
+    them so too, since their inputs, and so their gradients, are 0.
     """
     if len(meta_train) == 0:
         raise ValueError("training set must be non-empty")
@@ -430,6 +422,7 @@ def train_mlp(meta_train: PairSet, epochs: int = 10, batch: int = 250, seed: int
     points, covariances = _column_tables(meta_train, columns)
     model = init_mlp(seed)
     net = _sub_net(model, columns)
+    acc_grad, acc_update = np.zeros_like(net.params), np.zeros_like(net.params)
     n = 2 * len(meta_train)
     # One column per pair: its two points rows, its covariance row and its label.
     table = np.stack([meta_train.rows_i, meta_train.rows_j, meta_train.blocks, meta_train.labels])
@@ -444,7 +437,7 @@ def train_mlp(meta_train: PairSet, epochs: int = 10, batch: int = 250, seed: int
             x = _feature_rows(points, covariances, first, second, blocks)
             _loss, (grads_w, grads_b) = nll_loss_and_grads(net, x, labels)
             grad = np.concatenate([g.ravel() for g in (*grads_w, *grads_b)])
-            adadelta_step(net.params, grad, net.acc_grad, net.acc_update)
+            adadelta_step(net.params, grad, acc_grad, acc_update)
     _write_back(model, net, columns)
     return model
 
@@ -456,10 +449,11 @@ def predict_features(model: MlpModel, features: np.ndarray, columns=None) -> tup
     (ascending indices into the 75, the same coordinates in both blocks, as
     ``_active_columns`` gives them; by default all 75); ``model`` reads them
     through the matching rows of its first weight matrix.  The swapped order
-    is derived by exchanging the two coordinate blocks of a writable matrix
-    in place, and exchanging them back before return; a read-only one is
-    copied first.  Decision is same-cluster iff the averaged probability
-    strictly exceeds 0.5.
+    is derived by exchanging the two coordinate blocks of a writable
+    C-ordered matrix in place, and back before return; any other is copied
+    to one first, as a caller's memory order would move last bits (the width
+    still can: a row on 75 columns against its active ones).  Decision is
+    same-cluster iff the averaged probability strictly exceeds 0.5.
     """
     columns = np.arange(FEATURE_DIM) if columns is None else np.asarray(columns, dtype=int)
     width = _block_width(columns)
@@ -467,7 +461,7 @@ def predict_features(model: MlpModel, features: np.ndarray, columns=None) -> tup
     if not (ascending and np.array_equal(columns[width : 2 * width], columns[:width] + PAD_DIM)):
         raise ValueError(f"columns must ascend in [0, {FEATURE_DIM}) and hold the same coordinates in both blocks")
     net = _sub_net(model, columns)
-    x = np.require(np.atleast_2d(features), dtype=float, requirements="W")
+    x = np.require(np.atleast_2d(features), dtype=float, requirements="CW")
     p_fwd = np.exp(net.forward(x)[:, 1])
     _swap_coordinate_blocks(x, width)
     p_swp = np.exp(net.forward(x)[:, 1])

@@ -37,6 +37,7 @@ from metaclust.erm_meta import (
 from metaclust.meta_pipelines import (
     evaluate_algo_select,
     evaluate_meta_k,
+    member_records,
     repo_runs,
     sweep_outlier_fraction,
     train_algo_select,
@@ -308,10 +309,11 @@ def test_criterion_06_algo_select_beats_fixed_members(announce):
     family = [ClustererSpec(kind="kmeans", k=2, restarts=10), ClustererSpec(kind="agglo_single", k=2)]
     meta_scores = []
     member_scores: dict = {}
+    records = member_records(family, repo.problems, seed=7)
     for repeat in range(10):
         train_idx, test_idx = split_repository(repo, SplitSpec(0.6, repeat, 7))
-        model = train_algo_select(family, [repo.problems[i] for i in train_idx], seed=7)
-        ari_meta, per_member = evaluate_algo_select(model, [repo.problems[i] for i in test_idx])
+        model = train_algo_select([records[i] for i in train_idx])
+        ari_meta, per_member = evaluate_algo_select(model, [records[i] for i in test_idx])
         meta_scores.append(ari_meta)
         for spec, val in zip(family, per_member):
             member_scores.setdefault(spec.name, []).append(val)

@@ -1,6 +1,7 @@
 """End-to-end command-line flows on tiny synthetic repositories."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +225,15 @@ class TestGolden:
         assert read_bytes(out / "outliers.csv") == read_bytes(GOLDEN / "outliers.csv")
         assert calls == [0.0, 0.02]  # one grid per p, shared by the 4 splits
 
+    def test_outliers_raw_norm(self, golden_repo, tmp_path):
+        out = tmp_path / "ol"
+        rc = main([
+            "run", "outliers", "--repo", str(golden_repo), *self.SPLIT_FLAGS, *self.P_GRID, "--raw-norm",
+            "--out", str(out),
+        ])
+        assert rc == EXIT_OK
+        assert read_bytes(out / "outliers.csv") == read_bytes(GOLDEN / "outliers_raw_norm.csv")
+
     def test_bsf(self, golden_repo, tmp_path):
         out = tmp_path / "bsf"
         rc = main([
@@ -242,6 +252,26 @@ class TestGolden:
         ])
         assert rc == EXIT_OK
         assert read_bytes(out / "algo_select.csv") == read_bytes(GOLDEN / "algo_select.csv")
+
+    @pytest.mark.parametrize("split_flags", [["0.5", "--repeats", "1"], ["0.5,0.7", "--repeats", "2"]],
+                             ids=["1-split", "4-splits"])
+    def test_algo_select_runs_each_member_once_per_problem(self, golden_repo, tmp_path, monkeypatch, split_flags):
+        calls = Counter()
+        for name in ("run_spec", "adjusted_rand_index"):
+            real = getattr(meta_pipelines, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(meta_pipelines, name, counted)
+        rc = main([
+            "run", "algo-select", "--repo", str(golden_repo), "--train-frac", *split_flags,
+            "--seed", "3", "--out", str(tmp_path / "as"),
+        ])
+        assert rc == EXIT_OK
+        members_x_problems = len(cli.default_family()) * 8
+        assert calls == {"run_spec": members_x_problems, "adjusted_rand_index": members_x_problems}
 
     def test_algo_select_separated(self, tmp_path):
         # Without outliers the members' ARIs differ (0.70-0.71), so this file

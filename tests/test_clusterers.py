@@ -602,6 +602,14 @@ class TestAgglomerative:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="no finite distance"):
             run_spec(ClustererSpec(kind=f"agglo_{linkage}", k=2), pts)
 
+    @pytest.mark.parametrize("linkage", ["single", "complete", "average", "ward"])
+    def test_partly_overflowing_distances_raise(self, linkage):
+        # The near pair merges; every distance left is inf, and the single and
+        # complete update of two inf entries is NaN, which must not be merged on.
+        pts = np.array([[0.0], [1.0], [1e200], [2e200], [2e200 + 1e185]])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="no finite distance left to merge 4"):
+            agglomerative(pts, 2, linkage)
+
 
 class TestSingleLinkageThreshold:
     def path_graph(self):

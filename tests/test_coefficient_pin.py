@@ -21,7 +21,7 @@ from conftest import run_python_child, skip_unless_pinned_numpy_and_blas
 from metaclust.cli import default_family
 from metaclust.clusterers import ClustererSpec
 from metaclust.data_model import SynthSpec, make_synthetic_repository
-from metaclust.meta_pipelines import repo_runs, train_algo_select, train_meta_k
+from metaclust.meta_pipelines import member_records, repo_runs, train_algo_select, train_meta_k
 
 META_K_SHA256 = "70eac2718fa73c4bdeb6456a8bb3997f00ae46a74632ff8c5c48f0e100b0912d"
 ALGO_SELECT_SHA256 = "cf9afa3dd81a457484fb1d1974f55bc08a3709f579c178f04ac1da52329a93ef"
@@ -79,7 +79,7 @@ def algo_select_model():
     # A member with k > n fails on every problem, so failure rows are pinned too.
     repo = make_synthetic_repository(SynthSpec(n_problems=8, n_points=40, dims=(2, 4), seed=7))
     family = default_family() + [ClustererSpec(kind="agglo_ward", k=50)]
-    return train_algo_select(family, repo.problems, seed=7)
+    return train_algo_select(member_records(family, repo.problems, seed=7))
 
 
 def test_meta_k_coefficients():

@@ -28,6 +28,7 @@ from metaclust.meta_pipelines import (
     best_fit_k,
     evaluate_meta_k,
     generate_runs,
+    member_records,
     meta_selected_cell,
     repo_runs,
     select_algorithm,
@@ -88,14 +89,23 @@ def oracle_train_meta_k(per_problem_records, k_range):
     return MetaKModel(k_range, [fit_least_squares(*by_k[k]) for k in k_range])
 
 
+# Algorithm-selection oracles: each member rerun on each problem, with no
+# shared matrices and no member records.
+
+
+def seeded_specs(specs, seed):
+    """The members as ``member_records`` runs them: member j with seed derive_seed(seed, j)."""
+    return [ClustererSpec(spec.kind, spec.k, spec.normalize_first, spec.restarts, derive_seed(seed, j))
+            for j, spec in enumerate(specs)]
+
+
 def train_algo_select_oracle(specs, train, seed):
     """The member-by-member training loop: each member over all problems in turn.
 
-    Returns the members' seeded specs, their coefficient vectors and the failure count.
+    Returns the members' coefficient vectors and the failure count.
     """
-    specs_out, coefs, n_failed = [], [], 0
-    for j, spec in enumerate(specs):
-        spec = ClustererSpec(spec.kind, spec.k, spec.normalize_first, spec.restarts, derive_seed(seed, j))
+    coefs, n_failed = [], 0
+    for spec in seeded_specs(specs, seed):
         feats, targets = [], []
         for ds, truth in train:
             try:
@@ -108,15 +118,18 @@ def train_algo_select_oracle(specs, train, seed):
                 feats.append(np.array([ds.d, ds.n, lo, hi, 0.0]))
                 targets.append(0.0)
                 n_failed += 1
-        specs_out.append(spec)
         coefs.append(fit_least_squares(feats, targets))
-    return specs_out, coefs, n_failed
+    return coefs, n_failed
 
 
-def select_algorithm_oracle(model, dataset):
-    """The candidate-list selection loop, with features computed without a shared matrix."""
+def select_algorithm_oracle(specs, model, dataset):
+    """The candidate-list selection loop over the seeded ``specs``, each run on
+    ``dataset`` and featurized without a shared matrix.
+
+    Returns (best, partitions): every member's partition, None where its run failed.
+    """
     partitions, candidates = [], []
-    for j, (spec, coef) in enumerate(zip(model.specs, model.coef)):
+    for j, (spec, coef) in enumerate(zip(specs, model.coef)):
         try:
             partition = run_spec(spec, dataset.points)
         except ValueError:
@@ -133,10 +146,10 @@ def select_algorithm_oracle(model, dataset):
     return best[1], partitions
 
 
-def member_means_oracle(model, test):
-    """Each member's mean test ARI from a rerun of that member alone; a failed run scores 0."""
+def member_means_oracle(specs, test):
+    """Each seeded member's mean test ARI from a rerun of that member alone; a failed run scores 0."""
     means = []
-    for spec in model.specs:
+    for spec in specs:
         total = 0.0
         for ds, truth in test:
             try:
@@ -523,23 +536,29 @@ class TestEvaluateMetaK:
         assert ev.mean_ari_meta == pytest.approx(total / 3, abs=1e-12)
 
 
+def fit_records(specs, problems, seed):
+    """(records, model): the members' records of ``problems`` and the model trained on all of them."""
+    records = member_records(specs, problems, seed)
+    return records, train_algo_select(records)
+
+
 class TestAlgoSelect:
     def test_intercept_separates_members(self):
         repo = small_repo(8)
         specs = [ClustererSpec(kind="kmeans", k=2, restarts=3), ClustererSpec(kind="agglo_single", k=2)]
-        model = train_algo_select(specs, repo.problems, seed=1)
-        assert len(model.specs) == 2 and model.coef.shape == (2, 6)
-        with pytest.raises(ValueError):
-            model.coef[0, 0] = 1.0
-        best, partitions = select_algorithm(model, repo.problems[0][0])
-        assert best in (0, 1) and len(partitions) == 2
-        assert partitions[best].is_valid()
+        records, model = fit_records(specs, repo.problems, seed=1)
+        assert model.coef.shape == (2, 6)
+        for array in (model.coef, records[0].rows, records[0].has_features, records[0].ari):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        best = select_algorithm(model, records[0])
+        assert best in (0, 1) and records[0].has_features[best]
 
     def test_single_member_family(self):
         repo = small_repo(3)
-        model = train_algo_select([ClustererSpec(kind="agglo_ward", k=2)], repo.problems, seed=0)
-        best, partitions = select_algorithm(model, repo.problems[0][0])
-        assert best == 0 and len(partitions) == 1 and partitions[0].is_valid()
+        records, model = fit_records([ClustererSpec(kind="agglo_ward", k=2)], repo.problems, seed=0)
+        assert select_algorithm(model, records[0]) == 0
+        assert records[0].has_features.tolist() == [True] and 0.0 < records[0].ari[0] <= 1.0
 
     def test_failed_member_rows_flagged(self):
         repo = small_repo(3)
@@ -547,16 +566,17 @@ class TestAlgoSelect:
             ClustererSpec(kind="kmeans", k=2, restarts=2),
             ClustererSpec(kind="agglo_ward", k=50),  # k > n on every problem
         ]
-        model = train_algo_select(specs, repo.problems, seed=0)
+        records, model = fit_records(specs, repo.problems, seed=0)
         assert model.n_failed_rows == 3
-        best, partitions = select_algorithm(model, repo.problems[0][0])
-        assert best == 0
-        assert partitions[0] is not None and partitions[1] is None
+        assert select_algorithm(model, records[0]) == 0
+        ds, _truth = repo.problems[0]
+        lo, hi = symmetric_eigen_extrema(covariance(ds.points))
+        assert records[0].has_features.tolist() == [True, False]
+        assert records[0].rows[1].tolist() == [ds.d, ds.n, lo, hi, 0.0] and records[0].ari[1] == 0.0
 
-    def test_partitions_include_member_without_features(self, monkeypatch):
+    def test_member_without_features_keeps_its_ari(self, monkeypatch):
         repo = small_repo(3)
         specs = [ClustererSpec(kind="kmeans", k=2, restarts=2), ClustererSpec(kind="agglo_single", k=2)]
-        model = train_algo_select(specs, repo.problems, seed=0)
         real = meta_pipelines.phi_features
         calls = []
 
@@ -567,21 +587,20 @@ class TestAlgoSelect:
             return real(dataset, partition, dist, extrema)
 
         monkeypatch.setattr(meta_pipelines, "phi_features", second_fails)
-        best, partitions = select_algorithm(model, repo.problems[0][0])
-        assert best == 0
-        assert partitions == [calls[0], calls[1]]
+        (record,) = member_records(specs, repo.problems[:1], seed=0)
+        truth = repo.problems[0][1]
+        assert record.has_features.tolist() == [True, False]
+        assert record.ari.tolist() == [adjusted_rand_index(truth.n_items, truth, p) for p in calls]
+        model = train_algo_select([record])
+        assert model.n_failed_rows == 1 and select_algorithm(model, record) == 0
 
-    def test_evaluate_runs_each_member_once_per_test_problem(self, monkeypatch):
-        from metaclust.clusterers import run_spec
-
+    def test_each_member_runs_once_per_problem(self, monkeypatch):
         repo = small_repo(6)
         specs = [
             ClustererSpec(kind="kmeans", k=2, restarts=2),
             ClustererSpec(kind="agglo_average", k=2),
             ClustererSpec(kind="agglo_ward", k=50),  # fails: k > n
         ]
-        model = train_algo_select(specs, repo.problems[:3], seed=2)
-        test = repo.problems[3:]
         calls = []
 
         def counted(spec, points, **kwargs):
@@ -589,10 +608,13 @@ class TestAlgoSelect:
             return run_spec(spec, points, **kwargs)
 
         monkeypatch.setattr(meta_pipelines, "run_spec", counted)
-        _meta, per_member = meta_pipelines.evaluate_algo_select(model, test)
-        assert len(calls) == len(model.specs) * len(test)
+        records = member_records(specs, repo.problems, seed=2)
+        assert len(calls) == len(specs) * len(repo.problems)
+        model = train_algo_select(records[:3])
+        _meta, per_member = meta_pipelines.evaluate_algo_select(model, records[3:])
+        assert len(calls) == len(specs) * len(repo.problems)  # training and evaluation run no member
         # Same numbers as running every member again on each test problem.
-        assert per_member == member_means_oracle(model, test)
+        assert per_member == member_means_oracle(seeded_specs(specs, 2), repo.problems[3:])
         assert per_member[2] == 0.0
 
     def test_members_sharing_a_name_are_scored_apart(self):
@@ -603,24 +625,27 @@ class TestAlgoSelect:
             ClustererSpec(kind="kmeans", k=3, restarts=2),
             ClustererSpec(kind="agglo_ward", k=3),
         ]
-        model = train_algo_select(specs, repo.problems[:4], seed=0)
+        records = member_records(specs, repo.problems, seed=0)
+        model = train_algo_select(records[:4])
         test = repo.problems[4:]
-        meta, per_member = meta_pipelines.evaluate_algo_select(model, test)
+        meta, per_member = meta_pipelines.evaluate_algo_select(model, records[4:])
         assert len(per_member) == 3 and all(mean <= 1.0 for mean in per_member)
-        assert per_member == member_means_oracle(model, test)
+        assert per_member == member_means_oracle(seeded_specs(specs, 0), test)
         assert per_member[0] != per_member[1]
         total = 0.0
         for ds, truth in test:
-            best, partitions = select_algorithm_oracle(model, ds)
+            best, partitions = select_algorithm_oracle(seeded_specs(specs, 0), model, ds)
             total += adjusted_rand_index(truth.n_items, truth, partitions[best])
         assert meta == total / len(test)
 
     def test_no_scorable_member_is_data_error_naming_the_dataset(self):
+        # The records and training keep the flagged rows; only selection fails.
         repo = small_repo(3)
-        model = train_algo_select([ClustererSpec(kind="agglo_ward", k=50)], repo.problems, seed=0)
+        records, model = fit_records([ClustererSpec(kind="agglo_ward", k=50)], repo.problems, seed=0)
+        assert model.n_failed_rows == len(repo.problems)
         ds = repo.problems[0][0]
         with pytest.raises(DataError, match=f"dataset {ds.id!r}: no family member could be scored"):
-            select_algorithm(model, ds)
+            select_algorithm(model, records[0])
 
     FAMILY = [
         ClustererSpec(kind="kmeans", k=2, restarts=2),
@@ -631,11 +656,27 @@ class TestAlgoSelect:
 
     def test_training_matches_member_by_member_oracle(self):
         repo = small_repo(5)
-        model = train_algo_select(self.FAMILY, repo.problems, seed=4)
-        specs, coefs, n_failed = train_algo_select_oracle(self.FAMILY, repo.problems, seed=4)
+        _records, model = fit_records(self.FAMILY, repo.problems, seed=4)
+        coefs, n_failed = train_algo_select_oracle(self.FAMILY, repo.problems, seed=4)
         assert model.n_failed_rows == n_failed == len(repo.problems)
-        assert model.specs == tuple(specs)
         assert np.array_equal(model.coef, coefs)
+
+    def test_member_failing_on_one_problem_is_flagged_in_every_split(self):
+        # A 4-point problem fails the k = 5 member, which runs on the others.
+        problems = list(small_repo(6).problems)
+        ds, truth = problems[2]
+        keep = np.concatenate([np.flatnonzero(truth.labels == c)[:2] for c in (0, 1)])
+        problems[2] = (Dataset(id=ds.id, points=ds.points[keep]), labels_to_partition(truth.labels[keep]))
+        family = self.FAMILY[:2] + [ClustererSpec(kind="agglo_ward", k=5)]
+        records = member_records(family, problems, seed=3)
+        assert [record.has_features[2] for record in records] == [True, True, False, True, True, True]
+        lo, hi = symmetric_eigen_extrema(covariance(problems[2][0].points))
+        assert records[2].rows[2].tolist() == [2, 4, lo, hi, 0.0] and records[2].ari[2] == 0.0
+        for train_idx in ([0, 1, 2], [2, 3, 4, 5], [1, 3, 5], [0, 2, 4]):
+            model = train_algo_select([records[i] for i in train_idx])
+            coefs, n_failed = train_algo_select_oracle(family, [problems[i] for i in train_idx], seed=3)
+            assert model.n_failed_rows == n_failed == int(2 in train_idx)
+            assert np.array_equal(model.coef, coefs)
 
     def test_one_distance_matrix_per_problem(self, monkeypatch):
         repo = small_repo(4)
@@ -672,7 +713,7 @@ class TestAlgoSelect:
         monkeypatch.setattr(meta_pipelines, "phi_features", recorded_phi)
         monkeypatch.setattr(meta_pipelines, "symmetric_eigen_extrema", counted_eigen)
         monkeypatch.setattr(regression, "symmetric_eigen_extrema", counted_eigen)
-        model = train_algo_select(self.FAMILY, repo.problems, seed=1)
+        records = member_records(self.FAMILY, repo.problems, seed=1)
         assert len(runs) == len(self.FAMILY) * len(repo.problems)
         # Per problem, one matrix of the raw points and one of the normalized
         # points (one member normalizes); the members compute none.
@@ -691,10 +732,8 @@ class TestAlgoSelect:
 
         for calls in (runs, dists, phi_dists, eigen):
             calls.clear()
-        select_algorithm(model, repo.problems[0][0])
-        assert len(runs) == len(self.FAMILY) and len(dists) == 2 and member_dists == []
-        assert len(phi_dists) == 3 and all(d is phi_dists[0] for d in phi_dists)
-        assert len(eigen) == 1
+        select_algorithm(train_algo_select(records), records[0])
+        assert runs == dists == member_dists == phi_dists == eigen == []
 
     def test_no_normalized_matrix_without_a_normalizing_member(self, monkeypatch):
         repo = small_repo(3)
@@ -707,63 +746,66 @@ class TestAlgoSelect:
 
         monkeypatch.setattr(meta_pipelines, "squared_distances", counted_sq)
         specs = [spec for spec in self.FAMILY if not spec.normalize_first]
-        train_algo_select(specs, repo.problems, seed=1)
+        member_records(specs, repo.problems, seed=1)
         assert len(dists) == len(repo.problems)
 
     def test_failed_psd_check_fails_every_feature_row(self, monkeypatch):
         repo = small_repo(3)
         monkeypatch.setattr(meta_pipelines, "symmetric_eigen_extrema", lambda s: (-0.5, 1.0))
-        model = train_algo_select(self.FAMILY, repo.problems, seed=1)
+        records, model = fit_records(self.FAMILY, repo.problems, seed=1)
         assert model.n_failed_rows == len(self.FAMILY) * len(repo.problems)
         # Every member is fit to failure rows, which carry the shared extrema.
         oracle = fit_least_squares([[ds.d, ds.n, -0.5, 1.0, 0.0] for ds, _truth in repo.problems], [0.0] * 3)
         assert np.array_equal(model.coef, np.tile(oracle, (len(self.FAMILY), 1)))
         with pytest.raises(DataError, match="no family member could be scored"):
-            select_algorithm(model, repo.problems[0][0])
+            select_algorithm(model, records[0])
 
     def test_selection_matches_member_by_member_oracle(self):
         repo = small_repo(6)
-        model = train_algo_select(self.FAMILY, repo.problems[:3], seed=2)
-        for ds, _truth in repo.problems[3:]:
-            assert select_algorithm(model, ds) == select_algorithm_oracle(model, ds)
+        records = member_records(self.FAMILY, repo.problems, seed=2)
+        model = train_algo_select(records[:3])
+        specs = seeded_specs(self.FAMILY, 2)
+        for record, (ds, truth) in zip(records[3:], repo.problems[3:]):
+            best, partitions = select_algorithm_oracle(specs, model, ds)
+            assert select_algorithm(model, record) == best
+            aris = [0.0 if p is None else adjusted_rand_index(truth.n_items, truth, p) for p in partitions]
+            assert record.ari.tolist() == aris
 
     def test_prediction_ties_go_to_the_earliest_member(self):
         repo = small_repo(3)
         specs = [ClustererSpec(kind="agglo_ward", k=50), ClustererSpec(kind="agglo_average", k=2),
                  ClustererSpec(kind="kmeans", k=2, restarts=2)]
         tied = np.tile([0.0, 0.0, 0.0, 0.0, 0.0, 0.5], (3, 1))
-        model = meta_pipelines.AlgoSelectModel(specs, tied)
-        best, partitions = select_algorithm(model, repo.problems[0][0])
-        assert best == 1
-        assert partitions[0] is None and partitions[1] is not None and partitions[2] is not None
+        (record,) = member_records(specs, repo.problems[:1])
+        assert select_algorithm(meta_pipelines.AlgoSelectModel(tied), record) == 1
+        assert record.has_features.tolist() == [False, True, True]
 
     def test_unexpected_member_error_propagates(self, monkeypatch):
         repo = small_repo(3)
         specs = [ClustererSpec(kind="kmeans", k=2, restarts=2)]
-        model = train_algo_select(specs, repo.problems, seed=0)
 
         def broken(spec, points, **kwargs):
             raise TypeError("not a documented member failure")
 
         monkeypatch.setattr(meta_pipelines, "run_spec", broken)
         with pytest.raises(TypeError):
-            train_algo_select(specs, repo.problems, seed=0)
-        with pytest.raises(TypeError):
-            select_algorithm(model, repo.problems[0][0])
+            member_records(specs, repo.problems, seed=0)
 
     def test_deterministic(self):
         repo = small_repo(4)
         specs = [ClustererSpec(kind="kmeans", k=2, restarts=2)]
-        a = train_algo_select(specs, repo.problems, seed=7)
-        b = train_algo_select(specs, repo.problems, seed=7)
-        assert a.specs == b.specs and np.array_equal(a.coef, b.coef)
+        a, b = (member_records(specs, repo.problems, seed=7) for _ in range(2))
+        for x, y in zip(a, b):
+            assert x.rows.tobytes() == y.rows.tobytes() and x.ari.tobytes() == y.ari.tobytes()
+        assert np.array_equal(train_algo_select(a).coef, train_algo_select(b).coef)
 
     @pytest.mark.parametrize("shape", [(1, 6), (3, 6), (2, 5)])
     def test_coefficients_must_fit_the_members(self, shape):
         # Selection needs one row of 5 weights and an intercept per member.
-        model = meta_pipelines.AlgoSelectModel(self.FAMILY[:2], np.zeros(shape))
+        model = meta_pipelines.AlgoSelectModel(np.zeros(shape))
+        (record,) = member_records(self.FAMILY[:2], small_repo(1).problems)
         with pytest.raises(ValueError):
-            select_algorithm(model, small_repo(1).problems[0][0])
+            select_algorithm(model, record)
 
 
 class TestSweep:

@@ -184,8 +184,7 @@ def train_mlp_oracle(meta_train, epochs, batch, seed, columns=None):
     (by default the set's active columns, as ``train_mlp`` does; all 75 for
     full-width training): its inputs and first weight matrix are cut to
     them, and the first-layer rows of the other columns are returned with
-    their initial values and zero accumulators.  Returns the parameters,
-    squared-gradient and squared-update accumulators, each flattened in
+    their initial values.  Returns the parameters flattened in
     ``MlpModel.params`` order.
     """
     if columns is None:
@@ -212,13 +211,9 @@ def train_mlp_oracle(meta_train, epochs, batch, seed, columns=None):
                 adadelta_step(model.weights[layer], grads_w[layer], acc_grad[0][layer], acc_update[0][layer])
                 adadelta_step(model.biases[layer], grads_b[layer], acc_grad[1][layer], acc_update[1][layer])
 
-    def flat(nested, first_rows):
-        first = first_rows.copy()
-        first[columns] = nested[0][0]
-        return np.concatenate([a.ravel() for a in [first] + nested[0][1:] + nested[1]])
-
-    zeros = np.zeros_like(init.weights[0])
-    return flat([model.weights, model.biases], init.weights[0]), flat(acc_grad, zeros), flat(acc_update, zeros)
+    first = init.weights[0].copy()
+    first[columns] = model.weights[0]
+    return np.concatenate([a.ravel() for a in [first] + model.weights[1:] + model.biases])
 
 
 class TestPairFeatures:
@@ -529,7 +524,7 @@ class TestFlatParameters:
         model = init_mlp(seed=3)
         arrays = model.weights + model.biases
         assert [a.shape for a in arrays] == list(PARAM_SHAPES)
-        assert model.params.shape == model.acc_grad.shape == model.acc_update.shape == (sum(a.size for a in arrays),)
+        assert model.params.shape == (sum(a.size for a in arrays),)
         assert all(np.shares_memory(a, model.params) for a in arrays)
         assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), model.params)
 
@@ -590,10 +585,8 @@ class TestTrainingOracle:
         train = self.train_set(repo_seed, split_seed)
         size = self.BATCHES[batch](len(train))
         model = train_mlp(train, epochs=2, batch=size, seed=split_seed)
-        params, acc_grad, acc_update = train_mlp_oracle(train, epochs=2, batch=size, seed=split_seed)
+        params = train_mlp_oracle(train, epochs=2, batch=size, seed=split_seed)
         assert np.array_equal(model.params, params)
-        assert np.array_equal(model.acc_grad, acc_grad)
-        assert np.array_equal(model.acc_update, acc_update)
         assert not np.array_equal(params, init_mlp(split_seed).params)
 
     @pytest.mark.parametrize("repo_seed,split_seed", CASES)
@@ -605,34 +598,27 @@ class TestTrainingOracle:
         size = self.BATCHES[batch](len(train))
         model = train_mlp(train, epochs=2, batch=size, seed=split_seed)
         full = train_mlp_oracle(train, epochs=2, batch=size, seed=split_seed, columns=ALL_COLUMNS)
-        for got, expected in zip((model.params, model.acc_grad, model.acc_update), full):
-            np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(model.params, full, rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("repo_seed,split_seed", CASES)
-    def test_inactive_rows_keep_init_bits_and_zero_accumulators(self, repo_seed, split_seed):
+    def test_inactive_rows_keep_init_bits(self, repo_seed, split_seed):
         train = self.train_set(repo_seed, split_seed)
         inactive = np.setdiff1d(np.arange(FEATURE_DIM), similarity_net._active_columns(train))
         # 2-d problems: 8 padded columns in each block and 52 covariance entries
         assert inactive.size == 2 * 8 + 52
         model = train_mlp(train, epochs=2, batch=7, seed=split_seed)
         assert model.weights[0][inactive].tobytes() == init_mlp(split_seed).weights[0][inactive].tobytes()
-        head = model.weights[0].shape
-        for acc in (model.acc_grad, model.acc_update):
-            rows = acc[: model.weights[0].size].reshape(head)[inactive]
-            assert rows.tobytes() == np.zeros_like(rows).tobytes()  # +0.0, not -0.0
         # Full-width training leaves those rows alike, their gradients being 0.
-        params, acc_grad, acc_update = train_mlp_oracle(train, epochs=2, batch=7, seed=split_seed, columns=ALL_COLUMNS)
-        full = [a[: model.weights[0].size].reshape(head)[inactive].tobytes() for a in (params, acc_grad, acc_update)]
-        assert full == [model.weights[0][inactive].tobytes(), rows.tobytes(), rows.tobytes()]
+        params = train_mlp_oracle(train, epochs=2, batch=7, seed=split_seed, columns=ALL_COLUMNS)
+        full = params[: model.weights[0].size].reshape(model.weights[0].shape)[inactive]
+        assert full.tobytes() == model.weights[0][inactive].tobytes()
 
     def test_set_without_active_columns(self):
         # All-zero points and covariances: the net reads no feature column.
         train = pair_set(np.zeros((6, FEATURE_DIM)), [0, 1, 1, 0, 1, 1])
         assert similarity_net._active_columns(train).size == 0
         model = train_mlp(train, epochs=2, batch=4, seed=3)
-        params, acc_grad, acc_update = train_mlp_oracle(train, epochs=2, batch=4, seed=3, columns=ALL_COLUMNS)
-        assert np.array_equal(model.params, params) and np.array_equal(model.acc_grad, acc_grad)
-        assert np.array_equal(model.acc_update, acc_update)
+        assert np.array_equal(model.params, train_mlp_oracle(train, epochs=2, batch=4, seed=3, columns=ALL_COLUMNS))
         p, _decisions = similarity_net._predict_pairs(model, train)
         assert np.array_equal(p, predict_features(model, np.zeros((6, FEATURE_DIM)))[0])
 
@@ -644,8 +630,7 @@ class TestTrainingOracle:
         size = self.BATCHES[batch](len(train))
         model = train_mlp(train, epochs=2, batch=size, seed=1)
         full = train_mlp_oracle(train, epochs=2, batch=size, seed=1, columns=ALL_COLUMNS)
-        for got, expected in zip((model.params, model.acc_grad, model.acc_update), full):
-            assert got.tobytes() == expected.tobytes()
+        assert model.params.tobytes() == full.tobytes()
 
 
 class TestAdadelta:
@@ -707,6 +692,25 @@ class TestPrediction:
         expected, expected_decision = predict_features(model, x)
         np.testing.assert_allclose(p, expected, rtol=1e-12, atol=0)
         assert np.array_equal(decision, expected_decision)
+
+    @pytest.mark.parametrize("rows", [1, 3, 5, 40])
+    @pytest.mark.parametrize("active", [False, True], ids=["all-columns", "active-columns"])
+    def test_memory_order_moves_no_bit(self, rows, active):
+        # x[:, columns] of a row-major matrix is column-major; it is predicted as a row-major copy.
+        rng = np.random.default_rng(16)
+        model = init_mlp(seed=9)
+        # A 2-d problem's active columns: both coordinates in each block, covariance entries (0,0), (0,1), (1,1).
+        columns = np.array([0, 1, PAD_DIM, PAD_DIM + 1, 2 * PAD_DIM, 2 * PAD_DIM + 1, 2 * PAD_DIM + 10])
+        columns = columns if active else np.arange(FEATURE_DIM)
+        wide = rng.standard_normal((rows, FEATURE_DIM))
+        f = wide[:, columns] if active else np.asfortranarray(wide)
+        c = np.ascontiguousarray(f)
+        assert f.flags.f_contiguous and not f.flags.c_contiguous or rows == 1
+        before = f.copy(order="F")
+        p_c, d_c = predict_features(model, c, columns)
+        p_f, d_f = predict_features(model, f, columns)
+        assert p_c.tobytes() == p_f.tobytes() and np.array_equal(d_c, d_f)
+        assert f.tobytes(order="A") == before.tobytes(order="A")
 
     @pytest.mark.parametrize(
         "columns",
@@ -920,7 +924,5 @@ class TestPairnetMemory:
         repo, seed = pairnet
         train = sample_pair_splits(repo, seed=seed).meta_train
         model = train_mlp(train, epochs=1, seed=seed)
-        params, acc_grad, acc_update = train_mlp_oracle(train, epochs=1, batch=250, seed=seed)
+        params = train_mlp_oracle(train, epochs=1, batch=250, seed=seed)
         assert model.params.tobytes() == params.tobytes()
-        assert model.acc_grad.tobytes() == acc_grad.tobytes()
-        assert model.acc_update.tobytes() == acc_update.tobytes()
