@@ -278,7 +278,7 @@ def cmd_report(args) -> int:
     with open(in_path, newline="", encoding="utf-8") as fh:
         try:
             data = list(csv.DictReader(fh))
-        except UnicodeDecodeError as exc:
+        except (UnicodeDecodeError, csv.Error) as exc:  # csv.Error: a cell over csv.field_size_limit()
             raise DataError(f"{in_path}: {exc}") from None
     if not data:
         raise OSError(f"{in_path}: no data rows")

@@ -20,7 +20,6 @@ from metaclust.data_model import Partition, WeightedGraph, derive_seed, normaliz
 
 __all__ = [
     "ClustererSpec",
-    "ClusterResult",
     "kmeans",
     "agglomerative",
     "single_linkage_threshold",
@@ -56,15 +55,6 @@ class ClustererSpec:
         return self.kind + ("-N" if self.normalize_first else "")
 
 
-@dataclass(frozen=True)
-class ClusterResult:
-    """A k-means result: the partition, its part means and its inertia."""
-
-    partition: Partition
-    centers: np.ndarray  # (k, d), arithmetic mean of each part's points
-    inertia: float
-
-
 def _as_points(points) -> np.ndarray:
     """``points`` as a float (n, d) array; ValueError unless 2-D and finite."""
     points = np.asarray(points, dtype=float)
@@ -75,22 +65,18 @@ def _as_points(points) -> np.ndarray:
     return points
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rngs, sq_dist=None) -> np.ndarray:
+def _kmeans_pp_init(points: np.ndarray, k: int, rngs, sq_dist: np.ndarray) -> np.ndarray:
     """(R, k, d) k-means++ initial centers, run r drawing from ``rngs[r]``.
 
-    The runs share each step's array work; the draws stay one per run per
-    step, in the order a single run makes them.
+    The squared distances from a pick to every point are its row of
+    ``sq_dist``, ``squared_distances(points)``.  The runs share each step's
+    array work; the draws stay one per run per step, in the order a single
+    run makes them.
     """
-
-    # Squared distances from points ``idx`` to every point: rows of
-    # ``sq_dist`` when given, else each row's own sum, which has the same bits.
-    def sq_rows(idx):
-        return sq_dist[idx] if sq_dist is not None else ((points - points[idx][:, None]) ** 2).sum(axis=2)
-
     n = points.shape[0]
     picks = np.empty((len(rngs), k), dtype=np.int64)
     picks[:, 0] = [rng.integers(n) for rng in rngs]
-    d2 = sq_rows(picks[:, 0])
+    d2 = sq_dist[picks[:, 0]]
     u = np.zeros(len(rngs))
     for j in range(1, k):
         total = d2.sum(axis=1)
@@ -105,7 +91,7 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rngs, sq_dist=None) -> np.ndarra
         # searchsorted(cumsum, u, side="right").
         drawn = np.count_nonzero(d2.cumsum(axis=1) <= u[:, None], axis=1)
         picks[positive, j] = np.minimum(drawn, n - 1)[positive]
-        np.minimum(d2, sq_rows(picks[:, j]), out=d2)
+        np.minimum(d2, sq_dist[picks[:, j]], out=d2)
     return points[picks]
 
 
@@ -129,17 +115,17 @@ def _fix_empty_clusters(points: np.ndarray, centers: np.ndarray, labels: np.ndar
 def kmeans(points: np.ndarray, k: int, seeds, *, sq_dist=None) -> tuple:
     """One Lloyd run with k-means++ seeding per seed, all in lockstep.
 
-    Run r draws from ``np.random.default_rng(seeds[r])`` and is returned as
-    the r-th ``ClusterResult``.  The runs share every step's array work: the
-    seeding steps, and in each Lloyd iteration one stacked distance product,
-    one label count and one weighted count of the center sums over the runs
-    that have not converged.  A run converges when its labels repeat, and each
-    run's labels, centers and inertia have the bits of the same run made
-    alone.  All k parts are non-empty (empty clusters are reseeded to the
-    point furthest from its center).  ``points`` must be a finite (n, d)
-    array.  ``sq_dist``, if given, is ``squared_distances(points)``; the
-    k-means++ init then reads its rows instead of computing them, with the
-    same bits.  Without it no (n, n) matrix is built.
+    Returns ``(labels, sizes, centers, inertias)``: the (R, n) part ids, the
+    (R, k) part counts, the (R, k, d) part means and the (R,) inertias, row r
+    for the run drawing from ``np.random.default_rng(seeds[r])``.  The runs
+    share every step's array work: the seeding steps, and in each Lloyd
+    iteration one stacked distance product, one label count and one weighted
+    count of the center sums over the runs that have not converged.  A run
+    converges when its labels repeat, and each run's rows have the bits of
+    the same run made alone.  All k parts are non-empty (empty clusters are
+    reseeded to the point furthest from its center).  ``points`` must be a
+    finite (n, d) array.  ``sq_dist`` is ``squared_distances(points)``, whose
+    rows the k-means++ init reads; it is computed here when omitted.
     """
     points = _as_points(points)
     n, d = points.shape
@@ -152,7 +138,7 @@ def kmeans(points: np.ndarray, k: int, seeds, *, sq_dist=None) -> tuple:
     rngs = [np.random.default_rng(seed) for seed in seeds]
     if not rngs:
         raise ValueError("kmeans needs at least one seed")
-    centers = _kmeans_pp_init(points, k, rngs, sq_dist)
+    centers = _kmeans_pp_init(points, k, rngs, squared_distances(points) if sq_dist is None else sq_dist)
     # The constant terms of the squared distances |p|^2 - 2p.c + |c|^2.
     p2 = (points**2).sum(axis=1)[:, None]
     two_p = 2.0 * points
@@ -193,10 +179,7 @@ def kmeans(points: np.ndarray, k: int, seeds, *, sq_dist=None) -> tuple:
     # Each run's inertia is one contiguous sum over its (n, d) squares, the
     # bits of the same sum made run by run.
     inertias = ((points - centers[np.arange(runs)[:, None], labels]) ** 2).reshape(runs, -1).sum(axis=1)
-    return tuple(
-        ClusterResult(partition=Partition._dense(run_labels, run_sizes), centers=run_centers, inertia=float(inertia))
-        for run_labels, run_sizes, run_centers, inertia in zip(labels, sizes, centers, inertias)
-    )
+    return labels, sizes, centers, inertias
 
 
 def agglomerative(points: np.ndarray, k: int, linkage: str = "single", *, sq_dist=None) -> Partition:
@@ -333,7 +316,8 @@ def run_spec(spec: ClustererSpec, points: np.ndarray, *, sq_dist=None) -> Partit
     points = _as_points(points)
     work = normalize_points(points) if spec.normalize_first else points
     if spec.kind == "kmeans":
-        # The first run of least inertia.
-        runs = kmeans(work, spec.k, [derive_seed(spec.seed, r) for r in range(spec.restarts)], sq_dist=sq_dist)
-        return min(runs, key=lambda run: run.inertia).partition
+        seeds = [derive_seed(spec.seed, r) for r in range(spec.restarts)]
+        labels, sizes, _, inertias = kmeans(work, spec.k, seeds, sq_dist=sq_dist)
+        best = int(np.argmin(inertias))  # the first run of least inertia
+        return Partition._dense(labels[best], sizes[best])
     return agglomerative(work, spec.k, linkage=spec.kind.removeprefix("agglo_"), sq_dist=sq_dist)

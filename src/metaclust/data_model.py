@@ -281,7 +281,7 @@ def load_dataset_csv(path, dataset_id: Optional[str] = None) -> tuple:
             rows = list(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file")
-        except UnicodeDecodeError as exc:
+        except (UnicodeDecodeError, csv.Error) as exc:  # csv.Error: a cell over csv.field_size_limit()
             raise DataError(f"{path}: {exc}") from None
 
     d = len(header) - 1

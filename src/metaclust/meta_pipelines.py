@@ -125,8 +125,9 @@ def generate_runs(
     squared distances under it seed every run's k-means++ init.  ARI is
     always computed against the full-data partition after reattaching pruned
     points to their nearest center.  Both scores are computed once per
-    distinct partition and reused for every cell that repeats it under other
-    part ids: neither score depends on the part ids, to the bit.
+    distinct partition, the only ones built as a ``Partition``, and reused
+    for every cell that repeats it under other part ids: neither score
+    depends on the part ids, to the bit.
     """
     k_range = tuple(k_range)
     if not k_range or any(a >= b for a, b in zip(k_range, k_range[1:])):
@@ -144,26 +145,27 @@ def generate_runs(
     sil_of, ari_of = {}, {}  # score by the partition's first-appearance labels
     for i, k in enumerate(k_range):
         seeds = [derive_seed(derive_seed(seed, k, run), 0) for run in range(restarts)]
-        results = kmeans(work, k, seeds, sq_dist=sq)
-        labels = np.stack([result.partition.labels for result in results])
+        labels, sizes, centers, _ = kmeans(work, k, seeds, sq_dist=sq)
         sil_keys = _first_appearance_labels(labels)
         if outliers.size == 0:
-            fulls, ari_keys = [result.partition for result in results], sil_keys
+            ari_keys = sil_keys  # the same partitions, scored beside the silhouettes below
         else:
-            centers = np.stack([result.centers for result in results])
             d2 = ((points[outliers][None, :, None, :] - centers[:, None, :, :]) ** 2).sum(axis=3)
             full_labels = np.empty((restarts, points.shape[0]), dtype=np.int64)
             full_labels[:, inliers] = labels
             full_labels[:, outliers] = np.argmin(d2, axis=2)
-            fulls = [Partition._dense(row, np.bincount(row, minlength=k)) for row in full_labels]
             ari_keys = _first_appearance_labels(full_labels)
-        for run, (result, full) in enumerate(zip(results, fulls)):
+        for run in range(restarts):
             key = sil_keys[run].tobytes()
             if key not in sil_of:
-                sil_of[key] = silhouette_score(work, result.partition, dist=dist)
+                partition = Partition._dense(labels[run], sizes[run])
+                sil_of[key] = silhouette_score(work, partition, dist=dist)
+                if outliers.size == 0:
+                    ari_of[key] = adjusted_rand_index(truth.n_items, truth, partition)
             sil[i, run] = sil_of[key]
             key = ari_keys[run].tobytes()
             if key not in ari_of:
+                full = Partition._dense(full_labels[run], np.bincount(full_labels[run], minlength=k))
                 ari_of[key] = adjusted_rand_index(truth.n_items, truth, full)
             ari[i, run] = ari_of[key]
     return RunGrid(k_range=k_range, silhouette=sil, ari=ari)

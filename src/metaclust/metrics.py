@@ -125,6 +125,8 @@ def silhouette_score(points: np.ndarray, c: Partition, dist: Optional[np.ndarray
     _check_valid(n, c, "C")
     if dist is None:
         dist = pairwise_distances(points)
+    elif np.shape(dist) != (n, n):
+        raise ValueError(f"dist must be an ({n}, {n}) matrix, got shape {np.shape(dist)}")
 
     labels = c.labels
     sizes = c.sizes

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 import metaclust
 from metaclust.clusterers import kmeans
-from metaclust.data_model import WeightedGraph, derive_seed
+from metaclust.data_model import Partition, WeightedGraph, derive_seed
 from metaclust.similarity_net import _feature_rows
 
 # Bit-level results (digests, bitwise comparisons of BLAS output) were recorded
@@ -65,11 +66,19 @@ def same_parts():
     return _same_parts
 
 
+KmeansRun = namedtuple("KmeansRun", "partition centers inertia")
+
+
 def best_kmeans(points, k, restarts=1, seed=0, *, sq_dist=None):
-    """The first least-inertia result of ``kmeans`` over ``restarts`` runs
-    seeded ``derive_seed(seed, r)``, the selection ``run_spec`` makes."""
-    runs = kmeans(points, k, [derive_seed(seed, r) for r in range(restarts)], sq_dist=sq_dist)
-    return min(runs, key=lambda run: run.inertia)
+    """The first least-inertia run of ``kmeans`` over ``restarts`` runs
+    seeded ``derive_seed(seed, r)``, the selection ``run_spec`` makes, as a
+    ``KmeansRun`` whose partition is built with ``Partition``'s checks."""
+    seeds = [derive_seed(seed, r) for r in range(restarts)]
+    labels, sizes, centers, inertias = kmeans(points, k, seeds, sq_dist=sq_dist)
+    best = int(np.argmin(inertias))
+    partition = Partition(n_items=labels.shape[1], labels=labels[best])
+    assert np.array_equal(partition.sizes, sizes[best])
+    return KmeansRun(partition, centers[best], float(inertias[best]))
 
 
 def pair_features(pairs):

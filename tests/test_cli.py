@@ -1,5 +1,6 @@
 """End-to-end command-line flows on tiny synthetic repositories."""
 
+import csv
 import json
 from collections import Counter
 from pathlib import Path
@@ -532,6 +533,27 @@ class TestErrorContracts:
         assert rc == EXIT_IO
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_oversized_cell_is_data_error(self, repo_dir, tmp_path, capsys):
+        # A cell over csv.field_size_limit() (131,072 characters) makes the
+        # csv reader raise.
+        manifest = json.loads((repo_dir / "manifest.json").read_text())
+        path = repo_dir / manifest[0]["path"]
+        lines = path.read_text().splitlines()
+        lines[1] = "1" * (csv.field_size_limit() + 1) + lines[1][lines[1].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "x"
+        rc = main(["run", "meta-scale", "--repo", str(repo_dir), "--repeats", "1", "--out", str(out)])
+        assert rc == EXIT_IO
+        assert capsys.readouterr().err == f"error: {path}: field larger than field limit ({csv.field_size_limit()})\n"
+        assert not out.exists()
+
+    def test_oversized_report_cell_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text("g,v\na," + "1" * (csv.field_size_limit() + 1) + "\n")
+        rc = main(["report", "--input", str(src), "--group", "g", "--value", "v", "--out", str(tmp_path / "r")])
+        assert rc == EXIT_IO
+        assert capsys.readouterr().err == f"error: {src}: field larger than field limit ({csv.field_size_limit()})\n"
 
     @pytest.mark.parametrize(
         "content",

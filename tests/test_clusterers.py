@@ -1,7 +1,6 @@
 """K-means, linkage clustering, threshold single-linkage and run_spec."""
 
 import math
-import tracemalloc
 import warnings
 from collections import Counter
 
@@ -121,13 +120,15 @@ def assert_runs_match_oracle(points, k, seeds, sq_dist=None):
     """Each run of one lockstep ``kmeans`` call has the labels, centers and
     inertia of ``lloyd_oracle`` from its seed; returns the oracle's traces."""
     traces = []
-    for seed, res in zip(seeds, kmeans(points, k, seeds, sq_dist=sq_dist), strict=True):
+    runs = zip(seeds, *kmeans(points, k, seeds, sq_dist=sq_dist), strict=True)
+    for seed, run_labels, run_sizes, run_centers, run_inertia in runs:
         trace = Counter()
         labels, centers, inertia = lloyd_oracle(points, k, np.random.default_rng(seed), trace)
         where = (points.shape, k, seed)
-        assert np.array_equal(res.partition.labels, labels), where
-        assert res.centers.tobytes() == centers.tobytes(), where
-        assert res.inertia == inertia, where
+        assert np.array_equal(run_labels, labels), where
+        assert np.array_equal(run_sizes, np.bincount(labels, minlength=k)), where
+        assert run_centers.tobytes() == centers.tobytes(), where
+        assert run_inertia == inertia, where
         traces.append(trace)
     return traces
 
@@ -350,22 +351,21 @@ class TestKmeans:
                 assert res.inertia == inertia, where
 
     def test_kmeans_pp_init_matches_oracle_draw_for_draw(self):
-        # The init reads rows of a shared matrix when it is given one and
-        # computes them otherwise; both must follow the oracle, run by run.
-        # Once every distance is 0 the init's picks all coincide, so an
-        # extra or reordered draw leaves the centers alone; the generator
-        # state after the init shows it.
+        # The init reads rows of the squared-distance matrix and must follow
+        # the oracle, which sums each row itself, run by run.  Once every
+        # distance is 0 the init's picks all coincide, so an extra or
+        # reordered draw leaves the centers alone; the generator state after
+        # the init shows it.
         rng = np.random.default_rng(22)
         for case, (pts, k) in enumerate(oracle_cases(rng)):
-            for sq_dist in (None, squared_distances(pts)):
-                ours = [np.random.default_rng((case, r)) for r in range(1 + case % 4)]
-                centers = clusterers._kmeans_pp_init(pts, k, ours, sq_dist)
-                assert centers.shape == (len(ours), k, pts.shape[1])
-                for r, (run_centers, gen) in enumerate(zip(centers, ours)):
-                    ref = np.random.default_rng((case, r))
-                    where = (pts.shape, k, sq_dist is None, r)
-                    assert run_centers.tobytes() == kmeans_pp_init_oracle(pts, k, ref).tobytes(), where
-                    assert gen.bit_generator.state == ref.bit_generator.state, where
+            ours = [np.random.default_rng((case, r)) for r in range(1 + case % 4)]
+            centers = clusterers._kmeans_pp_init(pts, k, ours, squared_distances(pts))
+            assert centers.shape == (len(ours), k, pts.shape[1])
+            for r, (run_centers, gen) in enumerate(zip(centers, ours)):
+                ref = np.random.default_rng((case, r))
+                where = (pts.shape, k, r)
+                assert run_centers.tobytes() == kmeans_pp_init_oracle(pts, k, ref).tobytes(), where
+                assert gen.bit_generator.state == ref.bit_generator.state, where
 
     def test_lockstep_runs_match_the_oracle_run_by_run(self):
         # generate_runs' seeds for (k, run), 1 to 10 runs per call.  Some
@@ -445,16 +445,20 @@ class TestKmeans:
         with pytest.raises(ValueError, match="sq_dist"):
             best_kmeans(pts, 2, sq_dist=squared_distances(pts[:5]))
 
-    def test_memory_without_shared_matrix_is_linear(self):
-        # The (2000, 2000) distance matrix alone would take 30.5 MB.
-        pts = np.random.default_rng(25).standard_normal((2000, 2))
-        tracemalloc.start()
-        try:
-            best_kmeans(pts, 3, restarts=2, seed=1)
-            _size, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2**20
+    def test_returns_the_lockstep_arrays_and_builds_no_partition(self, monkeypatch):
+        # A bare call hands back its (R, n), (R, k), (R, k, d) and (R,)
+        # arrays; only a caller that scores a run builds a Partition of it.
+        def refuse(*args, **kwargs):
+            raise AssertionError("kmeans built a Partition")
+
+        monkeypatch.setattr(Partition, "__init__", refuse)
+        monkeypatch.setattr(Partition, "_dense", classmethod(refuse))
+        pts = np.random.default_rng(25).standard_normal((30, 3))
+        labels, sizes, centers, inertias = kmeans(pts, 4, [5, 6, 7])
+        assert labels.shape == (3, 30) and labels.dtype == np.int64
+        assert sizes.shape == (3, 4) and sizes.dtype == np.int64
+        assert centers.shape == (3, 4, 3) and inertias.shape == (3,)
+        assert all(np.array_equal(s, np.bincount(row, minlength=4)) for row, s in zip(labels, sizes))
 
     def test_empty_cluster_reseed_runs(self, monkeypatch):
         reseeds = []

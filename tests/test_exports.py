@@ -1,7 +1,8 @@
 """Every name a metaclust module exports in ``__all__`` exists, star-imports
 and, but for a short allow-list, is used by library code, and so is every
-public method or property of an exported class; every name a module imports is
-used in it or exported; every exception it raises maps to an exit code."""
+public method, property or annotated field of an exported class; every name a
+module imports is used in it or exported; every exception it raises maps to an
+exit code."""
 
 import ast
 import importlib
@@ -62,8 +63,19 @@ def test_every_export_has_a_library_caller():
     assert {n.rsplit(".", 1)[1] for n in unreferenced} == UNREFERENCED_ALLOWED, sorted(unreferenced)
 
 
-# Public methods and properties of exported classes that library code never reads as ``x.name``.
-UNREAD_MEMBERS_ALLOWED = set()
+# Public methods, properties and annotated fields of exported classes that library code never
+# reads as ``x.name``.  ``n_failed_rows`` is counted for the run trace of ROADMAP item 4, which
+# reads it or deletes it.
+UNREAD_MEMBERS_ALLOWED = {"AlgoSelectModel.n_failed_rows"}
+
+
+def _member_name(node):
+    """The name a class-body method, property or annotated field defines; None for any other node."""
+    if isinstance(node, ast.FunctionDef):
+        return node.name
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return node.target.id
+    return None
 
 
 def test_every_public_member_of_an_exported_class_is_read():
@@ -74,11 +86,8 @@ def test_every_public_member_of_an_exported_class_is_read():
         exported = set(getattr(importlib.import_module(f"metaclust.{name[:-3]}"), "__all__", []))
         for cls in tree.body:
             if isinstance(cls, ast.ClassDef) and cls.name in exported:
-                members.update(
-                    f"{cls.name}.{node.name}"
-                    for node in cls.body
-                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-                )
+                names = (_member_name(node) for node in cls.body)
+                members.update(f"{cls.name}.{name}" for name in names if name and not name.startswith("_"))
     assert {m for m in members if m.rsplit(".", 1)[1] not in read} == UNREAD_MEMBERS_ALLOWED
 
 

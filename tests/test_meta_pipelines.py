@@ -267,20 +267,34 @@ class TestGenerateRuns:
 
     @pytest.mark.parametrize("theta", [0.0, 0.1])
     def test_unchecked_partitions_equal_checked_ones(self, theta, monkeypatch):
-        # kmeans results and the reattached full partitions skip Partition's
-        # checks; each must equal the partition built from its labels.
-        built = []
+        # Only the partitions scored skip Partition's checks: one build per
+        # distinct partition of the runs, and with pruning one per distinct
+        # reattached full partition, not one per cell.  Each must equal the
+        # partition built from its labels.
+        built, scored = [], []
         dense = Partition._dense.__func__
 
         def record(cls, labels, sizes):
             built.append(dense(cls, labels, sizes))
             return built[-1]
 
+        def scoring(score, position):
+            def wrapped(*args, **kwargs):
+                scored.append(args[position])
+                return score(*args, **kwargs)
+
+            return wrapped
+
         monkeypatch.setattr(Partition, "_dense", classmethod(record))
+        monkeypatch.setattr(meta_pipelines, "silhouette_score", scoring(silhouette_score, 1))
+        monkeypatch.setattr(meta_pipelines, "adjusted_rand_index", scoring(adjusted_rand_index, 2))
         ds, truth = small_repo(1).problems[0]
         generate_runs(ds, truth, range(2, 6), 4, seed=3, theta=theta)
-        # 4 k values x 4 runs, and with pruning each run's full partition too.
-        assert len(built) == (2 if theta else 1) * 4 * 4
+        # Fewer builds than the 4 k values x 4 runs, and with pruning their
+        # full partitions too: some runs repeat a partition.
+        distinct = {(fast.n_items, first_appearance(fast.labels)) for fast in built}
+        assert len(built) == len(distinct) < (2 if theta else 1) * 4 * 4
+        assert {id(part) for part in scored} == {id(fast) for fast in built}
         assert {fast.n_items for fast in built} == ({ds.n - int(theta * ds.n), ds.n} if theta else {ds.n})
         for fast in built:
             checked = Partition(n_items=fast.n_items, labels=fast.labels.copy())

@@ -223,6 +223,14 @@ class TestSilhouette:
         with pytest.raises(ValueError):
             silhouette_score(x, Partition(2, ((0, 1),)))
 
+    @pytest.mark.parametrize("shape", [(5, 6), (6, 6), (4, 5)])
+    def test_distance_matrix_shape_is_checked(self, shape):
+        # At (5, 6) the first 5 columns would be read as if they were the matrix.
+        x = np.arange(10.0).reshape(5, 2)
+        c = Partition(5, labels=[0, 0, 1, 1, 1])
+        with pytest.raises(ValueError, match=r"dist must be an \(5, 5\) matrix"):
+            silhouette_score(x, c, dist=np.zeros(shape))
+
     def test_translation_and_scale_invariance(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((20, 3))
