@@ -290,6 +290,8 @@ def cmd_report(args) -> int:
 
     groups: dict = {}
     for r, row in enumerate(data):
+        if None in row:  # csv.DictReader keeps a row's cells past the header under the key None
+            raise DataError(f"{in_path}: row {r + 2} has more cells than the header")
         if any(row[c] is None for c in group_cols + [value_col]):
             raise DataError(f"{in_path}: row {r + 2} has fewer cells than the header")
         try:

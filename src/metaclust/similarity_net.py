@@ -137,15 +137,15 @@ def _column_tables(pairs: PairSet, columns: np.ndarray) -> tuple:
     return np.ascontiguousarray(points), np.ascontiguousarray(covariances)
 
 
-def _feature_rows(points: np.ndarray, covariances: np.ndarray, first, second, blocks) -> np.ndarray:
-    """A fresh feature matrix: row t holds ``points`` rows first[t] and
-    second[t], then ``covariances`` row blocks[t].
+def _feature_rows(points: np.ndarray, covariances: np.ndarray, first, second, blocks, out=None) -> np.ndarray:
+    """A feature matrix (``out`` if given, else a fresh one): row t holds
+    ``points`` rows first[t] and second[t], then ``covariances`` row blocks[t].
 
     With a ``PairSet``'s own tables the rows are its (rows, 75) feature rows;
     with tables from ``_column_tables`` they hold only those columns.
     """
     width = points.shape[1]
-    x = np.empty((first.shape[0], 2 * width + covariances.shape[1]))
+    x = np.empty((first.shape[0], 2 * width + covariances.shape[1])) if out is None else out
     x[:, :width] = points[first]
     x[:, width : 2 * width] = points[second]
     x[:, 2 * width :] = covariances[blocks]
@@ -312,27 +312,40 @@ class MlpModel:
                 f"{PARAM_SHAPES} with that many first-layer rows, got {shapes}"
             )
         self.params = np.concatenate([a.ravel() for a in arrays])
-        parts = np.split(self.params, np.cumsum([a.size for a in arrays])[:-1])
-        views = [part.reshape(shape) for part, shape in zip(parts, shapes)]
+        views = _flat_views(self.params, shapes)
         self.weights = views[: len(views) // 2]
         self.biases = views[len(views) // 2 :]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Log-probabilities, shape (batch, 2)."""
-        return _log_probs(self, x)
+    def forward(self, x: np.ndarray, outputs: Optional[list] = None) -> np.ndarray:
+        """Log-probabilities, shape (batch, 2); layer outputs go into ``outputs`` if given (``_log_probs``)."""
+        return _log_probs(self, x, outputs)
 
 
-def _log_probs(model: MlpModel, x: np.ndarray, activations: Optional[list] = None) -> np.ndarray:
-    """Log-probabilities of x's rows; appends each hidden layer to ``activations`` if given."""
+def _flat_views(flat: np.ndarray, shapes) -> list:
+    """Views of ``flat``'s consecutive pieces, one reshaped to each of ``shapes``."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return views
+
+
+def _log_probs(model: MlpModel, x: np.ndarray, outputs: Optional[list] = None) -> np.ndarray:
+    """Log-probabilities of x's rows, returned in the last layer's output.
+
+    Layer l's output is written into ``outputs[l]``, a C-ordered (rows,
+    fan_out) matrix, if ``outputs`` is given, else into a fresh array.
+    """
     h = np.atleast_2d(np.asarray(x, dtype=float))
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        h = h @ w
+    last = len(model.weights) - 1
+    for layer, (w, b) in enumerate(zip(model.weights, model.biases)):
+        h = np.matmul(h, w, out=None if outputs is None else outputs[layer])
         h += b
-        np.maximum(h, 0.0, out=h)
-        if activations is not None:
-            activations.append(h)
-    z = h @ model.weights[-1] + model.biases[-1]
-    return z - _logsumexp(z)
+        if layer < last:
+            np.maximum(h, 0.0, out=h)
+    h -= _logsumexp(h)
+    return h
 
 
 def _logsumexp(z: np.ndarray) -> np.ndarray:
@@ -352,39 +365,88 @@ def init_mlp(seed: int = 0) -> MlpModel:
     return MlpModel(weights, biases)
 
 
-def nll_loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple:
-    """Mean negative log-likelihood and its gradients w.r.t. every parameter."""
+class _Workspace:
+    """The buffers of a net's training steps on batches of ``rows`` rows, reused step after step.
+
+    ``x`` takes a batch's feature rows and ``outputs[l]`` layer l's output;
+    ``masks[l]`` takes hidden layer l's ReLU mask.  ``grad`` is one flat
+    vector laid out like ``MlpModel.params``, and ``grads_w`` and
+    ``grads_b`` are reshaped views into it.  The net may be any object with
+    ``weights`` and ``biases`` lists.
+    """
+
+    def __init__(self, model, rows: int):
+        shapes = [w.shape for w in model.weights] + [b.shape for b in model.biases]
+        self.x = np.empty((rows, model.weights[0].shape[0]))
+        self.outputs = [np.empty((rows, w.shape[1])) for w in model.weights]
+        self.masks = [np.empty(h.shape, dtype=bool) for h in self.outputs[:-1]]
+        self.grad = np.empty(sum(math.prod(shape) for shape in shapes))
+        views = _flat_views(self.grad, shapes)
+        self.grads_w, self.grads_b = views[: len(model.weights)], views[len(model.weights) :]
+        self.rows = np.arange(rows)
+
+
+def nll_loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray, workspace: Optional[_Workspace] = None) -> tuple:
+    """Mean negative log-likelihood and its gradients w.r.t. every parameter:
+    (loss, (grads_w, grads_b)).
+
+    Layer outputs and gradients go into ``workspace``, a ``_Workspace`` of
+    ``model`` for x's row count (a fresh one if none is given), so the
+    gradients are views of its flat ``grad`` that the next call with it
+    overwrites.  The backward pass writes the delta of each hidden layer's
+    output over that output, once the weight gradient above it and its ReLU
+    mask are taken.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=int)
     batch = x.shape[0]
+    ws = _Workspace(model, batch) if workspace is None else workspace
 
-    activations = [x]
-    log_probs = _log_probs(model, x, activations)
-    loss = -float(log_probs[np.arange(batch), y].mean())
+    log_probs = _log_probs(model, x, ws.outputs)
+    loss = -float(log_probs[ws.rows, y].mean())
 
     # Backprop: d(loss)/dz = (softmax - onehot) / batch.
-    delta = np.exp(log_probs)
-    delta[np.arange(batch), y] -= 1.0
+    delta = np.exp(log_probs, out=log_probs)
+    delta[ws.rows, y] -= 1.0
     delta /= batch
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
+    activations = [x, *ws.outputs[:-1]]
     for layer in range(len(model.weights) - 1, -1, -1):
-        grads_w[layer] = activations[layer].T @ delta
-        grads_b[layer] = delta.sum(axis=0)
+        np.matmul(activations[layer].T, delta, out=ws.grads_w[layer])
+        np.sum(delta, axis=0, out=ws.grads_b[layer])
         if layer > 0:
-            delta = (delta @ model.weights[layer].T) * (activations[layer] > 0)
-    return loss, (grads_w, grads_b)
+            mask = np.greater(activations[layer], 0, out=ws.masks[layer - 1])
+            delta = np.matmul(delta, model.weights[layer].T, out=activations[layer])
+            np.multiply(delta, mask, out=delta)
+    return loss, (ws.grads_w, ws.grads_b)
 
 
-def adadelta_step(param, grad, acc_grad, acc_update):
-    """In-place elementwise Adadelta update (ADADELTA_RHO, ADADELTA_EPS); returns the delta."""
+def adadelta_step(param, grad, acc_grad, acc_update, scratch=None):
+    """In-place elementwise Adadelta update (ADADELTA_RHO, ADADELTA_EPS); returns the delta.
+
+    The update is ``delta = -sqrt(acc_update + eps) / sqrt(acc_grad + eps) * grad``,
+    computed in that order of operations through ``scratch``, two arrays
+    shaped like ``param`` (fresh ones if not given), without the negation:
+    t = -delta, ``param -= t`` and ``acc_update += ((1 - rho) * t) * t``
+    have the bits of ``param += delta`` and ``((1 - rho) * delta) * delta``
+    in IEEE arithmetic.  The returned delta is held in the first scratch array.
+    """
+    t, s = (np.empty_like(param), np.empty_like(param)) if scratch is None else scratch
     acc_grad *= ADADELTA_RHO
-    acc_grad += (1.0 - ADADELTA_RHO) * grad * grad
-    delta = -np.sqrt(acc_update + ADADELTA_EPS) / np.sqrt(acc_grad + ADADELTA_EPS) * grad
+    np.multiply(grad, 1.0 - ADADELTA_RHO, out=s)
+    s *= grad
+    acc_grad += s
+    np.add(acc_update, ADADELTA_EPS, out=t)
+    np.sqrt(t, out=t)
+    np.add(acc_grad, ADADELTA_EPS, out=s)
+    np.sqrt(s, out=s)
+    t /= s
+    t *= grad
     acc_update *= ADADELTA_RHO
-    acc_update += (1.0 - ADADELTA_RHO) * delta * delta
-    param += delta
-    return delta
+    np.multiply(t, 1.0 - ADADELTA_RHO, out=s)
+    s *= t
+    acc_update += s
+    param -= t
+    return np.negative(t, out=t)
 
 
 def _sub_net(model: MlpModel, columns: np.ndarray) -> MlpModel:
@@ -407,7 +469,11 @@ def train_mlp(meta_train: PairSet, epochs: int = 10, batch: int = 250, seed: int
     reversed order when r is odd, with that pair's label.  Each epoch looks
     up the rows' points rows, covariance rows and labels once, in shuffled
     order; each batch's feature rows are gathered for it, and each batch
-    makes one Adadelta step on the flat parameter vector.
+    makes one Adadelta step on the flat parameter vector.  A step allocates
+    no array of a layer's size: feature rows, layer outputs and gradients
+    go into the ``_Workspace`` of the batch's size (one for the full batch,
+    one for a short last batch), and Adadelta runs through two scratch
+    vectors.
 
     Only the set's active feature columns (``_active_columns``) are built and
     trained: a sub-net (``_sub_net``) holds the first-layer rows of those
@@ -423,7 +489,10 @@ def train_mlp(meta_train: PairSet, epochs: int = 10, batch: int = 250, seed: int
     model = init_mlp(seed)
     net = _sub_net(model, columns)
     acc_grad, acc_update = np.zeros_like(net.params), np.zeros_like(net.params)
+    scratch = (np.empty_like(net.params), np.empty_like(net.params))
     n = 2 * len(meta_train)
+    # One workspace for the full batch and one for a short last batch.
+    workspaces = {rows: _Workspace(net, rows) for rows in {min(batch, n), n - (n - 1) // batch * batch}}
     # One column per pair: its two points rows, its covariance row and its label.
     table = np.stack([meta_train.rows_i, meta_train.rows_j, meta_train.blocks, meta_train.labels])
     for epoch in range(epochs):
@@ -434,10 +503,10 @@ def train_mlp(meta_train: PairSet, epochs: int = 10, batch: int = 250, seed: int
         plan[:2, swapped] = plan[1::-1, swapped]  # odd rows give their pair in reversed order
         for start in range(0, n, batch):
             first, second, blocks, labels = plan[:, start : start + batch]
-            x = _feature_rows(points, covariances, first, second, blocks)
-            _loss, (grads_w, grads_b) = nll_loss_and_grads(net, x, labels)
-            grad = np.concatenate([g.ravel() for g in (*grads_w, *grads_b)])
-            adadelta_step(net.params, grad, acc_grad, acc_update)
+            workspace = workspaces[labels.shape[0]]
+            x = _feature_rows(points, covariances, first, second, blocks, out=workspace.x)
+            nll_loss_and_grads(net, x, labels, workspace)
+            adadelta_step(net.params, workspace.grad, acc_grad, acc_update, scratch)
     _write_back(model, net, columns)
     return model
 
@@ -462,9 +531,13 @@ def predict_features(model: MlpModel, features: np.ndarray, columns=None) -> tup
         raise ValueError(f"columns must ascend in [0, {FEATURE_DIM}) and hold the same coordinates in both blocks")
     net = _sub_net(model, columns)
     x = np.require(np.atleast_2d(features), dtype=float, requirements="CW")
-    p_fwd = np.exp(net.forward(x)[:, 1])
+    # One pair of buffers serves both orders: even layers write into the first, odd ones into the second.
+    rows, widths = x.shape[0], [w.shape[1] for w in net.weights]
+    pair = [np.empty(rows * max(widths[parity::2])) for parity in (0, 1)]
+    outputs = [pair[layer % 2][: rows * fan_out].reshape(rows, fan_out) for layer, fan_out in enumerate(widths)]
+    p_fwd = np.exp(net.forward(x, outputs)[:, 1])
     _swap_coordinate_blocks(x, width)
-    p_swp = np.exp(net.forward(x)[:, 1])
+    p_swp = np.exp(net.forward(x, outputs)[:, 1])
     _swap_coordinate_blocks(x, width)
     p = (p_fwd + p_swp) / 2.0
     return p, p > 0.5

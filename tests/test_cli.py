@@ -569,6 +569,16 @@ class TestErrorContracts:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_report_row_longer_than_header_is_data_error(self, tmp_path, capsys):
+        # The extra cell is not dropped: the row is rejected, as a short row is.
+        src = tmp_path / "in.csv"
+        src.write_text("g,v\na,1,junk\na,3\n")
+        out = tmp_path / "r"
+        rc = main(["report", "--input", str(src), "--group", "g", "--value", "v", "--out", str(out)])
+        assert rc == EXIT_IO
+        assert capsys.readouterr().err == f"error: {src}: row 2 has more cells than the header\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "pipeline,flag,value",
         [

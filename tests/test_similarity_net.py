@@ -174,13 +174,63 @@ def mixed_repo(seed):
 ALL_COLUMNS = np.arange(FEATURE_DIM)  # the columns of full-width training
 
 
+def log_probs_reference(model, x, activations=None):
+    """The allocating forward pass, kept as the exact oracle of ``_log_probs``:
+    a fresh array per layer; appends each hidden layer to ``activations`` if given."""
+    h = np.atleast_2d(np.asarray(x, dtype=float))
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        h = h @ w
+        h += b
+        np.maximum(h, 0.0, out=h)
+        if activations is not None:
+            activations.append(h)
+    z = h @ model.weights[-1] + model.biases[-1]
+    return z - similarity_net._logsumexp(z)
+
+
+def nll_loss_and_grads_reference(model, x, y):
+    """The allocating backward pass, kept as the exact oracle of
+    ``nll_loss_and_grads``: (loss, (grads_w, grads_b)), a fresh array each."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.asarray(y, dtype=int)
+    batch = x.shape[0]
+
+    activations = [x]
+    log_probs = log_probs_reference(model, x, activations)
+    loss = -float(log_probs[np.arange(batch), y].mean())
+
+    delta = np.exp(log_probs)
+    delta[np.arange(batch), y] -= 1.0
+    delta /= batch
+    grads_w = [None] * len(model.weights)
+    grads_b = [None] * len(model.biases)
+    for layer in range(len(model.weights) - 1, -1, -1):
+        grads_w[layer] = activations[layer].T @ delta
+        grads_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ model.weights[layer].T) * (activations[layer] > 0)
+    return loss, (grads_w, grads_b)
+
+
+def adadelta_step_reference(param, grad, acc_grad, acc_update):
+    """The allocating Adadelta update, kept as the exact oracle of ``adadelta_step``."""
+    acc_grad *= ADADELTA_RHO
+    acc_grad += (1.0 - ADADELTA_RHO) * grad * grad
+    delta = -np.sqrt(acc_update + ADADELTA_EPS) / np.sqrt(acc_grad + ADADELTA_EPS) * grad
+    acc_update *= ADADELTA_RHO
+    acc_update += (1.0 - ADADELTA_RHO) * delta * delta
+    param += delta
+    return delta
+
+
 def train_mlp_oracle(meta_train, epochs, batch, seed, columns=None):
     """The training path of the nested-parameter model, kept as an exact oracle.
 
     Meta-train is augmented with an interleaved reversed copy of every pair
     (rows 2t and 2t+1 are pair t and its block-swapped order, both with pair
     t's label), and each batch makes one Adadelta step per parameter array
-    with per-array accumulators.  The net reads only the feature ``columns``
+    with per-array accumulators, through the allocating reference kernel
+    (``nll_loss_and_grads_reference``, ``adadelta_step_reference``).  The net reads only the feature ``columns``
     (by default the set's active columns, as ``train_mlp`` does; all 75 for
     full-width training): its inputs and first weight matrix are cut to
     them, and the first-layer rows of the other columns are returned with
@@ -206,10 +256,10 @@ def train_mlp_oracle(meta_train, epochs, batch, seed, columns=None):
         order = rng.permutation(2 * m)
         for start in range(0, 2 * m, batch):
             idx = order[start : start + batch]
-            _loss, (grads_w, grads_b) = nll_loss_and_grads(model, x[idx], y[idx])
+            _loss, (grads_w, grads_b) = nll_loss_and_grads_reference(model, x[idx], y[idx])
             for layer in range(len(model.weights)):
-                adadelta_step(model.weights[layer], grads_w[layer], acc_grad[0][layer], acc_update[0][layer])
-                adadelta_step(model.biases[layer], grads_b[layer], acc_grad[1][layer], acc_update[1][layer])
+                adadelta_step_reference(model.weights[layer], grads_w[layer], acc_grad[0][layer], acc_update[0][layer])
+                adadelta_step_reference(model.biases[layer], grads_b[layer], acc_grad[1][layer], acc_update[1][layer])
 
     first = init.weights[0].copy()
     first[columns] = model.weights[0]
@@ -633,6 +683,95 @@ class TestTrainingOracle:
         assert model.params.tobytes() == full.tobytes()
 
 
+class TestFusedStep:
+    """The training step writes into reused buffers (``_Workspace``, Adadelta
+    scratch) and is bitwise equal to the allocating reference kernel."""
+
+    @pytest.fixture(scope="class")
+    def train(self):
+        # 400 training rows: batches of 249, 250 and 251 leave a short last batch.
+        spec = SynthSpec(n_problems=8, n_points=60, dims=(2, 5), n_clusters=(2, 3), seed=21)
+        train = sample_pair_splits(make_synthetic_repository(spec), seed=1, max_pairs=40).meta_train
+        assert len(train) == 200
+        return train
+
+    @pytest.mark.parametrize("batch", [1, 249, 250, 251])
+    def test_params_match_reference_kernel(self, train, batch, monkeypatch):
+        built = []
+
+        class Workspace(similarity_net._Workspace):
+            def __init__(self, model, rows):
+                built.append(rows)
+                super().__init__(model, rows)
+
+        monkeypatch.setattr(similarity_net, "_Workspace", Workspace)
+        model = train_mlp(train, epochs=2, batch=batch, seed=1)
+        assert sorted(built) == sorted({batch, 400 % batch or batch})  # one per batch size, built once
+        params = train_mlp_oracle(train, epochs=2, batch=batch, seed=1)
+        assert model.params.tobytes() == params.tobytes()
+
+    @pytest.mark.parametrize("batch", [249, 251])
+    def test_every_column_active_matches_reference_kernel(self, batch):
+        spec = SynthSpec(n_problems=8, n_points=60, dims=(10, 10), n_clusters=(2, 3), seed=21)
+        train = sample_pair_splits(make_synthetic_repository(spec), seed=1, max_pairs=40).meta_train
+        assert np.array_equal(similarity_net._active_columns(train), ALL_COLUMNS) and 2 * len(train) % batch
+        model = train_mlp(train, epochs=2, batch=batch, seed=1)
+        assert model.params.tobytes() == train_mlp_oracle(train, epochs=2, batch=batch, seed=1).tobytes()
+
+    def test_calls_share_no_state(self, train):
+        first = train_mlp(train, epochs=2, batch=250, seed=1).params.tobytes()
+        other = pair_set(np.random.default_rng(3).standard_normal((90, FEATURE_DIM)), np.arange(90) % 2)
+        train_mlp(other, epochs=2, batch=250, seed=2)  # another net width and other batch sizes between
+        assert train_mlp(train, epochs=2, batch=250, seed=1).params.tobytes() == first
+
+    @pytest.mark.parametrize("rows", [1, 7, 250])
+    def test_gradients_match_reference_with_and_without_workspace(self, rows):
+        rng = np.random.default_rng(rows)
+        net = similarity_net._sub_net(init_mlp(seed=5), np.arange(25))
+        workspace = similarity_net._Workspace(net, rows)
+        for _ in range(2):  # a reused workspace gives the same bits again
+            x, y = rng.standard_normal((rows, 25)), rng.integers(0, 2, size=rows)
+            loss, (grads_w, grads_b) = nll_loss_and_grads_reference(net, x, y)
+            expected = np.concatenate([g.ravel() for g in (*grads_w, *grads_b)])
+            # A model with only weights and biases, as the reference oracle builds, needs no workspace.
+            plain = SimpleNamespace(weights=net.weights, biases=net.biases)
+            for model, ws in ((net, workspace), (net, None), (plain, None)):
+                got_loss, (got_w, got_b) = nll_loss_and_grads(model, x, y, ws)
+                flat = np.concatenate([g.ravel() for g in (*got_w, *got_b)])
+                assert got_loss == loss and flat.tobytes() == expected.tobytes()
+            assert all(np.shares_memory(g, workspace.grad) for g in workspace.grads_w + workspace.grads_b)
+            assert workspace.grad.tobytes() == expected.tobytes()  # laid out like MlpModel.params
+
+    def test_step_allocates_no_layer_output(self):
+        # With its workspace and scratch, a step allocates less than one (250, 100)
+        # layer output (the allocating kernel takes more than twice that: every
+        # layer output, the gradients and their concatenation).
+        rng = np.random.default_rng(0)
+        net = similarity_net._sub_net(init_mlp(seed=5), np.arange(25))
+        workspace = similarity_net._Workspace(net, 250)
+        scratch = (np.empty_like(net.params), np.empty_like(net.params))
+        acc_grad, acc_update = np.zeros_like(net.params), np.zeros_like(net.params)
+        x, y = rng.standard_normal((250, 25)), rng.integers(0, 2, size=250)
+
+        def step():
+            nll_loss_and_grads(net, x, y, workspace)
+            adadelta_step(net.params, workspace.grad, acc_grad, acc_update, scratch)
+
+        step()
+        _result, peak = traced_peak_mb(step)
+        assert peak * 2**20 < 250 * 100 * 8
+
+    def test_log_probs_match_reference(self):
+        rng = np.random.default_rng(11)
+        model = init_mlp(seed=6)
+        x = rng.standard_normal((40, FEATURE_DIM))
+        expected = log_probs_reference(model, x)
+        assert model.forward(x).tobytes() == expected.tobytes()
+        swapped = log_probs_reference(model, swap_blocks(x))
+        p, _decision = predict_features(model, x)
+        assert p.tobytes() == ((np.exp(expected[:, 1]) + np.exp(swapped[:, 1])) / 2.0).tobytes()
+
+
 class TestAdadelta:
     def test_matches_scalar_reference(self):
         # hand-rolled scalar Adadelta on f(w) = 0.5 w^2 for 20 steps
@@ -656,6 +795,23 @@ class TestAdadelta:
         param = np.array([1.0])
         delta = adadelta_step(param, np.array([2.0]), np.zeros(1), np.zeros(1))
         assert delta[0] < 0.0 and param[0] < 1.0
+
+    @pytest.mark.parametrize("with_scratch", [False, True], ids=["fresh", "scratch"])
+    def test_matches_reference_bits_on_signed_zeros(self, with_scratch):
+        # Gradients of +0.0, -0.0, negative and positive values, on parameters
+        # that include signed zeros: every bit of the parameter, both
+        # accumulators and the returned delta equals the reference's.
+        grads = np.array([0.0, -0.0, -3.5, 2.25, 1e-300, -1e-300, 0.0, -0.0])
+        param = np.array([0.0, -0.0, 1.0, -2.0, 0.0, -0.0, -0.0, 0.0])
+        state = [param.copy(), np.zeros(8), np.zeros(8)]
+        ref = [param.copy(), np.zeros(8), np.zeros(8)]
+        scratch = (np.empty(8), np.empty(8)) if with_scratch else None
+        for step in range(4):
+            grad = grads * (step + 1) if step % 2 else grads[::-1].copy()
+            delta = adadelta_step(state[0], grad, state[1], state[2], scratch)
+            expected = adadelta_step_reference(ref[0], grad, ref[1], ref[2])
+            assert delta.tobytes() == expected.tobytes()
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(state, ref))
 
 
 class TestPrediction:
