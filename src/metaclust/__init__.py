@@ -9,7 +9,6 @@ from metaclust.data_model import (
     Dataset,
     MetaRepository,
     Partition,
-    SplitSpec,
     WeightedGraph,
     labels_to_partition,
     load_dataset_csv,
@@ -29,7 +28,6 @@ __all__ = [
     "Dataset",
     "MetaRepository",
     "Partition",
-    "SplitSpec",
     "WeightedGraph",
     "adjusted_rand_index",
     "clustering_loss",

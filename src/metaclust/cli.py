@@ -27,7 +27,6 @@ from metaclust.clusterers import KINDS, ClustererSpec
 from metaclust.data_model import (
     FLOAT_FORMAT,
     DataError,
-    SplitSpec,
     SynthSpec,
     dataset_to_distance_graph,
     load_repository,
@@ -131,13 +130,13 @@ def _parse_fractions(text: str, flag: str, zero_ok: bool = False) -> list:
 
 
 def _splits(args) -> list:
-    """(frac, repeat, SplitSpec) for every --train-frac x --repeats cell, in that order.
+    """(frac, repeat) for every --train-frac x --repeats cell, in that order.
 
     Every pipeline calls this before it loads the repository, so a bad list
     fails before any work.
     """
     fracs = _parse_fractions(args.train_frac, "--train-frac")
-    return [(frac, repeat, SplitSpec(frac, repeat, args.seed)) for frac in fracs for repeat in range(args.repeats)]
+    return [(frac, repeat) for frac in fracs for repeat in range(args.repeats)]
 
 
 # The smallest usable value of each count flag; a training pair needs two rows.
@@ -195,8 +194,8 @@ def cmd_run_meta_k(args) -> int:
     repo = _load_repo(args)
     grids = repo_runs(repo, k_range, args.restarts, args.seed)
     rows = []
-    for frac, repeat, split in splits:
-        train_idx, test_idx = split_repository(repo, split)
+    for frac, repeat in splits:
+        train_idx, test_idx = split_repository(repo, frac, repeat, args.seed)
         model = train_meta_k([grids[i] for i in train_idx])
         ev = evaluate_meta_k(model, [grids[i] for i in test_idx])
         rows.append((frac, repeat, ev.rmse_meta, ev.rmse_baseline, ev.mean_ari_meta, ev.mean_ari_baseline))
@@ -211,10 +210,10 @@ def cmd_run_algo_select(args) -> int:
     family = default_family()
     records = member_records(family, repo.problems, args.seed)
     rows = []
-    for frac, repeat, split in splits:
-        train_idx, test_idx = split_repository(repo, split)
-        model = train_algo_select([records[i] for i in train_idx])
-        ari_meta, per_member = evaluate_algo_select(model, [records[i] for i in test_idx])
+    for frac, repeat in splits:
+        train_idx, test_idx = split_repository(repo, frac, repeat, args.seed)
+        coef = train_algo_select([records[i] for i in train_idx])
+        ari_meta, per_member = evaluate_algo_select(coef, [records[i] for i in test_idx])
         rows.append([frac, repeat, ari_meta] + per_member)
     header = ["train_frac", "repeat", "ari_meta"] + [f"ari_{spec.name}" for spec in family]
     _write_result(args, "algo_select.csv", header, rows)
@@ -226,12 +225,13 @@ def cmd_run_outliers(args) -> int:
     p_grid = _parse_fractions(args.p_grid, "--p-grid", zero_ok=True)
     cells = _splits(args)
     repo = _load_repo(args)
-    splits = [split for _frac, _repeat, split in cells]
-    results = sweep_outlier_fraction(repo, splits, p_grid, k_range, args.restarts, args.seed, use_raw_norm=args.raw_norm)
-    rows = []
-    for (frac, repeat, _split), result in zip(cells, results):
-        for p, ari in result.per_p:
-            rows.append((frac, repeat, p, ari, int(p == result.best_p)))
+    splits = [split_repository(repo, frac, repeat, args.seed) for frac, repeat in cells]
+    ari, best_p = sweep_outlier_fraction(repo, splits, p_grid, k_range, args.restarts, args.seed, use_raw_norm=args.raw_norm)
+    rows = [
+        (frac, repeat, p, value, int(p == best))
+        for (frac, repeat), values, best in zip(cells, ari.tolist(), best_p.tolist())
+        for p, value in zip(p_grid, values)
+    ]
     _write_result(args, "outliers.csv", ["train_frac", "repeat", "p", "ari_meta", "is_best"], rows)
     return EXIT_OK
 
@@ -252,8 +252,8 @@ def cmd_run_meta_scale(args) -> int:
     repo = _load_repo(args)
     graphs = [(dataset_to_distance_graph(ds), truth) for ds, truth in repo.problems]
     rows = []
-    for frac, repeat, split in splits:
-        train_idx, test_idx = split_repository(repo, split)
+    for frac, repeat in splits:
+        train_idx, test_idx = split_repository(repo, frac, repeat, args.seed)
         rule = fit_meta_scale([graphs[i] for i in train_idx])
         losses = [clustering_loss(truth.n_items, truth, rule(g)) for g, truth in (graphs[i] for i in test_idx)]
         rows.append((frac, repeat, rule.r_star, sum(losses) / len(losses)))
@@ -298,6 +298,8 @@ def cmd_report(args) -> int:
             value = float(row[value_col])
         except ValueError:
             raise DataError(f"{in_path}: row {r + 2}, column {value_col}: non-numeric cell {row[value_col]!r}") from None
+        if not math.isfinite(value):
+            raise DataError(f"{in_path}: row {r + 2}, column {value_col}: non-finite cell")
         groups.setdefault(tuple(row[c] for c in group_cols), []).append(value)
 
     rows = []

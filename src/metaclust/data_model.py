@@ -25,7 +25,6 @@ __all__ = [
     "Partition",
     "WeightedGraph",
     "MetaRepository",
-    "SplitSpec",
     "SynthSpec",
     "derive_seed",
     "labels_to_partition",
@@ -252,21 +251,6 @@ class MetaRepository:
         return len(self.problems)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Deterministic train/test split request."""
-
-    train_fraction: float
-    repeat_index: int = 0
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (0.0 < self.train_fraction < 1.0):
-            raise ValueError("train_fraction must lie in (0, 1)")
-        if self.repeat_index < 0:
-            raise ValueError("repeat_index must be >= 0")
-
-
 def load_dataset_csv(path, dataset_id: Optional[str] = None) -> tuple:
     """Load a labeled dataset CSV as ``(Dataset, ground-truth Partition)``.
 
@@ -376,13 +360,21 @@ def covariance(points: np.ndarray) -> np.ndarray:
     return centered.T @ centered / points.shape[0]
 
 
-def split_repository(repo: MetaRepository, spec: SplitSpec) -> tuple:
-    """Deterministic disjoint (train_indices, test_indices) over the repo."""
+def split_repository(repo: MetaRepository, train_fraction: float, repeat: int = 0, seed: int = 0) -> tuple:
+    """Deterministic disjoint (train_indices, test_indices) over the repo.
+
+    ``floor(n * train_fraction + 0.5)`` of the n problems train; the draw is
+    a permutation from the stream ``derive_seed(repo.seed, seed, repeat)``.
+    """
+    if not (0.0 < train_fraction < 1.0):
+        raise ValueError("train_fraction must lie in (0, 1)")
+    if repeat < 0:
+        raise ValueError("repeat_index must be >= 0")
     n = len(repo)
-    n_train = int(math.floor(n * spec.train_fraction + 0.5))
+    n_train = int(math.floor(n * train_fraction + 0.5))
     if n_train < 1 or n_train > n - 1:
-        raise ValueError(f"split leaves an empty side: n={n}, train_fraction={spec.train_fraction}")
-    rng = np.random.default_rng(derive_seed(repo.seed, spec.seed, spec.repeat_index))
+        raise ValueError(f"split leaves an empty side: n={n}, train_fraction={train_fraction}")
+    rng = np.random.default_rng(derive_seed(repo.seed, seed, repeat))
     order = rng.permutation(n)
     train = np.sort(order[:n_train])
     test = np.sort(order[n_train:])

@@ -26,11 +26,9 @@ from metaclust.data_model import (
     Dataset,
     MetaRepository,
     Partition,
-    SplitSpec,
     covariance,
     derive_seed,
     normalize_points,
-    split_repository,
     squared_distances,
 )
 from metaclust.metrics import adjusted_rand_index, silhouette_score
@@ -41,8 +39,6 @@ __all__ = [
     "MetaKModel",
     "MetaKEvaluation",
     "MemberRecord",
-    "AlgoSelectModel",
-    "OutlierSweepResult",
     "DEFAULT_K_RANGE",
     "generate_runs",
     "repo_runs",
@@ -255,6 +251,8 @@ class MetaKEvaluation:
 
 def evaluate_meta_k(model: MetaKModel, test_grids: Sequence) -> MetaKEvaluation:
     """RMSE of meta/baseline k against the best-fit k, plus achieved mean ARI."""
+    if not test_grids:
+        raise ValueError("test set must be non-empty")
     sq_meta = []
     sq_base = []
     ari_meta = []
@@ -328,49 +326,37 @@ def member_records(specs: Sequence[ClustererSpec], problems: Sequence, seed: int
     return records
 
 
-@dataclass(frozen=True, eq=False)
-class AlgoSelectModel:
-    """One ARI regression over the 5 meta-features per family member, plus failure count.
-
-    Row j of the read-only ``(members, 6)`` array ``coef`` holds the five
-    weights and the intercept for member j.
-    """
-
-    coef: np.ndarray
-    n_failed_rows: int = 0
-
-    def __post_init__(self):
-        coef = np.array(self.coef, dtype=float)
-        coef.setflags(write=False)
-        object.__setattr__(self, "coef", coef)
-
-
-def train_algo_select(train: Sequence) -> AlgoSelectModel:
+def train_algo_select(train: Sequence) -> np.ndarray:
     """Fit one ARI regression per family member on its rows of the training records.
 
-    The rows stack in problem order.  A flagged row, without meta-features,
-    has target 0 (rows are kept so designs stay aligned) and counts as failed.
+    Returns the read-only ``(members, 6)`` coefficient array: row j holds
+    member j's five weights and intercept.  The rows stack in problem order;
+    a flagged row, without meta-features, has target 0 (rows are kept so
+    designs stay aligned).
     """
     if not train:
         raise ValueError("training set must be non-empty")
     rows = np.stack([record.rows for record in train], axis=1)  # (members, problems, 5)
     has_features = np.stack([record.has_features for record in train], axis=1)
     targets = np.where(has_features, np.stack([record.ari for record in train], axis=1), 0.0)
-    coef = [fit_least_squares(x, y) for x, y in zip(rows, targets)]
-    return AlgoSelectModel(coef, int(np.count_nonzero(~has_features)))
+    coef = np.array([fit_least_squares(x, y) for x, y in zip(rows, targets)])
+    coef.setflags(write=False)
+    return coef
 
 
-def select_algorithm(model: AlgoSelectModel, record: MemberRecord) -> int:
+def select_algorithm(coef: np.ndarray, record: MemberRecord) -> int:
     """The position of the member with the highest predicted ARI on the record's problem.
+
+    Row j of ``coef`` is member j's (weights, intercept), as ``train_algo_select`` returns.
 
     Ties break toward the earliest member, and a member without meta-features
     is no candidate; ``DataError`` names the dataset if none can be scored.
     """
     best, best_score = None, None
-    for j, (coef, row, scored) in enumerate(zip(model.coef, record.rows, record.has_features, strict=True)):
+    for j, (member_coef, row, scored) in enumerate(zip(coef, record.rows, record.has_features, strict=True)):
         if not scored:
             continue
-        score = predict(coef, row)  # a dot product per member: one matrix product need not round alike
+        score = predict(member_coef, row)  # a dot product per member: one matrix product need not round alike
         if best is None or score > best_score:  # strict: ties keep the earlier member
             best, best_score = j, score
     if best is None:
@@ -378,26 +364,20 @@ def select_algorithm(model: AlgoSelectModel, record: MemberRecord) -> int:
     return best
 
 
-def evaluate_algo_select(model: AlgoSelectModel, test: Sequence) -> tuple:
+def evaluate_algo_select(coef: np.ndarray, test: Sequence) -> tuple:
     """(meta mean ARI, [fixed-member mean ARI in member order]) over the test records.
 
     ARIs are summed as Python floats in problem order; a failed run adds 0.
     """
-    meta_total, member_totals = 0.0, [0.0] * len(model.coef)
+    if not test:
+        raise ValueError("test set must be non-empty")
+    meta_total, member_totals = 0.0, [0.0] * len(coef)
     for record in test:
         aris = record.ari.tolist()
-        meta_total += aris[select_algorithm(model, record)]
+        meta_total += aris[select_algorithm(coef, record)]
         member_totals = [total + ari for total, ari in zip(member_totals, aris)]
     n = len(test)
     return meta_total / n, [total / n for total in member_totals]
-
-
-@dataclass(frozen=True)
-class OutlierSweepResult:
-    """Mean test ARI per pruning fraction; best_p attains the max (ties: smaller p)."""
-
-    per_p: tuple  # tuple of (p, mean test ARI), in p order
-    best_p: float
 
 
 DEFAULT_P_GRID = (0.0, 0.01, 0.02, 0.03, 0.04, 0.05)
@@ -405,32 +385,31 @@ DEFAULT_P_GRID = (0.0, 0.01, 0.02, 0.03, 0.04, 0.05)
 
 def sweep_outlier_fraction(
     repo: MetaRepository,
-    splits: Sequence[SplitSpec],
+    splits: Sequence,
     p_grid: Sequence[float] = DEFAULT_P_GRID,
     k_range: Sequence[int] = DEFAULT_K_RANGE,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
     use_raw_norm: bool = False,
-) -> list:
+) -> tuple:
     """Rerun the meta-k pipeline at each pruning fraction and compare test ARI.
 
-    Returns one ``OutlierSweepResult`` per split, in split order.  The run
-    grid of a fraction does not depend on the split, so it is computed once
-    per fraction, and every split is evaluated on it before the next
-    fraction's grid replaces it.  Per-k models are refit for every (p, split);
-    silhouettes come from the pruned data, ARIs from the full data after
-    reattachment.  The p = 0 column reproduces the plain meta-k pipeline
-    exactly.
+    ``splits`` are ``(train_idx, test_idx)`` pairs, as ``split_repository``
+    returns.  Returns ``(ari, best_p)``: ``ari[s, j]`` is split s's mean test
+    ARI at ``p_grid[j]``, and ``best_p[s]`` the fraction with split s's
+    highest ARI, ties going to the smaller p.  The run grid of a fraction
+    does not depend on the split, so it is computed once per fraction, and
+    every split is evaluated on it before the next fraction's grid replaces
+    it.  Per-k models are refit for every (p, split); silhouettes come from
+    the pruned data, ARIs from the full data after reattachment.  The p = 0
+    column reproduces the plain meta-k pipeline exactly.
     """
-    split_indices = [split_repository(repo, split) for split in splits]
-    per_split = [[] for _ in split_indices]
-    for p in p_grid:
+    ari = np.empty((len(splits), len(p_grid)))
+    for j, p in enumerate(p_grid):
         grids = repo_runs(repo, k_range, restarts, seed, theta=p, use_raw_norm=use_raw_norm)
-        for per_p, (train_idx, test_idx) in zip(per_split, split_indices):
+        for s, (train_idx, test_idx) in enumerate(splits):
             model = train_meta_k([grids[i] for i in train_idx])
-            evaluation = evaluate_meta_k(model, [grids[i] for i in test_idx])
-            per_p.append((p, evaluation.mean_ari_meta))
-    return [
-        OutlierSweepResult(per_p=tuple(per_p), best_p=min(per_p, key=lambda t: (-t[1], t[0]))[0])
-        for per_p in per_split
-    ]
+            ari[s, j] = evaluate_meta_k(model, [grids[i] for i in test_idx]).mean_ari_meta
+    ascending = np.argsort(p_grid)  # argmax takes the first maximum, so ties go to the smaller p
+    best_p = np.asarray(p_grid, dtype=float)[ascending][np.argmax(ari[:, ascending], axis=1)]
+    return ari, best_p

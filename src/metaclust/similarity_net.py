@@ -548,6 +548,8 @@ def majority_baseline(pairs: PairSet) -> float:
 
     Problems are taken in ascending id order; ids without rows take no part.
     """
+    if not len(pairs):
+        raise ValueError("pair set must be non-empty")
     n_pairs = np.bincount(pairs.dataset_ids)
     n_same = np.bincount(pairs.dataset_ids, weights=pairs.labels)
     present = n_pairs > 0

@@ -16,7 +16,6 @@ from metaclust.data_model import (
     Dataset,
     MetaRepository,
     Partition,
-    SplitSpec,
     SynthSpec,
     WeightedGraph,
     dataset_to_distance_graph,
@@ -311,9 +310,9 @@ def test_criterion_06_algo_select_beats_fixed_members(announce):
     member_scores: dict = {}
     records = member_records(family, repo.problems, seed=7)
     for repeat in range(10):
-        train_idx, test_idx = split_repository(repo, SplitSpec(0.6, repeat, 7))
-        model = train_algo_select([records[i] for i in train_idx])
-        ari_meta, per_member = evaluate_algo_select(model, [records[i] for i in test_idx])
+        train_idx, test_idx = split_repository(repo, 0.6, repeat, 7)
+        coef = train_algo_select([records[i] for i in train_idx])
+        ari_meta, per_member = evaluate_algo_select(coef, [records[i] for i in test_idx])
         meta_scores.append(ari_meta)
         for spec, val in zip(family, per_member):
             member_scores.setdefault(spec.name, []).append(val)
@@ -350,7 +349,7 @@ def test_criterion_07_meta_k_beats_silhouette_argmax(announce):
     records = repo_runs(repo, range(2, 11), 10, seed=5)
     wins = 0
     for repeat in range(10):
-        train_idx, test_idx = split_repository(repo, SplitSpec(0.5, repeat, 5))
+        train_idx, test_idx = split_repository(repo, 0.5, repeat, 5)
         model = train_meta_k([records[i] for i in train_idx])
         ev = evaluate_meta_k(model, [records[i] for i in test_idx])
         if ev.rmse_meta < ev.rmse_baseline and ev.mean_ari_meta > ev.mean_ari_baseline:
@@ -390,19 +389,15 @@ def _outlier_dataset(idx, seed):
 def test_criterion_08_outlier_sweep_finds_planted_fraction(announce):
     repo = MetaRepository(problems=tuple(_outlier_dataset(i, 17) for i in range(16)), seed=17)
     grid = (0.0, 0.01, 0.02, 0.03, 0.04, 0.05)
-    splits = [SplitSpec(0.5, repeat, 5) for repeat in range(10)]
-    results = sweep_outlier_fraction(repo, splits, grid, range(2, 11), 10, seed=5)
-    wins = 0
-    for result in results:
-        per_p = dict(result.per_p)
-        if result.best_p == 0.01 and per_p[0.01] > per_p[0.0]:
-            wins += 1
+    splits = [split_repository(repo, 0.5, repeat, 5) for repeat in range(10)]
+    ari, best_p = sweep_outlier_fraction(repo, splits, grid, range(2, 11), 10, seed=5)
+    wins = int(np.count_nonzero((best_p == 0.01) & (ari[:, 1] > ari[:, 0])))
     # the p=0 column must reproduce the plain pipeline bit-for-bit
     records = repo_runs(repo, range(2, 11), 10, seed=5)
-    train_idx, test_idx = split_repository(repo, splits[0])
+    train_idx, test_idx = splits[0]
     model = train_meta_k([records[i] for i in train_idx])
     ev = evaluate_meta_k(model, [records[i] for i in test_idx])
-    p0_exact = dict(results[0].per_p)[0.0] == ev.mean_ari_meta
+    p0_exact = ari[0, 0] == ev.mean_ari_meta
     ok = wins >= 8 and p0_exact
     announce(8, f"sweep picked p=0.01 over p=0 in {wins}/10 repeats; p=0 column exact", ok)
 

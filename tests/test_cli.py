@@ -569,6 +569,16 @@ class TestErrorContracts:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_report_non_finite_value_is_data_error(self, tmp_path, capsys):
+        # As load_dataset_csv rejects a non-finite cell: no nan or inf statistics are written.
+        src = tmp_path / "in.csv"
+        src.write_text("g,v\na,1\na,nan\nb,inf\nb,2\n")
+        out = tmp_path / "r"
+        rc = main(["report", "--input", str(src), "--group", "g", "--value", "v", "--out", str(out)])
+        assert rc == EXIT_IO
+        assert capsys.readouterr().err == f"error: {src}: row 3, column v: non-finite cell\n"
+        assert not out.exists()
+
     def test_report_row_longer_than_header_is_data_error(self, tmp_path, capsys):
         # The extra cell is not dropped: the row is rejected, as a short row is.
         src = tmp_path / "in.csv"

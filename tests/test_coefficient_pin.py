@@ -75,11 +75,11 @@ def meta_k_model():
     return train_meta_k(repo_runs(repo, range(2, 6), 3, seed=7))
 
 
-def algo_select_model():
+def algo_select_records():
     # A member with k > n fails on every problem, so failure rows are pinned too.
     repo = make_synthetic_repository(SynthSpec(n_problems=8, n_points=40, dims=(2, 4), seed=7))
     family = default_family() + [ClustererSpec(kind="agglo_ward", k=50)]
-    return train_algo_select(member_records(family, repo.problems, seed=7))
+    return member_records(family, repo.problems, seed=7)
 
 
 def test_meta_k_coefficients():
@@ -89,17 +89,20 @@ def test_meta_k_coefficients():
 
 
 def test_algo_select_coefficients():
-    model = algo_select_model()
-    assert model.coef.shape == (11, 6) and model.n_failed_rows == 8
-    assert digest(model.coef) == ALGO_SELECT_SHA256
+    records = algo_select_records()
+    coef = train_algo_select(records)
+    n_flagged = sum(int(np.count_nonzero(~record.has_features)) for record in records)
+    assert coef.shape == (11, 6) and n_flagged == 8
+    assert digest(coef) == ALGO_SELECT_SHA256
 
 
 # Fits both meta-models in a child; prints their two digests, one a line.
 COEF_CHILD = """
-from test_coefficient_pin import algo_select_model, digest, meta_k_model
+from metaclust.meta_pipelines import train_algo_select
+from test_coefficient_pin import algo_select_records, digest, meta_k_model
 
 print(digest(meta_k_model().coef))
-print(digest(algo_select_model().coef))
+print(digest(train_algo_select(algo_select_records())))
 """
 
 

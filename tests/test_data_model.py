@@ -18,7 +18,6 @@ from metaclust.data_model import (
     Dataset,
     MetaRepository,
     Partition,
-    SplitSpec,
     SynthSpec,
     WeightedGraph,
     covariance,
@@ -377,31 +376,41 @@ class TestSplit:
 
     def test_disjoint_cover(self):
         repo = self.make_repo()
-        train, test = split_repository(repo, SplitSpec(0.5, 0, 3))
+        train, test = split_repository(repo, 0.5, 0, 3)
         assert len(train) == 5 and len(test) == 5
         assert sorted(list(train) + list(test)) == list(range(10))
 
     def test_deterministic(self):
         repo = self.make_repo()
-        a = split_repository(repo, SplitSpec(0.5, 1, 3))
-        b = split_repository(repo, SplitSpec(0.5, 1, 3))
+        a = split_repository(repo, 0.5, 1, 3)
+        b = split_repository(repo, 0.5, 1, 3)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_repeats_differ(self):
         repo = self.make_repo()
-        a = split_repository(repo, SplitSpec(0.5, 0, 3))
-        b = split_repository(repo, SplitSpec(0.5, 1, 3))
+        a = split_repository(repo, 0.5, 0, 3)
+        b = split_repository(repo, 0.5, 1, 3)
         assert not np.array_equal(a[0], b[0])
 
     def test_rounding_rule(self):
         repo = self.make_repo(n=339)
-        train, test = split_repository(repo, SplitSpec(0.7, 0, 0))
+        train, test = split_repository(repo, 0.7, 0, 0)
         assert len(train) == 237 and len(test) == 102
 
     def test_empty_side_rejected(self):
         repo = self.make_repo(n=2)
         with pytest.raises(ValueError):
-            split_repository(repo, SplitSpec(0.01, 0, 0))
+            split_repository(repo, 0.01, 0, 0)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, math.inf, math.nan], ids=["zero", "one", "inf", "nan"])
+    def test_fraction_outside_open_unit_interval_rejected(self, fraction):
+        # An infinite fraction would otherwise reach math.floor and raise OverflowError.
+        with pytest.raises(ValueError, match=r"train_fraction must lie in \(0, 1\)"):
+            split_repository(self.make_repo(), fraction)
+
+    def test_negative_repeat_rejected(self):
+        with pytest.raises(ValueError, match="repeat_index must be >= 0"):
+            split_repository(self.make_repo(), 0.5, repeat=-1)
 
 
 class TestSynth:

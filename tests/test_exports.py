@@ -64,9 +64,9 @@ def test_every_export_has_a_library_caller():
 
 
 # Public methods, properties and annotated fields of exported classes that library code never
-# reads as ``x.name``.  ``n_failed_rows`` is counted for the run trace of ROADMAP item 4, which
-# reads it or deletes it.
-UNREAD_MEMBERS_ALLOWED = {"AlgoSelectModel.n_failed_rows"}
+# reads as ``x.name``.  None may be: a member only tests read is library surface without a
+# library use.
+UNREAD_MEMBERS_ALLOWED = set()
 
 
 def _member_name(node):

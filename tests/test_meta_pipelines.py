@@ -12,13 +12,13 @@ from metaclust.data_model import (
     DataError,
     Dataset,
     Partition,
-    SplitSpec,
     SynthSpec,
     covariance,
     derive_seed,
     labels_to_partition,
     make_synthetic_repository,
     normalize_points,
+    split_repository,
     squared_distances,
 )
 from metaclust.meta_pipelines import (
@@ -122,14 +122,14 @@ def train_algo_select_oracle(specs, train, seed):
     return coefs, n_failed
 
 
-def select_algorithm_oracle(specs, model, dataset):
+def select_algorithm_oracle(specs, coef, dataset):
     """The candidate-list selection loop over the seeded ``specs``, each run on
     ``dataset`` and featurized without a shared matrix.
 
     Returns (best, partitions): every member's partition, None where its run failed.
     """
     partitions, candidates = [], []
-    for j, (spec, coef) in enumerate(zip(specs, model.coef)):
+    for j, (spec, member_coef) in enumerate(zip(specs, coef)):
         try:
             partition = run_spec(spec, dataset.points)
         except ValueError:
@@ -138,7 +138,7 @@ def select_algorithm_oracle(specs, model, dataset):
         partitions.append(partition)
         try:
             extrema = symmetric_eigen_extrema(covariance(dataset.points))
-            a_j = predict(coef, phi_features(dataset, partition, pairwise_distances(dataset.points), extrema))
+            a_j = predict(member_coef, phi_features(dataset, partition, pairwise_distances(dataset.points), extrema))
         except ValueError:
             continue
         candidates.append((a_j, j))
@@ -549,29 +549,39 @@ class TestEvaluateMetaK:
         ev = evaluate_meta_k(model, grids)
         assert ev.mean_ari_meta == pytest.approx(total / 3, abs=1e-12)
 
+    def test_empty_test_set_rejected(self):
+        model = train_meta_k(repo_runs(small_repo(2), range(2, 4), 2, seed=0))
+        with pytest.raises(ValueError, match="test set must be non-empty"):
+            evaluate_meta_k(model, [])
+
 
 def fit_records(specs, problems, seed):
-    """(records, model): the members' records of ``problems`` and the model trained on all of them."""
+    """(records, coef): the members' records of ``problems`` and the coefficients trained on all of them."""
     records = member_records(specs, problems, seed)
     return records, train_algo_select(records)
+
+
+def n_flagged(records):
+    """The number of flagged rows, without meta-features, in the records."""
+    return sum(int(np.count_nonzero(~record.has_features)) for record in records)
 
 
 class TestAlgoSelect:
     def test_intercept_separates_members(self):
         repo = small_repo(8)
         specs = [ClustererSpec(kind="kmeans", k=2, restarts=3), ClustererSpec(kind="agglo_single", k=2)]
-        records, model = fit_records(specs, repo.problems, seed=1)
-        assert model.coef.shape == (2, 6)
-        for array in (model.coef, records[0].rows, records[0].has_features, records[0].ari):
+        records, coef = fit_records(specs, repo.problems, seed=1)
+        assert coef.shape == (2, 6)
+        for array in (coef, records[0].rows, records[0].has_features, records[0].ari):
             with pytest.raises(ValueError):
                 array[0] = 1.0
-        best = select_algorithm(model, records[0])
+        best = select_algorithm(coef, records[0])
         assert best in (0, 1) and records[0].has_features[best]
 
     def test_single_member_family(self):
         repo = small_repo(3)
-        records, model = fit_records([ClustererSpec(kind="agglo_ward", k=2)], repo.problems, seed=0)
-        assert select_algorithm(model, records[0]) == 0
+        records, coef = fit_records([ClustererSpec(kind="agglo_ward", k=2)], repo.problems, seed=0)
+        assert select_algorithm(coef, records[0]) == 0
         assert records[0].has_features.tolist() == [True] and 0.0 < records[0].ari[0] <= 1.0
 
     def test_failed_member_rows_flagged(self):
@@ -580,9 +590,9 @@ class TestAlgoSelect:
             ClustererSpec(kind="kmeans", k=2, restarts=2),
             ClustererSpec(kind="agglo_ward", k=50),  # k > n on every problem
         ]
-        records, model = fit_records(specs, repo.problems, seed=0)
-        assert model.n_failed_rows == 3
-        assert select_algorithm(model, records[0]) == 0
+        records, coef = fit_records(specs, repo.problems, seed=0)
+        assert n_flagged(records) == 3
+        assert select_algorithm(coef, records[0]) == 0
         ds, _truth = repo.problems[0]
         lo, hi = symmetric_eigen_extrema(covariance(ds.points))
         assert records[0].has_features.tolist() == [True, False]
@@ -605,8 +615,7 @@ class TestAlgoSelect:
         truth = repo.problems[0][1]
         assert record.has_features.tolist() == [True, False]
         assert record.ari.tolist() == [adjusted_rand_index(truth.n_items, truth, p) for p in calls]
-        model = train_algo_select([record])
-        assert model.n_failed_rows == 1 and select_algorithm(model, record) == 0
+        assert n_flagged([record]) == 1 and select_algorithm(train_algo_select([record]), record) == 0
 
     def test_each_member_runs_once_per_problem(self, monkeypatch):
         repo = small_repo(6)
@@ -624,8 +633,8 @@ class TestAlgoSelect:
         monkeypatch.setattr(meta_pipelines, "run_spec", counted)
         records = member_records(specs, repo.problems, seed=2)
         assert len(calls) == len(specs) * len(repo.problems)
-        model = train_algo_select(records[:3])
-        _meta, per_member = meta_pipelines.evaluate_algo_select(model, records[3:])
+        coef = train_algo_select(records[:3])
+        _meta, per_member = meta_pipelines.evaluate_algo_select(coef, records[3:])
         assert len(calls) == len(specs) * len(repo.problems)  # training and evaluation run no member
         # Same numbers as running every member again on each test problem.
         assert per_member == member_means_oracle(seeded_specs(specs, 2), repo.problems[3:])
@@ -640,26 +649,31 @@ class TestAlgoSelect:
             ClustererSpec(kind="agglo_ward", k=3),
         ]
         records = member_records(specs, repo.problems, seed=0)
-        model = train_algo_select(records[:4])
+        coef = train_algo_select(records[:4])
         test = repo.problems[4:]
-        meta, per_member = meta_pipelines.evaluate_algo_select(model, records[4:])
+        meta, per_member = meta_pipelines.evaluate_algo_select(coef, records[4:])
         assert len(per_member) == 3 and all(mean <= 1.0 for mean in per_member)
         assert per_member == member_means_oracle(seeded_specs(specs, 0), test)
         assert per_member[0] != per_member[1]
         total = 0.0
         for ds, truth in test:
-            best, partitions = select_algorithm_oracle(seeded_specs(specs, 0), model, ds)
+            best, partitions = select_algorithm_oracle(seeded_specs(specs, 0), coef, ds)
             total += adjusted_rand_index(truth.n_items, truth, partitions[best])
         assert meta == total / len(test)
+
+    def test_empty_test_set_rejected(self):
+        _records, coef = fit_records(self.FAMILY[:2], small_repo(2).problems, seed=0)
+        with pytest.raises(ValueError, match="test set must be non-empty"):
+            meta_pipelines.evaluate_algo_select(coef, [])
 
     def test_no_scorable_member_is_data_error_naming_the_dataset(self):
         # The records and training keep the flagged rows; only selection fails.
         repo = small_repo(3)
-        records, model = fit_records([ClustererSpec(kind="agglo_ward", k=50)], repo.problems, seed=0)
-        assert model.n_failed_rows == len(repo.problems)
+        records, coef = fit_records([ClustererSpec(kind="agglo_ward", k=50)], repo.problems, seed=0)
+        assert n_flagged(records) == len(repo.problems)
         ds = repo.problems[0][0]
         with pytest.raises(DataError, match=f"dataset {ds.id!r}: no family member could be scored"):
-            select_algorithm(model, records[0])
+            select_algorithm(coef, records[0])
 
     FAMILY = [
         ClustererSpec(kind="kmeans", k=2, restarts=2),
@@ -670,10 +684,10 @@ class TestAlgoSelect:
 
     def test_training_matches_member_by_member_oracle(self):
         repo = small_repo(5)
-        _records, model = fit_records(self.FAMILY, repo.problems, seed=4)
+        records, coef = fit_records(self.FAMILY, repo.problems, seed=4)
         coefs, n_failed = train_algo_select_oracle(self.FAMILY, repo.problems, seed=4)
-        assert model.n_failed_rows == n_failed == len(repo.problems)
-        assert np.array_equal(model.coef, coefs)
+        assert n_flagged(records) == n_failed == len(repo.problems)
+        assert np.array_equal(coef, coefs)
 
     def test_member_failing_on_one_problem_is_flagged_in_every_split(self):
         # A 4-point problem fails the k = 5 member, which runs on the others.
@@ -687,10 +701,10 @@ class TestAlgoSelect:
         lo, hi = symmetric_eigen_extrema(covariance(problems[2][0].points))
         assert records[2].rows[2].tolist() == [2, 4, lo, hi, 0.0] and records[2].ari[2] == 0.0
         for train_idx in ([0, 1, 2], [2, 3, 4, 5], [1, 3, 5], [0, 2, 4]):
-            model = train_algo_select([records[i] for i in train_idx])
+            coef = train_algo_select([records[i] for i in train_idx])
             coefs, n_failed = train_algo_select_oracle(family, [problems[i] for i in train_idx], seed=3)
-            assert model.n_failed_rows == n_failed == int(2 in train_idx)
-            assert np.array_equal(model.coef, coefs)
+            assert n_flagged([records[i] for i in train_idx]) == n_failed == int(2 in train_idx)
+            assert np.array_equal(coef, coefs)
 
     def test_one_distance_matrix_per_problem(self, monkeypatch):
         repo = small_repo(4)
@@ -766,22 +780,22 @@ class TestAlgoSelect:
     def test_failed_psd_check_fails_every_feature_row(self, monkeypatch):
         repo = small_repo(3)
         monkeypatch.setattr(meta_pipelines, "symmetric_eigen_extrema", lambda s: (-0.5, 1.0))
-        records, model = fit_records(self.FAMILY, repo.problems, seed=1)
-        assert model.n_failed_rows == len(self.FAMILY) * len(repo.problems)
+        records, coef = fit_records(self.FAMILY, repo.problems, seed=1)
+        assert n_flagged(records) == len(self.FAMILY) * len(repo.problems)
         # Every member is fit to failure rows, which carry the shared extrema.
         oracle = fit_least_squares([[ds.d, ds.n, -0.5, 1.0, 0.0] for ds, _truth in repo.problems], [0.0] * 3)
-        assert np.array_equal(model.coef, np.tile(oracle, (len(self.FAMILY), 1)))
+        assert np.array_equal(coef, np.tile(oracle, (len(self.FAMILY), 1)))
         with pytest.raises(DataError, match="no family member could be scored"):
-            select_algorithm(model, records[0])
+            select_algorithm(coef, records[0])
 
     def test_selection_matches_member_by_member_oracle(self):
         repo = small_repo(6)
         records = member_records(self.FAMILY, repo.problems, seed=2)
-        model = train_algo_select(records[:3])
+        coef = train_algo_select(records[:3])
         specs = seeded_specs(self.FAMILY, 2)
         for record, (ds, truth) in zip(records[3:], repo.problems[3:]):
-            best, partitions = select_algorithm_oracle(specs, model, ds)
-            assert select_algorithm(model, record) == best
+            best, partitions = select_algorithm_oracle(specs, coef, ds)
+            assert select_algorithm(coef, record) == best
             aris = [0.0 if p is None else adjusted_rand_index(truth.n_items, truth, p) for p in partitions]
             assert record.ari.tolist() == aris
 
@@ -791,7 +805,7 @@ class TestAlgoSelect:
                  ClustererSpec(kind="kmeans", k=2, restarts=2)]
         tied = np.tile([0.0, 0.0, 0.0, 0.0, 0.0, 0.5], (3, 1))
         (record,) = member_records(specs, repo.problems[:1])
-        assert select_algorithm(meta_pipelines.AlgoSelectModel(tied), record) == 1
+        assert select_algorithm(tied, record) == 1
         assert record.has_features.tolist() == [False, True, True]
 
     def test_unexpected_member_error_propagates(self, monkeypatch):
@@ -811,45 +825,62 @@ class TestAlgoSelect:
         a, b = (member_records(specs, repo.problems, seed=7) for _ in range(2))
         for x, y in zip(a, b):
             assert x.rows.tobytes() == y.rows.tobytes() and x.ari.tobytes() == y.ari.tobytes()
-        assert np.array_equal(train_algo_select(a).coef, train_algo_select(b).coef)
+        assert np.array_equal(train_algo_select(a), train_algo_select(b))
 
     @pytest.mark.parametrize("shape", [(1, 6), (3, 6), (2, 5)])
     def test_coefficients_must_fit_the_members(self, shape):
         # Selection needs one row of 5 weights and an intercept per member.
-        model = meta_pipelines.AlgoSelectModel(np.zeros(shape))
         (record,) = member_records(self.FAMILY[:2], small_repo(1).problems)
         with pytest.raises(ValueError):
-            select_algorithm(model, record)
+            select_algorithm(np.zeros(shape), record)
+
+
+def best_p_oracle(p_grid, ari):
+    """Each split's fraction with the highest ARI, ties to the smaller p: the old ``min`` rule."""
+    return [min(zip(p_grid, row), key=lambda t: (-t[1], t[0]))[0] for row in ari.tolist()]
 
 
 class TestSweep:
     def test_p_zero_column_reproduces_plain_pipeline(self):
         repo = small_repo(6)
-        split = SplitSpec(0.5, 0, 2)
-        (res,) = sweep_outlier_fraction(repo, [split], (0.0, 0.02), range(2, 5), 3, seed=6)
-        from metaclust.data_model import split_repository
-
-        train_idx, test_idx = split_repository(repo, split)
+        split = split_repository(repo, 0.5, 0, 2)
+        ari, best_p = sweep_outlier_fraction(repo, [split], (0.0, 0.02), range(2, 5), 3, seed=6)
+        assert ari.shape == (1, 2) and best_p.shape == (1,)
+        train_idx, test_idx = split
         grids = repo_runs(repo, range(2, 5), 3, seed=6)
         model = train_meta_k([grids[i] for i in train_idx])
         ev = evaluate_meta_k(model, [grids[i] for i in test_idx])
-        assert dict(res.per_p)[0.0] == ev.mean_ari_meta  # exact, not approximate
+        assert ari[0, 0] == ev.mean_ari_meta  # exact, not approximate
 
-    def test_best_p_tie_breaks_smaller(self):
+    @pytest.mark.parametrize("grid", [(0.001, 0.0), (0.0, 0.001)], ids=["descending", "ascending"])
+    def test_tied_fractions_go_to_the_smaller_p(self, grid):
+        # Under 1,000 points p = 0.001 prunes floor(0.001 n) = 0 of them, so
+        # its column is p = 0's, bit for bit, whatever the grid order.
         repo = small_repo(6)
-        (res,) = sweep_outlier_fraction(repo, [SplitSpec(0.5, 0, 2)], (0.0,), range(2, 5), 2, seed=1)
-        assert res.best_p == 0.0
+        assert max(ds.n for ds, _truth in repo.problems) < 1000
+        splits = [split_repository(repo, 0.5, repeat, 2) for repeat in range(3)]
+        ari, best_p = sweep_outlier_fraction(repo, splits, grid, range(2, 5), 2, seed=1)
+        assert ari[:, 0].tobytes() == ari[:, 1].tobytes()
+        assert best_p.tolist() == [0.0] * len(splits)
 
-    def test_per_p_order_preserved(self):
+    def test_columns_follow_an_unsorted_grid(self):
         repo = small_repo(6)
-        grid = (0.0, 0.03, 0.01)
-        (res,) = sweep_outlier_fraction(repo, [SplitSpec(0.5, 0, 2)], grid, range(2, 5), 2, seed=1)
-        assert tuple(p for p, _ in res.per_p) == grid
+        grid = (0.0, 0.05, 0.03)
+        splits = [split_repository(repo, 0.5, repeat, 2) for repeat in range(3)]
+        ari, best_p = sweep_outlier_fraction(repo, splits, grid, range(2, 5), 2, seed=1)
+        for j, p in enumerate(grid):
+            alone, _best_p = sweep_outlier_fraction(repo, splits, (p,), range(2, 5), 2, seed=1)
+            assert ari[:, j].tobytes() == alone[:, 0].tobytes(), p
+        assert best_p.tolist() == best_p_oracle(grid, ari)
 
     def test_multi_split_call_equals_per_split_calls(self):
         repo = small_repo(6)
-        splits = [SplitSpec(frac, repeat, 2) for frac in (0.5, 0.7) for repeat in range(3)]
+        splits = [split_repository(repo, frac, repeat, 2) for frac in (0.5, 0.7) for repeat in range(3)]
         grid = (0.0, 0.03, 0.05)
-        together = sweep_outlier_fraction(repo, splits, grid, range(2, 5), 2, seed=1)
-        alone = [sweep_outlier_fraction(repo, [split], grid, range(2, 5), 2, seed=1)[0] for split in splits]
-        assert together == alone  # exact: same floats, same best_p
+        ari, best_p = sweep_outlier_fraction(repo, splits, grid, range(2, 5), 2, seed=1)
+        assert ari.shape == (len(splits), len(grid))
+        for s, split in enumerate(splits):
+            alone_ari, alone_best_p = sweep_outlier_fraction(repo, [split], grid, range(2, 5), 2, seed=1)
+            assert alone_ari.tobytes() == ari[s : s + 1].tobytes()  # exact: same floats
+            assert alone_best_p.tolist() == [best_p[s]]
+        assert best_p.tolist() == best_p_oracle(grid, ari)

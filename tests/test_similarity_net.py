@@ -903,6 +903,10 @@ class TestMajorityBaseline:
     def test_all_same(self):
         assert majority_baseline(self.make([1] * 5)) == 1.0
 
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="pair set must be non-empty"):
+            majority_baseline(self.make([]))
+
     def test_balanced(self):
         assert majority_baseline(self.make([0, 1] * 4)) == 0.5
 
