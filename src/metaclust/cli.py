@@ -192,13 +192,12 @@ def cmd_run_meta_k(args) -> int:
     k_range = _k_range(args)
     splits = _splits(args)
     repo = _load_repo(args)
-    grids = repo_runs(repo, k_range, args.restarts, args.seed)
+    sil, ari = repo_runs(repo, k_range, args.restarts, args.seed)
     rows = []
     for frac, repeat in splits:
         train_idx, test_idx = split_repository(repo, frac, repeat, args.seed)
-        model = train_meta_k([grids[i] for i in train_idx])
-        ev = evaluate_meta_k(model, [grids[i] for i in test_idx])
-        rows.append((frac, repeat, ev.rmse_meta, ev.rmse_baseline, ev.mean_ari_meta, ev.mean_ari_baseline))
+        coef = train_meta_k(sil[train_idx], ari[train_idx])
+        rows.append((frac, repeat, *evaluate_meta_k(coef, k_range, sil[test_idx], ari[test_idx])))
     header = ["train_frac", "repeat", "rmse_meta", "rmse_baseline", "ari_meta", "ari_baseline"]
     _write_result(args, "meta_k.csv", header, rows)
     return EXIT_OK
@@ -267,8 +266,7 @@ def cmd_run_bsf(args) -> int:
     for repeat in range(args.repeats):
         split = sample_pair_splits(repo, seed=repeat, max_pairs=args.max_pairs)
         model = train_mlp(split.meta_train, epochs=args.epochs, batch=args.batch, seed=repeat)
-        ev = evaluate_bsf(model, split)
-        rows.append((repeat, ev.acc_meta_it, ev.acc_meta_et, ev.acc_majority_it, ev.acc_majority_et))
+        rows.append((repeat, *evaluate_bsf(model, split)))
     _write_result(args, "bsf.csv", ["repeat", "acc_meta_it", "acc_meta_et", "acc_majority_it", "acc_majority_et"], rows)
     return EXIT_OK
 

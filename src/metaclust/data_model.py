@@ -369,7 +369,7 @@ def split_repository(repo: MetaRepository, train_fraction: float, repeat: int = 
     if not (0.0 < train_fraction < 1.0):
         raise ValueError("train_fraction must lie in (0, 1)")
     if repeat < 0:
-        raise ValueError("repeat_index must be >= 0")
+        raise ValueError("repeat must be >= 0")
     n = len(repo)
     n_train = int(math.floor(n * train_fraction + 0.5))
     if n_train < 1 or n_train > n - 1:

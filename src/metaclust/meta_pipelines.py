@@ -35,17 +35,11 @@ from metaclust.metrics import adjusted_rand_index, silhouette_score
 from metaclust.regression import fit_least_squares, phi_features, predict, symmetric_eigen_extrema
 
 __all__ = [
-    "RunGrid",
-    "MetaKModel",
-    "MetaKEvaluation",
     "MemberRecord",
     "DEFAULT_K_RANGE",
     "generate_runs",
     "repo_runs",
-    "best_fit_k",
-    "baseline_cell",
     "train_meta_k",
-    "meta_selected_cell",
     "evaluate_meta_k",
     "member_records",
     "train_algo_select",
@@ -56,28 +50,6 @@ __all__ = [
 
 DEFAULT_K_RANGE = tuple(range(2, 11))
 DEFAULT_RESTARTS = 10
-
-
-@dataclass(frozen=True, eq=False)
-class RunGrid:
-    """Silhouette and ARI of every (k, run) cell of one problem's run grid.
-
-    Row i of the two read-only ``(len(k_range), restarts)`` arrays holds the
-    runs of ``k_range[i]``, so row-major order is (k, run) order.
-    """
-
-    k_range: tuple  # ascending
-    silhouette: np.ndarray
-    ari: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "k_range", tuple(self.k_range))
-        sil, ari = (np.array(a, dtype=float) for a in (self.silhouette, self.ari))
-        if sil.ndim != 2 or sil.shape != ari.shape or sil.shape[0] != len(self.k_range):
-            raise ValueError("silhouette and ari must both be (len(k_range), restarts) arrays")
-        for name, a in (("silhouette", sil), ("ari", ari)):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
 
 
 def _prune_indices(points: np.ndarray, theta: float, use_raw_norm: bool) -> tuple:
@@ -112,8 +84,12 @@ def generate_runs(
     seed: int = 0,
     theta: float = 0.0,
     use_raw_norm: bool = False,
-) -> RunGrid:
+) -> tuple:
     """Single-start k-means runs for every (k, run) cell of an ascending k range.
+
+    Returns ``(silhouette, ari)``, two read-only ``(len(k_range), restarts)``
+    arrays: row i holds the runs of ``k_range[i]``, so row-major order is
+    (k, run) order.
 
     Each run uses its own sub-seed, and the runs of one k are one lockstep
     ``kmeans`` call.  Silhouette is computed on the pruned data when
@@ -164,7 +140,9 @@ def generate_runs(
                 full = Partition._dense(full_labels[run], np.bincount(full_labels[run], minlength=k))
                 ari_of[key] = adjusted_rand_index(truth.n_items, truth, full)
             ari[i, run] = ari_of[key]
-    return RunGrid(k_range=k_range, silhouette=sil, ari=ari)
+    for a in (sil, ari):
+        a.setflags(write=False)
+    return sil, ari
 
 
 def repo_runs(
@@ -174,104 +152,70 @@ def repo_runs(
     seed: int = 0,
     theta: float = 0.0,
     use_raw_norm: bool = False,
-) -> list:
-    """One run grid per problem of the repository (one sub-seed per problem)."""
-    return [
+) -> tuple:
+    """``(silhouette, ari)``: every problem's ``generate_runs`` arrays (one
+    sub-seed per problem), stacked into read-only ``(problems,
+    len(k_range), restarts)`` arrays, so a split side is ``sil[idx]``."""
+    if not repo.problems:
+        raise ValueError("the repository has no problems to run")
+    runs = [
         generate_runs(ds, truth, k_range, restarts, derive_seed(seed, i), theta, use_raw_norm)
         for i, (ds, truth) in enumerate(repo.problems)
     ]
+    stacks = tuple(np.stack(side) for side in zip(*runs))
+    for a in stacks:
+        a.setflags(write=False)
+    return stacks
 
 
-def _first_max_cell(values: np.ndarray) -> tuple:
-    """(row, column) of the first maximum in row-major, that is (k, run), order."""
-    return divmod(int(np.argmax(values)), values.shape[1])
+def _stack_shape(sil: np.ndarray, ari: np.ndarray, side: str) -> tuple:
+    """The (problems, k rows, runs) shape of one split side's run stacks."""
+    if sil.ndim != 3 or sil.shape != ari.shape:
+        raise ValueError("silhouette and ari must both be (problems, k rows, runs) arrays")
+    if not len(sil):
+        raise ValueError(f"{side} set must be non-empty")
+    return sil.shape
 
 
-def best_fit_k(grid: RunGrid) -> int:
-    """The k whose best-run ARI is maximal; ties go to the smallest k."""
-    return grid.k_range[int(np.argmax(grid.ari.max(axis=1)))]
-
-
-def baseline_cell(grid: RunGrid) -> tuple:
-    """The (k row, run) cell with maximal silhouette; ties toward smaller (k, run)."""
-    return _first_max_cell(grid.silhouette)
-
-
-@dataclass(frozen=True, eq=False)
-class MetaKModel:
-    """One silhouette-to-ARI line per candidate k.
-
-    Row i of the read-only ``(len(k_range), 2)`` array ``coef`` holds the
-    slope and intercept for ``k_range[i]``.
-    """
-
-    k_range: tuple  # ascending
-    coef: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "k_range", tuple(self.k_range))
-        coef = np.array(self.coef, dtype=float)
-        if list(self.k_range) != sorted(set(self.k_range)) or coef.shape != (len(self.k_range), 2):
-            raise ValueError("exactly one (slope, intercept) row per k, with k ascending")
-        coef.setflags(write=False)
-        object.__setattr__(self, "coef", coef)
-
-
-def train_meta_k(per_problem_grids: Sequence) -> MetaKModel:
+def train_meta_k(sil: np.ndarray, ari: np.ndarray) -> np.ndarray:
     """Fit per-k least squares of ARI on silhouette, pooled over problems and runs.
 
-    The grids must all cover the same k range, which the model takes.  Row i
-    of every grid is pooled in (problem, run) order.
+    ``sil`` and ``ari`` are ``(problems, k rows, runs)`` stacks, as
+    ``repo_runs`` returns; k row i is pooled in (problem, run) order.
+    Returns the read-only ``(k rows, 2)`` array whose row i holds the slope
+    and intercept of k row i.
     """
-    if not per_problem_grids:
-        raise ValueError("training needs at least one run grid")
-    k_range = per_problem_grids[0].k_range
-    if any(g.k_range != k_range for g in per_problem_grids):
-        raise ValueError("the run grids must all cover the same k range")
-    sil = np.concatenate([g.silhouette for g in per_problem_grids], axis=1)
-    ari = np.concatenate([g.ari for g in per_problem_grids], axis=1)
-    return MetaKModel(k_range, [fit_least_squares(s[:, None], a) for s, a in zip(sil, ari)])
+    _problems, rows, _runs = _stack_shape(sil, ari, "training")
+    pooled_sil, pooled_ari = (a.transpose(1, 0, 2).reshape(rows, -1) for a in (sil, ari))
+    coef = np.array([fit_least_squares(s[:, None], a) for s, a in zip(pooled_sil, pooled_ari)])
+    coef.setflags(write=False)
+    return coef
 
 
-def meta_selected_cell(model: MetaKModel, grid: RunGrid) -> tuple:
-    """The (k row, run) cell with maximal predicted ARI; ties toward smaller (k, run)."""
-    if grid.k_range != model.k_range:
-        raise ValueError(f"grid covers k = {grid.k_range}, model covers k = {model.k_range}")
-    predicted = np.stack([predict(coef, sil[:, None]) for coef, sil in zip(model.coef, grid.silhouette)])
-    return _first_max_cell(predicted)
+def evaluate_meta_k(coef: np.ndarray, k_range: Sequence[int], sil: np.ndarray, ari: np.ndarray) -> tuple:
+    """``(rmse_meta, rmse_baseline, mean_ari_meta, mean_ari_baseline)`` over the test problems.
 
-
-@dataclass(frozen=True)
-class MetaKEvaluation:
-    rmse_meta: float
-    rmse_baseline: float
-    mean_ari_meta: float
-    mean_ari_baseline: float
-
-
-def evaluate_meta_k(model: MetaKModel, test_grids: Sequence) -> MetaKEvaluation:
-    """RMSE of meta/baseline k against the best-fit k, plus achieved mean ARI."""
-    if not test_grids:
-        raise ValueError("test set must be non-empty")
-    sq_meta = []
-    sq_base = []
-    ari_meta = []
-    ari_base = []
-    for grid in test_grids:
-        k_star = best_fit_k(grid)
-        meta = meta_selected_cell(model, grid)
-        base = baseline_cell(grid)
-        sq_meta.append((grid.k_range[meta[0]] - k_star) ** 2)
-        sq_base.append((grid.k_range[base[0]] - k_star) ** 2)
-        ari_meta.append(float(grid.ari[meta]))
-        ari_base.append(float(grid.ari[base]))
-    n = len(test_grids)
-    return MetaKEvaluation(
-        rmse_meta=math.sqrt(sum(sq_meta) / n),
-        rmse_baseline=math.sqrt(sum(sq_base) / n),
-        mean_ari_meta=sum(ari_meta) / n,
-        mean_ari_baseline=sum(ari_base) / n,
+    Row i of ``coef`` and ``k_range[i]`` belong to k row i of the
+    ``(problems, k rows, runs)`` stacks.  On each problem the best-fit k has
+    the highest best-run ARI, the baseline takes the cell of highest
+    silhouette and meta-k the cell of highest predicted ARI; every rule
+    takes the first maximum in (k, run) order, so ties go to the smaller k,
+    then run.  The RMSEs measure the chosen k against the best-fit k, and
+    the chosen cells' ARIs are averaged in problem order.
+    """
+    problems, rows, runs = _stack_shape(sil, ari, "test")
+    if coef.shape != (rows, 2) or len(k_range) != rows:
+        raise ValueError(f"need one (slope, intercept) row and one k per k row, got {coef.shape} and {k_range}")
+    # One predict call per k row on a (problems * runs, 1) column: one product per entry, as per run.
+    predicted = np.stack(
+        [predict(c, sil[:, i].reshape(-1, 1)).reshape(problems, runs) for i, c in enumerate(coef)], axis=1
     )
+    k = np.asarray(k_range)
+    k_star = k[np.argmax(ari.max(axis=2), axis=1)]
+    cells = [np.argmax(a.reshape(problems, -1), axis=1) for a in (predicted, sil)]  # meta, baseline
+    rmse = [math.sqrt(int(((k[cell // runs] - k_star) ** 2).sum()) / problems) for cell in cells]
+    mean_ari = [sum(ari.reshape(problems, -1)[np.arange(problems), cell].tolist()) / problems for cell in cells]
+    return (*rmse, *mean_ari)
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,10 +350,10 @@ def sweep_outlier_fraction(
     """
     ari = np.empty((len(splits), len(p_grid)))
     for j, p in enumerate(p_grid):
-        grids = repo_runs(repo, k_range, restarts, seed, theta=p, use_raw_norm=use_raw_norm)
+        run_sil, run_ari = repo_runs(repo, k_range, restarts, seed, theta=p, use_raw_norm=use_raw_norm)
         for s, (train_idx, test_idx) in enumerate(splits):
-            model = train_meta_k([grids[i] for i in train_idx])
-            ari[s, j] = evaluate_meta_k(model, [grids[i] for i in test_idx]).mean_ari_meta
+            coef = train_meta_k(run_sil[train_idx], run_ari[train_idx])
+            ari[s, j] = evaluate_meta_k(coef, k_range, run_sil[test_idx], run_ari[test_idx])[2]
     ascending = np.argsort(p_grid)  # argmax takes the first maximum, so ties go to the smaller p
     best_p = np.asarray(p_grid, dtype=float)[ascending][np.argmax(ari[:, ascending], axis=1)]
     return ari, best_p

@@ -29,7 +29,6 @@ __all__ = [
     "PairSet",
     "SplitTriple",
     "MlpModel",
-    "BsfEvaluation",
     "ADADELTA_RHO",
     "ADADELTA_EPS",
     "build_pair_features",
@@ -558,14 +557,6 @@ def majority_baseline(pairs: PairSet) -> float:
     return sum(accs) / len(accs)
 
 
-@dataclass(frozen=True)
-class BsfEvaluation:
-    acc_meta_it: float
-    acc_meta_et: float
-    acc_majority_it: float
-    acc_majority_et: float
-
-
 def _predict_pairs(model: MlpModel, pairs: PairSet) -> tuple:
     """(probability_same, decision) of every pair, predicted in balanced parts.
 
@@ -590,16 +581,19 @@ def _predict_pairs(model: MlpModel, pairs: PairSet) -> tuple:
 
 
 def _model_accuracy(model: MlpModel, pairs: PairSet) -> float:
-    """Accuracy on one set, predicted part by part (``_predict_pairs``)."""
+    """Accuracy on one non-empty set, predicted part by part (``_predict_pairs``)."""
+    if not len(pairs):
+        raise ValueError("pair set must be non-empty")
     _p, decisions = _predict_pairs(model, pairs)
     return float((decisions.astype(int) == pairs.labels).mean())
 
 
-def evaluate_bsf(model: MlpModel, split: SplitTriple) -> BsfEvaluation:
-    """Pair accuracy of the model and the majority baseline on both test sets."""
-    return BsfEvaluation(
-        acc_meta_it=_model_accuracy(model, split.meta_it),
-        acc_meta_et=_model_accuracy(model, split.meta_et),
-        acc_majority_it=majority_baseline(split.meta_it),
-        acc_majority_et=majority_baseline(split.meta_et),
+def evaluate_bsf(model: MlpModel, split: SplitTriple) -> tuple:
+    """``(acc_meta_it, acc_meta_et, acc_majority_it, acc_majority_et)``: pair
+    accuracy of the model and of the majority baseline on both test sets."""
+    return (
+        _model_accuracy(model, split.meta_it),
+        _model_accuracy(model, split.meta_et),
+        majority_baseline(split.meta_it),
+        majority_baseline(split.meta_et),
     )

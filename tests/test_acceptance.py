@@ -346,13 +346,15 @@ def _biased_dataset(idx, seed):
 
 def test_criterion_07_meta_k_beats_silhouette_argmax(announce):
     repo = MetaRepository(problems=tuple(_biased_dataset(i, 13) for i in range(16)), seed=13)
-    records = repo_runs(repo, range(2, 11), 10, seed=5)
+    sil, ari = repo_runs(repo, range(2, 11), 10, seed=5)
     wins = 0
     for repeat in range(10):
         train_idx, test_idx = split_repository(repo, 0.5, repeat, 5)
-        model = train_meta_k([records[i] for i in train_idx])
-        ev = evaluate_meta_k(model, [records[i] for i in test_idx])
-        if ev.rmse_meta < ev.rmse_baseline and ev.mean_ari_meta > ev.mean_ari_baseline:
+        coef = train_meta_k(sil[train_idx], ari[train_idx])
+        rmse_meta, rmse_baseline, ari_meta, ari_baseline = evaluate_meta_k(
+            coef, range(2, 11), sil[test_idx], ari[test_idx]
+        )
+        if rmse_meta < rmse_baseline and ari_meta > ari_baseline:
             wins += 1
     ok = wins >= 8
     announce(7, f"meta-k strictly better rmse AND ARI in {wins}/10 repeats (>= 8 needed)", ok)
@@ -393,11 +395,13 @@ def test_criterion_08_outlier_sweep_finds_planted_fraction(announce):
     ari, best_p = sweep_outlier_fraction(repo, splits, grid, range(2, 11), 10, seed=5)
     wins = int(np.count_nonzero((best_p == 0.01) & (ari[:, 1] > ari[:, 0])))
     # the p=0 column must reproduce the plain pipeline bit-for-bit
-    records = repo_runs(repo, range(2, 11), 10, seed=5)
+    run_sil, run_ari = repo_runs(repo, range(2, 11), 10, seed=5)
     train_idx, test_idx = splits[0]
-    model = train_meta_k([records[i] for i in train_idx])
-    ev = evaluate_meta_k(model, [records[i] for i in test_idx])
-    p0_exact = ari[0, 0] == ev.mean_ari_meta
+    coef = train_meta_k(run_sil[train_idx], run_ari[train_idx])
+    _rmse_meta, _rmse_baseline, ari_meta, _ari_baseline = evaluate_meta_k(
+        coef, range(2, 11), run_sil[test_idx], run_ari[test_idx]
+    )
+    p0_exact = ari[0, 0] == ari_meta
     ok = wins >= 8 and p0_exact
     announce(8, f"sweep picked p=0.01 over p=0 in {wins}/10 repeats; p=0 column exact", ok)
 
@@ -462,8 +466,8 @@ def test_criterion_09_similarity_net_mechanics(announce):
     for repeat in range(10):
         split = sample_pair_splits(repo, seed=repeat, max_pairs=300)
         trained = train_mlp(split.meta_train, epochs=10, batch=250, seed=repeat)
-        ev = evaluate_bsf(trained, split)
-        if ev.acc_meta_et > ev.acc_majority_et:
+        _acc_meta_it, acc_meta_et, _acc_majority_it, acc_majority_et = evaluate_bsf(trained, split)
+        if acc_meta_et > acc_majority_et:
             wins += 1
     pipeline_ok = wins >= 8
 

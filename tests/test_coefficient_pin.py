@@ -70,9 +70,9 @@ def digest(rows) -> str:
     return hashlib.sha256(np.ascontiguousarray(rows, dtype=np.float64).tobytes()).hexdigest()
 
 
-def meta_k_model():
+def meta_k_coef():
     repo = make_synthetic_repository(SynthSpec(n_problems=8, n_points=40, seed=7))
-    return train_meta_k(repo_runs(repo, range(2, 6), 3, seed=7))
+    return train_meta_k(*repo_runs(repo, range(2, 6), 3, seed=7))
 
 
 def algo_select_records():
@@ -83,9 +83,9 @@ def algo_select_records():
 
 
 def test_meta_k_coefficients():
-    model = meta_k_model()
-    assert model.coef.shape == (4, 2)
-    assert digest(model.coef) == META_K_SHA256
+    coef = meta_k_coef()
+    assert coef.shape == (4, 2)
+    assert digest(coef) == META_K_SHA256
 
 
 def test_algo_select_coefficients():
@@ -99,9 +99,9 @@ def test_algo_select_coefficients():
 # Fits both meta-models in a child; prints their two digests, one a line.
 COEF_CHILD = """
 from metaclust.meta_pipelines import train_algo_select
-from test_coefficient_pin import algo_select_records, digest, meta_k_model
+from test_coefficient_pin import algo_select_records, digest, meta_k_coef
 
-print(digest(meta_k_model().coef))
+print(digest(meta_k_coef()))
 print(digest(train_algo_select(algo_select_records())))
 """
 

@@ -409,7 +409,7 @@ class TestSplit:
             split_repository(self.make_repo(), fraction)
 
     def test_negative_repeat_rejected(self):
-        with pytest.raises(ValueError, match="repeat_index must be >= 0"):
+        with pytest.raises(ValueError, match="repeat must be >= 0"):
             split_repository(self.make_repo(), 0.5, repeat=-1)
 
 

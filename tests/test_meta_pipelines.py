@@ -1,5 +1,6 @@
 """Algorithm-selection, meta-k and outlier-sweep pipeline mechanics."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +12,7 @@ from metaclust.clusterers import ClustererSpec, run_spec
 from metaclust.data_model import (
     DataError,
     Dataset,
+    MetaRepository,
     Partition,
     SynthSpec,
     covariance,
@@ -22,14 +24,9 @@ from metaclust.data_model import (
     squared_distances,
 )
 from metaclust.meta_pipelines import (
-    MetaKModel,
-    RunGrid,
-    baseline_cell,
-    best_fit_k,
     evaluate_meta_k,
     generate_runs,
     member_records,
-    meta_selected_cell,
     repo_runs,
     select_algorithm,
     sweep_outlier_fraction,
@@ -41,7 +38,8 @@ from metaclust.regression import fit_least_squares, phi_features, predict, symme
 
 
 # Record-based oracles: the per-run objects and Python-loop selection rules
-# that the run grid replaced.  The grid rules must pick the same cells.
+# that the stacked run arrays replaced.  ``evaluate_meta_k`` must score the
+# cells they pick, and ``train_meta_k`` must fit their pooling.
 
 
 @dataclass(frozen=True)
@@ -52,12 +50,12 @@ class RunRecord:
     ari: float
 
 
-def records_of(grid):
-    """The grid's cells as records, in (k, run) order."""
+def records_of(k_range, sil, ari):
+    """One problem's (k rows, runs) cells as records, in (k, run) order."""
     return [
-        RunRecord(k, run, float(grid.silhouette[i, run]), float(grid.ari[i, run]))
-        for i, k in enumerate(grid.k_range)
-        for run in range(grid.silhouette.shape[1])
+        RunRecord(k, run, float(sil[i, run]), float(ari[i, run]))
+        for i, k in enumerate(k_range)
+        for run in range(sil.shape[1])
     ]
 
 
@@ -73,9 +71,9 @@ def oracle_baseline_record(records):
     return min(records, key=lambda r: (-r.silhouette, r.k, r.run_index))
 
 
-def oracle_meta_selected_record(model, records):
+def oracle_meta_selected_record(coef, k_range, records):
     """Each record scored on its own: the k row's slope times the silhouette, plus the intercept."""
-    by_k = dict(zip(model.k_range, model.coef))
+    by_k = dict(zip(k_range, coef))
     return min(records, key=lambda r: (-float(by_k[r.k][:1] @ [r.silhouette] + by_k[r.k][1]), r.k, r.run_index))
 
 
@@ -86,7 +84,27 @@ def oracle_train_meta_k(per_problem_records, k_range):
             if rec.k in by_k:
                 by_k[rec.k][0].append([rec.silhouette])
                 by_k[rec.k][1].append(rec.ari)
-    return MetaKModel(k_range, [fit_least_squares(*by_k[k]) for k in k_range])
+    return np.array([fit_least_squares(*by_k[k]) for k in k_range])
+
+
+def oracle_evaluate_meta_k(coef, k_range, sil, ari):
+    """The four values of ``evaluate_meta_k`` from the records' cells, problem by problem."""
+    sq_meta, sq_base, ari_meta, ari_base = [], [], [], []
+    for problem_sil, problem_ari in zip(sil, ari):
+        records = records_of(k_range, problem_sil, problem_ari)
+        k_star = oracle_best_fit_k(records)
+        meta = oracle_meta_selected_record(coef, k_range, records)
+        base = oracle_baseline_record(records)
+        sq_meta.append((meta.k - k_star) ** 2)
+        sq_base.append((base.k - k_star) ** 2)
+        ari_meta.append(meta.ari)
+        ari_base.append(base.ari)
+    n = len(sil)
+    return math.sqrt(sum(sq_meta) / n), math.sqrt(sum(sq_base) / n), sum(ari_meta) / n, sum(ari_base) / n
+
+
+def per_problem_records(k_range, sil, ari):
+    return [records_of(k_range, s, a) for s, a in zip(sil, ari)]
 
 
 # Algorithm-selection oracles: each member rerun on each problem, with no
@@ -160,30 +178,31 @@ def member_means_oracle(specs, test):
     return means
 
 
-def cell_of(grid, cell):
-    row, run = cell
-    return grid.k_range[row], run
-
-
-def grid(k_range, sil, ari=None):
+def stacks(sil, ari=None):
+    """(sil, ari) float stacks of (problems, k rows, runs); ARI 0 if not given."""
     sil = np.asarray(sil, dtype=float)
-    return RunGrid(k_range=k_range, silhouette=sil, ari=np.zeros_like(sil) if ari is None else ari)
+    return sil, np.zeros_like(sil) if ari is None else np.asarray(ari, dtype=float)
 
 
-def random_grid(rng, k_range, restarts):
+def random_stacks(rng, k_range, problems, restarts):
     # One decimal place, so equal silhouettes and ARIs are common.
-    shape = (len(k_range), restarts)
-    return RunGrid(
-        k_range=k_range,
-        silhouette=np.round(rng.uniform(-1, 1, shape), 1),
-        ari=np.round(rng.uniform(0, 1, shape), 1),
-    )
+    shape = (problems, len(k_range), restarts)
+    return np.round(rng.uniform(-1, 1, shape), 1), np.round(rng.uniform(0, 1, shape), 1)
 
 
-def random_model(rng, k_range):
+def random_coef(rng, k_range):
     # Zero slopes tie every run of a k; small integer-valued coefficients tie across k.
     slopes = rng.choice([-1.0, 0.0, 0.5, 1.0], len(k_range))
-    return MetaKModel(k_range, np.column_stack([slopes, rng.integers(-1, 2, len(k_range))]))
+    return np.column_stack([slopes, rng.integers(-1, 2, len(k_range))]).astype(float)
+
+
+def identity_coef(k_range):
+    """Predicted ARI = silhouette for every k: meta-k picks the baseline's cell."""
+    return np.tile([1.0, 0.0], (len(k_range), 1))
+
+
+def bits(values):
+    return np.array(values, dtype=float).tobytes()
 
 
 K_RANGES = [(2,), (2, 3), (3, 5, 8), tuple(range(2, 11)), (4, 6, 7, 9, 12)]
@@ -234,20 +253,19 @@ class TestGenerateRuns:
     def test_record_count_and_fields(self):
         repo = small_repo(1)
         ds, truth = repo.problems[0]
-        runs = generate_runs(ds, truth, range(2, 11), 10, seed=1)
-        assert runs.k_range == tuple(range(2, 11))
-        assert runs.silhouette.shape == runs.ari.shape == (9, 10)
-        assert np.all(np.isfinite(runs.silhouette)) and np.all(np.isfinite(runs.ari))
-        assert not runs.silhouette.flags.writeable and not runs.ari.flags.writeable
+        sil, ari = generate_runs(ds, truth, range(2, 11), 10, seed=1)
+        assert sil.shape == ari.shape == (9, 10)
+        assert np.all(np.isfinite(sil)) and np.all(np.isfinite(ari))
+        assert not sil.flags.writeable and not ari.flags.writeable
 
     def test_cells_are_seeded_single_runs_in_k_run_order(self):
         repo = small_repo(1)
         ds, truth = repo.problems[0]
-        runs = generate_runs(ds, truth, (2, 4), 3, seed=5)
+        _sil, ari = generate_runs(ds, truth, (2, 4), 3, seed=5)
         for i, k in enumerate((2, 4)):
             for run in range(3):
                 partition = best_kmeans(ds.points, k, restarts=1, seed=derive_seed(5, k, run)).partition
-                assert runs.ari[i, run] == adjusted_rand_index(truth.n_items, truth, partition)
+                assert ari[i, run] == adjusted_rand_index(truth.n_items, truth, partition)
 
     @pytest.mark.parametrize(
         "theta,use_raw_norm,shift", [(0.0, False, 0.0), (0.1, False, 0.0), (0.1, True, 100.0)]
@@ -257,10 +275,10 @@ class TestGenerateRuns:
         # its scores; they must equal scoring every cell alone, to the bit.
         for i, (ds, truth) in enumerate(small_repo(3).problems):
             ds = Dataset(id=ds.id, points=ds.points + shift)
-            grid = generate_runs(ds, truth, range(2, 7), 10, seed=i, theta=theta, use_raw_norm=use_raw_norm)
+            runs = generate_runs(ds, truth, range(2, 7), 10, seed=i, theta=theta, use_raw_norm=use_raw_norm)
             sil, ari, cells = generate_runs_oracle(ds, truth, range(2, 7), 10, i, theta, use_raw_norm)
-            assert grid.silhouette.tobytes() == sil.tobytes()
-            assert grid.ari.tobytes() == ari.tobytes()
+            assert runs[0].tobytes() == sil.tobytes()
+            assert runs[1].tobytes() == ari.tobytes()
             for side in (0, 1):  # inlier and full partitions
                 distinct = {first_appearance(cell[side]) for cell in cells}
                 assert len(distinct) < len(cells) - 10, (i, side)
@@ -308,19 +326,18 @@ class TestGenerateRuns:
         ds, truth = repo.problems[0]
         a = generate_runs(ds, truth, range(2, 5), 3, seed=5)
         b = generate_runs(ds, truth, range(2, 5), 3, seed=5)
-        assert a.k_range == b.k_range
-        assert np.array_equal(a.silhouette, b.silhouette) and np.array_equal(a.ari, b.ari)
+        assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
 
     def test_pruned_partition_covers_everything(self):
         # The ARI of a pruned cell is that of the full partition with every
         # pruned point reattached to its nearest center.
         repo = small_repo(1)
         ds, truth = repo.problems[0]
-        runs = generate_runs(ds, truth, range(2, 4), 2, seed=2, theta=0.05)
+        _sil, ari = generate_runs(ds, truth, range(2, 4), 2, seed=2, theta=0.05)
         dist = np.sqrt(((ds.points - ds.points.mean(axis=0)) ** 2).sum(axis=1))
         outliers = np.sort(np.lexsort((np.arange(ds.n), -dist))[:2])  # floor(0.05 * 40)
         inliers = np.setdiff1d(np.arange(ds.n), outliers)
-        for i, k in enumerate(runs.k_range):
+        for i, k in enumerate(range(2, 4)):
             for run in range(2):
                 result = best_kmeans(ds.points[inliers], k, restarts=1, seed=derive_seed(2, k, run))
                 labels = np.empty(ds.n, dtype=int)
@@ -329,14 +346,14 @@ class TestGenerateRuns:
                     labels[o] = np.argmin(((result.centers - ds.points[o]) ** 2).sum(axis=1))
                 full = Partition(ds.n, labels=labels)
                 assert full.n_covered == ds.n
-                assert runs.ari[i, run] == adjusted_rand_index(ds.n, truth, full)
+                assert ari[i, run] == adjusted_rand_index(ds.n, truth, full)
 
     def test_theta_zero_equals_plain(self):
         repo = small_repo(1)
         ds, truth = repo.problems[0]
         plain = generate_runs(ds, truth, range(2, 5), 2, seed=8)
         zero = generate_runs(ds, truth, range(2, 5), 2, seed=8, theta=0.0)
-        assert np.array_equal(plain.silhouette, zero.silhouette) and np.array_equal(plain.ari, zero.ari)
+        assert np.array_equal(plain[0], zero[0]) and np.array_equal(plain[1], zero[1])
 
     def test_raw_norm_prunes_furthest_from_origin(self):
         # The mean is 99.2: 103 is furthest from the origin, 90 from the mean.
@@ -351,7 +368,7 @@ class TestGenerateRuns:
         far = Dataset(id="far", points=ds.points + 100.0)
         raw = generate_runs(far, truth, range(2, 5), 3, seed=4, theta=0.1, use_raw_norm=True)
         centered = generate_runs(far, truth, range(2, 5), 3, seed=4, theta=0.1)
-        assert not np.array_equal(raw.silhouette, centered.silhouette)
+        assert not np.array_equal(raw[0], centered[0])  # the silhouettes
 
     def test_too_small_k_range_rejected(self):
         ds = Dataset(id="t", points=np.arange(6.0).reshape(-1, 1))
@@ -370,8 +387,8 @@ class TestGenerateRuns:
         # which is exactly the truth.
         ds = Dataset(id="w", points=np.array([[0.0], [1.0], [10.0], [11.0], [100.0]]))
         truth = labels_to_partition([0, 0, 1, 1, 1])
-        runs = generate_runs(ds, truth, (2,), 3, seed=0, theta=0.2)
-        assert np.all(runs.ari == 1.0)
+        _sil, ari = generate_runs(ds, truth, (2,), 3, seed=0, theta=0.2)
+        assert np.all(ari == 1.0)
 
     def test_planted_outlier_pruned_at_true_k(self):
         rng = np.random.default_rng(18)
@@ -379,8 +396,8 @@ class TestGenerateRuns:
         pts = rng.standard_normal((50, 2)) + 10.0 * labels[:, None]
         pts[7] = [500.0, -500.0]
         ds = Dataset(id="o", points=pts)
-        runs = generate_runs(ds, labels_to_partition(labels), (2,), 5, seed=2, theta=1 / 50)
-        assert np.all(runs.ari >= 0.9)
+        _sil, ari = generate_runs(ds, labels_to_partition(labels), (2,), 5, seed=2, theta=1 / 50)
+        assert np.all(ari >= 0.9)
 
     def test_pruning_below_max_k_rejected(self):
         ds = Dataset(id="t", points=np.arange(8.0).reshape(-1, 1))
@@ -389,170 +406,193 @@ class TestGenerateRuns:
         with pytest.raises(ValueError):
             generate_runs(ds, truth, (2, 3, 4), 1, seed=0, theta=0.8)  # 2 points left
 
-    def test_grid_shapes_checked(self):
-        with pytest.raises(ValueError):
-            RunGrid(k_range=(2, 3), silhouette=np.zeros((2, 3)), ari=np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            RunGrid(k_range=(2,), silhouette=np.zeros((2, 3)), ari=np.zeros((2, 3)))
+
+class TestRepoRuns:
+    def test_stacks_every_problems_grid(self):
+        repo = small_repo(3)
+        sil, ari = repo_runs(repo, (2, 4), 3, seed=5)
+        assert sil.shape == ari.shape == (3, 2, 3)
+        assert not sil.flags.writeable and not ari.flags.writeable
+        for i, (ds, truth) in enumerate(repo.problems):
+            one_sil, one_ari = generate_runs(ds, truth, (2, 4), 3, seed=derive_seed(5, i))
+            assert sil[i].tobytes() == one_sil.tobytes() and ari[i].tobytes() == one_ari.tobytes()
+
+    def test_empty_repository_rejected(self):
+        with pytest.raises(ValueError, match="no problems"):
+            repo_runs(MetaRepository(problems=(), seed=0), (2, 3), 2)
 
 
 class TestSelectionRules:
+    """The best-fit k, baseline cell and meta cell, seen through ``evaluate_meta_k``."""
+
     def test_best_fit_k_argmax(self):
-        assert best_fit_k(grid((2, 3, 4), [[0.1], [0.2], [0.9]], [[0.3], [0.9], [0.4]])) == 3
+        # The baseline takes k = 4 (silhouette 0.9), one away from the best-fit k = 3.
+        sil, ari = stacks([[[0.1], [0.2], [0.9]]], [[[0.3], [0.9], [0.4]]])
+        _rmse_meta, rmse_baseline, _ari_meta, ari_baseline = evaluate_meta_k(
+            identity_coef((2, 3, 4)), (2, 3, 4), sil, ari
+        )
+        assert rmse_baseline == 1.0 and ari_baseline == 0.4
 
     def test_best_fit_k_tie_smallest(self):
-        assert best_fit_k(grid((3, 4, 5), [[0.2], [0.3], [0.1]], [[0.7], [0.2], [0.7]])) == 3
+        # k = 3 and k = 5 tie on ARI 0.7: the baseline's k = 3 is off by 0, not by 2.
+        sil, ari = stacks([[[0.3], [0.2], [0.1]]], [[[0.7], [0.2], [0.7]]])
+        assert evaluate_meta_k(identity_coef((3, 4, 5)), (3, 4, 5), sil, ari)[1] == 0.0
 
     def test_baseline_argmax_silhouette(self):
-        sil = np.zeros((3, 4))
-        sil[0, 0], sil[1, 0], sil[2, 3] = 0.1, 0.5, 0.95
-        g = grid((2, 4, 7), sil)
-        assert cell_of(g, baseline_cell(g)) == (7, 3)
+        sil = np.zeros((1, 3, 4))
+        sil[0, 0, 0], sil[0, 1, 0], sil[0, 2, 3] = 0.1, 0.5, 0.95
+        ari = np.arange(12.0).reshape(1, 3, 4) / 100  # every cell its own ARI
+        assert evaluate_meta_k(identity_coef((2, 4, 7)), (2, 4, 7), sil, ari)[3] == ari[0, 2, 3]
 
     def test_baseline_tie_smallest_k_then_run(self):
-        sil = np.zeros((2, 3))
-        sil[1, 1] = sil[1, 0] = sil[0, 2] = 0.5
-        g = grid((3, 4), sil)
-        assert cell_of(g, baseline_cell(g)) == (3, 2)
+        sil = np.zeros((1, 2, 3))
+        sil[0, 1, 1] = sil[0, 1, 0] = sil[0, 0, 2] = 0.5
+        ari = np.arange(6.0).reshape(1, 2, 3) / 100
+        assert evaluate_meta_k(identity_coef((3, 4)), (3, 4), sil, ari)[3] == ari[0, 0, 2]
 
-    def test_rules_match_record_oracles_on_random_grids(self):
+    def test_meta_cell_uses_predicted_order(self):
+        # The k = 2 line inverts silhouette, so the low-silhouette run wins.
+        coef = np.array([[-1.0, 0.0], [0.0, -10.0]])
+        sil, ari = stacks([[[0.9, 0.1], [0.99, 0.5]]], [[[0.1, 0.8], [0.2, 0.0]]])
+        assert evaluate_meta_k(coef, (2, 3), sil, ari) == (0.0, 1.0, 0.8, 0.2)
+
+    def test_predict_k_tie_smallest(self):
+        sil, ari = stacks([[[0.5], [0.5]]], [[[0.1], [0.9]]])
+        rmse_meta, _rmse_baseline, ari_meta, _ari_baseline = evaluate_meta_k(identity_coef((2, 3)), (2, 3), sil, ari)
+        assert rmse_meta == 1.0 and ari_meta == 0.1
+
+    def test_errors_are_in_k_not_in_rows(self):
+        # On k = (3, 5, 8) meta-k picks row 2 and the best-fit k is row 0: 5 apart, not 2.
+        coef = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+        sil, ari = stacks([[[0.9], [0.5], [0.1]]], [[[0.9], [0.5], [0.1]]])
+        assert evaluate_meta_k(coef, (3, 5, 8), sil, ari) == (5.0, 0.0, 0.1, 0.9)
+
+    def test_identity_model_reduces_to_baseline(self):
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            sil, ari = rng.uniform(-1, 1, (3, 9, 3)), rng.uniform(0, 1, (3, 9, 3))
+            rmse_meta, rmse_baseline, ari_meta, ari_baseline = evaluate_meta_k(
+                identity_coef(range(2, 11)), range(2, 11), sil, ari
+            )
+            assert rmse_meta == rmse_baseline and ari_meta == ari_baseline
+
+    def test_evaluation_matches_record_oracles_on_random_stacks(self):
         rng = np.random.default_rng(80)
         for trial in range(600):
             k_range = K_RANGES[trial % len(K_RANGES)]
-            g = random_grid(rng, k_range, int(rng.integers(1, 6)))
-            model = random_model(rng, k_range)
-            records = records_of(g)
-            assert best_fit_k(g) == oracle_best_fit_k(records), trial
-            base = oracle_baseline_record(records)
-            assert cell_of(g, baseline_cell(g)) == (base.k, base.run_index), trial
-            meta = oracle_meta_selected_record(model, records)
-            assert cell_of(g, meta_selected_cell(model, g)) == (meta.k, meta.run_index), trial
+            sil, ari = random_stacks(rng, k_range, int(rng.integers(1, 5)), int(rng.integers(1, 6)))
+            coef = random_coef(rng, k_range)
+            ref = oracle_evaluate_meta_k(coef, k_range, sil, ari)
+            assert bits(evaluate_meta_k(coef, k_range, sil, ari)) == bits(ref), trial
+
+    def test_evaluation_matches_record_oracles_on_real_runs(self):
+        sil, ari = repo_runs(small_repo(6), range(2, 6), 3, seed=5)
+        coef = train_meta_k(sil[:4], ari[:4])
+        for test_idx in (np.arange(6), np.array([4, 5]), np.array([1])):
+            ref = oracle_evaluate_meta_k(coef, range(2, 6), sil[test_idx], ari[test_idx])
+            assert bits(evaluate_meta_k(coef, range(2, 6), sil[test_idx], ari[test_idx])) == bits(ref)
+
+
+class TestTrainMetaK:
+    def test_exact_linear_recovery(self):
+        sil = np.random.default_rng(0).uniform(-0.5, 1.0, (4, 9, 3))
+        coef = train_meta_k(sil, 2.0 * sil - 0.1)
+        assert coef.shape == (9, 2)
+        assert coef == pytest.approx(np.tile([2.0, -0.1], (9, 1)), abs=1e-9)
+
+    def test_coefficients_are_read_only(self):
+        coef = train_meta_k(*stacks([[[0.1, 0.5], [0.4, 0.2]]], [[[0.2, 0.9], [0.6, 0.1]]]))
+        assert coef.shape == (2, 2)
+        with pytest.raises(ValueError):
+            coef[0, 0] = 1.0
 
     def test_train_meta_k_matches_record_pooling(self):
         rng = np.random.default_rng(81)
         for trial in range(50):
             k_range = K_RANGES[trial % len(K_RANGES)]
-            restarts = int(rng.integers(1, 5))
-            grids = [random_grid(rng, k_range, restarts) for _ in range(int(rng.integers(1, 5)))]
-            ours = train_meta_k(grids)
-            ref = oracle_train_meta_k([records_of(g) for g in grids], k_range)
-            assert ours.k_range == ref.k_range
-            assert np.array_equal(ours.coef, ref.coef), trial
+            sil, ari = random_stacks(rng, k_range, int(rng.integers(1, 5)), int(rng.integers(1, 5)))
+            ref = oracle_train_meta_k(per_problem_records(k_range, sil, ari), k_range)
+            assert train_meta_k(sil, ari).tobytes() == ref.tobytes(), trial
 
     def test_train_meta_k_matches_record_pooling_on_real_runs(self):
-        grids = repo_runs(small_repo(4), range(2, 6), 3, seed=4)
-        ours = train_meta_k(grids)
-        ref = oracle_train_meta_k([records_of(g) for g in grids], range(2, 6))
-        assert np.array_equal(ours.coef, ref.coef)
-
-    def test_meta_selected_cell_matches_record_oracle_on_real_runs(self):
-        grids = repo_runs(small_repo(6), range(2, 6), 3, seed=5)
-        model = train_meta_k(grids[:4])
-        for g in grids:
-            meta = oracle_meta_selected_record(model, records_of(g))
-            assert cell_of(g, meta_selected_cell(model, g)) == (meta.k, meta.run_index)
+        sil, ari = repo_runs(small_repo(4), range(2, 6), 3, seed=4)
+        for train_idx in (np.arange(4), np.array([0, 2, 3])):
+            ref = oracle_train_meta_k(per_problem_records(range(2, 6), sil[train_idx], ari[train_idx]), range(2, 6))
+            assert train_meta_k(sil[train_idx], ari[train_idx]).tobytes() == ref.tobytes()
 
 
-class TestMetaKModel:
-    def identity_model(self, k_range=range(2, 11)):
-        return MetaKModel(k_range, np.tile([1.0, 0.0], (len(k_range), 1)))
+class TestMetaKShapes:
+    @pytest.mark.parametrize(
+        "sil_shape,ari_shape", [((2, 3, 2), (2, 3, 3)), ((2, 3, 2), (2, 2, 2)), ((3, 2), (3, 2))]
+    )
+    def test_silhouette_ari_mismatch_rejected(self, sil_shape, ari_shape):
+        sil, ari = np.zeros(sil_shape), np.zeros(ari_shape)
+        with pytest.raises(ValueError, match="silhouette and ari must both be"):
+            train_meta_k(sil, ari)
+        with pytest.raises(ValueError, match="silhouette and ari must both be"):
+            evaluate_meta_k(np.zeros((3, 2)), (2, 3, 4), sil, ari)
 
-    def test_exact_linear_recovery(self):
-        rng = np.random.default_rng(0)
-        grids = []
-        for _ in range(4):
-            sil = rng.uniform(-0.5, 1.0, (9, 3))
-            grids.append(grid(range(2, 11), sil, 2.0 * sil - 0.1))
-        model = train_meta_k(grids)
-        assert model.k_range == tuple(range(2, 11))
-        assert model.coef == pytest.approx(np.tile([2.0, -0.1], (9, 1)), abs=1e-9)
+    @pytest.mark.parametrize(
+        "coef_shape,k_range", [((2, 2), (2, 3, 4)), ((4, 2), (2, 3, 4)), ((3, 3), (2, 3, 4)), ((3, 2), (2, 3))]
+    )
+    def test_coefficients_and_k_range_must_match_the_k_rows(self, coef_shape, k_range):
+        sil, ari = stacks(np.zeros((2, 3, 2)))
+        evaluate_meta_k(np.zeros((3, 2)), (2, 3, 4), sil, ari)
+        with pytest.raises(ValueError, match="one .slope, intercept. row and one k per k row"):
+            evaluate_meta_k(np.zeros(coef_shape), k_range, sil, ari)
 
-    def test_model_count(self):
-        model = self.identity_model()
-        assert model.coef.shape == (9, 2)
-        assert model.k_range == tuple(range(2, 11))
-
-    def test_coefficients_are_read_only(self):
-        model = train_meta_k([grid((2, 3), [[0.1, 0.5], [0.4, 0.2]], [[0.2, 0.9], [0.6, 0.1]])])
-        assert model.coef.shape == (2, 2)
-        with pytest.raises(ValueError):
-            model.coef[0, 0] = 1.0
-
-    @pytest.mark.parametrize("k_range,rows", [((3, 2), 2), ((2, 2), 2), ((2, 3), 1), ((2, 3), 3)])
-    def test_one_row_per_ascending_k(self, k_range, rows):
-        with pytest.raises(ValueError, match="one .slope, intercept. row per k"):
-            MetaKModel(k_range, np.zeros((rows, 2)))
-
-    def test_missing_k_rejected(self):
-        with pytest.raises(ValueError, match="same k range"):
-            train_meta_k([grid((2, 3), [[0.5], [0.4]]), grid((2,), [[0.5]], [[0.5]])])
-
-    def test_extra_k_and_empty_training_rejected(self):
-        with pytest.raises(ValueError, match="same k range"):
-            train_meta_k([grid((2,), [[0.5]]), grid((2, 3), [[0.5], [0.4]])])
-        with pytest.raises(ValueError, match="at least one run grid"):
-            train_meta_k([])
-
-    def test_k_range_taken_from_the_grids(self):
-        model = train_meta_k([grid((3, 5), [[0.1, 0.5], [0.4, 0.2]], [[0.2, 0.9], [0.6, 0.1]])])
-        assert model.k_range == (3, 5)
-
-    def test_grid_model_k_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            meta_selected_cell(self.identity_model((2, 3)), grid((2, 4), [[0.5], [0.4]]))
-
-    def test_identity_model_reduces_to_baseline(self):
-        rng = np.random.default_rng(1)
-        model = self.identity_model()
-        for _ in range(20):
-            g = grid(range(2, 11), rng.uniform(-1, 1, (9, 3)), rng.uniform(0, 1, (9, 3)))
-            assert meta_selected_cell(model, g) == baseline_cell(g)
-
-    def test_predict_k_tie_smallest(self):
-        model = self.identity_model((2, 3))
-        assert meta_selected_cell(model, grid((2, 3), [[0.5], [0.5]])) == (0, 0)
-
-    def test_meta_selected_cell_uses_predicted_order(self):
-        # model for k=2 inverts silhouette, so the low-silhouette run wins
-        model = MetaKModel((2, 3), [[-1.0, 0.0], [0.0, -10.0]])
-        g = grid((2, 3), [[0.9, 0.1], [0.99, 0.5]], [[0.1, 0.8], [0.2, 0.0]])
-        assert cell_of(g, meta_selected_cell(model, g)) == (2, 1)
+    def test_empty_sides_rejected(self):
+        sil, ari = stacks(np.zeros((2, 3, 2)))
+        none = np.array([], dtype=int)  # an empty side of a split
+        with pytest.raises(ValueError, match="training set must be non-empty"):
+            train_meta_k(sil[none], ari[none])
+        with pytest.raises(ValueError, match="test set must be non-empty"):
+            evaluate_meta_k(np.zeros((3, 2)), (2, 3, 4), sil[none], ari[none])
 
 
 class TestEvaluateMetaK:
-    def test_perfect_model_zero_rmse(self):
-        repo = small_repo(6)
-        grids = repo_runs(repo, range(2, 6), 3, seed=4)
-        model = train_meta_k(grids)
-        ev = evaluate_meta_k(model, grids)
-        assert ev.rmse_meta >= 0.0 and ev.rmse_baseline >= 0.0
-        assert 0.0 <= ev.mean_ari_meta <= 1.0
+    def test_in_sample_scores_in_range(self):
+        sil, ari = repo_runs(small_repo(6), range(2, 6), 3, seed=4)
+        rmse_meta, rmse_baseline, ari_meta, _ari_baseline = evaluate_meta_k(
+            train_meta_k(sil, ari), range(2, 6), sil, ari
+        )
+        assert rmse_meta >= 0.0 and rmse_baseline >= 0.0
+        assert 0.0 <= ari_meta <= 1.0
 
     def test_baseline_reduction(self):
-        repo = small_repo(4)
-        grids = repo_runs(repo, range(2, 6), 3, seed=4)
-        identity = MetaKModel(range(2, 6), np.tile([1.0, 0.0], (4, 1)))
-        ev = evaluate_meta_k(identity, grids)
-        assert ev.rmse_meta == ev.rmse_baseline
-        assert ev.mean_ari_meta == ev.mean_ari_baseline
+        sil, ari = repo_runs(small_repo(4), range(2, 6), 3, seed=4)
+        rmse_meta, rmse_baseline, ari_meta, ari_baseline = evaluate_meta_k(
+            identity_coef(range(2, 6)), range(2, 6), sil, ari
+        )
+        assert rmse_meta == rmse_baseline
+        assert ari_meta == ari_baseline
 
     def test_reported_ari_matches_rerun_partitions(self):
         # The chosen cell's k-means run, repeated from its seed, scores the reported ARI.
         repo = small_repo(3)
-        grids = repo_runs(repo, range(2, 5), 2, seed=9)
-        model = train_meta_k(grids)
+        sil, ari = repo_runs(repo, range(2, 5), 2, seed=9)
+        coef = train_meta_k(sil, ari)
         total = 0.0
-        for i, ((ds, truth), g) in enumerate(zip(repo.problems, grids)):
-            k, run = cell_of(g, meta_selected_cell(model, g))
-            partition = best_kmeans(ds.points, k, restarts=1, seed=derive_seed(derive_seed(9, i), k, run)).partition
+        for i, (ds, truth) in enumerate(repo.problems):
+            meta = oracle_meta_selected_record(coef, range(2, 5), records_of(range(2, 5), sil[i], ari[i]))
+            seed = derive_seed(derive_seed(9, i), meta.k, meta.run_index)
+            partition = best_kmeans(ds.points, meta.k, restarts=1, seed=seed).partition
             total += adjusted_rand_index(truth.n_items, truth, partition)
-        ev = evaluate_meta_k(model, grids)
-        assert ev.mean_ari_meta == pytest.approx(total / 3, abs=1e-12)
+        assert evaluate_meta_k(coef, range(2, 5), sil, ari)[2] == pytest.approx(total / 3, abs=1e-12)
 
-    def test_empty_test_set_rejected(self):
-        model = train_meta_k(repo_runs(small_repo(2), range(2, 4), 2, seed=0))
-        with pytest.raises(ValueError, match="test set must be non-empty"):
-            evaluate_meta_k(model, [])
+    def test_one_predict_call_per_k_row(self, monkeypatch):
+        # Each k row of every test problem is scored in one (problems * runs, 1) call.
+        shapes = []
+        real = meta_pipelines.predict
+
+        def counted(coef, x):
+            shapes.append(x.shape)
+            return real(coef, x)
+
+        monkeypatch.setattr(meta_pipelines, "predict", counted)
+        sil, ari = random_stacks(np.random.default_rng(3), (3, 5, 8), 4, 2)
+        evaluate_meta_k(identity_coef((3, 5, 8)), (3, 5, 8), sil, ari)
+        assert shapes == [(8, 1)] * 3
 
 
 def fit_records(specs, problems, seed):
@@ -847,10 +887,12 @@ class TestSweep:
         ari, best_p = sweep_outlier_fraction(repo, [split], (0.0, 0.02), range(2, 5), 3, seed=6)
         assert ari.shape == (1, 2) and best_p.shape == (1,)
         train_idx, test_idx = split
-        grids = repo_runs(repo, range(2, 5), 3, seed=6)
-        model = train_meta_k([grids[i] for i in train_idx])
-        ev = evaluate_meta_k(model, [grids[i] for i in test_idx])
-        assert ari[0, 0] == ev.mean_ari_meta  # exact, not approximate
+        run_sil, run_ari = repo_runs(repo, range(2, 5), 3, seed=6)
+        coef = train_meta_k(run_sil[train_idx], run_ari[train_idx])
+        _rmse_meta, _rmse_baseline, ari_meta, _ari_baseline = evaluate_meta_k(
+            coef, range(2, 5), run_sil[test_idx], run_ari[test_idx]
+        )
+        assert ari[0, 0] == ari_meta  # exact, not approximate
 
     @pytest.mark.parametrize("grid", [(0.001, 0.0), (0.0, 0.001)], ids=["descending", "ascending"])
     def test_tied_fractions_go_to_the_smaller_p(self, grid):

@@ -3,6 +3,7 @@
 import hashlib
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -1000,11 +1001,8 @@ class TestPredictPairs:
         model = init_mlp(seed=0)
         p, decisions = similarity_net._predict_pairs(model, pairs)
         assert p.shape == decisions.shape == (0,) and p.dtype == float and decisions.dtype == bool
-        with pytest.warns(RuntimeWarning):  # the mean of no pairs
-            accuracy = similarity_net._model_accuracy(model, pairs)
-        with pytest.warns(RuntimeWarning):
-            _p, _decisions, oracle_accuracy = model_accuracy_oracle(model, pairs)
-        assert np.isnan(accuracy) and np.isnan(oracle_accuracy)
+        with pytest.raises(ValueError, match="pair set must be non-empty"):  # not the mean of no pairs
+            similarity_net._model_accuracy(model, pairs)
 
     def test_parts_are_balanced(self, monkeypatch):
         pairs = sample_pair_splits(make_synthetic_repository(SynthSpec(n_problems=8, n_points=40, seed=3)), max_pairs=60).meta_et
@@ -1028,10 +1026,18 @@ class TestEvaluateBsf:
         )
         split = sample_pair_splits(repo, seed=2, max_pairs=60)
         model = init_mlp(seed=0)
-        ev = evaluate_bsf(model, split)
-        for field in (ev.acc_meta_it, ev.acc_meta_et, ev.acc_majority_it, ev.acc_majority_et):
-            assert 0.0 <= field <= 1.0
-        assert ev.acc_majority_it >= 0.5 and ev.acc_majority_et >= 0.5
+        accuracies = evaluate_bsf(model, split)
+        assert len(accuracies) == 4 and all(0.0 <= acc <= 1.0 for acc in accuracies)
+        _acc_meta_it, _acc_meta_et, acc_majority_it, acc_majority_et = accuracies
+        assert acc_majority_it >= 0.5 and acc_majority_et >= 0.5
+
+    @pytest.mark.parametrize("side", ["meta_it", "meta_et"])
+    def test_empty_test_set_rejected(self, side):
+        # The model is not scored on an empty set, whose mean accuracy would be nan.
+        repo = make_synthetic_repository(SynthSpec(n_problems=8, n_points=40, seed=3))
+        split = replace(sample_pair_splits(repo, max_pairs=60), **{side: build_pair_features({}, [])})
+        with pytest.raises(ValueError, match="pair set must be non-empty"):
+            evaluate_bsf(init_mlp(seed=0), split)
 
 
 def traced_peak_mb(fn, *args, **kwargs):
