@@ -238,11 +238,12 @@ def cmd_run_outliers(args) -> int:
 def cmd_run_fit_threshold(args) -> int:
     repo = _load_repo(args)
     train = [(dataset_to_distance_graph(ds), truth) for ds, truth in repo.problems]
-    result = fit_threshold_kruskal(train)
+    r, mean_loss = fit_threshold_kruskal(train)
+    best = int(np.argmin(mean_loss))  # the first minimum: ties go to the smallest r
     out = _out_dir(args)
-    _write_float_pairs(out / "threshold_profile.csv", ["r", "mean_loss"], result.r, result.mean_loss)
+    _write_float_pairs(out / "threshold_profile.csv", ["r", "mean_loss"], r, mean_loss)
     _write_config(out, args)
-    print(f"r_star={_fmt(result.r_star)} min_mean_loss={_fmt(result.min_mean_loss)}")
+    print(f"r_star={_fmt(r[best])} min_mean_loss={_fmt(mean_loss[best])}")
     return EXIT_OK
 
 
@@ -254,7 +255,7 @@ def cmd_run_meta_scale(args) -> int:
     for frac, repeat in splits:
         train_idx, test_idx = split_repository(repo, frac, repeat, args.seed)
         rule = fit_meta_scale([graphs[i] for i in train_idx])
-        losses = [clustering_loss(truth.n_items, truth, rule(g)) for g, truth in (graphs[i] for i in test_idx)]
+        losses = [clustering_loss(truth, rule(g)) for g, truth in (graphs[i] for i in test_idx)]
         rows.append((frac, repeat, rule.r_star, sum(losses) / len(losses)))
     _write_result(args, "meta_scale.csv", ["train_frac", "repeat", "r_star", "mean_test_loss"], rows)
     return EXIT_OK
@@ -264,9 +265,9 @@ def cmd_run_bsf(args) -> int:
     repo = _load_repo(args)
     rows = []
     for repeat in range(args.repeats):
-        split = sample_pair_splits(repo, seed=repeat, max_pairs=args.max_pairs)
-        model = train_mlp(split.meta_train, epochs=args.epochs, batch=args.batch, seed=repeat)
-        rows.append((repeat, *evaluate_bsf(model, split)))
+        meta_train, meta_it, meta_et = sample_pair_splits(repo, seed=repeat, max_pairs=args.max_pairs)
+        model = train_mlp(meta_train, epochs=args.epochs, batch=args.batch, seed=repeat)
+        rows.append((repeat, *evaluate_bsf(model, meta_it, meta_et)))
     _write_result(args, "bsf.csv", ["repeat", "acc_meta_it", "acc_meta_et", "acc_majority_it", "acc_majority_et"], rows)
     return EXIT_OK
 

@@ -24,8 +24,6 @@ from metaclust.metrics import _pairs2, clustering_loss
 
 __all__ = [
     "AlgorithmFamily",
-    "BoundParams",
-    "ThresholdFitResult",
     "MetaScaleRule",
     "erm_select",
     "generalization_bound",
@@ -55,36 +53,27 @@ class AlgorithmFamily:
         return [name for name, _fn in self.members]
 
 
-@dataclass(frozen=True)
-class BoundParams:
-    """Inputs of the finite-family generalization bound."""
-
-    n: int
-    delta: float
-    family_size: Optional[int] = None
-    bits: Optional[int] = None
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError("delta must lie in (0, 1)")
-        if (self.family_size is None) == (self.bits is None):
-            raise ValueError("specify exactly one of family_size or bits")
-        if self.family_size is not None and self.family_size < 1:
-            raise ValueError("family_size must be >= 1")
-        if self.bits is not None and self.bits < 1:
-            raise ValueError("bits must be >= 1")
-
-
-def generalization_bound(p: BoundParams) -> float:
+def generalization_bound(
+    n: int, delta: float, *, family_size: Optional[int] = None, bits: Optional[int] = None
+) -> float:
     """sqrt((2/n) ln(|C|/delta)), or sqrt(2(b ln2 + ln(1/delta))/n) in bits mode.
 
-    Natural logarithms throughout (Chernoff-derivation convention).
+    Exactly one of ``family_size`` (|C|) and ``bits`` (b) is given.  Natural
+    logarithms throughout (Chernoff-derivation convention).
     """
-    if p.family_size is not None:
-        return math.sqrt(2.0 / p.n * math.log(p.family_size / p.delta))
-    return math.sqrt(2.0 * (p.bits * math.log(2.0) + math.log(1.0 / p.delta)) / p.n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not (0.0 < delta < 1.0):
+        raise ValueError("delta must lie in (0, 1)")
+    if (family_size is None) == (bits is None):
+        raise ValueError("specify exactly one of family_size or bits")
+    if family_size is not None and family_size < 1:
+        raise ValueError("family_size must be >= 1")
+    if bits is not None and bits < 1:
+        raise ValueError("bits must be >= 1")
+    if family_size is not None:
+        return math.sqrt(2.0 / n * math.log(family_size / delta))
+    return math.sqrt(2.0 * (bits * math.log(2.0) + math.log(1.0 / delta)) / n)
 
 
 def erm_select(family: AlgorithmFamily, train: Sequence) -> tuple:
@@ -103,7 +92,7 @@ def erm_select(family: AlgorithmFamily, train: Sequence) -> tuple:
         for problem, truth in train:
             try:
                 output = fn(problem)
-                total += clustering_loss(truth.n_items, truth, output)
+                total += clustering_loss(truth, output)
             except ValueError:
                 total += 1.0
         losses[name] = total / len(train)
@@ -111,39 +100,12 @@ def erm_select(family: AlgorithmFamily, train: Sequence) -> tuple:
     return best, losses
 
 
-@dataclass(frozen=True, eq=False)
-class ThresholdFitResult:
-    """Outcome of fitting the single-linkage threshold on a training set.
-
-    ``r`` holds the candidate thresholds in increasing order and
-    ``mean_loss`` the mean training loss at each, as read-only float64
-    arrays; ``r_star`` is the smallest candidate with the least loss.
-    """
-
-    r: np.ndarray
-    mean_loss: np.ndarray
-
-    def __post_init__(self):
-        for name in ("r", "mean_loss"):
-            values = np.array(getattr(self, name), dtype=np.float64)
-            values.setflags(write=False)
-            object.__setattr__(self, name, values)
-        if self.r.ndim != 1 or self.r.size == 0 or self.r.shape != self.mean_loss.shape:
-            raise ValueError("r and mean_loss must be non-empty vectors of the same length")
-
-    @property
-    def r_star(self) -> float:
-        return float(self.r[np.argmin(self.mean_loss)])  # the first minimum: ties go to the smallest r
-
-    @property
-    def min_mean_loss(self) -> float:
-        return float(self.mean_loss.min())
-
-    def __eq__(self, other):
-        """Exact equality: the same profile, value for value."""
-        if not isinstance(other, ThresholdFitResult):
-            return NotImplemented
-        return np.array_equal(self.r, other.r) and np.array_equal(self.mean_loss, other.mean_loss)
+def _profile(r, mean_loss) -> tuple:
+    """``(r, mean_loss)`` as read-only float64 vectors."""
+    profile = (np.asarray(r, dtype=np.float64), np.asarray(mean_loss, dtype=np.float64))
+    for values in profile:
+        values.setflags(write=False)
+    return profile
 
 
 def _check_threshold_train(train: Sequence) -> None:
@@ -163,18 +125,21 @@ def _candidate_thresholds(train: Sequence) -> np.ndarray:
     return np.concatenate([[r_below], weights])
 
 
-def fit_threshold_bruteforce(train: Sequence) -> ThresholdFitResult:
-    """Correctness oracle: recompute components and loss from scratch per candidate."""
+def fit_threshold_bruteforce(train: Sequence) -> tuple:
+    """Correctness oracle: recompute components and loss from scratch per candidate.
+
+    Returns ``(r, mean_loss)`` as ``fit_threshold_kruskal`` does.
+    """
     _check_threshold_train(train)
     candidates = _candidate_thresholds(train)
     mean_loss = []
     for r in candidates.tolist():
         losses = [
-            clustering_loss(truth.n_items, truth, single_linkage_threshold(graph, r, strict=False))
+            clustering_loss(truth, single_linkage_threshold(graph, r, strict=False))
             for graph, truth in train
         ]
         mean_loss.append(sum(losses) / len(losses))
-    return ThresholdFitResult(r=candidates, mean_loss=mean_loss)
+    return _profile(candidates, mean_loss)
 
 
 def _spanning_forest(graph: WeightedGraph) -> tuple:
@@ -204,8 +169,13 @@ def _spanning_forest(graph: WeightedGraph) -> tuple:
     return reached_by[edge], parent[order[edge]], order[edge]
 
 
-def fit_threshold_kruskal(train: Sequence) -> ThresholdFitResult:
+def fit_threshold_kruskal(train: Sequence) -> tuple:
     """Threshold sweep over each graph's minimum spanning forest.
+
+    Returns ``(r, mean_loss)``, read-only float64 vectors: the candidate
+    thresholds in increasing order and the mean training loss at each.  The
+    fitted threshold, the smallest r with the least loss, is the first
+    minimum ``r[np.argmin(mean_loss)]``.
 
     Only spanning-forest edges ever join two components, and the components
     under w <= r are the same for every spanning forest.  So each graph
@@ -249,7 +219,7 @@ def fit_threshold_kruskal(train: Sequence) -> ThresholdFitResult:
     for weights, losses in step_losses:
         total += losses[np.searchsorted(weights, steps, side="right")]
     total = total[np.searchsorted(steps, candidates, side="right") - 1]
-    return ThresholdFitResult(r=candidates, mean_loss=total / len(train))
+    return _profile(candidates, total / len(train))
 
 
 @dataclass(frozen=True)

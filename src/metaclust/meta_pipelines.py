@@ -54,6 +54,8 @@ DEFAULT_RESTARTS = 10
 
 def _prune_indices(points: np.ndarray, theta: float, use_raw_norm: bool) -> tuple:
     """(outlier indices, inlier indices): floor(theta*n) furthest points set aside."""
+    if not 0.0 <= theta < 1.0:
+        raise ValueError(f"theta must lie in [0, 1), got {theta}")
     n = points.shape[0]
     n_out = int(math.floor(theta * n))
     if n_out == 0:
@@ -133,12 +135,12 @@ def generate_runs(
                 partition = Partition._dense(labels[run], sizes[run])
                 sil_of[key] = silhouette_score(work, partition, dist=dist)
                 if outliers.size == 0:
-                    ari_of[key] = adjusted_rand_index(truth.n_items, truth, partition)
+                    ari_of[key] = adjusted_rand_index(truth, partition)
             sil[i, run] = sil_of[key]
             key = ari_keys[run].tobytes()
             if key not in ari_of:
                 full = Partition._dense(full_labels[run], np.bincount(full_labels[run], minlength=k))
-                ari_of[key] = adjusted_rand_index(truth.n_items, truth, full)
+                ari_of[key] = adjusted_rand_index(truth, full)
             ari[i, run] = ari_of[key]
     for a in (sil, ari):
         a.setflags(write=False)
@@ -259,7 +261,7 @@ def member_records(specs: Sequence[ClustererSpec], problems: Sequence, seed: int
                 partition = run_spec(spec, dataset.points, sq_dist=sq_dist[spec.normalize_first])
             except ValueError:
                 continue
-            ari[j] = adjusted_rand_index(truth.n_items, truth, partition)
+            ari[j] = adjusted_rand_index(truth, partition)
             try:
                 rows[j], has_features[j] = phi_features(dataset, partition, dist, extrema), True
             except ValueError:

@@ -56,44 +56,42 @@ def disagreement_pairs(y: Partition, z: Partition) -> int:
     return (same_y - same_both) + (same_z - same_both)
 
 
-def clustering_loss(n_items: int, y: Partition, z: Partition) -> float:
+def clustering_loss(y: Partition, z: Partition) -> float:
     """Fraction of ordered distinct pairs where y and z disagree; 1 if invalid.
 
-    The invalid branch is a defined value, not an error: a partition that does
-    not cover all items, or has a single part, loses on every comparison.
+    The item count n is ``y``'s.  The invalid branch is a defined value, not
+    an error: a partition of another item count, one that does not cover all
+    items, or one with a single part, loses on every comparison.
     """
-    if n_items < 2:
+    n = y.n_items
+    if n < 2:
         raise ValueError("need at least 2 items")
-    valid = (
-        y.n_items == n_items
-        and z.n_items == n_items
-        and y.is_valid()
-        and z.is_valid()
-    )
-    if not valid:
+    if z.n_items != n or not (y.is_valid() and z.is_valid()):
         return 1.0
-    return 2 * disagreement_pairs(y, z) / (n_items * (n_items - 1))
+    return 2 * disagreement_pairs(y, z) / (n * (n - 1))
 
 
-def rand_index(n_items: int, y: Partition, z: Partition) -> float:
+def rand_index(y: Partition, z: Partition) -> float:
     """Fraction of unordered distinct pairs on which y and z agree."""
-    _check_valid(n_items, y, "Y")
-    _check_valid(n_items, z, "Z")
-    return 1.0 - clustering_loss(n_items, y, z)
+    _check_valid(y.n_items, y, "Y")
+    _check_valid(y.n_items, z, "Z")
+    return 1.0 - clustering_loss(y, z)
 
 
-def adjusted_rand_index(n_items: int, y: Partition, z: Partition) -> float:
+def adjusted_rand_index(y: Partition, z: Partition) -> float:
     """Chance-corrected Rand index from the exact pair counts.
 
     With index = sum_ij C(n_ij,2), expected = sum_i C(a_i,2) * sum_j C(b_j,2)
     / C(n,2) and max = (sum_i C(a_i,2) + sum_j C(b_j,2)) / 2, returns
-    (index - expected) / (max - expected).  The degenerate max = expected case
-    returns 1 when the two co-membership relations coincide and 0 otherwise.
+    (index - expected) / (max - expected), where n is ``y``'s item count.  The
+    degenerate max = expected case returns 1 when the two co-membership
+    relations coincide and 0 otherwise.
     """
-    _check_valid(n_items, y, "Y")
-    _check_valid(n_items, z, "Z")
+    n = y.n_items
+    _check_valid(n, y, "Y")
+    _check_valid(n, z, "Z")
     index, sum_a, sum_b = _pair_counts(y, z)
-    total_pairs = n_items * (n_items - 1) // 2
+    total_pairs = n * (n - 1) // 2
     # Work with the exact numerator/denominator of (index - E) / (M - E)
     # scaled by 2 * C(n,2) to stay in integers until the final division.
     num = 2 * (index * total_pairs - sum_a * sum_b)

@@ -27,7 +27,6 @@ from metaclust.data_model import DataError, MetaRepository, covariance, derive_s
 
 __all__ = [
     "PairSet",
-    "SplitTriple",
     "MlpModel",
     "ADADELTA_RHO",
     "ADADELTA_EPS",
@@ -223,15 +222,6 @@ def build_pair_features(problems, picks) -> PairSet:
     )
 
 
-@dataclass(frozen=True)
-class SplitTriple:
-    """Meta-train, internal-test and external-test pairs, each pair stored once."""
-
-    meta_train: PairSet
-    meta_it: PairSet
-    meta_et: PairSet
-
-
 def _sample_pairs(rng: np.random.Generator, rows: np.ndarray, cap: int) -> tuple:
     """Up to ``cap`` unordered row pairs as two index vectors; with replacement
     only when the universe is smaller than the cap."""
@@ -244,8 +234,8 @@ def _sample_pairs(rng: np.random.Generator, rows: np.ndarray, cap: int) -> tuple
     return rows[all_i[picks]], rows[all_j[picks]]
 
 
-def sample_pair_splits(repo: MetaRepository, seed: int = 0, max_pairs: int = 2500) -> SplitTriple:
-    """Sample the (meta-train, meta-IT, meta-ET) pair sets from a repository.
+def sample_pair_splits(repo: MetaRepository, seed: int = 0, max_pairs: int = 2500) -> tuple:
+    """Sample the ``(meta_train, meta_it, meta_et)`` pair sets from a repository.
 
     A problem qualifies if it has at most ``MAX_EXAMPLES`` points and
     ``PAD_DIM`` features.  Qualifying datasets are assigned to one of two
@@ -285,8 +275,8 @@ def sample_pair_splits(repo: MetaRepository, seed: int = 0, max_pairs: int = 250
         else:
             et_picks.append((p, *_sample_pairs(rng, perm[:max_pairs], max_pairs)))
 
-    split = SplitTriple(*(build_pair_features(problems, picks) for picks in (train_picks, it_picks, et_picks)))
-    if not (len(split.meta_train) and len(split.meta_it) and len(split.meta_et)):
+    split = tuple(build_pair_features(problems, picks) for picks in (train_picks, it_picks, et_picks))
+    if not all(len(pairs) for pairs in split):
         raise DataError("a pair set came out empty; repository too small")
     return split
 
@@ -483,6 +473,8 @@ def train_mlp(meta_train: PairSet, epochs: int = 10, batch: int = 250, seed: int
     """
     if len(meta_train) == 0:
         raise ValueError("training set must be non-empty")
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
     columns = _active_columns(meta_train)
     points, covariances = _column_tables(meta_train, columns)
     model = init_mlp(seed)
@@ -588,12 +580,12 @@ def _model_accuracy(model: MlpModel, pairs: PairSet) -> float:
     return float((decisions.astype(int) == pairs.labels).mean())
 
 
-def evaluate_bsf(model: MlpModel, split: SplitTriple) -> tuple:
+def evaluate_bsf(model: MlpModel, meta_it: PairSet, meta_et: PairSet) -> tuple:
     """``(acc_meta_it, acc_meta_et, acc_majority_it, acc_majority_et)``: pair
     accuracy of the model and of the majority baseline on both test sets."""
     return (
-        _model_accuracy(model, split.meta_it),
-        _model_accuracy(model, split.meta_et),
-        majority_baseline(split.meta_it),
-        majority_baseline(split.meta_et),
+        _model_accuracy(model, meta_it),
+        _model_accuracy(model, meta_et),
+        majority_baseline(meta_it),
+        majority_baseline(meta_et),
     )

@@ -87,6 +87,15 @@ class TestRunFitThreshold:
         assert lines[0] == "r,mean_loss"
         assert len(lines) > 2
 
+    def test_stdout_takes_the_first_minimum(self, repo_dir, tmp_path, capsys, monkeypatch):
+        def tied_profile(_train):
+            return np.array([0.0, 1.0, 2.0, 5.0]), np.array([0.5, 0.0, 0.0, 1.0])
+
+        monkeypatch.setattr(cli, "fit_threshold_kruskal", tied_profile)
+        rc = main(["run", "fit-threshold", "--repo", str(repo_dir), "--out", str(tmp_path / "ft")])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out == "r_star=1 min_mean_loss=0\n"
+
 
 class TestFloatFormat:
     VALUES = [-1.0, 0.0, -0.0, 5e-324, 0.1, 1e16, 1 / 3]

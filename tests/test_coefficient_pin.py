@@ -50,10 +50,10 @@ from metaclust.data_model import SynthSpec, make_synthetic_repository
 from metaclust.similarity_net import PREDICT_ROWS, _predict_pairs, predict_features, sample_pair_splits, train_mlp
 
 repo = make_synthetic_repository(SynthSpec(n_problems=12, n_points=60, dims=(2, 5), seed=7))
-split = sample_pair_splits(repo, max_pairs=300)
-model = train_mlp(split.meta_train, epochs=2)
-probabilities, _decisions = predict_features(model, pair_features(split.meta_et))
-larger = sample_pair_splits(repo, max_pairs=1500).meta_et
+meta_train, _meta_it, meta_et = sample_pair_splits(repo, max_pairs=300)
+model = train_mlp(meta_train, epochs=2)
+probabilities, _decisions = predict_features(model, pair_features(meta_et))
+_meta_train, _meta_it, larger = sample_pair_splits(repo, max_pairs=1500)
 assert len(larger) > PREDICT_ROWS
 part_probabilities, _decisions = _predict_pairs(model, larger)
 for array in (model.params, probabilities, part_probabilities):

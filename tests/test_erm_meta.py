@@ -16,9 +16,7 @@ from metaclust.data_model import (
 )
 from metaclust.erm_meta import (
     AlgorithmFamily,
-    BoundParams,
     MetaScaleRule,
-    ThresholdFitResult,
     _spanning_forest,
     erm_select,
     fit_meta_scale,
@@ -29,9 +27,8 @@ from metaclust.erm_meta import (
 
 
 def assert_same_fit(a, b):
-    """Exact agreement: the same minimum and the same profile, value for value."""
-    assert a.r_star == b.r_star and a.min_mean_loss == b.min_mean_loss
-    assert np.array_equal(a.r, b.r) and np.array_equal(a.mean_loss, b.mean_loss)
+    """Exact agreement of two ``(r, mean_loss)`` profiles, value for value."""
+    assert len(a) == len(b) == 2 and all(map(np.array_equal, a, b))
 
 
 def path_example():
@@ -61,27 +58,39 @@ def random_collection(rng, max_graphs=8, max_nodes=20):
 
 class TestGeneralizationBound:
     def test_worked_value(self):
-        p = BoundParams(n=200, delta=0.05, family_size=10)
-        assert generalization_bound(p) == pytest.approx(0.2301807413001365, abs=1e-12)
+        assert generalization_bound(200, 0.05, family_size=10) == pytest.approx(0.2301807413001365, abs=1e-12)
 
     def test_quadruple_n_halves(self):
-        b1 = generalization_bound(BoundParams(n=100, delta=0.1, family_size=7))
-        b4 = generalization_bound(BoundParams(n=400, delta=0.1, family_size=7))
+        b1 = generalization_bound(100, 0.1, family_size=7)
+        b4 = generalization_bound(400, 0.1, family_size=7)
         assert b4 == pytest.approx(b1 / 2, rel=1e-12)
 
     def test_vanishes_in_limit(self):
-        assert generalization_bound(BoundParams(n=10**9, delta=0.999999, family_size=1)) < 1e-3
+        assert generalization_bound(10**9, 0.999999, family_size=1) < 1e-3
 
     def test_bits_mode(self):
-        p = BoundParams(n=128, delta=0.05, bits=12)
         expected = math.sqrt(2.0 * (12 * math.log(2) + math.log(1 / 0.05)) / 128)
-        assert generalization_bound(p) == pytest.approx(expected, rel=1e-12)
+        assert generalization_bound(128, 0.05, bits=12) == pytest.approx(expected, rel=1e-12)
 
     def test_exactly_one_mode_required(self):
-        with pytest.raises(ValueError):
-            BoundParams(n=10, delta=0.1)
-        with pytest.raises(ValueError):
-            BoundParams(n=10, delta=0.1, family_size=2, bits=3)
+        with pytest.raises(ValueError, match="specify exactly one of family_size or bits"):
+            generalization_bound(10, 0.1)
+        with pytest.raises(ValueError, match="specify exactly one of family_size or bits"):
+            generalization_bound(10, 0.1, family_size=2, bits=3)
+
+    @pytest.mark.parametrize(
+        "n,delta,mode,message",
+        [
+            (0, 0.1, {"family_size": 2}, "n must be >= 1"),
+            (10, 1.0, {"family_size": 2}, r"delta must lie in \(0, 1\)"),
+            (10, 0.1, {"family_size": 0}, "family_size must be >= 1"),
+            (10, 0.1, {"bits": 0}, "bits must be >= 1"),
+        ],
+        ids=["n", "delta", "family_size", "bits"],
+    )
+    def test_out_of_range_rejected(self, n, delta, mode, message):
+        with pytest.raises(ValueError, match=message):
+            generalization_bound(n, delta, **mode)
 
 
 class TestErmSelect:
@@ -134,31 +143,15 @@ class TestErmSelect:
 
 class TestThresholdFitting:
     def test_worked_path_profile(self):
-        result = fit_threshold_kruskal([path_example()])
-        assert np.array_equal(result.r, [0.0, 1.0, 5.0])
-        assert np.array_equal(result.mean_loss, [0.5, 0.0, 1.0])
-        assert result.r_star == 1.0
-        assert result.min_mean_loss == 0.0
+        r, mean_loss = fit_threshold_kruskal([path_example()])
+        assert np.array_equal(r, [0.0, 1.0, 5.0])
+        assert np.array_equal(mean_loss, [0.5, 0.0, 1.0])
 
-    def test_profile_is_read_only_float64(self):
-        result = fit_threshold_kruskal([path_example()])
-        for values in (result.r, result.mean_loss):
+    @pytest.mark.parametrize("fit", [fit_threshold_kruskal, fit_threshold_bruteforce])
+    def test_profile_is_read_only_float64(self, fit):
+        for values in fit([path_example()]):
             assert values.dtype == np.float64 and values.shape == (3,)
             assert not values.flags.writeable
-
-    def test_equality_is_exact(self):
-        a = fit_threshold_kruskal([path_example()])
-        assert a == fit_threshold_bruteforce([path_example()])
-        assert a == ThresholdFitResult([0.0, 1.0, 5.0], [0.5, 0.0, 1.0])
-        changed = ThresholdFitResult(a.r, a.mean_loss + [0.0, 1e-300, 0.0])
-        assert a != changed and changed.r_star == a.r_star and changed.min_mean_loss == 1e-300
-        assert a != ThresholdFitResult(a.r[:2], a.mean_loss[:2])
-        assert a != ThresholdFitResult(a.r + [0.0, 0.0, 1e-12], a.mean_loss)
-
-    def test_profile_vectors_must_match(self):
-        for r, mean_loss in (([0.0, 1.0], [0.5]), ([], []), ([[0.0]], [[0.5]])):
-            with pytest.raises(ValueError, match="same length"):
-                ThresholdFitResult(r, mean_loss)
 
     def test_tied_minimum_goes_to_smallest_r(self):
         # r = 2 joins the triangle; r = 3 is a non-forest edge of the same
@@ -166,9 +159,9 @@ class TestThresholdFitting:
         g = graph_from_edges(4, ((0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0), (2, 3, 5.0)))
         train = [(g, Partition(4, ((0, 1, 2), (3,))))]
         for fit in (fit_threshold_kruskal, fit_threshold_bruteforce):
-            result = fit(train)
-            assert np.array_equal(result.mean_loss, [0.5, 1 / 3, 0.0, 0.0, 1.0])
-            assert result.r_star == 2.0 and result.min_mean_loss == 0.0
+            r, mean_loss = fit(train)
+            assert np.array_equal(mean_loss, [0.5, 1 / 3, 0.0, 0.0, 1.0])
+            assert r[np.argmin(mean_loss)] == 2.0
 
     def test_bruteforce_matches_on_path(self):
         a = fit_threshold_kruskal([path_example()])
@@ -184,16 +177,16 @@ class TestThresholdFitting:
         g = graph_from_edges(2, ((0, 1, 2.0),))
         truth = Partition(2, ((0,), (1,)))
         # merging at r=2 yields one component -> charged loss 1
-        result = fit_threshold_bruteforce([(g, truth)])
-        assert result.mean_loss[result.r == 2.0].tolist() == [1.0]
-        assert result.r_star == 0.0
+        r, mean_loss = fit_threshold_bruteforce([(g, truth)])
+        assert mean_loss[r == 2.0].tolist() == [1.0]
+        assert r[np.argmin(mean_loss)] == 0.0
 
     def test_zero_weight_candidate_below(self):
         g = graph_from_edges(3, ((0, 1, 0.0), (1, 2, 3.0)))
         truth = Partition(3, ((0, 1), (2,)))
-        result = fit_threshold_kruskal([(g, truth)])
-        assert result.r[0] == -1.0  # below the smallest (zero) weight
-        assert result.r_star == 0.0
+        r, mean_loss = fit_threshold_kruskal([(g, truth)])
+        assert r[0] == -1.0  # below the smallest (zero) weight
+        assert r[np.argmin(mean_loss)] == 0.0
 
     def test_oracle_equivalence_random(self):
         rng = np.random.default_rng(0)

@@ -130,7 +130,7 @@ def train_algo_select_oracle(specs, train, seed):
                 partition = run_spec(spec, ds.points)
                 extrema = symmetric_eigen_extrema(covariance(ds.points))
                 feats.append(phi_features(ds, partition, pairwise_distances(ds.points), extrema))
-                targets.append(adjusted_rand_index(truth.n_items, truth, partition))
+                targets.append(adjusted_rand_index(truth, partition))
             except ValueError:
                 lo, hi = symmetric_eigen_extrema(covariance(ds.points))
                 feats.append(np.array([ds.d, ds.n, lo, hi, 0.0]))
@@ -171,7 +171,7 @@ def member_means_oracle(specs, test):
         total = 0.0
         for ds, truth in test:
             try:
-                total += adjusted_rand_index(truth.n_items, truth, run_spec(spec, ds.points))
+                total += adjusted_rand_index(truth, run_spec(spec, ds.points))
             except ValueError:
                 pass
         means.append(total / len(test))
@@ -232,7 +232,7 @@ def generate_runs_oracle(dataset, truth, k_range, restarts, seed, theta=0.0, use
                 d2 = ((points[outliers][:, None, :] - result.centers[None, :, :]) ** 2).sum(axis=2)
                 labels[outliers] = np.argmin(d2, axis=1)
                 full = Partition(n_items=points.shape[0], labels=labels)
-            ari[i, run] = adjusted_rand_index(truth.n_items, truth, full)
+            ari[i, run] = adjusted_rand_index(truth, full)
             cells.append((result.partition.labels, full.labels))
     return sil, ari, cells
 
@@ -265,7 +265,7 @@ class TestGenerateRuns:
         for i, k in enumerate((2, 4)):
             for run in range(3):
                 partition = best_kmeans(ds.points, k, restarts=1, seed=derive_seed(5, k, run)).partition
-                assert ari[i, run] == adjusted_rand_index(truth.n_items, truth, partition)
+                assert ari[i, run] == adjusted_rand_index(truth, partition)
 
     @pytest.mark.parametrize(
         "theta,use_raw_norm,shift", [(0.0, False, 0.0), (0.1, False, 0.0), (0.1, True, 100.0)]
@@ -305,7 +305,7 @@ class TestGenerateRuns:
 
         monkeypatch.setattr(Partition, "_dense", classmethod(record))
         monkeypatch.setattr(meta_pipelines, "silhouette_score", scoring(silhouette_score, 1))
-        monkeypatch.setattr(meta_pipelines, "adjusted_rand_index", scoring(adjusted_rand_index, 2))
+        monkeypatch.setattr(meta_pipelines, "adjusted_rand_index", scoring(adjusted_rand_index, 1))
         ds, truth = small_repo(1).problems[0]
         generate_runs(ds, truth, range(2, 6), 4, seed=3, theta=theta)
         # Fewer builds than the 4 k values x 4 runs, and with pruning their
@@ -346,7 +346,7 @@ class TestGenerateRuns:
                     labels[o] = np.argmin(((result.centers - ds.points[o]) ** 2).sum(axis=1))
                 full = Partition(ds.n, labels=labels)
                 assert full.n_covered == ds.n
-                assert ari[i, run] == adjusted_rand_index(ds.n, truth, full)
+                assert ari[i, run] == adjusted_rand_index(truth, full)
 
     def test_theta_zero_equals_plain(self):
         repo = small_repo(1)
@@ -405,6 +405,15 @@ class TestGenerateRuns:
         generate_runs(ds, truth, (2, 3, 4), 1, seed=0)  # 8 points support k = 4
         with pytest.raises(ValueError):
             generate_runs(ds, truth, (2, 3, 4), 1, seed=0, theta=0.8)  # 2 points left
+
+    @pytest.mark.parametrize("theta", [-0.5, -0.01, 1.0, math.inf, math.nan])
+    def test_theta_outside_the_unit_interval_rejected(self, theta):
+        # floor(theta * n) outliers: a negative count would set aside points
+        # counted from the other end of the order.
+        ds = Dataset(id="t", points=np.arange(30.0).reshape(-1, 1))
+        truth = labels_to_partition([0] * 15 + [1] * 15)
+        with pytest.raises(ValueError, match=r"theta must lie in \[0, 1\)"):
+            generate_runs(ds, truth, (2, 3), 1, seed=0, theta=theta)
 
 
 class TestRepoRuns:
@@ -577,7 +586,7 @@ class TestEvaluateMetaK:
             meta = oracle_meta_selected_record(coef, range(2, 5), records_of(range(2, 5), sil[i], ari[i]))
             seed = derive_seed(derive_seed(9, i), meta.k, meta.run_index)
             partition = best_kmeans(ds.points, meta.k, restarts=1, seed=seed).partition
-            total += adjusted_rand_index(truth.n_items, truth, partition)
+            total += adjusted_rand_index(truth, partition)
         assert evaluate_meta_k(coef, range(2, 5), sil, ari)[2] == pytest.approx(total / 3, abs=1e-12)
 
     def test_one_predict_call_per_k_row(self, monkeypatch):
@@ -654,7 +663,7 @@ class TestAlgoSelect:
         (record,) = member_records(specs, repo.problems[:1], seed=0)
         truth = repo.problems[0][1]
         assert record.has_features.tolist() == [True, False]
-        assert record.ari.tolist() == [adjusted_rand_index(truth.n_items, truth, p) for p in calls]
+        assert record.ari.tolist() == [adjusted_rand_index(truth, p) for p in calls]
         assert n_flagged([record]) == 1 and select_algorithm(train_algo_select([record]), record) == 0
 
     def test_each_member_runs_once_per_problem(self, monkeypatch):
@@ -698,7 +707,7 @@ class TestAlgoSelect:
         total = 0.0
         for ds, truth in test:
             best, partitions = select_algorithm_oracle(seeded_specs(specs, 0), coef, ds)
-            total += adjusted_rand_index(truth.n_items, truth, partitions[best])
+            total += adjusted_rand_index(truth, partitions[best])
         assert meta == total / len(test)
 
     def test_empty_test_set_rejected(self):
@@ -836,7 +845,7 @@ class TestAlgoSelect:
         for record, (ds, truth) in zip(records[3:], repo.problems[3:]):
             best, partitions = select_algorithm_oracle(specs, coef, ds)
             assert select_algorithm(coef, record) == best
-            aris = [0.0 if p is None else adjusted_rand_index(truth.n_items, truth, p) for p in partitions]
+            aris = [0.0 if p is None else adjusted_rand_index(truth, p) for p in partitions]
             assert record.ari.tolist() == aris
 
     def test_prediction_ties_go_to_the_earliest_member(self):

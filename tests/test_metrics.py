@@ -76,22 +76,33 @@ def silhouette_oracle(points, c):
 class TestClusteringLoss:
     def test_identity_is_zero(self):
         y = Partition(4, ((0, 1), (2, 3)))
-        assert clustering_loss(4, y, y) == 0.0
+        assert clustering_loss(y, y) == 0.0
 
     def test_worked_three_point_example(self):
         y = Partition(3, ((0, 1), (2,)))
         z = Partition(3, ((0,), (1, 2)))
-        assert clustering_loss(3, y, z) == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert clustering_loss(y, z) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_partial_cover_charged_one(self):
         y = Partition(3, ((0, 1), (2,)))
         z = Partition(3, ((0,), (1,)))  # item 2 uncovered
-        assert clustering_loss(3, y, z) == 1.0
+        assert clustering_loss(y, z) == 1.0
 
     def test_one_part_output_charged_one(self):
         y = Partition(3, ((0, 1), (2,)))
         z = Partition(3, ((0, 1, 2),))
-        assert clustering_loss(3, y, z) == 1.0
+        assert clustering_loss(y, z) == 1.0
+
+    def test_other_item_count_charged_one(self):
+        y = Partition(3, ((0, 1), (2,)))
+        z = Partition(4, ((0, 1), (2, 3)))
+        assert clustering_loss(y, z) == 1.0
+        assert clustering_loss(z, y) == 1.0
+
+    def test_fewer_than_two_items_rejected(self):
+        one = Partition(1, ((0,),))
+        with pytest.raises(ValueError, match="need at least 2 items"):
+            clustering_loss(one, Partition(3, ((0, 1), (2,))))
 
     def test_symmetry_and_range(self):
         rng = np.random.default_rng(0)
@@ -99,9 +110,9 @@ class TestClusteringLoss:
             n = int(rng.integers(3, 13))
             y = random_partition(rng, n)
             z = random_partition(rng, n)
-            lo = clustering_loss(n, y, z)
+            lo = clustering_loss(y, z)
             assert 0.0 <= lo <= 1.0
-            assert lo == clustering_loss(n, z, y)
+            assert lo == clustering_loss(z, y)
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(1)
@@ -109,18 +120,18 @@ class TestClusteringLoss:
             n = int(rng.integers(2, 13))
             y = random_partition(rng, n)
             z = random_partition(rng, n)
-            assert clustering_loss(n, y, z) == pytest.approx(loss_oracle(n, y, z), abs=1e-12)
+            assert clustering_loss(y, z) == pytest.approx(loss_oracle(n, y, z), abs=1e-12)
 
 
 class TestRandIndex:
     def test_identity(self):
         y = Partition(5, ((0, 2), (1, 3, 4)))
-        assert rand_index(5, y, y) == 1.0
+        assert rand_index(y, y) == 1.0
 
     def test_worked_four_point_example(self):
         y = Partition(4, ((0, 1), (2, 3)))
         z = Partition(4, ((0, 1, 2), (3,)))
-        assert rand_index(4, y, z) == pytest.approx(0.5, abs=1e-15)
+        assert rand_index(y, z) == pytest.approx(0.5, abs=1e-15)
 
     def test_complement_of_loss(self):
         rng = np.random.default_rng(2)
@@ -128,13 +139,13 @@ class TestRandIndex:
             n = int(rng.integers(2, 13))
             y = random_partition(rng, n)
             z = random_partition(rng, n)
-            assert rand_index(n, y, z) + clustering_loss(n, y, z) == pytest.approx(1.0, abs=1e-12)
+            assert rand_index(y, z) + clustering_loss(y, z) == pytest.approx(1.0, abs=1e-12)
 
     def test_invalid_partition_rejected(self):
         y = Partition(3, ((0, 1), (2,)))
         z = Partition(3, ((0, 1, 2),))
         with pytest.raises(ValueError):
-            rand_index(3, y, z)
+            rand_index(y, z)
 
 
 class TestContingency:
@@ -170,16 +181,16 @@ class TestAdjustedRandIndex:
         for _ in range(20):
             n = int(rng.integers(2, 15))
             y = random_partition(rng, n)
-            assert adjusted_rand_index(n, y, y) == 1.0
+            assert adjusted_rand_index(y, y) == 1.0
 
     def test_worked_four_point_example(self):
         y = Partition(4, ((0, 1), (2, 3)))
         z = Partition(4, ((0, 1, 2), (3,)))
-        assert adjusted_rand_index(4, y, z) == pytest.approx(0.0, abs=1e-15)
+        assert adjusted_rand_index(y, z) == pytest.approx(0.0, abs=1e-15)
 
     def test_all_singletons_degenerate(self):
         y = Partition(3, ((0,), (1,), (2,)))
-        assert adjusted_rand_index(3, y, y) == 1.0
+        assert adjusted_rand_index(y, y) == 1.0
 
     def test_chance_level_near_zero(self):
         rng = np.random.default_rng(5)
@@ -188,7 +199,7 @@ class TestAdjustedRandIndex:
         for _ in range(300):
             y = labels_to_partition(rng.integers(0, 4, size=n))
             z = labels_to_partition(rng.integers(0, 4, size=n))
-            vals.append(adjusted_rand_index(n, y, z))
+            vals.append(adjusted_rand_index(y, z))
         assert -0.02 <= float(np.mean(vals)) <= 0.02
 
     def test_label_permutation_invariance(self):
@@ -197,7 +208,17 @@ class TestAdjustedRandIndex:
         labels[:3] = [0, 1, 2]
         y = labels_to_partition(labels)
         z = labels_to_partition((labels + 1) % 3)
-        assert adjusted_rand_index(30, y, z) == pytest.approx(1.0, abs=1e-12)
+        assert adjusted_rand_index(y, z) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("score", [rand_index, adjusted_rand_index])
+def test_scores_reject_another_item_count(score):
+    y = Partition(3, ((0, 1), (2,)))
+    z = Partition(4, ((0, 1), (2, 3)))
+    with pytest.raises(ValueError, match="Z is not a valid partition of 3 items"):
+        score(y, z)
+    with pytest.raises(ValueError, match="Z is not a valid partition of 4 items"):
+        score(z, y)
 
 
 class TestSilhouette:
@@ -313,10 +334,10 @@ def test_scores_keep_their_bits_under_any_part_ids():
     for points, c in cases:
         n = c.n_items
         truth = random_partition(rng, n)
-        scores = (silhouette_score(points, c), adjusted_rand_index(n, truth, c), adjusted_rand_index(n, c, truth))
+        scores = (silhouette_score(points, c), adjusted_rand_index(truth, c), adjusted_rand_index(c, truth))
         for _ in range(4):
             other = Partition(n, labels=rng.permutation(c.n_parts)[c.labels])
-            again = (silhouette_score(points, other), adjusted_rand_index(n, truth, other), adjusted_rand_index(n, other, truth))
+            again = (silhouette_score(points, other), adjusted_rand_index(truth, other), adjusted_rand_index(other, truth))
             assert list(map(bits, again)) == list(map(bits, scores))
 
 
@@ -342,5 +363,5 @@ def test_loss_oracle_property(pair):
         return
     y = labels_to_partition(a)
     z = labels_to_partition(b)
-    assert clustering_loss(n, y, z) == pytest.approx(loss_oracle(n, y, z), abs=1e-12)
-    assert rand_index(n, y, z) == pytest.approx(1.0 - clustering_loss(n, y, z), abs=1e-12)
+    assert clustering_loss(y, z) == pytest.approx(loss_oracle(n, y, z), abs=1e-12)
+    assert rand_index(y, z) == pytest.approx(1.0 - clustering_loss(y, z), abs=1e-12)

@@ -3,7 +3,6 @@
 import hashlib
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -425,7 +424,7 @@ class TestSplits:
 
     def test_triple_well_formed(self):
         split = sample_pair_splits(self.repo(), seed=1, max_pairs=50)
-        assert len(split.meta_train) and len(split.meta_it) and len(split.meta_et)
+        assert len(split) == 3 and all(isinstance(pairs, PairSet) and len(pairs) for pairs in split)
 
     def test_train_and_it_halves_disjoint(self, monkeypatch):
         builds = []
@@ -436,16 +435,16 @@ class TestSplits:
             return real(problems, picks)
 
         monkeypatch.setattr(similarity_net, "build_pair_features", recorded)
-        split = sample_pair_splits(self.repo(), seed=2, max_pairs=80)
+        _meta_train, meta_it, _meta_et = sample_pair_splits(self.repo(), seed=2, max_pairs=80)
         # a category-1 dataset has meta-train pairs and meta-IT pairs
         train_rows, it_rows, _et_rows = builds
-        assert set(train_rows) == set(it_rows) == set(split.meta_it.dataset_ids.tolist())
+        assert set(train_rows) == set(it_rows) == set(meta_it.dataset_ids.tolist())
         for p in train_rows:
             assert not (train_rows[p] & it_rows[p])
 
     def test_et_datasets_absent_from_training(self):
-        split = sample_pair_splits(self.repo(), seed=3, max_pairs=50)
-        assert not (set(split.meta_train.dataset_ids) & set(split.meta_et.dataset_ids))
+        meta_train, _meta_it, meta_et = sample_pair_splits(self.repo(), seed=3, max_pairs=50)
+        assert not (set(meta_train.dataset_ids) & set(meta_et.dataset_ids))
 
     def test_oversize_datasets_excluded(self):
         # Datasets of more than MAX_EXAMPLES = 1000 points take no part.
@@ -461,15 +460,13 @@ class TestSplits:
             sample_pair_splits(oversize, seed=1, max_pairs=50)
         mixed = MetaRepository(problems=tuple(problem(i, 1000 + i % 2) for i in range(6)), seed=0)
         for seed in range(3):
-            split = sample_pair_splits(mixed, seed=seed, max_pairs=50)
-            used = {*split.meta_train.dataset_ids, *split.meta_it.dataset_ids, *split.meta_et.dataset_ids}
+            used = {p for pairs in sample_pair_splits(mixed, seed=seed, max_pairs=50) for p in pairs.dataset_ids}
             assert used <= {0, 2, 4}
 
     def test_deterministic(self):
         a = sample_pair_splits(self.repo(), seed=5, max_pairs=40)
         b = sample_pair_splits(self.repo(), seed=5, max_pairs=40)
-        for name in ("meta_train", "meta_it", "meta_et"):
-            pa, pb = getattr(a, name), getattr(b, name)
+        for pa, pb in zip(a, b, strict=True):
             assert np.array_equal(pair_features(pa), pair_features(pb))
             for field in ("labels", "dataset_ids"):
                 assert np.array_equal(getattr(pa, field), getattr(pb, field))
@@ -483,8 +480,7 @@ class TestSplits:
             return real(problems, picks)
 
         monkeypatch.setattr(similarity_net, "build_pair_features", counted)
-        split = sample_pair_splits(self.repo(), seed=4, max_pairs=50)
-        sets = (split.meta_train, split.meta_it, split.meta_et)
+        sets = sample_pair_splits(self.repo(), seed=4, max_pairs=50)
         assert calls == [sorted(set(pairs.dataset_ids.tolist())) for pairs in sets]
         assert calls[0] == calls[1] and not set(calls[0]) & set(calls[2])
 
@@ -500,8 +496,7 @@ class TestSplits:
             with pytest.raises(DataError, match="repository too small"):
                 sample_pair_splits(repo, seed=seed, max_pairs=max_pairs)
             return
-        split = sample_pair_splits(repo, seed=seed, max_pairs=max_pairs)
-        sets = (split.meta_train, split.meta_it, split.meta_et)
+        sets = sample_pair_splits(repo, seed=seed, max_pairs=max_pairs)
         for pairs, (features, labels, dataset_ids) in zip(sets, expected):
             assert np.array_equal(pair_features(pairs), features)
             assert np.array_equal(pairs.labels, labels)
@@ -569,6 +564,13 @@ class TestMlp:
         loss1, _ = nll_loss_and_grads(model, x, y)
         assert loss1 < loss0
 
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_batch_below_one_rejected(self, batch, monkeypatch):
+        monkeypatch.setattr(similarity_net, "_active_columns", None)  # fails if any work starts
+        pairs = pair_set(np.ones((4, FEATURE_DIM)), np.array([0, 1, 0, 1]))
+        with pytest.raises(ValueError, match="batch must be >= 1"):
+            train_mlp(pairs, epochs=1, batch=batch)
+
 
 class TestFlatParameters:
     def test_weights_and_biases_are_views_of_params(self):
@@ -626,7 +628,7 @@ class TestTrainingOracle:
 
     def train_set(self, repo_seed, split_seed, dims=(2, 2)):
         spec = SynthSpec(n_problems=8, n_points=60, dims=dims, n_clusters=(2, 3), seed=repo_seed)
-        train = sample_pair_splits(make_synthetic_repository(spec), seed=split_seed, max_pairs=12).meta_train
+        train, _meta_it, _meta_et = sample_pair_splits(make_synthetic_repository(spec), seed=split_seed, max_pairs=12)
         assert 0 < train.labels.sum() < len(train)  # both labels occur
         return train
 
@@ -692,7 +694,7 @@ class TestFusedStep:
     def train(self):
         # 400 training rows: batches of 249, 250 and 251 leave a short last batch.
         spec = SynthSpec(n_problems=8, n_points=60, dims=(2, 5), n_clusters=(2, 3), seed=21)
-        train = sample_pair_splits(make_synthetic_repository(spec), seed=1, max_pairs=40).meta_train
+        train, _meta_it, _meta_et = sample_pair_splits(make_synthetic_repository(spec), seed=1, max_pairs=40)
         assert len(train) == 200
         return train
 
@@ -714,7 +716,7 @@ class TestFusedStep:
     @pytest.mark.parametrize("batch", [249, 251])
     def test_every_column_active_matches_reference_kernel(self, batch):
         spec = SynthSpec(n_problems=8, n_points=60, dims=(10, 10), n_clusters=(2, 3), seed=21)
-        train = sample_pair_splits(make_synthetic_repository(spec), seed=1, max_pairs=40).meta_train
+        train, _meta_it, _meta_et = sample_pair_splits(make_synthetic_repository(spec), seed=1, max_pairs=40)
         assert np.array_equal(similarity_net._active_columns(train), ALL_COLUMNS) and 2 * len(train) % batch
         model = train_mlp(train, epochs=2, batch=batch, seed=1)
         assert model.params.tobytes() == train_mlp_oracle(train, epochs=2, batch=batch, seed=1).tobytes()
@@ -949,8 +951,9 @@ def part_and_oracle_digests(sizes):
     each m in ``sizes``: the sha256 of the probabilities, decisions and accuracy
     of m pairs drawn from a small trained repository's meta-ET set."""
     repo = make_synthetic_repository(SynthSpec(n_problems=12, n_points=60, dims=(2, 5), seed=7))
-    model = train_mlp(sample_pair_splits(repo, max_pairs=300).meta_train, epochs=2)
-    pool = sample_pair_splits(repo, max_pairs=1500).meta_et
+    train, _meta_it, _meta_et = sample_pair_splits(repo, max_pairs=300)
+    model = train_mlp(train, epochs=2)
+    _meta_train, _meta_it, pool = sample_pair_splits(repo, max_pairs=1500)
     rng = np.random.default_rng(4)
     for m in sizes:
         rows = rng.integers(0, len(pool), size=m)
@@ -1005,7 +1008,8 @@ class TestPredictPairs:
             similarity_net._model_accuracy(model, pairs)
 
     def test_parts_are_balanced(self, monkeypatch):
-        pairs = sample_pair_splits(make_synthetic_repository(SynthSpec(n_problems=8, n_points=40, seed=3)), max_pairs=60).meta_et
+        repo = make_synthetic_repository(SynthSpec(n_problems=8, n_points=40, seed=3))
+        _meta_train, _meta_it, pairs = sample_pair_splits(repo, max_pairs=60)
         sizes = []
 
         def predict(model, features, columns=None):
@@ -1024,20 +1028,21 @@ class TestEvaluateBsf:
         repo = make_synthetic_repository(
             SynthSpec(n_problems=8, n_points=60, n_clusters=(2, 3), seed=33)
         )
-        split = sample_pair_splits(repo, seed=2, max_pairs=60)
+        _meta_train, meta_it, meta_et = sample_pair_splits(repo, seed=2, max_pairs=60)
         model = init_mlp(seed=0)
-        accuracies = evaluate_bsf(model, split)
+        accuracies = evaluate_bsf(model, meta_it, meta_et)
         assert len(accuracies) == 4 and all(0.0 <= acc <= 1.0 for acc in accuracies)
         _acc_meta_it, _acc_meta_et, acc_majority_it, acc_majority_et = accuracies
         assert acc_majority_it >= 0.5 and acc_majority_et >= 0.5
 
-    @pytest.mark.parametrize("side", ["meta_it", "meta_et"])
+    @pytest.mark.parametrize("side", [0, 1], ids=["meta_it", "meta_et"])
     def test_empty_test_set_rejected(self, side):
         # The model is not scored on an empty set, whose mean accuracy would be nan.
         repo = make_synthetic_repository(SynthSpec(n_problems=8, n_points=40, seed=3))
-        split = replace(sample_pair_splits(repo, max_pairs=60), **{side: build_pair_features({}, [])})
+        _meta_train, *test_sets = sample_pair_splits(repo, max_pairs=60)
+        test_sets[side] = build_pair_features({}, [])
         with pytest.raises(ValueError, match="pair set must be non-empty"):
-            evaluate_bsf(init_mlp(seed=0), split)
+            evaluate_bsf(init_mlp(seed=0), *test_sets)
 
 
 def traced_peak_mb(fn, *args, **kwargs):
@@ -1065,7 +1070,7 @@ class TestPairnetMemory:
         # The three sets' (m, 75) feature matrices alone would take 50 MB.
         repo, seed = pairnet
         split, peak = traced_peak_mb(sample_pair_splits, repo, seed=seed)
-        assert [len(split.meta_train), len(split.meta_it), len(split.meta_et)] == [25000, 25000, 35000]
+        assert [len(pairs) for pairs in split] == [25000, 25000, 35000]
         assert peak < 10
 
     def test_evaluate_bsf_peak(self, pairnet):
@@ -1073,14 +1078,13 @@ class TestPairnetMemory:
         # feature rows (at most 4.9 MB) and layer outputs are live, never a whole set's
         # matrix (21 MB for meta-ET) and its (m, 100) layer outputs.
         repo, seed = pairnet
-        split = sample_pair_splits(repo, seed=seed)
-        _evaluation, peak = traced_peak_mb(evaluate_bsf, init_mlp(seed), split)
+        _meta_train, meta_it, meta_et = sample_pair_splits(repo, seed=seed)
+        _evaluation, peak = traced_peak_mb(evaluate_bsf, init_mlp(seed), meta_it, meta_et)
         assert peak < 20
 
     def test_gathered_rows_match_per_dataset_oracle(self, pairnet):
         repo, seed = pairnet
-        split = sample_pair_splits(repo, seed=seed)
-        sets = (split.meta_train, split.meta_it, split.meta_et)
+        sets = sample_pair_splits(repo, seed=seed)
         for pairs, (features, labels, dataset_ids) in zip(sets, sample_pair_splits_oracle(repo, seed, 2500)):
             assert np.array_equal(pair_features(pairs), features)
             assert np.array_equal(pairs.labels, labels)
@@ -1088,7 +1092,7 @@ class TestPairnetMemory:
 
     def test_training_matches_materialized_oracle(self, pairnet):
         repo, seed = pairnet
-        train = sample_pair_splits(repo, seed=seed).meta_train
+        train, _meta_it, _meta_et = sample_pair_splits(repo, seed=seed)
         model = train_mlp(train, epochs=1, seed=seed)
         params = train_mlp_oracle(train, epochs=1, batch=250, seed=seed)
         assert model.params.tobytes() == params.tobytes()
