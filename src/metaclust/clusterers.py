@@ -7,7 +7,8 @@ points (``data_model.normalize_points``).  Outlier pruning and reattachment
 live in ``meta_pipelines.generate_runs``.
 
 Every algorithm is a pure function of (input, seed); ties break toward the
-lowest index everywhere for bit-reproducibility.
+lowest index everywhere for bit-reproducibility.  K-means runs draw from the
+generators ``default_rngs`` builds, which equal ``np.random.default_rng``'s.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from metaclust.data_model import Partition, WeightedGraph, derive_seed, normalize_points, squared_distances
 
 __all__ = [
     "ClustererSpec",
+    "default_rngs",
     "kmeans",
     "agglomerative",
     "single_linkage_threshold",
@@ -30,6 +33,73 @@ LINKAGES = ("single", "complete", "average", "ward")
 KINDS = ("kmeans", "agglo_single", "agglo_complete", "agglo_average", "agglo_ward")
 
 MAX_LLOYD_ITERATIONS = 300
+
+_M32 = 0xFFFFFFFF
+
+
+def _powers(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**i mod 2**32 for i < count, as uint32."""
+    return np.array([init * pow(mult, i, 1 << 32) & _M32 for i in range(count)], dtype=np.uint32)
+
+
+# numpy's SeedSequence with its default pool of four 32-bit words: the hash
+# constants its pool mixing (A) and its output (B) step through, one per
+# hashmix, and the two multipliers of its mix function.
+_HASH_A = _powers(0x43B0D7E5, 0x931E8875, 17)
+_HASH_B = _powers(0x8B51F9DD, 0x58F38DED, 9)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_OTHER_WORDS = [[dst for dst in range(4) if dst != src] for src in range(4)]
+
+
+def _hashmix(words: np.ndarray, step: slice, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each row of ``words`` with the constants of
+    the given steps: xor the step's constant, multiply by the next one, fold
+    the high half into the low."""
+    out = words ^ consts[step, None]
+    out *= consts[step.start + 1 : step.stop + 1, None]
+    out ^= out >> np.uint32(16)
+    return out
+
+
+class _StateWords(ISeedSequence):
+    """The seed sequence of one precomputed ``generate_state(4, np.uint64)``,
+    the one call a ``PCG64`` makes of it."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def default_rngs(seeds) -> list:
+    """``[np.random.default_rng(s) for s in seeds]``, seeded in one pass.
+
+    Seeds must be ints in [0, 2**64), the range ``derive_seed`` yields.
+    SeedSequence's mixing of each seed's 32-bit words into its PCG64 state is
+    done for all seeds at once, in uint32 arithmetic that wraps as numpy's
+    does, and each PCG64 is built from its state words.
+    """
+    seeds = list(seeds)
+    bad = [s for s in seeds if not (isinstance(s, (int, np.integer)) and 0 <= s <= 2**64 - 1)]
+    if bad:
+        raise ValueError(f"seeds must be ints in [0, 2**64), got {bad[0]!r}")
+    s = np.array(seeds, dtype=np.uint64)
+    pool = np.zeros((4, s.size), dtype=np.uint32)  # the entropy words, low first, zero-padded
+    pool[0] = s & np.uint64(_M32)
+    pool[1] = s >> np.uint64(32)
+    with np.errstate(over="ignore"):
+        pool = _hashmix(pool, slice(0, 4), _HASH_A)
+        for src, dst in enumerate(_OTHER_WORDS):
+            mixed = pool[dst] * _MIX_L
+            mixed -= _hashmix(pool[src], slice(4 + 3 * src, 7 + 3 * src), _HASH_A) * _MIX_R
+            mixed ^= mixed >> np.uint32(16)
+            pool[dst] = mixed
+        state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], slice(0, 8), _HASH_B)
+    # Each uint64 word joins two uint32 words, the first as its low half.
+    words = state[0::2].astype(np.uint64) | state[1::2].astype(np.uint64) << np.uint64(32)
+    words = np.ascontiguousarray(words.T)  # PCG64 reads each row's memory
+    return [np.random.Generator(np.random.PCG64(_StateWords(row))) for row in words]
 
 
 @dataclass(frozen=True)
@@ -112,46 +182,54 @@ def _fix_empty_clusters(points: np.ndarray, centers: np.ndarray, labels: np.ndar
     return labels
 
 
-def kmeans(points: np.ndarray, k: int, seeds, *, sq_dist=None) -> tuple:
-    """One Lloyd run with k-means++ seeding per seed, all in lockstep.
+def kmeans(points: np.ndarray, k: int, rngs, *, sq_dist=None) -> tuple:
+    """One Lloyd run with k-means++ seeding per generator, all in lockstep.
 
+    ``rngs`` holds one ``np.random.Generator`` per run; every library run
+    draws from the generators ``default_rngs`` makes of its seeds, ints in
+    [0, 2**64).  A seed in place of a generator is a ``ValueError``.
     Returns ``(labels, sizes, centers, inertias)``: the (R, n) part ids, the
     (R, k) part counts, the (R, k, d) part means and the (R,) inertias, row r
-    for the run drawing from ``np.random.default_rng(seeds[r])``.  The runs
-    share every step's array work: the seeding steps, and in each Lloyd
-    iteration one stacked distance product, one label count and one weighted
-    count of the center sums over the runs that have not converged.  A run
-    converges when its labels repeat, and each run's rows have the bits of
-    the same run made alone.  All k parts are non-empty (empty clusters are
-    reseeded to the point furthest from its center).  ``points`` must be a
-    finite (n, d) array.  ``sq_dist`` is ``squared_distances(points)``, whose
-    rows the k-means++ init reads; it is computed here when omitted.
+    for the run drawing from ``rngs[r]``.  The runs share every step's array
+    work: the seeding steps, and in each Lloyd iteration one distance product
+    of the points against every run's centers, one label count and one
+    weighted count per coordinate of the center sums over the runs that have
+    not converged.  A run converges when its labels repeat, and each run's
+    rows have the bits of the same run made alone.  All k parts are non-empty
+    (empty clusters are reseeded to the point furthest from its center).
+    ``points`` must be a finite (n, d) array and ``k`` an int in [2, n].
+    ``sq_dist`` is ``squared_distances(points)``, whose rows the k-means++
+    init reads; it is computed here when omitted.
     """
     points = _as_points(points)
     n, d = points.shape
     if sq_dist is not None and np.shape(sq_dist) != (n, n):
         raise ValueError(f"sq_dist must be an ({n}, {n}) matrix, got shape {np.shape(sq_dist)}")
+    if not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an int, got {k!r}")
     if k > n:
         raise ValueError(f"k={k} exceeds n={n}")
     if k < 2:
         raise ValueError("k must be >= 2")
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    if not rngs:
-        raise ValueError("kmeans needs at least one seed")
+    if not len(rngs):
+        raise ValueError("kmeans needs at least one generator")
+    if not all(isinstance(rng, np.random.Generator) for rng in rngs):
+        raise ValueError("kmeans runs draw from numpy Generators: pass default_rngs(seeds), not the seeds")
     centers = _kmeans_pp_init(points, k, rngs, squared_distances(points) if sq_dist is None else sq_dist)
     # The constant terms of the squared distances |p|^2 - 2p.c + |c|^2.
-    p2 = (points**2).sum(axis=1)[:, None]
+    p2 = (points**2).sum(axis=1)[:, None, None]
     two_p = 2.0 * points
     runs = len(rngs)
     offsets = np.arange(runs)[:, None] * k  # in the stacked counts, run a's parts are a*k .. a*k + k - 1
-    stacked = np.tile(points, (runs, 1)).ravel()  # every run's points, then coordinates, in order
+    coords = [np.tile(points[:, t], runs) for t in range(d)]  # one coordinate of every run's points, in order
     labels = np.empty((runs, n), dtype=np.int64)
     sizes = np.empty((runs, k), dtype=np.int64)  # each run's part counts under its labels
     active = np.arange(runs)  # the runs that have not converged
     for iteration in range(MAX_LLOYD_ITERATIONS):
         c = centers[active]
-        d2 = p2 - two_p @ c.transpose(0, 2, 1) + (c**2).sum(axis=2)[:, None, :]
-        new_labels = np.argmin(np.maximum(d2, 0.0, out=d2), axis=2)  # clip tiny negatives
+        # One 2-D product: column a*k + j holds 2p.c for part j of active run a.
+        d2 = p2 - (two_p @ c.reshape(-1, d).T).reshape(n, -1, k) + (c**2).sum(axis=2)
+        new_labels = np.argmin(np.maximum(d2, 0.0, out=d2), axis=2).T.copy()  # clip tiny negatives
         counts = np.bincount((new_labels + offsets[: active.size]).ravel(), minlength=active.size * k)
         counts = counts.reshape(-1, k)
         for a in np.flatnonzero(~counts.all(axis=1)):
@@ -169,11 +247,13 @@ def kmeans(points: np.ndarray, k: int, seeds, *, sq_dist=None) -> tuple:
             for r in active:
                 centers[r] = np.stack([points[labels[r] == j].mean(axis=0) for j in range(k)])
         else:
-            # One weighted bincount adds every coordinate of every point into
-            # its (run, part, coordinate) slot, in point order: the same
-            # sequential row sums as each part's mean(axis=0).
-            slots = ((new_labels + offsets[: active.size]) * d)[:, :, None] + np.arange(d)
-            sums = np.bincount(slots.ravel(), weights=stacked[: slots.size], minlength=active.size * k * d)
+            # A weighted bincount per coordinate adds it for every point into
+            # its (run, part) slot, in point order: the same sequential row
+            # sums as each part's mean(axis=0).
+            slots = (new_labels + offsets[: active.size]).ravel()
+            sums = np.empty((active.size * k, d))
+            for t, coord in enumerate(coords):
+                sums[:, t] = np.bincount(slots, weights=coord[: slots.size], minlength=active.size * k)
             centers[active] = sums.reshape(-1, k, d) / counts[:, :, None]
     # Lloyd's final centers are the part means, averaged over the same rows.
     # Each run's inertia is one contiguous sum over its (n, d) squares, the
@@ -316,8 +396,8 @@ def run_spec(spec: ClustererSpec, points: np.ndarray, *, sq_dist=None) -> Partit
     points = _as_points(points)
     work = normalize_points(points) if spec.normalize_first else points
     if spec.kind == "kmeans":
-        seeds = [derive_seed(spec.seed, r) for r in range(spec.restarts)]
-        labels, sizes, _, inertias = kmeans(work, spec.k, seeds, sq_dist=sq_dist)
+        rngs = default_rngs(derive_seed(spec.seed, r) for r in range(spec.restarts))
+        labels, sizes, _, inertias = kmeans(work, spec.k, rngs, sq_dist=sq_dist)
         best = int(np.argmin(inertias))  # the first run of least inertia
         return Partition._dense(labels[best], sizes[best])
     return agglomerative(work, spec.k, linkage=spec.kind.removeprefix("agglo_"), sq_dist=sq_dist)

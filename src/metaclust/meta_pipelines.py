@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from metaclust.clusterers import ClustererSpec, kmeans, run_spec
+from metaclust.clusterers import ClustererSpec, default_rngs, kmeans, run_spec
 from metaclust.data_model import (
     DataError,
     Dataset,
@@ -93,55 +93,59 @@ def generate_runs(
     arrays: row i holds the runs of ``k_range[i]``, so row-major order is
     (k, run) order.
 
-    Each run uses its own sub-seed, and the runs of one k are one lockstep
+    Each run uses its own sub-seed, all of the grid's generators are seeded
+    in one ``default_rngs`` pass, and the runs of one k are one lockstep
     ``kmeans`` call.  Silhouette is computed on the pruned data when
     theta > 0, from one distance matrix shared by all cells, and the
     squared distances under it seed every run's k-means++ init.  ARI is
     always computed against the full-data partition after reattaching pruned
     points to their nearest center.  Both scores are computed once per
-    distinct partition, the only ones built as a ``Partition``, and reused
-    for every cell that repeats it under other part ids: neither score
-    depends on the part ids, to the bit.
+    distinct partition, the only ones built as a ``Partition``, all of them
+    in one ``silhouette_score`` and one ``adjusted_rand_index`` call, and
+    reused for every cell that repeats it under other part ids: neither
+    score depends on the part ids, to the bit.
     """
     k_range = tuple(k_range)
     if not k_range or any(a >= b for a, b in zip(k_range, k_range[1:])):
         raise ValueError(f"k_range must ascend without repeats, got {k_range}")
+    if not isinstance(restarts, (int, np.integer)) or restarts < 1:
+        raise ValueError(f"restarts must be an int >= 1, got {restarts!r}")
     points = dataset.points
+    if truth.n_items != points.shape[0]:
+        raise ValueError(f"the truth partitions {truth.n_items} items but the dataset has {points.shape[0]} points")
     outliers, inliers = _prune_indices(points, theta, use_raw_norm)
     work = points if outliers.size == 0 else points[inliers]
     if work.shape[0] < k_range[-1]:
         raise ValueError(f"{work.shape[0]} points cannot support k={k_range[-1]}")
 
     sq = squared_distances(work)
-    dist = np.sqrt(sq)  # the bits of pairwise_distances(work)
-    sil = np.empty((len(k_range), restarts))
-    ari = np.empty((len(k_range), restarts))
-    sil_of, ari_of = {}, {}  # score by the partition's first-appearance labels
+    rngs = default_rngs(derive_seed(derive_seed(seed, k, run), 0) for k in k_range for run in range(restarts))
+    # The distinct partitions in first-seen order, found by their
+    # first-appearance labels, and each cell's index among them; without
+    # pruning the silhouette and ARI sides are the same.
+    sil_parts, sil_seen, sil_cell = [], {}, np.empty((len(k_range), restarts), dtype=np.int64)
+    if outliers.size == 0:
+        ari_parts, ari_cell = sil_parts, sil_cell
+    else:
+        ari_parts, ari_seen, ari_cell = [], {}, np.empty_like(sil_cell)
     for i, k in enumerate(k_range):
-        seeds = [derive_seed(derive_seed(seed, k, run), 0) for run in range(restarts)]
-        labels, sizes, centers, _ = kmeans(work, k, seeds, sq_dist=sq)
-        sil_keys = _first_appearance_labels(labels)
+        labels, sizes, centers, _ = kmeans(work, k, rngs[i * restarts : (i + 1) * restarts], sq_dist=sq)
+        for run, key in enumerate(_first_appearance_labels(labels)):
+            sil_cell[i, run] = sil_seen.setdefault(key.tobytes(), len(sil_seen))
+            if len(sil_parts) < len(sil_seen):
+                sil_parts.append(Partition._dense(labels[run], sizes[run]))
         if outliers.size == 0:
-            ari_keys = sil_keys  # the same partitions, scored beside the silhouettes below
-        else:
-            d2 = ((points[outliers][None, :, None, :] - centers[:, None, :, :]) ** 2).sum(axis=3)
-            full_labels = np.empty((restarts, points.shape[0]), dtype=np.int64)
-            full_labels[:, inliers] = labels
-            full_labels[:, outliers] = np.argmin(d2, axis=2)
-            ari_keys = _first_appearance_labels(full_labels)
-        for run in range(restarts):
-            key = sil_keys[run].tobytes()
-            if key not in sil_of:
-                partition = Partition._dense(labels[run], sizes[run])
-                sil_of[key] = silhouette_score(work, partition, dist=dist)
-                if outliers.size == 0:
-                    ari_of[key] = adjusted_rand_index(truth, partition)
-            sil[i, run] = sil_of[key]
-            key = ari_keys[run].tobytes()
-            if key not in ari_of:
-                full = Partition._dense(full_labels[run], np.bincount(full_labels[run], minlength=k))
-                ari_of[key] = adjusted_rand_index(truth, full)
-            ari[i, run] = ari_of[key]
+            continue
+        d2 = ((points[outliers][None, :, None, :] - centers[:, None, :, :]) ** 2).sum(axis=3)
+        full_labels = np.empty((restarts, points.shape[0]), dtype=np.int64)
+        full_labels[:, inliers] = labels
+        full_labels[:, outliers] = np.argmin(d2, axis=2)
+        for run, key in enumerate(_first_appearance_labels(full_labels)):
+            ari_cell[i, run] = ari_seen.setdefault(key.tobytes(), len(ari_seen))
+            if len(ari_parts) < len(ari_seen):
+                ari_parts.append(Partition._dense(full_labels[run], np.bincount(full_labels[run], minlength=k)))
+    sil = silhouette_score(work, sil_parts, dist=np.sqrt(sq))[sil_cell]  # dist: the bits of pairwise_distances(work)
+    ari = adjusted_rand_index(truth, ari_parts)[ari_cell]
     for a in (sil, ari):
         a.setflags(write=False)
     return sil, ari

@@ -23,6 +23,8 @@ __all__ = [
     "silhouette_score",
 ]
 
+SUM_BLOCK = 1 << 15  # distances gathered at a time when ``silhouette_score`` sums them by part
+
 
 def _pairs2(counts) -> int:
     """Sum of C(c, 2) over the given integer counts, exactly."""
@@ -30,19 +32,35 @@ def _pairs2(counts) -> int:
     return int(arr @ (arr - 1)) // 2  # exact: every c * (c - 1) is even
 
 
-def _pair_counts(y: Partition, z: Partition) -> tuple:
+def _pair_counts(y: Partition, z) -> tuple:
     """Exact (pairs together in both, together in y, together in z) over the
-    unordered distinct pairs of two partitions that cover the same items.
+    unordered distinct pairs of partitions that cover the same items.
 
-    The joint counts are one bincount of the (y part, z part) cells; with
-    every item covered, each partition's ``sizes`` are its marginal counts.
+    ``z`` is one Partition, which gives three ints, or a sequence of them,
+    which gives the first and last counts as int64 vectors, one entry per
+    partition.  The joint counts of every (z, y part, z part) cell are one
+    bincount; with every item covered, ``y``'s sizes and the joint counts
+    summed over y's parts are the marginal counts.
     """
-    if y.n_items != z.n_items:
-        raise ValueError(f"partitions of {y.n_items} and {z.n_items} items cannot be compared")
-    if y.n_covered != y.n_items or z.n_covered != z.n_items:
+    zs = [z] if isinstance(z, Partition) else list(z)
+    for part in zs:
+        if part.n_items != y.n_items:
+            raise ValueError(f"partitions of {y.n_items} and {part.n_items} items cannot be compared")
+    if any(part.n_covered != part.n_items for part in [y, *zs]):
         raise ValueError("pair counts need partitions that cover every item")
-    joint = np.bincount(y.labels * z.n_parts + z.labels)
-    return _pairs2(joint), _pairs2(y.sizes), _pairs2(z.sizes)
+    kz = max((part.n_parts for part in zs), default=1)
+    cells = y.n_parts * kz
+    codes = np.array([part.labels for part in zs], dtype=np.int64).reshape(len(zs), y.n_items)
+    codes += y.labels * kz + np.arange(len(zs))[:, None] * cells
+    joint = np.bincount(codes.ravel(), minlength=len(zs) * cells).reshape(len(zs), y.n_parts, kz)
+    z_sizes = joint.sum(axis=1)
+    # Exact, as in _pairs2: every c * (c - 1) is even.
+    both = (joint * (joint - 1)).sum(axis=(1, 2)) // 2
+    same_z = (z_sizes * (z_sizes - 1)).sum(axis=1) // 2
+    same_y = _pairs2(y.sizes)
+    if isinstance(z, Partition):
+        return int(both[0]), same_y, int(same_z[0])
+    return both, same_y, same_z
 
 
 def _check_valid(n_items: int, part: Partition, name: str) -> None:
@@ -78,27 +96,36 @@ def rand_index(y: Partition, z: Partition) -> float:
     return 1.0 - clustering_loss(y, z)
 
 
-def adjusted_rand_index(y: Partition, z: Partition) -> float:
+def adjusted_rand_index(y: Partition, z):
     """Chance-corrected Rand index from the exact pair counts.
 
     With index = sum_ij C(n_ij,2), expected = sum_i C(a_i,2) * sum_j C(b_j,2)
     / C(n,2) and max = (sum_i C(a_i,2) + sum_j C(b_j,2)) / 2, returns
     (index - expected) / (max - expected), where n is ``y``'s item count.  The
     degenerate max = expected case returns 1 when the two co-membership
-    relations coincide and 0 otherwise.
+    relations coincide and 0 otherwise.  ``z`` is one Partition, which gives
+    a float, or a sequence of them, which gives a float64 vector of each one's
+    index against ``y``, its pair counts all from one bincount.
     """
     n = y.n_items
     _check_valid(n, y, "Y")
-    _check_valid(n, z, "Z")
-    index, sum_a, sum_b = _pair_counts(y, z)
+    zs = [z] if isinstance(z, Partition) else list(z)
+    for part in zs:
+        _check_valid(n, part, "Z")
+    index, sum_a, sum_b = _pair_counts(y, zs)
     total_pairs = n * (n - 1) // 2
-    # Work with the exact numerator/denominator of (index - E) / (M - E)
-    # scaled by 2 * C(n,2) to stay in integers until the final division.
-    num = 2 * (index * total_pairs - sum_a * sum_b)
-    den = total_pairs * (sum_a + sum_b) - 2 * sum_a * sum_b
-    if den == 0:
-        return 1.0 if disagreement_pairs(y, z) == 0 else 0.0
-    return num / den
+    scores = []
+    # Python ints from here: the exact numerator/denominator of
+    # (index - E) / (M - E), scaled by 2 * C(n,2), with no overflow.
+    for both, same_z in zip(index.tolist(), sum_b.tolist()):
+        num = 2 * (both * total_pairs - sum_a * same_z)
+        den = total_pairs * (sum_a + same_z) - 2 * sum_a * same_z
+        if den == 0:
+            disagreements = (sum_a - both) + (same_z - both)
+            scores.append(1.0 if disagreements == 0 else 0.0)
+        else:
+            scores.append(num / den)
+    return scores[0] if isinstance(z, Partition) else np.array(scores, dtype=float)
 
 
 def pairwise_distances(points: np.ndarray) -> np.ndarray:
@@ -106,45 +133,68 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
     return np.sqrt(squared_distances(points))
 
 
-def silhouette_score(points: np.ndarray, c: Partition, dist: Optional[np.ndarray] = None) -> float:
+def silhouette_score(points: np.ndarray, c, dist: Optional[np.ndarray] = None):
     """Mean silhouette (b - a) / max(a, b) with Euclidean distances.
 
     a(x) is the average distance to the other points of x's own cluster and
     b(x) the smallest average distance to another cluster.  Singleton-cluster
-    points contribute 0, as does the 0/0 case of coincident points.
+    points contribute 0, as does the 0/0 case of coincident points.  ``c`` is
+    one Partition of the points, which gives a float, or a sequence of them,
+    which gives a float64 vector with each one's score.
 
     ``dist`` is ``pairwise_distances(points)``, computed here when omitted;
-    callers scoring many partitions of the same points pass it once.  The
-    per-point terms are summed sequentially in point order, so the result
-    is bit-identical to a scalar loop and does not depend on part order.
+    callers scoring many partitions of the same points pass it once.  Each
+    point's summed distance to a part adds the part's entries of its ``dist``
+    row one after another in point order, and the per-point terms are summed
+    sequentially in point order, so the result is bit-identical to a scalar
+    loop and depends neither on part order nor on the other partitions scored
+    with it.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
-    _check_valid(n, c, "C")
+    cs = [c] if isinstance(c, Partition) else list(c)
+    for part in cs:
+        _check_valid(n, part, "C")
     if dist is None:
         dist = pairwise_distances(points)
     elif np.shape(dist) != (n, n):
         raise ValueError(f"dist must be an ({n}, {n}) matrix, got shape {np.shape(dist)}")
 
-    labels = c.labels
-    sizes = c.sizes
-    # Summed distance from each point to each cluster (own cluster includes
-    # self at 0).  The columns are gathered once in stable part order, so
-    # each part's slice holds the entries of dist[:, labels == j] in the same
-    # order and sums to the same bits.
-    grouped = dist[:, np.argsort(labels, kind="stable")]
-    ends = np.cumsum(sizes).tolist()
-    cluster_sum = np.empty((n, c.n_parts))
-    for j, (lo, hi) in enumerate(zip([0] + ends, ends)):
-        cluster_sum[:, j] = grouped[:, lo:hi].sum(axis=1)
+    if not cs:
+        return np.empty(0)
+    labels = np.array([part.labels for part in cs], dtype=np.int64)
+    # Every part of every partition is one row, partition p's part j being
+    # row first[p] + j: cluster_sum[row, x] sums the distances from point x
+    # to the part's members (x's own part includes x at 0).
+    n_parts = np.array([part.n_parts for part in cs])
+    first = np.cumsum(n_parts) - n_parts
+    sizes = np.concatenate([part.sizes for part in cs])
+    cluster_sum = np.empty((sizes.size, n))
+    # The partitions' points one after another, each in stable part order: a
+    # part's members are the contiguous run of ``order`` from ``start``, in
+    # point order.
+    order = np.argsort(labels, axis=1, kind="stable").ravel()
+    start = np.cumsum(sizes) - sizes
+    # The parts of one size are gathered together, at most SUM_BLOCK
+    # distances at a time.  numpy lays the gather dist[:, members] out with
+    # the point axis fastest, so its sum over the last axis adds each part's
+    # members one after another in point order, for every x at once.
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():  # np.unique would import numpy.ma
+        group = np.flatnonzero(sizes == size)
+        step = max(1, SUM_BLOCK // (n * size))
+        for lo in range(0, group.size, step):
+            rows = group[lo : lo + step]
+            cluster_sum[rows] = dist[:, order[start[rows, None] + np.arange(size)]].sum(axis=-1).T
 
-    rows = np.arange(n)
-    own_size = sizes[labels]
-    a = cluster_sum[rows, labels] / np.maximum(own_size - 1, 1)
-    other = cluster_sum / sizes
-    other[rows, labels] = np.inf
-    b = other.min(axis=1)
+    own = labels + first[:, None]  # the row of each point's own part
+    own_size = sizes[own]
+    own = own * n + np.arange(n)  # each point's own entry of cluster_sum, flat
+    a = cluster_sum.ravel()[own] / np.maximum(own_size - 1, 1)
+    cluster_sum /= sizes[:, None]  # mean distances
+    cluster_sum.ravel()[own] = np.inf
+    b = np.minimum.reduceat(cluster_sum, first, axis=0)  # each partition's nearest other part
     denom = np.maximum(a, b)
-    s = np.divide(b - a, denom, out=np.zeros(n), where=(own_size > 1) & (denom > 0))
+    s = np.divide(b - a, denom, out=np.zeros(labels.shape), where=(own_size > 1) & (denom > 0))
     # cumsum adds in point order; s.sum() would add pairwise and round differently.
-    return float(np.cumsum(s)[-1]) / n
+    scores = np.cumsum(s, axis=1)[:, -1] / n
+    return float(scores[0]) if isinstance(c, Partition) else scores

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import metaclust
-from metaclust.clusterers import kmeans
+from metaclust.clusterers import default_rngs, kmeans
 from metaclust.data_model import Partition, WeightedGraph, derive_seed
 from metaclust.similarity_net import _feature_rows
 
@@ -73,8 +73,8 @@ def best_kmeans(points, k, restarts=1, seed=0, *, sq_dist=None):
     """The first least-inertia run of ``kmeans`` over ``restarts`` runs
     seeded ``derive_seed(seed, r)``, the selection ``run_spec`` makes, as a
     ``KmeansRun`` whose partition is built with ``Partition``'s checks."""
-    seeds = [derive_seed(seed, r) for r in range(restarts)]
-    labels, sizes, centers, inertias = kmeans(points, k, seeds, sq_dist=sq_dist)
+    rngs = default_rngs(derive_seed(seed, r) for r in range(restarts))
+    labels, sizes, centers, inertias = kmeans(points, k, rngs, sq_dist=sq_dist)
     best = int(np.argmin(inertias))
     partition = Partition(n_items=labels.shape[1], labels=labels[best])
     assert np.array_equal(partition.sizes, sizes[best])

@@ -12,6 +12,7 @@ from metaclust import clusterers
 from metaclust.clusterers import (
     ClustererSpec,
     agglomerative,
+    default_rngs,
     kmeans,
     run_spec,
     single_linkage_threshold,
@@ -120,7 +121,7 @@ def assert_runs_match_oracle(points, k, seeds, sq_dist=None):
     """Each run of one lockstep ``kmeans`` call has the labels, centers and
     inertia of ``lloyd_oracle`` from its seed; returns the oracle's traces."""
     traces = []
-    runs = zip(seeds, *kmeans(points, k, seeds, sq_dist=sq_dist), strict=True)
+    runs = zip(seeds, *kmeans(points, k, default_rngs(seeds), sq_dist=sq_dist), strict=True)
     for seed, run_labels, run_sizes, run_centers, run_inertia in runs:
         trace = Counter()
         labels, centers, inertia = lloyd_oracle(points, k, np.random.default_rng(seed), trace)
@@ -425,9 +426,29 @@ class TestKmeans:
             converged += [t["converged"] for t in traces]
         assert 0 < sum(converged) < len(converged)
 
-    def test_no_seed_rejected(self):
-        with pytest.raises(ValueError, match="seed"):
+    def test_no_generator_rejected(self):
+        with pytest.raises(ValueError, match="at least one generator"):
             kmeans(np.arange(8.0).reshape(4, 2), 2, [])
+
+    def test_seeds_in_place_of_generators_rejected(self):
+        with pytest.raises(ValueError, match=r"pass default_rngs\(seeds\)"):
+            kmeans(np.arange(8.0).reshape(4, 2), 2, [5, 6])
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2", None])
+    def test_k_that_is_not_an_int_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be an int"):
+            kmeans(np.arange(8.0).reshape(4, 2), k, default_rngs([0]))
+
+    def test_numpy_int_k_accepted(self):
+        pts = np.arange(8.0).reshape(4, 2)
+        assert kmeans(pts, np.int64(2), default_rngs([0]))[0].tobytes() == kmeans(pts, 2, default_rngs([0]))[0].tobytes()
+
+    def test_all_points_equal(self):
+        # Every k-means++ step after the first sees a zero total and draws
+        # uniformly; every Lloyd pass then reseeds the empty parts.
+        pts = np.full((7, 3), 2.5)
+        traces = assert_runs_match_oracle(pts, 4, [derive_seed(30, r) for r in range(6)])
+        assert all(t["uniform_draws"] == 3 and t["reseeds"] > 0 for t in traces)
 
     def test_shared_distance_matrix_changes_no_result(self):
         rng = np.random.default_rng(23)
@@ -454,7 +475,7 @@ class TestKmeans:
         monkeypatch.setattr(Partition, "__init__", refuse)
         monkeypatch.setattr(Partition, "_dense", classmethod(refuse))
         pts = np.random.default_rng(25).standard_normal((30, 3))
-        labels, sizes, centers, inertias = kmeans(pts, 4, [5, 6, 7])
+        labels, sizes, centers, inertias = kmeans(pts, 4, default_rngs([5, 6, 7]))
         assert labels.shape == (3, 30) and labels.dtype == np.int64
         assert sizes.shape == (3, 4) and sizes.dtype == np.int64
         assert centers.shape == (3, 4, 3) and inertias.shape == (3,)
@@ -744,6 +765,58 @@ class TestRichnessConsistency:
                     edges.append((u, v, w * rng.uniform(1.0, 3.0)))
             perturbed = single_linkage_threshold(graph_from_edges(n, tuple(edges)), r, strict=False)
             assert same_parts(perturbed, base)
+
+
+class TestDefaultRngs:
+    EDGE_SEEDS = [0, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1,
+                  np.uint64(2**64 - 1), np.int64(5), np.uint32(7), True]
+
+    def assert_equal_to_default_rng(self, seeds):
+        rngs = default_rngs(seeds)
+        assert len(rngs) == len(seeds)
+        for seed, rng in zip(seeds, rngs):
+            reference = np.random.default_rng(seed)
+            assert rng.bit_generator.state == reference.bit_generator.state, seed
+            assert rng.integers(1000, size=3).tolist() == reference.integers(1000, size=3).tolist(), seed
+            assert rng.random() == reference.random(), seed
+
+    def test_equal_to_default_rng_on_edge_seeds(self):
+        self.assert_equal_to_default_rng(self.EDGE_SEEDS)
+
+    def test_equal_to_default_rng_on_random_and_derived_seeds(self):
+        rng = np.random.default_rng(34)
+        seeds = [int(s) for s in rng.integers(0, 2**64, 300, dtype=np.uint64)]
+        seeds += [int(s) for s in rng.integers(0, 2**32, 100)]
+        seeds += [derive_seed(derive_seed(7, k, run), 0) for k in range(2, 11) for run in range(10)]
+        self.assert_equal_to_default_rng(seeds)
+
+    def test_no_seeds(self):
+        assert default_rngs([]) == []
+
+    @pytest.mark.parametrize("bad", [-1, 2**64, 1.5, 2.0, np.float64(3.0), "3", None])
+    def test_seed_outside_the_domain_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"seeds must be ints in \[0, 2\*\*64\)"):
+            default_rngs([0, bad])
+
+    def test_kmeans_runs_are_seeded_only_here(self, monkeypatch):
+        # run_spec seeds its restarts with one default_rngs call and kmeans
+        # builds no generator of its own.
+        calls = []
+
+        def counted(seeds):
+            seeds = list(seeds)
+            calls.append(seeds)
+            return default_rngs(seeds)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a generator was built outside default_rngs")
+
+        monkeypatch.setattr(clusterers, "default_rngs", counted)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        points = np.arange(40.0).reshape(20, 2) % 7
+        run_spec(ClustererSpec(kind="kmeans", k=3, restarts=4, seed=11), points)
+        assert calls == [[derive_seed(11, r) for r in range(4)]]
 
 
 class TestRunSpec:

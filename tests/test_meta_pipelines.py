@@ -296,16 +296,16 @@ class TestGenerateRuns:
             built.append(dense(cls, labels, sizes))
             return built[-1]
 
-        def scoring(score, position):
-            def wrapped(*args, **kwargs):
-                scored.append(args[position])
-                return score(*args, **kwargs)
+        def scoring(score):
+            def wrapped(first, parts, **kwargs):
+                scored.extend(parts)
+                return score(first, parts, **kwargs)
 
             return wrapped
 
         monkeypatch.setattr(Partition, "_dense", classmethod(record))
-        monkeypatch.setattr(meta_pipelines, "silhouette_score", scoring(silhouette_score, 1))
-        monkeypatch.setattr(meta_pipelines, "adjusted_rand_index", scoring(adjusted_rand_index, 1))
+        monkeypatch.setattr(meta_pipelines, "silhouette_score", scoring(silhouette_score))
+        monkeypatch.setattr(meta_pipelines, "adjusted_rand_index", scoring(adjusted_rand_index))
         ds, truth = small_repo(1).problems[0]
         generate_runs(ds, truth, range(2, 6), 4, seed=3, theta=theta)
         # Fewer builds than the 4 k values x 4 runs, and with pruning their
@@ -414,6 +414,55 @@ class TestGenerateRuns:
         truth = labels_to_partition([0] * 15 + [1] * 15)
         with pytest.raises(ValueError, match=r"theta must lie in \[0, 1\)"):
             generate_runs(ds, truth, (2, 3), 1, seed=0, theta=theta)
+
+    @pytest.mark.parametrize(
+        "restarts,truth_items,match",
+        [
+            (-1, 20, "restarts must be an int >= 1, got -1"),
+            (0, 20, "restarts must be an int >= 1, got 0"),
+            (2.0, 20, "restarts must be an int >= 1, got 2.0"),
+            (3, 10, "the truth partitions 10 items but the dataset has 20 points"),
+        ],
+    )
+    def test_inputs_checked_before_any_run(self, restarts, truth_items, match, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("k-means ran before the inputs were checked")
+
+        monkeypatch.setattr(meta_pipelines, "kmeans", refuse)
+        ds = Dataset(id="t", points=np.arange(20.0).reshape(-1, 1))
+        truth = labels_to_partition([0, 1] * (truth_items // 2))
+        with pytest.raises(ValueError, match=match):
+            generate_runs(ds, truth, (2, 3), restarts, seed=0)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.1])
+    def test_one_seeding_pass_and_one_call_per_score(self, theta, monkeypatch):
+        # The grid's generators come from one default_rngs call, one per
+        # cell in (k, run) order; its distinct partitions are scored in one
+        # silhouette_score and one adjusted_rand_index call.
+        calls = {name: [] for name in ("default_rngs", "kmeans", "silhouette_score", "adjusted_rand_index")}
+
+        def counted(name, real):
+            def wrapped(*args, **kwargs):
+                args = [list(a) if name == "default_rngs" else a for a in args]
+                calls[name].append(args)
+                return real(*args, **kwargs)
+
+            return wrapped
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a generator was built outside default_rngs")
+
+        ds, truth = small_repo(1).problems[0]
+        for name in calls:
+            monkeypatch.setattr(meta_pipelines, name, counted(name, getattr(meta_pipelines, name)))
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        k_range, restarts = (2, 3, 5), 4
+        generate_runs(ds, truth, k_range, restarts, seed=6, theta=theta)
+        seeds = [derive_seed(derive_seed(6, k, run), 0) for k in k_range for run in range(restarts)]
+        assert calls["default_rngs"] == [[seeds]]
+        assert [args[1] for args in calls["kmeans"]] == list(k_range)
+        assert len(calls["silhouette_score"]) == len(calls["adjusted_rand_index"]) == 1
 
 
 class TestRepoRuns:

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from metaclust import metrics
 from metaclust.data_model import Partition, labels_to_partition
 from metaclust.metrics import (
     _pair_counts,
+    _pairs2,
     adjusted_rand_index,
     clustering_loss,
     pairwise_distances,
@@ -54,8 +56,8 @@ def silhouette_oracle(points, c):
 
     sizes = np.array([(labels == j).sum() for j in range(k)])
     cluster_sum = np.zeros((n, k))
-    for j in range(k):
-        cluster_sum[:, j] = dist[:, labels == j].sum(axis=1)
+    for t in range(n):  # each point's distances added in point order
+        cluster_sum[:, labels[t]] += dist[:, t]
 
     total = 0.0
     for i in range(n):
@@ -71,6 +73,45 @@ def silhouette_oracle(points, c):
         if denom > 0:
             total += (b - a) / denom
     return total / n
+
+
+# The one-partition bodies that the batched ``silhouette_score`` and
+# ``adjusted_rand_index`` replaced: the bit-for-bit references of each
+# entry of a batched call.
+
+
+def silhouette_one_partition_oracle(points, c, dist):
+    """One partition's silhouette from its own (n, n) column gather."""
+    n = points.shape[0]
+    labels = c.labels
+    sizes = c.sizes
+    grouped = dist[:, np.argsort(labels, kind="stable")]
+    ends = np.cumsum(sizes).tolist()
+    cluster_sum = np.empty((n, c.n_parts))
+    for j, (lo, hi) in enumerate(zip([0] + ends, ends)):
+        cluster_sum[:, j] = grouped[:, lo:hi].sum(axis=1)
+    rows = np.arange(n)
+    own_size = sizes[labels]
+    a = cluster_sum[rows, labels] / np.maximum(own_size - 1, 1)
+    other = cluster_sum / sizes
+    other[rows, labels] = np.inf
+    b = other.min(axis=1)
+    denom = np.maximum(a, b)
+    s = np.divide(b - a, denom, out=np.zeros(n), where=(own_size > 1) & (denom > 0))
+    return float(np.cumsum(s)[-1]) / n
+
+
+def ari_one_partition_oracle(y, z):
+    """One partition's ARI from its own bincount of the (y part, z part) cells."""
+    n = y.n_items
+    index = _pairs2(np.bincount(y.labels * z.n_parts + z.labels))
+    sum_a, sum_b = _pairs2(y.sizes), _pairs2(z.sizes)
+    total_pairs = n * (n - 1) // 2
+    num = 2 * (index * total_pairs - sum_a * sum_b)
+    den = total_pairs * (sum_a + sum_b) - 2 * sum_a * sum_b
+    if den == 0:
+        return 1.0 if (sum_a - index) + (sum_b - index) == 0 else 0.0
+    return num / den
 
 
 class TestClusteringLoss:
@@ -310,6 +351,7 @@ def test_silhouette_matches_scalar_oracle_exactly(case):
     assert silhouette_score(points, c, dist=pairwise_distances(points)) == expected
     reversed_parts = Partition(c.n_items, labels=c.n_parts - 1 - c.labels)
     assert silhouette_score(points, reversed_parts) == expected
+    assert silhouette_score(points, [c, reversed_parts]).tolist() == [expected, expected]
 
 
 def test_scores_keep_their_bits_under_any_part_ids():
@@ -339,6 +381,109 @@ def test_scores_keep_their_bits_under_any_part_ids():
             other = Partition(n, labels=rng.permutation(c.n_parts)[c.labels])
             again = (silhouette_score(points, other), adjusted_rand_index(truth, other), adjusted_rand_index(other, truth))
             assert list(map(bits, again)) == list(map(bits, scores))
+
+
+def float_bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def batch_cases():
+    """(points, partitions) batches: mixed part counts in one call, singleton
+    parts, coincident points (the 0/0 case), and parts of more than 128
+    points, past numpy's pairwise-summation block, so that summing a part in
+    any other order than one member after another would show."""
+    rng = np.random.default_rng(31)
+    points, c = large_silhouette_case()
+    yield points, [c, Partition(150, labels=(np.arange(150) >= 140).astype(int)), Partition(150, labels=np.arange(150) % 3)]
+    yield np.zeros((5, 2)), [Partition(5, ((0, 1), (2, 3, 4))), Partition(5, ((0,), (1,), (2, 3, 4)))]
+    yield np.array([[0.0], [5.0], [9.0]]), [Partition(3, ((0,), (1,), (2,))), Partition(3, ((0, 1), (2,)))]
+    big = np.round(rng.standard_normal((300, 2)) * 2.0, 1)
+    yield big, [Partition(300, labels=(np.arange(300) >= 250).astype(int)),
+                Partition(300, labels=np.minimum(np.arange(300) // 131, 2)),
+                random_partition(rng, 300, max_parts=6)]
+    for _ in range(40):
+        n, d = int(rng.integers(2, 60)), int(rng.integers(1, 4))
+        pool = np.round(rng.standard_normal((int(rng.integers(1, n + 1)), d)) * 3.0, 1)
+        batch = [random_partition(rng, n, max_parts=int(rng.integers(2, min(n, 9) + 1))) for _ in range(int(rng.integers(1, 7)))]
+        yield pool[rng.integers(0, len(pool), size=n)], batch
+
+
+class TestBatchedScores:
+    """A sequence of partitions is scored in one call, each entry with the
+    bits of its one-partition oracle."""
+
+    def test_silhouette_batch_matches_the_one_partition_oracle(self):
+        seen_big = seen_singleton = 0
+        for points, batch in batch_cases():
+            dist = pairwise_distances(points)
+            expected = [silhouette_one_partition_oracle(points, c, dist) for c in batch]
+            assert float_bits(expected) == float_bits([silhouette_oracle(points, c) for c in batch])
+            scores = silhouette_score(points, batch, dist=dist)
+            assert scores.dtype == np.float64 and scores.shape == (len(batch),)
+            assert float_bits(scores) == float_bits(expected)
+            assert float_bits([silhouette_score(points, c) for c in batch]) == float_bits(expected)
+            seen_big += any(c.sizes.max() > 128 for c in batch)
+            seen_singleton += any(1 in c.sizes for c in batch)
+        assert seen_big >= 2 and seen_singleton > 10
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_silhouette_gather_block_changes_no_bit(self, block, monkeypatch):
+        cases = list(batch_cases())[:6]
+        expected = [silhouette_score(points, batch) for points, batch in cases]
+        monkeypatch.setattr(metrics, "SUM_BLOCK", block)
+        for (points, batch), want in zip(cases, expected):
+            assert float_bits(silhouette_score(points, batch)) == float_bits(want)
+
+    def test_ari_batch_matches_the_one_partition_oracle(self):
+        rng = np.random.default_rng(32)
+        for _points, batch in batch_cases():
+            n = batch[0].n_items
+            truth = random_partition(rng, n, max_parts=5)
+            expected = [ari_one_partition_oracle(truth, z) for z in batch]
+            scores = adjusted_rand_index(truth, batch)
+            assert scores.dtype == np.float64 and scores.shape == (len(batch),)
+            assert float_bits(scores) == float_bits(expected)
+            assert float_bits([adjusted_rand_index(truth, z) for z in batch]) == float_bits(expected)
+
+    def test_ari_degenerate_denominator_in_a_batch(self):
+        # All singletons against all singletons: max = expected = 0, and the
+        # relations coincide.
+        singles = Partition(4, ((0,), (1,), (2,), (3,)))
+        batch = [singles, Partition(4, ((0, 1), (2, 3))), singles]
+        scores = adjusted_rand_index(singles, batch)
+        assert scores[0] == scores[2] == 1.0 == ari_one_partition_oracle(singles, singles)
+        assert scores[1] == ari_one_partition_oracle(singles, batch[1])
+
+    def test_ari_stays_exact_past_int64_products(self):
+        # C(n, 2) squared passes 2**63 at n of about 80,000: the counts are
+        # combined in Python ints.
+        n = 200_000
+        y = Partition(n, labels=np.arange(n) % 2)
+        z = Partition(n, labels=(np.arange(n) >= n // 3).astype(int))
+        assert adjusted_rand_index(y, [z])[0] == ari_one_partition_oracle(y, z) == adjusted_rand_index(y, z)
+
+    def test_empty_batch(self):
+        points = np.arange(6.0).reshape(3, 2)
+        y = Partition(3, ((0, 1), (2,)))
+        for scores in (silhouette_score(points, []), adjusted_rand_index(y, [])):
+            assert scores.dtype == np.float64 and scores.shape == (0,)
+
+    def test_an_invalid_member_fails_the_batch(self):
+        points = np.arange(8.0).reshape(4, 2)
+        good, one_part = Partition(4, ((0, 1), (2, 3))), Partition(4, ((0, 1, 2, 3),))
+        with pytest.raises(ValueError, match="C is not a valid partition of 4 items"):
+            silhouette_score(points, [good, one_part])
+        with pytest.raises(ValueError, match="Z is not a valid partition of 4 items"):
+            adjusted_rand_index(good, [good, Partition(5, ((0, 1), (2, 3, 4)))])
+
+    def test_pair_counts_of_a_batch(self):
+        rng = np.random.default_rng(33)
+        y = random_partition(rng, 12)
+        zs = [random_partition(rng, 12, max_parts=m) for m in (2, 3, 5)]
+        both, same_y, same_z = _pair_counts(y, zs)
+        singles = [_pair_counts(y, z) for z in zs]
+        assert both.tolist() == [c[0] for c in singles] and same_z.tolist() == [c[2] for c in singles]
+        assert {c[1] for c in singles} == {same_y}
 
 
 @st.composite

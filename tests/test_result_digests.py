@@ -7,7 +7,11 @@ seed 11, and their pipelines run with the workload flags and that seed through
 ``pairnet`` repository runs its pipeline with the workload's own pipeline seed
 in both children.  The sha256 of
 each result CSV must equal the digest recorded here, so a change that moves a
-result bit fails in tier 1 instead of only in a hand check.  The bits depend
+result bit fails in tier 1 instead of only in a hand check.  Both children
+also pin the ``repo_runs`` arrays of a small repository beyond the workloads'
+2-D points: one problem each of 2 to 5 dimensions, 300 points, parts of 100
+and 150 points, so that runs with parts of more than 128 points (past numpy's
+pairwise-summation block) are scored, at theta 0 and 0.1.  The bits depend
 on numpy and its BLAS, so under any other numpy or BLAS version the test skips
 and names the difference.
 """
@@ -39,9 +43,16 @@ RESULT_SHA256 = {
     "seed7/pairnet/bsf/bsf.csv": "3e63894b60b7c9ef45e169014ba85d97ad35219ab7c731ac91dab01cfacb732c",
 }
 
+# sha256 of the silhouette then the ARI bytes of the run-grid repository's ``repo_runs``, by theta.
+RUN_GRID_SHA256 = {
+    "run-grid/theta0.0": "d0a08cdf519eda33c6a8ffa11ead8311c1368d3482c63a48c8ecefbc8e6d1188",
+    "run-grid/theta0.1": "67718723a2b8c9a7d358056dd8d27575addf9d3c114a202f3cba31be34e26aac",
+}
+
 # Writes the repository of each (seed, workload) in CASES and runs its
-# pipelines in a temporary directory; prints {relative path: sha256} of every
-# CSV they write.  The test puts the CASES line in front.
+# pipelines in a temporary directory, then runs the run-grid repository;
+# prints {relative path: sha256} of every CSV they write and the run-grid
+# digests.  The test puts the CASES line in front.
 DIGEST_CHILD = """
 import contextlib
 import hashlib
@@ -58,6 +69,7 @@ from workloads import WORKLOADS
 
 from metaclust import cli
 from metaclust.data_model import SynthSpec, make_synthetic_repository, save_repository
+from metaclust.meta_pipelines import repo_runs
 
 digests = {}
 with tempfile.TemporaryDirectory() as tmp:
@@ -73,6 +85,10 @@ with tempfile.TemporaryDirectory() as tmp:
                 assert cli.main(argv + flags) == 0, pipeline
             for path in sorted((out / pipeline).glob("*.csv")):
                 digests[path.relative_to(Path(tmp)).as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
+grid_repo = make_synthetic_repository(SynthSpec(n_problems=4, n_points=300, dims=(2, 5), n_clusters=(2, 3), seed=16))
+for theta in (0.0, 0.1):
+    sil, ari = repo_runs(grid_repo, (2, 3, 4, 6), 4, seed=7, theta=theta)
+    digests[f"run-grid/theta{theta}"] = hashlib.sha256(sil.tobytes() + ari.tobytes()).hexdigest()
 print(json.dumps(digests))
 """
 
@@ -82,5 +98,5 @@ def test_benchmark_result_files_match_recorded_digests():
     for blas_threads, cases in CASES.items():
         digests = json.loads(run_python_child(f"CASES = {cases!r}\n" + DIGEST_CHILD, blas_threads))
         prefixes = tuple(f"seed{seed}/{name}/" for seed, name in cases)
-        expected = {path: sha for path, sha in RESULT_SHA256.items() if path.startswith(prefixes)}
+        expected = {path: sha for path, sha in RESULT_SHA256.items() if path.startswith(prefixes)} | RUN_GRID_SHA256
         assert {path: digests.get(path) for path in expected} == expected, blas_threads
