@@ -328,8 +328,11 @@ def write_dataset_csv(dataset: Dataset, truth: Partition, path) -> None:
 
 
 def labels_to_partition(labels: Sequence[int]) -> Partition:
-    """Convert class ids into a partition: one part per class, ascending id."""
-    classes, ids = np.unique(np.asarray(labels, dtype=int), return_inverse=True)
+    """Convert whole-number class ids into a partition: one part per class, ascending id."""
+    raw = np.asarray(labels)
+    if raw.dtype.kind == "f" and not (np.isfinite(raw) & (raw == np.trunc(raw))).all():
+        raise ValueError("labels must be whole numbers, not truncated into another class")
+    classes, ids = np.unique(raw.astype(int), return_inverse=True)
     if classes.size < 2:
         raise ValueError("need at least 2 distinct labels to form a partition")
     return Partition(n_items=ids.size, labels=ids)

@@ -244,11 +244,12 @@ def member_records(specs: Sequence[ClustererSpec], problems: Sequence, seed: int
 
     Member j runs once per problem with seed ``derive_seed(seed, j)``; a
     command builds the records once and each split gathers its rows.  A run
-    that raises ``ValueError`` has ARI 0 and no meta-features, and
-    meta-features that raise it leave none; any other exception propagates.
-    Per problem, the distance matrix and eigenvalue extrema are computed once
-    for every member's meta-features, and the squared distances of the raw
-    (and, if a member normalizes, the normalized) points once for every run.
+    that raises ``ValueError`` has ARI 0 and no meta-features; any other
+    exception propagates.  Per problem, the squared distances of the raw
+    (and, if a member normalizes, the normalized) points serve every run,
+    and one call each of ``adjusted_rand_index``, ``silhouette_score`` and
+    ``phi_features`` scores the successful runs' partitions in member order.
+    A failed PSD check in the features flags every member; each keeps its ARI.
     """
     specs = [replace(spec, seed=derive_seed(seed, j)) for j, spec in enumerate(specs)]
     records = []
@@ -256,20 +257,22 @@ def member_records(specs: Sequence[ClustererSpec], problems: Sequence, seed: int
         sq_dist = {False: squared_distances(dataset.points)}
         if any(spec.normalize_first for spec in specs):
             sq_dist[True] = squared_distances(normalize_points(dataset.points))
-        dist = np.sqrt(sq_dist[False])  # the bits of pairwise_distances(dataset.points)
         lo, hi = extrema = symmetric_eigen_extrema(covariance(dataset.points))
         rows = np.tile([dataset.d, dataset.n, lo, hi, 0.0], (len(specs), 1))
-        has_features, ari = np.zeros(len(specs), dtype=bool), np.zeros(len(specs))
+        has_features, ari, partitions = np.zeros(len(specs), dtype=bool), np.zeros(len(specs)), []
         for j, spec in enumerate(specs):
             try:
-                partition = run_spec(spec, dataset.points, sq_dist=sq_dist[spec.normalize_first])
+                partitions.append(run_spec(spec, dataset.points, sq_dist=sq_dist[spec.normalize_first]))
             except ValueError:
                 continue
-            ari[j] = adjusted_rand_index(truth, partition)
+            has_features[j] = True  # until the features fail
+        if partitions:  # every run_spec partition is valid, so neither score can fail
+            ari[has_features] = adjusted_rand_index(truth, partitions)
+            sil = silhouette_score(dataset.points, partitions, dist=np.sqrt(sq_dist[False]))  # = pairwise_distances
             try:
-                rows[j], has_features[j] = phi_features(dataset, partition, dist, extrema), True
+                rows[has_features] = phi_features(dataset, sil, extrema)
             except ValueError:
-                pass
+                has_features[:] = False
         for a in (rows, has_features, ari):
             a.setflags(write=False)
         records.append(MemberRecord(dataset.id, rows, has_features, ari))

@@ -32,17 +32,15 @@ def _pairs2(counts) -> int:
     return int(arr @ (arr - 1)) // 2  # exact: every c * (c - 1) is even
 
 
-def _pair_counts(y: Partition, z) -> tuple:
-    """Exact (pairs together in both, together in y, together in z) over the
-    unordered distinct pairs of partitions that cover the same items.
+def _pair_counts(y: Partition, zs) -> tuple:
+    """Exact unordered pair counts of ``y`` against each partition in the list ``zs``.
 
-    ``z`` is one Partition, which gives three ints, or a sequence of them,
-    which gives the first and last counts as int64 vectors, one entry per
-    partition.  The joint counts of every (z, y part, z part) cell are one
+    Returns ``(both, same_y, same_z)``: int64 vectors of the pairs together in
+    both and together in each z, one entry per partition, and the int of pairs
+    together in y.  The joint counts of every (z, y part, z part) cell are one
     bincount; with every item covered, ``y``'s sizes and the joint counts
     summed over y's parts are the marginal counts.
     """
-    zs = [z] if isinstance(z, Partition) else list(z)
     for part in zs:
         if part.n_items != y.n_items:
             raise ValueError(f"partitions of {y.n_items} and {part.n_items} items cannot be compared")
@@ -57,21 +55,12 @@ def _pair_counts(y: Partition, z) -> tuple:
     # Exact, as in _pairs2: every c * (c - 1) is even.
     both = (joint * (joint - 1)).sum(axis=(1, 2)) // 2
     same_z = (z_sizes * (z_sizes - 1)).sum(axis=1) // 2
-    same_y = _pairs2(y.sizes)
-    if isinstance(z, Partition):
-        return int(both[0]), same_y, int(same_z[0])
-    return both, same_y, same_z
+    return both, _pairs2(y.sizes), same_z
 
 
 def _check_valid(n_items: int, part: Partition, name: str) -> None:
     if part.n_items != n_items or not part.is_valid():
         raise ValueError(f"{name} is not a valid partition of {n_items} items")
-
-
-def disagreement_pairs(y: Partition, z: Partition) -> int:
-    """Unordered distinct pairs on which y and z disagree about co-membership."""
-    same_both, same_y, same_z = _pair_counts(y, z)
-    return (same_y - same_both) + (same_z - same_both)
 
 
 def clustering_loss(y: Partition, z: Partition) -> float:
@@ -86,7 +75,8 @@ def clustering_loss(y: Partition, z: Partition) -> float:
         raise ValueError("need at least 2 items")
     if z.n_items != n or not (y.is_valid() and z.is_valid()):
         return 1.0
-    return 2 * disagreement_pairs(y, z) / (n * (n - 1))
+    (both,), same_y, (same_z,) = _pair_counts(y, [z])
+    return 2 * ((same_y - int(both)) + (int(same_z) - int(both))) / (n * (n - 1))
 
 
 def rand_index(y: Partition, z: Partition) -> float:
@@ -120,9 +110,8 @@ def adjusted_rand_index(y: Partition, z):
     for both, same_z in zip(index.tolist(), sum_b.tolist()):
         num = 2 * (both * total_pairs - sum_a * same_z)
         den = total_pairs * (sum_a + same_z) - 2 * sum_a * same_z
-        if den == 0:
-            disagreements = (sum_a - both) + (same_z - both)
-            scores.append(1.0 if disagreements == 0 else 0.0)
+        if den == 0:  # the relations coincide exactly when no pair is together in just one
+            scores.append(1.0 if both == sum_a == same_z else 0.0)
         else:
             scores.append(num / den)
     return scores[0] if isinstance(z, Partition) else np.array(scores, dtype=float)

@@ -1,9 +1,9 @@
 """Supervised machinery for the meta layer.
 
 Least-squares linear regression (minimum-norm for rank-deficient designs)
-and the five-number meta-feature vector used by the algorithm
-selector: dimensionality, example count, covariance eigenvalue extrema, and
-the silhouette of the candidate clustering.
+and the five-number meta-feature rows used by the algorithm selector:
+dimensionality, example count, covariance eigenvalue extrema, and the
+silhouette of each candidate clustering.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from metaclust.data_model import DataError, Dataset, Partition
+from metaclust.data_model import DataError, Dataset
 from metaclust.metrics import silhouette_score
 
 __all__ = [
@@ -20,6 +20,7 @@ __all__ = [
     "predict",
     "phi_features",
     "symmetric_eigen_extrema",
+    "silhouette_score",  # not called here: perfbench/test_perfbench.py checks that the tracer patches this binding
 ]
 
 _OVERFLOW = "the least-squares solution overflows float64"
@@ -74,19 +75,16 @@ def symmetric_eigen_extrema(s: np.ndarray) -> tuple:
     return float(eig[0]), float(eig[-1])
 
 
-def phi_features(dataset: Dataset, c: Partition, dist: np.ndarray, extrema: tuple) -> np.ndarray:
-    """The meta-feature vector [d, m, sigma_min, sigma_max, silhouette] of
-    (dataset, candidate clustering).
+def phi_features(dataset: Dataset, silhouettes: Sequence[float], extrema: tuple) -> np.ndarray:
+    """The (len(silhouettes), 5) rows [d, m, sigma_min, sigma_max, silhouette]
+    of a dataset, one per candidate clustering's silhouette.
 
-    sigma_min and sigma_max are the extreme eigenvalues of the population
-    covariance, which must be PSD up to 1e-9 * max(1, sigma_max), since the
-    roundoff of ``eigvalsh`` scales with sigma_max.  ``dist`` is
-    ``pairwise_distances(dataset.points)``, passed on to ``silhouette_score``,
-    and ``extrema`` is ``symmetric_eigen_extrema(covariance(dataset.points))``;
-    callers scoring many clusterings of one dataset compute each once.
+    ``extrema`` is ``symmetric_eigen_extrema(covariance(dataset.points))``, the
+    population covariance's, which must be PSD up to 1e-9 * max(1, sigma_max)
+    since the roundoff of ``eigvalsh`` scales with sigma_max; else ``ValueError``.
     """
     lo, hi = extrema
     if lo < -1e-9 * max(1.0, hi):
         raise ValueError(f"covariance must be PSD up to tolerance, got sigma_min={lo}")
-    sil = silhouette_score(dataset.points, c, dist=dist)
-    return np.array([dataset.d, dataset.n, lo, hi, sil], dtype=float)
+    sil = np.asarray(silhouettes, dtype=float)
+    return np.column_stack([np.tile([dataset.d, dataset.n, lo, hi], (sil.size, 1)), sil])

@@ -248,6 +248,8 @@ def sample_pair_splits(repo: MetaRepository, seed: int = 0, max_pairs: int = 250
     order of first appearance.  Each set is built in one call once its pairs are drawn.
     A repository that cannot fill all three sets raises ``DataError``.
     """
+    if not isinstance(max_pairs, (int, np.integer)) or max_pairs < 2:
+        raise ValueError(f"max_pairs must be an int >= 2, got {max_pairs!r}")
     qualifying = [p for p, (ds, _truth) in enumerate(repo.problems) if ds.n <= MAX_EXAMPLES and ds.d <= PAD_DIM]
     if not qualifying:
         raise DataError("no qualifying datasets in the repository")
@@ -473,6 +475,8 @@ def train_mlp(meta_train: PairSet, epochs: int = 10, batch: int = 250, seed: int
     """
     if len(meta_train) == 0:
         raise ValueError("training set must be non-empty")
+    if not isinstance(epochs, (int, np.integer)) or epochs < 1:
+        raise ValueError(f"epochs must be an int >= 1, got {epochs!r}")
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     columns = _active_columns(meta_train)

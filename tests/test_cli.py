@@ -272,6 +272,8 @@ class TestGolden:
 
             def counted(*args, _name=name, _real=real, **kwargs):
                 calls[_name] += 1
+                if _name == "adjusted_rand_index":
+                    calls["scored"] += len(args[1])
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(meta_pipelines, name, counted)
@@ -280,8 +282,9 @@ class TestGolden:
             "--seed", "3", "--out", str(tmp_path / "as"),
         ])
         assert rc == EXIT_OK
+        # Every member's partition is scored once, in one ARI call per problem.
         members_x_problems = len(cli.default_family()) * 8
-        assert calls == {"run_spec": members_x_problems, "adjusted_rand_index": members_x_problems}
+        assert calls == {"run_spec": members_x_problems, "adjusted_rand_index": 8, "scored": members_x_problems}
 
     def test_algo_select_separated(self, tmp_path):
         # Without outliers the members' ARIs differ (0.70-0.71), so this file

@@ -190,6 +190,19 @@ class TestLabelsToPartition:
         with pytest.raises(ValueError):
             labels_to_partition([0, 0, 0])
 
+    @pytest.mark.parametrize(
+        "labels",
+        [[0.5, 1.5, 1.7], [0, 1, 1.7], np.array([0.0, 1.0, 2.0000001]), np.array([0.0, np.inf, 1.0])],
+        ids=["all-fractional", "one-fractional", "near-whole", "inf"],
+    )
+    def test_fractional_labels_rejected(self, labels):
+        # Truncation would merge the classes 1.5 and 1.7 into one.
+        with pytest.raises(ValueError, match="labels must be whole numbers"):
+            labels_to_partition(labels)
+
+    def test_whole_float_labels_accepted(self):
+        assert labels_to_partition([2.0, 0.0, 1.0, 0.0]).labels.tolist() == [2, 0, 1, 0]
+
     def test_agrees_with_label_equality(self):
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 3, size=12)

@@ -129,7 +129,7 @@ def train_algo_select_oracle(specs, train, seed):
             try:
                 partition = run_spec(spec, ds.points)
                 extrema = symmetric_eigen_extrema(covariance(ds.points))
-                feats.append(phi_features(ds, partition, pairwise_distances(ds.points), extrema))
+                feats.append(phi_features(ds, [silhouette_score(ds.points, partition)], extrema)[0])
                 targets.append(adjusted_rand_index(truth, partition))
             except ValueError:
                 lo, hi = symmetric_eigen_extrema(covariance(ds.points))
@@ -156,7 +156,7 @@ def select_algorithm_oracle(specs, coef, dataset):
         partitions.append(partition)
         try:
             extrema = symmetric_eigen_extrema(covariance(dataset.points))
-            a_j = predict(member_coef, phi_features(dataset, partition, pairwise_distances(dataset.points), extrema))
+            a_j = predict(member_coef, phi_features(dataset, [silhouette_score(dataset.points, partition)], extrema)[0])
         except ValueError:
             continue
         candidates.append((a_j, j))
@@ -696,24 +696,32 @@ class TestAlgoSelect:
         assert records[0].has_features.tolist() == [True, False]
         assert records[0].rows[1].tolist() == [ds.d, ds.n, lo, hi, 0.0] and records[0].ari[1] == 0.0
 
-    def test_member_without_features_keeps_its_ari(self, monkeypatch):
+    def test_members_without_features_keep_their_ari(self, monkeypatch):
+        # The features fail on the second problem only: each of its members
+        # is flagged and keeps the ARI of its run.
         repo = small_repo(3)
         specs = [ClustererSpec(kind="kmeans", k=2, restarts=2), ClustererSpec(kind="agglo_single", k=2)]
         real = meta_pipelines.phi_features
         calls = []
 
-        def second_fails(dataset, partition, dist, extrema):
-            calls.append(partition)
+        def second_fails(dataset, silhouettes, extrema):
+            calls.append(dataset)
             if len(calls) == 2:
-                raise ValueError("no features for this partition")
-            return real(dataset, partition, dist, extrema)
+                raise ValueError("covariance must be PSD up to tolerance")
+            return real(dataset, silhouettes, extrema)
 
         monkeypatch.setattr(meta_pipelines, "phi_features", second_fails)
-        (record,) = member_records(specs, repo.problems[:1], seed=0)
-        truth = repo.problems[0][1]
-        assert record.has_features.tolist() == [True, False]
-        assert record.ari.tolist() == [adjusted_rand_index(truth, p) for p in calls]
-        assert n_flagged([record]) == 1 and select_algorithm(train_algo_select([record]), record) == 0
+        records = member_records(specs, repo.problems, seed=0)
+        assert [record.has_features.tolist() for record in records] == [[True, True], [False, False], [True, True]]
+        for record, (ds, truth) in zip(records, repo.problems):
+            aris = [adjusted_rand_index(truth, run_spec(spec, ds.points)) for spec in seeded_specs(specs, 0)]
+            assert record.ari.tolist() == aris and all(aris)
+        ds = repo.problems[1][0]
+        lo, hi = symmetric_eigen_extrema(covariance(ds.points))
+        assert records[1].rows.tolist() == [[ds.d, ds.n, lo, hi, 0.0]] * 2
+        assert n_flagged(records) == 2
+        with pytest.raises(DataError, match="no family member could be scored"):
+            select_algorithm(train_algo_select(records), records[1])
 
     def test_each_member_runs_once_per_problem(self, monkeypatch):
         repo = small_repo(6)
@@ -737,6 +745,42 @@ class TestAlgoSelect:
         # Same numbers as running every member again on each test problem.
         assert per_member == member_means_oracle(seeded_specs(specs, 2), repo.problems[3:])
         assert per_member[2] == 0.0
+
+    def test_one_call_per_score_and_features_per_problem(self, monkeypatch):
+        # The second problem has 4 points, too few for every k = 5 member:
+        # it makes no score or feature call.  The others score the
+        # partitions of their successful runs in member order, in one call each.
+        problems = list(small_repo(3).problems)
+        ds, truth = problems[1]
+        problems[1] = (Dataset(id=ds.id, points=ds.points[:4]), labels_to_partition([0, 1, 0, 1]))
+        specs = [
+            ClustererSpec(kind="kmeans", k=5, restarts=2),
+            ClustererSpec(kind="agglo_ward", k=50),  # fails: k > n
+            ClustererSpec(kind="agglo_average", k=5),
+        ]
+        calls = {name: [] for name in ("adjusted_rand_index", "silhouette_score", "phi_features")}
+
+        def counted(name, real):
+            def wrapped(*args, **kwargs):
+                calls[name].append(args)
+                return real(*args, **kwargs)
+
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(meta_pipelines, name, counted(name, getattr(meta_pipelines, name)))
+        records = member_records(specs, problems, seed=5)
+        seeded, scored_problems = seeded_specs(specs, 5), problems[::2]
+        expected = [[run_spec(seeded[j], ds.points).labels.tolist() for j in (0, 2)] for ds, _truth in scored_problems]
+        firsts = {"adjusted_rand_index": [truth for _ds, truth in scored_problems],
+                  "silhouette_score": [ds.points for ds, _truth in scored_problems]}
+        for name, first in firsts.items():
+            assert len(calls[name]) == len(first) and all(a is b for (a, _parts), b in zip(calls[name], first))
+            assert [[part.labels.tolist() for part in parts] for _first, parts in calls[name]] == expected
+        assert [args[0] for args in calls["phi_features"]] == [ds for ds, _truth in scored_problems]
+        flags = [[True, False, True], [False, False, False], [True, False, True]]
+        assert [record.has_features.tolist() for record in records] == flags
+        assert records[1].ari.tolist() == [0.0] * 3
 
     def test_members_sharing_a_name_are_scored_apart(self):
         # Both k-means members are named "kmeans"; each keeps its own mean.
@@ -806,9 +850,9 @@ class TestAlgoSelect:
 
     def test_one_distance_matrix_per_problem(self, monkeypatch):
         repo = small_repo(4)
-        runs, dists, member_dists, phi_dists = [], [], [], []
+        runs, dists, member_dists, sil_dists = [], [], [], []
         real_run, real_sq = meta_pipelines.run_spec, meta_pipelines.squared_distances
-        real_phi = meta_pipelines.phi_features
+        real_sil = meta_pipelines.silhouette_score
 
         def counted_run(spec, points, *, sq_dist):
             runs.append((spec.normalize_first, sq_dist))
@@ -822,9 +866,9 @@ class TestAlgoSelect:
             member_dists.append(points)
             return real_sq(points)
 
-        def recorded_phi(dataset, partition, dist, extrema):
-            phi_dists.append(dist)
-            return real_phi(dataset, partition, dist, extrema)
+        def recorded_sil(points, partitions, dist):
+            sil_dists.append(dist)
+            return real_sil(points, partitions, dist=dist)
 
         eigen = []
         real_eigen = meta_pipelines.symmetric_eigen_extrema
@@ -836,7 +880,7 @@ class TestAlgoSelect:
         monkeypatch.setattr(meta_pipelines, "run_spec", counted_run)
         monkeypatch.setattr(meta_pipelines, "squared_distances", counted_sq)
         monkeypatch.setattr(clusterers, "squared_distances", member_sq)
-        monkeypatch.setattr(meta_pipelines, "phi_features", recorded_phi)
+        monkeypatch.setattr(meta_pipelines, "silhouette_score", recorded_sil)
         monkeypatch.setattr(meta_pipelines, "symmetric_eigen_extrema", counted_eigen)
         monkeypatch.setattr(regression, "symmetric_eigen_extrema", counted_eigen)
         records = member_records(self.FAMILY, repo.problems, seed=1)
@@ -850,16 +894,17 @@ class TestAlgoSelect:
             problem_runs = runs[len(self.FAMILY) * t : len(self.FAMILY) * (t + 1)]
             assert len({id(sq) for norm, sq in problem_runs if not norm}) == 1
             assert len({id(sq) for norm, sq in problem_runs}) == 2
-        # Three members run and get features on each problem, all from its one matrix.
-        assert len(phi_dists) == 3 * len(repo.problems)
-        assert len({id(d) for d in phi_dists[:3]}) == 1 and phi_dists[0] is not phi_dists[3]
+        # The three members that run on a problem are scored with its raw points' distances.
+        assert len(sil_dists) == len(repo.problems)
+        for (ds, _truth), dist in zip(repo.problems, sil_dists):
+            assert np.array_equal(dist, pairwise_distances(ds.points))
         # One eigendecomposition per problem serves its feature rows and its failure row.
         assert len(eigen) == len(repo.problems)
 
-        for calls in (runs, dists, phi_dists, eigen):
+        for calls in (runs, dists, sil_dists, eigen):
             calls.clear()
         select_algorithm(train_algo_select(records), records[0])
-        assert runs == dists == member_dists == phi_dists == eigen == []
+        assert runs == dists == member_dists == sil_dists == eigen == []
 
     def test_no_normalized_matrix_without_a_normalizing_member(self, monkeypatch):
         repo = small_repo(3)

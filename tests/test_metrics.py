@@ -204,16 +204,17 @@ class TestContingency:
                 same_y += ly[i] == ly[j]
                 same_z += lz[i] == lz[j]
                 same_both += ly[i] == ly[j] and lz[i] == lz[j]
-            assert _pair_counts(y, z) == (same_both, same_y, same_z)
+            both, counted_y, counted_z = _pair_counts(y, [z])
+            assert (both.tolist(), counted_y, counted_z.tolist()) == ([same_both], same_y, [same_z])
 
     def test_uncovered_item_rejected(self):
         # item 2 is in no part of y; it must not be counted into any cell
         with pytest.raises(ValueError):
-            _pair_counts(Partition(3, ((0,), (1,))), Partition(3, ((0, 1, 2),)))
+            _pair_counts(Partition(3, ((0,), (1,))), [Partition(3, ((0, 1, 2),))])
 
     def test_mismatched_item_counts_rejected(self):
         with pytest.raises(ValueError):
-            _pair_counts(Partition(3, ((0,), (1, 2))), Partition(4, ((0, 1), (2, 3))))
+            _pair_counts(Partition(3, ((0,), (1, 2))), [Partition(4, ((0, 1), (2, 3)))])
 
 
 class TestAdjustedRandIndex:
@@ -481,8 +482,8 @@ class TestBatchedScores:
         y = random_partition(rng, 12)
         zs = [random_partition(rng, 12, max_parts=m) for m in (2, 3, 5)]
         both, same_y, same_z = _pair_counts(y, zs)
-        singles = [_pair_counts(y, z) for z in zs]
-        assert both.tolist() == [c[0] for c in singles] and same_z.tolist() == [c[2] for c in singles]
+        singles = [_pair_counts(y, [z]) for z in zs]
+        assert both.tolist() == [int(c[0][0]) for c in singles] and same_z.tolist() == [int(c[2][0]) for c in singles]
         assert {c[1] for c in singles} == {same_y}
 
 

@@ -12,7 +12,7 @@ from metaclust.data_model import (
     labels_to_partition,
     make_synthetic_repository,
 )
-from metaclust.metrics import pairwise_distances, silhouette_score
+from metaclust.metrics import silhouette_score
 from metaclust.regression import (
     fit_least_squares,
     phi_features,
@@ -233,8 +233,8 @@ D, M, SIGMA_MIN, SIGMA_MAX, SIL = range(5)  # the meta-feature vector's layout
 
 
 def phi_of(ds, c):
-    """``phi_features`` with the distance matrix and eigenvalue extrema computed for this call."""
-    return phi_features(ds, c, pairwise_distances(ds.points), symmetric_eigen_extrema(covariance(ds.points)))
+    """The meta-feature row of one clustering, with its silhouette and the eigenvalue extrema computed for this call."""
+    return phi_features(ds, [silhouette_score(ds.points, c)], symmetric_eigen_extrema(covariance(ds.points)))[0]
 
 
 class TestPhiFeatures:
@@ -284,35 +284,32 @@ class TestPhiFeatures:
         assert phi[SIGMA_MIN] == pytest.approx(lo, rel=1e-12) and phi[SIGMA_MAX] == pytest.approx(hi, rel=1e-12)
         assert phi[SIL] == silhouette_score(pts, c)
 
+    def test_one_row_per_silhouette(self):
+        ds = Dataset(id="r", points=np.arange(8.0).reshape(4, 2))
+        rows = phi_features(ds, [0.25, -0.5, 0.25], (0.5, 2.0))
+        assert rows.shape == (3, 5) and rows.dtype == float
+        assert rows.tolist() == [[2, 4, 0.5, 2.0, 0.25], [2, 4, 0.5, 2.0, -0.5], [2, 4, 0.5, 2.0, 0.25]]
+        assert phi_features(ds, [], (0.5, 2.0)).shape == (0, 5)
+
     def test_negative_sigma_rejected(self):
         ds = Dataset(id="n", points=np.arange(8.0).reshape(4, 2))
         with pytest.raises(ValueError, match="PSD"):
-            phi_features(ds, labels_to_partition([0, 0, 1, 1]), pairwise_distances(ds.points), (-0.5, 1.0))
+            phi_features(ds, [0.5, 0.25], (-0.5, 1.0))
 
     def test_tiny_negative_sigma_tolerated(self):
         ds = Dataset(id="t", points=np.arange(8.0).reshape(4, 2))
-        dist = pairwise_distances(ds.points)
-        assert phi_features(ds, labels_to_partition([0, 0, 1, 1]), dist, (-1e-10, 1.0))[SIGMA_MIN] == -1e-10
+        assert phi_features(ds, [0.5], (-1e-10, 1.0))[0, SIGMA_MIN] == -1e-10
 
     def test_collinear_columns_at_large_scale_tolerated(self):
         # Columns (x, 3x) at 1e9 scale: the roundoff in sigma_min scales with sigma_max.
         ds, truth = make_synthetic_repository(SynthSpec(n_problems=1, n_points=40, seed=5)).problems[0]
         x = ds.points[:, 0]
         ds = Dataset(id="c", points=np.column_stack([x * 1e9, 3 * x * 1e9]))
-        dist = pairwise_distances(ds.points)
+        sil = [silhouette_score(ds.points, truth)]
         lo, hi = symmetric_eigen_extrema(covariance(ds.points))
         assert abs(lo) <= 1e-9 * hi
-        assert np.array_equal(phi_features(ds, truth, dist, (lo, hi))[[SIGMA_MIN, SIGMA_MAX]], [lo, hi])
+        assert np.array_equal(phi_features(ds, sil, (lo, hi))[0, [SIGMA_MIN, SIGMA_MAX]], [lo, hi])
         # sigma_min = -8192 at sigma_max = 2.7e20 is roundoff; the bound is 1e-9 * max(1, sigma_max).
-        assert phi_features(ds, truth, dist, (-8192.0, 2.7e20))[SIGMA_MIN] == -8192.0
+        assert phi_features(ds, sil, (-8192.0, 2.7e20))[0, SIGMA_MIN] == -8192.0
         with pytest.raises(ValueError, match="PSD"):
-            phi_features(ds, truth, dist, (-3e11, 2.7e20))
-
-    def test_precomputed_distances_give_the_same_vector(self):
-        rng = np.random.default_rng(9)
-        for n, d in ((5, 1), (23, 2), (40, 4)):
-            pts = np.round(rng.standard_normal((n, d)), 1)  # coincident points too
-            ds = Dataset(id="x", points=pts)
-            c = labels_to_partition(rng.integers(0, 3, n) if n > 5 else [0, 1, 1, 2, 2])
-            lo, hi = symmetric_eigen_extrema(covariance(pts))
-            assert np.array_equal(phi_of(ds, c), [d, n, lo, hi, silhouette_score(pts, c)])
+            phi_features(ds, sil, (-3e11, 2.7e20))

@@ -426,6 +426,12 @@ class TestSplits:
         split = sample_pair_splits(self.repo(), seed=1, max_pairs=50)
         assert len(split) == 3 and all(isinstance(pairs, PairSet) and len(pairs) for pairs in split)
 
+    @pytest.mark.parametrize("max_pairs", [1.5, 2.0, -1, 0, 1, None])
+    def test_max_pairs_not_an_int_of_at_least_two_rejected(self, max_pairs, monkeypatch):
+        monkeypatch.setattr(similarity_net, "derive_seed", None)  # fails if any draw starts
+        with pytest.raises(ValueError, match=f"max_pairs must be an int >= 2, got {max_pairs!r}"):
+            sample_pair_splits(self.repo(), seed=1, max_pairs=max_pairs)
+
     def test_train_and_it_halves_disjoint(self, monkeypatch):
         builds = []
         real = similarity_net.build_pair_features
@@ -563,6 +569,13 @@ class TestMlp:
         model = train_mlp(pairs, epochs=10, batch=50, seed=4)
         loss1, _ = nll_loss_and_grads(model, x, y)
         assert loss1 < loss0
+
+    @pytest.mark.parametrize("epochs", [-3, 0, 2.5, 1.0, None])
+    def test_epochs_not_an_int_of_at_least_one_rejected(self, epochs, monkeypatch):
+        monkeypatch.setattr(similarity_net, "_active_columns", None)  # fails if any work starts
+        pairs = pair_set(np.ones((4, FEATURE_DIM)), np.array([0, 1, 0, 1]))
+        with pytest.raises(ValueError, match=f"epochs must be an int >= 1, got {epochs!r}"):
+            train_mlp(pairs, epochs=epochs)
 
     @pytest.mark.parametrize("batch", [0, -1])
     def test_batch_below_one_rejected(self, batch, monkeypatch):
